@@ -146,7 +146,8 @@ pub fn path_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize
 /// The scalar fused real-PATH sweep: one predictor instance per
 /// configuration, trained predictor-by-predictor in a single trace walk.
 /// This is the pre-lane-packing engine, kept as the fallback for batch
-/// shapes the packed engine rejects and as the `bench-pr6` baseline arm.
+/// shapes the packed engine rejects and as the oracle the lane-dispatch
+/// tests compare the packed engine against.
 pub fn path_real_sweep_scalar<A: Automaton>(
     configs: &[Dolc],
     bench: &Bench,

@@ -8,8 +8,6 @@
 //! come back in submission order, so any pool width produces byte-identical
 //! output.
 
-use std::sync::Arc;
-
 use crate::dispatch::{
     cttb_ideal_sweep, cttb_ladder, cttb_real_sweep, exit_ladder,
     measure_ideal_path_automaton_sweep, measure_ideal_sweep, path_ideal_sweep, path_real_sweep,
@@ -23,8 +21,8 @@ use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::{CttbOnlyPredictor, TaskPredictor};
 use multiscalar_isa::ExitKind;
 use multiscalar_sim::measure::{measure_full, measure_indirect_targets, measure_table3, MissStats};
-use multiscalar_sim::replay::{record_replay, simulate_replay, InstrReplay};
-use multiscalar_sim::timing::{simulate, NextTaskPredictor, TimingConfig, TimingResult};
+use multiscalar_sim::replay::simulate_replay;
+use multiscalar_sim::timing::{NextTaskPredictor, TimingConfig, TimingResult};
 
 type Leh2 = LastExitHysteresis<2>;
 
@@ -447,97 +445,27 @@ pub struct Table4Row {
     pub perfect: TimingResult,
 }
 
-/// Which engine drives Table 4's timing runs. Both produce bit-identical
-/// rows (enforced by tests and CI); the legacy engine exists only as the
-/// reference for equivalence checks and the `bench-pr2` comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Re-interpret the program for every predictor column.
-    Legacy,
-    /// Record one instruction replay per benchmark and share it across
-    /// columns with zero re-interpretation (the default).
-    #[default]
-    Replay,
-}
-
-impl Engine {
-    /// Parses a `--engine` flag value.
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "legacy" => Some(Engine::Legacy),
-            "replay" => Some(Engine::Replay),
-            _ => None,
-        }
-    }
-
-    /// The flag/wire name (inverse of [`Engine::from_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Legacy => "legacy",
-            Engine::Replay => "replay",
-        }
-    }
-}
-
-/// Re-records each benchmark's instruction replay from scratch (one job
-/// per benchmark), *ignoring* the recording already sitting in
-/// [`Bench::replay`]. Normal consumers should use that field; this exists
-/// so `bench-pr2` can charge the replay arm its recording cost explicitly.
-pub fn record_replays(benches: &[Bench], pool: &Pool) -> Vec<Arc<InstrReplay>> {
-    let jobs: Vec<Job<'_, Arc<InstrReplay>>> = benches
-        .iter()
-        .map(|b| {
-            Box::new(move || {
-                record_replay(&b.workload.program, &b.tasks, b.workload.max_steps)
-                    .expect("recording must succeed")
-                    .into_shared()
-            }) as Job<'_, _>
-        })
-        .collect();
-    pool.run(jobs)
-}
-
 /// Reproduces Table 4: IPC from the timing simulator with Simple / GLOBAL /
 /// PER / PATH / Perfect inter-task prediction. All real predictors use a
 /// 16 KB PHT, depth 7 (depth 0 for Simple), a CTTB for indirects and a RAS
 /// for returns, matching the paper's setup. Five jobs per benchmark (one
 /// per predictor column).
 ///
-/// With [`Engine::Replay`] all five columns drive the timing model from
-/// the benchmark's recorded [`InstrReplay`] ([`Bench::replay`] — served
-/// from the artifact cache when warm) with zero re-interpretation —
-/// sequential solo walks beat a fused multi-state walk here because each
-/// column's working set (ARB, scoreboard, predictor tables) stays
-/// cache-resident. [`Engine::Legacy`] re-interprets per column and is kept
-/// only as the reference for equivalence checks and `bench-pr2`.
-pub fn table4(
-    benches: &[Bench],
-    config: &TimingConfig,
-    pool: &Pool,
-    engine: Engine,
-) -> Vec<Table4Row> {
+/// All five columns drive the timing model from the benchmark's recorded
+/// [`InstrReplay`](multiscalar_sim::replay::InstrReplay) ([`Bench::replay`]
+/// — served from the artifact cache when warm) with zero
+/// re-interpretation. Sequential solo walks beat a fused multi-state walk
+/// here because each column's working set (ARB, scoreboard, predictor
+/// tables) stays cache-resident. `tests/replay.rs` checks these rows
+/// against the interpreter-fed `multiscalar_sim::timing::simulate`.
+pub fn table4(benches: &[Bench], config: &TimingConfig, pool: &Pool) -> Vec<Table4Row> {
     let mut jobs: Vec<Job<'_, TimingResult>> = Vec::new();
     for b in benches.iter() {
         for column in Table4Column::ALL {
-            let replay = match engine {
-                Engine::Legacy => None,
-                Engine::Replay => Some(Arc::clone(&b.replay)),
-            };
             jobs.push(Box::new(move || {
                 let mut pred = column.predictor();
                 let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-                match &replay {
-                    Some(r) => simulate_replay(r, &b.descs, pred, config),
-                    None => simulate(
-                        &b.workload.program,
-                        &b.tasks,
-                        &b.descs,
-                        pred,
-                        config,
-                        b.workload.max_steps,
-                    )
-                    .expect("timing simulation must succeed"),
-                }
+                simulate_replay(&b.replay, &b.descs, pred, config)
             }));
         }
     }

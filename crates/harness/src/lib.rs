@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! The experiment harness: one function per table/figure of the paper,
-//! each returning structured results the CLI (and benches, and tests)
+//! each returning structured results the CLI (and tests, and `perfbench`)
 //! render.
 //!
 //! | Paper artifact | Function |
@@ -29,10 +29,6 @@
 //! println!("{} dynamic tasks", rows[0].dynamic_tasks);
 //! ```
 
-pub mod bench_pr1;
-pub mod bench_pr2;
-pub mod bench_pr5;
-pub mod bench_pr6;
 pub mod cache;
 pub mod csv;
 pub mod dispatch;

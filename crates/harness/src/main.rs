@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! harness <experiment> [--seed N] [--scale N] [--bench NAME] [--threads N]
-//!                      [--engine legacy|replay] [--format text|csv|json]
-//!                      [--cache-dir DIR] [--no-cache]
+//!                      [--format text|csv|json] [--cache-dir DIR] [--no-cache]
 //! harness serve [--socket PATH] [--result-max-bytes N] [...]
-//!
-//! experiments: table2 fig3 fig4 fig6 fig7 fig8 fig10 fig11 fig12
-//!              table3 table4 profile all
 //! ```
+//!
+//! The experiment names are the entries of [`registry::REGISTRY`]; `usage`
+//! lists them.
 //!
 //! The binary is a thin shell around the typed request pipeline: parse
 //! the command line into a [`Request`] (`multiscalar_harness::proto`),
@@ -16,8 +15,8 @@
 //! with `harness serve` — and render the structured
 //! [`registry::Output`]: body to stdout, artifact files to disk, `ok` to
 //! the exit code, errors to stderr. Every subcommand, including the
-//! tools (`lint`, `fuzz`, `verify`, `cache`, `bench-pr*`), is a registry
-//! entry; nothing dispatches outside the registry.
+//! tools (`lint`, `fuzz`, `verify`, `cache`, `asm`, `disasm`), is a
+//! registry entry; nothing dispatches outside the registry.
 //!
 //! Benchmarks are prepared **once** per invocation (traces are shared,
 //! immutable, behind `Arc`) through the on-disk artifact cache
@@ -74,11 +73,6 @@ fn parse_args() -> Result<Invocation, String> {
             "--cache-dir" => cache_dir = Some(std::path::PathBuf::from(value()?)),
             "--no-cache" => no_cache = true,
             "--occupancy" => request.opts.occupancy = true,
-            "--engine" => {
-                let name = value()?;
-                request.engine = multiscalar_harness::experiments::Engine::from_name(&name)
-                    .ok_or(format!("unknown engine `{name}` (legacy|replay)"))?;
-            }
             "--threads" => {
                 pool = Pool::new(
                     value()?
@@ -149,17 +143,25 @@ fn parse_args() -> Result<Invocation, String> {
     })
 }
 
+/// The usage line. The experiment list comes from the registry, so it
+/// cannot drift from what dispatch accepts; `serve` is the one subcommand
+/// outside it.
 fn usage() -> String {
-    "usage: harness <table2|fig3|fig4|fig6|fig7|fig8|fig10|fig11|fig12|table3|table4|all|\
-     ext-staleness|ext-hybrid|ext-taskform|ext-memory|ext-confidence|ext-intra|ext-pollution|ext|\
-     profile|csv|verify|lint [FILE.masm]|asm FILE.masm|disasm FILE.masm|fuzz|\
-     cache stats|cache clear|cache gc|bench-pr1|bench-pr2|bench-pr5|\
-     bench-pr6|serve> \
-     [--seed N] [--scale N] [--bench NAME] [--csv DIR] [--threads N] [--engine legacy|replay] \
-     [--deny warnings] [--format text|csv|json] [--json] [--occupancy] [--smoke] \
-     [--cache-dir DIR] [--no-cache] [--cache-max-bytes N] [--seeds A..B] [--repro FILE] \
-     [--explain CODE] [--speculation] [--file FILE.masm] [--socket PATH] [--result-max-bytes N]"
-        .to_string()
+    let names: Vec<&str> = registry::REGISTRY
+        .iter()
+        .map(|e| e.name)
+        .chain(["serve"])
+        .collect();
+    format!(
+        "usage: harness <{}> [ARG] \
+         [--seed N] [--scale N] [--bench NAME] [--csv DIR] [--threads N] \
+         [--deny warnings] [--format text|csv|json] [--json] [--occupancy] [--smoke] \
+         [--cache-dir DIR] [--no-cache] [--cache-max-bytes N] [--seeds A..B] [--repro FILE] \
+         [--explain CODE] [--speculation] [--file FILE.masm] [--socket PATH] \
+         [--result-max-bytes N]\n\
+         ARG is FILE.masm for asm, disasm and lint, and stats|clear|gc for cache",
+        names.join("|")
+    )
 }
 
 /// One stderr line summarising the invocation's cache traffic — stderr so

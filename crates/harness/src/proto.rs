@@ -1,6 +1,6 @@
 //! The typed experiment protocol shared by the CLI and `harness serve`.
 //!
-//! One [`Request`] describes one experiment run — name, engine, workload
+//! One [`Request`] describes one experiment run — name, workload
 //! parameters, output format, tool options — and one [`Response`] carries
 //! its structured outcome. `parse_args` (the CLI) and the serve protocol
 //! both deserialise into the same `Request`, and both render errors from
@@ -23,7 +23,6 @@
 //! `{"experiment":"table2","bogus":1}` yields
 //! `{"ok":false,"error":"unknown field `bogus`"}`.
 
-use crate::experiments::Engine;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 /// Which rendering of an experiment's one run a request asks for.
@@ -102,7 +101,7 @@ pub struct ToolOpts {
     pub deny_warnings: bool,
     /// Render the speculation-quality report (`lint --speculation`).
     pub speculation: bool,
-    /// Run the pinned CI configuration (`fuzz --smoke`, `bench-pr6 --smoke`).
+    /// Run the pinned CI configuration (`fuzz --smoke`).
     pub smoke: bool,
     /// Explain one diagnostic code (`lint --explain CODE`).
     pub explain: Option<String>,
@@ -132,8 +131,6 @@ pub struct Request {
     pub experiment: String,
     /// Workload parameters (seed, scale).
     pub params: WorkloadParams,
-    /// Which engine drives timing runs (`--engine`; replay by default).
-    pub engine: Engine,
     /// Narrow preparation to one benchmark (`--bench`).
     pub bench: Option<Spec92>,
     /// Which rendering of the run to return.
@@ -149,7 +146,6 @@ impl Request {
         Request {
             experiment: experiment.into(),
             params: WorkloadParams::standard(0xC0FFEE),
-            engine: Engine::default(),
             bench: None,
             format: OutputFormat::default(),
             opts: ToolOpts::default(),
@@ -168,7 +164,6 @@ impl Request {
         w.field_str("experiment", &self.experiment);
         w.field_num("seed", self.params.seed as i128);
         w.field_num("scale", self.params.scale as i128);
-        w.field_str("engine", self.engine.name());
         if let Some(b) = self.bench {
             w.field_str("bench", b.name());
         }
@@ -219,11 +214,6 @@ impl Request {
             "scale" => {
                 self.params.scale = u32::try_from(value.as_u64(key)?)
                     .map_err(|_| format!("bad value for `{key}`"))?
-            }
-            "engine" => {
-                let name = value.as_str(key)?;
-                self.engine = Engine::from_name(name)
-                    .ok_or(format!("unknown engine `{name}` (legacy|replay)"))?;
             }
             "bench" => {
                 let name = value.as_str(key)?;
@@ -882,7 +872,6 @@ mod tests {
         let mut req = Request::new("table4");
         req.params.seed = 42;
         req.params.scale = 2;
-        req.engine = Engine::Legacy;
         req.bench = Some(Spec92::Gcc);
         req.format = OutputFormat::Json;
         req.opts.occupancy = true;
@@ -896,12 +885,15 @@ mod tests {
     fn unknown_field_is_a_structured_error() {
         let err = parse_line(r#"{"experiment":"table2","bogus":1}"#).unwrap_err();
         assert_eq!(err, "unknown field `bogus`");
+        // Timing runs are always replay-fed; there is no engine field.
+        let err = parse_line(r#"{"experiment":"table4","engine":"replay"}"#).unwrap_err();
+        assert_eq!(err, "unknown field `engine`");
     }
 
     #[test]
     fn bad_values_reject_with_cli_error_text() {
-        let err = parse_line(r#"{"experiment":"table4","engine":"warp"}"#).unwrap_err();
-        assert_eq!(err, "unknown engine `warp` (legacy|replay)");
+        let err = parse_line(r#"{"experiment":"table4","format":"yaml"}"#).unwrap_err();
+        assert_eq!(err, "unknown format `yaml` (text|csv|json)");
         let err = parse_line(r#"{"experiment":"fuzz","seeds":"9..3"}"#).unwrap_err();
         assert_eq!(err, "empty seed range `9..3`");
     }

@@ -2,8 +2,8 @@
 //! `harness` CLI and `harness serve`.
 //!
 //! Every subcommand — paper tables/figures, extensions, *and* the tools
-//! (`lint`, `fuzz`, `verify`, `cache`, the `bench-pr*` probes, `all`,
-//! `ext`, `csv`) — registers once in [`REGISTRY`] as an [`Experiment`].
+//! (`lint`, `fuzz`, `verify`, `cache`, `asm`, `disasm`, `all`, `ext`,
+//! `csv`) — registers once in [`REGISTRY`] as an [`Experiment`].
 //! A [`crate::proto::Request`] names an entry; [`dispatch`] prepares the
 //! entry's declared benchmark set and [`execute`]s it into a structured
 //! [`Output`] (exact stdout bytes + artifact files + pass/fail), with
@@ -33,7 +33,7 @@
 use std::cell::OnceCell;
 
 use crate::cache::ArtifactCache;
-use crate::experiments::{self, Engine, Fig10Row, Fig11Row, Table4Row};
+use crate::experiments::{self, Fig10Row, Fig11Row, Table4Row};
 use crate::pool::Pool;
 use crate::profile::{self, ProfileRow};
 use crate::proto::{OutputFormat, Request};
@@ -215,8 +215,6 @@ pub struct ExpCtx<'a> {
     pub pool: &'a Pool,
     /// The request being executed (format, tool options, ...).
     pub req: &'a Request,
-    /// Which engine drives Table 4 (`--engine`; replay by default).
-    pub engine: Engine,
     /// Workload parameters (for experiments that re-generate workloads).
     pub params: WorkloadParams,
     /// Timing-model parameters (the paper's).
@@ -247,7 +245,6 @@ impl<'a> ExpCtx<'a> {
             prep,
             pool,
             req,
-            engine: req.engine,
             params: req.params,
             config: TimingConfig::paper(),
             occupancy: req.opts.occupancy,
@@ -278,12 +275,11 @@ impl<'a> ExpCtx<'a> {
             .collect()
     }
 
-    /// Table 4's rows under the selected engine; computed once and served
-    /// to the table renderer and the CSV writer alike.
+    /// Table 4's rows; computed once and served to the table renderer and
+    /// the CSV writer alike.
     pub fn table4(&self) -> &[Table4Row] {
-        self.table4.get_or_init(|| {
-            experiments::table4(self.prep.all(), &self.config, self.pool, self.engine)
-        })
+        self.table4
+            .get_or_init(|| experiments::table4(self.prep.all(), &self.config, self.pool))
     }
 
     /// The cycle-attribution profile grid; computed once per dispatch.
@@ -374,7 +370,7 @@ pub struct Experiment {
     pub kind: Kind,
     /// Whether a run is a pure function of its [`Request`] — the server
     /// memoises only these. `false` for disk-mutating tools (`cache`) and
-    /// the wall-clock `bench-pr*` probes.
+    /// tools that read a source file (`asm`, `disasm`).
     pub cache_safe: bool,
 }
 
@@ -754,38 +750,6 @@ pub const REGISTRY: &[Experiment] = &[
         kind: Kind::Tool(crate::cache::run_tool),
         cache_safe: false,
     },
-    Experiment {
-        name: "bench-pr1",
-        group: Group::Tool,
-        benches: BenchSet::None,
-        needs: Needs::NONE,
-        kind: Kind::Tool(crate::bench_pr1::run_tool),
-        cache_safe: false,
-    },
-    Experiment {
-        name: "bench-pr2",
-        group: Group::Tool,
-        benches: BenchSet::None,
-        needs: Needs::NONE,
-        kind: Kind::Tool(crate::bench_pr2::run_tool),
-        cache_safe: false,
-    },
-    Experiment {
-        name: "bench-pr5",
-        group: Group::Tool,
-        benches: BenchSet::None,
-        needs: Needs::NONE,
-        kind: Kind::Tool(crate::bench_pr5::run_tool),
-        cache_safe: false,
-    },
-    Experiment {
-        name: "bench-pr6",
-        group: Group::Tool,
-        benches: BenchSet::None,
-        needs: Needs::NONE,
-        kind: Kind::Tool(crate::bench_pr6::run_tool),
-        cache_safe: false,
-    },
 ];
 
 /// `harness all`: every paper table/figure, in registry order — the same
@@ -965,8 +929,8 @@ pub fn input_fingerprint(exp: &Experiment, keys: &[(Spec92, Fingerprint)]) -> Fi
 }
 
 /// The serve result cache's memoisation key: [`input_fingerprint`] (the
-/// experiment's content-addressed inputs) × engine × workload parameters ×
-/// output format × every tool option that can change the rendered bytes.
+/// experiment's content-addressed inputs) × workload parameters × output
+/// format × every tool option that can change the rendered bytes.
 /// Two requests with equal keys produce byte-identical [`Output`]s, so a
 /// cached body can be replayed verbatim.
 pub fn result_key(exp: &Experiment, req: &Request, keys: &[(Spec92, Fingerprint)]) -> Fingerprint {
@@ -974,7 +938,6 @@ pub fn result_key(exp: &Experiment, req: &Request, keys: &[(Spec92, Fingerprint)
     input_fingerprint(exp, keys).hash(&mut h);
     req.params.seed.hash(&mut h);
     req.params.scale.hash(&mut h);
-    req.engine.name().hash(&mut h);
     req.format.name().hash(&mut h);
     req.bench.map(|b| b.name()).hash(&mut h);
     let o = &req.opts;

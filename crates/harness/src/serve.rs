@@ -8,9 +8,9 @@
 //! immutable behind `Arc`, so serving one to a request is a cheap clone),
 //! and rendered [`Output`]s are memoised in a byte-capped LRU result
 //! cache keyed by [`registry::result_key`] — the experiment's
-//! content-addressed inputs × engine × workload parameters × output
-//! format × tool options. A repeated request is served byte-identical
-//! from memory without touching a benchmark at all.
+//! content-addressed inputs × workload parameters × output format × tool
+//! options. A repeated request is served byte-identical from memory
+//! without touching a benchmark at all.
 //!
 //! The wire protocol is line-delimited JSON over stdio or a Unix socket
 //! (see [`crate::proto`]): one [`Envelope`] per request line, one

@@ -128,12 +128,7 @@ pub fn verify(params: &WorkloadParams, pool: &Pool) -> Vec<Claim> {
 
     // §7 / Table 4: better prediction increases IPC.
     {
-        let rows = experiments::table4(
-            &benches,
-            &TimingConfig::default(),
-            pool,
-            experiments::Engine::Replay,
-        );
+        let rows = experiments::table4(&benches, &TimingConfig::default(), pool);
         let holds = rows.iter().all(|r| {
             r.path.ipc() + 1e-9 >= r.simple.ipc()
                 && r.path.ipc() + 1e-9 >= r.global.ipc().min(r.per.ipc())

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use multiscalar_harness::cache::ArtifactCache;
-use multiscalar_harness::experiments::{self, Engine};
+use multiscalar_harness::experiments;
 use multiscalar_harness::pool::Pool;
 use multiscalar_harness::{prepare_set_cached, report, Bench};
 use multiscalar_sim::timing::TimingConfig;
@@ -26,12 +26,7 @@ fn cleanup(dir: &PathBuf) {
 }
 
 fn render_table4(benches: &[Bench], pool: &Pool) -> String {
-    report::render_table4(&experiments::table4(
-        benches,
-        &TimingConfig::paper(),
-        pool,
-        Engine::Replay,
-    ))
+    report::render_table4(&experiments::table4(benches, &TimingConfig::paper(), pool))
 }
 
 /// Every observable of a prepared benchmark matches between two

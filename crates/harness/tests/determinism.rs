@@ -24,7 +24,6 @@ fn all_csv(pool: &Pool) -> String {
         &benches,
         &TimingConfig::default(),
         pool,
-        experiments::Engine::Replay,
     )));
     // The cycle-attribution profile rides the same pool; its JSON (cycle
     // counts per cause included) must be byte-identical too.

@@ -23,27 +23,40 @@ use multiscalar_workloads::{Spec92, WorkloadParams};
 #[test]
 fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
     let configs = exit_ladder();
-    let b = prepare(Spec92::Gcc, &WorkloadParams::small(0xC0FFEE));
+    let benches: Vec<_> = Spec92::ALL
+        .iter()
+        .map(|&s| prepare(s, &WorkloadParams::small(0xC0FFEE)))
+        .collect();
 
-    // The default LEH-2bit entry point takes the packed engine.
-    let before = lane_packed_sweeps();
-    let leh2 = path_real_sweep(&configs, &b);
-    assert_eq!(
-        lane_packed_sweeps() - before,
-        1,
-        "the ladder sweep must take the lane-packed path"
-    );
-    assert_eq!(
-        leh2,
-        path_real_sweep_scalar::<LastExitHysteresis<2>>(&configs, &b),
-        "lane-packed LEH-2bit must match the scalar engine"
-    );
+    // The default LEH-2bit entry point takes the packed engine on every
+    // paper workload: one packed sweep each, bit-identical to the scalar
+    // engine.
+    for b in &benches {
+        let before = lane_packed_sweeps();
+        let leh2 = path_real_sweep(&configs, b);
+        assert_eq!(
+            lane_packed_sweeps() - before,
+            1,
+            "{}: the ladder sweep must take the lane-packed path",
+            b.name()
+        );
+        assert_eq!(
+            leh2,
+            path_real_sweep_scalar::<LastExitHysteresis<2>>(&configs, b),
+            "{}: lane-packed LEH-2bit must match the scalar engine",
+            b.name()
+        );
+    }
+    let b = benches
+        .iter()
+        .find(|b| b.spec == Spec92::Gcc)
+        .expect("gcc is a paper workload");
 
     // A packable kind through the kind dispatch advances the counter too.
     // VC lanes are 16 bits wide (4 per word), so pack a 4-config subset.
     let vc_configs = &configs[..4];
     let before = lane_packed_sweeps();
-    let packed = path_real_sweep_automaton(AutomatonKind::Vc3Mru, vc_configs, &b);
+    let packed = path_real_sweep_automaton(AutomatonKind::Vc3Mru, vc_configs, b);
     assert_eq!(
         lane_packed_sweeps() - before,
         1,
@@ -51,14 +64,14 @@ fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
     );
     assert_eq!(
         packed,
-        path_real_sweep_scalar::<VotingCounters<3, true>>(vc_configs, &b),
+        path_real_sweep_scalar::<VotingCounters<3, true>>(vc_configs, b),
         "lane-packed VC3-MRU must match the scalar engine"
     );
 
     // A RANDOM kind must leave the counter alone — scalar fallback — even
     // for a shape the packed engine could otherwise hold.
     let before = lane_packed_sweeps();
-    let random = path_real_sweep_automaton(AutomatonKind::Vc3Random, vc_configs, &b);
+    let random = path_real_sweep_automaton(AutomatonKind::Vc3Random, vc_configs, b);
     assert_eq!(
         lane_packed_sweeps(),
         before,
@@ -66,7 +79,7 @@ fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
     );
     assert_eq!(
         random,
-        path_real_sweep_scalar::<VotingCounters<3, false>>(vc_configs, &b),
+        path_real_sweep_scalar::<VotingCounters<3, false>>(vc_configs, b),
         "the fallback is the scalar engine itself"
     );
 
@@ -75,7 +88,7 @@ fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
     // (counter unchanged) and still return correct results.
     let wide_configs: Vec<Dolc> = (0..17).map(|_| Dolc::new(4, 4, 6, 6, 2)).collect();
     let before = lane_packed_sweeps();
-    let wide = path_real_sweep(&wide_configs, &b);
+    let wide = path_real_sweep(&wide_configs, b);
     assert_eq!(
         lane_packed_sweeps(),
         before,
@@ -83,6 +96,6 @@ fn automaton_dispatch_packs_when_it_can_and_falls_back_for_random() {
     );
     assert_eq!(
         wide,
-        path_real_sweep_scalar::<LastExitHysteresis<2>>(&wide_configs, &b)
+        path_real_sweep_scalar::<LastExitHysteresis<2>>(&wide_configs, b)
     );
 }

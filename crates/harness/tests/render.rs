@@ -53,7 +53,6 @@ fn every_renderer_produces_named_tables() {
         &benches,
         &TimingConfig::default(),
         &pool,
-        experiments::Engine::Replay,
     ));
     assert!(t4.contains("Perfect") && t4.contains("PATH"));
 }

@@ -109,23 +109,36 @@ fn replay_matches_interpreter_across_ablation_configs() {
     }
 }
 
+/// `experiments::table4` — replay-fed, one pool job per column — equals
+/// the interpreter-fed oracle cell by cell, so the rendered table is the
+/// one the interpreter would give.
 #[test]
 fn table4_replay_rows_match_legacy_rows() {
-    use multiscalar_harness::experiments::{table4, Engine};
+    use multiscalar_harness::experiments::table4;
     use multiscalar_harness::pool::Pool;
 
     let pool = Pool::new(2);
     let benches = vec![prepare(Spec92::Compress, &params())];
-    let config = TimingConfig::default();
-    let legacy_rows = table4(&benches, &config, &pool, Engine::Legacy);
-    let replay_rows = table4(&benches, &config, &pool, Engine::Replay);
-    assert_eq!(legacy_rows.len(), replay_rows.len());
-    for (l, r) in legacy_rows.iter().zip(&replay_rows) {
-        assert_eq!(l.name, r.name);
-        assert_eq!(l.simple, r.simple);
-        assert_eq!(l.global, r.global);
-        assert_eq!(l.per, r.per);
-        assert_eq!(l.path, r.path);
-        assert_eq!(l.perfect, r.perfect);
+    let config = TimingConfig::paper();
+    let rows = table4(&benches, &config, &pool);
+    assert_eq!(rows.len(), benches.len());
+    for (row, b) in rows.iter().zip(&benches) {
+        assert_eq!(row.name, b.name());
+        let cells = [
+            (Table4Column::Simple, &row.simple),
+            (Table4Column::Global, &row.global),
+            (Table4Column::Per, &row.per),
+            (Table4Column::Path, &row.path),
+            (Table4Column::Perfect, &row.perfect),
+        ];
+        for (column, cell) in cells {
+            assert_eq!(
+                *cell,
+                legacy(b, column, &config),
+                "{}/{}: table4 must match the interpreter",
+                b.name(),
+                column.name()
+            );
+        }
     }
 }

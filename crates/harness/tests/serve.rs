@@ -79,7 +79,7 @@ fn protocol_shapes_match_golden() {
         r#"{"id":1,"cmd":"ping"}"#,
         r#"{"id":2,"cmd":"stats"}"#,
         r#"{"id":3,"experiment":"nope"}"#,
-        r#"{"id":4,"experiment":"table4","engine":"warp"}"#,
+        r#"{"id":4,"experiment":"table4","format":"yaml"}"#,
         r#"{"id":5,"experiment":"ext-hybrid","format":"csv"}"#,
         r#"{"id":6,"experiment":"table2","bogus":1}"#,
         r#"{"cmd":"batch","requests":[{"experiment":"nope"},{"experiment":"also-nope"}]}"#,

@@ -18,9 +18,9 @@ use multiscalar_taskform::TaskProgram;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of lane-packed batched sweeps (see
-/// [`measure_exits_batched`]). CI's `bench-pr6 --smoke` asserts the fast
-/// path was actually exercised by reading this counter — a structural
-/// proof, not a timing one.
+/// [`measure_exits_batched`]). The lane-dispatch tests and the repository
+/// benchmark assert the fast path was actually exercised by reading this
+/// counter — a structural proof, not a timing one.
 static LANE_PACKED_SWEEPS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of lane-packed batched sweeps this process has run (monotonic).

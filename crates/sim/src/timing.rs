@@ -99,8 +99,8 @@ pub enum ForwardingModel {
     Eager,
     /// Release-at-end forwarding: values named in a task's create mask are
     /// only released to younger tasks when the task completes — the
-    /// conservative scheme a header-only implementation gets. Ablated in
-    /// `cargo bench -p multiscalar-bench --bench table4_timing`.
+    /// conservative scheme a header-only implementation gets. Ablated by
+    /// `harness ext-memory` (`multiscalar_harness::extensions::ext_memory`).
     ReleaseAtEnd,
 }
 
