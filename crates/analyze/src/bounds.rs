@@ -28,7 +28,7 @@
 //! *contexts* (argument intervals), and the global *written set* (memory
 //! that may be stored to; loads from provably-unwritten initial data get
 //! the data's min/max as their value interval). If the interleaved loop
-//! fails to converge within [`MAX_ROUNDS`] it falls back to fully
+//! fails to converge within `MAX_ROUNDS` it falls back to fully
 //! conservative inputs, which are trivially sound.
 
 use crate::dataflow::{self, Analysis, Direction};

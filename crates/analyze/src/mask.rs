@@ -10,7 +10,7 @@
 //!
 //! The may-write set is the least fixed point of "registers written by any
 //! block reachable from the task entry within the task", computed over the
-//! function CFG restricted to the task (see [`crate::reach`]).
+//! function CFG restricted to the task (see the `reach` module).
 
 use crate::diag::{codes, Diagnostic};
 use crate::reach;

@@ -3,13 +3,13 @@
 //! The dataflow passes make three kinds of *claims* — statements that are
 //! supposed to hold on **every** execution, not heuristic findings:
 //!
-//! * [`bounds`](crate::bounds) — a load/store classified
+//! * [`bounds`] — a load/store classified
 //!   [`AccessClass::InBounds`] never faults and its effective address
 //!   stays inside the derived interval; one classified
 //!   [`AccessClass::OutOfBounds`] always faults when executed;
-//! * [`liveness`](crate::liveness) — a value written by a claimed
+//! * [`liveness`] — a value written by a claimed
 //!   [`DeadWrite`] is never read before the register's next definition;
-//! * [`spec`](crate::spec) — a claimed [`StaticExitClaim`] source never
+//! * [`spec`] — a claimed [`StaticExitClaim`] source never
 //!   transfers control anywhere but the claimed target.
 //!
 //! [`check_execution`] derives all claims and interprets the program,

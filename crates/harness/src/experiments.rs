@@ -454,10 +454,14 @@ pub struct Table4Row {
 /// All five columns drive the timing model from the benchmark's recorded
 /// [`InstrReplay`](multiscalar_sim::replay::InstrReplay) ([`Bench::replay`]
 /// — served from the artifact cache when warm) with zero
-/// re-interpretation. Sequential solo walks beat a fused multi-state walk
-/// here because each column's working set (ARB, scoreboard, predictor
-/// tables) stays cache-resident. `tests/replay.rs` checks these rows
-/// against the interpreter-fed `multiscalar_sim::timing::simulate`.
+/// re-interpretation, one solo walk per column. The fused multi-state walk
+/// ([`simulate_replay_fused`](multiscalar_sim::replay::simulate_replay_fused),
+/// bit-identical per column) measured faster on one thread: over all five
+/// benchmarks' five columns it took 0.76x (scale 1), 0.90x (scale 2) and
+/// 0.80x (scale 4) of the solo walks' time (2-vCPU Xeon VM, medians of
+/// 7-9 alternating rounds, results asserted equal). The solo jobs stay
+/// until a perfbench run decides the switch. `tests/replay.rs` checks
+/// these rows cell by cell against the interpreter-fed timing oracle.
 pub fn table4(benches: &[Bench], config: &TimingConfig, pool: &Pool) -> Vec<Table4Row> {
     let mut jobs: Vec<Job<'_, TimingResult>> = Vec::new();
     for b in benches.iter() {

@@ -19,8 +19,8 @@ use multiscalar_core::pollution::{PollutedExitAdapter, PollutedPathPredictor};
 use multiscalar_core::stale::StalePathPredictor;
 use multiscalar_core::tournament::TournamentPredictor;
 use multiscalar_sim::measure::{measure_exits, task_descs};
-use multiscalar_sim::replay::{derive_trace, record_replay};
-use multiscalar_sim::timing::{simulate, ForwardingModel, TimingConfig};
+use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay};
+use multiscalar_sim::timing::{ForwardingModel, TimingConfig};
 use multiscalar_taskform::{TaskFormConfig, TaskFormer};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
@@ -203,17 +203,7 @@ pub fn ext_memory(benches: &[Bench]) -> Vec<MemoryRow> {
     benches
         .iter()
         .map(|b| {
-            let run = |config: &TimingConfig| {
-                simulate(
-                    &b.workload.program,
-                    &b.tasks,
-                    &b.descs,
-                    None,
-                    config,
-                    b.workload.max_steps,
-                )
-                .expect("timing succeeds")
-            };
+            let run = |config: &TimingConfig| simulate_replay(&b.replay, &b.descs, None, config);
             let default = TimingConfig::paper();
             let eager = run(&default);
             let release = run(&default.forwarding(ForwardingModel::ReleaseAtEnd));
@@ -296,15 +286,7 @@ pub fn ext_intra(benches: &[Bench]) -> Vec<IntraRow> {
         .map(|b| {
             let run = |kind: IntraPredictorKind| {
                 let config = TimingConfig::paper().intra_predictor(kind);
-                simulate(
-                    &b.workload.program,
-                    &b.tasks,
-                    &b.descs,
-                    None,
-                    &config,
-                    b.workload.max_steps,
-                )
-                .expect("timing succeeds")
+                simulate_replay(&b.replay, &b.descs, None, &config)
             };
             let bi = run(IntraPredictorKind::Bimodal);
             let gs = run(IntraPredictorKind::Gshare);
@@ -354,15 +336,12 @@ pub fn ext_confidence(benches: &[Bench]) -> Vec<ConfidenceRow> {
             };
             let run = |config: &TimingConfig| {
                 let mut p = make();
-                simulate(
-                    &b.workload.program,
-                    &b.tasks,
+                simulate_replay(
+                    &b.replay,
                     &b.descs,
                     Some(&mut p as &mut dyn NextTaskPredictor),
                     config,
-                    b.workload.max_steps,
                 )
-                .expect("timing succeeds")
             };
             let default = TimingConfig::paper();
             let always = run(&default);

@@ -14,7 +14,8 @@
 //! 3. **interpreter vs replay** — the sanitize lockstep walk
 //!    ([`check_replay_agreement`]) must agree step for step;
 //! 4. **timing engines** — the interpreter-fed and replay-fed timing runs
-//!    must produce bit-identical [`TimingResult`]s *and*
+//!    must produce bit-identical
+//!    [`TimingResult`](multiscalar_sim::timing::TimingResult)s *and*
 //!    [`CycleBreakdown`]s, each breakdown summing exactly to `cycles`;
 //! 5. **fused vs solo** — [`check_fused_agreement`] over four predictor
 //!    slots (perfect, PATH, and the two zoo families) must agree per slot;

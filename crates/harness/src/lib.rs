@@ -68,9 +68,10 @@ pub struct Bench {
     /// Per-task predictor-facing descriptions (indexed by task id).
     pub descs: Vec<TaskDesc>,
     /// The recorded instruction replay — the one execution artifact every
-    /// timing run rides ([`experiments::table4`], `profile`). Served from
-    /// the artifact cache when warm; recorded (one interpreter pass) when
-    /// cold.
+    /// timing run rides ([`experiments::table4`], `profile`, and the
+    /// [`extensions`] timing studies), so no timing run re-interprets the
+    /// program. Served from the artifact cache when warm; recorded (one
+    /// interpreter pass) when cold.
     pub replay: Arc<InstrReplay>,
     /// The content address `replay` is cached under (see
     /// [`cache::replay_key`]).

@@ -23,12 +23,12 @@
 //! table and its CSV) compute it once per dispatch regardless of how many
 //! renderers consume it.
 //!
-//! Every entry also **declares its inputs**: which benchmark set it reads
-//! ([`BenchSet`]) and which derived artifacts it consumes ([`Needs`]).
-//! Running one experiment prepares only its declared set, and the declared
-//! inputs fold into a per-experiment [`input_fingerprint`] — the shared
-//! key-derivation path behind both `harness cache stats` coverage
-//! reporting and the serve result cache ([`result_key`]).
+//! Every entry also **declares its inputs**: the benchmark set it reads
+//! ([`BenchSet`]). Running one experiment prepares only its declared set,
+//! and the set's cache keys fold into a per-experiment
+//! [`input_fingerprint`] — the shared key-derivation path behind both
+//! `harness cache stats` coverage reporting and the serve result cache
+//! ([`result_key`]).
 
 use std::cell::OnceCell;
 
@@ -66,42 +66,6 @@ impl BenchSet {
             BenchSet::None => &[],
         }
     }
-}
-
-/// Which derived artifacts an experiment consumes per prepared benchmark.
-/// Both derive from the one cached recording (the functional trace is
-/// reconstructed from the replay), so either flag makes the experiment a
-/// cache consumer; the split documents *how* each entry uses it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Needs {
-    /// Walks the functional task-level trace.
-    pub trace: bool,
-    /// Drives the timing simulator straight from the recording.
-    pub replay: bool,
-}
-
-impl Needs {
-    /// Trace-walking experiments (all measurement figures/tables).
-    pub const TRACE: Needs = Needs {
-        trace: true,
-        replay: false,
-    };
-    /// Timing runs riding the recording (Table 4, `profile`).
-    pub const REPLAY: Needs = Needs {
-        trace: false,
-        replay: true,
-    };
-    /// Both (the `all`/`csv` umbrellas, `ext-zoo`).
-    pub const BOTH: Needs = Needs {
-        trace: true,
-        replay: true,
-    };
-    /// Experiments that only re-generate workloads (`ext-taskform`) or
-    /// prepare entirely on their own (tools).
-    pub const NONE: Needs = Needs {
-        trace: false,
-        replay: false,
-    };
 }
 
 /// How dispatch obtains prepared benchmarks. The CLI uses the default
@@ -364,8 +328,6 @@ pub struct Experiment {
     /// The benchmark set this experiment reads — prepared (and only it)
     /// when the experiment runs; folded into [`input_fingerprint`].
     pub benches: BenchSet,
-    /// Which derived artifacts it consumes per benchmark.
-    pub needs: Needs,
     /// How it executes.
     pub kind: Kind,
     /// Whether a run is a pure function of its [`Request`] — the server
@@ -391,7 +353,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "table2",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_table2(&experiments::table2(c.prep.all())),
             csv: Some(("table2.csv", |c| {
@@ -406,7 +367,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig3",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_fig3(&experiments::fig3(c.prep.all())),
             csv: Some(("fig3.csv", |c| csv::fig3(&experiments::fig3(c.prep.all())))),
@@ -419,7 +379,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig4",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_fig4(&experiments::fig4(c.prep.all())),
             csv: Some(("fig4.csv", |c| csv::fig4(&experiments::fig4(c.prep.all())))),
@@ -432,7 +391,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig6",
         group: Group::Paper,
         benches: BenchSet::Gcc,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_fig6(&experiments::fig6(c.prep.gcc(), c.pool)),
             csv: Some(("fig6.csv", |c| {
@@ -447,7 +405,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig7",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_fig7(&experiments::fig7(c.prep.all(), c.pool)),
             csv: Some(("fig7.csv", |c| {
@@ -462,7 +419,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig8",
         group: Group::Paper,
         benches: BenchSet::GccXlisp,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             // The paper studies the two indirect-heavy benchmarks.
             render: |c| {
@@ -482,7 +438,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig10",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_fig10(&c.fig10_fig11().0),
             csv: Some(("fig10.csv", |c| csv::fig10(&c.fig10_fig11().0))),
@@ -495,7 +450,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig11",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_fig11(&c.fig11_rows()),
             csv: Some(("fig11.csv", |c| csv::fig11(&c.fig11_rows()))),
@@ -508,7 +462,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fig12",
         group: Group::Paper,
         benches: BenchSet::GccXlisp,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| {
                 let b = c.prep.subset(&[Spec92::Gcc, Spec92::Xlisp]);
@@ -527,7 +480,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "table3",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_table3(&experiments::table3(c.prep.all(), c.pool)),
             csv: Some(("table3.csv", |c| {
@@ -542,7 +494,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "table4",
         group: Group::Paper,
         benches: BenchSet::All,
-        needs: Needs::REPLAY,
         kind: Kind::Rendered {
             render: |c| report::render_table4(c.table4()),
             csv: Some(("table4.csv", |c| csv::table4(c.table4()))),
@@ -555,7 +506,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-staleness",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_staleness(&extensions::ext_staleness(c.prep.all())),
             csv: Some(("ext_staleness.csv", |c| {
@@ -570,7 +520,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-hybrid",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_hybrid(&extensions::ext_hybrid(c.prep.all())),
             csv: None,
@@ -583,7 +532,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-taskform",
         group: Group::Ext,
         benches: BenchSet::None,
-        needs: Needs::NONE,
         kind: Kind::Rendered {
             render: |c| report::render_taskform(&extensions::ext_taskform(&c.params)),
             csv: None,
@@ -596,7 +544,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-memory",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_memory(&extensions::ext_memory(c.prep.all())),
             csv: None,
@@ -609,7 +556,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-confidence",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_confidence(&extensions::ext_confidence(c.prep.all())),
             csv: None,
@@ -622,7 +568,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-intra",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_intra(&extensions::ext_intra(c.prep.all())),
             csv: None,
@@ -635,7 +580,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-pollution",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::TRACE,
         kind: Kind::Rendered {
             render: |c| report::render_pollution(&extensions::ext_pollution(c.prep.all())),
             csv: Some(("ext_pollution.csv", |c| {
@@ -650,7 +594,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext-zoo",
         group: Group::Ext,
         benches: BenchSet::All,
-        needs: Needs::BOTH,
         kind: Kind::Rendered {
             render: |c| report::render_zoo(&extensions::ext_zoo(c.prep.all())),
             csv: None,
@@ -663,7 +606,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "profile",
         group: Group::Tool,
         benches: BenchSet::All,
-        needs: Needs::REPLAY,
         kind: Kind::Rendered {
             render: |c| profile::render(c.profile()),
             csv: None,
@@ -676,7 +618,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "all",
         group: Group::Tool,
         benches: BenchSet::All,
-        needs: Needs::BOTH,
         kind: Kind::Tool(run_all),
         cache_safe: true,
     },
@@ -684,7 +625,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "ext",
         group: Group::Tool,
         benches: BenchSet::All,
-        needs: Needs::BOTH,
         kind: Kind::Tool(run_ext),
         cache_safe: true,
     },
@@ -692,7 +632,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "csv",
         group: Group::Tool,
         benches: BenchSet::All,
-        needs: Needs::BOTH,
         kind: Kind::Tool(run_csv),
         cache_safe: true,
     },
@@ -700,7 +639,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "verify",
         group: Group::Tool,
         benches: BenchSet::None,
-        needs: Needs::NONE,
         kind: Kind::Tool(crate::verify::run_tool),
         cache_safe: true,
     },
@@ -708,7 +646,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "lint",
         group: Group::Tool,
         benches: BenchSet::None,
-        needs: Needs::NONE,
         kind: Kind::Tool(crate::lint::run_tool),
         cache_safe: true,
     },
@@ -716,7 +653,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "fuzz",
         group: Group::Tool,
         benches: BenchSet::None,
-        needs: Needs::NONE,
         // Deterministic per seed range, but `--repro` reads a file; the
         // server additionally skips memoisation for repro requests.
         kind: Kind::Tool(crate::fuzz::run_tool),
@@ -726,7 +662,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "asm",
         group: Group::Tool,
         benches: BenchSet::None,
-        needs: Needs::NONE,
         // Reads a file from disk, so the server must not memoise: the
         // same request can legitimately produce different bytes after an
         // edit (the *artifact* cache is still safe — the replay key folds
@@ -738,7 +673,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "disasm",
         group: Group::Tool,
         benches: BenchSet::None,
-        needs: Needs::NONE,
         kind: Kind::Tool(crate::masm::run_disasm),
         cache_safe: false,
     },
@@ -746,7 +680,6 @@ pub const REGISTRY: &[Experiment] = &[
         name: "cache",
         group: Group::Tool,
         benches: BenchSet::None,
-        needs: Needs::NONE,
         kind: Kind::Tool(crate::cache::run_tool),
         cache_safe: false,
     },

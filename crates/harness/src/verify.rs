@@ -172,7 +172,8 @@ pub fn all_hold(claims: &[Claim]) -> bool {
 }
 
 /// The registry tool entry: run the scorecard, with a failed claim
-/// reported as a failing (but rendered) [`Output`], not a process exit.
+/// reported as a failing (but rendered) [`Output`](crate::registry::Output),
+/// not a process exit.
 pub fn run_tool(ctx: &crate::registry::ExpCtx) -> Result<crate::registry::Output, String> {
     let claims = verify(&ctx.params, ctx.pool);
     Ok(crate::registry::Output {

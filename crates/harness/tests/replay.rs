@@ -1,8 +1,8 @@
 //! Replay-vs-interpreter equivalence: `simulate_replay()` must return a
 //! bit-identical `TimingResult` to `simulate()` for every Table 4 predictor
-//! column on every in-tree workload, and across the timing-model ablation
-//! configs — the contract that lets one recording stand in for five
-//! interpreter passes.
+//! column on every in-tree workload, and across every timing-model config
+//! the ablations (`ext-memory`, `ext-intra`, `ext-confidence`) run — the
+//! contract that lets one recording stand in for every interpreter pass.
 
 use multiscalar_harness::dispatch::Table4Column;
 use multiscalar_harness::prepare;
@@ -89,10 +89,18 @@ fn replay_matches_interpreter_across_ablation_configs() {
             entries_per_bank: 4,
             stages: 4,
         })),
+        // `ext-memory`'s undersized ARB.
+        TimingConfig::paper().arb(Some(ArbConfig {
+            banks: 1,
+            entries_per_bank: 1,
+            stages: 4,
+        })),
         TimingConfig::paper()
             .n_units(8)
             .issue_width(4)
             .confidence_gate(Some(2)),
+        // `ext-confidence`'s gate on the paper's 4-unit ring.
+        TimingConfig::paper().confidence_gate(Some(8)),
     ];
     for config in &configs {
         for column in [Table4Column::Path, Table4Column::Perfect] {

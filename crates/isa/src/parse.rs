@@ -195,10 +195,15 @@ pub fn to_masm(program: &Program) -> String {
                     None => format!("jr {rs}"),
                 },
                 Instruction::Call { target } => {
-                    let callee = program
-                        .function_at(target)
-                        .map(|id| program.function(id).name().to_string())
-                        .unwrap_or_else(|| format!("@{}", target.0));
+                    // A call into the middle of a function keeps its explicit
+                    // address: naming the enclosing function would move it to
+                    // that function's entry.
+                    let callee = match program.function_at(target) {
+                        Some(id) if program.function(id).entry() == target => {
+                            program.function(id).name().to_string()
+                        }
+                        _ => format!("@{}", target.0),
+                    };
                     format!("call {callee}")
                 }
                 Instruction::CallIndirect { rs } => match program.indirect_targets(addr) {
@@ -279,6 +284,30 @@ mod tests {
         let mut interp = Interpreter::new(&p);
         interp.run(100).unwrap();
         assert_eq!(interp.reg(Reg(7)), 42);
+    }
+
+    #[test]
+    fn call_into_a_function_body_round_trips() {
+        // `call @3` lands past `helper`'s entry (2); the canonical text must
+        // keep the address rather than name the enclosing function.
+        let p = parse_program(
+            "func! main\n\
+             \x20 call @3\n\
+             \x20 halt\n\
+             end\n\
+             func helper\n\
+             \x20 li r7, 42\n\
+             \x20 ret\n\
+             end",
+        )
+        .unwrap();
+        assert_eq!(
+            p.fetch(Addr(0)),
+            Some(Instruction::Call { target: Addr(3) })
+        );
+        let text = to_masm(&p);
+        assert!(text.contains("call @3"), "{text}");
+        assert_eq!(parse_program(&text).unwrap(), p);
     }
 
     #[test]

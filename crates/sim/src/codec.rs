@@ -23,22 +23,32 @@
 //!   recording (tested on all five workloads).
 //! * **Graceful failure**: decoding never panics and never fabricates a
 //!   recording. Truncation, bit flips, schema bumps and key mismatches all
-//!   surface as a typed [`CodecError`]; on top of the checksum, decoded
-//!   boundary columns are validated semantically (equal lengths, exit
-//!   indices `< MAX_EXITS`, strictly ascending `bound_at` within range) so
-//!   even a corruption that forges the checksum cannot reach
-//!   [`crate::replay::ReplayCursor`]'s infallible fast path.
+//!   surface as a typed [`CodecError`]. On top of the checksum, the
+//!   decoded columns are validated semantically, so even an artifact with
+//!   a valid checksum cannot reach the replay cursor's infallible fast
+//!   path (which [`crate::replay::simulate_replay`] runs on) in a state
+//!   that would panic it:
+//!   - the boundary columns have equal lengths, exit indices
+//!     `< MAX_EXITS`, and strictly ascending `bound_at` within range;
+//!   - the op words hold one load/store per `mem_addrs` entry and one
+//!     branch per `branch_pcs` entry;
+//!   - every register byte names a register (or is absent);
+//!   - every memory address is below `mem_words`.
+//!
+//!   Whether `bound_task` names a task of the partition is not checked:
+//!   that needs the task program, which the codec never sees.
 //!
 //! Bump [`CACHE_SCHEMA`] whenever this layout *or the meaning of any
 //! recorded field* changes (e.g. a timing-semantics change that alters what
 //! recordings capture): stale artifacts then fail decode and get evicted
 //! instead of silently producing wrong results.
 
-use multiscalar_isa::{Fingerprint, FingerprintHasher, MAX_EXITS};
+use multiscalar_isa::{Fingerprint, FingerprintHasher, MAX_EXITS, NUM_REGS};
 use std::fmt;
 use std::hash::Hasher as _;
 
-use crate::replay::InstrReplay;
+use crate::replay::{InstrReplay, CLASS_SHIFT};
+use crate::timing::{OpClass, NO_REG};
 
 /// Schema version of the artifact cache: codec layout + recording
 /// semantics. Any change to either must bump this.
@@ -248,6 +258,50 @@ pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay,
         }
         prev = Some(at);
     }
+    // The cursor takes one `mem_addrs` entry per load/store and one
+    // `branch_pcs` entry per branch, and indexes the register scoreboard
+    // and the store table without bounds checks. One branch-free pass over
+    // the op words (u32 tallies per chunk, so every lane stays 32 bits
+    // wide) plus a max over the addresses checks all four.
+    const _: () = assert!(NO_REG == u8::MAX);
+    let (mut n_mem, mut n_branch, mut bad_reg) = (0usize, 0usize, 0u32);
+    for chunk in ops.chunks(1 << 16) {
+        let (mut mem, mut branch) = (0u32, 0u32);
+        for &op in chunk {
+            let class = (op >> CLASS_SHIFT) & 0x3;
+            mem += u32::from(class == OpClass::Load as u32)
+                + u32::from(class == OpClass::Store as u32);
+            branch += u32::from(class == OpClass::Branch as u32);
+            // Adding one wraps NO_REG (255) to 0, so a byte is valid iff
+            // the sum is at most NUM_REGS.
+            for shift in [0, 8, 16] {
+                let reg = (op >> shift).wrapping_add(1) & 0xFF;
+                bad_reg |= u32::from(reg > NUM_REGS as u32);
+            }
+        }
+        n_mem += mem as usize;
+        n_branch += branch as usize;
+    }
+    if n_mem != mem_addrs.len() {
+        return Err(CodecError::Malformed(
+            "load/store count differs from mem_addrs",
+        ));
+    }
+    if n_branch != branch_pcs.len() {
+        return Err(CodecError::Malformed(
+            "branch count differs from branch_pcs",
+        ));
+    }
+    if bad_reg != 0 {
+        return Err(CodecError::Malformed("register byte out of range"));
+    }
+    if mem_addrs
+        .iter()
+        .max()
+        .is_some_and(|&a| a as usize >= mem_words)
+    {
+        return Err(CodecError::Malformed("memory address beyond mem_words"));
+    }
 
     Ok(InstrReplay {
         ops,
@@ -277,6 +331,11 @@ mod tests {
         b.op_imm(AluOp::And, Reg(3), Reg(1), 3);
         b.store(Reg(1), Reg(3), 0);
         b.load(Reg(4), Reg(3), 0);
+        // An intra-task branch, so the recording has branch pcs.
+        let skip = b.new_label();
+        b.branch(Cond::Ne, Reg(3), Reg(0), skip);
+        b.op_imm(AluOp::Add, Reg(5), Reg(5), 1);
+        b.bind(skip);
         b.op_imm(AluOp::Add, Reg(1), Reg(1), 1);
         b.branch(Cond::Lt, Reg(1), Reg(2), top);
         b.halt();
@@ -359,6 +418,51 @@ mod tests {
         assert_eq!(
             decode_replay(&bytes, key).unwrap_err(),
             CodecError::BadMagic
+        );
+    }
+
+    /// Tampers with a real recording, re-encodes it (so the checksum is
+    /// valid) and decodes the result.
+    fn decode_tampered(tamper: impl FnOnce(&mut InstrReplay)) -> Result<InstrReplay, CodecError> {
+        let mut r = recording();
+        assert!(!r.mem_addrs.is_empty() && !r.branch_pcs.is_empty());
+        tamper(&mut r);
+        let key = fingerprint_of(&"key");
+        decode_replay(&encode_replay(&r, key), key)
+    }
+
+    #[test]
+    fn dropped_memory_address_is_malformed() {
+        assert_eq!(
+            decode_tampered(|r| {
+                r.mem_addrs.pop();
+            })
+            .unwrap_err(),
+            CodecError::Malformed("load/store count differs from mem_addrs")
+        );
+    }
+
+    #[test]
+    fn missing_branch_pcs_are_malformed() {
+        assert_eq!(
+            decode_tampered(|r| r.branch_pcs.clear()).unwrap_err(),
+            CodecError::Malformed("branch count differs from branch_pcs")
+        );
+    }
+
+    #[test]
+    fn memory_address_beyond_mem_words_is_malformed() {
+        assert_eq!(
+            decode_tampered(|r| r.mem_addrs[0] = r.mem_words as u32).unwrap_err(),
+            CodecError::Malformed("memory address beyond mem_words")
+        );
+    }
+
+    #[test]
+    fn out_of_range_register_byte_is_malformed() {
+        assert_eq!(
+            decode_tampered(|r| r.ops[0] = (r.ops[0] & !0xFF) | 200).unwrap_err(),
+            CodecError::Malformed("register byte out of range")
         );
     }
 }

@@ -14,9 +14,14 @@
 //!   stalls, intra-task bimodal prediction and full squash on inter-task
 //!   mispredictions — the source of Table 4's IPC numbers. The [`replay`]
 //!   module records one interpreter pass per benchmark into an immutable
-//!   [`replay::InstrReplay`] so every predictor column replays the same
-//!   execution with zero re-interpretation ([`replay::simulate_replay`] is
-//!   bit-identical to [`timing::simulate`]).
+//!   [`replay::InstrReplay`], and every timing run replays that execution
+//!   with zero re-interpretation: [`replay::simulate_replay`] is the one
+//!   timing feed in production. [`timing::simulate`], which re-interprets
+//!   the program, stays as the test oracle it is bit-identical to.
+//!
+//! One walker steps the interpreter and resolves task boundaries; the
+//! recording ([`replay::record_replay`]), the bare task trace
+//! ([`trace::collect_trace`]) and the timing oracle all drain it.
 //!
 //! Building with `--features sanitize` arms runtime assertions over the
 //! timing model's invariants (FIFO ARB commit order, monotone ring clocks)

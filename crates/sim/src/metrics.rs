@@ -1,6 +1,7 @@
 //! Cycle-attribution and event-tracing sinks for the timing core.
 //!
-//! [`crate::timing::simulate_core`] is generic over a [`MetricsSink`]. The
+//! The timing core (`timing::simulate_core`) is generic over a
+//! [`MetricsSink`]. The
 //! default [`NoopSink`] monomorphises every hook to nothing, so the plain
 //! entry points ([`crate::timing::simulate`],
 //! [`crate::replay::simulate_replay`]) pay **zero** cost and stay

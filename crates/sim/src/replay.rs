@@ -6,13 +6,14 @@
 //! outcomes, and pre-resolved task-boundary events — into a struct-of-
 //! arrays [`InstrReplay`]. The structure is immutable and is shared behind
 //! `Arc` exactly like `SharedTrace`, so **every** consumer of a benchmark's
-//! execution rides one recording: Table 4's five predictor columns, the
-//! `table4_timing` bench ablations, the registry's fig10/fig11 grids
-//! (whose functional traces derive from the same artifact via
-//! [`derive_trace`]), and the sanitizer's fused/solo cross-checks.
-//! [`simulate_replay`] drives [`crate::timing::simulate_core`] from the
+//! execution rides one recording: Table 4's five predictor columns,
+//! `profile`, the `ext-memory`/`ext-intra`/`ext-confidence` ablations and
+//! `ext-zoo`'s squash fractions (all timing walks), and every functional
+//! trace consumer (the trace derives from the same artifact via
+//! [`derive_trace`]). [`simulate_replay`] drives the timing core from the
 //! recording with zero re-interpretation and returns a `TimingResult`
-//! bit-identical to [`crate::timing::simulate`]'s.
+//! bit-identical to [`crate::timing::simulate`]'s, which stays only as the
+//! test oracle.
 //!
 //! # Layout
 //!
@@ -32,22 +33,24 @@
 //! op word. Task boundaries are sparse: parallel `bound_*` arrays keyed by
 //! the op index that crossed them. Recording resolves every possible
 //! failure (execution faults, unmatched exits, the step budget) up front,
-//! which is why [`simulate_replay`] is infallible.
+//! and decoding a cached recording ([`crate::codec::decode_replay`])
+//! rejects any artifact whose columns disagree with its op words, which
+//! is why [`simulate_replay`] is infallible.
 
 use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
-use multiscalar_isa::{Addr, ExitIndex, Instruction, Interpreter, Program};
+use multiscalar_isa::{Addr, ExitIndex, Program};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
 use crate::metrics::{MetricsSink, NoopSink};
 use crate::timing::{
-    simulate_core, BoundaryStep, CoreState, CoreStep, NextTaskPredictor, OpClass, StepSource,
-    TimingConfig, TimingResult, NO_REG,
+    simulate_core, BoundaryStep, CoreState, CoreStep, InterpSource, NextTaskPredictor, OpClass,
+    StepSource, TimingConfig, TimingResult,
 };
-use crate::trace::{kind_slot, SharedTrace, TaskEvent, TraceError, TraceRun, TraceStats};
+use crate::trace::{TraceBuilder, TraceError, TraceRun};
 
-const CLASS_SHIFT: u32 = 24;
+pub(crate) const CLASS_SHIFT: u32 = 24;
 const TAKEN_BIT: u32 = 1 << 26;
 
 #[inline]
@@ -110,20 +113,17 @@ impl InstrReplay {
 
 /// Executes the program once and records its [`InstrReplay`].
 ///
-/// The boundary resolution is the same as trace generation's, so the
-/// recording fails in exactly the situations [`crate::timing::simulate`]
-/// would: execution faults, unmatched boundary crossings, and step-budget
-/// exhaustion.
+/// The recording drains the interpreter step source that also feeds
+/// [`crate::timing::simulate`] and [`crate::trace::collect_trace`], packing
+/// each step into the columns. It therefore fails in exactly the
+/// situations those do: execution faults, unmatched boundary crossings,
+/// and step-budget exhaustion.
 pub fn record_replay(
     program: &Program,
     tasks: &TaskProgram,
     max_steps: u64,
 ) -> Result<InstrReplay, TraceError> {
-    let mut interp = Interpreter::new(program);
-    let mem_words = interp.mem_words();
-    let mut cur_task = tasks
-        .task_entered_at(program.entry_point())
-        .expect("entry starts a task");
+    let mut source = InterpSource::new(program, tasks, max_steps);
 
     // Reserve the step budget up front. The budget is a workload-proportional
     // cap, so this over-reserves — but untouched capacity is virtual address
@@ -138,88 +138,29 @@ pub fn record_replay(
         bound_task: Vec::with_capacity(cap / 16),
         bound_exit: Vec::with_capacity(cap / 16),
         bound_next: Vec::with_capacity(cap / 16),
-        mem_words,
+        mem_words: source.mem_words(),
     };
 
-    let mut steps = 0u64;
     loop {
-        if steps >= max_steps {
-            return Err(TraceError::StepLimit);
+        let step = source.next_step()?;
+        match step.class {
+            OpClass::Load | OpClass::Store => r.mem_addrs.push(step.mem_addr),
+            OpClass::Branch => r.branch_pcs.push(step.branch_pc.0),
+            OpClass::Other => {}
         }
-        let info = interp.step()?;
-        steps += 1;
-
-        let (src1, src2) = {
-            let mut it = info.inst.sources();
-            (
-                it.next().map_or(NO_REG, |r| r.0),
-                it.next().map_or(NO_REG, |r| r.0),
-            )
-        };
-        let dest = info.inst.dest().map_or(NO_REG, |r| r.0);
-        let mut class = match info.inst {
-            Instruction::Load { .. } => OpClass::Load,
-            Instruction::Store { .. } => OpClass::Store,
-            Instruction::Branch { .. } => OpClass::Branch,
-            _ => OpClass::Other,
-        };
-        if let Some(ea) = info.mem_addr {
-            r.mem_addrs.push(ea);
+        if let Some(b) = step.boundary {
+            r.bound_at.push(r.ops.len() as u64);
+            r.bound_task.push(b.task);
+            r.bound_exit.push(b.exit.as_u8());
+            r.bound_next.push(b.next.0);
         }
-
-        if interp.is_halted() {
+        r.ops.push(pack_op(
+            step.src1, step.src2, step.dest, step.class, step.taken,
+        ));
+        if step.halt {
             // The halting instruction is the recording's last op.
-            r.ops.push(pack_op(src1, src2, dest, class, false));
             break;
         }
-
-        let next_pc = info.next;
-        let crossed = if next_pc == info.pc.next() && tasks.task_at(next_pc) == Some(cur_task) {
-            None
-        } else {
-            tasks.resolve_exit(cur_task, info.pc, next_pc)
-        };
-
-        let mut taken = false;
-        match crossed {
-            Some(exit) => {
-                // The intra predictor never sees boundary-crossing branches,
-                // so they record as plain ops (same sources, no dest,
-                // 1-cycle latency — timing-identical).
-                if class == OpClass::Branch {
-                    class = OpClass::Other;
-                }
-                r.bound_at.push(r.ops.len() as u64);
-                r.bound_task.push(cur_task.0);
-                r.bound_exit.push(exit.as_u8());
-                r.bound_next.push(next_pc.0);
-                cur_task = match tasks.task_entered_at(next_pc) {
-                    Some(t) => t,
-                    None => {
-                        return Err(TraceError::UnmatchedExit {
-                            task: cur_task,
-                            from: info.pc,
-                            to: next_pc,
-                        })
-                    }
-                };
-            }
-            None => {
-                if class == OpClass::Branch {
-                    taken = next_pc != info.pc.next();
-                    r.branch_pcs.push(info.pc.0);
-                }
-                // Sanity: control must remain within the current task.
-                if tasks.task_at(next_pc) != Some(cur_task) {
-                    return Err(TraceError::UnmatchedExit {
-                        task: cur_task,
-                        from: info.pc,
-                        to: next_pc,
-                    });
-                }
-            }
-        }
-        r.ops.push(pack_op(src1, src2, dest, class, taken));
     }
 
     // Deliberately no shrink_to_fit: shrinking reallocates and copies the
@@ -233,12 +174,12 @@ pub fn record_replay(
 /// [`crate::trace::collect_trace`] emits — retiring task, exit index, next
 /// entry address — and the per-task instruction counts fall out of the
 /// `bound_at` deltas (each `bound_at[i]` is the op index of the crossing
-/// instruction, which belongs to the retiring task). The stats recompute
-/// from header lookups. The result is identical to `collect_trace` on the
-/// same execution (asserted across all five workloads in the codec tests),
-/// so **one** recorded artifact serves both the functional-trace consumers
-/// and the timing runs — preparation needs a single interpreter pass cold
-/// and zero warm.
+/// instruction, which belongs to the retiring task). The stats accumulate
+/// through the same per-event step `collect_trace` uses. The result is
+/// identical to `collect_trace` on the same execution (asserted across all
+/// five workloads in the codec tests), so **one** recorded artifact serves
+/// both the functional-trace consumers and the timing runs — preparation
+/// needs a single interpreter pass cold and zero warm.
 ///
 /// # Panics
 ///
@@ -247,39 +188,19 @@ pub fn record_replay(
 /// guarantees this by keying on both fingerprints, and the codec validates
 /// exit indices on decode).
 pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
-    let mut events = SharedTrace::default();
-    let mut stats = TraceStats::default();
-    let mut seen = vec![false; tasks.static_task_count()];
-    let mut distinct = 0usize;
+    let mut trace = TraceBuilder::new(tasks);
     let mut prev_at = 0u64;
     for (i, &at) in replay.bound_at.iter().enumerate() {
-        let task = TaskId(replay.bound_task[i]);
-        let exit = ExitIndex::new(replay.bound_exit[i]).expect("recorded exit is valid");
-        let header = tasks.task(task).header();
-        let kind = header.exits()[exit.index()].kind;
         let instrs = if i == 0 { at + 1 } else { at - prev_at };
         prev_at = at;
-        events.push(TaskEvent {
-            task,
-            exit,
-            kind,
-            next: Addr(replay.bound_next[i]),
-            instrs: instrs as u32,
-        });
-        stats.dynamic_tasks += 1;
-        stats.by_num_exits[header.num_exits().min(4)] += 1;
-        stats.by_kind[kind_slot(kind).expect("halting task is never recorded")] += 1;
-        if !seen[task.index()] {
-            seen[task.index()] = true;
-            distinct += 1;
-        }
+        trace.push(
+            TaskId(replay.bound_task[i]),
+            ExitIndex::new(replay.bound_exit[i]).expect("recorded exit is valid"),
+            Addr(replay.bound_next[i]),
+            instrs as u32,
+        );
     }
-    stats.instructions = replay.ops.len() as u64;
-    stats.distinct_tasks = distinct;
-    TraceRun {
-        events: Arc::new(events),
-        stats,
-    }
+    trace.finish(replay.instructions())
 }
 
 /// How far ahead (in elements) the cursor pulls upcoming replay columns
@@ -434,7 +355,7 @@ pub fn simulate_replay_with_sink<M: MetricsSink>(
 /// consumer; any set of slots over the same recording fits — the registry's
 /// grids and the sanitizer's cross-checks ride the same engine. Each slot
 /// of `predictors` is one run (use `None` for perfect prediction); the step
-/// stream is decoded once per block and fed to every run's [`CoreState`],
+/// stream is decoded once per block and fed to every run's core state,
 /// so each result is bit-identical to a solo [`simulate_replay`] call with
 /// the same predictor.
 pub fn simulate_replay_fused(
@@ -458,7 +379,7 @@ const FUSE_BLOCK: usize = 128;
 /// exactly the event stream a solo [`simulate_replay_with_sink`] call with
 /// the same predictor would produce.
 ///
-/// The walk is **block-batched**: the cursor decodes [`FUSE_BLOCK`] steps
+/// The walk is **block-batched**: the cursor decodes `FUSE_BLOCK` (128) steps
 /// into a reusable buffer, then each slot consumes the whole block before
 /// the next slot starts. Slots never observe each other and each still
 /// sees the full step stream in order, so batching is invisible to the

@@ -3,16 +3,18 @@
 //! build); `--features sanitize` additionally arms the assertions *inside*
 //! the model listed below.
 //!
-//! The timing model has two step feeds — the interpreter
-//! ([`crate::timing::simulate`]) and the recorded replay
-//! ([`crate::replay::simulate_replay`]) — that are bit-identical *by
-//! construction*. This module turns that construction argument into a
-//! checked invariant: [`check_replay_agreement`] records an execution, then
-//! walks the interpreter feed and the replay cursor in lockstep and asserts
-//! that every step they produce agrees — same instruction class, same
-//! register operands, same memory address, same intra-task branch outcome,
-//! and, crucially, the **same task-boundary events** (retiring task, header
-//! exit, next-task entry).
+//! The timing model has two step feeds — the live interpreter feed (the
+//! oracle, [`crate::timing::simulate`]) and the recorded replay
+//! ([`crate::replay::simulate_replay`], production) — that are
+//! bit-identical *by construction*: the recording is the interpreter feed,
+//! packed into columns. This module turns that construction argument into
+//! a checked invariant: [`check_replay_agreement`] records an execution,
+//! then walks a fresh interpreter feed and the replay cursor in lockstep
+//! and asserts that every step they produce agrees — same instruction
+//! class, same register operands, same memory address, same intra-task
+//! branch outcome, and, crucially, the **same task-boundary events**
+//! (retiring task, header exit, next-task entry). That covers the packing,
+//! the side columns and the cursor's unpacking.
 //!
 //! [`check_fused_agreement`] closes the remaining gap: it runs the fused
 //! multi-column sweep ([`crate::replay::simulate_replay_fused`]) and the

@@ -22,15 +22,19 @@
 //! reproduction preserves is the *ordering* (Simple < GLOBAL/PER < PATH <
 //! Perfect) and the relative gaps.
 //!
-//! # Two step feeds, one core
+//! # One timing feed in production, one oracle
 //!
-//! The cycle-accounting loop ([`simulate_core`]) is generic over a
-//! [`StepSource`] that feeds it one instruction's timing-relevant facts at
-//! a time. [`simulate`] drives it from the interpreter (re-executing the
-//! program); [`crate::replay::simulate_replay`] drives it from a
-//! pre-recorded [`crate::replay::InstrReplay`] with zero re-interpretation.
-//! Because both feeds produce the same step stream, the two entry points
-//! return **bit-identical** [`TimingResult`]s by construction.
+//! The cycle-accounting loop (`simulate_core`) is generic over a step
+//! source that feeds it one instruction's timing-relevant facts at a time.
+//! Exactly one piece of code steps the interpreter and resolves task
+//! boundaries: the interpreter step source `InterpSource`. It has two
+//! jobs. In production it is drained once per benchmark into a recording
+//! ([`crate::replay::record_replay`], and [`crate::trace::collect_trace`]
+//! for a bare task trace), and every timing run rides that recording
+//! through [`crate::replay::simulate_replay`]. In tests, [`simulate`] feeds
+//! it straight into the core as the oracle the replay engine is checked
+//! against. Because both feeds produce the same step stream, the two entry
+//! points return **bit-identical** [`TimingResult`]s by construction.
 
 use crate::arb::{Arb, ArbConfig, ArbEvent};
 use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
@@ -401,7 +405,7 @@ pub(crate) struct CoreStep {
 }
 
 /// A stream of [`CoreStep`]s driving [`simulate_core`] — the interpreter
-/// (legacy) or a recorded replay cursor.
+/// (the oracle) or a recorded replay cursor (production).
 pub(crate) trait StepSource {
     /// Produces the next instruction's step, or the error that ended the
     /// run (execution fault, unmatched boundary, step-budget exhaustion).
@@ -409,7 +413,11 @@ pub(crate) trait StepSource {
 }
 
 /// The interpreter-backed [`StepSource`]: executes the program and resolves
-/// task boundaries on the fly, exactly as trace generation does.
+/// task boundaries on the fly. The only code that steps the interpreter —
+/// recording ([`crate::replay::record_replay`]), trace collection
+/// ([`crate::trace::collect_trace`]) and the timing oracle ([`simulate`])
+/// all drain it, so the step budget, boundary resolution and
+/// `UnmatchedExit` checks exist once.
 pub(crate) struct InterpSource<'a> {
     interp: Interpreter<'a>,
     tasks: &'a TaskProgram,
@@ -435,9 +443,18 @@ impl<'a> InterpSource<'a> {
             max_steps,
         }
     }
+
+    /// The interpreter's data-memory size in words.
+    pub(crate) fn mem_words(&self) -> usize {
+        self.interp.mem_words()
+    }
 }
 
 impl StepSource for InterpSource<'_> {
+    // Forced inline into each drain (recording, trace collection, the
+    // oracle): without it, recording the five scale-2 workloads took 1.29x
+    // as long (2-vCPU Xeon VM, one thread, medians of 9 alternating rounds).
+    #[inline(always)]
     fn next_step(&mut self) -> Result<CoreStep, TraceError> {
         if self.steps >= self.max_steps {
             return Err(TraceError::StepLimit);
@@ -941,10 +958,16 @@ pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
     Ok(result)
 }
 
-/// Runs the timing model over a full program execution.
+/// Runs the timing model over a full program execution, re-interpreting
+/// the program as it goes.
 ///
 /// `predictor` drives inter-task speculation; `None` simulates perfect
 /// next-task prediction (the paper's "Perfect" row).
+///
+/// This is the test oracle. Production timing runs record the execution
+/// once ([`crate::replay::record_replay`]) and time it with
+/// [`crate::replay::simulate_replay`], which returns a bit-identical
+/// result without re-interpreting.
 ///
 /// # Errors
 ///
@@ -988,7 +1011,7 @@ pub fn simulate_with_sink<M: MetricsSink>(
     sink: &mut M,
 ) -> Result<TimingResult, TraceError> {
     let mut source = InterpSource::new(program, tasks, max_steps);
-    let mem_words = source.interp.mem_words();
+    let mem_words = source.mem_words();
     simulate_core(&mut source, descs, predictor, config, mem_words, sink)
 }
 

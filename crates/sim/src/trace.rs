@@ -1,12 +1,17 @@
-//! Task-level trace generation: the functional simulator's view of the
-//! global sequencer's job.
+//! Task-level traces: the functional simulator's view of the global
+//! sequencer's job — one [`TaskEvent`] per dynamic task.
 //!
-//! The interpreter executes the program instruction by instruction; this
-//! module watches control flow, detects task-boundary crossings against the
-//! task former's partition, and emits one [`TaskEvent`] per dynamic task.
+//! A trace has two producers that share one per-event bookkeeping step.
+//! [`collect_trace`] drains the interpreter step source (the one piece of
+//! code that executes programs and detects task-boundary crossings against
+//! the task former's partition). [`crate::replay::derive_trace`] rebuilds
+//! the same trace from a recording, which is how the harness prepares
+//! benchmarks.
 
-use multiscalar_isa::{Addr, ExecError, ExitIndex, ExitKind, Interpreter, Program};
+use multiscalar_isa::{Addr, ExecError, ExitIndex, ExitKind, Program};
 use multiscalar_taskform::{TaskId, TaskProgram};
+
+use crate::timing::{InterpSource, StepSource};
 use std::fmt;
 use std::sync::Arc;
 
@@ -210,125 +215,97 @@ pub struct TraceRun {
     pub stats: TraceStats,
 }
 
-/// Streams task events to `sink` while executing `program` under the task
-/// partition `tasks`.
+/// Accumulates a [`TraceRun`] one dynamic task at a time — the per-event
+/// step shared by [`collect_trace`] (live from the interpreter) and
+/// [`crate::replay::derive_trace`] (from a recording): header lookup, exit
+/// kind, the exit-count and exit-kind histograms, and distinct tasks.
+pub(crate) struct TraceBuilder<'t> {
+    tasks: &'t TaskProgram,
+    events: SharedTrace,
+    stats: TraceStats,
+    /// Dense seen-bitmap instead of a HashSet: task ids are bounded by the
+    /// static task count, and this is consulted once per dynamic task.
+    seen: Vec<bool>,
+}
+
+impl<'t> TraceBuilder<'t> {
+    pub(crate) fn new(tasks: &'t TaskProgram) -> TraceBuilder<'t> {
+        TraceBuilder {
+            tasks,
+            events: SharedTrace::default(),
+            stats: TraceStats::default(),
+            seen: vec![false; tasks.static_task_count()],
+        }
+    }
+
+    /// Records one dynamic task: `task` ran `instrs` instructions, left
+    /// through `exit`, and control went to `next`.
+    pub(crate) fn push(&mut self, task: TaskId, exit: ExitIndex, next: Addr, instrs: u32) {
+        let header = self.tasks.task(task).header();
+        let kind = header.exits()[exit.index()].kind;
+        self.events.push(TaskEvent {
+            task,
+            exit,
+            kind,
+            next,
+            instrs,
+        });
+        self.stats.dynamic_tasks += 1;
+        self.stats.by_num_exits[header.num_exits().min(4)] += 1;
+        self.stats.by_kind[kind_slot(kind).expect("halting task is never recorded")] += 1;
+        if !self.seen[task.index()] {
+            self.seen[task.index()] = true;
+            self.stats.distinct_tasks += 1;
+        }
+    }
+
+    /// The finished trace. `instructions` counts every executed
+    /// instruction, the final (halting, unrecorded) task's included.
+    pub(crate) fn finish(mut self, instructions: u64) -> TraceRun {
+        self.stats.instructions = instructions;
+        TraceRun {
+            events: Arc::new(self.events),
+            stats: self.stats,
+        }
+    }
+}
+
+/// Executes `program` under the task partition `tasks` and collects its
+/// task-level trace. The final task (the one ending in `Halt`) is not
+/// emitted — it has no successor to predict — but its instructions count
+/// toward the totals.
 ///
 /// # Errors
 ///
 /// Fails on execution faults, unmatched boundary crossings (task-former
 /// bugs) or step-budget exhaustion.
-pub fn stream_trace<F: FnMut(TaskEvent)>(
-    program: &Program,
-    tasks: &TaskProgram,
-    max_steps: u64,
-    mut sink: F,
-) -> Result<TraceStats, TraceError> {
-    let mut interp = Interpreter::new(program);
-    let mut stats = TraceStats::default();
-    // Dense seen-bitmap instead of a HashSet: task ids are bounded by the
-    // static task count, and this loop runs once per dynamic task.
-    let mut seen = vec![false; tasks.static_task_count()];
-    let mut distinct: usize = 0;
-
-    let mut cur_task = tasks
-        .task_entered_at(program.entry_point())
-        .expect("program entry starts a task");
-    let mut cur_instrs: u32 = 0;
-    let mut steps: u64 = 0;
-
-    loop {
-        if steps >= max_steps {
-            return Err(TraceError::StepLimit);
-        }
-        let info = interp.step()?;
-        steps += 1;
-        cur_instrs += 1;
-
-        if interp.is_halted() {
-            // The final task is not emitted (nothing left to predict), but
-            // its instructions count toward the totals.
-            stats.instructions += cur_instrs as u64;
-            break;
-        }
-
-        let next_pc = info.next;
-        // Fast path: sequential flow inside the same task.
-        if next_pc == info.pc.next() && tasks.task_at(next_pc) == Some(cur_task) {
-            continue;
-        }
-        // A control transfer (or sequential flow into a new block): did we
-        // cross a task boundary?
-        match tasks.resolve_exit(cur_task, info.pc, next_pc) {
-            Some(exit) => {
-                let header = tasks.task(cur_task).header();
-                let kind = header.exits()[exit.index()].kind;
-                sink(TaskEvent {
-                    task: cur_task,
-                    exit,
-                    kind,
-                    next: next_pc,
-                    instrs: cur_instrs,
-                });
-                stats.dynamic_tasks += 1;
-                stats.instructions += cur_instrs as u64;
-                stats.by_num_exits[header.num_exits().min(4)] += 1;
-                stats.by_kind[kind_slot(kind).expect("halting task is never recorded")] += 1;
-                if !seen[cur_task.index()] {
-                    seen[cur_task.index()] = true;
-                    distinct += 1;
-                }
-
-                cur_task = match tasks.task_entered_at(next_pc) {
-                    Some(t) => t,
-                    None => {
-                        return Err(TraceError::UnmatchedExit {
-                            task: cur_task,
-                            from: info.pc,
-                            to: next_pc,
-                        })
-                    }
-                };
-                cur_instrs = 0;
-            }
-            None => {
-                // Must still be inside the current task.
-                if tasks.task_at(next_pc) != Some(cur_task) {
-                    return Err(TraceError::UnmatchedExit {
-                        task: cur_task,
-                        from: info.pc,
-                        to: next_pc,
-                    });
-                }
-            }
-        }
-    }
-
-    stats.distinct_tasks = distinct;
-    Ok(stats)
-}
-
-/// Collects a full trace into memory.
-///
-/// # Errors
-///
-/// Same conditions as [`stream_trace`].
 pub fn collect_trace(
     program: &Program,
     tasks: &TaskProgram,
     max_steps: u64,
 ) -> Result<TraceRun, TraceError> {
-    let mut events = SharedTrace::default();
-    let stats = stream_trace(program, tasks, max_steps, |e| events.push(e))?;
-    Ok(TraceRun {
-        events: Arc::new(events),
-        stats,
-    })
+    let mut source = InterpSource::new(program, tasks, max_steps);
+    let mut trace = TraceBuilder::new(tasks);
+    let mut total = 0u64;
+    let mut cur_instrs = 0u32;
+    loop {
+        let step = source.next_step()?;
+        total += 1;
+        cur_instrs += 1;
+        if let Some(b) = step.boundary {
+            trace.push(TaskId(b.task), b.exit, b.next, cur_instrs);
+            cur_instrs = 0;
+        }
+        if step.halt {
+            return Ok(trace.finish(total));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multiscalar_isa::{AluOp, Cond, ProgramBuilder, Reg};
+    use multiscalar_isa::{AluOp, Cond, Interpreter, ProgramBuilder, Reg};
     use multiscalar_taskform::TaskFormer;
 
     fn trace_of(p: &Program, max: u64) -> (TaskProgram, TraceRun) {

@@ -1,7 +1,8 @@
 //! Bring your own program: build a small program with the assembler-style
 //! [`ProgramBuilder`], run the task former over it, inspect the task flow
-//! graph it produces (headers, exits), and measure IPC under the timing
-//! simulator with perfect vs real task prediction.
+//! graph it produces (headers, exits), record one execution, and measure
+//! IPC under the timing simulator with perfect vs real task prediction by
+//! replaying that recording.
 //!
 //! The program is a miniature of the paper's Figure 1: a loop containing an
 //! if-else, a while loop and a conditional early return.
@@ -16,7 +17,8 @@ use multiscalar::core::history::PathPredictor;
 use multiscalar::core::predictor::TaskPredictor;
 use multiscalar::isa::{AluOp, Cond, ProgramBuilder, Reg};
 use multiscalar::sim::measure::task_descs;
-use multiscalar::sim::timing::{simulate, NextTaskPredictor, TimingConfig};
+use multiscalar::sim::replay::{record_replay, simulate_replay};
+use multiscalar::sim::timing::{NextTaskPredictor, TimingConfig};
 use multiscalar::taskform::TaskFormer;
 
 fn main() {
@@ -88,23 +90,22 @@ fn main() {
     }
 
     // --- IPC under the ring timing simulator ----------------------------
+    // Execute once into a recording; every timing run replays it.
+    let replay = record_replay(&program, &tasks, 10_000_000).expect("recording");
     let descs = task_descs(&tasks);
     let config = TimingConfig::default();
-    let perfect = simulate(&program, &tasks, &descs, None, &config, 10_000_000).expect("timing");
+    let perfect = simulate_replay(&replay, &descs, None, &config);
     let mut real = TaskPredictor::<PathPredictor<LastExitHysteresis<2>>>::path(
         Dolc::parse("4-5-6-7 (2)").expect("valid"),
         Dolc::parse("4-4-5-5 (2)").expect("valid"),
         16,
     );
-    let realr = simulate(
-        &program,
-        &tasks,
+    let realr = simulate_replay(
+        &replay,
         &descs,
         Some(&mut real as &mut dyn NextTaskPredictor),
         &config,
-        10_000_000,
-    )
-    .expect("timing");
+    );
 
     println!(
         "\n--- timing ({} units x {}-way) ---",
