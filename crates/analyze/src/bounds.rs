@@ -36,7 +36,7 @@ use crate::diag::{codes, Diagnostic};
 use crate::interval::Interval;
 use multiscalar_cfg::trip::{loop_bounds, TripBound};
 use multiscalar_cfg::{BlockId, Cfg, Edge, EdgeKind, Terminator};
-use multiscalar_isa::{Addr, AluOp, Cond, FuncId, Instruction, Program, Reg, DEFAULT_MEMORY_WORDS};
+use multiscalar_isa::{memory_words, Addr, AluOp, Cond, FuncId, Instruction, Program, Reg};
 use std::collections::BTreeMap;
 
 /// The stack-pointer register, by the code generator's convention. The
@@ -1267,7 +1267,7 @@ pub fn check(program: &Program) -> BoundsReport {
         .collect();
     let all_caps: Vec<Vec<LoopCap>> = cfgs.iter().map(|c| loop_caps(program, c)).collect();
     let data_len = program.initial_data().len() as i64;
-    let mem_len = DEFAULT_MEMORY_WORDS.max(program.initial_data().len()) as i64;
+    let mem_len = memory_words(program) as i64;
     let minmax = DataMinMax::build(program.initial_data());
     let order = dataflow::call_order(program);
     let entry_f = program.entry_function();

@@ -78,20 +78,6 @@ pub enum Terminator {
     FallThrough,
 }
 
-impl Terminator {
-    /// `true` if control can leave the function at this terminator (call,
-    /// indirect call, return or halt).
-    pub fn leaves_function(self) -> bool {
-        matches!(
-            self,
-            Terminator::Call { .. }
-                | Terminator::IndirectCall
-                | Terminator::Return
-                | Terminator::Halt
-        )
-    }
-}
-
 /// A maximal straight-line sequence of instructions with a single entry at
 /// its first instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]

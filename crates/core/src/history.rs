@@ -29,9 +29,6 @@ pub enum SingleExitMode {
     /// This is the paper's optimization and the default.
     #[default]
     SkipPht,
-    /// Additionally skip the history-register update, so only multi-exit
-    /// tasks form the path (an ablation variant).
-    SkipAll,
 }
 
 /// Marks a PHT slot as touched, returning 1 if newly touched.
@@ -119,9 +116,7 @@ impl<A: Automaton> ExitPredictor for PathPredictor<A> {
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
         if self.skip(task) {
-            if self.mode != SingleExitMode::SkipAll {
-                self.path.push(task.entry());
-            }
+            self.path.push(task.entry());
             return;
         }
         let idx = self.dolc.index(&self.path, task.entry());

@@ -217,9 +217,7 @@ impl<A: Automaton> ExitPredictor for IdealPath<A> {
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
         if self.skip(task) {
-            if self.mode != SingleExitMode::SkipAll {
-                self.path.push(task.entry());
-            }
+            self.path.push(task.entry());
             return;
         }
         let key = (task.entry().0, self.path.key());

@@ -21,7 +21,6 @@
 
 use crate::automata::Automaton;
 use crate::dolc::{Dolc, PathRegister};
-use crate::history::SingleExitMode;
 use crate::predictor::{ExitPredictor, TaskDesc};
 use crate::rng::XorShift64;
 use multiscalar_isa::{Addr, ExitIndex};
@@ -42,7 +41,6 @@ pub struct PollutedPathPredictor<A: Automaton> {
     path: PathRegister,
     pht: Vec<A>,
     tie: XorShift64,
-    mode: SingleExitMode,
     /// Wrong-path tasks the sequencer runs ahead by before the squash.
     wrongpath_depth: usize,
     /// Whether recovery repairs the path register (the paper's assumption).
@@ -59,20 +57,15 @@ impl<A: Automaton> PollutedPathPredictor<A> {
             path: PathRegister::new(dolc.depth()),
             pht: vec![A::default(); dolc.table_entries()],
             tie: XorShift64::default(),
-            mode: SingleExitMode::default(),
             wrongpath_depth,
             repair,
             pollutions: 0,
         }
     }
 
-    fn skip(&self, task: &TaskDesc) -> bool {
-        self.mode != SingleExitMode::Off && task.single_exit()
-    }
-
     /// Predicts the exit of `task` from the (possibly polluted) path.
     pub fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        if self.skip(task) {
+        if task.single_exit() {
             return EXIT0;
         }
         let idx = self.dolc.index(&self.path, task.entry());
@@ -91,7 +84,7 @@ impl<A: Automaton> PollutedPathPredictor<A> {
         actual_target: Addr,
     ) {
         // Non-speculative automaton training, as in §4.1.
-        if !self.skip(task) {
+        if !task.single_exit() {
             let idx = self.dolc.index(&self.path, task.entry());
             self.pht[idx].update(actual);
         }

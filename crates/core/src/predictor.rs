@@ -173,11 +173,6 @@ impl<E: ExitPredictor> TaskPredictor<E> {
         }
     }
 
-    /// The underlying exit predictor.
-    pub fn exit_predictor(&self) -> &E {
-        &self.exit_pred
-    }
-
     /// The return-address stack.
     pub fn ras(&self) -> &ReturnAddressStack {
         &self.ras

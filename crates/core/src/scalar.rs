@@ -144,61 +144,6 @@ impl TwoLevelGag {
     }
 }
 
-/// A two-level PAg-style predictor: per-branch history registers (hashed
-/// by address) indexing a shared table of 2-bit counters — the local-
-/// history counterpart of [`TwoLevelGag`] (Yeh & Patt's taxonomy, §4.1).
-#[derive(Debug, Clone)]
-pub struct TwoLevelPag {
-    histories: Vec<u16>,
-    table: Vec<Counter2>,
-    hist_bits: u32,
-    addr_mask: u32,
-}
-
-impl TwoLevelPag {
-    /// Creates a predictor with `2^addr_bits` history registers of
-    /// `hist_bits` bits each, and a `2^hist_bits`-entry counter table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr_bits` is 0 or > 20, or `hist_bits` is 0 or > 16.
-    pub fn new(addr_bits: u32, hist_bits: u32) -> TwoLevelPag {
-        assert!((1..=20).contains(&addr_bits));
-        assert!((1..=16).contains(&hist_bits));
-        TwoLevelPag {
-            histories: vec![0; 1 << addr_bits],
-            table: vec![Counter2::default(); 1 << hist_bits],
-            hist_bits,
-            addr_mask: (1 << addr_bits) - 1,
-        }
-    }
-
-    #[inline]
-    fn slot(&self, pc: Addr) -> usize {
-        (pc.0 & self.addr_mask) as usize
-    }
-
-    #[inline]
-    fn index(&self, pc: Addr) -> usize {
-        (self.histories[self.slot(pc)] & ((1 << self.hist_bits) - 1) as u16) as usize
-    }
-
-    /// Predicts the direction of the branch at `pc` from its own history.
-    #[inline]
-    pub fn predict(&self, pc: Addr) -> bool {
-        self.table[self.index(pc)].predict()
-    }
-
-    /// Trains with the actual direction and shifts the branch's history.
-    #[inline]
-    pub fn update(&mut self, pc: Addr, taken: bool) {
-        let i = self.index(pc);
-        self.table[i].update(taken);
-        let slot = self.slot(pc);
-        self.histories[slot] = (self.histories[slot] << 1) | taken as u16;
-    }
-}
-
 /// McFarling's combining predictor: two component predictors and a chooser
 /// table of 2-bit counters indexed by branch address (§4.1's \[10\]).
 #[derive(Debug, Clone)]
@@ -303,26 +248,6 @@ mod tests {
             "independent slot stays default not-taken"
         );
         assert_eq!(b.storage_bytes(), 64);
-    }
-
-    #[test]
-    fn pag_learns_per_branch_patterns_under_interleaving() {
-        // Two branches with different periodic patterns interleaved:
-        // global history gets confused, local history does not.
-        let (a, b) = (Addr(0x10), Addr(0x21));
-        let mut pag = TwoLevelPag::new(8, 8);
-        let mut misses = 0;
-        for i in 0..600 {
-            let ta = i % 2 == 0; // A alternates
-            let tb = i % 3 == 0; // B has period 3
-            if i >= 200 {
-                misses += (pag.predict(a) != ta) as u32;
-                misses += (pag.predict(b) != tb) as u32;
-            }
-            pag.update(a, ta);
-            pag.update(b, tb);
-        }
-        assert_eq!(misses, 0, "local histories must separate the two patterns");
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use crate::automata::Automaton;
 use crate::dolc::{Dolc, PathRegister};
-use crate::history::SingleExitMode;
 use crate::predictor::{ExitPredictor, TaskDesc};
 use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
@@ -41,7 +40,6 @@ pub struct StalePathPredictor<A: Automaton> {
     path: PathRegister,
     pht: Vec<A>,
     tie: XorShift64,
-    mode: SingleExitMode,
     delay: usize,
     pending: VecDeque<(usize, ExitIndex)>,
 }
@@ -54,7 +52,6 @@ impl<A: Automaton> StalePathPredictor<A> {
             path: PathRegister::new(dolc.depth()),
             pht: vec![A::default(); dolc.table_entries()],
             tie: XorShift64::default(),
-            mode: SingleExitMode::default(),
             delay,
             pending: VecDeque::new(),
         }
@@ -63,10 +60,6 @@ impl<A: Automaton> StalePathPredictor<A> {
     /// The configured training delay in task predictions.
     pub fn delay(&self) -> usize {
         self.delay
-    }
-
-    fn skip(&self, task: &TaskDesc) -> bool {
-        self.mode != SingleExitMode::Off && task.single_exit()
     }
 
     fn drain(&mut self, keep: usize) {
@@ -79,7 +72,7 @@ impl<A: Automaton> StalePathPredictor<A> {
 
 impl<A: Automaton> ExitPredictor for StalePathPredictor<A> {
     fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        if self.skip(task) {
+        if task.single_exit() {
             return EXIT0;
         }
         let idx = self.dolc.index(&self.path, task.entry());
@@ -87,7 +80,7 @@ impl<A: Automaton> ExitPredictor for StalePathPredictor<A> {
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
-        if !self.skip(task) {
+        if !task.single_exit() {
             let idx = self.dolc.index(&self.path, task.entry());
             self.pending.push_back((idx, actual));
             self.drain(self.delay);

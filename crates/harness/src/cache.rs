@@ -30,17 +30,21 @@
 //! byte-identical by determinism.
 //!
 //! Reads validate magic, schema version, embedded fingerprint and trailing
-//! checksum (see [`multiscalar_sim::codec`]). **Any** failure — truncation,
-//! bit rot, a stale schema, a misfiled entry — degrades gracefully: a
-//! warning on stderr, the entry evicted, and the caller re-records as if
-//! the cache were cold. A corrupt cache can cost time, never correctness.
+//! checksum (see [`multiscalar_sim::codec`]), then check that the
+//! recording fits the program and task partition it will be replayed
+//! under ([`check_fits`]). **Any** failure — truncation, bit rot, a stale
+//! schema, a misfiled entry, a forged recording of another partition —
+//! degrades gracefully: a warning on stderr, the entry evicted, and the
+//! caller re-records as if the cache were cold. A corrupt cache can cost
+//! time, never correctness. [`load_or_record`] is the one load path.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use multiscalar_isa::{Fingerprint, FingerprintHasher, Program};
-use multiscalar_sim::codec::{decode_replay, encode_replay, CACHE_SCHEMA};
-use multiscalar_sim::replay::InstrReplay;
+use multiscalar_sim::codec::{check_fits, decode_replay, encode_replay, CACHE_SCHEMA};
+use multiscalar_sim::replay::{record_replay, InstrReplay};
+use multiscalar_sim::trace::TraceError;
 use multiscalar_taskform::TaskProgram;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 use std::hash::Hash as _;
@@ -80,6 +84,32 @@ pub fn key_for(spec: Spec92, params: &WorkloadParams) -> Fingerprint {
         .form(&w.program)
         .unwrap_or_else(|e| panic!("{spec}: task formation failed: {e}"));
     replay_key(spec, params, &w.program, &tasks, w.max_steps)
+}
+
+/// The recording of `program` under `tasks` that `key` addresses: served
+/// from `cache` when it holds a valid one, otherwise recorded and, when a
+/// cache is given, stored for the next run. The one load path of
+/// benchmark preparation and `harness asm`.
+///
+/// # Errors
+///
+/// The recording's failure modes: execution faults, unmatched boundary
+/// crossings, step-budget exhaustion.
+pub fn load_or_record(
+    cache: Option<&ArtifactCache>,
+    key: Fingerprint,
+    program: &Program,
+    tasks: &TaskProgram,
+    max_steps: u64,
+) -> Result<InstrReplay, TraceError> {
+    if let Some(replay) = cache.and_then(|c| c.load_replay(key, program, tasks)) {
+        return Ok(replay);
+    }
+    let replay = record_replay(program, tasks, max_steps)?;
+    if let Some(c) = cache {
+        c.store_replay(key, &replay);
+    }
+    Ok(replay)
 }
 
 /// Monotonic hit/miss/store/eviction counters, shared across the pool's
@@ -165,11 +195,16 @@ impl ArtifactCache {
         }
     }
 
-    /// Loads and validates the replay recorded under `key`. `None` on any
-    /// miss *or* failure; invalid entries are evicted (with a warning on
-    /// stderr — stdout stays byte-identical between cold and warm runs) so
-    /// the caller silently re-records.
-    pub fn load_replay(&self, key: Fingerprint) -> Option<InstrReplay> {
+    /// Loads the replay recorded under `key` and checks it fits `program`
+    /// under `tasks`. `None` on any miss *or* failure; invalid entries are
+    /// evicted (with a warning on stderr — stdout stays byte-identical
+    /// between cold and warm runs) so the caller silently re-records.
+    pub fn load_replay(
+        &self,
+        key: Fingerprint,
+        program: &Program,
+        tasks: &TaskProgram,
+    ) -> Option<InstrReplay> {
         let path = self.entry_path(key);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
@@ -178,7 +213,7 @@ impl ArtifactCache {
                 return None;
             }
         };
-        match decode_replay(&bytes, key) {
+        match decode_replay(&bytes, key).and_then(|r| check_fits(&r, program, tasks).map(|()| r)) {
             Ok(replay) => {
                 // LRU recency signal for `gc`: a served entry is touched so
                 // its mtime orders it after never-hit entries. Best-effort —

@@ -20,7 +20,7 @@ use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::{CttbOnlyPredictor, TaskPredictor};
 use multiscalar_isa::ExitKind;
-use multiscalar_sim::measure::{measure_full, measure_indirect_targets, measure_table3, MissStats};
+use multiscalar_sim::measure::{measure_table3, MissStats};
 use multiscalar_sim::replay::simulate_replay;
 use multiscalar_sim::timing::{NextTaskPredictor, TimingConfig, TimingResult};
 
@@ -485,21 +485,4 @@ pub fn table4(benches: &[Bench], config: &TimingConfig, pool: &Pool) -> Vec<Tabl
             perfect: results.next().expect("perfect result"),
         })
         .collect()
-}
-
-/// Convenience: the full-predictor miss stats used in several places.
-pub fn full_predictor_stats(b: &Bench) -> multiscalar_sim::measure::FullStats {
-    let mut full = TaskPredictor::<PathPredictor<Leh2>>::path(
-        Dolc::new(7, 4, 9, 9, 3),
-        Dolc::new(7, 4, 4, 5, 3),
-        64,
-    );
-    measure_full(&mut full, &b.descs, &b.trace.events)
-}
-
-/// Convenience: miss stats for a plain (non-correlated) TTB on indirects —
-/// the paper's motivation for the CTTB (59% misses on gcc).
-pub fn ttb_baseline(b: &Bench, index_bits: u32) -> MissStats {
-    let mut ttb = multiscalar_core::target::Ttb::new(index_bits);
-    measure_indirect_targets(&mut ttb, &b.descs, &b.trace.events)
 }

@@ -11,7 +11,7 @@
 //!   substrate models (violations, overflow stalls, release-at-end cost).
 
 use crate::dispatch::{measure_ideal, Scheme};
-use crate::{prepare, Bench};
+use crate::Bench;
 use multiscalar_core::automata::LastExitHysteresis;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{PathPredictor, PerTaskPredictor};
@@ -214,7 +214,6 @@ pub fn ext_memory(benches: &[Bench]) -> Vec<MemoryRow> {
             let tiny = run(&default.arb(Some(multiscalar_sim::arb::ArbConfig {
                 banks: 1,
                 entries_per_bank: 1,
-                stages: 4,
             })));
             MemoryRow {
                 name: b.name(),
@@ -355,14 +354,6 @@ pub fn ext_confidence(benches: &[Bench]) -> Vec<ConfidenceRow> {
             }
         })
         .collect()
-}
-
-/// Convenience used by tests: prepare one benchmark and confirm the hybrid
-/// never does much worse than its best component.
-pub fn hybrid_sanity(spec: Spec92, params: &WorkloadParams) -> (f64, f64, f64) {
-    let b = prepare(spec, params);
-    let row = &ext_hybrid(std::slice::from_ref(&b))[0];
-    (row.path, row.per, row.hybrid)
 }
 
 /// Pinned fuzz-corpus seeds the zoo ranking aggregates into one row

@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
 use multiscalar_isa::Fingerprint;
-use multiscalar_sim::replay::{derive_trace, record_replay, InstrReplay};
+use multiscalar_sim::replay::{derive_trace, InstrReplay};
 use multiscalar_sim::{measure, TraceRun};
 use multiscalar_taskform::{TaskFormer, TaskProgram};
 use multiscalar_workloads::{Spec92, Workload, WorkloadParams};
@@ -110,14 +110,8 @@ pub fn prepare_cached(
         .unwrap_or_else(|e| panic!("{spec}: task formation failed: {e}"));
     let descs = measure::task_descs(&tasks);
     let key = cache::replay_key(spec, params, &workload.program, &tasks, workload.max_steps);
-    let replay = cache.and_then(|c| c.load_replay(key)).unwrap_or_else(|| {
-        let r = record_replay(&workload.program, &tasks, workload.max_steps)
-            .unwrap_or_else(|e| panic!("{spec}: recording failed: {e}"));
-        if let Some(c) = cache {
-            c.store_replay(key, &r);
-        }
-        r
-    });
+    let replay = cache::load_or_record(cache, key, &workload.program, &tasks, workload.max_steps)
+        .unwrap_or_else(|e| panic!("{spec}: recording failed: {e}"));
     let trace = derive_trace(&replay, &tasks);
     Bench {
         spec,

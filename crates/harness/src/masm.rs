@@ -18,10 +18,10 @@
 //! is never served for a changed file, while an untouched file stays warm
 //! across invocations.
 
+use crate::cache::load_or_record;
 use crate::registry::{ExpCtx, Output};
 use multiscalar_isa::{Fingerprint, FingerprintHasher, Program};
 use multiscalar_sim::codec::CACHE_SCHEMA;
-use multiscalar_sim::replay::record_replay;
 use multiscalar_taskform::{TaskFlowGraph, TaskFormer, TaskProgram};
 use std::hash::Hash as _;
 
@@ -100,17 +100,8 @@ pub fn run_asm(ctx: &ExpCtx) -> Result<Output, String> {
     let diags = multiscalar_analyze::analyze(&program, &tasks, &tfg);
 
     let key = file_replay_key(&text, &program, &tasks, FILE_MAX_STEPS);
-    let replay = match ctx.store.and_then(|c| c.load_replay(key)) {
-        Some(r) => r,
-        None => {
-            let r = record_replay(&program, &tasks, FILE_MAX_STEPS)
-                .map_err(|e| format!("{path}: replay failed: {e}"))?;
-            if let Some(c) = ctx.store {
-                c.store_replay(key, &r);
-            }
-            r
-        }
-    };
+    let replay = load_or_record(ctx.store, key, &program, &tasks, FILE_MAX_STEPS)
+        .map_err(|e| format!("{path}: replay failed: {e}"))?;
 
     let mut body = format!("asm {path}\n");
     body.push_str(&format!("  functions: {}\n", program.functions().len()));

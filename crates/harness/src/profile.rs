@@ -20,7 +20,7 @@ use crate::pool::{Job, Pool};
 use crate::Bench;
 use multiscalar_sim::metrics::{Cause, CycleBreakdown, TaskEventSink, UnitOccupancy};
 use multiscalar_sim::replay::simulate_replay_with_sink;
-use multiscalar_sim::timing::{NextTaskPredictor, TimingConfig, TimingResult};
+use multiscalar_sim::timing::{NextTaskPredictor, TimingConfig, TimingResult, N_UNITS};
 
 /// Schema version stamped into `profile.json`; bump on breaking changes.
 pub const PROFILE_SCHEMA_VERSION: u32 = 1;
@@ -68,7 +68,7 @@ pub fn profile(
                 let mut pred = column.predictor();
                 let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
                 if occupancy {
-                    let mut sinks = (CycleBreakdown::new(), UnitOccupancy::new(config.n_units));
+                    let mut sinks = (CycleBreakdown::new(), UnitOccupancy::new());
                     let result =
                         simulate_replay_with_sink(&replay, &b.descs, pred, config, &mut sinks);
                     ProfileCell {
@@ -215,7 +215,7 @@ pub fn to_json(rows: &[ProfileRow]) -> String {
                     out,
                     ", \"occupancy\": {{\"units\": {}, \"busy\": {:?}, \"stalled\": {:?}, \
                      \"idle\": {:?}}}",
-                    occ.n_units(),
+                    N_UNITS,
                     occ.busy(),
                     occ.stalled(),
                     occ.idle()

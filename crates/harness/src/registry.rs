@@ -127,11 +127,6 @@ impl Prepared {
         Prepared { benches, narrowed }
     }
 
-    /// Wraps already-prepared benchmarks (tests, bespoke drivers).
-    pub fn from_benches(benches: Vec<Bench>, narrowed: bool) -> Prepared {
-        Prepared { benches, narrowed }
-    }
-
     /// All prepared benchmarks.
     pub fn all(&self) -> &[Bench] {
         &self.benches

@@ -34,7 +34,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::cache::{self, ArtifactCache};
+use crate::cache::ArtifactCache;
 use crate::pool::Pool;
 use crate::proto::{Command, Envelope, Request, Response};
 use crate::registry::{self, BenchSource, Output};
@@ -488,11 +488,6 @@ pub fn serve_main(config: &ServeConfig) -> Result<(), String> {
             Ok(())
         }
     }
-}
-
-/// The default cache directory as a `ServeConfig` would resolve it.
-pub fn default_cache_dir() -> PathBuf {
-    PathBuf::from(cache::DEFAULT_DIR)
 }
 
 #[cfg(test)]

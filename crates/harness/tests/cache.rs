@@ -142,6 +142,61 @@ fn stale_schema_entry_is_evicted() {
     cleanup(&dir);
 }
 
+/// A recording with a valid checksum but a foreign task partition — the
+/// same program formed with the `small (8/2)` budget, stored under the
+/// default partition's key — names tasks the default partition does not
+/// have. It is evicted and re-recorded like a corrupt entry, never
+/// replayed, and `table4`'s output stays byte-identical.
+#[test]
+fn foreign_partition_recording_is_evicted_and_rerecorded() {
+    use multiscalar_harness::extensions::TASKFORM_CONFIGS;
+    use multiscalar_harness::proto::Request;
+    use multiscalar_harness::registry;
+    use multiscalar_sim::{encode_replay, record_replay};
+    use multiscalar_taskform::TaskFormer;
+
+    let dir = scratch_dir("foreign");
+    let pool = Pool::new(1);
+    let spec = Spec92::Compress;
+    let mut request = Request::new("table4");
+    request.params = WorkloadParams::small(3);
+    request.bench = Some(spec);
+    let run = |store: &ArtifactCache| {
+        let resources = registry::Resources {
+            pool: &pool,
+            store: Some(store),
+            cache_dir: dir.clone(),
+            source: None,
+        };
+        registry::dispatch(&request, &resources)
+            .expect("table4 runs")
+            .body
+    };
+
+    let store = ArtifactCache::new(&dir);
+    store.clear().unwrap();
+    let cold = run(&store);
+
+    let (label, small) = TASKFORM_CONFIGS[0];
+    assert_eq!(label, "small (8/2)");
+    let w = spec.build(&request.params);
+    let tasks = TaskFormer::new(small).form(&w.program).unwrap();
+    let foreign = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+    let key = multiscalar_harness::cache::key_for(spec, &request.params);
+    std::fs::write(store.entry_path(key), encode_replay(&foreign, key)).unwrap();
+
+    let store = ArtifactCache::new(&dir);
+    let repaired = run(&store);
+    let s = store.stats();
+    assert_eq!((s.hits, s.misses, s.stores, s.evictions), (0, 1, 1, 1));
+    assert_eq!(cold, repaired, "the re-recorded run is byte-identical");
+
+    let store = ArtifactCache::new(&dir);
+    assert_eq!(run(&store), cold);
+    assert_eq!((store.stats().hits, store.stats().misses), (1, 0));
+    cleanup(&dir);
+}
+
 /// `gc` evicts least-recently-used entries past the byte cap: a hit bumps
 /// an entry's recency so it survives, the oldest cold entries go first
 /// (counter-verified), and the evicted benchmarks are simply re-recorded —
@@ -170,7 +225,10 @@ fn gc_evicts_lru_entries_past_the_byte_cap() {
     }
 
     // A hit bumps entry 0 to most-recent, so LRU order is now 1, 2, 3, 4, 0.
-    assert!(store.load_replay(baseline[0].key).is_some());
+    let hit = &baseline[0];
+    assert!(store
+        .load_replay(hit.key, &hit.workload.program, &hit.tasks)
+        .is_some());
 
     // Cap so that exactly the two oldest cold entries (1 and 2) must go.
     let total: u64 = sizes.iter().sum();
@@ -329,7 +387,10 @@ fn touch_failures_are_counted_and_probe_preserves_mtime() {
     store.clear().unwrap();
     let params = WorkloadParams::small(11);
     let benches = prepare_set_cached(&[Spec92::Compress], &params, &Pool::new(1), Some(&store));
-    assert!(store.load_replay(benches[0].key).is_some());
+    let b = &benches[0];
+    assert!(store
+        .load_replay(b.key, &b.workload.program, &b.tasks)
+        .is_some());
     let s = store.stats();
     assert_eq!(s.hits, 1);
     assert_eq!(s.touch_failures, 0, "a writable cache never fails to touch");

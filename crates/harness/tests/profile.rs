@@ -11,7 +11,7 @@ use multiscalar_sim::metrics::{Cause, CycleBreakdown, UnitOccupancy};
 use multiscalar_sim::replay::{
     record_replay, simulate_replay, simulate_replay_fused_with_sinks, simulate_replay_with_sink,
 };
-use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig};
+use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig, N_UNITS};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 fn params() -> WorkloadParams {
@@ -151,8 +151,7 @@ fn occupancy_is_a_pure_observer_and_sums_per_unit() {
             assert_eq!(p.breakdown, o.breakdown, "nor the attribution");
             assert!(p.occupancy.is_none());
             let occ = o.occupancy.as_ref().expect("occupancy collected");
-            assert_eq!(occ.n_units(), config.n_units);
-            for u in 0..occ.n_units() {
+            for u in 0..N_UNITS {
                 assert_eq!(
                     occ.busy()[u] + occ.stalled()[u] + occ.idle()[u],
                     o.result.cycles,
@@ -187,7 +186,7 @@ fn fused_walk_preserves_attribution_and_occupancy() {
 
     let mut solo = Vec::new();
     for column in Table4Column::ALL {
-        let mut sink = (CycleBreakdown::new(), UnitOccupancy::new(config.n_units));
+        let mut sink = (CycleBreakdown::new(), UnitOccupancy::new());
         let mut pred = column.predictor();
         let result = simulate_replay_with_sink(
             &replay,
@@ -202,7 +201,7 @@ fn fused_walk_preserves_attribution_and_occupancy() {
     let mut predictors: Vec<_> = Table4Column::ALL.iter().map(|c| c.predictor()).collect();
     let mut sinks: Vec<_> = Table4Column::ALL
         .iter()
-        .map(|_| (CycleBreakdown::new(), UnitOccupancy::new(config.n_units)))
+        .map(|_| (CycleBreakdown::new(), UnitOccupancy::new()))
         .collect();
     let fused =
         simulate_replay_fused_with_sinks(&replay, &b.descs, &mut predictors, &config, &mut sinks);
@@ -219,7 +218,7 @@ fn fused_walk_preserves_attribution_and_occupancy() {
             fused[i].cycles,
             "{label}: every fused cycle attributed exactly once"
         );
-        for u in 0..fused_occ.n_units() {
+        for u in 0..N_UNITS {
             assert_eq!(
                 fused_occ.busy()[u] + fused_occ.stalled()[u] + fused_occ.idle()[u],
                 fused[i].cycles,

@@ -87,19 +87,14 @@ fn replay_matches_interpreter_across_ablation_configs() {
         TimingConfig::paper().arb(Some(ArbConfig {
             banks: 1,
             entries_per_bank: 4,
-            stages: 4,
         })),
         // `ext-memory`'s undersized ARB.
         TimingConfig::paper().arb(Some(ArbConfig {
             banks: 1,
             entries_per_bank: 1,
-            stages: 4,
         })),
-        TimingConfig::paper()
-            .n_units(8)
-            .issue_width(4)
-            .confidence_gate(Some(2)),
-        // `ext-confidence`'s gate on the paper's 4-unit ring.
+        TimingConfig::paper().confidence_gate(Some(2)),
+        // `ext-confidence`'s gate.
         TimingConfig::paper().confidence_gate(Some(8)),
     ];
     for config in &configs {

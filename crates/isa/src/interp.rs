@@ -12,6 +12,13 @@ use std::fmt;
 /// data is smaller.
 pub const DEFAULT_MEMORY_WORDS: usize = 1 << 20;
 
+/// Words of data memory an [`Interpreter`] gives `program`: its initial
+/// data, extended to at least [`DEFAULT_MEMORY_WORDS`]. Every address a
+/// load or store can touch without faulting is below this bound.
+pub fn memory_words(program: &Program) -> usize {
+    program.initial_data().len().max(DEFAULT_MEMORY_WORDS)
+}
+
 /// Maximum call-stack depth before [`ExecError::StackOverflow`].
 pub const MAX_CALL_DEPTH: usize = 1 << 20;
 
@@ -150,18 +157,10 @@ pub struct Interpreter<'p> {
 impl<'p> Interpreter<'p> {
     /// Creates an interpreter positioned at the program's entry point, with
     /// data memory initialised from the program's data segment and extended
-    /// to at least [`DEFAULT_MEMORY_WORDS`].
+    /// to [`memory_words`] words.
     pub fn new(program: &'p Program) -> Self {
-        Self::with_memory(program, DEFAULT_MEMORY_WORDS)
-    }
-
-    /// Like [`Interpreter::new`] but with an explicit minimum memory size in
-    /// words.
-    pub fn with_memory(program: &'p Program, min_words: usize) -> Self {
         let mut mem = program.initial_data().to_vec();
-        if mem.len() < min_words {
-            mem.resize(min_words, 0);
-        }
+        mem.resize(memory_words(program), 0);
         Interpreter {
             program,
             pc: program.entry_point(),
@@ -175,12 +174,6 @@ impl<'p> Interpreter<'p> {
     /// The program being executed.
     pub fn program(&self) -> &'p Program {
         self.program
-    }
-
-    /// Number of data-memory words. Every address a load or store can touch
-    /// without faulting is below this bound.
-    pub fn mem_words(&self) -> usize {
-        self.mem.len()
     }
 
     /// Current program counter.
@@ -201,11 +194,6 @@ impl<'p> Interpreter<'p> {
     /// Reads a register.
     pub fn reg(&self, r: Reg) -> u32 {
         self.regs[r.index()]
-    }
-
-    /// Writes a register.
-    pub fn set_reg(&mut self, r: Reg, v: u32) {
-        self.regs[r.index()] = v;
     }
 
     /// Reads a data-memory word.

@@ -57,7 +57,7 @@ pub use inst::{
     AluOp, Cond, ControlFlow, ExitIndex, ExitKind, Instruction, Reg, MAX_EXITS, NUM_REGS,
 };
 pub use interp::{
-    ExecError, Interpreter, RunOutcome, Transfer, TransferKind, DEFAULT_MEMORY_WORDS,
+    memory_words, ExecError, Interpreter, RunOutcome, Transfer, TransferKind, DEFAULT_MEMORY_WORDS,
 };
 pub use parse::{parse_program, to_masm, ParseError};
 pub use program::{Addr, FuncId, Function, Program};

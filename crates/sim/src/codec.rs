@@ -35,15 +35,19 @@
 //!   - every register byte names a register (or is absent);
 //!   - every memory address is below `mem_words`.
 //!
-//!   Whether `bound_task` names a task of the partition is not checked:
-//!   that needs the task program, which the codec never sees.
+//!   Two facts need the program and its task partition, which the
+//!   decoder never sees: that every `bound_task` names a task of the
+//!   partition, and that `mem_words` is the program's data-memory size
+//!   (the timing core allocates that many words). [`check_fits`] checks
+//!   both; the artifact cache runs it on every load.
 //!
 //! Bump [`CACHE_SCHEMA`] whenever this layout *or the meaning of any
 //! recorded field* changes (e.g. a timing-semantics change that alters what
 //! recordings capture): stale artifacts then fail decode and get evicted
 //! instead of silently producing wrong results.
 
-use multiscalar_isa::{Fingerprint, FingerprintHasher, MAX_EXITS, NUM_REGS};
+use multiscalar_isa::{memory_words, Fingerprint, FingerprintHasher, Program, MAX_EXITS, NUM_REGS};
+use multiscalar_taskform::TaskProgram;
 use std::fmt;
 use std::hash::Hasher as _;
 
@@ -315,6 +319,40 @@ pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay,
     })
 }
 
+/// Checks that a decoded recording fits the program and task partition it
+/// is about to be replayed under: its `mem_words` is `program`'s
+/// data-memory size, and every boundary's retiring task is a task of
+/// `tasks` (the timing core and [`crate::replay::derive_trace`] index the
+/// partition with it). A recording of the same program under another
+/// partition, or of another program, fails here even with a valid
+/// checksum.
+///
+/// # Errors
+///
+/// [`CodecError::Malformed`] naming the first mismatch.
+pub fn check_fits(
+    replay: &InstrReplay,
+    program: &Program,
+    tasks: &TaskProgram,
+) -> Result<(), CodecError> {
+    if replay.mem_words != memory_words(program) {
+        return Err(CodecError::Malformed(
+            "mem_words differs from the program's memory size",
+        ));
+    }
+    if replay
+        .bound_task
+        .iter()
+        .max()
+        .is_some_and(|&t| t as usize >= tasks.tasks().len())
+    {
+        return Err(CodecError::Malformed(
+            "bound_task names a task outside the partition",
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,7 +360,7 @@ mod tests {
     use multiscalar_isa::{fingerprint_of, AluOp, Cond, ProgramBuilder, Reg};
     use multiscalar_taskform::TaskFormer;
 
-    fn recording() -> InstrReplay {
+    fn program() -> (Program, TaskProgram) {
         let mut b = ProgramBuilder::new();
         let main = b.begin_function("main");
         b.load_imm(Reg(1), 0);
@@ -342,6 +380,11 @@ mod tests {
         b.end_function();
         let p = b.finish(main).unwrap();
         let tp = TaskFormer::default().form(&p).unwrap();
+        (p, tp)
+    }
+
+    fn recording() -> InstrReplay {
+        let (p, tp) = program();
         record_replay(&p, &tp, 1_000_000).unwrap()
     }
 
@@ -464,5 +507,50 @@ mod tests {
             decode_tampered(|r| r.ops[0] = (r.ops[0] & !0xFF) | 200).unwrap_err(),
             CodecError::Malformed("register byte out of range")
         );
+    }
+
+    #[test]
+    fn a_recording_fits_its_own_program_and_partition() {
+        let (p, tp) = program();
+        let r = record_replay(&p, &tp, 1_000_000).unwrap();
+        assert_eq!(check_fits(&r, &p, &tp), Ok(()));
+    }
+
+    /// Tampers with a real recording, round-trips it through the codec (so
+    /// it carries a valid checksum and passes every decode check) and
+    /// checks it against its own program and partition.
+    fn check_tampered(
+        tamper: impl FnOnce(&mut InstrReplay, &TaskProgram),
+    ) -> Result<(), CodecError> {
+        let (p, tp) = program();
+        let mut r = record_replay(&p, &tp, 1_000_000).unwrap();
+        tamper(&mut r, &tp);
+        let key = fingerprint_of(&"key");
+        let r = decode_replay(&encode_replay(&r, key), key).expect("decodes");
+        check_fits(&r, &p, &tp)
+    }
+
+    #[test]
+    fn bound_task_outside_the_partition_does_not_fit() {
+        assert_eq!(
+            check_tampered(|r, tp| {
+                let last = r.bound_task.len() - 1;
+                r.bound_task[last] = tp.tasks().len() as u32;
+            })
+            .unwrap_err(),
+            CodecError::Malformed("bound_task names a task outside the partition")
+        );
+    }
+
+    #[test]
+    fn foreign_mem_words_do_not_fit() {
+        // Larger sizes keep every address in range, so decoding accepts
+        // them; the core would allocate this many words.
+        for mem_words in [1 << 40, usize::MAX] {
+            assert_eq!(
+                check_tampered(|r, _| r.mem_words = mem_words).unwrap_err(),
+                CodecError::Malformed("mem_words differs from the program's memory size")
+            );
+        }
     }
 }

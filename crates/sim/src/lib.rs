@@ -24,9 +24,9 @@
 //! ([`trace::collect_trace`]) and the timing oracle all drain it.
 //!
 //! Building with `--features sanitize` arms runtime assertions over the
-//! timing model's invariants (FIFO ARB commit order, monotone ring clocks)
-//! and exposes the `sanitize` module's lockstep replay/interpreter
-//! agreement checker; see DESIGN.md.
+//! timing model's invariants (monotone commit and ring-unit clocks); the
+//! `sanitize` module's lockstep replay/interpreter agreement checkers
+//! compile in every build. See DESIGN.md.
 //!
 //! # Example: measuring a predictor on a workload
 //!

@@ -39,7 +39,7 @@
 //! the total **exactly**; [`CycleBreakdown::finish`] asserts it on every
 //! run, for both the interpreter and the replay engine.
 
-use crate::timing::TimingResult;
+use crate::timing::{TimingResult, N_UNITS};
 use std::fmt::Write as _;
 
 /// Why the in-task issue cursor was pushed forward (stall *debt* — charged
@@ -345,14 +345,14 @@ impl<A: MetricsSink, B: MetricsSink> MetricsSink for (A, B) {
 /// final in-flight task occupies its unit to the end of the run.
 /// Successive residencies on one unit never overlap, so per unit
 /// `busy + stalled + idle == cycles` exactly — [`MetricsSink::finish`]
-/// asserts the grand total equals `cycles × n_units` on every run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// asserts the grand total equals `cycles × N_UNITS` on every run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnitOccupancy {
-    busy: Vec<u64>,
-    stalled: Vec<u64>,
-    idle: Vec<u64>,
+    busy: [u64; N_UNITS],
+    stalled: [u64; N_UNITS],
+    idle: [u64; N_UNITS],
     /// End of the last finished residency per unit (`commit + 1`).
-    last_end: Vec<u64>,
+    last_end: [u64; N_UNITS],
     /// Unit the currently resident task runs on.
     cur_unit: usize,
     /// Start of the current residency on `cur_unit`.
@@ -361,34 +361,12 @@ pub struct UnitOccupancy {
     stall_acc: u64,
     /// Total cycles, recorded at finish.
     cycles: u64,
-    finished: bool,
 }
 
 impl UnitOccupancy {
-    /// A fresh sink for a ring of `n_units` units (pass the run's
-    /// `TimingConfig::n_units`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_units` is zero.
-    pub fn new(n_units: usize) -> UnitOccupancy {
-        assert!(n_units > 0, "a ring needs at least one unit");
-        UnitOccupancy {
-            busy: vec![0; n_units],
-            stalled: vec![0; n_units],
-            idle: vec![0; n_units],
-            last_end: vec![0; n_units],
-            cur_unit: 0,
-            cur_start: 0,
-            stall_acc: 0,
-            cycles: 0,
-            finished: false,
-        }
-    }
-
-    /// Number of ring units tracked.
-    pub fn n_units(&self) -> usize {
-        self.busy.len()
+    /// A fresh sink for the [`N_UNITS`]-unit ring.
+    pub fn new() -> UnitOccupancy {
+        UnitOccupancy::default()
     }
 
     /// Busy cycles per unit (index = ring unit).
@@ -422,7 +400,7 @@ impl UnitOccupancy {
     }
 
     fn frac(&self, what: &[u64]) -> f64 {
-        let denom = self.cycles * self.n_units() as u64;
+        let denom = self.cycles * N_UNITS as u64;
         if denom == 0 {
             0.0
         } else {
@@ -457,7 +435,7 @@ impl MetricsSink for UnitOccupancy {
         self.close_residency(end);
         // The next task starts on the next ring unit once it is dispatched
         // and that unit is free.
-        let next = (self.cur_unit + 1) % self.n_units();
+        let next = (self.cur_unit + 1) % N_UNITS;
         self.cur_unit = next;
         self.cur_start = ev.dispatch.max(self.last_end[next]);
     }
@@ -471,7 +449,7 @@ impl MetricsSink for UnitOccupancy {
         // Residencies end at `commit + 1`, and the last commit may equal
         // the final cycle count — clamp the (at most one cycle of)
         // overshoot per unit, then everything uncovered is idle.
-        for u in 0..self.n_units() {
+        for u in 0..N_UNITS {
             let over = self.last_end[u].saturating_sub(self.cycles);
             let from_busy = over.min(self.busy[u]);
             self.busy[u] -= from_busy;
@@ -481,19 +459,18 @@ impl MetricsSink for UnitOccupancy {
                 .checked_sub(self.busy[u] + self.stalled[u])
                 .expect("unit occupancy cannot exceed total cycles");
         }
-        let total: u64 = (0..self.n_units())
+        let total: u64 = (0..N_UNITS)
             .map(|u| self.busy[u] + self.stalled[u] + self.idle[u])
             .sum();
         assert_eq!(
             total,
-            self.cycles * self.n_units() as u64,
-            "per-unit occupancy must sum to cycles x n_units \
+            self.cycles * N_UNITS as u64,
+            "per-unit occupancy must sum to cycles x N_UNITS \
              (busy {:?}, stalled {:?}, idle {:?})",
             self.busy,
             self.stalled,
             self.idle
         );
-        self.finished = true;
     }
 }
 

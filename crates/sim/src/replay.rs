@@ -40,7 +40,7 @@
 use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
-use multiscalar_isa::{Addr, ExitIndex, Program};
+use multiscalar_isa::{memory_words, Addr, ExitIndex, Program};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
 use crate::metrics::{MetricsSink, NoopSink};
@@ -82,7 +82,8 @@ pub struct InstrReplay {
     pub(crate) bound_exit: Vec<u8>,
     /// Entry address of the task entered at each boundary.
     pub(crate) bound_next: Vec<u32>,
-    /// Interpreter memory size, for the disambiguation tables.
+    /// The program's data-memory size in words
+    /// ([`multiscalar_isa::memory_words`]), for the core's store table.
     pub(crate) mem_words: usize,
 }
 
@@ -138,7 +139,7 @@ pub fn record_replay(
         bound_task: Vec::with_capacity(cap / 16),
         bound_exit: Vec::with_capacity(cap / 16),
         bound_next: Vec::with_capacity(cap / 16),
-        mem_words: source.mem_words(),
+        mem_words: memory_words(program),
     };
 
     loop {
@@ -580,12 +581,8 @@ mod tests {
             TimingConfig::paper().arb(Some(ArbConfig {
                 banks: 1,
                 entries_per_bank: 1,
-                stages: 4,
             })),
-            TimingConfig::paper()
-                .n_units(8)
-                .issue_width(4)
-                .confidence_gate(Some(2)),
+            TimingConfig::paper().confidence_gate(Some(2)),
         ];
         for config in &configs {
             let legacy = simulate(&p, &tp, &descs, None, config, 1_000_000).unwrap();

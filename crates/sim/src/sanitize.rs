@@ -1,7 +1,7 @@
 //! Runtime sanitizer for the timing simulator. The lockstep checkers here
 //! compile unconditionally (the differential fuzzer drives them in every
 //! build); `--features sanitize` additionally arms the assertions *inside*
-//! the model listed below.
+//! the model described below.
 //!
 //! The timing model has two step feeds — the live interpreter feed (the
 //! oracle, [`crate::timing::simulate`]) and the recorded replay
@@ -21,14 +21,10 @@
 //! equivalent solo runs in one process and asserts bit-identical
 //! [`crate::timing::TimingResult`]s *and* cycle attributions per column.
 //!
-//! Enabling the feature also arms assertions inside the model itself:
-//!
-//! * [`crate::arb::Arb::commit_head`] asserts commit order is strictly
-//!   FIFO across the whole run;
-//! * the boundary-retirement code in `timing.rs` asserts the commit clock
-//!   and every ring unit's free time only move forward.
-//!
-//! Those in-model assertions compile away when the feature is off.
+//! Enabling the feature also arms assertions inside the model itself: the
+//! boundary-retirement code in `timing.rs` asserts the commit clock and
+//! every ring unit's free time only move forward. They compile away when
+//! the feature is off.
 
 use crate::metrics::CycleBreakdown;
 use crate::replay::{

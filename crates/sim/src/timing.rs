@@ -2,21 +2,30 @@
 //! source of the reproduction's Table 4 (IPC vs. task predictor).
 //!
 //! The model (simplified from the Wisconsin detailed simulator, see
-//! DESIGN.md §5.3):
+//! DESIGN.md §5.3) runs the paper's §4 machine, whose parameters are the
+//! constants below:
 //!
-//! * `n_units` processing units in a ring, tasks assigned round-robin,
+//! * [`N_UNITS`] processing units in a ring, tasks assigned round-robin,
 //!   strictly FIFO commit;
-//! * the global sequencer dispatches one task per `dispatch_cost` cycles
+//! * the global sequencer dispatches one task per [`DISPATCH_COST`] cycles
 //!   along the *predicted* path; a task misprediction is discovered when
 //!   the mispredicting task completes, squashes all younger work and
-//!   restarts dispatch after `squash_penalty` cycles;
-//! * within a task: in-order `issue_width`-wide issue with true
+//!   restarts dispatch after [`SQUASH_PENALTY`] cycles;
+//! * within a task: in-order [`ISSUE_WIDTH`]-wide issue with true
 //!   register-dataflow stalls (a global register-availability scoreboard
 //!   also captures inter-task forwarding delays around the ring), 1-cycle
-//!   ALU ops, `load_latency`-cycle loads;
-//! * intra-task conditional branches are predicted by a shared bimodal
-//!   predictor (as in the paper, §2.2); a miss costs `intra_penalty`
-//!   cycles.
+//!   ALU ops, [`LOAD_LATENCY`]-cycle loads;
+//! * intra-task conditional branches are predicted by a shared
+//!   [`BIMODAL_BITS`]-bit bimodal predictor (as in the paper, §2.2); a miss
+//!   costs [`INTRA_PENALTY`] cycles;
+//! * memory: a load that issues before an older task's store to its
+//!   address is a memory-order violation ([`VIOLATION_PENALTY`]), and a
+//!   reference the ARB ([`crate::arb`]) has no entry for stalls issue
+//!   ([`ARB_FULL_PENALTY`]).
+//!
+//! [`TimingConfig`] holds only the four ablation axes the extension
+//! studies vary: the intra-task predictor, the register-forwarding model,
+//! the ARB geometry and confidence gating.
 //!
 //! Absolute IPC differs from the paper's out-of-order cores; what Table 4's
 //! reproduction preserves is the *ordering* (Simple < GLOBAL/PER < PATH <
@@ -36,12 +45,12 @@
 //! against. Because both feeds produce the same step stream, the two entry
 //! points return **bit-identical** [`TimingResult`]s by construction.
 
-use crate::arb::{Arb, ArbConfig, ArbEvent};
+use crate::arb::{ArbConfig, ArbTable};
 use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
 use multiscalar_core::confidence::ConfidenceEstimator;
 use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
 use multiscalar_core::scalar::{Bimodal, McFarling, TwoLevelGag};
-use multiscalar_isa::{Addr, ExitIndex, Instruction, Interpreter, Program, NUM_REGS};
+use multiscalar_isa::{memory_words, Addr, ExitIndex, Instruction, Interpreter, Program, NUM_REGS};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
 use crate::trace::TraceError;
@@ -68,10 +77,13 @@ enum IntraState {
 }
 
 impl IntraState {
-    fn new(kind: IntraPredictorKind, bits: u32) -> IntraState {
+    /// A predictor of the kind with [`BIMODAL_BITS`] index bits (and as
+    /// many history bits for gshare).
+    fn new(kind: IntraPredictorKind) -> IntraState {
+        let bits = BIMODAL_BITS;
         match kind {
             IntraPredictorKind::Bimodal => IntraState::Bimodal(Bimodal::new(bits)),
-            IntraPredictorKind::Gshare => IntraState::Gshare(TwoLevelGag::new(bits, bits.min(12))),
+            IntraPredictorKind::Gshare => IntraState::Gshare(TwoLevelGag::new(bits, bits)),
             IntraPredictorKind::McFarling => IntraState::McFarling(McFarling::new(bits)),
         }
     }
@@ -108,23 +120,32 @@ pub enum ForwardingModel {
     ReleaseAtEnd,
 }
 
-/// Machine parameters for the timing model.
+/// Processing units in the ring (paper: 4).
+pub const N_UNITS: usize = 4;
+/// Issue width per unit (paper: 2-way).
+pub const ISSUE_WIDTH: u32 = 2;
+/// Load-to-use latency in cycles.
+pub const LOAD_LATENCY: u64 = 2;
+/// Cycles the global sequencer needs per task dispatch.
+pub const DISPATCH_COST: u64 = 1;
+/// Cycles to recover after a task misprediction (squash + refill; paper:
+/// 12).
+pub const SQUASH_PENALTY: u64 = 12;
+/// Cycles lost to an intra-task branch misprediction.
+pub const INTRA_PENALTY: u64 = 3;
+/// Index bits of the shared intra-task predictor (paper: a 12-bit
+/// bimodal).
+pub const BIMODAL_BITS: u32 = 12;
+/// Cycles lost to a memory-order violation (the offending load's task
+/// re-executes from the load).
+pub const VIOLATION_PENALTY: u64 = 8;
+/// Cycles issue stalls when an ARB bank overflows.
+pub const ARB_FULL_PENALTY: u64 = 2;
+
+/// The ablation axes of the timing model; the machine itself is the
+/// constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingConfig {
-    /// Processing units in the ring (paper: 4).
-    pub n_units: usize,
-    /// Issue width per unit (paper: 2-way).
-    pub issue_width: u32,
-    /// Load-to-use latency in cycles.
-    pub load_latency: u64,
-    /// Cycles the global sequencer needs per task dispatch.
-    pub dispatch_cost: u64,
-    /// Cycles to recover after a task misprediction (squash + refill).
-    pub squash_penalty: u64,
-    /// Cycles lost to an intra-task branch misprediction.
-    pub intra_penalty: u64,
-    /// Index bits of the shared intra-task bimodal predictor.
-    pub bimodal_bits: u32,
     /// Which intra-task branch predictor the processing units use.
     pub intra_predictor: IntraPredictorKind,
     /// Inter-task register forwarding model.
@@ -132,11 +153,6 @@ pub struct TimingConfig {
     /// Memory disambiguation hardware; `None` models an ideal, conflict-free
     /// memory system.
     pub arb: Option<ArbConfig>,
-    /// Cycles lost when the ARB detects a memory-order violation (squash of
-    /// the offending load's task tail and re-execution).
-    pub violation_penalty: u64,
-    /// Cycles the machine stalls when an ARB bank overflows.
-    pub arb_full_penalty: u64,
     /// Confidence gating: `Some(threshold)` makes the sequencer stall
     /// instead of speculating past a low-confidence task prediction
     /// (a CIR estimator with the given correct-streak threshold).
@@ -146,79 +162,27 @@ pub struct TimingConfig {
 impl Default for TimingConfig {
     fn default() -> Self {
         TimingConfig {
-            n_units: 4,
-            issue_width: 2,
-            load_latency: 2,
-            dispatch_cost: 1,
-            squash_penalty: 12,
-            intra_penalty: 3,
-            bimodal_bits: 12,
             intra_predictor: IntraPredictorKind::default(),
             forwarding: ForwardingModel::Eager,
             arb: Some(ArbConfig::default()),
-            violation_penalty: 8,
-            arb_full_penalty: 2,
             confidence_gate: None,
         }
     }
 }
 
 impl TimingConfig {
-    /// The paper's machine parameters (§4): a 4-unit ring of 2-way units,
-    /// 12-cycle squash recovery, a 12-bit shared bimodal intra predictor,
-    /// and the default ARB. Identical to [`Default`], spelled as the root
-    /// of a builder chain:
+    /// The paper's machine (§4): the bimodal intra predictor, eager
+    /// forwarding, the default ARB and no confidence gating. Identical to
+    /// [`Default`], spelled as the root of a builder chain:
     ///
     /// ```
-    /// use multiscalar_sim::timing::TimingConfig;
-    /// let c = TimingConfig::paper().squash_penalty(20).n_units(8);
-    /// assert_eq!(c.squash_penalty, 20);
-    /// assert_eq!(c.n_units, 8);
+    /// use multiscalar_sim::timing::{ForwardingModel, TimingConfig};
+    /// let c = TimingConfig::paper().forwarding(ForwardingModel::ReleaseAtEnd).arb(None);
+    /// assert_eq!(c.forwarding, ForwardingModel::ReleaseAtEnd);
+    /// assert_eq!(c.arb, None);
     /// ```
     pub fn paper() -> TimingConfig {
         TimingConfig::default()
-    }
-
-    /// Sets the number of processing units in the ring.
-    pub fn n_units(mut self, v: usize) -> TimingConfig {
-        self.n_units = v;
-        self
-    }
-
-    /// Sets the per-unit issue width.
-    pub fn issue_width(mut self, v: u32) -> TimingConfig {
-        self.issue_width = v;
-        self
-    }
-
-    /// Sets the load-to-use latency.
-    pub fn load_latency(mut self, v: u64) -> TimingConfig {
-        self.load_latency = v;
-        self
-    }
-
-    /// Sets the sequencer's per-dispatch cost.
-    pub fn dispatch_cost(mut self, v: u64) -> TimingConfig {
-        self.dispatch_cost = v;
-        self
-    }
-
-    /// Sets the task-misprediction squash + refill penalty.
-    pub fn squash_penalty(mut self, v: u64) -> TimingConfig {
-        self.squash_penalty = v;
-        self
-    }
-
-    /// Sets the intra-task branch misprediction penalty.
-    pub fn intra_penalty(mut self, v: u64) -> TimingConfig {
-        self.intra_penalty = v;
-        self
-    }
-
-    /// Sets the shared intra predictor's index bits.
-    pub fn bimodal_bits(mut self, v: u32) -> TimingConfig {
-        self.bimodal_bits = v;
-        self
     }
 
     /// Selects the intra-task branch predictor.
@@ -236,18 +200,6 @@ impl TimingConfig {
     /// Sets the ARB geometry (`None` = ideal, conflict-free memory).
     pub fn arb(mut self, v: Option<ArbConfig>) -> TimingConfig {
         self.arb = v;
-        self
-    }
-
-    /// Sets the ARB memory-order violation penalty.
-    pub fn violation_penalty(mut self, v: u64) -> TimingConfig {
-        self.violation_penalty = v;
-        self
-    }
-
-    /// Sets the ARB bank-overflow stall penalty.
-    pub fn arb_full_penalty(mut self, v: u64) -> TimingConfig {
-        self.arb_full_penalty = v;
         self
     }
 
@@ -349,7 +301,7 @@ const TASK_IDX_MASK: u64 = (1 << TASK_IDX_BITS) - 1;
 pub(crate) enum OpClass {
     /// Single-cycle ALU/control work.
     Other = 0,
-    /// A load: `load_latency` cycles plus memory disambiguation.
+    /// A load: [`LOAD_LATENCY`] cycles plus memory disambiguation.
     Load = 1,
     /// A store: memory disambiguation.
     Store = 2,
@@ -442,11 +394,6 @@ impl<'a> InterpSource<'a> {
             steps: 0,
             max_steps,
         }
-    }
-
-    /// The interpreter's data-memory size in words.
-    pub(crate) fn mem_words(&self) -> usize {
-        self.interp.mem_words()
     }
 }
 
@@ -568,10 +515,10 @@ pub(crate) struct CoreState<'p> {
     intra: IntraState,
     result: TimingResult,
     confidence: Option<ConfidenceEstimator>,
-    /// Memory disambiguation: the ARB tracks in-flight references per ring
-    /// stage; time-based detection catches loads that would have issued
-    /// before an older in-flight task's store to the same address.
-    arb: Option<Arb>,
+    /// ARB occupancy: the distinct addresses the current task has
+    /// referenced (capacity stalls only; violations come from
+    /// `last_store`).
+    arb: Option<ArbTable>,
     /// addr -> `issue_time << TASK_IDX_BITS | task`, direct-indexed by word
     /// address: the key space is bounded by the interpreter's memory, and
     /// this is consulted on every memory instruction. Packing the pair into
@@ -596,12 +543,11 @@ pub(crate) struct CoreState<'p> {
     released: [u64; NUM_REGS],
     written_this_task: u32,
     // Ring state.
-    unit_free: Vec<u64>,
+    unit_free: [u64; N_UNITS],
     prev_commit: u64,
     // Current task instance state.
     task_index: u64,
-    /// `task_index % n_units`, maintained incrementally (a hardware divide
-    /// per boundary is measurable at replay speeds).
+    /// `task_index % N_UNITS`, maintained incrementally.
     cur_unit: usize,
     dispatch: u64,
     t_issue: u64,
@@ -616,17 +562,10 @@ impl<'p> CoreState<'p> {
         config: &TimingConfig,
         mem_words: usize,
     ) -> CoreState<'p> {
-        let mut arb = config.arb.map(|mut c| {
-            c.stages = c.stages.max(config.n_units);
-            Arb::new(c)
-        });
-        if let Some(arb) = arb.as_mut() {
-            arb.begin_task(0);
-        }
         let dispatch = 1u64; // first dispatch
         let t_issue = dispatch + 1;
         CoreState {
-            intra: IntraState::new(config.intra_predictor, config.bimodal_bits),
+            intra: IntraState::new(config.intra_predictor),
             result: TimingResult {
                 instructions: 0,
                 cycles: 0,
@@ -640,13 +579,13 @@ impl<'p> CoreState<'p> {
             confidence: config
                 .confidence_gate
                 .map(|t| ConfidenceEstimator::new(12, t)),
-            arb,
+            arb: config.arb.map(ArbTable::new),
             last_store: vec![0; mem_words],
             max_store_time: 0,
             avail: [0u64; NUM_REGS],
             released: [0u64; NUM_REGS],
             written_this_task: 0,
-            unit_free: vec![0u64; config.n_units],
+            unit_free: [0; N_UNITS],
             prev_commit: 0,
             task_index: 0,
             cur_unit: 0,
@@ -708,20 +647,19 @@ impl<'p> CoreState<'p> {
         }
         let issue_time = self.t_issue;
         self.slots += 1;
-        if self.slots >= config.issue_width {
+        if self.slots >= ISSUE_WIDTH {
             self.t_issue += 1;
             self.slots = 0;
         }
         let latency = match step.class {
-            OpClass::Load => config.load_latency,
+            OpClass::Load => LOAD_LATENCY,
             _ => 1,
         };
 
         // --- memory disambiguation -----------------------------------------
         if matches!(step.class, OpClass::Load | OpClass::Store) {
             let ea = step.mem_addr;
-            let is_load = step.class == OpClass::Load;
-            if is_load {
+            if step.class == OpClass::Load {
                 // Would this load have issued before an older in-flight
                 // store to the same address produced its value?
                 if self.max_store_time > issue_time {
@@ -731,7 +669,7 @@ impl<'p> CoreState<'p> {
                     if store_task < self.task_index && store_time > issue_time {
                         // Violation: the load's task re-executes from here.
                         self.result.arb_violations += 1;
-                        self.t_issue = store_time + config.violation_penalty;
+                        self.t_issue = store_time + VIOLATION_PENALTY;
                         self.slots = 0;
                         let to = self.complete.max(self.t_issue);
                         if M::ENABLED {
@@ -749,18 +687,14 @@ impl<'p> CoreState<'p> {
                 self.max_store_time = self.max_store_time.max(issue_time);
             }
             if let Some(arb) = self.arb.as_mut() {
-                let ev = if is_load {
-                    arb.load(ea, self.task_index)
-                } else {
-                    arb.store(ea, self.task_index)
-                };
-                if ev == ArbEvent::Full {
-                    // No free entry: stall until the head commits.
+                if !arb.reference(ea) {
+                    // No free entry: the reference goes untracked and
+                    // issue stalls.
                     self.result.arb_full_stalls += 1;
                     if M::ENABLED {
-                        sink.issue_stall(StallCause::ArbFull, config.arb_full_penalty);
+                        sink.issue_stall(StallCause::ArbFull, ARB_FULL_PENALTY);
                     }
-                    self.t_issue += config.arb_full_penalty;
+                    self.t_issue += ARB_FULL_PENALTY;
                     self.slots = 0;
                 }
             }
@@ -837,18 +771,16 @@ impl<'p> CoreState<'p> {
                 }
                 self.unit_free[self.cur_unit] = commit + 1;
 
-                // Advance the ARB stage window with the ring: commit is
-                // strictly FIFO, so the head task's entries are freed at
-                // every task retirement (not only when the window fills).
+                // Commit is strictly FIFO, so the retiring task's ARB
+                // entries are freed at every task retirement.
                 if let Some(arb) = self.arb.as_mut() {
-                    arb.commit_head();
-                    arb.begin_task(self.task_index + 1);
+                    arb.clear();
                 }
 
                 // Dispatch the next task. The boundary just resolved tells
                 // us how the *next* task's dispatch went on real hardware:
                 self.task_index += 1;
-                let next_unit = if self.cur_unit + 1 == config.n_units {
+                let next_unit = if self.cur_unit + 1 == N_UNITS {
                     0
                 } else {
                     self.cur_unit + 1
@@ -858,7 +790,7 @@ impl<'p> CoreState<'p> {
                     // Mispredicted: the wrong-path work is squashed when
                     // this task completes and reveals its actual exit; the
                     // correct next task dispatches after recovery.
-                    self.complete + config.squash_penalty
+                    self.complete + SQUASH_PENALTY
                 } else if gated {
                     // The sequencer withheld speculation on a
                     // low-confidence prediction: the next task starts once
@@ -866,11 +798,11 @@ impl<'p> CoreState<'p> {
                     self.complete.max(self.unit_free[next_unit])
                 } else {
                     // Correct speculation: one prediction per
-                    // `dispatch_cost` cycles, subject to a free unit.
-                    (self.dispatch + config.dispatch_cost).max(self.unit_free[next_unit])
+                    // `DISPATCH_COST` cycles, subject to a free unit.
+                    (self.dispatch + DISPATCH_COST).max(self.unit_free[next_unit])
                 };
                 self.prev_commit = commit;
-                self.dispatch = next_dispatch.max(self.dispatch + config.dispatch_cost);
+                self.dispatch = next_dispatch.max(self.dispatch + DISPATCH_COST);
                 // The next task issues on its own ring unit: its issue
                 // clock starts when it is dispatched and its unit is free,
                 // independent of the retiring task's issue cursor.
@@ -908,7 +840,7 @@ impl<'p> CoreState<'p> {
                     let predicted = self.intra.predict(step.branch_pc);
                     if predicted != step.taken {
                         self.result.intra_mispredicts += 1;
-                        let redirect = issue_time + 1 + config.intra_penalty;
+                        let redirect = issue_time + 1 + INTRA_PENALTY;
                         if M::ENABLED {
                             sink.issue_stall(
                                 StallCause::IntraMispredict,
@@ -1011,7 +943,7 @@ pub fn simulate_with_sink<M: MetricsSink>(
     sink: &mut M,
 ) -> Result<TimingResult, TraceError> {
     let mut source = InterpSource::new(program, tasks, max_steps);
-    let mem_words = source.mem_words();
+    let mem_words = memory_words(program);
     simulate_core(&mut source, descs, predictor, config, mem_words, sink)
 }
 
@@ -1114,7 +1046,7 @@ mod tests {
         // many units the ring had.
         let p = wide_loop_program(2000);
         let r = run(&p, None);
-        let one_unit_width = TimingConfig::default().issue_width as f64;
+        let one_unit_width = ISSUE_WIDTH as f64;
         assert!(
             r.ipc() > one_unit_width,
             "independent tasks on a 4-unit ring must exceed one unit's \
@@ -1245,10 +1177,9 @@ mod tests {
         let p = two_address_program();
         let tp = TaskFormer::default().form(&p).unwrap();
         let descs = task_descs(&tp);
-        let tiny = TimingConfig::paper().arb(Some(crate::arb::ArbConfig {
+        let tiny = TimingConfig::paper().arb(Some(ArbConfig {
             banks: 1,
             entries_per_bank: 1,
-            stages: 4,
         }));
         let r = simulate(&p, &tp, &descs, None, &tiny, 1_000_000).unwrap();
         assert!(
@@ -1263,6 +1194,46 @@ mod tests {
             "the default ARB must not overflow on a small working set"
         );
         assert!(r.cycles >= roomy.cycles, "overflow stalls cost cycles");
+    }
+
+    /// Exact results of the two memory programs under three ARB
+    /// geometries, measured before the ARB became a per-task table: any
+    /// drift in the ARB's capacity semantics changes one of them.
+    #[test]
+    fn arb_geometries_pin_exact_results() {
+        let geometries = [
+            ArbConfig::default(),
+            ArbConfig {
+                banks: 2,
+                entries_per_bank: 2,
+            },
+            ArbConfig {
+                banks: 1,
+                entries_per_bank: 1,
+            },
+        ];
+        // (cycles, arb_full_stalls, arb_violations) per geometry.
+        let programs = [
+            ("store_load", store_load_program(), [(407, 0, 0); 3]),
+            (
+                "two_address",
+                two_address_program(),
+                [(607, 0, 0), (607, 0, 0), (1007, 400, 0)],
+            ),
+        ];
+        for (name, p, expected) in programs {
+            let tp = TaskFormer::default().form(&p).unwrap();
+            let descs = task_descs(&tp);
+            for (arb, want) in geometries.into_iter().zip(expected) {
+                let config = TimingConfig::paper().arb(Some(arb));
+                let r = simulate(&p, &tp, &descs, None, &config, 1_000_000).unwrap();
+                assert_eq!(
+                    (r.cycles, r.arb_full_stalls, r.arb_violations),
+                    want,
+                    "{name} under {arb:?}"
+                );
+            }
+        }
     }
 
     #[test]

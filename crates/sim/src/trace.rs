@@ -110,17 +110,6 @@ impl TraceStats {
             self.by_num_exits[n] as f64 / self.dynamic_tasks as f64
         }
     }
-
-    /// Fraction of dynamic exits with the given kind. `Halt` exits are
-    /// never recorded, so their fraction is 0.
-    pub fn frac_kind(&self, kind: ExitKind) -> f64 {
-        match kind_slot(kind) {
-            Some(i) if self.dynamic_tasks != 0 => {
-                self.by_kind[i] as f64 / self.dynamic_tasks as f64
-            }
-            _ => 0.0,
-        }
-    }
 }
 
 /// Table 1 slot of an exit kind; `None` for `Halt`, which traces never

@@ -7,7 +7,7 @@ use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::TaskPredictor;
 use multiscalar_sim::measure::{measure_full, task_descs};
-use multiscalar_sim::timing::{simulate, NextTaskPredictor, TimingConfig};
+use multiscalar_sim::timing::{simulate, NextTaskPredictor, TimingConfig, ISSUE_WIDTH, N_UNITS};
 use multiscalar_sim::trace::collect_trace;
 use multiscalar_taskform::TaskFormer;
 use multiscalar_workloads::rng::{Rng, SeedableRng, StdRng};
@@ -116,7 +116,7 @@ fn perfect_timing_dominates_real_timing() {
         );
         assert_eq!(perfect.task_mispredicts, 0);
         // IPC is bounded by the machine's peak.
-        let peak = (config.n_units as f64) * (config.issue_width as f64);
+        let peak = (N_UNITS as f64) * (ISSUE_WIDTH as f64);
         assert!(perfect.ipc() <= peak + 1e-9);
     }
 }

@@ -7,7 +7,6 @@ use multiscalar_core::automata::LastExitHysteresis;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::TaskPredictor;
-use multiscalar_sim::arb::{Arb, ArbConfig};
 use multiscalar_sim::sanitize::{check_fused_agreement, check_replay_agreement};
 use multiscalar_sim::timing::{simulate, NextTaskPredictor, TimingConfig};
 use multiscalar_sim::{record_replay, simulate_replay, task_descs};
@@ -28,9 +27,9 @@ fn replay_agrees_with_interpreter_on_all_workloads() {
     }
 }
 
-/// A full sanitized timing run: every armed assertion (ARB FIFO commit,
-/// monotone ring clocks) must hold over a real workload, and the replay
-/// engine must still match the interpreter bit for bit.
+/// A full sanitized timing run: every armed assertion (monotone commit and
+/// ring-unit clocks) must hold over a real workload, and the replay engine
+/// must still match the interpreter bit for bit.
 #[test]
 fn sanitized_timing_run_holds_all_invariants() {
     let w = Spec92::Compress.build(&WorkloadParams::small(5));
@@ -77,18 +76,4 @@ fn fused_sweep_agrees_with_solo_runs_and_breakdowns() {
         results[0].cycles <= results[1].cycles,
         "perfect prediction can never be slower than a real predictor"
     );
-}
-
-/// The ARB commit-order assertion actually fires: after committing stage 5,
-/// committing a lower-numbered stage is a sanitizer panic.
-#[test]
-fn arb_commit_order_assertion_fires() {
-    let mut a = Arb::new(ArbConfig::default());
-    a.begin_task(5);
-    assert_eq!(a.commit_head(), Some(5));
-    // The window is empty, so `begin_task` accepts any sequence number —
-    // only the sanitizer knows stage 3 would commit out of FIFO order.
-    a.begin_task(3);
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.commit_head()));
-    assert!(r.is_err(), "committing 3 after 5 must trip the sanitizer");
 }

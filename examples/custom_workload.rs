@@ -18,7 +18,9 @@ use multiscalar::core::predictor::TaskPredictor;
 use multiscalar::isa::{AluOp, Cond, ProgramBuilder, Reg};
 use multiscalar::sim::measure::task_descs;
 use multiscalar::sim::replay::{record_replay, simulate_replay};
-use multiscalar::sim::timing::{NextTaskPredictor, TimingConfig};
+use multiscalar::sim::timing::{
+    NextTaskPredictor, TimingConfig, ISSUE_WIDTH, N_UNITS, SQUASH_PENALTY,
+};
 use multiscalar::taskform::TaskFormer;
 
 fn main() {
@@ -108,8 +110,7 @@ fn main() {
     );
 
     println!(
-        "\n--- timing ({} units x {}-way) ---",
-        config.n_units, config.issue_width
+        "\n--- timing ({N_UNITS} units x {ISSUE_WIDTH}-way, {SQUASH_PENALTY}-cycle squash) ---"
     );
     println!(
         "perfect prediction: IPC {:.2} over {} tasks",
