@@ -1,8 +1,9 @@
 //! The on-disk content-addressed artifact cache.
 //!
 //! Recording a benchmark's [`InstrReplay`] is the only interpreter pass
-//! preparation needs (the functional trace derives from the recording, see
-//! [`multiscalar_sim::derive_trace`]) — and it is also the expensive part.
+//! preparation needs (the functional trace is the recording's boundary
+//! section, see [`multiscalar_sim::derive_trace`]) — and it is also the
+//! expensive part.
 //! This store persists recordings across processes, keyed by the *content*
 //! of everything that determines them:
 //!

@@ -164,8 +164,9 @@ pub fn path_real_sweep_scalar<A: Automaton>(
 /// the packable families, scalar for the two `VC RANDOM` kinds — their
 /// tie-break consumes the per-predictor XorShift stream, which the packed
 /// table cannot reproduce exactly, so they take the (bit-identical-by-
-/// construction) scalar walk instead. `tests/fused.rs` proves both the
-/// fast path and the fallback via the `lane_packed_sweeps` counter.
+/// construction) scalar walk instead. `tests/lane_dispatch.rs` proves
+/// both the fast path and the fallback via the `lane_packed_sweeps`
+/// counter.
 pub fn path_real_sweep_automaton(
     kind: AutomatonKind,
     configs: &[Dolc],
@@ -266,7 +267,6 @@ impl Table4Column {
     /// Builds this column's next-task predictor with the paper's Table 4
     /// sizing (16 KB PHT, 8 KB CTTB, 64-deep RAS); `None` for Perfect.
     pub fn predictor(self) -> Option<Box<dyn NextTaskPredictor>> {
-        let cttb_cfg = Dolc::new(7, 4, 4, 5, 3);
         let exit_pred: Box<dyn ExitPredictor> = match self {
             Table4Column::Simple => {
                 Box::new(PathPredictor::<LastExitHysteresis<2>>::new(dolc_15bit(0)))
@@ -276,8 +276,14 @@ impl Table4Column {
             Table4Column::Path => real_predictor_16kb(Scheme::Path),
             Table4Column::Perfect => return None,
         };
-        Some(Box::new(TaskPredictor::new(exit_pred, cttb_cfg, 64)))
+        Some(Box::new(with_table4_targets(exit_pred)))
     }
+}
+
+/// Wraps an exit predictor in Table 4's target side: the 8 KB
+/// `7-4-4-5 (3)` CTTB and a 64-deep RAS (Table 3's full predictor too).
+pub fn with_table4_targets<E: ExitPredictor>(exit_pred: E) -> TaskPredictor<E> {
+    TaskPredictor::new(exit_pred, Dolc::new(7, 4, 4, 5, 3), 64)
 }
 
 /// The paper's Figure 10 ladder of `D-O-L-C (F)` configurations, all with a

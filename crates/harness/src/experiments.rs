@@ -11,14 +11,14 @@
 use crate::dispatch::{
     cttb_ideal_sweep, cttb_ladder, cttb_real_sweep, exit_ladder,
     measure_ideal_path_automaton_sweep, measure_ideal_sweep, path_ideal_sweep, path_real_sweep,
-    Scheme, Table4Column,
+    with_table4_targets, Scheme, Table4Column,
 };
 use crate::pool::{Job, Pool};
 use crate::Bench;
 use multiscalar_core::automata::{AutomatonKind, LastExitHysteresis};
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
-use multiscalar_core::predictor::{CttbOnlyPredictor, TaskPredictor};
+use multiscalar_core::predictor::CttbOnlyPredictor;
 use multiscalar_isa::ExitKind;
 use multiscalar_sim::measure::{measure_table3, MissStats};
 use multiscalar_sim::replay::simulate_replay;
@@ -401,11 +401,8 @@ pub fn table3(benches: &[Bench], pool: &Pool) -> Vec<Table3Row> {
                 // CTTB-only: 14-bit index, depth 7 → 2^14 entries * 4 B = 64 KB.
                 let mut only = CttbOnlyPredictor::new(Dolc::new(7, 4, 9, 9, 3));
                 // Full predictor: 14-bit exit PHT + RAS(64) + 11-bit CTTB.
-                let mut full = TaskPredictor::<PathPredictor<Leh2>>::path(
-                    Dolc::new(7, 4, 9, 9, 3),
-                    Dolc::new(7, 4, 4, 5, 3),
-                    64,
-                );
+                let mut full =
+                    with_table4_targets(PathPredictor::<Leh2>::new(Dolc::new(7, 4, 9, 9, 3)));
                 let (full_stats, only_stats) =
                     measure_table3(&mut full, &mut only, &b.descs, &b.trace.events);
                 (only_stats.miss_rate(), full_stats.next_task.miss_rate())

@@ -10,15 +10,16 @@
 //! * [`ext_memory`] — the timing simulator's ARB and register-forwarding
 //!   substrate models (violations, overflow stalls, release-at-end cost).
 
-use crate::dispatch::{measure_ideal, Scheme};
+use crate::dispatch::{measure_ideal, with_table4_targets, Scheme, Table4Column};
 use crate::Bench;
 use multiscalar_core::automata::LastExitHysteresis;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{PathPredictor, PerTaskPredictor};
 use multiscalar_core::pollution::{PollutedExitAdapter, PollutedPathPredictor};
+use multiscalar_core::predictor::ExitPredictor;
 use multiscalar_core::stale::StalePathPredictor;
 use multiscalar_core::tournament::TournamentPredictor;
-use multiscalar_sim::measure::{measure_exits, task_descs};
+use multiscalar_sim::measure::{measure_exits, measure_exits_fused, task_descs};
 use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay};
 use multiscalar_sim::timing::{ForwardingModel, TimingConfig};
 use multiscalar_taskform::{TaskFormConfig, TaskFormer};
@@ -39,24 +40,30 @@ pub struct StalenessRow {
 }
 
 /// Measures how much accuracy delayed (realistic) PHT training costs,
-/// using the paper's 8 KB `6-5-8-9 (3)` PATH configuration.
+/// using the paper's 8 KB `6-5-8-9 (3)` PATH configuration. Every delay
+/// rides one trace walk per benchmark.
 pub fn ext_staleness(benches: &[Bench]) -> Vec<StalenessRow> {
     benches
         .iter()
         .map(|b| {
-            let miss = STALENESS_DELAYS
+            let mut ps: Vec<StalePathPredictor<Leh2>> = STALENESS_DELAYS
                 .iter()
-                .map(|&d| {
-                    let mut p: StalePathPredictor<Leh2> =
-                        StalePathPredictor::new(Dolc::new(6, 5, 8, 9, 3), d);
-                    measure_exits(&mut p, &b.descs, &b.trace.events).miss_rate()
-                })
+                .map(|&d| StalePathPredictor::new(Dolc::new(6, 5, 8, 9, 3), d))
                 .collect();
             StalenessRow {
                 name: b.name(),
-                miss,
+                miss: miss_rates(&mut ps, b),
             }
         })
+        .collect()
+}
+
+/// Exit miss rates of `predictors`, measured in one fused walk of the
+/// benchmark's trace.
+fn miss_rates<P: ExitPredictor>(predictors: &mut [P], b: &Bench) -> Vec<f64> {
+    measure_exits_fused(predictors, &b.descs, &b.trace.events)
+        .iter()
+        .map(|s| s.miss_rate())
         .collect()
 }
 
@@ -244,21 +251,27 @@ pub struct PollutionRow {
 }
 
 /// Measures the paper's second §3.1 idealisation: wrong-path pollution of
-/// the speculative path register, with and without recovery repair.
+/// the speculative path register, with and without recovery repair. Every
+/// depth and the repaired run ride one trace walk per benchmark.
 pub fn ext_pollution(benches: &[Bench]) -> Vec<PollutionRow> {
     let dolc = Dolc::new(6, 5, 8, 9, 3);
     benches
         .iter()
         .map(|b| {
-            let run = |depth: usize, repair: bool| {
-                let mut p: PollutedExitAdapter<Leh2> =
-                    PollutedExitAdapter::new(PollutedPathPredictor::new(dolc, depth, repair));
-                measure_exits(&mut p, &b.descs, &b.trace.events).miss_rate()
-            };
+            let mut ps: Vec<PollutedExitAdapter<Leh2>> = POLLUTION_DEPTHS
+                .iter()
+                .map(|&d| (d, false))
+                .chain([(4, true)])
+                .map(|(depth, repair)| {
+                    PollutedExitAdapter::new(PollutedPathPredictor::new(dolc, depth, repair))
+                })
+                .collect();
+            let mut unrepaired = miss_rates(&mut ps, b);
+            let repaired = unrepaired.pop().expect("the repaired run is last");
             PollutionRow {
                 name: b.name(),
-                unrepaired: POLLUTION_DEPTHS.iter().map(|&d| run(d, false)).collect(),
-                repaired: run(4, true),
+                unrepaired,
+                repaired,
             }
         })
         .collect()
@@ -322,25 +335,12 @@ pub struct ConfidenceRow {
 /// estimator on task predictions): low-confidence boundaries stall instead
 /// of risking a squash.
 pub fn ext_confidence(benches: &[Bench]) -> Vec<ConfidenceRow> {
-    use multiscalar_sim::timing::NextTaskPredictor;
     benches
         .iter()
         .map(|b| {
-            let make = || {
-                multiscalar_core::predictor::TaskPredictor::<PathPredictor<Leh2>>::path(
-                    Dolc::new(7, 5, 7, 8, 3),
-                    Dolc::new(7, 4, 4, 5, 3),
-                    64,
-                )
-            };
             let run = |config: &TimingConfig| {
-                let mut p = make();
-                simulate_replay(
-                    &b.replay,
-                    &b.descs,
-                    Some(&mut p as &mut dyn NextTaskPredictor),
-                    config,
-                )
+                let mut p = Table4Column::Path.predictor().expect("PATH predicts");
+                simulate_replay(&b.replay, &b.descs, Some(&mut *p), config)
             };
             let default = TimingConfig::paper();
             let always = run(&default);
@@ -392,7 +392,7 @@ pub struct ZooRow {
 /// Builds one zoo family's exit predictor at roughly the paper's 8 KB PHT
 /// point (16K two-bit-hysteresis entries / 14-bit index), so the ranking
 /// compares prediction quality, not table size.
-fn zoo_exit(family: usize) -> Box<dyn multiscalar_core::predictor::ExitPredictor> {
+fn zoo_exit(family: usize) -> Box<dyn ExitPredictor> {
     use multiscalar_core::zoo::{GatedHybridPredictor, GshareExitPredictor};
     match family {
         0 => Box::new(PathPredictor::<Leh2>::new(Dolc::new(6, 5, 8, 9, 3))),
@@ -415,7 +415,6 @@ fn zoo_exit(family: usize) -> Box<dyn multiscalar_core::predictor::ExitPredictor
 /// squash-cycle fraction from a timing run on the recording (Table 4's
 /// CTTB/RAS sizing, so only the exit predictor varies between columns).
 fn zoo_score(bench: &Bench) -> Vec<ZooCell> {
-    use multiscalar_core::predictor::TaskPredictor;
     use multiscalar_sim::metrics::{Cause, CycleBreakdown};
     use multiscalar_sim::replay::simulate_replay_with_sink;
     use multiscalar_sim::timing::NextTaskPredictor;
@@ -423,7 +422,7 @@ fn zoo_score(bench: &Bench) -> Vec<ZooCell> {
         .map(|family| {
             let mut exit = zoo_exit(family);
             let miss = measure_exits(&mut exit, &bench.descs, &bench.trace.events).miss_rate();
-            let mut tp = TaskPredictor::new(zoo_exit(family), Dolc::new(7, 4, 4, 5, 3), 64);
+            let mut tp = with_table4_targets(zoo_exit(family));
             let mut bd = CycleBreakdown::new();
             let result = simulate_replay_with_sink(
                 &bench.replay,
@@ -447,7 +446,6 @@ fn zoo_score(bench: &Bench) -> Vec<ZooCell> {
 /// (predictions and cycles summed before the division, so longer programs
 /// weigh more, exactly as in a merged trace).
 pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
-    use multiscalar_core::predictor::TaskPredictor;
     use multiscalar_sim::metrics::{Cause, CycleBreakdown};
     use multiscalar_sim::replay::simulate_replay_with_sink;
     use multiscalar_sim::timing::NextTaskPredictor;
@@ -478,7 +476,7 @@ pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
         for (family, slot) in agg.iter_mut().enumerate() {
             let mut exit = zoo_exit(family);
             let stats = measure_exits(&mut exit, &descs, &trace.events);
-            let mut tp = TaskPredictor::new(zoo_exit(family), Dolc::new(7, 4, 4, 5, 3), 64);
+            let mut tp = with_table4_targets(zoo_exit(family));
             let mut bd = CycleBreakdown::new();
             let result = simulate_replay_with_sink(
                 &replay,

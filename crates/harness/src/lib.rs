@@ -76,8 +76,9 @@ pub struct Bench {
     /// The content address `replay` is cached under (see
     /// [`cache::replay_key`]).
     pub key: Fingerprint,
-    /// The functional trace, derived from `replay` — identical to what
-    /// `trace::collect_trace` produces, without its interpreter pass.
+    /// The functional trace of `replay` ([`derive_trace`]): its events
+    /// are the recording's own boundary section, shared rather than
+    /// copied, so the benchmark holds its task boundaries once.
     pub trace: TraceRun,
 }
 

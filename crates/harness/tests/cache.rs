@@ -197,6 +197,80 @@ fn foreign_partition_recording_is_evicted_and_rerecorded() {
     cleanup(&dir);
 }
 
+/// A stored artifact with one forged exit byte — below `MAX_EXITS`, so the
+/// decoder accepts it, but past its task's header exits — and a re-sealed
+/// checksum is evicted and re-recorded, never replayed or traced, and
+/// `table4`'s output stays byte-identical.
+#[test]
+fn forged_exit_past_the_header_is_evicted_and_rerecorded() {
+    use multiscalar_harness::proto::Request;
+    use multiscalar_harness::registry;
+    use multiscalar_isa::{FingerprintHasher, MAX_EXITS};
+    use multiscalar_taskform::{TaskFormer, TaskId};
+    use std::hash::Hasher as _;
+
+    let dir = scratch_dir("forged-exit");
+    let pool = Pool::new(1);
+    let spec = Spec92::Compress;
+    let mut request = Request::new("table4");
+    request.params = WorkloadParams::small(3);
+    request.bench = Some(spec);
+    let run = |store: &ArtifactCache| {
+        let resources = registry::Resources {
+            pool: &pool,
+            store: Some(store),
+            cache_dir: dir.clone(),
+            source: None,
+        };
+        registry::dispatch(&request, &resources)
+            .expect("table4 runs")
+            .body
+    };
+
+    let store = ArtifactCache::new(&dir);
+    store.clear().unwrap();
+    let cold = run(&store);
+
+    // Past the 32-byte header, each column is a u64 count and then its
+    // elements: ops, mem_addrs and branch_pcs (u32), then the boundary
+    // section's tasks (u32) and exits (u8).
+    let path = store.entry_path(multiscalar_harness::cache::key_for(spec, &request.params));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let count = |bytes: &[u8], at: usize| {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    };
+    let mut at = 32;
+    for _ in 0..3 {
+        at += 8 + 4 * count(&bytes, at);
+    }
+    let n = count(&bytes, at);
+    let (tasks_at, exits_at) = (at + 8, at + 8 + 4 * n + 8);
+    let partition = TaskFormer::default()
+        .form(&spec.build(&request.params).program)
+        .unwrap();
+    let (k, spare) = (0..n)
+        .map(|k| {
+            let t = u32::from_le_bytes(bytes[tasks_at + 4 * k..][..4].try_into().unwrap());
+            (k, partition.task(TaskId(t)).header().num_exits())
+        })
+        .find(|&(_, exits)| exits < MAX_EXITS)
+        .expect("a task with a spare exit slot");
+    bytes[exits_at + k] = spare as u8;
+    let end = bytes.len() - 8;
+    let mut h = FingerprintHasher::new();
+    h.write(&bytes[..end]);
+    let sum = h.finish();
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let store = ArtifactCache::new(&dir);
+    let repaired = run(&store);
+    let s = store.stats();
+    assert_eq!((s.hits, s.misses, s.stores, s.evictions), (0, 1, 1, 1));
+    assert_eq!(cold, repaired, "the re-recorded run is byte-identical");
+    cleanup(&dir);
+}
+
 /// `gc` evicts least-recently-used entries past the byte cap: a hit bumps
 /// an entry's recency so it survives, the oldest cold entries go first
 /// (counter-verified), and the evicted benchmarks are simply re-recorded —

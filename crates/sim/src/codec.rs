@@ -10,10 +10,11 @@
 //! 8       16    content fingerprint (the cache key the artifact was
 //!               recorded under; readers reject a mismatch)
 //! 24      8     mem_words
-//! 32      ...   7 columns, each: u64 element count, then the packed
-//!               elements (ops u32, mem_addrs u32, branch_pcs u32,
-//!               bound_at u64, bound_task u32, bound_exit u8,
-//!               bound_next u32)
+//! 32      ...   8 columns, each: u64 element count, then the packed
+//!               elements. The instruction section: ops u32,
+//!               mem_addrs u32, branch_pcs u32. The boundary section, one
+//!               element per dynamic task (14 bytes): task u32, exit u8,
+//!               kind u8 (its Table 1 slot), next u32, instrs u32
 //! end-8   8     checksum: two-lane FxHash of every preceding byte
 //! ```
 //!
@@ -29,34 +30,41 @@
 //!   path (which [`crate::replay::simulate_replay`] runs on) in a state
 //!   that would panic it:
 //!   - the boundary columns have equal lengths, exit indices
-//!     `< MAX_EXITS`, and strictly ascending `bound_at` within range;
+//!     `< MAX_EXITS` and kind slots inside Table 1;
+//!   - every task size is at least 1, and the sizes sum below the op
+//!     count, so the halting task keeps its halt;
 //!   - the op words hold one load/store per `mem_addrs` entry and one
 //!     branch per `branch_pcs` entry;
 //!   - every register byte names a register (or is absent);
 //!   - every memory address is below `mem_words`.
 //!
-//!   Two facts need the program and its task partition, which the
-//!   decoder never sees: that every `bound_task` names a task of the
-//!   partition, and that `mem_words` is the program's data-memory size
-//!   (the timing core allocates that many words). [`check_fits`] checks
-//!   both; the artifact cache runs it on every load.
+//!   The rest needs the program and its task partition, which the decoder
+//!   never sees: that every boundary names a task of the partition, an
+//!   exit of that task's header and that exit's kind, and that
+//!   `mem_words` is the program's data-memory size (the timing core
+//!   allocates that many words). [`check_fits`] checks all of it; the
+//!   artifact cache runs it on every load.
 //!
 //! Bump [`CACHE_SCHEMA`] whenever this layout *or the meaning of any
 //! recorded field* changes (e.g. a timing-semantics change that alters what
 //! recordings capture): stale artifacts then fail decode and get evicted
 //! instead of silently producing wrong results.
 
-use multiscalar_isa::{memory_words, Fingerprint, FingerprintHasher, Program, MAX_EXITS, NUM_REGS};
-use multiscalar_taskform::TaskProgram;
+use multiscalar_isa::{
+    memory_words, Addr, ExitIndex, ExitKind, Fingerprint, FingerprintHasher, Program, NUM_REGS,
+};
+use multiscalar_taskform::{TaskId, TaskProgram};
 use std::fmt;
 use std::hash::Hasher as _;
+use std::sync::Arc;
 
 use crate::replay::{InstrReplay, CLASS_SHIFT};
 use crate::timing::{OpClass, NO_REG};
+use crate::trace::{kind_slot, SharedTrace};
 
 /// Schema version of the artifact cache: codec layout + recording
 /// semantics. Any change to either must bump this.
-pub const CACHE_SCHEMA: u32 = 1;
+pub const CACHE_SCHEMA: u32 = 2;
 
 /// File magic: "Multiscalar RePlay".
 pub const MAGIC: [u8; 4] = *b"MSRP";
@@ -111,39 +119,33 @@ fn checksum(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-fn push_u32s(out: &mut Vec<u8>, vals: &[u32]) {
+/// Appends one column: its element count, then each element's bytes.
+fn push_col<T: Copy, const W: usize>(out: &mut Vec<u8>, vals: &[T], bytes: impl Fn(T) -> [u8; W]) {
     out.extend_from_slice(&(vals.len() as u64).to_le_bytes());
     for &v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn push_u64s(out: &mut Vec<u8>, vals: &[u64]) {
-    out.extend_from_slice(&(vals.len() as u64).to_le_bytes());
-    for &v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+        out.extend_from_slice(&bytes(v));
     }
 }
 
 /// Serialises a recording under cache key `key`.
 pub fn encode_replay(r: &InstrReplay, key: Fingerprint) -> Vec<u8> {
-    let payload = 4 * (r.ops.len() + r.mem_addrs.len() + r.branch_pcs.len())
-        + 8 * r.bound_at.len()
-        + 5 * r.bound_task.len() // bound_task u32 + bound_exit u8
-        + 4 * r.bound_next.len();
-    let mut out = Vec::with_capacity(32 + 7 * 8 + payload + 8);
+    let b = &*r.bounds;
+    let payload = 4 * (r.ops.len() + r.mem_addrs.len() + r.branch_pcs.len()) + 14 * b.len();
+    let mut out = Vec::with_capacity(32 + 8 * 8 + payload + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&CACHE_SCHEMA.to_le_bytes());
     out.extend_from_slice(&key.to_le_bytes());
     out.extend_from_slice(&(r.mem_words as u64).to_le_bytes());
-    push_u32s(&mut out, &r.ops);
-    push_u32s(&mut out, &r.mem_addrs);
-    push_u32s(&mut out, &r.branch_pcs);
-    push_u64s(&mut out, &r.bound_at);
-    push_u32s(&mut out, &r.bound_task);
-    out.extend_from_slice(&(r.bound_exit.len() as u64).to_le_bytes());
-    out.extend_from_slice(&r.bound_exit);
-    push_u32s(&mut out, &r.bound_next);
+    push_col(&mut out, &r.ops, u32::to_le_bytes);
+    push_col(&mut out, &r.mem_addrs, u32::to_le_bytes);
+    push_col(&mut out, &r.branch_pcs, u32::to_le_bytes);
+    push_col(&mut out, &b.tasks, |t| t.0.to_le_bytes());
+    push_col(&mut out, &b.exits, |e| [e.as_u8()]);
+    push_col(&mut out, &b.kinds, |k| {
+        [kind_slot(k).expect("halting task is never recorded") as u8]
+    });
+    push_col(&mut out, &b.nexts, |a| a.0.to_le_bytes());
+    push_col(&mut out, &b.instrs, u32::to_le_bytes);
     let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
@@ -184,28 +186,24 @@ impl<'a> Reader<'a> {
         usize::try_from(self.read_u64()?).map_err(|_| CodecError::Truncated)
     }
 
-    fn read_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
+    /// Reads one column of `W`-byte elements, each decoded by `f`.
+    fn read_col<T, const W: usize>(
+        &mut self,
+        f: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
         let n = self.read_len()?;
-        let bytes = self.take(n.checked_mul(4).ok_or(CodecError::Truncated)?)?;
+        let bytes = self.take(n.checked_mul(W).ok_or(CodecError::Truncated)?)?;
         Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
-    }
-
-    fn read_u64s(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.read_len()?;
-        let bytes = self.take(n.checked_mul(8).ok_or(CodecError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .chunks_exact(W)
+            .map(|c| f(c.try_into().expect("W-byte chunk")))
             .collect())
     }
 }
 
 /// Deserialises a recording, validating integrity (magic, schema version,
-/// checksum), identity (`expected` cache key) and structure (boundary-array
-/// consistency). See the module docs for the failure contract.
+/// checksum), identity (`expected` cache key) and structure (the boundary
+/// section and the side columns against the op words). See the module
+/// docs for the failure contract.
 pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay, CodecError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(4)? != MAGIC {
@@ -221,16 +219,14 @@ pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay,
     }
     let mem_words =
         usize::try_from(r.read_u64()?).map_err(|_| CodecError::Malformed("mem_words overflow"))?;
-    let ops = r.read_u32s()?;
-    let mem_addrs = r.read_u32s()?;
-    let branch_pcs = r.read_u32s()?;
-    let bound_at = r.read_u64s()?;
-    let bound_task = r.read_u32s()?;
-    let bound_exit = {
-        let n = r.read_len()?;
-        r.take(n)?.to_vec()
-    };
-    let bound_next = r.read_u32s()?;
+    let ops = r.read_col(u32::from_le_bytes)?;
+    let mem_addrs = r.read_col(u32::from_le_bytes)?;
+    let branch_pcs = r.read_col(u32::from_le_bytes)?;
+    let tasks = r.read_col(|b| TaskId(u32::from_le_bytes(b)))?;
+    let exits = r.read_col(|[e]| ExitIndex::new(e))?;
+    let kinds = r.read_col(|[k]| ExitKind::TABLE1.get(usize::from(k)).copied())?;
+    let nexts = r.read_col(|b| Addr(u32::from_le_bytes(b)))?;
+    let instrs = r.read_col(u32::from_le_bytes)?;
 
     let body_end = r.pos;
     let sum = r.read_u64()?;
@@ -244,23 +240,23 @@ pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay,
     // Structural validation: the replay cursor's fast path is infallible by
     // construction, so nothing inconsistent may get past this point even if
     // it carries a valid checksum (e.g. written by a buggy future encoder).
-    let n_bounds = bound_at.len();
-    if bound_task.len() != n_bounds || bound_exit.len() != n_bounds || bound_next.len() != n_bounds
-    {
+    let n_bounds = tasks.len();
+    if [exits.len(), kinds.len(), nexts.len(), instrs.len()] != [n_bounds; 4] {
         return Err(CodecError::Malformed("boundary column lengths differ"));
     }
-    if ops.is_empty() {
-        return Err(CodecError::Malformed("empty recording"));
+    let exits: Option<Vec<_>> = exits.into_iter().collect();
+    let exits = exits.ok_or(CodecError::Malformed("exit index out of range"))?;
+    let kinds: Option<Vec<_>> = kinds.into_iter().collect();
+    let kinds = kinds.ok_or(CodecError::Malformed("kind slot outside Table 1"))?;
+    // The cursor counts each task's ops down to its boundary, so a task
+    // has at least one op, and the halting task keeps at least its halt
+    // (which also rules out an empty recording).
+    if instrs.contains(&0) {
+        return Err(CodecError::Malformed("zero task size"));
     }
-    if bound_exit.iter().any(|&e| e as usize >= MAX_EXITS) {
-        return Err(CodecError::Malformed("exit index out of range"));
-    }
-    let mut prev = None;
-    for &at in &bound_at {
-        if at >= ops.len() as u64 || prev.is_some_and(|p| at <= p) {
-            return Err(CodecError::Malformed("boundary op indices not ascending"));
-        }
-        prev = Some(at);
+    let recorded = instrs.iter().fold(0u64, |s, &n| s.saturating_add(n.into()));
+    if recorded >= ops.len() as u64 {
+        return Err(CodecError::Malformed("task sizes leave no halting op"));
     }
     // The cursor takes one `mem_addrs` entry per load/store and one
     // `branch_pcs` entry per branch, and indexes the register scoreboard
@@ -311,21 +307,25 @@ pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay,
         ops,
         mem_addrs,
         branch_pcs,
-        bound_at,
-        bound_task,
-        bound_exit,
-        bound_next,
+        bounds: Arc::new(SharedTrace {
+            tasks,
+            exits,
+            kinds,
+            nexts,
+            instrs,
+        }),
         mem_words,
     })
 }
 
 /// Checks that a decoded recording fits the program and task partition it
 /// is about to be replayed under: its `mem_words` is `program`'s
-/// data-memory size, and every boundary's retiring task is a task of
-/// `tasks` (the timing core and [`crate::replay::derive_trace`] index the
-/// partition with it). A recording of the same program under another
-/// partition, or of another program, fails here even with a valid
-/// checksum.
+/// data-memory size, and every boundary names a task of `tasks`, an exit
+/// of that task's header and that exit's kind (the timing core, the
+/// predictor sweeps and [`crate::replay::derive_trace`] index the
+/// partition and its headers with them). A recording of the same program
+/// under another partition, or of another program, fails here even with
+/// a valid checksum.
 ///
 /// # Errors
 ///
@@ -340,15 +340,18 @@ pub fn check_fits(
             "mem_words differs from the program's memory size",
         ));
     }
-    if replay
-        .bound_task
-        .iter()
-        .max()
-        .is_some_and(|&t| t as usize >= tasks.tasks().len())
-    {
-        return Err(CodecError::Malformed(
-            "bound_task names a task outside the partition",
-        ));
+    for e in replay.bounds.iter() {
+        let exit = tasks
+            .tasks()
+            .get(e.task.index())
+            .map(|t| t.header().exit(e.exit));
+        let what = match exit {
+            None => "boundary task outside the partition",
+            Some(None) => "boundary exit past its task's header",
+            Some(Some(x)) if x.kind != e.kind => "boundary kind differs from its task's header",
+            Some(Some(_)) => continue,
+        };
+        return Err(CodecError::Malformed(what));
     }
     Ok(())
 }
@@ -509,6 +512,81 @@ mod tests {
         );
     }
 
+    /// The boundary section of a recording, for in-place tampering.
+    fn bounds(r: &mut InstrReplay) -> &mut SharedTrace {
+        Arc::make_mut(&mut r.bounds)
+    }
+
+    #[test]
+    fn unequal_boundary_columns_are_malformed() {
+        assert_eq!(
+            decode_tampered(|r| {
+                bounds(r).nexts.pop();
+            })
+            .unwrap_err(),
+            CodecError::Malformed("boundary column lengths differ")
+        );
+    }
+
+    #[test]
+    fn zero_task_size_is_malformed() {
+        assert_eq!(
+            decode_tampered(|r| bounds(r).instrs[0] = 0).unwrap_err(),
+            CodecError::Malformed("zero task size")
+        );
+    }
+
+    #[test]
+    fn task_sizes_must_leave_the_halting_task_its_op() {
+        assert_eq!(
+            decode_tampered(|r| {
+                let ops = r.ops.len() as u32;
+                let b = bounds(r);
+                let recorded: u32 = b.instrs.iter().sum();
+                b.instrs[0] += ops - recorded;
+            })
+            .unwrap_err(),
+            CodecError::Malformed("task sizes leave no halting op")
+        );
+    }
+
+    /// Encodes a real recording, overwrites the first byte of boundary
+    /// column `col` (0 = task, 1 = exit, 2 = kind), re-seals the checksum
+    /// and decodes the result.
+    fn decode_forged_byte(col: usize, byte: u8) -> Result<InstrReplay, CodecError> {
+        const WIDTHS: [usize; 5] = [4, 4, 4, 4, 1];
+        let key = fingerprint_of(&"key");
+        let mut bytes = encode_replay(&recording(), key);
+        let mut at = 32;
+        for w in WIDTHS.iter().take(3 + col) {
+            let n = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+            at += 8 + n * w;
+        }
+        bytes[at + 8] = byte;
+        let end = bytes.len() - 8;
+        let sum = checksum(&bytes[..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        decode_replay(&bytes, key)
+    }
+
+    #[test]
+    fn forged_exit_beyond_max_exits_is_malformed() {
+        assert_eq!(
+            decode_forged_byte(1, multiscalar_isa::MAX_EXITS as u8).unwrap_err(),
+            CodecError::Malformed("exit index out of range")
+        );
+    }
+
+    #[test]
+    fn forged_kind_slot_outside_table1_is_malformed() {
+        assert_eq!(
+            decode_forged_byte(2, ExitKind::TABLE1.len() as u8).unwrap_err(),
+            CodecError::Malformed("kind slot outside Table 1")
+        );
+        // A valid slot decodes: only the slot range is the decoder's job.
+        assert!(decode_forged_byte(2, 0).is_ok());
+    }
+
     #[test]
     fn a_recording_fits_its_own_program_and_partition() {
         let (p, tp) = program();
@@ -531,14 +609,48 @@ mod tests {
     }
 
     #[test]
-    fn bound_task_outside_the_partition_does_not_fit() {
+    fn boundary_task_outside_the_partition_does_not_fit() {
         assert_eq!(
             check_tampered(|r, tp| {
-                let last = r.bound_task.len() - 1;
-                r.bound_task[last] = tp.tasks().len() as u32;
+                let b = bounds(r);
+                let last = b.len() - 1;
+                b.tasks[last] = TaskId(tp.tasks().len() as u32);
             })
             .unwrap_err(),
-            CodecError::Malformed("bound_task names a task outside the partition")
+            CodecError::Malformed("boundary task outside the partition")
+        );
+    }
+
+    #[test]
+    fn exit_past_its_tasks_header_does_not_fit() {
+        // In range for the decoder (below MAX_EXITS), but past the header.
+        assert_eq!(
+            check_tampered(|r, tp| {
+                let b = bounds(r);
+                let (k, n) = (0..b.len())
+                    .map(|k| (k, tp.task(b.tasks[k]).header().num_exits()))
+                    .find(|&(_, n)| n < multiscalar_isa::MAX_EXITS)
+                    .expect("a task with a spare exit slot");
+                b.exits[k] = ExitIndex::new(n as u8).unwrap();
+            })
+            .unwrap_err(),
+            CodecError::Malformed("boundary exit past its task's header")
+        );
+    }
+
+    #[test]
+    fn kind_disagreeing_with_the_header_does_not_fit() {
+        assert_eq!(
+            check_tampered(|r, _| {
+                let b = bounds(r);
+                b.kinds[0] = if b.kinds[0] == ExitKind::Call {
+                    ExitKind::Branch
+                } else {
+                    ExitKind::Call
+                };
+            })
+            .unwrap_err(),
+            CodecError::Malformed("boundary kind differs from its task's header")
         );
     }
 

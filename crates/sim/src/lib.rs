@@ -20,8 +20,10 @@
 //!   the program, stays as the test oracle it is bit-identical to.
 //!
 //! One walker steps the interpreter and resolves task boundaries; the
-//! recording ([`replay::record_replay`]), the bare task trace
-//! ([`trace::collect_trace`]) and the timing oracle all drain it.
+//! recording ([`replay::record_replay`]) and the timing oracle drain it.
+//! The recording's boundary section is the task trace: every trace,
+//! [`trace::collect_trace`]'s included, is [`replay::derive_trace`] of a
+//! recording.
 //!
 //! Building with `--features sanitize` arms runtime assertions over the
 //! timing model's invariants (monotone commit and ring-unit clocks); the

@@ -5,15 +5,15 @@
 //! source/dest register ids, memory word addresses, intra-task branch
 //! outcomes, and pre-resolved task-boundary events — into a struct-of-
 //! arrays [`InstrReplay`]. The structure is immutable and is shared behind
-//! `Arc` exactly like `SharedTrace`, so **every** consumer of a benchmark's
-//! execution rides one recording: Table 4's five predictor columns,
-//! `profile`, the `ext-memory`/`ext-intra`/`ext-confidence` ablations and
-//! `ext-zoo`'s squash fractions (all timing walks), and every functional
-//! trace consumer (the trace derives from the same artifact via
-//! [`derive_trace`]). [`simulate_replay`] drives the timing core from the
-//! recording with zero re-interpretation and returns a `TimingResult`
-//! bit-identical to [`crate::timing::simulate`]'s, which stays only as the
-//! test oracle.
+//! `Arc`, so **every** consumer of a benchmark's execution rides one
+//! recording: Table 4's five predictor columns, `profile`, the
+//! `ext-memory`/`ext-intra`/`ext-confidence` ablations and `ext-zoo`'s
+//! squash fractions (all timing walks), and every functional trace
+//! consumer (the recording's boundary section *is* the task trace, which
+//! [`derive_trace`] hands out). [`simulate_replay`] drives the timing core
+//! from the recording with zero re-interpretation and returns a
+//! `TimingResult` bit-identical to [`crate::timing::simulate`]'s, which
+//! stays only as the test oracle.
 //!
 //! # Layout
 //!
@@ -30,17 +30,20 @@
 //! Loads/stores consume the next `mem_addrs` entry, intra-task branches the
 //! next `branch_pcs` entry, in program order — the replay cursor advances
 //! each side array independently, so the common (ALU) case touches only the
-//! op word. Task boundaries are sparse: parallel `bound_*` arrays keyed by
-//! the op index that crossed them. Recording resolves every possible
-//! failure (execution faults, unmatched exits, the step budget) up front,
-//! and decoding a cached recording ([`crate::codec::decode_replay`])
-//! rejects any artifact whose columns disagree with its op words, which
-//! is why [`simulate_replay`] is infallible.
+//! op word. Task boundaries are sparse: the boundary section is a
+//! [`SharedTrace`], one event per dynamic task (retiring task, exit, exit
+//! kind, next entry, and the task's instruction count), and the cursor
+//! finds each boundary by counting down its task's instructions. Recording
+//! resolves every possible failure (execution faults, unmatched exits, the
+//! step budget) up front, and loading a cached recording
+//! ([`crate::codec::decode_replay`], then [`crate::codec::check_fits`])
+//! rejects any artifact whose columns disagree with its op words or its
+//! partition, which is why [`simulate_replay`] is infallible.
 
 use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
-use multiscalar_isa::{memory_words, Addr, ExitIndex, Program};
+use multiscalar_isa::{memory_words, Addr, Program};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
 use crate::metrics::{MetricsSink, NoopSink};
@@ -48,7 +51,7 @@ use crate::timing::{
     simulate_core, BoundaryStep, CoreState, CoreStep, InterpSource, NextTaskPredictor, OpClass,
     StepSource, TimingConfig, TimingResult,
 };
-use crate::trace::{TraceBuilder, TraceError, TraceRun};
+use crate::trace::{SharedTrace, TaskEvent, TraceError, TraceRun, TraceStats};
 
 pub(crate) const CLASS_SHIFT: u32 = 24;
 const TAKEN_BIT: u32 = 1 << 26;
@@ -74,14 +77,11 @@ pub struct InstrReplay {
     pub(crate) mem_addrs: Vec<u32>,
     /// Address of each *intra-task* conditional branch, in program order.
     pub(crate) branch_pcs: Vec<u32>,
-    /// Op index whose instruction crossed a task boundary (ascending).
-    pub(crate) bound_at: Vec<u64>,
-    /// Static id of the task retiring at each boundary.
-    pub(crate) bound_task: Vec<u32>,
-    /// Header exit taken at each boundary.
-    pub(crate) bound_exit: Vec<u8>,
-    /// Entry address of the task entered at each boundary.
-    pub(crate) bound_next: Vec<u32>,
+    /// The boundary section: one event per task boundary, in order, whose
+    /// `instrs` counts the retiring task's ops, the crossing one included.
+    /// The halting task, which crosses none, gets no event. This is the
+    /// benchmark's task trace; [`derive_trace`] shares it.
+    pub(crate) bounds: Arc<SharedTrace>,
     /// The program's data-memory size in words
     /// ([`multiscalar_isa::memory_words`]), for the core's store table.
     pub(crate) mem_words: usize,
@@ -93,19 +93,6 @@ impl InstrReplay {
         self.ops.len() as u64
     }
 
-    /// Dynamic task boundaries in the recording.
-    pub fn boundaries(&self) -> u64 {
-        self.bound_at.len() as u64
-    }
-
-    /// Heap footprint of the recording in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        4 * self.ops.len()
-            + 4 * self.mem_addrs.len()
-            + 4 * self.branch_pcs.len()
-            + 17 * self.bound_at.len()
-    }
-
     /// Wraps the recording for sharing across pool jobs.
     pub fn into_shared(self) -> Arc<InstrReplay> {
         Arc::new(self)
@@ -115,10 +102,11 @@ impl InstrReplay {
 /// Executes the program once and records its [`InstrReplay`].
 ///
 /// The recording drains the interpreter step source that also feeds
-/// [`crate::timing::simulate`] and [`crate::trace::collect_trace`], packing
-/// each step into the columns. It therefore fails in exactly the
-/// situations those do: execution faults, unmatched boundary crossings,
-/// and step-budget exhaustion.
+/// [`crate::timing::simulate`], packing each step into the columns and
+/// each boundary, with its exit kind from the task header, into the
+/// boundary section. It therefore fails in exactly the situations the
+/// oracle does: execution faults, unmatched boundary crossings, and
+/// step-budget exhaustion.
 pub fn record_replay(
     program: &Program,
     tasks: &TaskProgram,
@@ -131,31 +119,32 @@ pub fn record_replay(
     // space only, while growing a multi-megabyte Vec copies (and faults in)
     // every page it has already recorded, which dominates recording cost.
     let cap = usize::try_from(max_steps).unwrap_or(usize::MAX);
-    let mut r = InstrReplay {
-        ops: Vec::with_capacity(cap),
-        mem_addrs: Vec::with_capacity(cap),
-        branch_pcs: Vec::with_capacity(cap),
-        bound_at: Vec::with_capacity(cap / 16),
-        bound_task: Vec::with_capacity(cap / 16),
-        bound_exit: Vec::with_capacity(cap / 16),
-        bound_next: Vec::with_capacity(cap / 16),
-        mem_words: memory_words(program),
-    };
+    let mut ops = Vec::with_capacity(cap);
+    let mut mem_addrs = Vec::with_capacity(cap);
+    let mut branch_pcs = Vec::with_capacity(cap);
+    let mut bounds = SharedTrace::with_capacity(cap / 16);
 
+    let mut task_instrs = 0u32;
     loop {
         let step = source.next_step()?;
         match step.class {
-            OpClass::Load | OpClass::Store => r.mem_addrs.push(step.mem_addr),
-            OpClass::Branch => r.branch_pcs.push(step.branch_pc.0),
+            OpClass::Load | OpClass::Store => mem_addrs.push(step.mem_addr),
+            OpClass::Branch => branch_pcs.push(step.branch_pc.0),
             OpClass::Other => {}
         }
+        task_instrs += 1;
         if let Some(b) = step.boundary {
-            r.bound_at.push(r.ops.len() as u64);
-            r.bound_task.push(b.task);
-            r.bound_exit.push(b.exit.as_u8());
-            r.bound_next.push(b.next.0);
+            let task = TaskId(b.task);
+            bounds.push(TaskEvent {
+                task,
+                exit: b.exit,
+                kind: tasks.task(task).header().exits()[b.exit.index()].kind,
+                next: b.next,
+                instrs: task_instrs,
+            });
+            task_instrs = 0;
         }
-        r.ops.push(pack_op(
+        ops.push(pack_op(
             step.src1, step.src2, step.dest, step.class, step.taken,
         ));
         if step.halt {
@@ -166,42 +155,33 @@ pub fn record_replay(
 
     // Deliberately no shrink_to_fit: shrinking reallocates and copies the
     // whole recording, and the unused capacity tail is never faulted in.
-    Ok(r)
+    Ok(InstrReplay {
+        ops,
+        mem_addrs,
+        branch_pcs,
+        bounds: Arc::new(bounds),
+        mem_words: memory_words(program),
+    })
 }
 
-/// Reconstructs the functional [`TraceRun`] from a recording.
-///
-/// The replay's sparse boundary arrays carry exactly what
-/// [`crate::trace::collect_trace`] emits — retiring task, exit index, next
-/// entry address — and the per-task instruction counts fall out of the
-/// `bound_at` deltas (each `bound_at[i]` is the op index of the crossing
-/// instruction, which belongs to the retiring task). The stats accumulate
-/// through the same per-event step `collect_trace` uses. The result is
-/// identical to `collect_trace` on the same execution (asserted across all
-/// five workloads in the codec tests), so **one** recorded artifact serves
-/// both the functional-trace consumers and the timing runs — preparation
-/// needs a single interpreter pass cold and zero warm.
+/// The functional [`TraceRun`] of a recording: its boundary section,
+/// shared by `Arc::clone` rather than rebuilt, plus the Table 2 and
+/// Figure 3–4 statistics computed over it. **One** recorded artifact thus
+/// serves both the functional-trace consumers and the timing runs —
+/// preparation needs a single interpreter pass cold and zero warm.
 ///
 /// # Panics
 ///
-/// Panics if the recording is inconsistent with `tasks` (a recording is
+/// Panics if the recording names a task outside `tasks` (a recording is
 /// only meaningful under the partition it was recorded with; the cache
-/// guarantees this by keying on both fingerprints, and the codec validates
-/// exit indices on decode).
+/// guarantees this by keying on both fingerprints, and
+/// [`crate::codec::check_fits`] checks every boundary against the
+/// partition on load).
 pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
-    let mut trace = TraceBuilder::new(tasks);
-    let mut prev_at = 0u64;
-    for (i, &at) in replay.bound_at.iter().enumerate() {
-        let instrs = if i == 0 { at + 1 } else { at - prev_at };
-        prev_at = at;
-        trace.push(
-            TaskId(replay.bound_task[i]),
-            ExitIndex::new(replay.bound_exit[i]).expect("recorded exit is valid"),
-            Addr(replay.bound_next[i]),
-            instrs as u32,
-        );
+    TraceRun {
+        events: Arc::clone(&replay.bounds),
+        stats: TraceStats::of(&replay.bounds, tasks, replay.instructions()),
     }
-    trace.finish(replay.instructions())
 }
 
 /// How far ahead (in elements) the cursor pulls upcoming replay columns
@@ -223,7 +203,7 @@ fn prefetch<T: Copy>(s: &[T]) {
 
 /// A cursor walking an [`InstrReplay`] as a [`StepSource`]. Infallible by
 /// construction: recording already resolved every error. Holds shrinking
-/// slices rather than indices so the hot path carries no bounds checks,
+/// slices rather than indices so the per-op path carries no bounds checks,
 /// and prefetches upcoming columns of the recording as it advances.
 pub(crate) struct ReplayCursor<'a> {
     /// Remaining op words; the last element is the halting instruction.
@@ -232,13 +212,13 @@ pub(crate) struct ReplayCursor<'a> {
     mem_addrs: &'a [u32],
     /// Remaining intra-task branch addresses.
     branch_pcs: &'a [u32],
-    /// Op index of the current position (for boundary matching).
-    i: u64,
-    /// Remaining boundary rows, advanced in lockstep.
-    bound_at: &'a [u64],
-    bound_task: &'a [u32],
-    bound_exit: &'a [u8],
-    bound_next: &'a [u32],
+    /// The recording's boundary section.
+    bounds: &'a SharedTrace,
+    /// Index of the next boundary in `bounds`.
+    next_bound: usize,
+    /// Ops left in the current task, the boundary-crossing one included;
+    /// `u64::MAX` in the halting task, which crosses none.
+    left: u64,
 }
 
 impl<'a> ReplayCursor<'a> {
@@ -247,13 +227,17 @@ impl<'a> ReplayCursor<'a> {
             ops: &r.ops,
             mem_addrs: &r.mem_addrs,
             branch_pcs: &r.branch_pcs,
-            i: 0,
-            bound_at: &r.bound_at,
-            bound_task: &r.bound_task,
-            bound_exit: &r.bound_exit,
-            bound_next: &r.bound_next,
+            bounds: &r.bounds,
+            next_bound: 0,
+            left: task_len(&r.bounds, 0),
         }
     }
+}
+
+/// Ops of the task retiring at boundary `k`, or `u64::MAX` past the last
+/// boundary (the halting task).
+fn task_len(bounds: &SharedTrace, k: usize) -> u64 {
+    bounds.instrs.get(k).map_or(u64::MAX, |&n| u64::from(n))
 }
 
 impl StepSource for ReplayCursor<'_> {
@@ -280,22 +264,24 @@ impl StepSource for ReplayCursor<'_> {
 
         // The halting instruction is always the recording's last op.
         let halt = rest.is_empty();
-        let boundary = if !halt && self.bound_at.first() == Some(&self.i) {
-            let b = BoundaryStep {
-                task: self.bound_task[0],
-                exit: ExitIndex::new(self.bound_exit[0]).expect("recorded exit is valid"),
-                next: Addr(self.bound_next[0]),
-            };
-            self.bound_at = &self.bound_at[1..];
-            self.bound_task = &self.bound_task[1..];
-            self.bound_exit = &self.bound_exit[1..];
-            self.bound_next = &self.bound_next[1..];
-            Some(b)
+        // The op that finishes its task's count crosses the boundary.
+        // Task sizes are at least 1 and leave the halting task its op
+        // (recording guarantees both; decoding checks them), so the count
+        // never underflows and the halt is never a boundary.
+        self.left -= 1;
+        let boundary = if self.left == 0 {
+            let k = self.next_bound;
+            self.next_bound += 1;
+            self.left = task_len(self.bounds, self.next_bound);
+            Some(BoundaryStep {
+                task: self.bounds.tasks[k].0,
+                exit: self.bounds.exits[k],
+                next: self.bounds.nexts[k],
+            })
         } else {
             None
         };
         self.ops = rest;
-        self.i += 1;
 
         Ok(CoreStep {
             src1: (op & 0xFF) as u8,
@@ -487,8 +473,21 @@ mod tests {
         let r = record_replay(&p, &tp, 1_000_000).unwrap();
         let t = simulate(&p, &tp, &descs, None, &TimingConfig::default(), 1_000_000).unwrap();
         assert_eq!(r.instructions(), t.instructions);
-        assert_eq!(r.boundaries(), t.dynamic_tasks);
-        assert!(r.heap_bytes() > 0);
+        assert_eq!(r.bounds.len() as u64, t.dynamic_tasks);
+    }
+
+    #[test]
+    fn derived_trace_is_the_recordings_boundary_section() {
+        let p = mixed_program(300);
+        let tp = TaskFormer::default().form(&p).unwrap();
+        let r = record_replay(&p, &tp, 1_000_000).unwrap();
+        let run = derive_trace(&r, &tp);
+        assert!(Arc::ptr_eq(&run.events, &r.bounds), "shared, not rebuilt");
+        assert_eq!(run.stats.dynamic_tasks, r.bounds.len() as u64);
+        // Every op but the halting task's belongs to a recorded task.
+        let recorded: u64 = r.bounds.iter().map(|e| u64::from(e.instrs)).sum();
+        assert!(recorded < r.instructions());
+        assert!(r.bounds.iter().all(|e| e.instrs > 0));
     }
 
     #[test]
@@ -573,6 +572,9 @@ mod tests {
         let tp = TaskFormer::default().form(&p).unwrap();
         let descs = task_descs(&tp);
         let replay = record_replay(&p, &tp, 1_000_000).unwrap();
+        let mk = || {
+            TaskPredictor::<PathLeh2>::path(Dolc::new(4, 4, 6, 6, 2), Dolc::new(4, 3, 4, 4, 2), 16)
+        };
 
         let configs = [
             TimingConfig::paper().forwarding(ForwardingModel::ReleaseAtEnd),
@@ -588,6 +590,14 @@ mod tests {
             let legacy = simulate(&p, &tp, &descs, None, config, 1_000_000).unwrap();
             let fast = simulate_replay(&replay, &descs, None, config);
             assert_eq!(legacy, fast, "config {config:?}");
+            // The core consults the confidence gate only when a predictor
+            // drives speculation.
+            let legacy = simulate(&p, &tp, &descs, Some(&mut mk()), config, 1_000_000).unwrap();
+            let fast = simulate_replay(&replay, &descs, Some(&mut mk()), config);
+            assert_eq!(legacy, fast, "config {config:?} with PATH");
+            if config.confidence_gate.is_some() {
+                assert!(fast.gated_boundaries > 0, "the gate withholds speculation");
+            }
         }
     }
 }

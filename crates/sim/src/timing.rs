@@ -38,9 +38,9 @@
 //! Exactly one piece of code steps the interpreter and resolves task
 //! boundaries: the interpreter step source `InterpSource`. It has two
 //! jobs. In production it is drained once per benchmark into a recording
-//! ([`crate::replay::record_replay`], and [`crate::trace::collect_trace`]
-//! for a bare task trace), and every timing run rides that recording
-//! through [`crate::replay::simulate_replay`]. In tests, [`simulate`] feeds
+//! ([`crate::replay::record_replay`], whose boundary section is also the
+//! task trace), and every timing run rides that recording through
+//! [`crate::replay::simulate_replay`]. In tests, [`simulate`] feeds
 //! it straight into the core as the oracle the replay engine is checked
 //! against. Because both feeds produce the same step stream, the two entry
 //! points return **bit-identical** [`TimingResult`]s by construction.
@@ -366,10 +366,10 @@ pub(crate) trait StepSource {
 
 /// The interpreter-backed [`StepSource`]: executes the program and resolves
 /// task boundaries on the fly. The only code that steps the interpreter —
-/// recording ([`crate::replay::record_replay`]), trace collection
-/// ([`crate::trace::collect_trace`]) and the timing oracle ([`simulate`])
-/// all drain it, so the step budget, boundary resolution and
-/// `UnmatchedExit` checks exist once.
+/// recording ([`crate::replay::record_replay`], which every task trace
+/// derives from) and the timing oracle ([`simulate`]) both drain it, so
+/// the step budget, boundary resolution and `UnmatchedExit` checks exist
+/// once.
 pub(crate) struct InterpSource<'a> {
     interp: Interpreter<'a>,
     tasks: &'a TaskProgram,
@@ -398,9 +398,9 @@ impl<'a> InterpSource<'a> {
 }
 
 impl StepSource for InterpSource<'_> {
-    // Forced inline into each drain (recording, trace collection, the
-    // oracle): without it, recording the five scale-2 workloads took 1.29x
-    // as long (2-vCPU Xeon VM, one thread, medians of 9 alternating rounds).
+    // Forced inline into each drain (recording, the oracle): without it,
+    // recording the five scale-2 workloads took 1.29x as long (2-vCPU
+    // Xeon VM, one thread, medians of 9 alternating rounds).
     #[inline(always)]
     fn next_step(&mut self) -> Result<CoreStep, TraceError> {
         if self.steps >= self.max_steps {

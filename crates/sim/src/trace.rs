@@ -1,17 +1,18 @@
 //! Task-level traces: the functional simulator's view of the global
 //! sequencer's job — one [`TaskEvent`] per dynamic task.
 //!
-//! A trace has two producers that share one per-event bookkeeping step.
-//! [`collect_trace`] drains the interpreter step source (the one piece of
-//! code that executes programs and detects task-boundary crossings against
-//! the task former's partition). [`crate::replay::derive_trace`] rebuilds
-//! the same trace from a recording, which is how the harness prepares
-//! benchmarks.
+//! A trace has one producer. [`crate::replay::record_replay`] writes every
+//! task boundary into the recording's boundary section, a [`SharedTrace`],
+//! as it drains the interpreter step source (the one piece of code that
+//! executes programs and detects task-boundary crossings against the task
+//! former's partition). [`crate::replay::derive_trace`] hands that section
+//! out as the trace's events and computes only its [`TraceStats`];
+//! [`collect_trace`] is that derivation of a fresh recording.
 
 use multiscalar_isa::{Addr, ExecError, ExitIndex, ExitKind, Program};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
-use crate::timing::{InterpSource, StepSource};
+use crate::replay::{derive_trace, record_replay};
 use std::fmt;
 use std::sync::Arc;
 
@@ -110,6 +111,34 @@ impl TraceStats {
             self.by_num_exits[n] as f64 / self.dynamic_tasks as f64
         }
     }
+
+    /// The statistics of `events`, the trace of an execution of
+    /// `instructions` instructions under the partition `tasks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event names a task outside `tasks` or has the `Halt`
+    /// kind (recording never writes either, and
+    /// [`crate::codec::check_fits`] rejects an artifact that does).
+    pub(crate) fn of(events: &SharedTrace, tasks: &TaskProgram, instructions: u64) -> TraceStats {
+        let mut stats = TraceStats {
+            dynamic_tasks: events.len() as u64,
+            instructions,
+            ..TraceStats::default()
+        };
+        let mut runs = vec![0u64; tasks.static_task_count()];
+        for t in &events.tasks {
+            runs[t.index()] += 1;
+        }
+        for (task, &n) in tasks.tasks().iter().zip(&runs).filter(|(_, &n)| n > 0) {
+            stats.distinct_tasks += 1;
+            stats.by_num_exits[task.header().num_exits().min(4)] += n;
+        }
+        for &kind in &events.kinds {
+            stats.by_kind[kind_slot(kind).expect("halting task is never recorded")] += 1;
+        }
+        stats
+    }
 }
 
 /// Table 1 slot of an exit kind; `None` for `Halt`, which traces never
@@ -121,20 +150,33 @@ pub(crate) fn kind_slot(kind: ExitKind) -> Option<usize> {
 /// A compact struct-of-arrays task trace, shared read-only between
 /// experiments (and threads) behind an [`Arc`].
 ///
-/// Each benchmark is traced **once**; every predictor sweep then walks this
-/// immutable structure. Splitting the event fields into parallel arrays
-/// keeps each one densely packed (no per-event padding), which matters when
-/// nine fused predictor instances stream the same multi-million-event trace.
+/// Each benchmark is traced **once**, as the boundary section of its
+/// recording ([`crate::replay::InstrReplay`]); the replay cursor and every
+/// predictor sweep then walk this one immutable structure. Splitting the
+/// event fields into parallel arrays keeps each one densely packed (no
+/// per-event padding), which matters when nine fused predictor instances
+/// stream the same multi-million-event trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharedTrace {
-    tasks: Vec<TaskId>,
-    exits: Vec<ExitIndex>,
-    kinds: Vec<ExitKind>,
-    nexts: Vec<Addr>,
-    instrs: Vec<u32>,
+    pub(crate) tasks: Vec<TaskId>,
+    pub(crate) exits: Vec<ExitIndex>,
+    pub(crate) kinds: Vec<ExitKind>,
+    pub(crate) nexts: Vec<Addr>,
+    pub(crate) instrs: Vec<u32>,
 }
 
 impl SharedTrace {
+    /// An empty trace with room for `n` events.
+    pub(crate) fn with_capacity(n: usize) -> SharedTrace {
+        SharedTrace {
+            tasks: Vec::with_capacity(n),
+            exits: Vec::with_capacity(n),
+            kinds: Vec::with_capacity(n),
+            nexts: Vec::with_capacity(n),
+            instrs: Vec::with_capacity(n),
+        }
+    }
+
     /// Number of recorded dynamic task events.
     pub fn len(&self) -> usize {
         self.tasks.len()
@@ -183,16 +225,6 @@ impl<'a> IntoIterator for &'a SharedTrace {
     }
 }
 
-impl FromIterator<TaskEvent> for SharedTrace {
-    fn from_iter<I: IntoIterator<Item = TaskEvent>>(iter: I) -> Self {
-        let mut t = SharedTrace::default();
-        for e in iter {
-            t.push(e);
-        }
-        t
-    }
-}
-
 /// A completed trace: the events plus summary statistics.
 #[derive(Debug, Clone)]
 pub struct TraceRun {
@@ -204,65 +236,11 @@ pub struct TraceRun {
     pub stats: TraceStats,
 }
 
-/// Accumulates a [`TraceRun`] one dynamic task at a time — the per-event
-/// step shared by [`collect_trace`] (live from the interpreter) and
-/// [`crate::replay::derive_trace`] (from a recording): header lookup, exit
-/// kind, the exit-count and exit-kind histograms, and distinct tasks.
-pub(crate) struct TraceBuilder<'t> {
-    tasks: &'t TaskProgram,
-    events: SharedTrace,
-    stats: TraceStats,
-    /// Dense seen-bitmap instead of a HashSet: task ids are bounded by the
-    /// static task count, and this is consulted once per dynamic task.
-    seen: Vec<bool>,
-}
-
-impl<'t> TraceBuilder<'t> {
-    pub(crate) fn new(tasks: &'t TaskProgram) -> TraceBuilder<'t> {
-        TraceBuilder {
-            tasks,
-            events: SharedTrace::default(),
-            stats: TraceStats::default(),
-            seen: vec![false; tasks.static_task_count()],
-        }
-    }
-
-    /// Records one dynamic task: `task` ran `instrs` instructions, left
-    /// through `exit`, and control went to `next`.
-    pub(crate) fn push(&mut self, task: TaskId, exit: ExitIndex, next: Addr, instrs: u32) {
-        let header = self.tasks.task(task).header();
-        let kind = header.exits()[exit.index()].kind;
-        self.events.push(TaskEvent {
-            task,
-            exit,
-            kind,
-            next,
-            instrs,
-        });
-        self.stats.dynamic_tasks += 1;
-        self.stats.by_num_exits[header.num_exits().min(4)] += 1;
-        self.stats.by_kind[kind_slot(kind).expect("halting task is never recorded")] += 1;
-        if !self.seen[task.index()] {
-            self.seen[task.index()] = true;
-            self.stats.distinct_tasks += 1;
-        }
-    }
-
-    /// The finished trace. `instructions` counts every executed
-    /// instruction, the final (halting, unrecorded) task's included.
-    pub(crate) fn finish(mut self, instructions: u64) -> TraceRun {
-        self.stats.instructions = instructions;
-        TraceRun {
-            events: Arc::new(self.events),
-            stats: self.stats,
-        }
-    }
-}
-
 /// Executes `program` under the task partition `tasks` and collects its
-/// task-level trace. The final task (the one ending in `Halt`) is not
-/// emitted — it has no successor to predict — but its instructions count
-/// toward the totals.
+/// task-level trace: [`derive_trace`] of a [`record_replay`], so the trace
+/// is the recording's boundary section. The final task (the one ending in
+/// `Halt`) is not emitted — it has no successor to predict — but its
+/// instructions count toward the totals.
 ///
 /// # Errors
 ///
@@ -273,22 +251,7 @@ pub fn collect_trace(
     tasks: &TaskProgram,
     max_steps: u64,
 ) -> Result<TraceRun, TraceError> {
-    let mut source = InterpSource::new(program, tasks, max_steps);
-    let mut trace = TraceBuilder::new(tasks);
-    let mut total = 0u64;
-    let mut cur_instrs = 0u32;
-    loop {
-        let step = source.next_step()?;
-        total += 1;
-        cur_instrs += 1;
-        if let Some(b) = step.boundary {
-            trace.push(TaskId(b.task), b.exit, b.next, cur_instrs);
-            cur_instrs = 0;
-        }
-        if step.halt {
-            return Ok(trace.finish(total));
-        }
-    }
+    record_replay(program, tasks, max_steps).map(|r| derive_trace(&r, tasks))
 }
 
 #[cfg(test)]

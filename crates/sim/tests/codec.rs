@@ -1,6 +1,6 @@
 //! Codec guarantees over the real workload set: round-trip identity on all
-//! five SPEC92 analogs, trace derivation equivalent to the interpreter, and
-//! adversarial decoding that errs instead of panicking.
+//! five SPEC92 analogs, a decoded recording's trace equal to a fresh
+//! recording's, and adversarial decoding that errs instead of panicking.
 
 use multiscalar_isa::fingerprint_of;
 use multiscalar_sim::replay::{derive_trace, record_replay};
@@ -9,10 +9,10 @@ use multiscalar_sim::{decode_replay, encode_replay, CodecError};
 use multiscalar_taskform::TaskFormer;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
-/// `decode(encode(r)) == r` on every workload, and the trace derived from
-/// the decoded recording equals what the interpreter produces directly —
-/// the property that lets one cached artifact serve both the functional
-/// trace and the timing runs.
+/// `decode(encode(r)) == r` on every workload, and the trace of the
+/// decoded recording (its boundary section and statistics) equals the
+/// trace of a fresh interpreter run — the property that lets one cached
+/// artifact serve both the functional trace and the timing runs.
 #[test]
 fn round_trip_and_derived_trace_match_on_all_workloads() {
     let params = WorkloadParams::small(7);
