@@ -15,7 +15,6 @@ use multiscalar_sim::measure::{
     measure_exits, measure_exits_batched, measure_exits_fused, measure_indirect_targets_fused,
     MissStats,
 };
-use multiscalar_sim::timing::NextTaskPredictor;
 
 /// The three history-generation schemes of paper §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,7 +265,7 @@ impl Table4Column {
 
     /// Builds this column's next-task predictor with the paper's Table 4
     /// sizing (16 KB PHT, 8 KB CTTB, 64-deep RAS); `None` for Perfect.
-    pub fn predictor(self) -> Option<Box<dyn NextTaskPredictor>> {
+    pub fn predictor(self) -> Option<TaskPredictor<Box<dyn ExitPredictor>>> {
         let exit_pred: Box<dyn ExitPredictor> = match self {
             Table4Column::Simple => {
                 Box::new(PathPredictor::<LastExitHysteresis<2>>::new(dolc_15bit(0)))
@@ -276,7 +275,7 @@ impl Table4Column {
             Table4Column::Path => real_predictor_16kb(Scheme::Path),
             Table4Column::Perfect => return None,
         };
-        Some(Box::new(with_table4_targets(exit_pred)))
+        Some(with_table4_targets(exit_pred))
     }
 }
 

@@ -451,22 +451,22 @@ pub struct Table4Row {
 /// All five columns drive the timing model from the benchmark's recorded
 /// [`InstrReplay`](multiscalar_sim::replay::InstrReplay) ([`Bench::replay`]
 /// — served from the artifact cache when warm) with zero
-/// re-interpretation, one solo walk per column. The fused multi-state walk
-/// ([`simulate_replay_fused`](multiscalar_sim::replay::simulate_replay_fused),
+/// re-interpretation, one solo walk per column. The fused walk
+/// ([`simulate_replay_fused_with_sinks`](multiscalar_sim::replay::simulate_replay_fused_with_sinks),
 /// bit-identical per column) measured faster on one thread: over all five
 /// benchmarks' five columns it took 0.76x (scale 1), 0.90x (scale 2) and
 /// 0.80x (scale 4) of the solo walks' time (2-vCPU Xeon VM, medians of
 /// 7-9 alternating rounds, results asserted equal). The solo jobs stay
 /// until a perfbench run decides the switch. `tests/replay.rs` checks
 /// these rows cell by cell against the interpreter-fed timing oracle.
-pub fn table4(benches: &[Bench], config: &TimingConfig, pool: &Pool) -> Vec<Table4Row> {
+pub fn table4(benches: &[Bench], pool: &Pool) -> Vec<Table4Row> {
     let mut jobs: Vec<Job<'_, TimingResult>> = Vec::new();
     for b in benches.iter() {
         for column in Table4Column::ALL {
             jobs.push(Box::new(move || {
                 let mut pred = column.predictor();
                 let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-                simulate_replay(&b.replay, &b.descs, pred, config)
+                simulate_replay(&b.replay, &b.descs, pred, &TimingConfig::paper())
             }));
         }
     }

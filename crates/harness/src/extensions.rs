@@ -16,12 +16,19 @@ use multiscalar_core::automata::LastExitHysteresis;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{PathPredictor, PerTaskPredictor};
 use multiscalar_core::pollution::{PollutedExitAdapter, PollutedPathPredictor};
-use multiscalar_core::predictor::ExitPredictor;
+use multiscalar_core::predictor::{ExitPredictor, TaskDesc};
 use multiscalar_core::stale::StalePathPredictor;
 use multiscalar_core::tournament::TournamentPredictor;
-use multiscalar_sim::measure::{measure_exits, measure_exits_fused, task_descs};
-use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay};
+use multiscalar_sim::measure::{
+    measure_exits, measure_exits_fused, measure_outcomes, task_descs, MissStats,
+};
+use multiscalar_sim::metrics::{Cause, CycleBreakdown, NoopSink};
+use multiscalar_sim::replay::{
+    derive_trace, record_replay, simulate_replay, simulate_replay_with_sink, walk_replay,
+    InstrReplay,
+};
 use multiscalar_sim::timing::{ForwardingModel, TimingConfig};
+use multiscalar_sim::trace::SharedTrace;
 use multiscalar_taskform::{TaskFormConfig, TaskFormer};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
@@ -333,18 +340,18 @@ pub struct ConfidenceRow {
 
 /// Measures confidence-gated speculation (Jacobson/Rotenberg/Smith's CIR
 /// estimator on task predictions): low-confidence boundaries stall instead
-/// of risking a squash.
+/// of risking a squash. The gate decides only the gated bits, so one gated
+/// PATH outcome pass serves both runs; the always-speculate run walks the
+/// same miss bits with the gated bits cleared.
 pub fn ext_confidence(benches: &[Bench]) -> Vec<ConfidenceRow> {
+    let config = TimingConfig::paper();
     benches
         .iter()
         .map(|b| {
-            let run = |config: &TimingConfig| {
-                let mut p = Table4Column::Path.predictor().expect("PATH predicts");
-                simulate_replay(&b.replay, &b.descs, Some(&mut *p), config)
-            };
-            let default = TimingConfig::paper();
-            let always = run(&default);
-            let gated = run(&default.confidence_gate(Some(8)));
+            let mut p = Table4Column::Path.predictor().expect("PATH predicts");
+            let outcomes = measure_outcomes(Some(&mut p), &b.descs, &b.trace.events, Some(8));
+            let always = walk_replay(&b.replay, &outcomes.ungated(), &config, &mut NoopSink);
+            let gated = walk_replay(&b.replay, &outcomes, &config, &mut NoopSink);
             ConfidenceRow {
                 name: b.name(),
                 always_ipc: always.ipc(),
@@ -411,32 +418,31 @@ fn zoo_exit(family: usize) -> Box<dyn ExitPredictor> {
     }
 }
 
-/// Scores every family on one prepared input: miss rate over the trace,
-/// squash-cycle fraction from a timing run on the recording (Table 4's
-/// CTTB/RAS sizing, so only the exit predictor varies between columns).
-fn zoo_score(bench: &Bench) -> Vec<ZooCell> {
-    use multiscalar_sim::metrics::{Cause, CycleBreakdown};
-    use multiscalar_sim::replay::simulate_replay_with_sink;
-    use multiscalar_sim::timing::NextTaskPredictor;
-    (0..ZOO_FAMILIES.len())
-        .map(|family| {
-            let mut exit = zoo_exit(family);
-            let miss = measure_exits(&mut exit, &bench.descs, &bench.trace.events).miss_rate();
-            let mut tp = with_table4_targets(zoo_exit(family));
-            let mut bd = CycleBreakdown::new();
-            let result = simulate_replay_with_sink(
-                &bench.replay,
-                &bench.descs,
-                Some(&mut tp as &mut dyn NextTaskPredictor),
-                &TimingConfig::paper(),
-                &mut bd,
-            );
-            ZooCell {
-                miss,
-                squash: bd.get(Cause::SquashRefill) as f64 / result.cycles.max(1) as f64,
-            }
-        })
-        .collect()
+/// One family's raw scores on one recorded input: exit misses over the
+/// trace, then the squash-refill and total cycles of a timing run on the
+/// recording (Table 4's CTTB/RAS sizing, so only the exit predictor varies
+/// between columns).
+fn zoo_counts(
+    family: usize,
+    replay: &InstrReplay,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> (MissStats, u64, u64) {
+    let stats = measure_exits(&mut zoo_exit(family), descs, events);
+    let mut tp = with_table4_targets(zoo_exit(family));
+    let mut bd = CycleBreakdown::new();
+    let config = TimingConfig::paper();
+    let result = simulate_replay_with_sink(replay, descs, Some(&mut tp), &config, &mut bd);
+    (stats, bd.get(Cause::SquashRefill), result.cycles)
+}
+
+/// A zoo cell from raw counts (summed over every program for the corpus
+/// row).
+fn zoo_cell((stats, squash, cycles): (MissStats, u64, u64)) -> ZooCell {
+    ZooCell {
+        miss: stats.misses as f64 / stats.predictions.max(1) as f64,
+        squash: squash as f64 / cycles.max(1) as f64,
+    }
 }
 
 /// Ranks the predictor zoo on the five paper benchmarks plus the pinned
@@ -446,9 +452,6 @@ fn zoo_score(bench: &Bench) -> Vec<ZooCell> {
 /// (predictions and cycles summed before the division, so longer programs
 /// weigh more, exactly as in a merged trace).
 pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
-    use multiscalar_sim::metrics::{Cause, CycleBreakdown};
-    use multiscalar_sim::replay::simulate_replay_with_sink;
-    use multiscalar_sim::timing::NextTaskPredictor;
     use multiscalar_workloads::fuzz::{fuzz_program, FuzzShape, MAX_STEPS};
 
     let mut rows: Vec<ZooRow> = benches
@@ -456,13 +459,15 @@ pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
         .map(|b| ZooRow {
             name: b.name().to_string(),
             dynamic_tasks: b.trace.stats.dynamic_tasks,
-            cells: zoo_score(b),
+            cells: (0..ZOO_FAMILIES.len())
+                .map(|f| zoo_cell(zoo_counts(f, &b.replay, &b.descs, &b.trace.events)))
+                .collect(),
         })
         .collect();
 
     // The fuzz corpus: one aggregate row over every pinned seed.
     let mut dynamic_tasks = 0u64;
-    let mut agg = vec![(0u64, 0u64, 0u64, 0u64); ZOO_FAMILIES.len()]; // (misses, predictions, squash, cycles)
+    let mut agg = vec![(MissStats::default(), 0u64, 0u64); ZOO_FAMILIES.len()];
     for seed in ZOO_CORPUS_SEEDS {
         let program = fuzz_program(seed, &FuzzShape::from_seed(seed));
         let tasks = TaskFormer::default()
@@ -474,33 +479,40 @@ pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
         let descs = task_descs(&tasks);
         dynamic_tasks += trace.stats.dynamic_tasks;
         for (family, slot) in agg.iter_mut().enumerate() {
-            let mut exit = zoo_exit(family);
-            let stats = measure_exits(&mut exit, &descs, &trace.events);
-            let mut tp = with_table4_targets(zoo_exit(family));
-            let mut bd = CycleBreakdown::new();
-            let result = simulate_replay_with_sink(
-                &replay,
-                &descs,
-                Some(&mut tp as &mut dyn NextTaskPredictor),
-                &TimingConfig::paper(),
-                &mut bd,
-            );
-            slot.0 += stats.misses;
-            slot.1 += stats.predictions;
-            slot.2 += bd.get(Cause::SquashRefill);
-            slot.3 += result.cycles;
+            let (stats, squash, cycles) = zoo_counts(family, &replay, &descs, &trace.events);
+            slot.0.merge(stats);
+            slot.1 += squash;
+            slot.2 += cycles;
         }
     }
     rows.push(ZooRow {
         name: "fuzz-corpus".to_string(),
         dynamic_tasks,
-        cells: agg
-            .into_iter()
-            .map(|(misses, predictions, squash, cycles)| ZooCell {
-                miss: misses as f64 / predictions.max(1) as f64,
-                squash: squash as f64 / cycles.max(1) as f64,
-            })
-            .collect(),
+        cells: agg.into_iter().map(zoo_cell).collect(),
     });
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prepare;
+
+    /// The gate decides only the gated bits: on a real workload the PATH
+    /// miss bits with and without a gate are identical, which is what lets
+    /// `ext_confidence` serve both of its walks from one pass.
+    #[test]
+    fn the_confidence_gate_never_changes_a_miss_bit() {
+        use multiscalar_sim::measure::Outcomes;
+        let b = prepare(Spec92::Gcc, &WorkloadParams::small(1));
+        let path = |gate| {
+            let mut p = Table4Column::Path.predictor().expect("PATH predicts");
+            measure_outcomes(Some(&mut p), &b.descs, &b.trace.events, gate)
+        };
+        let (gated, ungated) = (path(Some(8)), path(None));
+        assert_eq!(gated.ungated(), ungated);
+        let any = |o: &Outcomes, bit| o.bits().iter().any(|&b| b & bit != 0);
+        assert!(any(&gated, Outcomes::MISS) && any(&gated, Outcomes::GATED));
+        assert!(!any(&ungated, Outcomes::GATED));
+    }
 }

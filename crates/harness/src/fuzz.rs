@@ -120,26 +120,26 @@ fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// The four predictor slots the fused/solo oracle cross-checks: perfect,
 /// the paper's PATH, and both zoo families — so every new predictor family
 /// is held to the same bit-identity bar as the paper's.
-fn fused_slots(slot: usize) -> Option<Box<dyn NextTaskPredictor>> {
+fn fused_slots() -> Vec<Option<Box<dyn NextTaskPredictor>>> {
     let cttb = Dolc::new(4, 3, 4, 4, 2);
-    match slot {
-        0 => None,
-        1 => Some(Box::new(TaskPredictor::<PathPredictor<Leh2>>::path(
+    vec![
+        None,
+        Some(Box::new(TaskPredictor::<PathPredictor<Leh2>>::path(
             Dolc::new(4, 4, 6, 6, 2),
             cttb,
             16,
         ))),
-        2 => Some(Box::new(TaskPredictor::new(
+        Some(Box::new(TaskPredictor::new(
             GshareExitPredictor::<Leh2>::new(6, 12),
             cttb,
             16,
         ))),
-        _ => Some(Box::new(TaskPredictor::new(
+        Some(Box::new(TaskPredictor::new(
             GatedHybridPredictor::<Leh2>::new(8, Dolc::new(4, 4, 6, 6, 2), 8, 4),
             cttb,
             16,
         ))),
-    }
+    ]
 }
 
 /// Runs an arbitrary program through the whole differential oracle stack
@@ -236,7 +236,7 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
 
     // Oracle 5: fused sweep vs solo runs, four predictor slots.
     match catching(|| {
-        check_fused_agreement(program, &tasks, &descs, &timing, MAX_STEPS, 4, fused_slots)
+        check_fused_agreement(program, &tasks, &descs, &timing, MAX_STEPS, fused_slots())
     }) {
         Ok(Ok(_)) => {}
         Ok(Err(e)) => return Some(("trace-error", e.to_string())),

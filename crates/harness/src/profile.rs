@@ -6,11 +6,12 @@
 //! [`Cause`] (the attribution sums to `TimingResult::cycles` exactly; the
 //! sink asserts it). Runs ride the recorded replay in [`Bench::replay`]
 //! (served from the artifact cache when warm) — the attribution is
-//! engine-independent, which `tests/profile.rs` checks against the legacy
-//! interpreter. With `--occupancy` a [`UnitOccupancy`] sink rides the same
-//! pass and three per-unit utilisation columns join the output (the
-//! default output stays byte-identical). [`events_jsonl`] exposes the
-//! task-level JSON-lines event log of a single run for the same grid.
+//! engine-independent, which `tests/profile.rs` checks against the
+//! interpreter-fed timing oracle. With `--occupancy` a [`UnitOccupancy`]
+//! sink rides the same pass and three per-unit utilisation columns join
+//! the output (the default output stays byte-identical). [`events_jsonl`]
+//! exposes the task-level JSON-lines event log of a single run for the
+//! same grid.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -54,12 +55,8 @@ pub struct ProfileRow {
 /// [`UnitOccupancy`] sink shares the same pass (tuple sinks fan out). One
 /// job per cell; results come back in submission order, so output is
 /// byte-identical for every pool width.
-pub fn profile(
-    benches: &[Bench],
-    config: &TimingConfig,
-    pool: &Pool,
-    occupancy: bool,
-) -> Vec<ProfileRow> {
+pub fn profile(benches: &[Bench], pool: &Pool, occupancy: bool) -> Vec<ProfileRow> {
+    let config = &TimingConfig::paper();
     let mut jobs: Vec<Job<'_, ProfileCell>> = Vec::new();
     for b in benches {
         for column in Table4Column::ALL {
@@ -105,16 +102,16 @@ pub fn profile(
 }
 
 /// The task-level event log (JSON lines) of one benchmark's run under one
-/// predictor column: `predict` / `resolve` / `squash` / `commit` /
-/// `dispatch` per boundary, with machine clocks and exit numbers.
-pub fn events_jsonl(bench: &Bench, column: Table4Column, config: &TimingConfig) -> String {
+/// predictor column: `resolve` / `squash` / `commit` / `dispatch` per
+/// boundary, with machine clocks and exit numbers.
+pub fn events_jsonl(bench: &Bench, column: Table4Column) -> String {
     let mut pred = column.predictor();
     let mut sink = TaskEventSink::new();
     simulate_replay_with_sink(
         &bench.replay,
         &bench.descs,
         pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor),
-        config,
+        &TimingConfig::paper(),
         &mut sink,
     );
     sink.into_jsonl()

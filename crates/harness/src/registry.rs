@@ -39,7 +39,6 @@ use crate::profile::{self, ProfileRow};
 use crate::proto::{OutputFormat, Request};
 use crate::{csv, extensions, prepare_set_cached, report, Bench};
 use multiscalar_isa::{fingerprint::FingerprintHasher, Fingerprint};
-use multiscalar_sim::timing::TimingConfig;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 use std::hash::Hash as _;
 
@@ -176,8 +175,6 @@ pub struct ExpCtx<'a> {
     pub req: &'a Request,
     /// Workload parameters (for experiments that re-generate workloads).
     pub params: WorkloadParams,
-    /// Timing-model parameters (the paper's).
-    pub config: TimingConfig,
     /// Collect per-ring-unit occupancy in `profile` (`--occupancy`).
     pub occupancy: bool,
     /// The artifact store this dispatch prepares through, if caching is
@@ -205,7 +202,6 @@ impl<'a> ExpCtx<'a> {
             pool,
             req,
             params: req.params,
-            config: TimingConfig::paper(),
             occupancy: req.opts.occupancy,
             store,
             cache_dir,
@@ -238,14 +234,13 @@ impl<'a> ExpCtx<'a> {
     /// the CSV writer alike.
     pub fn table4(&self) -> &[Table4Row] {
         self.table4
-            .get_or_init(|| experiments::table4(self.prep.all(), &self.config, self.pool))
+            .get_or_init(|| experiments::table4(self.prep.all(), self.pool))
     }
 
     /// The cycle-attribution profile grid; computed once per dispatch.
     pub fn profile(&self) -> &[ProfileRow] {
-        self.profile.get_or_init(|| {
-            profile::profile(self.prep.all(), &self.config, self.pool, self.occupancy)
-        })
+        self.profile
+            .get_or_init(|| profile::profile(self.prep.all(), self.pool, self.occupancy))
     }
 }
 

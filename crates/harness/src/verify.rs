@@ -13,7 +13,6 @@ use multiscalar_core::automata::AutomatonKind;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::target::{Cttb, Ttb};
 use multiscalar_sim::measure::measure_indirect_targets;
-use multiscalar_sim::timing::TimingConfig;
 use multiscalar_workloads::WorkloadParams;
 use std::fmt::Write as _;
 
@@ -128,7 +127,7 @@ pub fn verify(params: &WorkloadParams, pool: &Pool) -> Vec<Claim> {
 
     // §7 / Table 4: better prediction increases IPC.
     {
-        let rows = experiments::table4(&benches, &TimingConfig::default(), pool);
+        let rows = experiments::table4(&benches, pool);
         let holds = rows.iter().all(|r| {
             r.path.ipc() + 1e-9 >= r.simple.ipc()
                 && r.path.ipc() + 1e-9 >= r.global.ipc().min(r.per.ipc())

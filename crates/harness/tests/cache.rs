@@ -8,7 +8,6 @@ use multiscalar_harness::cache::ArtifactCache;
 use multiscalar_harness::experiments;
 use multiscalar_harness::pool::Pool;
 use multiscalar_harness::{prepare_set_cached, report, Bench};
-use multiscalar_sim::timing::TimingConfig;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 /// A per-test scratch cache directory (tests in one binary may run in
@@ -26,7 +25,7 @@ fn cleanup(dir: &PathBuf) {
 }
 
 fn render_table4(benches: &[Bench], pool: &Pool) -> String {
-    report::render_table4(&experiments::table4(benches, &TimingConfig::paper(), pool))
+    report::render_table4(&experiments::table4(benches, pool))
 }
 
 /// Every observable of a prepared benchmark matches between two

@@ -4,7 +4,6 @@
 
 use multiscalar_harness::pool::Pool;
 use multiscalar_harness::{csv, experiments, prepare_all_with, profile};
-use multiscalar_sim::timing::TimingConfig;
 use multiscalar_workloads::WorkloadParams;
 
 /// Renders every pool-driven experiment to its CSV form — the exact bytes
@@ -20,19 +19,10 @@ fn all_csv(pool: &Pool) -> String {
     out.push_str(&csv::fig11(&experiments::fig11(&benches, pool)));
     out.push_str(&csv::fig12(&experiments::fig12(&benches, pool)));
     out.push_str(&csv::table3(&experiments::table3(&benches, pool)));
-    out.push_str(&csv::table4(&experiments::table4(
-        &benches,
-        &TimingConfig::default(),
-        pool,
-    )));
+    out.push_str(&csv::table4(&experiments::table4(&benches, pool)));
     // The cycle-attribution profile rides the same pool; its JSON (cycle
     // counts per cause included) must be byte-identical too.
-    out.push_str(&profile::to_json(&profile::profile(
-        &benches,
-        &TimingConfig::default(),
-        pool,
-        false,
-    )));
+    out.push_str(&profile::to_json(&profile::profile(&benches, pool, false)));
     out
 }
 

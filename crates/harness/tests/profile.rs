@@ -1,12 +1,13 @@
 //! Cycle-attribution invariants: every cycle of every run is attributed to
 //! exactly one cause (the breakdown sums to `TimingResult::cycles`), the
-//! attribution is engine-independent (legacy interpreter vs record-once
-//! replay produce byte-identical breakdowns), attaching a sink never
-//! perturbs timing, and `profile --json` keeps its published schema.
+//! attribution is engine-independent (the interpreter-fed oracle and the
+//! record-once replay produce byte-identical breakdowns), attaching a sink
+//! never perturbs timing, and `profile --json` keeps its published schema.
 
 use multiscalar_harness::dispatch::Table4Column;
 use multiscalar_harness::pool::Pool;
 use multiscalar_harness::{prepare, profile};
+use multiscalar_sim::measure::measure_outcomes;
 use multiscalar_sim::metrics::{Cause, CycleBreakdown, UnitOccupancy};
 use multiscalar_sim::replay::{
     record_replay, simulate_replay, simulate_replay_fused_with_sinks, simulate_replay_with_sink,
@@ -116,7 +117,7 @@ fn mask_numbers(s: &str) -> String {
 fn profile_json_matches_golden_schema() {
     let pool = Pool::new(2);
     let benches = vec![prepare(Spec92::Compress, &params())];
-    let rows = profile::profile(&benches, &TimingConfig::paper(), &pool, false);
+    let rows = profile::profile(&benches, &pool, false);
     let json = profile::to_json(&rows);
     assert_eq!(
         mask_numbers(&json),
@@ -140,10 +141,9 @@ fn profile_json_matches_golden_schema() {
 #[test]
 fn occupancy_is_a_pure_observer_and_sums_per_unit() {
     let pool = Pool::new(2);
-    let config = TimingConfig::paper();
     let benches = vec![prepare(Spec92::Compress, &params())];
-    let plain = profile::profile(&benches, &config, &pool, false);
-    let with_occ = profile::profile(&benches, &config, &pool, true);
+    let plain = profile::profile(&benches, &pool, false);
+    let with_occ = profile::profile(&benches, &pool, true);
 
     for (p_row, o_row) in plain.iter().zip(&with_occ) {
         for (p, o) in p_row.cells.iter().zip(&o_row.cells) {
@@ -173,7 +173,7 @@ fn occupancy_is_a_pure_observer_and_sums_per_unit() {
 }
 
 /// Attribution survives the block-batched fused walk: running all five
-/// Table 4 columns fused, each with a live `(CycleBreakdown,
+/// Table 4 columns' outcomes fused, each with a live `(CycleBreakdown,
 /// UnitOccupancy)` sink, produces timing results *and* sink streams
 /// bit-identical to the solo runs, every breakdown still sums exactly to
 /// its run's cycles, and every unit still accounts for every cycle.
@@ -198,13 +198,19 @@ fn fused_walk_preserves_attribution_and_occupancy() {
         solo.push((result, sink));
     }
 
-    let mut predictors: Vec<_> = Table4Column::ALL.iter().map(|c| c.predictor()).collect();
+    let outcomes: Vec<_> = Table4Column::ALL
+        .iter()
+        .map(|c| {
+            let mut pred = c.predictor();
+            let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
+            measure_outcomes(pred, &b.descs, &b.trace.events, None)
+        })
+        .collect();
     let mut sinks: Vec<_> = Table4Column::ALL
         .iter()
         .map(|_| (CycleBreakdown::new(), UnitOccupancy::new()))
         .collect();
-    let fused =
-        simulate_replay_fused_with_sinks(&replay, &b.descs, &mut predictors, &config, &mut sinks);
+    let fused = simulate_replay_fused_with_sinks(&replay, &outcomes, &config, &mut sinks);
 
     for (i, column) in Table4Column::ALL.iter().enumerate() {
         let label = format!("Compress/{}", column.name());
@@ -234,8 +240,7 @@ fn fused_walk_preserves_attribution_and_occupancy() {
 #[test]
 fn event_log_covers_the_run() {
     let b = prepare(Spec92::Compress, &params());
-    let config = TimingConfig::paper();
-    let log = profile::events_jsonl(&b, Table4Column::Path, &config);
+    let log = profile::events_jsonl(&b, Table4Column::Path);
     let resolves = log.lines().filter(|l| l.contains("\"resolve\"")).count();
     let squashes = log.lines().filter(|l| l.contains("\"squash\"")).count();
     assert!(resolves > 0, "log must contain task resolutions");

@@ -4,7 +4,6 @@
 
 use multiscalar_harness::pool::Pool;
 use multiscalar_harness::{experiments, extensions, prepare, report, verify};
-use multiscalar_sim::timing::TimingConfig;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 fn params() -> WorkloadParams {
@@ -49,11 +48,7 @@ fn every_renderer_produces_named_tables() {
         assert!(has_numbers, "table must carry numbers:\n{out}");
     }
 
-    let t4 = report::render_table4(&experiments::table4(
-        &benches,
-        &TimingConfig::default(),
-        &pool,
-    ));
+    let t4 = report::render_table4(&experiments::table4(&benches, &pool));
     assert!(t4.contains("Perfect") && t4.contains("PATH"));
 }
 

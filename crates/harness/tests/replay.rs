@@ -1,8 +1,9 @@
 //! Replay-vs-interpreter equivalence: `simulate_replay()` must return a
 //! bit-identical `TimingResult` to `simulate()` for every Table 4 predictor
 //! column on every in-tree workload, and across every timing-model config
-//! the ablations (`ext-memory`, `ext-intra`, `ext-confidence`) run — the
-//! contract that lets one recording stand in for every interpreter pass.
+//! the ablations (`ext-memory`, `ext-intra`) run — the contract that lets
+//! one recording stand in for every interpreter pass. Gated walks
+//! (`ext-confidence`) count exactly the bits of their outcome pass.
 
 use multiscalar_harness::dispatch::Table4Column;
 use multiscalar_harness::prepare;
@@ -93,9 +94,6 @@ fn replay_matches_interpreter_across_ablation_configs() {
             banks: 1,
             entries_per_bank: 1,
         })),
-        TimingConfig::paper().confidence_gate(Some(2)),
-        // `ext-confidence`'s gate.
-        TimingConfig::paper().confidence_gate(Some(8)),
     ];
     for config in &configs {
         for column in [Table4Column::Path, Table4Column::Perfect] {
@@ -123,7 +121,7 @@ fn table4_replay_rows_match_legacy_rows() {
     let pool = Pool::new(2);
     let benches = vec![prepare(Spec92::Compress, &params())];
     let config = TimingConfig::paper();
-    let rows = table4(&benches, &config, &pool);
+    let rows = table4(&benches, &pool);
     assert_eq!(rows.len(), benches.len());
     for (row, b) in rows.iter().zip(&benches) {
         assert_eq!(row.name, b.name());
@@ -142,6 +140,44 @@ fn table4_replay_rows_match_legacy_rows() {
                 b.name(),
                 column.name()
             );
+        }
+    }
+}
+
+/// The outcome contract: for every Table 4 column, gated or not, the walk
+/// counts exactly the miss and gated bits the outcome pass produced, and
+/// Perfect produces neither. Ungated, the walk is the oracle's run; gated
+/// (`ext-confidence`'s threshold), it misses exactly as often.
+#[test]
+fn walks_count_exactly_the_outcome_bits() {
+    use multiscalar_sim::measure::{measure_outcomes, Outcomes};
+    use multiscalar_sim::metrics::NoopSink;
+    use multiscalar_sim::replay::walk_replay;
+
+    let b = prepare(Spec92::Compress, &params());
+    let config = TimingConfig::paper();
+    for column in Table4Column::ALL {
+        let oracle = legacy(&b, column, &config);
+        for gate in [None, Some(8)] {
+            let mut pred = column.predictor();
+            let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
+            let outcomes = measure_outcomes(pred, &b.descs, &b.trace.events, gate);
+            let r = walk_replay(&b.replay, &outcomes, &config, &mut NoopSink);
+            let label = format!("{}/{gate:?}", column.name());
+            let count = |bit: u8| outcomes.bits().iter().filter(|&&o| o & bit != 0).count();
+            assert_eq!(outcomes.bits().len() as u64, r.dynamic_tasks, "{label}");
+            assert_eq!(count(Outcomes::MISS) as u64, r.task_mispredicts, "{label}");
+            assert_eq!(count(Outcomes::GATED) as u64, r.gated_boundaries, "{label}");
+            assert_eq!(r.task_mispredicts, oracle.task_mispredicts, "{label}");
+            if gate.is_none() {
+                assert_eq!(r, oracle, "{label}");
+            }
+            if column == Table4Column::Perfect {
+                assert_eq!((r.task_mispredicts, r.gated_boundaries), (0, 0));
+            } else {
+                assert!(r.task_mispredicts > 0, "{label}: real predictors miss");
+                assert_eq!(r.gated_boundaries > 0, gate.is_some(), "{label}");
+            }
         }
     }
 }

@@ -61,13 +61,13 @@ pub mod timing;
 pub mod trace;
 
 pub use codec::{decode_replay, encode_replay, CodecError, CACHE_SCHEMA};
-pub use measure::{task_descs, MissStats};
+pub use measure::{measure_outcomes, task_descs, MissStats, Outcomes};
 pub use metrics::{
     BoundaryEvent, Cause, CycleBreakdown, FrontierCause, MetricsSink, NoopSink, StallCause,
     TaskEventSink, UnitOccupancy,
 };
 pub use replay::{
-    derive_trace, record_replay, simulate_replay, simulate_replay_fused,
-    simulate_replay_fused_with_sinks, simulate_replay_with_sink, InstrReplay,
+    derive_trace, record_replay, simulate_replay, simulate_replay_fused_with_sinks,
+    simulate_replay_with_sink, walk_replay, InstrReplay,
 };
 pub use trace::{TaskEvent, TraceRun, TraceStats};

@@ -5,8 +5,14 @@
 //! each prediction with the true outcome (no stale-update delay), and no
 //! wrong-path pollution occurs because the functional trace never goes down
 //! a wrong path.
+//!
+//! The timing model's inter-task prediction is one of these passes too:
+//! [`measure_outcomes`] turns a [`NextTaskPredictor`] into the
+//! per-boundary [`Outcomes`] every timing walk reads.
 
+use crate::timing::NextTaskPredictor;
 use crate::trace::{kind_slot, SharedTrace};
+use multiscalar_core::confidence::ConfidenceEstimator;
 use multiscalar_core::dolc::PathRegister;
 use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
 use multiscalar_core::predictor::{
@@ -209,6 +215,60 @@ pub fn measure_full<E: ExitPredictor>(
         predictor.update(desc, e.exit, e.next);
     }
     stats
+}
+
+/// One prediction outcome byte ([`Outcomes::MISS`], [`Outcomes::GATED`])
+/// per boundary of a recording: what every timing walk reads in place of a
+/// predictor. Built by [`measure_outcomes`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outcomes(Vec<u8>);
+
+impl Outcomes {
+    /// Set when the predicted next-task address was not the actual one.
+    pub const MISS: u8 = 1;
+    /// Set when the confidence gate withheld speculation.
+    pub const GATED: u8 = 2;
+
+    /// One byte per boundary, in trace order.
+    pub fn bits(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The outcomes of the same pass without its gate (the gate never
+    /// trains the predictor): every gated bit cleared.
+    pub fn ungated(&self) -> Outcomes {
+        Outcomes(self.0.iter().map(|&b| b & !Outcomes::GATED).collect())
+    }
+}
+
+/// Runs inter-task prediction over a recording's boundary section: per
+/// boundary the predictor predicts, then trains on the true outcome at
+/// once (§3.1). A miss is a predicted address other than the actual next
+/// address. With `gate` set, a CIR [`ConfidenceEstimator`] with that
+/// correct-streak threshold gates the boundaries it has low confidence
+/// in, then trains on the miss bit. `None` is perfect prediction.
+pub fn measure_outcomes(
+    predictor: Option<&mut dyn NextTaskPredictor>,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+    gate: Option<u8>,
+) -> Outcomes {
+    let Some(predictor) = predictor else {
+        return Outcomes(vec![0; events.len()]);
+    };
+    let mut confidence = gate.map(|t| ConfidenceEstimator::new(12, t));
+    let bits = events.iter().map(|e| {
+        let desc = &descs[e.task.index()];
+        let miss = predictor.predict_next(desc) != Some(e.next);
+        predictor.resolve(desc, e.exit, e.next);
+        let gated = confidence.as_mut().is_some_and(|c| {
+            let low = !c.high_confidence(desc.entry());
+            c.update(desc.entry(), !miss);
+            low
+        });
+        (miss as u8 * Outcomes::MISS) | (gated as u8 * Outcomes::GATED)
+    });
+    Outcomes(bits.collect())
 }
 
 /// Measures headerless CTTB-only next-task prediction (§6.4.2, Table 3).
@@ -545,6 +605,40 @@ mod tests {
         for e in events.iter() {
             assert_ne!(e.kind, ExitKind::Halt, "traces never record halts");
         }
+    }
+
+    #[test]
+    fn perfect_outcomes_are_all_zero_and_cover_every_boundary() {
+        let (_p, tp, events) = looped_program();
+        let descs = task_descs(&tp);
+        for gate in [None, Some(2)] {
+            let o = measure_outcomes(None, &descs, &events, gate);
+            assert_eq!(o.bits().len(), events.len());
+            assert!(
+                o.bits().iter().all(|&b| b == 0),
+                "never a miss, never gated"
+            );
+        }
+    }
+
+    #[test]
+    fn outcome_misses_follow_the_next_address_rule() {
+        let (_p, tp, events) = looped_program();
+        let descs = task_descs(&tp);
+        let mk = || {
+            TaskPredictor::<PathPredictor<Leh2>>::path(
+                Dolc::new(4, 4, 6, 6, 2),
+                Dolc::new(4, 3, 4, 4, 2),
+                16,
+            )
+        };
+        let count = |o: &Outcomes, bit: u8| o.bits().iter().filter(|&&b| b & bit != 0).count();
+        let full = measure_full(&mut mk(), &descs, &events);
+        let o = measure_outcomes(Some(&mut mk()), &descs, &events, Some(2));
+        assert_eq!(o.bits().len(), events.len());
+        // All targets here come from headers, so both rules agree.
+        assert_eq!(count(&o, Outcomes::MISS) as u64, full.next_task.misses);
+        assert!(count(&o, Outcomes::GATED) > 0, "cold CIR counters gate");
     }
 
     #[test]

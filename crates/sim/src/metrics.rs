@@ -49,11 +49,11 @@ pub enum StallCause {
     /// A source register was not ready: true dataflow dependence (possibly
     /// an inter-task forwarding delay around the ring).
     Dataflow = 0,
-    /// An ARB bank had no free entry; the reference stalled until the
-    /// configured overflow penalty elapsed.
+    /// An ARB bank had no free entry; the reference stalled for
+    /// [`ARB_FULL_PENALTY`](crate::timing::ARB_FULL_PENALTY) cycles.
     ArbFull = 1,
     /// An intra-task conditional branch mispredicted; the unit redirected
-    /// after `intra_penalty` cycles.
+    /// after [`INTRA_PENALTY`](crate::timing::INTRA_PENALTY) cycles.
     IntraMispredict = 2,
 }
 
@@ -91,10 +91,7 @@ pub struct BoundaryEvent {
     pub exit: u8,
     /// Entry address of the task executed next.
     pub next: u32,
-    /// The predicted next-task address (`Some(next)` for perfect
-    /// prediction, `None` when the predictor had no target).
-    pub predicted: Option<u32>,
-    /// Whether the prediction missed.
+    /// Whether the prediction missed (the boundary's outcome bit).
     pub miss: bool,
     /// Whether confidence gating withheld speculation at this boundary.
     pub gated: bool,
@@ -474,11 +471,11 @@ impl MetricsSink for UnitOccupancy {
     }
 }
 
-/// Records task-level events as JSON lines: `predict`, `resolve`, `squash`
-/// (on a mispredicted, non-gated boundary), `commit` and `dispatch` per
-/// boundary, with machine clocks and exit numbers, plus a final `halt`
-/// line. Fields are numbers and fixed keywords only, so no JSON escaping
-/// is needed.
+/// Records task-level events as JSON lines: `resolve` (with the
+/// boundary's miss bit), `squash` (on a mispredicted, non-gated boundary),
+/// `commit` and `dispatch` per boundary, with machine clocks and exit
+/// numbers, plus a final `halt` line. Fields are numbers and fixed
+/// keywords only, so no JSON escaping is needed.
 #[derive(Debug, Clone, Default)]
 pub struct TaskEventSink {
     out: String,
@@ -507,20 +504,6 @@ impl MetricsSink for TaskEventSink {
     fn boundary(&mut self, ev: &BoundaryEvent) {
         let b = ev.index;
         let t = ev.task;
-        match ev.predicted {
-            Some(p) => {
-                let _ = writeln!(
-                    self.out,
-                    "{{\"ev\":\"predict\",\"boundary\":{b},\"task\":{t},\"predicted\":{p}}}"
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    self.out,
-                    "{{\"ev\":\"predict\",\"boundary\":{b},\"task\":{t},\"predicted\":null}}"
-                );
-            }
-        }
         let _ = writeln!(
             self.out,
             "{{\"ev\":\"resolve\",\"boundary\":{b},\"task\":{t},\"exit\":{},\"next\":{},\

@@ -15,6 +15,10 @@
 //! `TimingResult` bit-identical to [`crate::timing::simulate`]'s, which
 //! stays only as the test oracle.
 //!
+//! Prediction is not part of the walk: [`simulate_replay`] runs the
+//! outcome pass ([`crate::measure::measure_outcomes`]) over the boundary
+//! section, then [`walk_replay`] reads one miss/gated byte per boundary.
+//!
 //! # Layout
 //!
 //! Each instruction packs into one `u32` op word:
@@ -44,14 +48,15 @@ use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
 use multiscalar_isa::{memory_words, Addr, Program};
-use multiscalar_taskform::{TaskId, TaskProgram};
+use multiscalar_taskform::TaskProgram;
 
+use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::{MetricsSink, NoopSink};
 use crate::timing::{
     simulate_core, BoundaryStep, CoreState, CoreStep, InterpSource, NextTaskPredictor, OpClass,
     StepSource, TimingConfig, TimingResult,
 };
-use crate::trace::{SharedTrace, TaskEvent, TraceError, TraceRun, TraceStats};
+use crate::trace::{SharedTrace, TraceError, TraceRun, TraceStats};
 
 pub(crate) const CLASS_SHIFT: u32 = 24;
 const TAKEN_BIT: u32 = 1 << 26;
@@ -134,14 +139,7 @@ pub fn record_replay(
         }
         task_instrs += 1;
         if let Some(b) = step.boundary {
-            let task = TaskId(b.task);
-            bounds.push(TaskEvent {
-                task,
-                exit: b.exit,
-                kind: tasks.task(task).header().exits()[b.exit.index()].kind,
-                next: b.next,
-                instrs: task_instrs,
-            });
+            bounds.push(tasks, b, task_instrs);
             task_instrs = 0;
         }
         ops.push(pack_op(
@@ -301,9 +299,9 @@ impl StepSource for ReplayCursor<'_> {
 /// as [`crate::timing::simulate`], zero re-interpretation, bit-identical
 /// [`TimingResult`].
 ///
-/// `predictor` drives inter-task speculation; `None` simulates perfect
-/// next-task prediction (the paper's "Perfect" row). Infallible: the
-/// recording already resolved every error `simulate` can hit.
+/// `predictor` drives inter-task speculation, ungated; `None` simulates
+/// perfect next-task prediction (the paper's "Perfect" row). Infallible:
+/// the recording already resolved every error `simulate` can hit.
 pub fn simulate_replay(
     replay: &InstrReplay,
     descs: &[TaskDesc],
@@ -313,11 +311,12 @@ pub fn simulate_replay(
     simulate_replay_with_sink(replay, descs, predictor, config, &mut NoopSink)
 }
 
-/// [`simulate_replay`] with a live [`MetricsSink`] observing the run. The
-/// replay cursor feeds the same instrumented core as
-/// [`crate::timing::simulate_with_sink`], so breakdowns and event logs are
-/// engine-independent: both engines report identical sink streams for the
-/// same execution.
+/// [`simulate_replay`] with a live [`MetricsSink`] observing the run: the
+/// outcome pass ([`measure_outcomes`]) over the recording's boundary
+/// section, then [`walk_replay`]. The replay cursor feeds the same
+/// instrumented core as [`crate::timing::simulate_with_sink`], so
+/// breakdowns and event logs are engine-independent: both engines report
+/// identical sink streams for the same execution.
 pub fn simulate_replay_with_sink<M: MetricsSink>(
     replay: &InstrReplay,
     descs: &[TaskDesc],
@@ -325,34 +324,35 @@ pub fn simulate_replay_with_sink<M: MetricsSink>(
     config: &TimingConfig,
     sink: &mut M,
 ) -> TimingResult {
-    let mut cursor = ReplayCursor::new(replay);
-    simulate_core(
-        &mut cursor,
-        descs,
-        predictor,
-        config,
-        replay.mem_words,
-        sink,
-    )
-    .expect("replay cursor never errors")
+    let outcomes = measure_outcomes(predictor, descs, &replay.bounds, None);
+    walk_replay(replay, &outcomes, config, sink)
 }
 
-/// Runs several independent timing configurations over one recording in a
-/// **single** walk. Table 4's five predictor columns are the original
-/// consumer; any set of slots over the same recording fits — the registry's
-/// grids and the sanitizer's cross-checks ride the same engine. Each slot
-/// of `predictors` is one run (use `None` for perfect prediction); the step
-/// stream is decoded once per block and fed to every run's core state,
-/// so each result is bit-identical to a solo [`simulate_replay`] call with
-/// the same predictor.
-pub fn simulate_replay_fused(
+/// Walks a recording through the timing core with its prediction done:
+/// one [`Outcomes`] byte per boundary of `replay`, which several walks may
+/// share. A gated run is a walk of gated outcomes.
+///
+/// # Panics
+///
+/// Panics unless `outcomes` has exactly one outcome per boundary.
+pub fn walk_replay<M: MetricsSink>(
     replay: &InstrReplay,
-    descs: &[TaskDesc],
-    predictors: &mut [Option<Box<dyn NextTaskPredictor>>],
+    outcomes: &Outcomes,
     config: &TimingConfig,
-) -> Vec<TimingResult> {
-    let mut sinks = vec![NoopSink; predictors.len()];
-    simulate_replay_fused_with_sinks(replay, descs, predictors, config, &mut sinks)
+    sink: &mut M,
+) -> TimingResult {
+    assert_covers(replay, outcomes);
+    let mut cursor = ReplayCursor::new(replay);
+    simulate_core(&mut cursor, outcomes, config, replay.mem_words, sink)
+        .expect("replay cursor never errors")
+}
+
+fn assert_covers(replay: &InstrReplay, outcomes: &Outcomes) {
+    assert_eq!(
+        outcomes.bits().len(),
+        replay.bounds.len(),
+        "a walk takes exactly one outcome per boundary"
+    );
 }
 
 /// Steps decoded per batch of the fused walk. Large enough that each
@@ -361,10 +361,9 @@ pub fn simulate_replay_fused(
 /// every slot's working set coexist in L1/L2.
 const FUSE_BLOCK: usize = 128;
 
-/// [`simulate_replay_fused`] with one live [`MetricsSink`] per fused run:
-/// `sinks[i]` observes the run driven by `predictors[i]`. Each sink sees
-/// exactly the event stream a solo [`simulate_replay_with_sink`] call with
-/// the same predictor would produce.
+/// Runs several independent timing runs over one recording in a **single**
+/// walk: slot `i` walks `outcomes[i]` and reports to `sinks[i]`, each
+/// bit-identical to a solo [`walk_replay`] of the same outcomes.
 ///
 /// The walk is **block-batched**: the cursor decodes `FUSE_BLOCK` (128) steps
 /// into a reusable buffer, then each slot consumes the whole block before
@@ -376,27 +375,20 @@ const FUSE_BLOCK: usize = 128;
 ///
 /// # Panics
 ///
-/// If `sinks` and `predictors` differ in length.
+/// If `sinks` and `outcomes` differ in length, or a slot's outcomes do not
+/// cover exactly the recording's boundaries.
 pub fn simulate_replay_fused_with_sinks<M: MetricsSink>(
     replay: &InstrReplay,
-    descs: &[TaskDesc],
-    predictors: &mut [Option<Box<dyn NextTaskPredictor>>],
+    outcomes: &[Outcomes],
     config: &TimingConfig,
     sinks: &mut [M],
 ) -> Vec<TimingResult> {
-    assert_eq!(
-        predictors.len(),
-        sinks.len(),
-        "one sink per fused predictor slot"
-    );
-    let mut states: Vec<CoreState<'_>> = predictors
-        .iter_mut()
-        .map(|p| {
-            CoreState::new(
-                p.as_mut().map(|b| b as &mut dyn NextTaskPredictor),
-                config,
-                replay.mem_words,
-            )
+    assert_eq!(outcomes.len(), sinks.len(), "one sink per fused slot");
+    let mut states: Vec<CoreState> = outcomes
+        .iter()
+        .map(|o| {
+            assert_covers(replay, o);
+            CoreState::new(config, replay.mem_words)
         })
         .collect();
     for (state, sink) in states.iter().zip(sinks.iter_mut()) {
@@ -412,9 +404,9 @@ pub fn simulate_replay_fused_with_sinks<M: MetricsSink>(
             halted = step.halt;
             block.push(step);
         }
-        for (state, sink) in states.iter_mut().zip(sinks.iter_mut()) {
+        for ((state, slot), sink) in states.iter_mut().zip(outcomes).zip(sinks.iter_mut()) {
             for step in &block {
-                state.on_step(step, descs, config, sink);
+                state.on_step(step, slot, config, sink);
             }
         }
     }
@@ -513,28 +505,44 @@ mod tests {
         assert!(legacy.dynamic_tasks > 0);
     }
 
+    /// A recording of [`mixed_program`] and its task descriptors.
+    fn recorded(iters: i32) -> (InstrReplay, Vec<TaskDesc>) {
+        let p = mixed_program(iters);
+        let tp = TaskFormer::default().form(&p).unwrap();
+        (record_replay(&p, &tp, 1_000_000).unwrap(), task_descs(&tp))
+    }
+
+    /// The outcomes of a PATH predictor at `depth` over a recording
+    /// (`None`: perfect prediction).
+    fn outcomes(replay: &InstrReplay, descs: &[TaskDesc], depth: Option<u8>) -> Outcomes {
+        let mut p = depth.map(|d| {
+            TaskPredictor::<PathLeh2>::path(Dolc::new(d, 4, 6, 6, 2), Dolc::new(4, 3, 4, 4, 2), 16)
+        });
+        let p = p.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
+        measure_outcomes(p, descs, &replay.bounds, None)
+    }
+
+    /// Runs every slot of `outcomes` fused, without sinks.
+    fn fused(
+        replay: &InstrReplay,
+        outcomes: &[Outcomes],
+        config: &TimingConfig,
+    ) -> Vec<TimingResult> {
+        let mut sinks = vec![NoopSink; outcomes.len()];
+        simulate_replay_fused_with_sinks(replay, outcomes, config, &mut sinks)
+    }
+
     #[test]
     fn fused_columns_match_solo_replay_runs() {
-        let p = mixed_program(500);
-        let tp = TaskFormer::default().form(&p).unwrap();
-        let descs = task_descs(&tp);
-        let replay = record_replay(&p, &tp, 1_000_000).unwrap();
+        let (replay, descs) = recorded(500);
         let config = TimingConfig::default();
-
-        let mk = |depth| {
-            Box::new(TaskPredictor::<PathLeh2>::path(
-                Dolc::new(depth, 4, 6, 6, 2),
-                Dolc::new(4, 3, 4, 4, 2),
-                16,
-            )) as Box<dyn NextTaskPredictor>
-        };
-        let mut preds = vec![None, Some(mk(2)), Some(mk(4))];
-        let fused = simulate_replay_fused(&replay, &descs, &mut preds, &config);
-
-        let solo_perfect = simulate_replay(&replay, &descs, None, &config);
-        let solo_d2 = simulate_replay(&replay, &descs, Some(&mut *mk(2)), &config);
-        let solo_d4 = simulate_replay(&replay, &descs, Some(&mut *mk(4)), &config);
-        assert_eq!(fused, vec![solo_perfect, solo_d2, solo_d4]);
+        let slots = [None, Some(2), Some(4)].map(|d| outcomes(&replay, &descs, d));
+        let solo: Vec<_> = slots
+            .iter()
+            .map(|o| walk_replay(&replay, o, &config, &mut NoopSink))
+            .collect();
+        assert_eq!(fused(&replay, &slots, &config), solo);
+        assert_eq!(solo[0], simulate_replay(&replay, &descs, None, &config));
     }
 
     #[test]
@@ -543,24 +551,36 @@ mod tests {
         // multiples: partial final blocks, single-block runs, halts landing
         // anywhere in a block — all must stay bit-identical to solo runs.
         let config = TimingConfig::default();
-        let mk = || {
-            Box::new(TaskPredictor::<PathLeh2>::path(
-                Dolc::new(4, 4, 6, 6, 2),
-                Dolc::new(4, 3, 4, 4, 2),
-                16,
-            )) as Box<dyn NextTaskPredictor>
-        };
         for iters in [1, 3, 17, 64, 200] {
-            let p = mixed_program(iters);
-            let tp = TaskFormer::default().form(&p).unwrap();
-            let descs = task_descs(&tp);
-            let replay = record_replay(&p, &tp, 1_000_000).unwrap();
-            let mut preds = vec![None, Some(mk())];
-            let fused = simulate_replay_fused(&replay, &descs, &mut preds, &config);
-            let solo_perfect = simulate_replay(&replay, &descs, None, &config);
-            let solo_real = simulate_replay(&replay, &descs, Some(&mut *mk()), &config);
-            assert_eq!(fused, vec![solo_perfect, solo_real], "iters {iters}");
+            let (replay, descs) = recorded(iters);
+            let slots = [None, Some(4)].map(|d| outcomes(&replay, &descs, d));
+            let solo: Vec<_> = slots
+                .iter()
+                .map(|o| walk_replay(&replay, o, &config, &mut NoopSink))
+                .collect();
+            assert_eq!(fused(&replay, &slots, &config), solo, "iters {iters}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a walk takes exactly one outcome per boundary")]
+    fn a_walk_rejects_too_many_outcomes() {
+        let (replay, _) = recorded(50);
+        let (longer, descs) = recorded(51);
+        let extra = outcomes(&longer, &descs, None);
+        walk_replay(&replay, &extra, &TimingConfig::default(), &mut NoopSink);
+    }
+
+    #[test]
+    #[should_panic(expected = "a walk takes exactly one outcome per boundary")]
+    fn a_fused_walk_rejects_too_few_outcomes() {
+        let (replay, descs) = recorded(50);
+        let (shorter, short_descs) = recorded(49);
+        let slots = [
+            outcomes(&replay, &descs, None),
+            outcomes(&shorter, &short_descs, None),
+        ];
+        fused(&replay, &slots, &TimingConfig::default());
     }
 
     #[test]
@@ -584,20 +604,26 @@ mod tests {
                 banks: 1,
                 entries_per_bank: 1,
             })),
-            TimingConfig::paper().confidence_gate(Some(2)),
         ];
         for config in &configs {
             let legacy = simulate(&p, &tp, &descs, None, config, 1_000_000).unwrap();
             let fast = simulate_replay(&replay, &descs, None, config);
             assert_eq!(legacy, fast, "config {config:?}");
-            // The core consults the confidence gate only when a predictor
-            // drives speculation.
             let legacy = simulate(&p, &tp, &descs, Some(&mut mk()), config, 1_000_000).unwrap();
             let fast = simulate_replay(&replay, &descs, Some(&mut mk()), config);
             assert_eq!(legacy, fast, "config {config:?} with PATH");
-            if config.confidence_gate.is_some() {
-                assert!(fast.gated_boundaries > 0, "the gate withholds speculation");
-            }
+        }
+        // A gated run is a walk of gated outcomes; both feeds walk them
+        // alike.
+        let config = TimingConfig::paper();
+        for gate in [2, 8] {
+            let gated = measure_outcomes(Some(&mut mk()), &descs, &replay.bounds, Some(gate));
+            let mut feed = InterpSource::new(&p, &tp, 1_000_000);
+            let mem_words = memory_words(&p);
+            let legacy = simulate_core(&mut feed, &gated, &config, mem_words, &mut NoopSink);
+            let fast = walk_replay(&replay, &gated, &config, &mut NoopSink);
+            assert_eq!(legacy.unwrap(), fast, "gate {gate}");
+            assert!(fast.gated_boundaries > 0, "the gate withholds speculation");
         }
     }
 }

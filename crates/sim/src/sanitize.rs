@@ -7,18 +7,23 @@
 //! oracle, [`crate::timing::simulate`]) and the recorded replay
 //! ([`crate::replay::simulate_replay`], production) — that are
 //! bit-identical *by construction*: the recording is the interpreter feed,
-//! packed into columns. This module turns that construction argument into
-//! a checked invariant: [`check_replay_agreement`] records an execution,
-//! then walks a fresh interpreter feed and the replay cursor in lockstep
-//! and asserts that every step they produce agrees — same instruction
+//! packed into columns, and neither walk predicts — both read the
+//! per-boundary miss/gated bits of one trace pass
+//! ([`crate::measure::measure_outcomes`]). This module turns that
+//! construction argument into a checked invariant:
+//! [`check_replay_agreement`] records an execution, then walks a fresh
+//! interpreter feed and the replay cursor in lockstep and asserts that
+//! every step they produce agrees — same instruction
 //! class, same register operands, same memory address, same intra-task
 //! branch outcome, and, crucially, the **same task-boundary events**
 //! (retiring task, header exit, next-task entry). That covers the packing,
 //! the side columns and the cursor's unpacking.
 //!
 //! [`check_fused_agreement`] closes the remaining gap: it runs the fused
-//! multi-column sweep ([`crate::replay::simulate_replay_fused`]) and the
-//! equivalent solo runs in one process and asserts bit-identical
+//! multi-column sweep ([`crate::replay::simulate_replay_fused_with_sinks`])
+//! and the equivalent solo walks ([`crate::replay::walk_replay`]) in one
+//! process, every slot reading the outcomes of one prediction pass
+//! ([`crate::measure::measure_outcomes`]), and asserts bit-identical
 //! [`crate::timing::TimingResult`]s *and* cycle attributions per column.
 //!
 //! Enabling the feature also arms assertions inside the model itself: the
@@ -26,10 +31,9 @@
 //! every ring unit's free time only move forward. They compile away when
 //! the feature is off.
 
+use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::CycleBreakdown;
-use crate::replay::{
-    record_replay, simulate_replay_fused_with_sinks, simulate_replay_with_sink, ReplayCursor,
-};
+use crate::replay::{record_replay, simulate_replay_fused_with_sinks, walk_replay, ReplayCursor};
 use crate::timing::{
     CoreStep, InterpSource, NextTaskPredictor, OpClass, StepSource, TimingConfig, TimingResult,
 };
@@ -104,15 +108,13 @@ pub fn check_replay_agreement(
 }
 
 /// Cross-checks the fused sweep engine against solo runs **in one
-/// process**: records `program` once, runs each predictor slot solo and
-/// all slots fused over the same recording, and asserts per slot that the
+/// process**: records `program` once, runs each of `predictors` (one slot
+/// each; `None` = perfect prediction) once, ungated, through
+/// [`measure_outcomes`], walks each slot solo and all slots fused over the
+/// same recording and the same outcomes, and asserts per slot that the
 /// [`TimingResult`]s are bit-identical *and* that the [`CycleBreakdown`]s
 /// agree cause by cause (each breakdown also self-asserts that it sums to
 /// the run's cycle count). Returns the per-slot results.
-///
-/// `make_predictor` is called twice per slot — once for the solo pass,
-/// once for the fused pass — and must return an identically fresh
-/// predictor both times (`None` = perfect prediction).
 ///
 /// # Errors
 ///
@@ -123,43 +125,34 @@ pub fn check_replay_agreement(
 ///
 /// Panics on the first slot where fused and solo disagree — that is the
 /// sanitizer finding a bug in the fused lockstep walk.
-pub fn check_fused_agreement<F>(
+pub fn check_fused_agreement(
     program: &Program,
     tasks: &TaskProgram,
     descs: &[TaskDesc],
     config: &TimingConfig,
     max_steps: u64,
-    n_slots: usize,
-    mut make_predictor: F,
-) -> Result<Vec<TimingResult>, TraceError>
-where
-    F: FnMut(usize) -> Option<Box<dyn NextTaskPredictor>>,
-{
+    predictors: Vec<Option<Box<dyn NextTaskPredictor>>>,
+) -> Result<Vec<TimingResult>, TraceError> {
     let replay = record_replay(program, tasks, max_steps)?;
+    let outcomes: Vec<Outcomes> = predictors
+        .into_iter()
+        .map(|mut pred| {
+            let pred = pred.as_deref_mut().map(|p| p as &mut dyn NextTaskPredictor);
+            measure_outcomes(pred, descs, &replay.bounds, None)
+        })
+        .collect();
 
-    let mut solo = Vec::with_capacity(n_slots);
-    for i in 0..n_slots {
-        let mut pred = make_predictor(i);
-        let mut breakdown = CycleBreakdown::new();
-        let result = simulate_replay_with_sink(
-            &replay,
-            descs,
-            pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor),
-            config,
-            &mut breakdown,
-        );
-        solo.push((result, breakdown));
-    }
+    let solo: Vec<_> = outcomes
+        .iter()
+        .map(|o| {
+            let mut breakdown = CycleBreakdown::new();
+            let result = walk_replay(&replay, o, config, &mut breakdown);
+            (result, breakdown)
+        })
+        .collect();
 
-    let mut predictors: Vec<_> = (0..n_slots).map(&mut make_predictor).collect();
-    let mut fused_breakdowns = vec![CycleBreakdown::new(); n_slots];
-    let fused = simulate_replay_fused_with_sinks(
-        &replay,
-        descs,
-        &mut predictors,
-        config,
-        &mut fused_breakdowns,
-    );
+    let mut fused_breakdowns = vec![CycleBreakdown::new(); outcomes.len()];
+    let fused = simulate_replay_fused_with_sinks(&replay, &outcomes, config, &mut fused_breakdowns);
 
     for (i, ((solo_result, solo_breakdown), (fused_result, fused_breakdown))) in solo
         .iter()
@@ -230,16 +223,14 @@ mod tests {
                 &descs,
                 &TimingConfig::default(),
                 w.max_steps,
-                2,
-                |slot| {
-                    (slot > 0).then(|| {
-                        Box::new(TaskPredictor::<PathPredictor<A>>::path(
-                            Dolc::new(4, 4, 6, 6, 2),
-                            Dolc::new(4, 3, 4, 4, 2),
-                            16,
-                        )) as Box<dyn NextTaskPredictor>
-                    })
-                },
+                vec![
+                    None,
+                    Some(Box::new(TaskPredictor::<PathPredictor<A>>::path(
+                        Dolc::new(4, 4, 6, 6, 2),
+                        Dolc::new(4, 3, 4, 4, 2),
+                        16,
+                    ))),
+                ],
             )
             .unwrap();
             assert_eq!(results.len(), 2, "{}", A::NAME);

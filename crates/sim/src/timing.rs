@@ -23,13 +23,21 @@
 //!   reference the ARB ([`crate::arb`]) has no entry for stalls issue
 //!   ([`ARB_FULL_PENALTY`]).
 //!
-//! [`TimingConfig`] holds only the four ablation axes the extension
-//! studies vary: the intra-task predictor, the register-forwarding model,
-//! the ARB geometry and confidence gating.
+//! [`TimingConfig`] holds only the three ablation axes the extension
+//! studies vary: the intra-task predictor, the register-forwarding model
+//! and the ARB geometry. Confidence gating varies the outcome pass, not
+//! the walk.
 //!
 //! Absolute IPC differs from the paper's out-of-order cores; what Table 4's
 //! reproduction preserves is the *ordering* (Simple < GLOBAL/PER < PATH <
 //! Perfect) and the relative gaps.
+//!
+//! # Prediction is a trace pass
+//!
+//! Whether a task boundary mispredicts (or is gated) depends only on the
+//! trace and the predictor, never on a timing parameter, so prediction
+//! runs once over the trace ([`crate::measure::measure_outcomes`]) and the
+//! walk reads one [`Outcomes`] byte per boundary.
 //!
 //! # One timing feed in production, one oracle
 //!
@@ -42,18 +50,20 @@
 //! task trace), and every timing run rides that recording through
 //! [`crate::replay::simulate_replay`]. In tests, [`simulate`] feeds
 //! it straight into the core as the oracle the replay engine is checked
-//! against. Because both feeds produce the same step stream, the two entry
-//! points return **bit-identical** [`TimingResult`]s by construction.
+//! against, after draining a first one for the outcome pass's boundaries.
+//! Because both feeds produce the same step stream and the same
+//! outcomes, the two entry points return **bit-identical**
+//! [`TimingResult`]s by construction.
 
 use crate::arb::{ArbConfig, ArbTable};
+use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
-use multiscalar_core::confidence::ConfidenceEstimator;
 use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
 use multiscalar_core::scalar::{Bimodal, McFarling, TwoLevelGag};
 use multiscalar_isa::{memory_words, Addr, ExitIndex, Instruction, Interpreter, Program, NUM_REGS};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
-use crate::trace::TraceError;
+use crate::trace::{SharedTrace, TraceError};
 
 /// Which predictor the processing units use for *intra-task* conditional
 /// branches (paper §2.2 uses a bimodal; the others are ablation choices).
@@ -143,7 +153,8 @@ pub const VIOLATION_PENALTY: u64 = 8;
 pub const ARB_FULL_PENALTY: u64 = 2;
 
 /// The ablation axes of the timing model; the machine itself is the
-/// constants above.
+/// constants above. Confidence gating is not among them: it is the `gate`
+/// argument of the outcome pass ([`crate::measure::measure_outcomes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingConfig {
     /// Which intra-task branch predictor the processing units use.
@@ -153,10 +164,6 @@ pub struct TimingConfig {
     /// Memory disambiguation hardware; `None` models an ideal, conflict-free
     /// memory system.
     pub arb: Option<ArbConfig>,
-    /// Confidence gating: `Some(threshold)` makes the sequencer stall
-    /// instead of speculating past a low-confidence task prediction
-    /// (a CIR estimator with the given correct-streak threshold).
-    pub confidence_gate: Option<u8>,
 }
 
 impl Default for TimingConfig {
@@ -165,15 +172,14 @@ impl Default for TimingConfig {
             intra_predictor: IntraPredictorKind::default(),
             forwarding: ForwardingModel::Eager,
             arb: Some(ArbConfig::default()),
-            confidence_gate: None,
         }
     }
 }
 
 impl TimingConfig {
     /// The paper's machine (§4): the bimodal intra predictor, eager
-    /// forwarding, the default ARB and no confidence gating. Identical to
-    /// [`Default`], spelled as the root of a builder chain:
+    /// forwarding and the default ARB. Identical to [`Default`], spelled
+    /// as the root of a builder chain:
     ///
     /// ```
     /// use multiscalar_sim::timing::{ForwardingModel, TimingConfig};
@@ -200,12 +206,6 @@ impl TimingConfig {
     /// Sets the ARB geometry (`None` = ideal, conflict-free memory).
     pub fn arb(mut self, v: Option<ArbConfig>) -> TimingConfig {
         self.arb = v;
-        self
-    }
-
-    /// Sets confidence gating (`Some(correct-streak threshold)`).
-    pub fn confidence_gate(mut self, v: Option<u8>) -> TimingConfig {
-        self.confidence_gate = v;
         self
     }
 }
@@ -251,7 +251,8 @@ impl TimingResult {
     }
 }
 
-/// Inter-task prediction as the timing simulator consumes it.
+/// Inter-task prediction as the timing model consumes it, through the
+/// outcome pass ([`crate::measure::measure_outcomes`]).
 ///
 /// Implemented by [`TaskPredictor`] for real predictors; pass `None` to
 /// [`simulate`] for the paper's "Perfect" upper bound.
@@ -268,15 +269,6 @@ impl<E: ExitPredictor> NextTaskPredictor for TaskPredictor<E> {
     }
     fn resolve(&mut self, task: &TaskDesc, actual_exit: ExitIndex, actual_next: Addr) {
         self.update(task, actual_exit, actual_next);
-    }
-}
-
-impl NextTaskPredictor for Box<dyn NextTaskPredictor> {
-    fn predict_next(&mut self, task: &TaskDesc) -> Option<Addr> {
-        (**self).predict_next(task)
-    }
-    fn resolve(&mut self, task: &TaskDesc, actual_exit: ExitIndex, actual_next: Addr) {
-        (**self).resolve(task, actual_exit, actual_next)
     }
 }
 
@@ -325,7 +317,7 @@ impl OpClass {
 /// caused it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BoundaryStep {
-    /// Static id of the retiring task (index into the `descs` slice).
+    /// Static id of the retiring task.
     pub task: u32,
     /// The header exit it took.
     pub exit: ExitIndex,
@@ -508,13 +500,12 @@ impl StepSource for InterpSource<'_> {
 /// All per-run mutable state of the cycle-accounting loop, folded out of
 /// [`simulate_core`] so several independent runs (e.g. Table 4's five
 /// predictor columns) can consume a single step stream in lockstep
-/// ([`crate::replay::simulate_replay_fused`]). Each state sees exactly the
-/// step sequence a solo run would, so fused and solo runs are bit-identical
-/// by construction.
-pub(crate) struct CoreState<'p> {
+/// ([`crate::replay::simulate_replay_fused_with_sinks`]). Each state sees
+/// exactly the step sequence a solo run would, so fused and solo runs are
+/// bit-identical by construction.
+pub(crate) struct CoreState {
     intra: IntraState,
     result: TimingResult,
-    confidence: Option<ConfidenceEstimator>,
     /// ARB occupancy: the distinct addresses the current task has
     /// referenced (capacity stalls only; violations come from
     /// `last_store`).
@@ -553,15 +544,10 @@ pub(crate) struct CoreState<'p> {
     t_issue: u64,
     slots: u32,
     complete: u64,
-    predictor: Option<&'p mut dyn NextTaskPredictor>,
 }
 
-impl<'p> CoreState<'p> {
-    pub(crate) fn new(
-        predictor: Option<&'p mut dyn NextTaskPredictor>,
-        config: &TimingConfig,
-        mem_words: usize,
-    ) -> CoreState<'p> {
+impl CoreState {
+    pub(crate) fn new(config: &TimingConfig, mem_words: usize) -> CoreState {
         let dispatch = 1u64; // first dispatch
         let t_issue = dispatch + 1;
         CoreState {
@@ -576,9 +562,6 @@ impl<'p> CoreState<'p> {
                 arb_full_stalls: 0,
                 gated_boundaries: 0,
             },
-            confidence: config
-                .confidence_gate
-                .map(|t| ConfidenceEstimator::new(12, t)),
             arb: config.arb.map(ArbTable::new),
             last_store: vec![0; mem_words],
             max_store_time: 0,
@@ -593,7 +576,6 @@ impl<'p> CoreState<'p> {
             t_issue,
             slots: 0,
             complete: t_issue,
-            predictor,
         }
     }
 
@@ -612,7 +594,7 @@ impl<'p> CoreState<'p> {
     pub(crate) fn on_step<M: MetricsSink>(
         &mut self,
         step: &CoreStep,
-        descs: &[TaskDesc],
+        outcomes: &Outcomes,
         config: &TimingConfig,
         sink: &mut M,
     ) {
@@ -718,25 +700,10 @@ impl<'p> CoreState<'p> {
         // --- task boundary? ----------------------------------------------
         match step.boundary {
             Some(bound) => {
-                // Inter-task prediction for this boundary.
-                let next_pc = bound.next;
-                let desc = &descs[bound.task as usize];
-                let mut gated = false;
-                let mut predicted_pc = Some(next_pc); // perfect predicts `next`
-                let miss = match self.predictor.as_deref_mut() {
-                    Some(p) => {
-                        let predicted = p.predict_next(desc);
-                        predicted_pc = predicted;
-                        p.resolve(desc, bound.exit, next_pc);
-                        let miss = predicted != Some(next_pc);
-                        if let Some(c) = self.confidence.as_mut() {
-                            gated = !c.high_confidence(desc.entry());
-                            c.update(desc.entry(), !miss);
-                        }
-                        miss
-                    }
-                    None => false, // perfect
-                };
+                // The outcome pass already predicted this boundary.
+                let bits = outcomes.bits()[self.task_index as usize];
+                let miss = bits & Outcomes::MISS != 0;
+                let gated = bits & Outcomes::GATED != 0;
                 self.result.dynamic_tasks += 1;
                 self.result.task_mispredicts += miss as u64;
                 self.result.gated_boundaries += gated as u64;
@@ -822,8 +789,7 @@ impl<'p> CoreState<'p> {
                         index: self.result.dynamic_tasks - 1,
                         task: bound.task,
                         exit: bound.exit.as_u8(),
-                        next: next_pc.0,
-                        predicted: predicted_pc.map(|a| a.0),
+                        next: bound.next.0,
                         miss,
                         gated,
                         complete: self.complete,
@@ -866,21 +832,21 @@ impl<'p> CoreState<'p> {
 
 /// The timing loop proper, generic over the step feed. Monomorphised for
 /// the interpreter and the replay cursor; both instantiations execute the
-/// same cycle arithmetic on the same step stream, which is what makes
-/// [`simulate`] and [`crate::replay::simulate_replay`] bit-identical.
+/// same cycle arithmetic on the same step stream and the same outcomes,
+/// which is what makes [`simulate`] and
+/// [`crate::replay::simulate_replay`] bit-identical.
 pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
     source: &mut S,
-    descs: &[TaskDesc],
-    predictor: Option<&mut dyn NextTaskPredictor>,
+    outcomes: &Outcomes,
     config: &TimingConfig,
     mem_words: usize,
     sink: &mut M,
 ) -> Result<TimingResult, TraceError> {
-    let mut state = CoreState::new(predictor, config, mem_words);
+    let mut state = CoreState::new(config, mem_words);
     state.bootstrap(sink);
     loop {
         let step = source.next_step()?;
-        state.on_step(&step, descs, config, sink);
+        state.on_step(&step, outcomes, config, sink);
         if step.halt {
             break;
         }
@@ -893,8 +859,10 @@ pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
 /// Runs the timing model over a full program execution, re-interpreting
 /// the program as it goes.
 ///
-/// `predictor` drives inter-task speculation; `None` simulates perfect
-/// next-task prediction (the paper's "Perfect" row).
+/// `predictor` drives inter-task speculation, ungated; `None` simulates
+/// perfect next-task prediction (the paper's "Perfect" row). It runs
+/// through [`crate::measure::measure_outcomes`] over the boundaries of a
+/// separate interpreter pass, so the oracle never reads a recording.
 ///
 /// This is the test oracle. Production timing runs record the execution
 /// once ([`crate::replay::record_replay`]) and time it with
@@ -942,9 +910,26 @@ pub fn simulate_with_sink<M: MetricsSink>(
     max_steps: u64,
     sink: &mut M,
 ) -> Result<TimingResult, TraceError> {
+    // The outcome pass reads the boundaries of a feed of its own, not a
+    // recording's, so the oracle does not depend on the recorder.
+    let mut feed = InterpSource::new(program, tasks, max_steps);
+    let mut trace = SharedTrace::with_capacity(0);
+    let mut instrs = 0;
+    loop {
+        let step = feed.next_step()?;
+        instrs += 1;
+        if let Some(b) = step.boundary {
+            trace.push(tasks, b, instrs);
+            instrs = 0;
+        }
+        if step.halt {
+            break;
+        }
+    }
+    let outcomes = measure_outcomes(predictor, descs, &trace, None);
     let mut source = InterpSource::new(program, tasks, max_steps);
     let mem_words = memory_words(program);
-    simulate_core(&mut source, descs, predictor, config, mem_words, sink)
+    simulate_core(&mut source, &outcomes, config, mem_words, sink)
 }
 
 #[cfg(test)]

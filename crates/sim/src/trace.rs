@@ -13,6 +13,7 @@ use multiscalar_isa::{Addr, ExecError, ExitIndex, ExitKind, Program};
 use multiscalar_taskform::{TaskId, TaskProgram};
 
 use crate::replay::{derive_trace, record_replay};
+use crate::timing::BoundaryStep;
 use std::fmt;
 use std::sync::Arc;
 
@@ -207,12 +208,16 @@ impl SharedTrace {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    pub(crate) fn push(&mut self, e: TaskEvent) {
-        self.tasks.push(e.task);
-        self.exits.push(e.exit);
-        self.kinds.push(e.kind);
-        self.nexts.push(e.next);
-        self.instrs.push(e.instrs);
+    /// Appends boundary `b` of a task instance that ran `instrs`
+    /// instructions; the exit's kind comes from the task's header.
+    pub(crate) fn push(&mut self, tasks: &TaskProgram, b: BoundaryStep, instrs: u32) {
+        let task = TaskId(b.task);
+        self.tasks.push(task);
+        self.exits.push(b.exit);
+        self.kinds
+            .push(tasks.task(task).header().exits()[b.exit.index()].kind);
+        self.nexts.push(b.next);
+        self.instrs.push(instrs);
     }
 }
 

@@ -67,8 +67,9 @@ fn fused_sweep_agrees_with_solo_runs_and_breakdowns() {
             ))),
         }
     };
+    let slots = (0..3).map(make).collect();
     let results =
-        check_fused_agreement(&w.program, &tasks, &descs, &config, w.max_steps, 3, make).unwrap();
+        check_fused_agreement(&w.program, &tasks, &descs, &config, w.max_steps, slots).unwrap();
     assert_eq!(results.len(), 3);
     assert!(results.iter().all(|r| r.instructions > 0));
     assert_eq!(results[1], results[2], "identical slots must agree");
