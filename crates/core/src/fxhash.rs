@@ -1,13 +1,15 @@
-//! A fast, deterministic hasher for the ideal predictors' alias-free state
-//! maps.
+//! A fast, deterministic hasher for the ideal predictors' state maps.
 //!
-//! The ideal models key millions of per-event lookups by small `Copy` keys
-//! (`(u32, u64)`, `(u32, PathKey)`). SipHash — the std default — is
-//! overkill: these maps are never exposed to untrusted keys, their
-//! iteration order is never observed (only `get`/`entry`/`len`), and the
-//! simulation is single-keyed per run. The multiply-rotate scheme below
-//! (the well-known "Fx" construction from rustc) is several times cheaper
-//! per lookup and fully deterministic across platforms and runs.
+//! The ideal PATH and CTTB sweeps intern millions of (id, task) pairs per
+//! walk, one `u64` key per depth and event
+//! ([`PathInterner`](crate::ideal::PathInterner)); the hash-map oracles
+//! key their automata by small `Copy` keys (`(u32, u64)`,
+//! `(u32, PathKey)`). SipHash — the std default — is overkill: these maps
+//! are never exposed to untrusted keys, their iteration order is never
+//! observed (only `get`/`entry`/`len`), and the simulation is single-keyed
+//! per run. The multiply-rotate scheme below (the well-known "Fx"
+//! construction from rustc) is several times cheaper per lookup and fully
+//! deterministic across platforms and runs.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -307,7 +307,7 @@ fn mask32(bits: u32) -> u32 {
 }
 
 #[inline]
-fn mask64(bits: u32) -> u64 {
+pub(crate) fn mask64(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
     } else {

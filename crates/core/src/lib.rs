@@ -23,6 +23,7 @@
 //! | GLOBAL exit-history scheme | [`history::GlobalPredictor`], [`ideal::IdealGlobal`] |
 //! | PER-task history scheme (PAp analog) | [`history::PerTaskPredictor`], [`ideal::IdealPer`] |
 //! | PATH path-based scheme | [`history::PathPredictor`], [`ideal::IdealPath`] |
+//! | Ideal sweeps on interned state ids | [`ideal::PathInterner`], [`ideal::ExitInterner`], [`ideal::IdealColumns`] |
 //! | DOLC index construction (`D-O-L-C (F)`) | [`dolc::Dolc`] |
 //! | Return-address stack | [`target::ReturnAddressStack`] |
 //! | Task target buffer (TTB) | [`target::Ttb`] |

@@ -201,7 +201,8 @@ impl Cttb {
 }
 
 /// An ideal (alias-free, infinite) CTTB: one entry per distinct
-/// (task, exact path) state — the reference model of the paper's Figure 8.
+/// (task, exact path) state — the paper's Figure 8 model, keyed by hash
+/// map. The oracle that [`IdealTargetColumns`] is tested against.
 #[derive(Debug, Clone, Default)]
 pub struct IdealCttb {
     depth: usize,
@@ -249,6 +250,57 @@ impl IdealCttb {
     /// Number of distinct (task, path) states seen.
     pub fn states(&self) -> usize {
         self.map.len()
+    }
+}
+
+/// Ideal CTTB columns over interned (task, path) state ids (a
+/// [`PathInterner`](crate::ideal::PathInterner) fed on indirect exits
+/// only), one column per depth: each keeps one target entry per id at its
+/// depth, and an unseen id predicts nothing, as in [`IdealCttb`].
+#[derive(Debug, Clone)]
+pub struct IdealTargetColumns {
+    depths: Vec<usize>,
+    tables: Vec<Vec<TargetEntry>>,
+    misses: Vec<u64>,
+}
+
+impl IdealTargetColumns {
+    /// One column per entry of `depths`, in order.
+    pub fn new(depths: &[usize]) -> IdealTargetColumns {
+        IdealTargetColumns {
+            depths: depths.to_vec(),
+            tables: vec![Vec::new(); depths.len()],
+            misses: vec![0; depths.len()],
+        }
+    }
+
+    /// The deepest column's depth (0 for no columns).
+    pub fn max_depth(&self) -> usize {
+        self.depths.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Each column predicts from the state id at its depth in `ids`,
+    /// counts a miss when that is not `actual`, then trains the state.
+    #[inline]
+    pub fn step(&mut self, ids: &[u32], actual: Addr) {
+        for ((&depth, table), misses) in self
+            .depths
+            .iter()
+            .zip(&mut self.tables)
+            .zip(&mut self.misses)
+        {
+            let id = ids[depth] as usize;
+            if id >= table.len() {
+                table.resize(id + 1, TargetEntry::default());
+            }
+            *misses += u64::from(table[id].predict() != Some(actual));
+            table[id].train(actual);
+        }
+    }
+
+    /// Misses counted by [`step`](Self::step), per column.
+    pub fn misses(&self) -> &[u64] {
+        &self.misses
     }
 }
 

@@ -73,17 +73,24 @@ impl<P1: ExitPredictor, P2: ExitPredictor> TournamentPredictor<P1, P2> {
     pub fn chooser_bytes(&self) -> usize {
         self.chooser.len() / 4
     }
+
+    /// Predicts with both components and the chooser: `(first, second,
+    /// chosen)`, where `chosen` is what [`ExitPredictor::predict`] returns.
+    pub fn predict_each(&mut self, task: &TaskDesc) -> (ExitIndex, ExitIndex, ExitIndex) {
+        let p1 = self.first.predict(task);
+        let p2 = self.second.predict(task);
+        let chosen = if self.chooser[self.slot(task)] >= 2 {
+            p2
+        } else {
+            p1
+        };
+        (p1, p2, chosen)
+    }
 }
 
 impl<P1: ExitPredictor, P2: ExitPredictor> ExitPredictor for TournamentPredictor<P1, P2> {
     fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        let p1 = self.first.predict(task);
-        let p2 = self.second.predict(task);
-        if self.chooser[self.slot(task)] >= 2 {
-            p2
-        } else {
-            p1
-        }
+        self.predict_each(task).2
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {

@@ -7,13 +7,13 @@ use multiscalar_core::automata::{
 };
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{GlobalPredictor, PathPredictor, PerTaskPredictor};
-use multiscalar_core::ideal::{IdealGlobal, IdealPath, IdealPer};
+use multiscalar_core::ideal::{IdealColumns, IdealExitColumns};
 use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
 use multiscalar_core::predictor::{ExitPredictor, TaskPredictor};
-use multiscalar_core::target::{Cttb, IdealCttb};
+use multiscalar_core::target::Cttb;
 use multiscalar_sim::measure::{
-    measure_exits, measure_exits_batched, measure_exits_fused, measure_indirect_targets_fused,
-    MissStats,
+    measure_exits_batched, measure_exits_fused, measure_ideal_global, measure_ideal_path,
+    measure_ideal_per, measure_ideal_targets, measure_indirect_targets_fused, MissStats,
 };
 
 /// The three history-generation schemes of paper §5.2.
@@ -44,85 +44,59 @@ impl Scheme {
 /// Measures an *ideal* (alias-free) predictor of the given scheme and
 /// depth, with the LEH-2bit automaton (the paper's choice after Fig. 6).
 pub fn measure_ideal(scheme: Scheme, depth: u32, bench: &Bench) -> MissStats {
-    match scheme {
-        Scheme::Global => {
-            let mut p: IdealGlobal<LastExitHysteresis<2>> = IdealGlobal::new(depth);
-            measure_exits(&mut p, &bench.descs, &bench.trace.events)
-        }
-        Scheme::Per => {
-            let mut p: IdealPer<LastExitHysteresis<2>> = IdealPer::new(depth);
-            measure_exits(&mut p, &bench.descs, &bench.trace.events)
-        }
-        Scheme::Path => {
-            let mut p: IdealPath<LastExitHysteresis<2>> = IdealPath::new(depth);
-            measure_exits(&mut p, &bench.descs, &bench.trace.events)
-        }
-    }
+    measure_ideal_sweep(scheme, &[depth], bench)[0]
 }
 
 /// Measures an ideal PATH predictor with the given automaton kind
 /// (Figure 6's experiment).
 pub fn measure_ideal_path_automaton(kind: AutomatonKind, depth: u32, bench: &Bench) -> MissStats {
-    fn run<A: multiscalar_core::automata::Automaton>(depth: u32, bench: &Bench) -> MissStats {
-        let mut p: IdealPath<A> = IdealPath::new(depth);
-        measure_exits(&mut p, &bench.descs, &bench.trace.events)
-    }
-    match kind {
-        AutomatonKind::Vc2Mru => run::<VotingCounters<2, true>>(depth, bench),
-        AutomatonKind::Vc2Random => run::<VotingCounters<2, false>>(depth, bench),
-        AutomatonKind::Leh1 => run::<LastExitHysteresis<1>>(depth, bench),
-        AutomatonKind::Vc3Mru => run::<VotingCounters<3, true>>(depth, bench),
-        AutomatonKind::Vc3Random => run::<VotingCounters<3, false>>(depth, bench),
-        AutomatonKind::Leh2 => run::<LastExitHysteresis<2>>(depth, bench),
-        AutomatonKind::LastExit => run::<LastExit>(depth, bench),
-    }
+    measure_ideal_path_automata(&[kind], &[depth], bench)[0][0]
 }
 
-/// Fused form of [`measure_ideal`]: measures one ideal predictor per depth
-/// in a **single trace walk**. Results are bit-identical to calling
-/// `measure_ideal` once per depth (the predictor instances are independent).
+/// The ideal sweep of [`measure_ideal`] over many depths: the scheme's
+/// history is interned once per event and every depth's column steps on
+/// it, in one trace walk. Bit-identical to the hash-map oracles
+/// ([`IdealGlobal`](multiscalar_core::ideal::IdealGlobal),
+/// [`IdealPer`](multiscalar_core::ideal::IdealPer),
+/// [`IdealPath`](multiscalar_core::ideal::IdealPath)) one depth at a time.
 pub fn measure_ideal_sweep(scheme: Scheme, depths: &[u32], bench: &Bench) -> Vec<MissStats> {
-    match scheme {
-        Scheme::Global => {
-            let mut ps: Vec<IdealGlobal<LastExitHysteresis<2>>> =
-                depths.iter().map(|&d| IdealGlobal::new(d)).collect();
-            measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
-        }
-        Scheme::Per => {
-            let mut ps: Vec<IdealPer<LastExitHysteresis<2>>> =
-                depths.iter().map(|&d| IdealPer::new(d)).collect();
-            measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
-        }
-        Scheme::Path => {
-            let mut ps: Vec<IdealPath<LastExitHysteresis<2>>> =
-                depths.iter().map(|&d| IdealPath::new(d)).collect();
-            measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
-        }
-    }
+    let mut family = vec![ideal_columns(AutomatonKind::Leh2, depths)];
+    let events = &bench.trace.events;
+    let run = match scheme {
+        Scheme::Global => measure_ideal_global(&mut family, events),
+        Scheme::Per => measure_ideal_per(&mut family, events),
+        Scheme::Path => measure_ideal_path(&mut family, &bench.descs, events),
+    };
+    run.stats.into_iter().next().expect("one family")
 }
 
-/// Fused form of [`measure_ideal_path_automaton`]: the whole depth sweep of
-/// one automaton kind in a single trace walk.
-pub fn measure_ideal_path_automaton_sweep(
-    kind: AutomatonKind,
+/// Ideal PATH sweeps of several automaton kinds in one trace walk
+/// (Figure 6): each event's (task, path) state is interned once, and every
+/// kind's column at every depth steps on it. One row of stats per kind,
+/// one entry per depth.
+pub fn measure_ideal_path_automata(
+    kinds: &[AutomatonKind],
     depths: &[u32],
     bench: &Bench,
-) -> Vec<MissStats> {
-    fn run<A: multiscalar_core::automata::Automaton>(
-        depths: &[u32],
-        bench: &Bench,
-    ) -> Vec<MissStats> {
-        let mut ps: Vec<IdealPath<A>> = depths.iter().map(|&d| IdealPath::new(d)).collect();
-        measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events)
+) -> Vec<Vec<MissStats>> {
+    let mut families: Vec<_> = kinds.iter().map(|&k| ideal_columns(k, depths)).collect();
+    measure_ideal_path(&mut families, &bench.descs, &bench.trace.events).stats
+}
+
+/// Ideal exit columns of the given automaton kind, one per depth.
+pub(crate) fn ideal_columns(kind: AutomatonKind, depths: &[u32]) -> Box<dyn IdealExitColumns> {
+    fn boxed<A: Automaton + 'static>(depths: &[u32]) -> Box<dyn IdealExitColumns> {
+        let depths: Vec<usize> = depths.iter().map(|&d| d as usize).collect();
+        Box::new(IdealColumns::<A>::new(&depths))
     }
     match kind {
-        AutomatonKind::Vc2Mru => run::<VotingCounters<2, true>>(depths, bench),
-        AutomatonKind::Vc2Random => run::<VotingCounters<2, false>>(depths, bench),
-        AutomatonKind::Leh1 => run::<LastExitHysteresis<1>>(depths, bench),
-        AutomatonKind::Vc3Mru => run::<VotingCounters<3, true>>(depths, bench),
-        AutomatonKind::Vc3Random => run::<VotingCounters<3, false>>(depths, bench),
-        AutomatonKind::Leh2 => run::<LastExitHysteresis<2>>(depths, bench),
-        AutomatonKind::LastExit => run::<LastExit>(depths, bench),
+        AutomatonKind::Vc2Mru => boxed::<VotingCounters<2, true>>(depths),
+        AutomatonKind::Vc2Random => boxed::<VotingCounters<2, false>>(depths),
+        AutomatonKind::Leh1 => boxed::<LastExitHysteresis<1>>(depths),
+        AutomatonKind::Vc3Mru => boxed::<VotingCounters<3, true>>(depths),
+        AutomatonKind::Vc3Random => boxed::<VotingCounters<3, false>>(depths),
+        AutomatonKind::Leh2 => boxed::<LastExitHysteresis<2>>(depths),
+        AutomatonKind::LastExit => boxed::<LastExit>(depths),
     }
 }
 
@@ -192,15 +166,16 @@ pub fn path_real_sweep_automaton(
     }
 }
 
-/// Fused ideal-PATH sweep over depths (Figures 10 and 11's "ideal" curves):
-/// one trace walk, returning per-depth miss stats and distinct states.
+/// Ideal-PATH sweep over depths (Figures 10 and 11's "ideal" curves): one
+/// interned trace walk, returning per-depth miss stats and the distinct
+/// (task, path) states trained.
 pub fn path_ideal_sweep(depths: &[u32], bench: &Bench) -> Vec<(MissStats, usize)> {
-    let mut ps: Vec<IdealPath<LastExitHysteresis<2>>> =
-        depths.iter().map(|&d| IdealPath::new(d)).collect();
-    let stats = measure_exits_fused(&mut ps, &bench.descs, &bench.trace.events);
-    stats
-        .into_iter()
-        .zip(ps.iter().map(|p| p.states()))
+    let mut family = vec![ideal_columns(AutomatonKind::Leh2, depths)];
+    let run = measure_ideal_path(&mut family, &bench.descs, &bench.trace.events);
+    run.stats[0]
+        .iter()
+        .zip(depths)
+        .map(|(&s, &d)| (s, run.states[d as usize]))
         .collect()
 }
 
@@ -211,10 +186,13 @@ pub fn cttb_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<MissStats> {
     measure_indirect_targets_fused(&mut bufs, &bench.descs, &bench.trace.events)
 }
 
-/// Fused ideal-CTTB sweep over path depths (Figures 8 and 12).
+/// Ideal-CTTB sweep over path depths (Figures 8 and 12): one interned walk
+/// of the indirect-exit stream.
 pub fn cttb_ideal_sweep(depths: &[usize], bench: &Bench) -> Vec<MissStats> {
-    let mut bufs: Vec<IdealCttb> = depths.iter().map(|&d| IdealCttb::new(d)).collect();
-    measure_indirect_targets_fused(&mut bufs, &bench.descs, &bench.trace.events)
+    measure_ideal_targets(depths, &bench.trace.events)
+        .into_iter()
+        .map(|(s, _)| s)
+        .collect()
 }
 
 /// Builds a boxed *real* exit predictor of the given scheme, LEH-2bit, with

@@ -4,14 +4,16 @@
 //! Every sweep-shaped experiment takes a [`Pool`] and fans its (benchmark ×
 //! scheme × depth) grid out as independent jobs, with the per-depth
 //! dimension **fused**: one trace walk drives every depth's predictor
-//! instance (see `multiscalar_sim::measure::measure_exits_fused`). Results
-//! come back in submission order, so any pool width produces byte-identical
-//! output.
+//! instance (see `multiscalar_sim::measure::measure_exits_fused`; the ideal
+//! sweeps intern each event's state once for all depths, see
+//! `multiscalar_sim::measure::measure_ideal_path`). Figure 6 is one walk
+//! for its whole grid. Results come back in submission order, so any pool
+//! width produces byte-identical output.
 
 use crate::dispatch::{
-    cttb_ideal_sweep, cttb_ladder, cttb_real_sweep, exit_ladder,
-    measure_ideal_path_automaton_sweep, measure_ideal_sweep, path_ideal_sweep, path_real_sweep,
-    with_table4_targets, Scheme, Table4Column,
+    cttb_ideal_sweep, cttb_ladder, cttb_real_sweep, exit_ladder, measure_ideal_path_automata,
+    measure_ideal_sweep, path_ideal_sweep, path_real_sweep, with_table4_targets, Scheme,
+    Table4Column,
 };
 use crate::pool::{Job, Pool};
 use crate::Bench;
@@ -155,18 +157,13 @@ pub struct Fig6Curve {
 }
 
 /// Reproduces Figure 6: the seven prediction automata under an aggressive
-/// (ideal alias-free) path-based predictor, on the gcc analog. One job per
-/// automaton; each job walks the trace once for all depths.
-pub fn fig6(gcc: &Bench, pool: &Pool) -> Vec<Fig6Curve> {
+/// (ideal alias-free) path-based predictor, on the gcc analog. One trace
+/// walk interns each event's (task, path) state once and steps all 63
+/// columns (7 automata × 9 depths) on it, so the pool goes unused: seven
+/// jobs would each intern the whole trace again.
+pub fn fig6(gcc: &Bench, _pool: &Pool) -> Vec<Fig6Curve> {
     let depths: Vec<u32> = DEPTHS.collect();
-    let jobs: Vec<Job<'_, Vec<MissStats>>> = AutomatonKind::ALL
-        .iter()
-        .map(|&kind| {
-            let ds = depths.clone();
-            Box::new(move || measure_ideal_path_automaton_sweep(kind, &ds, gcc)) as Job<'_, _>
-        })
-        .collect();
-    pool.run(jobs)
+    measure_ideal_path_automata(&AutomatonKind::ALL, &depths, gcc)
         .into_iter()
         .zip(AutomatonKind::ALL)
         .map(|(stats, kind)| Fig6Curve {

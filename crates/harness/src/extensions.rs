@@ -92,24 +92,38 @@ pub fn ext_hybrid(benches: &[Bench]) -> Vec<HybridRow> {
     benches
         .iter()
         .map(|b| {
-            let mut path: PathPredictor<Leh2> = PathPredictor::new(Dolc::new(6, 5, 8, 9, 3));
-            let path_rate = measure_exits(&mut path, &b.descs, &b.trace.events).miss_rate();
-            let mut per: PerTaskPredictor<Leh2> = PerTaskPredictor::new(7, 8, 6);
-            let per_rate = measure_exits(&mut per, &b.descs, &b.trace.events).miss_rate();
-            let mut hybrid = TournamentPredictor::new(
-                PathPredictor::<Leh2>::new(Dolc::new(6, 5, 8, 9, 3)),
-                PerTaskPredictor::<Leh2>::new(7, 8, 6),
-                10,
-            );
-            let hybrid_rate = measure_exits(&mut hybrid, &b.descs, &b.trace.events).miss_rate();
+            let [path, per, hybrid] = hybrid_stats(b).map(|s| s.miss_rate());
             HybridRow {
                 name: b.name(),
-                path: path_rate,
-                per: per_rate,
-                hybrid: hybrid_rate,
+                path,
+                per,
+                hybrid,
             }
         })
         .collect()
+}
+
+/// Exit miss stats of `ext-hybrid`'s three columns, `[PATH, PER,
+/// tournament]`, from one walk of the tournament: the real PATH predictor
+/// `6-5-8-9 (3)`, the real PER predictor `(7, 8, 6)`, and a 10-bit chooser
+/// over the two. Both components train on every event and LEH-2 draws no
+/// tie bits, so each predicts exactly what it would alone.
+pub fn hybrid_stats(b: &Bench) -> [MissStats; 3] {
+    let mut hybrid = TournamentPredictor::new(
+        PathPredictor::<Leh2>::new(Dolc::new(6, 5, 8, 9, 3)),
+        PerTaskPredictor::<Leh2>::new(7, 8, 6),
+        10,
+    );
+    let mut stats = [MissStats::default(); 3];
+    for e in b.trace.events.iter() {
+        let desc = &b.descs[e.task.index()];
+        let (path, per, chosen) = hybrid.predict_each(desc);
+        for (s, predicted) in stats.iter_mut().zip([path, per, chosen]) {
+            s.record(predicted != e.exit);
+        }
+        hybrid.update(desc, e.exit);
+    }
+    stats
 }
 
 /// Task-former budgets compared by [`ext_taskform`]: small, default, large

@@ -19,9 +19,12 @@
 //!    [`CycleBreakdown`]s, each breakdown summing exactly to `cycles`;
 //! 5. **fused vs solo** — [`check_fused_agreement`] over four predictor
 //!    slots (perfect, PATH, and the two zoo families) must agree per slot;
-//! 6. **lane-packed vs scalar** — the SWAR batched sweep over the Figure 10
-//!    ladder must match the scalar fused walk, miss stats and
-//!    states-touched both;
+//! 6. **fast sweeps vs scalar oracles** — the SWAR batched sweep over the
+//!    Figure 10 ladder must match the scalar fused walk, miss stats and
+//!    states-touched both; then the interned ideal sweeps must match the
+//!    hash-map oracles at depths 0..=8, miss stats and state counts both
+//!    ([`check_ideal_agreement`]: PATH with LEH-2 and VC RANDOM, GLOBAL
+//!    and PER with LEH-2, and the ideal CTTB);
 //! 7. **analyzer soundness** — the bounds, dead-write, and static-exit
 //!    claims the dataflow passes make must survive the concrete execution
 //!    ([`multiscalar_analyze::soundness::check_execution`]): a claimed
@@ -39,22 +42,31 @@
 //! All oracles run under `catch_unwind`, so one finding never aborts a
 //! sweep (the job pool propagates real panics — see `pool.rs`).
 
+use crate::dispatch::ideal_columns;
 use crate::extensions::TASKFORM_CONFIGS;
 use crate::lint::lint_program;
 use crate::pool::Pool;
-use multiscalar_core::automata::LastExitHysteresis;
+use multiscalar_core::automata::{
+    Automaton, AutomatonKind, LastExit, LastExitHysteresis, VotingCounters,
+};
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
+use multiscalar_core::ideal::{IdealGlobal, IdealPath, IdealPer};
 use multiscalar_core::lane::BatchedExitPredictor;
-use multiscalar_core::predictor::ExitPredictor;
-use multiscalar_core::predictor::TaskPredictor;
+use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
+use multiscalar_core::target::IdealCttb;
 use multiscalar_core::zoo::{GatedHybridPredictor, GshareExitPredictor};
 use multiscalar_isa::Program;
-use multiscalar_sim::measure::{measure_exits_batched, measure_exits_fused, task_descs};
+use multiscalar_sim::measure::{
+    measure_exits_batched, measure_exits_fused, measure_ideal_global, measure_ideal_path,
+    measure_ideal_per, measure_ideal_targets, measure_indirect_targets_fused, task_descs,
+    MissStats,
+};
 use multiscalar_sim::metrics::CycleBreakdown;
 use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay_with_sink};
 use multiscalar_sim::sanitize::{check_fused_agreement, check_replay_agreement};
 use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig};
+use multiscalar_sim::trace::SharedTrace;
 use multiscalar_taskform::TaskFormer;
 use multiscalar_workloads::fuzz::{fuzz_program, FuzzShape, MAX_MEMOPS, MAX_STEPS};
 use std::panic::AssertUnwindSafe;
@@ -243,7 +255,7 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Err(panic) => return Some(("fused-divergence", panic)),
     }
 
-    // Oracle 6: lane-packed batched sweep vs the scalar fused walk.
+    // Oracle 6: lane-packed batched sweep vs the scalar fused walk...
     let trace = derive_trace(&replay, &tasks);
     let configs = crate::dispatch::exit_ladder();
     let packed_check = catching(|| {
@@ -265,6 +277,12 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Ok(Ok(())) => {}
         Ok(Err(detail)) => return Some(("lane-packed-divergence", detail)),
         Err(panic) => return Some(("lane-packed-divergence", panic)),
+    }
+    // ...and the interned ideal sweeps vs the hash-map oracles.
+    match catching(|| check_ideal_agreement(&ORACLE_KINDS, &descs, &trace.events)) {
+        Ok(Ok(())) => {}
+        Ok(Err(detail)) => return Some(("ideal-divergence", detail)),
+        Err(panic) => return Some(("ideal-divergence", panic)),
     }
 
     // Oracle 7: analyzer soundness — replay the bounds, dead-write and
@@ -291,6 +309,131 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Ok(None) => None,
         Ok(Some(detail)) => Some(("masm-roundtrip", detail)),
         Err(panic) => Some(("masm-roundtrip", panic)),
+    }
+}
+
+/// The automata oracle 6 runs ideal PATH with: the paper's LEH-2 and a
+/// VC RANDOM kind, whose tie draws must follow the oracle's order.
+const ORACLE_KINDS: [AutomatonKind; 2] = [AutomatonKind::Leh2, AutomatonKind::Vc3Random];
+
+/// The ideal half of oracle 6: at every depth of
+/// [`DEPTHS`](crate::experiments::DEPTHS), the interned ideal sweeps must
+/// equal the hash-map oracles they replace, miss stats and state counts
+/// both. That covers PATH for each of `kinds` (in one walk, as Figure 6
+/// runs them), GLOBAL and PER with LEH-2, and the ideal CTTB.
+///
+/// # Errors
+///
+/// Describes the first sweep that diverges.
+pub fn check_ideal_agreement(
+    kinds: &[AutomatonKind],
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> Result<(), String> {
+    let depths: Vec<u32> = crate::experiments::DEPTHS.collect();
+    let with_states = |stats: &[MissStats], states: &[usize]| -> Vec<(MissStats, usize)> {
+        stats
+            .iter()
+            .zip(&depths)
+            .map(|(&s, &d)| (s, states[d as usize]))
+            .collect()
+    };
+    let compare = |what: &str, interned: Vec<(MissStats, usize)>, oracle| {
+        if interned == oracle {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what}: interned {interned:?}\n  vs oracle {oracle:?}"
+            ))
+        }
+    };
+
+    let mut families: Vec<_> = kinds.iter().map(|&k| ideal_columns(k, &depths)).collect();
+    let path = measure_ideal_path(&mut families, descs, events);
+    for (&kind, stats) in kinds.iter().zip(&path.stats) {
+        compare(
+            &format!("ideal PATH {}", kind.name()),
+            with_states(stats, &path.states),
+            oracle_ideal_path(kind, &depths, descs, events),
+        )?;
+    }
+
+    let leh2 = || vec![ideal_columns(AutomatonKind::Leh2, &depths)];
+    let global = measure_ideal_global(&mut leh2(), events);
+    compare(
+        "ideal GLOBAL",
+        with_states(&global.stats[0], &global.states),
+        oracle_exits(
+            depths
+                .iter()
+                .map(|&d| IdealGlobal::<Leh2>::new(d))
+                .collect(),
+            descs,
+            events,
+        ),
+    )?;
+    let per = measure_ideal_per(&mut leh2(), events);
+    compare(
+        "ideal PER",
+        with_states(&per.stats[0], &per.states),
+        oracle_exits(
+            depths.iter().map(|&d| IdealPer::<Leh2>::new(d)).collect(),
+            descs,
+            events,
+        ),
+    )?;
+
+    let cttb_depths: Vec<usize> = depths.iter().map(|&d| d as usize).collect();
+    let mut oracle: Vec<IdealCttb> = cttb_depths.iter().map(|&d| IdealCttb::new(d)).collect();
+    let stats = measure_indirect_targets_fused(&mut oracle, descs, events);
+    compare(
+        "ideal CTTB",
+        measure_ideal_targets(&cttb_depths, events),
+        stats
+            .into_iter()
+            .zip(oracle.iter().map(|b| b.states()))
+            .collect(),
+    )
+}
+
+/// Miss stats and state counts of hash-map oracle predictors, measured in
+/// one fused walk.
+fn oracle_exits<P: ExitPredictor>(
+    mut predictors: Vec<P>,
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> Vec<(MissStats, usize)> {
+    let stats = measure_exits_fused(&mut predictors, descs, events);
+    stats
+        .into_iter()
+        .zip(predictors.iter().map(|p| p.states_touched()))
+        .collect()
+}
+
+/// The hash-map oracle of an ideal PATH sweep: one [`IdealPath`] of the
+/// given automaton per depth.
+fn oracle_ideal_path(
+    kind: AutomatonKind,
+    depths: &[u32],
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> Vec<(MissStats, usize)> {
+    fn run<A: Automaton>(
+        depths: &[u32],
+        descs: &[TaskDesc],
+        events: &SharedTrace,
+    ) -> Vec<(MissStats, usize)> {
+        let ps: Vec<IdealPath<A>> = depths.iter().map(|&d| IdealPath::new(d)).collect();
+        oracle_exits(ps, descs, events)
+    }
+    match kind {
+        AutomatonKind::Vc2Mru => run::<VotingCounters<2, true>>(depths, descs, events),
+        AutomatonKind::Vc2Random => run::<VotingCounters<2, false>>(depths, descs, events),
+        AutomatonKind::Leh1 => run::<LastExitHysteresis<1>>(depths, descs, events),
+        AutomatonKind::Vc3Mru => run::<VotingCounters<3, true>>(depths, descs, events),
+        AutomatonKind::Vc3Random => run::<VotingCounters<3, false>>(depths, descs, events),
+        AutomatonKind::Leh2 => run::<LastExitHysteresis<2>>(depths, descs, events),
+        AutomatonKind::LastExit => run::<LastExit>(depths, descs, events),
     }
 }
 
@@ -624,7 +767,6 @@ pub const ADVERSARIAL_CHECKS: usize = 4;
 /// [`multiscalar_sim::measure::lane_packed_sweeps`] — the dispatch check
 /// asserts deltas on that process-global counter.
 pub fn adversarial_checks() -> Vec<String> {
-    use multiscalar_core::automata::AutomatonKind;
     use multiscalar_sim::measure::lane_packed_sweeps;
     use multiscalar_taskform::{TaskFlowGraph, TaskHeader};
     use multiscalar_workloads::{Spec92, WorkloadParams};

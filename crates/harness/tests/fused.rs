@@ -1,17 +1,22 @@
 //! Fused sweeps must be **bit-identical** to measuring one configuration at
 //! a time: the predictor instances inside a fused walk never observe each
-//! other, so fusing is purely a wall-clock optimisation.
+//! other, so fusing is purely a wall-clock optimisation. The interned ideal
+//! sweeps must likewise equal the hash-map oracles they replace.
 
 use multiscalar_core::automata::{AutomatonKind, LastExitHysteresis};
-use multiscalar_core::history::PathPredictor;
+use multiscalar_core::history::{PathPredictor, PerTaskPredictor};
 use multiscalar_core::ideal::IdealPath;
 use multiscalar_core::predictor::ExitPredictor;
 use multiscalar_core::target::{Cttb, IdealCttb};
+use multiscalar_core::tournament::TournamentPredictor;
+use multiscalar_core::Dolc;
 use multiscalar_harness::dispatch::{
     cttb_ideal_sweep, cttb_ladder, cttb_real_sweep, exit_ladder, measure_ideal,
-    measure_ideal_path_automaton, measure_ideal_path_automaton_sweep, measure_ideal_sweep,
+    measure_ideal_path_automata, measure_ideal_path_automaton, measure_ideal_sweep,
     path_ideal_sweep, path_real_sweep, Scheme,
 };
+use multiscalar_harness::extensions::hybrid_stats;
+use multiscalar_harness::fuzz::check_ideal_agreement;
 use multiscalar_harness::{prepare, Bench};
 use multiscalar_sim::measure::{measure_exits, measure_indirect_targets};
 use multiscalar_workloads::{Spec92, WorkloadParams};
@@ -43,19 +48,51 @@ fn fused_ideal_scheme_sweep_matches_one_depth_at_a_time() {
 #[test]
 fn fused_automaton_sweep_matches_one_depth_at_a_time() {
     let depths: Vec<u32> = (0..=5).collect();
+    let kinds = [
+        AutomatonKind::Leh2,
+        AutomatonKind::LastExit,
+        AutomatonKind::Vc3Mru,
+    ];
     for b in &two_benches() {
-        for &kind in &[
-            AutomatonKind::Leh2,
-            AutomatonKind::LastExit,
-            AutomatonKind::Vc3Mru,
-        ] {
-            let fused = measure_ideal_path_automaton_sweep(kind, &depths, b);
+        let fused = measure_ideal_path_automata(&kinds, &depths, b);
+        for (&kind, row) in kinds.iter().zip(&fused) {
             let sequential: Vec<_> = depths
                 .iter()
                 .map(|&d| measure_ideal_path_automaton(kind, d, b))
                 .collect();
-            assert_eq!(fused, sequential, "{} {kind:?}", b.name());
+            assert_eq!(row, &sequential, "{} {kind:?}", b.name());
         }
+    }
+}
+
+#[test]
+fn interned_ideal_sweeps_match_the_hash_map_oracles() {
+    // Every automaton kind under PATH (in one walk, as Figure 6 runs
+    // them), GLOBAL and PER with LEH-2, and the ideal CTTB, at depths
+    // 0..=8: equal miss stats and equal state counts.
+    for b in &two_benches() {
+        if let Err(e) = check_ideal_agreement(&AutomatonKind::ALL, &b.descs, &b.trace.events) {
+            panic!("{}: {e}", b.name());
+        }
+    }
+}
+
+#[test]
+fn hybrid_one_walk_matches_three_walks() {
+    for b in &two_benches() {
+        let mut path: PathPredictor<Leh2> = PathPredictor::new(Dolc::new(6, 5, 8, 9, 3));
+        let mut per: PerTaskPredictor<Leh2> = PerTaskPredictor::new(7, 8, 6);
+        let mut hybrid = TournamentPredictor::new(
+            PathPredictor::<Leh2>::new(Dolc::new(6, 5, 8, 9, 3)),
+            PerTaskPredictor::<Leh2>::new(7, 8, 6),
+            10,
+        );
+        let separate = [
+            measure_exits(&mut path, &b.descs, &b.trace.events),
+            measure_exits(&mut per, &b.descs, &b.trace.events),
+            measure_exits(&mut hybrid, &b.descs, &b.trace.events),
+        ];
+        assert_eq!(hybrid_stats(b), separate, "{}", b.name());
     }
 }
 

@@ -13,12 +13,13 @@
 use crate::timing::NextTaskPredictor;
 use crate::trace::{kind_slot, SharedTrace};
 use multiscalar_core::confidence::ConfidenceEstimator;
-use multiscalar_core::dolc::PathRegister;
+use multiscalar_core::dolc::{PathRegister, MAX_PATH_KEY_DEPTH};
+use multiscalar_core::ideal::{ExitInterner, IdealExitColumns, PathInterner};
 use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
 use multiscalar_core::predictor::{
     CttbOnlyPredictor, ExitInfo, ExitPredictor, TaskDesc, TaskPredictor,
 };
-use multiscalar_core::target::{Cttb, IdealCttb, Ttb};
+use multiscalar_core::target::{Cttb, IdealCttb, IdealTargetColumns, Ttb};
 use multiscalar_isa::{Addr, ExitKind};
 use multiscalar_taskform::TaskProgram;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,6 +188,128 @@ pub fn measure_exits_batched<A: LaneAutomaton>(
         .enumerate()
         .map(|(k, s)| (s, batch.states_touched(k)))
         .collect()
+}
+
+/// What an ideal exit walk measured.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IdealRun {
+    /// Per family, per column: predictions and misses.
+    pub stats: Vec<Vec<MissStats>>,
+    /// Distinct states trained at each depth `0..=max_depth` (Figure 11's
+    /// ideal curve).
+    pub states: Vec<usize>,
+}
+
+impl IdealRun {
+    fn new(
+        families: &[Box<dyn IdealExitColumns>],
+        events: &SharedTrace,
+        extra_misses: u64,
+        states: Vec<usize>,
+    ) -> IdealRun {
+        let predictions = events.len() as u64;
+        let stats = families
+            .iter()
+            .map(|f| {
+                f.misses()
+                    .into_iter()
+                    .map(|m| MissStats {
+                        predictions,
+                        misses: m + extra_misses,
+                    })
+                    .collect()
+            })
+            .collect();
+        IdealRun { stats, states }
+    }
+}
+
+fn max_depth(families: &[Box<dyn IdealExitColumns>]) -> usize {
+    families.iter().map(|f| f.max_depth()).max().unwrap_or(0)
+}
+
+/// Measures ideal (alias-free) PATH prediction over interned states
+/// (Figures 6, 7, 10 and 11). Per event, the task's (task, path) state is
+/// interned once at every depth up to the deepest column, and every
+/// family's columns predict and train on those ids. A single-exit task is
+/// predicted exit 0 with no id and no training, as under
+/// [`SingleExitMode::SkipPht`](multiscalar_core::history::SingleExitMode);
+/// every task advances the path.
+///
+/// Bit-identical to measuring one
+/// [`IdealPath`](multiscalar_core::ideal::IdealPath) per column with
+/// [`measure_exits`], state counts included.
+pub fn measure_ideal_path(
+    families: &mut [Box<dyn IdealExitColumns>],
+    descs: &[TaskDesc],
+    events: &SharedTrace,
+) -> IdealRun {
+    let mut interner = PathInterner::new(max_depth(families));
+    let mut ids = [0u32; MAX_PATH_KEY_DEPTH + 1];
+    let mut single_exit_misses = 0;
+    for e in events.iter() {
+        let task = e.task.0;
+        if descs[e.task.index()].single_exit() {
+            single_exit_misses += u64::from(e.exit.as_u8() != 0);
+        } else {
+            interner.intern(task, &mut ids);
+            for f in families.iter_mut() {
+                f.step(&ids, e.exit);
+            }
+        }
+        interner.push(task);
+    }
+    IdealRun::new(families, events, single_exit_misses, interner.states())
+}
+
+/// Measures ideal GLOBAL prediction over interned states: the history is
+/// one register of every task's exit numbers, and every task trains.
+/// Bit-identical to one [`IdealGlobal`](multiscalar_core::ideal::IdealGlobal)
+/// per column under [`measure_exits`].
+pub fn measure_ideal_global(
+    families: &mut [Box<dyn IdealExitColumns>],
+    events: &SharedTrace,
+) -> IdealRun {
+    measure_ideal_exit_history(families, events, false)
+}
+
+/// Measures ideal PER prediction over interned states: the history is the
+/// task's own register of exit numbers, and every task trains.
+/// Bit-identical to one [`IdealPer`](multiscalar_core::ideal::IdealPer)
+/// per column under [`measure_exits`].
+pub fn measure_ideal_per(
+    families: &mut [Box<dyn IdealExitColumns>],
+    events: &SharedTrace,
+) -> IdealRun {
+    measure_ideal_exit_history(families, events, true)
+}
+
+fn measure_ideal_exit_history(
+    families: &mut [Box<dyn IdealExitColumns>],
+    events: &SharedTrace,
+    per_task: bool,
+) -> IdealRun {
+    let mut interner = ExitInterner::new(max_depth(families));
+    let mut ids = [0u32; ExitInterner::MAX_DEPTH + 1];
+    let mut global = 0u64;
+    let mut own: Vec<u64> = Vec::new();
+    for e in events.iter() {
+        let hist = if per_task {
+            let t = e.task.index();
+            if t >= own.len() {
+                own.resize(t + 1, 0);
+            }
+            &mut own[t]
+        } else {
+            &mut global
+        };
+        interner.intern(e.task.0, *hist, &mut ids);
+        for f in families.iter_mut() {
+            f.step(&ids, e.exit);
+        }
+        *hist = (*hist << 2) | u64::from(e.exit.as_u8());
+    }
+    IdealRun::new(families, events, 0, interner.states())
 }
 
 /// Measures the full composite predictor: exit + RAS + header + CTTB
@@ -425,6 +548,44 @@ pub fn measure_indirect_targets_fused<B: TargetBuffer>(
         }
     }
     stats
+}
+
+/// Measures ideal CTTB target prediction over interned states (Figures 8
+/// and 12): on each indirect exit the task's (task, path) state is
+/// interned once at every depth up to the deepest column, and every
+/// column predicts and trains on it; every event advances the path.
+/// Returns per column the stats and the distinct states it trained.
+///
+/// Bit-identical to one [`IdealCttb`] per depth under
+/// [`measure_indirect_targets`].
+pub fn measure_ideal_targets(depths: &[usize], events: &SharedTrace) -> Vec<(MissStats, usize)> {
+    let mut columns = IdealTargetColumns::new(depths);
+    let mut interner = PathInterner::new(columns.max_depth());
+    let mut ids = [0u32; MAX_PATH_KEY_DEPTH + 1];
+    let mut predictions = 0;
+    for e in events.iter() {
+        if e.kind.needs_target_buffer() {
+            interner.intern(e.task.0, &mut ids);
+            columns.step(&ids, e.next);
+            predictions += 1;
+        }
+        interner.push(e.task.0);
+    }
+    let states = interner.states();
+    columns
+        .misses()
+        .iter()
+        .zip(depths)
+        .map(|(&misses, &d)| {
+            (
+                MissStats {
+                    predictions,
+                    misses,
+                },
+                states[d],
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
