@@ -13,8 +13,10 @@ use multiscalar_core::predictor::{ExitPredictor, TaskPredictor};
 use multiscalar_core::target::Cttb;
 use multiscalar_sim::measure::{
     measure_exits_batched, measure_exits_fused, measure_ideal_global, measure_ideal_path,
-    measure_ideal_per, measure_ideal_targets, measure_indirect_targets_fused, MissStats,
+    measure_ideal_per, measure_ideal_targets, measure_indirect_targets_fused, measure_outcomes,
+    MissStats, Outcomes,
 };
+use multiscalar_sim::timing::NextTaskPredictor;
 
 /// The three history-generation schemes of paper §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,6 +256,14 @@ impl Table4Column {
             Table4Column::Perfect => return None,
         };
         Some(with_table4_targets(exit_pred))
+    }
+
+    /// This column's ungated outcome pass over `b`'s task trace: what a
+    /// timing walk of the column reads.
+    pub fn outcomes(self, b: &Bench) -> Outcomes {
+        let mut pred = self.predictor();
+        let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
+        measure_outcomes(pred, &b.descs, &b.trace.events, None)
     }
 }
 

@@ -23,8 +23,9 @@ use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::CttbOnlyPredictor;
 use multiscalar_isa::ExitKind;
 use multiscalar_sim::measure::{measure_table3, MissStats};
-use multiscalar_sim::replay::simulate_replay;
-use multiscalar_sim::timing::{NextTaskPredictor, TimingConfig, TimingResult};
+use multiscalar_sim::metrics::{MetricsSink, NoopSink};
+use multiscalar_sim::replay::{walk_lanes, Lane};
+use multiscalar_sim::timing::{TimingConfig, TimingResult};
 
 type Leh2 = LastExitHysteresis<2>;
 
@@ -442,41 +443,45 @@ pub struct Table4Row {
 /// Reproduces Table 4: IPC from the timing simulator with Simple / GLOBAL /
 /// PER / PATH / Perfect inter-task prediction. All real predictors use a
 /// 16 KB PHT, depth 7 (depth 0 for Simple), a CTTB for indirects and a RAS
-/// for returns, matching the paper's setup. Five jobs per benchmark (one
-/// per predictor column).
+/// for returns, matching the paper's setup.
 ///
-/// All five columns drive the timing model from the benchmark's recorded
-/// [`InstrReplay`](multiscalar_sim::replay::InstrReplay) ([`Bench::replay`]
-/// — served from the artifact cache when warm) with zero
-/// re-interpretation, one solo walk per column. The fused walk
-/// ([`simulate_replay_fused_with_sinks`](multiscalar_sim::replay::simulate_replay_fused_with_sinks),
-/// bit-identical per column) measured faster on one thread: over all five
-/// benchmarks' five columns it took 0.76x (scale 1), 0.90x (scale 2) and
-/// 0.80x (scale 4) of the solo walks' time (2-vCPU Xeon VM, medians of
-/// 7-9 alternating rounds, results asserted equal). The solo jobs stay
-/// until a perfbench run decides the switch. `tests/replay.rs` checks
-/// these rows cell by cell against the interpreter-fed timing oracle.
+/// One job per benchmark ([`walk_table4`]): the four real columns' outcome
+/// passes over the task trace, then one 5-lane walk of the benchmark's
+/// recorded [`InstrReplay`](multiscalar_sim::replay::InstrReplay)
+/// ([`Bench::replay`] — served from the artifact cache when warm), which
+/// decodes each instruction once for all five columns. `tests/replay.rs`
+/// checks these rows cell by cell against the interpreter-fed timing
+/// oracle.
 pub fn table4(benches: &[Bench], pool: &Pool) -> Vec<Table4Row> {
-    let mut jobs: Vec<Job<'_, TimingResult>> = Vec::new();
-    for b in benches.iter() {
-        for column in Table4Column::ALL {
-            jobs.push(Box::new(move || {
-                let mut pred = column.predictor();
-                let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-                simulate_replay(&b.replay, &b.descs, pred, &TimingConfig::paper())
-            }));
-        }
-    }
-    let mut results = pool.run(jobs).into_iter();
+    let jobs: Vec<Job<'_, [TimingResult; 5]>> = benches
+        .iter()
+        .map(|b| Box::new(move || walk_table4(b, &mut [NoopSink; 5])) as Job<'_, _>)
+        .collect();
     benches
         .iter()
-        .map(|b| Table4Row {
+        .zip(pool.run(jobs))
+        .map(|(b, [simple, global, per, path, perfect])| Table4Row {
             name: b.name(),
-            simple: results.next().expect("simple result"),
-            global: results.next().expect("global result"),
-            per: results.next().expect("per result"),
-            path: results.next().expect("path result"),
-            perfect: results.next().expect("perfect result"),
+            simple,
+            global,
+            per,
+            path,
+            perfect,
         })
         .collect()
+}
+
+/// Times `b` under Table 4's five columns ([`Table4Column::ALL`] order) on
+/// the paper machine, column `i` reporting to `sinks[i]`: the columns'
+/// outcome passes over the task trace, then one 5-lane walk of the
+/// recording.
+pub fn walk_table4<M: MetricsSink>(b: &Bench, sinks: &mut [M; 5]) -> [TimingResult; 5] {
+    let outcomes = Table4Column::ALL.map(|c| c.outcomes(b));
+    let lanes = outcomes.each_ref().map(|outcomes| Lane {
+        outcomes,
+        config: TimingConfig::paper(),
+    });
+    walk_lanes(&b.replay, &lanes, sinks)
+        .try_into()
+        .expect("one result per column")
 }

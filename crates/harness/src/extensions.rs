@@ -20,14 +20,11 @@ use multiscalar_core::predictor::{ExitPredictor, TaskDesc};
 use multiscalar_core::stale::StalePathPredictor;
 use multiscalar_core::tournament::TournamentPredictor;
 use multiscalar_sim::measure::{
-    measure_exits, measure_exits_fused, measure_outcomes, task_descs, MissStats,
+    measure_exits_fused, measure_outcomes, task_descs, MissStats, Outcomes,
 };
 use multiscalar_sim::metrics::{Cause, CycleBreakdown, NoopSink};
-use multiscalar_sim::replay::{
-    derive_trace, record_replay, simulate_replay, simulate_replay_with_sink, walk_replay,
-    InstrReplay,
-};
-use multiscalar_sim::timing::{ForwardingModel, TimingConfig};
+use multiscalar_sim::replay::{derive_trace, record_replay, walk_lanes, InstrReplay, Lane};
+use multiscalar_sim::timing::{ForwardingModel, TimingConfig, TimingResult};
 use multiscalar_sim::trace::SharedTrace;
 use multiscalar_taskform::{TaskFormConfig, TaskFormer};
 use multiscalar_workloads::{Spec92, WorkloadParams};
@@ -227,22 +224,27 @@ pub struct MemoryRow {
 }
 
 /// Measures the substrate models: register-forwarding policy and the ARB.
+/// The four machines are four lanes of one walk over one Perfect outcome
+/// pass.
 pub fn ext_memory(benches: &[Bench]) -> Vec<MemoryRow> {
+    let default = TimingConfig::paper();
+    // Per-retirement head commit drains the ARB fast enough that a
+    // 4-entry bank no longer overflows everywhere; a single entry still
+    // demonstrates overflow stalls on every benchmark.
+    let tiny = multiscalar_sim::arb::ArbConfig {
+        banks: 1,
+        entries_per_bank: 1,
+    };
+    let configs = [
+        default,
+        default.forwarding(ForwardingModel::ReleaseAtEnd),
+        default.arb(None),
+        default.arb(Some(tiny)),
+    ];
     benches
         .iter()
         .map(|b| {
-            let run = |config: &TimingConfig| simulate_replay(&b.replay, &b.descs, None, config);
-            let default = TimingConfig::paper();
-            let eager = run(&default);
-            let release = run(&default.forwarding(ForwardingModel::ReleaseAtEnd));
-            let ideal_mem = run(&default.arb(None));
-            // Per-retirement head commit drains the ARB fast enough that a
-            // 4-entry bank no longer overflows everywhere; a single entry
-            // still demonstrates overflow stalls on every benchmark.
-            let tiny = run(&default.arb(Some(multiscalar_sim::arb::ArbConfig {
-                banks: 1,
-                entries_per_bank: 1,
-            })));
+            let [eager, release, ideal_mem, tiny] = walk_machines(b, &configs);
             MemoryRow {
                 name: b.name(),
                 eager_ipc: eager.ipc(),
@@ -255,6 +257,18 @@ pub fn ext_memory(benches: &[Bench]) -> Vec<MemoryRow> {
             }
         })
         .collect()
+}
+
+/// Times `b` under perfect task prediction on each of `configs`, as the
+/// lanes of one walk.
+fn walk_machines<const N: usize>(b: &Bench, configs: &[TimingConfig; N]) -> [TimingResult; N] {
+    let perfect = Table4Column::Perfect.outcomes(b);
+    let lanes = configs.map(|config| Lane {
+        outcomes: &perfect,
+        config,
+    });
+    let results = walk_lanes(&b.replay, &lanes, &mut [NoopSink; N]);
+    results.try_into().expect("one result per machine")
 }
 
 /// Wrong-path excursion depths swept by [`ext_pollution`].
@@ -311,19 +325,20 @@ pub struct IntraRow {
 }
 
 /// Ablates the processing units' intra-task branch predictor (the paper
-/// uses a bimodal and reports "minimal accuracy loss"; §2.2).
+/// uses a bimodal and reports "minimal accuracy loss"; §2.2). The three
+/// machines are three lanes of one walk.
 pub fn ext_intra(benches: &[Bench]) -> Vec<IntraRow> {
     use multiscalar_sim::timing::IntraPredictorKind;
+    let configs = [
+        IntraPredictorKind::Bimodal,
+        IntraPredictorKind::Gshare,
+        IntraPredictorKind::McFarling,
+    ]
+    .map(|kind| TimingConfig::paper().intra_predictor(kind));
     benches
         .iter()
         .map(|b| {
-            let run = |kind: IntraPredictorKind| {
-                let config = TimingConfig::paper().intra_predictor(kind);
-                simulate_replay(&b.replay, &b.descs, None, &config)
-            };
-            let bi = run(IntraPredictorKind::Bimodal);
-            let gs = run(IntraPredictorKind::Gshare);
-            let mc = run(IntraPredictorKind::McFarling);
+            let [bi, gs, mc] = walk_machines(b, &configs);
             IntraRow {
                 name: b.name(),
                 ipc: [bi.ipc(), gs.ipc(), mc.ipc()],
@@ -356,16 +371,21 @@ pub struct ConfidenceRow {
 /// estimator on task predictions): low-confidence boundaries stall instead
 /// of risking a squash. The gate decides only the gated bits, so one gated
 /// PATH outcome pass serves both runs; the always-speculate run walks the
-/// same miss bits with the gated bits cleared.
+/// same miss bits with the gated bits cleared. Both runs are lanes of one
+/// walk.
 pub fn ext_confidence(benches: &[Bench]) -> Vec<ConfidenceRow> {
     let config = TimingConfig::paper();
     benches
         .iter()
         .map(|b| {
             let mut p = Table4Column::Path.predictor().expect("PATH predicts");
-            let outcomes = measure_outcomes(Some(&mut p), &b.descs, &b.trace.events, Some(8));
-            let always = walk_replay(&b.replay, &outcomes.ungated(), &config, &mut NoopSink);
-            let gated = walk_replay(&b.replay, &outcomes, &config, &mut NoopSink);
+            let gated = measure_outcomes(Some(&mut p), &b.descs, &b.trace.events, Some(8));
+            let always = gated.ungated();
+            let lanes = [&always, &gated].map(|outcomes| Lane { outcomes, config });
+            let [always, gated]: [TimingResult; 2] =
+                walk_lanes(&b.replay, &lanes, &mut [NoopSink; 2])
+                    .try_into()
+                    .expect("one result per lane");
             ConfidenceRow {
                 name: b.name(),
                 always_ipc: always.ipc(),
@@ -432,22 +452,40 @@ fn zoo_exit(family: usize) -> Box<dyn ExitPredictor> {
     }
 }
 
-/// One family's raw scores on one recorded input: exit misses over the
-/// trace, then the squash-refill and total cycles of a timing run on the
-/// recording (Table 4's CTTB/RAS sizing, so only the exit predictor varies
-/// between columns).
+/// Every family's raw scores on one recorded input, in [`ZOO_FAMILIES`]
+/// order: exit misses over the trace (one walk of all four exit
+/// predictors), then the squash-refill and total cycles of a timing run on
+/// the recording (Table 4's CTTB/RAS sizing, so only the exit predictor
+/// varies between columns; the four runs are the lanes of one walk).
 fn zoo_counts(
-    family: usize,
     replay: &InstrReplay,
     descs: &[TaskDesc],
     events: &SharedTrace,
-) -> (MissStats, u64, u64) {
-    let stats = measure_exits(&mut zoo_exit(family), descs, events);
-    let mut tp = with_table4_targets(zoo_exit(family));
-    let mut bd = CycleBreakdown::new();
-    let config = TimingConfig::paper();
-    let result = simulate_replay_with_sink(replay, descs, Some(&mut tp), &config, &mut bd);
-    (stats, bd.get(Cause::SquashRefill), result.cycles)
+) -> Vec<(MissStats, u64, u64)> {
+    let families = 0..ZOO_FAMILIES.len();
+    let mut exits: Vec<_> = families.clone().map(zoo_exit).collect();
+    let stats = measure_exits_fused(&mut exits, descs, events);
+    let outcomes: Vec<Outcomes> = families
+        .map(|family| {
+            let mut tp = with_table4_targets(zoo_exit(family));
+            measure_outcomes(Some(&mut tp), descs, events, None)
+        })
+        .collect();
+    let lanes: Vec<Lane> = outcomes
+        .iter()
+        .map(|outcomes| Lane {
+            outcomes,
+            config: TimingConfig::paper(),
+        })
+        .collect();
+    let mut breakdowns = vec![CycleBreakdown::new(); lanes.len()];
+    let results = walk_lanes(replay, &lanes, &mut breakdowns);
+    stats
+        .into_iter()
+        .zip(breakdowns)
+        .zip(results)
+        .map(|((stats, bd), result)| (stats, bd.get(Cause::SquashRefill), result.cycles))
+        .collect()
 }
 
 /// A zoo cell from raw counts (summed over every program for the corpus
@@ -473,8 +511,9 @@ pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
         .map(|b| ZooRow {
             name: b.name().to_string(),
             dynamic_tasks: b.trace.stats.dynamic_tasks,
-            cells: (0..ZOO_FAMILIES.len())
-                .map(|f| zoo_cell(zoo_counts(f, &b.replay, &b.descs, &b.trace.events)))
+            cells: zoo_counts(&b.replay, &b.descs, &b.trace.events)
+                .into_iter()
+                .map(zoo_cell)
                 .collect(),
         })
         .collect();
@@ -492,8 +531,8 @@ pub fn ext_zoo(benches: &[Bench]) -> Vec<ZooRow> {
         let trace = derive_trace(&replay, &tasks);
         let descs = task_descs(&tasks);
         dynamic_tasks += trace.stats.dynamic_tasks;
-        for (family, slot) in agg.iter_mut().enumerate() {
-            let (stats, squash, cycles) = zoo_counts(family, &replay, &descs, &trace.events);
+        let counts = zoo_counts(&replay, &descs, &trace.events);
+        for (slot, (stats, squash, cycles)) in agg.iter_mut().zip(counts) {
             slot.0.merge(stats);
             slot.1 += squash;
             slot.2 += cycles;

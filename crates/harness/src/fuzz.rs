@@ -17,8 +17,11 @@
 //!    must produce bit-identical
 //!    [`TimingResult`](multiscalar_sim::timing::TimingResult)s *and*
 //!    [`CycleBreakdown`]s, each breakdown summing exactly to `cycles`;
-//! 5. **fused vs solo** — [`check_fused_agreement`] over four predictor
-//!    slots (perfect, PATH, and the two zoo families) must agree per slot;
+//! 5. **lanes vs scalar core** — [`check_fused_agreement`] walks four
+//!    slots (perfect, PATH and the two zoo families, on four machines that
+//!    share and own intra predictors and ARBs and differ in forwarding) as
+//!    one lockstep lanes walk and must agree per slot with solo runs of
+//!    the scalar core;
 //! 6. **fast sweeps vs scalar oracles** — the SWAR batched sweep over the
 //!    Figure 10 ladder must match the scalar fused walk, miss stats and
 //!    states-touched both; then the interned ideal sweeps must match the
@@ -57,6 +60,7 @@ use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
 use multiscalar_core::target::IdealCttb;
 use multiscalar_core::zoo::{GatedHybridPredictor, GshareExitPredictor};
 use multiscalar_isa::Program;
+use multiscalar_sim::arb::ArbConfig;
 use multiscalar_sim::measure::{
     measure_exits_batched, measure_exits_fused, measure_ideal_global, measure_ideal_path,
     measure_ideal_per, measure_ideal_targets, measure_indirect_targets_fused, task_descs,
@@ -64,8 +68,10 @@ use multiscalar_sim::measure::{
 };
 use multiscalar_sim::metrics::CycleBreakdown;
 use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay_with_sink};
-use multiscalar_sim::sanitize::{check_fused_agreement, check_replay_agreement};
-use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig};
+use multiscalar_sim::sanitize::{check_fused_agreement, check_replay_agreement, FusedSlot};
+use multiscalar_sim::timing::{
+    simulate_with_sink, ForwardingModel, IntraPredictorKind, TimingConfig,
+};
 use multiscalar_sim::trace::SharedTrace;
 use multiscalar_taskform::TaskFormer;
 use multiscalar_workloads::fuzz::{fuzz_program, FuzzShape, MAX_MEMOPS, MAX_STEPS};
@@ -129,28 +135,48 @@ fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(payload_str)
 }
 
-/// The four predictor slots the fused/solo oracle cross-checks: perfect,
-/// the paper's PATH, and both zoo families — so every new predictor family
-/// is held to the same bit-identity bar as the paper's.
-fn fused_slots() -> Vec<Option<Box<dyn NextTaskPredictor>>> {
+/// The four slots the lanes/scalar oracle cross-checks, each a predictor
+/// on a machine: perfect and the paper's PATH on the paper machine, the
+/// gshare zoo family on release-at-end forwarding with no ARB, and the
+/// gated hybrid on a McFarling intra predictor with a 1×1 ARB. Every new
+/// predictor family is held to the same bit-identity bar as the paper's,
+/// and between them the lanes share an intra predictor and an ARB, differ
+/// in forwarding, and own a predictor and an ARB outright.
+fn fused_slots() -> Vec<FusedSlot> {
     let cttb = Dolc::new(4, 3, 4, 4, 2);
+    let paper = TimingConfig::paper();
+    let tiny = ArbConfig {
+        banks: 1,
+        entries_per_bank: 1,
+    };
     vec![
-        None,
-        Some(Box::new(TaskPredictor::<PathPredictor<Leh2>>::path(
-            Dolc::new(4, 4, 6, 6, 2),
-            cttb,
-            16,
-        ))),
-        Some(Box::new(TaskPredictor::new(
-            GshareExitPredictor::<Leh2>::new(6, 12),
-            cttb,
-            16,
-        ))),
-        Some(Box::new(TaskPredictor::new(
-            GatedHybridPredictor::<Leh2>::new(8, Dolc::new(4, 4, 6, 6, 2), 8, 4),
-            cttb,
-            16,
-        ))),
+        (None, paper),
+        (
+            Some(Box::new(TaskPredictor::<PathPredictor<Leh2>>::path(
+                Dolc::new(4, 4, 6, 6, 2),
+                cttb,
+                16,
+            ))),
+            paper,
+        ),
+        (
+            Some(Box::new(TaskPredictor::new(
+                GshareExitPredictor::<Leh2>::new(6, 12),
+                cttb,
+                16,
+            ))),
+            paper.forwarding(ForwardingModel::ReleaseAtEnd).arb(None),
+        ),
+        (
+            Some(Box::new(TaskPredictor::new(
+                GatedHybridPredictor::<Leh2>::new(8, Dolc::new(4, 4, 6, 6, 2), 8, 4),
+                cttb,
+                16,
+            ))),
+            paper
+                .intra_predictor(IntraPredictorKind::McFarling)
+                .arb(Some(tiny)),
+        ),
     ]
 }
 
@@ -246,10 +272,8 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Err(panic) => return Some(("engine-divergence", panic)),
     }
 
-    // Oracle 5: fused sweep vs solo runs, four predictor slots.
-    match catching(|| {
-        check_fused_agreement(program, &tasks, &descs, &timing, MAX_STEPS, fused_slots())
-    }) {
+    // Oracle 5: one lanes walk vs the scalar core, four mixed slots.
+    match catching(|| check_fused_agreement(program, &tasks, &descs, MAX_STEPS, fused_slots())) {
         Ok(Ok(_)) => {}
         Ok(Err(e)) => return Some(("trace-error", e.to_string())),
         Err(panic) => return Some(("fused-divergence", panic)),

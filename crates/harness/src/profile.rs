@@ -4,24 +4,25 @@
 //! Each cell re-runs a Table 4 timing simulation with a
 //! [`CycleBreakdown`] sink attached, attributing every cycle to one
 //! [`Cause`] (the attribution sums to `TimingResult::cycles` exactly; the
-//! sink asserts it). Runs ride the recorded replay in [`Bench::replay`]
-//! (served from the artifact cache when warm) — the attribution is
-//! engine-independent, which `tests/profile.rs` checks against the
-//! interpreter-fed timing oracle. With `--occupancy` a [`UnitOccupancy`]
+//! sink asserts it). A benchmark's five cells are the five lanes of one
+//! walk of the recorded replay in [`Bench::replay`] (served from the
+//! artifact cache when warm) — the attribution is engine-independent,
+//! which `tests/profile.rs` checks against the interpreter-fed timing
+//! oracle. With `--occupancy` a [`UnitOccupancy`]
 //! sink rides the same pass and three per-unit utilisation columns join
 //! the output (the default output stays byte-identical). [`events_jsonl`]
 //! exposes the task-level JSON-lines event log of a single run for the
 //! same grid.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use crate::dispatch::Table4Column;
+use crate::experiments::walk_table4;
 use crate::pool::{Job, Pool};
 use crate::Bench;
-use multiscalar_sim::metrics::{Cause, CycleBreakdown, TaskEventSink, UnitOccupancy};
-use multiscalar_sim::replay::simulate_replay_with_sink;
-use multiscalar_sim::timing::{NextTaskPredictor, TimingConfig, TimingResult, N_UNITS};
+use multiscalar_sim::metrics::{Cause, CycleBreakdown, MetricsSink, TaskEventSink, UnitOccupancy};
+use multiscalar_sim::replay::walk_replay;
+use multiscalar_sim::timing::{TimingConfig, TimingResult, N_UNITS};
 
 /// Schema version stamped into `profile.json`; bump on breaking changes.
 pub const PROFILE_SCHEMA_VERSION: u32 = 1;
@@ -53,50 +54,49 @@ pub struct ProfileRow {
 /// [`CycleBreakdown`] sink attached, driven from each benchmark's recorded
 /// replay with zero re-interpretation. When `occupancy` is set a
 /// [`UnitOccupancy`] sink shares the same pass (tuple sinks fan out). One
-/// job per cell; results come back in submission order, so output is
-/// byte-identical for every pool width.
+/// job per benchmark, one 5-lane [`walk_table4`] per job; results come back
+/// in submission order, so output is byte-identical for every pool width.
 pub fn profile(benches: &[Bench], pool: &Pool, occupancy: bool) -> Vec<ProfileRow> {
-    let config = &TimingConfig::paper();
-    let mut jobs: Vec<Job<'_, ProfileCell>> = Vec::new();
-    for b in benches {
-        for column in Table4Column::ALL {
-            let replay = Arc::clone(&b.replay);
-            jobs.push(Box::new(move || {
-                let mut pred = column.predictor();
-                let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-                if occupancy {
-                    let mut sinks = (CycleBreakdown::new(), UnitOccupancy::new());
-                    let result =
-                        simulate_replay_with_sink(&replay, &b.descs, pred, config, &mut sinks);
-                    ProfileCell {
-                        column,
-                        result,
-                        breakdown: sinks.0,
-                        occupancy: Some(sinks.1),
-                    }
-                } else {
-                    let mut breakdown = CycleBreakdown::new();
-                    let result =
-                        simulate_replay_with_sink(&replay, &b.descs, pred, config, &mut breakdown);
-                    ProfileCell {
-                        column,
-                        result,
-                        breakdown,
-                        occupancy: None,
-                    }
-                }
-            }));
-        }
-    }
-    let mut results = pool.run(jobs).into_iter();
-    benches
+    let jobs: Vec<Job<'_, ProfileRow>> = benches
         .iter()
-        .map(|b| ProfileRow {
-            name: b.name(),
-            cells: Table4Column::ALL
-                .iter()
-                .map(|_| results.next().expect("one cell per column"))
-                .collect(),
+        .map(|b| {
+            Box::new(move || ProfileRow {
+                name: b.name(),
+                cells: if occupancy {
+                    profile_cells(b, (CycleBreakdown::new(), UnitOccupancy::new()), |s| {
+                        (s.0, Some(s.1))
+                    })
+                } else {
+                    profile_cells(b, CycleBreakdown::new(), |s| (s, None))
+                },
+            }) as Job<'_, _>
+        })
+        .collect();
+    pool.run(jobs)
+}
+
+/// One benchmark's cells: every column as one lane of [`walk_table4`], each
+/// lane reporting to a copy of `sink`, which `split` turns into the cell's
+/// breakdown and occupancy.
+fn profile_cells<M: MetricsSink + Clone>(
+    b: &Bench,
+    sink: M,
+    split: impl Fn(M) -> (CycleBreakdown, Option<UnitOccupancy>),
+) -> Vec<ProfileCell> {
+    let mut sinks = std::array::from_fn(|_| sink.clone());
+    let results = walk_table4(b, &mut sinks);
+    Table4Column::ALL
+        .into_iter()
+        .zip(results)
+        .zip(sinks)
+        .map(|((column, result), sink)| {
+            let (breakdown, occupancy) = split(sink);
+            ProfileCell {
+                column,
+                result,
+                breakdown,
+                occupancy,
+            }
         })
         .collect()
 }
@@ -105,15 +105,9 @@ pub fn profile(benches: &[Bench], pool: &Pool, occupancy: bool) -> Vec<ProfileRo
 /// predictor column: `resolve` / `squash` / `commit` / `dispatch` per
 /// boundary, with machine clocks and exit numbers.
 pub fn events_jsonl(bench: &Bench, column: Table4Column) -> String {
-    let mut pred = column.predictor();
     let mut sink = TaskEventSink::new();
-    simulate_replay_with_sink(
-        &bench.replay,
-        &bench.descs,
-        pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor),
-        &TimingConfig::paper(),
-        &mut sink,
-    );
+    let outcomes = column.outcomes(bench);
+    walk_replay(&bench.replay, &outcomes, &TimingConfig::paper(), &mut sink);
     sink.into_jsonl()
 }
 

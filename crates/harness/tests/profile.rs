@@ -5,13 +5,11 @@
 //! never perturbs timing, and `profile --json` keeps its published schema.
 
 use multiscalar_harness::dispatch::Table4Column;
+use multiscalar_harness::experiments::walk_table4;
 use multiscalar_harness::pool::Pool;
 use multiscalar_harness::{prepare, profile};
-use multiscalar_sim::measure::measure_outcomes;
 use multiscalar_sim::metrics::{Cause, CycleBreakdown, UnitOccupancy};
-use multiscalar_sim::replay::{
-    record_replay, simulate_replay, simulate_replay_fused_with_sinks, simulate_replay_with_sink,
-};
+use multiscalar_sim::replay::{record_replay, simulate_replay, simulate_replay_with_sink};
 use multiscalar_sim::timing::{simulate_with_sink, NextTaskPredictor, TimingConfig, N_UNITS};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
@@ -172,63 +170,54 @@ fn occupancy_is_a_pure_observer_and_sums_per_unit() {
     );
 }
 
-/// Attribution survives the block-batched fused walk: running all five
-/// Table 4 columns' outcomes fused, each with a live `(CycleBreakdown,
-/// UnitOccupancy)` sink, produces timing results *and* sink streams
-/// bit-identical to the solo runs, every breakdown still sums exactly to
-/// its run's cycles, and every unit still accounts for every cycle.
+/// Attribution survives the lockstep lanes walk: all five Table 4 columns
+/// as the lanes of one walk (`walk_table4`), each with a live `(CycleBreakdown,
+/// UnitOccupancy)` sink, produce timing results *and* sink streams
+/// bit-identical to the interpreter-fed scalar core's solo runs, every
+/// breakdown still sums exactly to its run's cycles, and every unit still
+/// accounts for every cycle.
 #[test]
-fn fused_walk_preserves_attribution_and_occupancy() {
+fn lanes_walk_preserves_attribution_and_occupancy() {
     let config = TimingConfig::paper();
     let b = prepare(Spec92::Compress, &params());
-    let replay = record_replay(&b.workload.program, &b.tasks, b.workload.max_steps)
-        .expect("recording succeeds");
 
     let mut solo = Vec::new();
     for column in Table4Column::ALL {
         let mut sink = (CycleBreakdown::new(), UnitOccupancy::new());
         let mut pred = column.predictor();
-        let result = simulate_replay_with_sink(
-            &replay,
+        let result = simulate_with_sink(
+            &b.workload.program,
+            &b.tasks,
             &b.descs,
             pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor),
             &config,
+            b.workload.max_steps,
             &mut sink,
-        );
+        )
+        .expect("legacy simulation succeeds");
         solo.push((result, sink));
     }
 
-    let outcomes: Vec<_> = Table4Column::ALL
-        .iter()
-        .map(|c| {
-            let mut pred = c.predictor();
-            let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-            measure_outcomes(pred, &b.descs, &b.trace.events, None)
-        })
-        .collect();
-    let mut sinks: Vec<_> = Table4Column::ALL
-        .iter()
-        .map(|_| (CycleBreakdown::new(), UnitOccupancy::new()))
-        .collect();
-    let fused = simulate_replay_fused_with_sinks(&replay, &outcomes, &config, &mut sinks);
+    let mut sinks = [(); 5].map(|()| (CycleBreakdown::new(), UnitOccupancy::new()));
+    let walked = walk_table4(&b, &mut sinks);
 
     for (i, column) in Table4Column::ALL.iter().enumerate() {
         let label = format!("Compress/{}", column.name());
         let (solo_result, (solo_bd, solo_occ)) = &solo[i];
-        let (fused_bd, fused_occ) = &sinks[i];
-        assert_eq!(solo_result, &fused[i], "{label}: timing survives fusion");
-        assert_eq!(solo_bd, fused_bd, "{label}: attribution survives fusion");
-        assert_eq!(solo_occ, fused_occ, "{label}: occupancy survives fusion");
+        let (lane_bd, lane_occ) = &sinks[i];
+        assert_eq!(solo_result, &walked[i], "{label}: timing survives lanes");
+        assert_eq!(solo_bd, lane_bd, "{label}: attribution survives lanes");
+        assert_eq!(solo_occ, lane_occ, "{label}: occupancy survives lanes");
         assert_eq!(
-            fused_bd.total(),
-            fused[i].cycles,
-            "{label}: every fused cycle attributed exactly once"
+            lane_bd.total(),
+            walked[i].cycles,
+            "{label}: every lane cycle attributed exactly once"
         );
         for u in 0..N_UNITS {
             assert_eq!(
-                fused_occ.busy()[u] + fused_occ.stalled()[u] + fused_occ.idle()[u],
-                fused[i].cycles,
-                "{label}: unit {u} accounts for every fused cycle"
+                lane_occ.busy()[u] + lane_occ.stalled()[u] + lane_occ.idle()[u],
+                walked[i].cycles,
+                "{label}: unit {u} accounts for every lane cycle"
             );
         }
     }

@@ -110,9 +110,9 @@ fn replay_matches_interpreter_across_ablation_configs() {
     }
 }
 
-/// `experiments::table4` — replay-fed, one pool job per column — equals
-/// the interpreter-fed oracle cell by cell, so the rendered table is the
-/// one the interpreter would give.
+/// `experiments::table4` — replay-fed, one lanes walk per benchmark —
+/// equals the interpreter-fed oracle cell by cell, so the rendered table
+/// is the one the interpreter would give.
 #[test]
 fn table4_replay_rows_match_legacy_rows() {
     use multiscalar_harness::experiments::table4;
@@ -142,6 +142,62 @@ fn table4_replay_rows_match_legacy_rows() {
             );
         }
     }
+}
+
+/// The ablation experiments — each one lanes walk per benchmark — equal
+/// the interpreter-fed oracle field by field: `ext_memory`'s four machines
+/// and `ext_intra`'s three under perfect prediction, and `ext_confidence`'s
+/// ungated PATH run. This pins each experiment's lane-to-field mapping.
+#[test]
+fn ablation_rows_match_the_interpreter() {
+    use multiscalar_harness::extensions::{ext_confidence, ext_intra, ext_memory};
+    use multiscalar_sim::arb::ArbConfig;
+
+    let benches = vec![prepare(Spec92::Compress, &params())];
+    let b = &benches[0];
+    let perfect = |config: TimingConfig| legacy(b, Table4Column::Perfect, &config);
+    let paper = TimingConfig::paper();
+
+    let [memory] = &ext_memory(&benches)[..] else {
+        panic!("one row per benchmark")
+    };
+    let eager = perfect(paper);
+    let release = perfect(paper.forwarding(ForwardingModel::ReleaseAtEnd));
+    let ideal_mem = perfect(paper.arb(None));
+    let tiny = perfect(paper.arb(Some(ArbConfig {
+        banks: 1,
+        entries_per_bank: 1,
+    })));
+    assert_eq!(memory.name, b.name());
+    assert_eq!(memory.eager_ipc, eager.ipc());
+    assert_eq!(memory.release_ipc, release.ipc());
+    assert_eq!(memory.ideal_mem_ipc, ideal_mem.ipc());
+    assert_eq!(memory.tiny_arb_ipc, tiny.ipc());
+    assert_eq!(memory.violations, eager.arb_violations);
+    assert_eq!(memory.full_stalls, eager.arb_full_stalls);
+    assert_eq!(memory.tiny_full_stalls, tiny.arb_full_stalls);
+    assert!(tiny.arb_full_stalls > 0, "the 1x1 ARB overflows");
+
+    let [intra] = &ext_intra(&benches)[..] else {
+        panic!("one row per benchmark")
+    };
+    let runs = [
+        IntraPredictorKind::Bimodal,
+        IntraPredictorKind::Gshare,
+        IntraPredictorKind::McFarling,
+    ]
+    .map(|kind| perfect(paper.intra_predictor(kind)));
+    assert_eq!(intra.name, b.name());
+    assert_eq!(intra.ipc, runs.map(|r| r.ipc()));
+    assert_eq!(intra.mispredicts, runs.map(|r| r.intra_mispredicts));
+
+    let [confidence] = &ext_confidence(&benches)[..] else {
+        panic!("one row per benchmark")
+    };
+    let always = legacy(b, Table4Column::Path, &paper);
+    assert_eq!(confidence.name, b.name());
+    assert_eq!(confidence.always_ipc, always.ipc());
+    assert_eq!(confidence.miss_rate, always.task_miss_rate());
 }
 
 /// The outcome contract: for every Table 4 column, gated or not, the walk

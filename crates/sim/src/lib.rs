@@ -15,9 +15,11 @@
 //!   mispredictions — the source of Table 4's IPC numbers. The [`replay`]
 //!   module records one interpreter pass per benchmark into an immutable
 //!   [`replay::InstrReplay`], and every timing run replays that execution
-//!   with zero re-interpretation: [`replay::simulate_replay`] is the one
-//!   timing feed in production. [`timing::simulate`], which re-interprets
-//!   the program, stays as the test oracle it is bit-identical to.
+//!   with zero re-interpretation: the lockstep lanes walk
+//!   ([`replay::walk_lanes`]) is the one timing feed in production, and it
+//!   times all of an experiment's columns in one pass.
+//!   [`timing::simulate`], which re-interprets the program through the
+//!   scalar core, stays as the test oracle it is bit-identical to.
 //!
 //! One walker steps the interpreter and resolves task boundaries; the
 //! recording ([`replay::record_replay`]) and the timing oracle drain it.
@@ -27,8 +29,8 @@
 //!
 //! Building with `--features sanitize` arms runtime assertions over the
 //! timing model's invariants (monotone commit and ring-unit clocks); the
-//! `sanitize` module's lockstep replay/interpreter agreement checkers
-//! compile in every build. See DESIGN.md.
+//! `sanitize` module's agreement checkers (replay against the interpreter,
+//! lanes against the scalar core) compile in every build. See DESIGN.md.
 //!
 //! # Example: measuring a predictor on a workload
 //!
@@ -67,7 +69,7 @@ pub use metrics::{
     TaskEventSink, UnitOccupancy,
 };
 pub use replay::{
-    derive_trace, record_replay, simulate_replay, simulate_replay_fused_with_sinks,
-    simulate_replay_with_sink, walk_replay, InstrReplay,
+    derive_trace, record_replay, simulate_replay, simulate_replay_with_sink, walk_lanes,
+    walk_replay, InstrReplay, Lane,
 };
 pub use trace::{TaskEvent, TraceRun, TraceStats};

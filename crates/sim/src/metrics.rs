@@ -1,7 +1,8 @@
 //! Cycle-attribution and event-tracing sinks for the timing core.
 //!
-//! The timing core (`timing::simulate_core`) is generic over a
-//! [`MetricsSink`]. The
+//! Both timing cores — the lanes walk ([`crate::replay::walk_lanes`], one
+//! sink per lane) and the scalar reference (`timing::simulate_core`) — are
+//! generic over a [`MetricsSink`]. The
 //! default [`NoopSink`] monomorphises every hook to nothing, so the plain
 //! entry points ([`crate::timing::simulate`],
 //! [`crate::replay::simulate_replay`]) pay **zero** cost and stay

@@ -10,14 +10,24 @@
 //! `ext-memory`/`ext-intra`/`ext-confidence` ablations and `ext-zoo`'s
 //! squash fractions (all timing walks), and every functional trace
 //! consumer (the recording's boundary section *is* the task trace, which
-//! [`derive_trace`] hands out). [`simulate_replay`] drives the timing core
-//! from the recording with zero re-interpretation and returns a
-//! `TimingResult` bit-identical to [`crate::timing::simulate`]'s, which
+//! [`derive_trace`] hands out).
+//!
+//! # Lanes
+//!
+//! Every production timing run is a lane of [`walk_lanes`]: one walk of
+//! the recording decodes each instruction once and steps every lane, a
+//! lane being one column (an [`Outcomes`] and a [`TimingConfig`]). An
+//! experiment walks a benchmark once: Table 4 and `profile` as five lanes,
+//! `ext-memory` as four, `ext-intra` as three, `ext-confidence` as two and
+//! `ext-zoo` as four. [`walk_replay`] and [`simulate_replay`] are one
+//! lane. The walk runs with zero re-interpretation, and each lane's
+//! `TimingResult` is bit-identical to [`crate::timing::simulate`]'s, which
 //! stays only as the test oracle.
 //!
 //! Prediction is not part of the walk: [`simulate_replay`] runs the
 //! outcome pass ([`crate::measure::measure_outcomes`]) over the boundary
-//! section, then [`walk_replay`] reads one miss/gated byte per boundary.
+//! section, then walks one lane that reads one miss/gated byte per
+//! boundary.
 //!
 //! # Layout
 //!
@@ -47,14 +57,17 @@
 use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
-use multiscalar_isa::{memory_words, Addr, Program};
+use multiscalar_isa::{memory_words, Addr, Program, NUM_REGS};
 use multiscalar_taskform::TaskProgram;
 
+use crate::arb::ArbTable;
 use crate::measure::{measure_outcomes, Outcomes};
-use crate::metrics::{MetricsSink, NoopSink};
+use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
 use crate::timing::{
-    simulate_core, BoundaryStep, CoreState, CoreStep, InterpSource, NextTaskPredictor, OpClass,
-    StepSource, TimingConfig, TimingResult,
+    BoundaryStep, CoreStep, ForwardingModel, InterpSource, IntraState, NextTaskPredictor, OpClass,
+    StepSource, TimingConfig, TimingResult, ARB_FULL_PENALTY, DISPATCH_COST, INTRA_PENALTY,
+    ISSUE_WIDTH, LOAD_LATENCY, NO_REG, N_UNITS, SQUASH_PENALTY, TASK_IDX_BITS, TASK_IDX_MASK,
+    VIOLATION_PENALTY,
 };
 use crate::trace::{SharedTrace, TraceError, TraceRun, TraceStats};
 
@@ -184,8 +197,8 @@ pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
 
 /// How far ahead (in elements) the cursor pulls upcoming replay columns
 /// toward the cache. One op word is 4 bytes, so 64 elements is four cache
-/// lines of lookahead — far enough to cover the fused engines' per-step
-/// work, near enough not to thrash.
+/// lines of lookahead — far enough to cover a lanes walk's per-step work,
+/// near enough not to thrash.
 const PREFETCH_AHEAD: usize = 64;
 
 /// Forces the load of the element `PREFETCH_AHEAD` slots ahead, warming the
@@ -313,10 +326,9 @@ pub fn simulate_replay(
 
 /// [`simulate_replay`] with a live [`MetricsSink`] observing the run: the
 /// outcome pass ([`measure_outcomes`]) over the recording's boundary
-/// section, then [`walk_replay`]. The replay cursor feeds the same
-/// instrumented core as [`crate::timing::simulate_with_sink`], so
-/// breakdowns and event logs are engine-independent: both engines report
-/// identical sink streams for the same execution.
+/// section, then a one-lane [`walk_replay`]. Breakdowns and event logs are
+/// engine-independent: the lane reports the same sink stream as
+/// [`crate::timing::simulate_with_sink`] for the same execution.
 pub fn simulate_replay_with_sink<M: MetricsSink>(
     replay: &InstrReplay,
     descs: &[TaskDesc],
@@ -328,9 +340,10 @@ pub fn simulate_replay_with_sink<M: MetricsSink>(
     walk_replay(replay, &outcomes, config, sink)
 }
 
-/// Walks a recording through the timing core with its prediction done:
+/// Walks a recording through the timing model with its prediction done:
 /// one [`Outcomes`] byte per boundary of `replay`, which several walks may
-/// share. A gated run is a walk of gated outcomes.
+/// share. A gated run is a walk of gated outcomes. This is a one-lane
+/// [`walk_lanes`].
 ///
 /// # Panics
 ///
@@ -341,10 +354,11 @@ pub fn walk_replay<M: MetricsSink>(
     config: &TimingConfig,
     sink: &mut M,
 ) -> TimingResult {
-    assert_covers(replay, outcomes);
-    let mut cursor = ReplayCursor::new(replay);
-    simulate_core(&mut cursor, outcomes, config, replay.mem_words, sink)
-        .expect("replay cursor never errors")
+    let lane = Lane {
+        outcomes,
+        config: *config,
+    };
+    walk_lanes(replay, &[lane], std::slice::from_mut(sink))[0]
 }
 
 fn assert_covers(replay: &InstrReplay, outcomes: &Outcomes) {
@@ -355,77 +369,498 @@ fn assert_covers(replay: &InstrReplay, outcomes: &Outcomes) {
     );
 }
 
-/// Steps decoded per batch of the fused walk. Large enough that each
-/// slot's hot state (scoreboard, store queue, ARB) stays cache-resident
-/// across its inner run; small enough that the shared decoded block and
-/// every slot's working set coexist in L1/L2.
-const FUSE_BLOCK: usize = 128;
+/// One column of a lockstep walk ([`walk_lanes`]): the outcome bits it
+/// reads and the machine it times. Lanes borrow their outcomes, so several
+/// machines can walk one prediction pass.
+#[derive(Debug, Clone, Copy)]
+pub struct Lane<'a> {
+    /// One outcome byte per boundary of the recording.
+    pub outcomes: &'a Outcomes,
+    /// The machine this lane times.
+    pub config: TimingConfig,
+}
 
-/// Runs several independent timing runs over one recording in a **single**
-/// walk: slot `i` walks `outcomes[i]` and reports to `sinks[i]`, each
-/// bit-identical to a solo [`walk_replay`] of the same outcomes.
+/// Lanes one monomorphised walk carries; wider requests walk in chunks.
+const MAX_LANES: usize = 8;
+
+/// Times several columns over one recording in a **single** walk: lane `i`
+/// reads `lanes[i].outcomes`, times `lanes[i].config` and reports to
+/// `sinks[i]`, and its result is bit-identical to a solo run of the
+/// scalar core (`timing::simulate_core` on the same recording) with the
+/// same outcomes, machine and sink.
 ///
-/// The walk is **block-batched**: the cursor decodes `FUSE_BLOCK` (128) steps
-/// into a reusable buffer, then each slot consumes the whole block before
-/// the next slot starts. Slots never observe each other and each still
-/// sees the full step stream in order, so batching is invisible to the
-/// results — it only converts the inner loop from slot-interleaved (which
-/// drags every slot's hot state through the cache at every step) to
-/// slot-major bursts.
+/// Each recorded instruction is decoded once. Everything that depends only
+/// on the recording is computed once per step and shared: the intra-task
+/// predictor is stepped once per distinct
+/// [`IntraPredictorKind`](crate::timing::IntraPredictorKind) (its miss
+/// bit is a function of the branch stream), the ARB table once per
+/// distinct geometry, and the register mask of the current task once. The
+/// clocks, scoreboard and store table are rows of one value per lane, so
+/// the per-lane work is a short loop over `N` lanes, monomorphised for
+/// `N` in `1..=8`.
 ///
 /// # Panics
 ///
-/// If `sinks` and `outcomes` differ in length, or a slot's outcomes do not
+/// If `sinks` and `lanes` differ in length, or a lane's outcomes do not
 /// cover exactly the recording's boundaries.
-pub fn simulate_replay_fused_with_sinks<M: MetricsSink>(
+pub fn walk_lanes<M: MetricsSink>(
     replay: &InstrReplay,
-    outcomes: &[Outcomes],
-    config: &TimingConfig,
+    lanes: &[Lane],
     sinks: &mut [M],
 ) -> Vec<TimingResult> {
-    assert_eq!(outcomes.len(), sinks.len(), "one sink per fused slot");
-    let mut states: Vec<CoreState> = outcomes
-        .iter()
-        .map(|o| {
-            assert_covers(replay, o);
-            CoreState::new(config, replay.mem_words)
-        })
-        .collect();
-    for (state, sink) in states.iter().zip(sinks.iter_mut()) {
-        state.bootstrap(sink);
+    assert_eq!(lanes.len(), sinks.len(), "one sink per lane");
+    for lane in lanes {
+        assert_covers(replay, lane.outcomes);
+    }
+    let mut results = Vec::with_capacity(lanes.len());
+    for (lanes, sinks) in lanes.chunks(MAX_LANES).zip(sinks.chunks_mut(MAX_LANES)) {
+        match lanes.len() {
+            1 => results.extend(walk_chunk::<1, M>(replay, lanes, sinks)),
+            2 => results.extend(walk_chunk::<2, M>(replay, lanes, sinks)),
+            3 => results.extend(walk_chunk::<3, M>(replay, lanes, sinks)),
+            4 => results.extend(walk_chunk::<4, M>(replay, lanes, sinks)),
+            5 => results.extend(walk_chunk::<5, M>(replay, lanes, sinks)),
+            6 => results.extend(walk_chunk::<6, M>(replay, lanes, sinks)),
+            7 => results.extend(walk_chunk::<7, M>(replay, lanes, sinks)),
+            _ => results.extend(walk_chunk::<MAX_LANES, M>(replay, lanes, sinks)),
+        }
+    }
+    results
+}
+
+/// One lockstep walk of exactly `N` lanes.
+fn walk_chunk<const N: usize, M: MetricsSink>(
+    replay: &InstrReplay,
+    lanes: &[Lane],
+    sinks: &mut [M],
+) -> [TimingResult; N] {
+    let lanes: &[Lane; N] = lanes.try_into().expect("a chunk of N lanes");
+    let sinks: &mut [M; N] = sinks.try_into().expect("one sink per lane");
+    let mut core = LaneCore::new(lanes, replay.mem_words);
+    for (sink, &complete) in sinks.iter_mut().zip(&core.complete) {
+        if M::ENABLED {
+            sink.frontier(0, complete, FrontierCause::Startup);
+        }
     }
     let mut cursor = ReplayCursor::new(replay);
-    let mut block: Vec<CoreStep> = Vec::with_capacity(FUSE_BLOCK);
-    let mut halted = false;
-    while !halted {
-        block.clear();
-        while block.len() < FUSE_BLOCK && !halted {
-            let step = cursor.next_step().expect("replay cursor never errors");
-            halted = step.halt;
-            block.push(step);
+    loop {
+        let step = cursor.next_step().expect("replay cursor never errors");
+        core.on_step(&step, sinks);
+        if step.halt {
+            break;
         }
-        for ((state, slot), sink) in states.iter_mut().zip(outcomes).zip(sinks.iter_mut()) {
-            for step in &block {
-                state.on_step(step, slot, config, sink);
+    }
+    core.finish(sinks)
+}
+
+/// The distinct values of `keys`, in first-seen order, each with the mask
+/// of the lanes that have it.
+fn lane_groups<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<(K, u32)> {
+    let mut groups: Vec<(K, u32)> = Vec::new();
+    for (i, key) in keys.enumerate() {
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, mask)) => *mask |= 1 << i,
+            None => groups.push((key, 1 << i)),
+        }
+    }
+    groups
+}
+
+/// The state of an `N`-lane walk: the scalar core's state (`CoreState`),
+/// with every per-machine value widened to a row of `N` and every value
+/// that depends only on the recording kept once. Bit `i` of a lane mask
+/// stands for lane `i`.
+struct LaneCore<'a, const N: usize> {
+    /// Each lane's outcome bytes, one per boundary.
+    outcomes: [&'a [u8]; N],
+    /// One intra-task predictor per distinct kind, with its lanes.
+    intra: Vec<(IntraState, u32)>,
+    /// One ARB table per distinct geometry, with its lanes; lanes with an
+    /// ideal memory system are in none.
+    arb: Vec<(ArbTable, u32)>,
+    /// The lanes that forward registers release-at-end.
+    release_at_end: u32,
+    /// Registers the current task has written. Only release-at-end lanes
+    /// read it.
+    written_this_task: u32,
+    instructions: u64,
+    /// Boundaries crossed so far: the current task's index, and the number
+    /// of dynamic tasks once the walk ends.
+    task_index: u64,
+    /// `task_index % N_UNITS`, maintained incrementally.
+    cur_unit: usize,
+    /// Per-lane event counts; the shared counts and `cycles` are filled in
+    /// by `finish`.
+    result: [TimingResult; N],
+    /// Per word, each lane's `issue_time << TASK_IDX_BITS | task` of the
+    /// word's last store (the scalar core's `last_store`). Allocated
+    /// zeroed, so words no store touches cost neither a memset nor a page.
+    last_store: Vec<[u64; N]>,
+    max_store_time: [u64; N],
+    avail: [[u64; N]; NUM_REGS],
+    released: [[u64; N]; NUM_REGS],
+    unit_free: [[u64; N]; N_UNITS],
+    prev_commit: [u64; N],
+    dispatch: [u64; N],
+    t_issue: [u64; N],
+    slots: [u32; N],
+    complete: [u64; N],
+}
+
+impl<'a, const N: usize> LaneCore<'a, N> {
+    fn new(lanes: &[Lane<'a>; N], mem_words: usize) -> LaneCore<'a, N> {
+        let intra = lane_groups(lanes.iter().map(|l| l.config.intra_predictor))
+            .into_iter()
+            .map(|(kind, mask)| (IntraState::new(kind), mask))
+            .collect();
+        let arb = lane_groups(lanes.iter().map(|l| l.config.arb))
+            .into_iter()
+            .filter_map(|(arb, mask)| arb.map(|a| (ArbTable::new(a), mask)))
+            .collect();
+        let release_at_end = lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.config.forwarding == ForwardingModel::ReleaseAtEnd)
+            .fold(0, |mask, (i, _)| mask | 1 << i);
+        let dispatch = 1u64; // first dispatch
+        let t_issue = dispatch + 1;
+        LaneCore {
+            outcomes: lanes.map(|l| l.outcomes.bits()),
+            intra,
+            arb,
+            release_at_end,
+            written_this_task: 0,
+            instructions: 0,
+            task_index: 0,
+            cur_unit: 0,
+            result: [TimingResult {
+                instructions: 0,
+                cycles: 0,
+                dynamic_tasks: 0,
+                task_mispredicts: 0,
+                intra_mispredicts: 0,
+                arb_violations: 0,
+                arb_full_stalls: 0,
+                gated_boundaries: 0,
+            }; N],
+            last_store: vec![[0; N]; mem_words],
+            max_store_time: [0; N],
+            avail: [[0; N]; NUM_REGS],
+            released: [[0; N]; NUM_REGS],
+            unit_free: [[0; N]; N_UNITS],
+            prev_commit: [0; N],
+            dispatch: [dispatch; N],
+            t_issue: [t_issue; N],
+            slots: [0; N],
+            complete: [t_issue; N],
+        }
+    }
+
+    /// Accounts one instruction in every lane: `CoreState::on_step`, with
+    /// each lane's sink hooks in the scalar core's order.
+    #[inline(always)]
+    fn on_step<M: MetricsSink>(&mut self, step: &CoreStep, sinks: &mut [M; N]) {
+        self.instructions += 1;
+
+        // --- issue timing for this instruction --------------------------
+        let mut ready = self.t_issue;
+        for r in [step.src1, step.src2] {
+            if r == NO_REG {
+                continue;
+            }
+            let r = r as usize;
+            // Release-at-end lanes read an older task's value at its
+            // release time; values this task produced bypass locally.
+            let from_release = if self.written_this_task & (1 << r) == 0 {
+                self.release_at_end
+            } else {
+                0
+            };
+            if from_release == 0 {
+                for (t, &avail) in ready.iter_mut().zip(&self.avail[r]) {
+                    *t = (*t).max(avail);
+                }
+            } else {
+                for (i, t) in ready.iter_mut().enumerate() {
+                    let row = if from_release & (1 << i) != 0 {
+                        &self.released[r]
+                    } else {
+                        &self.avail[r]
+                    };
+                    *t = (*t).max(row[i]);
+                }
+            }
+        }
+        let mut issue = [0u64; N];
+        for i in 0..N {
+            if ready[i] > self.t_issue[i] {
+                if M::ENABLED {
+                    sinks[i].issue_stall(StallCause::Dataflow, ready[i] - self.t_issue[i]);
+                }
+                self.t_issue[i] = ready[i];
+                self.slots[i] = 0;
+            }
+            issue[i] = self.t_issue[i];
+            self.slots[i] += 1;
+            if self.slots[i] >= ISSUE_WIDTH {
+                self.t_issue[i] += 1;
+                self.slots[i] = 0;
+            }
+        }
+        let latency = match step.class {
+            OpClass::Load => LOAD_LATENCY,
+            _ => 1,
+        };
+
+        // --- memory disambiguation -----------------------------------------
+        if matches!(step.class, OpClass::Load | OpClass::Store) {
+            let ea = step.mem_addr;
+            if step.class == OpClass::Load {
+                self.check_violations(ea as usize, &issue, sinks);
+            } else {
+                let latest = issue.iter().fold(0, |acc, &t| acc | t);
+                assert!(
+                    latest >> (64 - TASK_IDX_BITS) == 0 && self.task_index <= TASK_IDX_MASK,
+                    "last_store packing overflow"
+                );
+                let row = &mut self.last_store[ea as usize];
+                for i in 0..N {
+                    row[i] = issue[i] << TASK_IDX_BITS | self.task_index;
+                    self.max_store_time[i] = self.max_store_time[i].max(issue[i]);
+                }
+            }
+            let mut full = 0;
+            for (arb, lanes) in &mut self.arb {
+                if !arb.reference(ea) {
+                    full |= *lanes;
+                }
+            }
+            for (i, sink) in sinks.iter_mut().enumerate() {
+                if full & (1 << i) != 0 {
+                    // No free entry: the reference goes untracked and
+                    // issue stalls.
+                    self.result[i].arb_full_stalls += 1;
+                    if M::ENABLED {
+                        sink.issue_stall(StallCause::ArbFull, ARB_FULL_PENALTY);
+                    }
+                    self.t_issue[i] += ARB_FULL_PENALTY;
+                    self.slots[i] = 0;
+                }
+            }
+        }
+        if step.dest != NO_REG {
+            let d = step.dest as usize;
+            for (avail, &t) in self.avail[d].iter_mut().zip(&issue) {
+                *avail = t + latency;
+            }
+            self.written_this_task |= 1 << d;
+        }
+        for i in 0..N {
+            let done = issue[i] + latency;
+            if done > self.complete[i] {
+                if M::ENABLED {
+                    sinks[i].frontier(self.complete[i], done, FrontierCause::Issue);
+                }
+                self.complete[i] = done;
+            }
+        }
+
+        if step.halt {
+            return;
+        }
+        match step.boundary {
+            Some(bound) => self.retire(bound, sinks),
+            None if step.class == OpClass::Branch => self.intra_branch(step, &issue, sinks),
+            None => {}
+        }
+    }
+
+    /// Times a load against the last older task's store to its word, in
+    /// every lane whose stores could still be in flight.
+    #[inline(always)]
+    fn check_violations<M: MetricsSink>(
+        &mut self,
+        ea: usize,
+        issue: &[u64; N],
+        sinks: &mut [M; N],
+    ) {
+        // A lane whose every store issued no later than this load cannot
+        // trip the check, so the store row is read only when a lane can.
+        let mut maybe = 0u32;
+        for (i, (&latest, &t)) in self.max_store_time.iter().zip(issue).enumerate() {
+            maybe |= ((latest > t) as u32) << i;
+        }
+        if maybe == 0 {
+            return;
+        }
+        let row = self.last_store[ea];
+        for i in 0..N {
+            if maybe & (1 << i) == 0 {
+                continue;
+            }
+            let store_time = row[i] >> TASK_IDX_BITS;
+            let store_task = row[i] & TASK_IDX_MASK;
+            if store_task < self.task_index && store_time > issue[i] {
+                // Violation: the load's task re-executes from here.
+                self.result[i].arb_violations += 1;
+                self.t_issue[i] = store_time + VIOLATION_PENALTY;
+                self.slots[i] = 0;
+                let to = self.complete[i].max(self.t_issue[i]);
+                if M::ENABLED {
+                    sinks[i].frontier(self.complete[i], to, FrontierCause::Violation);
+                }
+                self.complete[i] = to;
             }
         }
     }
-    states
-        .into_iter()
-        .zip(sinks.iter_mut())
-        .map(|(state, sink)| {
-            let result = state.finish();
-            sink.finish(&result);
+
+    /// An intra-task conditional branch: each distinct predictor predicts
+    /// and trains once, and each of its lanes that missed redirects.
+    #[inline(always)]
+    fn intra_branch<M: MetricsSink>(
+        &mut self,
+        step: &CoreStep,
+        issue: &[u64; N],
+        sinks: &mut [M; N],
+    ) {
+        let mut missed = 0;
+        for (intra, lanes) in &mut self.intra {
+            if intra.predict(step.branch_pc) != step.taken {
+                missed |= *lanes;
+            }
+            intra.update(step.branch_pc, step.taken);
+        }
+        for i in 0..N {
+            if missed & (1 << i) != 0 {
+                self.result[i].intra_mispredicts += 1;
+                let redirect = issue[i] + 1 + INTRA_PENALTY;
+                if M::ENABLED {
+                    sinks[i].issue_stall(
+                        StallCause::IntraMispredict,
+                        redirect.saturating_sub(self.t_issue[i]),
+                    );
+                }
+                self.t_issue[i] = redirect;
+                self.slots[i] = 0;
+            }
+        }
+    }
+
+    /// Retires the current task at `bound` and dispatches the next, in
+    /// every lane by its own outcome bit.
+    fn retire<M: MetricsSink>(&mut self, bound: BoundaryStep, sinks: &mut [M; N]) {
+        let k = self.task_index as usize;
+        // Release-at-end lanes release the finished task's created
+        // registers (the header's create mask, §2.1) to younger tasks.
+        if self.release_at_end != 0 {
+            let mut written = self.written_this_task;
+            while written != 0 {
+                let r = written.trailing_zeros() as usize;
+                written &= written - 1;
+                for i in 0..N {
+                    if self.release_at_end & (1 << i) != 0 {
+                        self.released[r][i] = self.released[r][i].max(self.complete[i]);
+                    }
+                }
+            }
+        }
+        self.written_this_task = 0;
+        // Commit is strictly FIFO, so the retiring task's ARB entries are
+        // freed at every task retirement.
+        for (arb, _) in &mut self.arb {
+            arb.clear();
+        }
+        let unit = self.cur_unit;
+        let next_unit = if unit + 1 == N_UNITS { 0 } else { unit + 1 };
+        for (i, sink) in sinks.iter_mut().enumerate() {
+            let bits = self.outcomes[i][k];
+            let miss = bits & Outcomes::MISS != 0;
+            let gated = bits & Outcomes::GATED != 0;
+            self.result[i].task_mispredicts += miss as u64;
+            self.result[i].gated_boundaries += gated as u64;
+            let complete = self.complete[i];
+            let commit = complete.max(self.prev_commit[i]);
+            // Sanitizer: commit is strictly FIFO, so the commit clock and
+            // every unit's free time can only move forward.
+            #[cfg(feature = "sanitize")]
+            {
+                assert!(
+                    commit >= self.prev_commit[i],
+                    "sanitize: lane {i} commit time went backwards ({commit} < {})",
+                    self.prev_commit[i]
+                );
+                assert!(
+                    commit + 1 >= self.unit_free[unit][i],
+                    "sanitize: lane {i} unit {unit} free time went backwards ({} -> {})",
+                    self.unit_free[unit][i],
+                    commit + 1
+                );
+            }
+            self.unit_free[unit][i] = commit + 1;
+            let free = self.unit_free[next_unit][i];
+            let next_dispatch = if miss && !gated {
+                // Mispredicted: squash when this task completes, then the
+                // correct next task dispatches after recovery.
+                complete + SQUASH_PENALTY
+            } else if gated {
+                // Speculation withheld: the next task starts once this
+                // boundary resolves — no squash, but no overlap.
+                complete.max(free)
+            } else {
+                (self.dispatch[i] + DISPATCH_COST).max(free)
+            };
+            self.prev_commit[i] = commit;
+            self.dispatch[i] = next_dispatch.max(self.dispatch[i] + DISPATCH_COST);
+            self.t_issue[i] = (self.dispatch[i] + 1).max(free);
+            self.slots[i] = 0;
+            let to = complete.max(self.t_issue[i]);
+            if M::ENABLED {
+                let cause = if miss && !gated {
+                    FrontierCause::Squash
+                } else if gated {
+                    FrontierCause::Gated
+                } else {
+                    FrontierCause::Dispatch
+                };
+                sink.frontier(complete, to, cause);
+                sink.boundary(&BoundaryEvent {
+                    index: k as u64,
+                    task: bound.task,
+                    exit: bound.exit.as_u8(),
+                    next: bound.next.0,
+                    miss,
+                    gated,
+                    complete,
+                    commit,
+                    dispatch: self.dispatch[i],
+                });
+            }
+            self.complete[i] = to;
+        }
+        self.task_index += 1;
+        self.cur_unit = next_unit;
+    }
+
+    /// Ends the walk: every lane's result, reported to its sink.
+    fn finish<M: MetricsSink>(self, sinks: &mut [M; N]) -> [TimingResult; N] {
+        std::array::from_fn(|i| {
+            let result = TimingResult {
+                instructions: self.instructions,
+                cycles: self.complete[i].max(self.prev_commit[i]),
+                dynamic_tasks: self.task_index,
+                ..self.result[i]
+            };
+            sinks[i].finish(&result);
             result
         })
-        .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measure::task_descs;
-    use crate::timing::simulate;
+    use crate::timing::{simulate, simulate_core};
     use multiscalar_core::automata::LastExitHysteresis;
     use multiscalar_core::dolc::Dolc;
     use multiscalar_core::history::PathPredictor;
@@ -522,43 +957,112 @@ mod tests {
         measure_outcomes(p, descs, &replay.bounds, None)
     }
 
-    /// Runs every slot of `outcomes` fused, without sinks.
-    fn fused(
+    /// The scalar core's solo run of one column over a recording: the
+    /// reference every lane of [`walk_lanes`] must match.
+    fn scalar(replay: &InstrReplay, outcomes: &Outcomes, config: &TimingConfig) -> TimingResult {
+        let mut cursor = ReplayCursor::new(replay);
+        simulate_core(
+            &mut cursor,
+            outcomes,
+            config,
+            replay.mem_words,
+            &mut NoopSink,
+        )
+        .expect("replay cursor never errors")
+    }
+
+    /// Walks `outcomes[i]` under `configs[i]` as one lockstep walk,
+    /// without sinks.
+    fn lanes(
         replay: &InstrReplay,
         outcomes: &[Outcomes],
-        config: &TimingConfig,
+        configs: &[TimingConfig],
     ) -> Vec<TimingResult> {
-        let mut sinks = vec![NoopSink; outcomes.len()];
-        simulate_replay_fused_with_sinks(replay, outcomes, config, &mut sinks)
+        let lanes: Vec<Lane> = outcomes
+            .iter()
+            .zip(configs)
+            .map(|(outcomes, &config)| Lane { outcomes, config })
+            .collect();
+        walk_lanes(replay, &lanes, &mut vec![NoopSink; lanes.len()])
+    }
+
+    /// Machines that share an intra predictor or an ARB with the paper's
+    /// and machines that own theirs.
+    fn mixed_configs() -> [TimingConfig; 5] {
+        use crate::arb::ArbConfig;
+        use crate::timing::{ForwardingModel, IntraPredictorKind};
+        let tiny = ArbConfig {
+            banks: 1,
+            entries_per_bank: 1,
+        };
+        [
+            TimingConfig::paper(),
+            TimingConfig::paper().forwarding(ForwardingModel::ReleaseAtEnd),
+            TimingConfig::paper().arb(None),
+            TimingConfig::paper()
+                .intra_predictor(IntraPredictorKind::McFarling)
+                .arb(Some(tiny)),
+            TimingConfig::paper()
+                .intra_predictor(IntraPredictorKind::Gshare)
+                .forwarding(ForwardingModel::ReleaseAtEnd),
+        ]
     }
 
     #[test]
-    fn fused_columns_match_solo_replay_runs() {
+    fn lanes_match_scalar_core_runs() {
         let (replay, descs) = recorded(500);
         let config = TimingConfig::default();
         let slots = [None, Some(2), Some(4)].map(|d| outcomes(&replay, &descs, d));
-        let solo: Vec<_> = slots
-            .iter()
-            .map(|o| walk_replay(&replay, o, &config, &mut NoopSink))
-            .collect();
-        assert_eq!(fused(&replay, &slots, &config), solo);
+        let solo: Vec<_> = slots.iter().map(|o| scalar(&replay, o, &config)).collect();
+        assert_eq!(lanes(&replay, &slots, &[config; 3]), solo);
         assert_eq!(solo[0], simulate_replay(&replay, &descs, None, &config));
+        assert_eq!(
+            solo[2],
+            walk_replay(&replay, &slots[2], &config, &mut NoopSink)
+        );
     }
 
     #[test]
-    fn fused_block_batching_is_invisible_across_program_lengths() {
-        // Recording lengths on both sides of (and straddling) FUSE_BLOCK
-        // multiples: partial final blocks, single-block runs, halts landing
-        // anywhere in a block — all must stay bit-identical to solo runs.
-        let config = TimingConfig::default();
+    fn mixed_machines_match_scalar_core_runs_beyond_one_chunk() {
+        // Ten lanes walk as a chunk of eight and a chunk of two; every
+        // machine meets every outcome pass somewhere in the grid.
+        let (replay, descs) = recorded(300);
+        let passes = [None, Some(4)].map(|d| outcomes(&replay, &descs, d));
+        let configs = mixed_configs();
+        let grid: Vec<(Outcomes, TimingConfig)> = configs
+            .iter()
+            .flat_map(|&c| passes.iter().map(move |o| (o.clone(), c)))
+            .collect();
+        let (slots, configs): (Vec<_>, Vec<_>) = grid.into_iter().unzip();
+        let solo: Vec<_> = slots
+            .iter()
+            .zip(&configs)
+            .map(|(o, c)| scalar(&replay, o, c))
+            .collect();
+        assert_eq!(slots.len(), 10);
+        assert_eq!(lanes(&replay, &slots, &configs), solo);
+    }
+
+    #[test]
+    fn lanes_match_the_scalar_core_across_program_lengths() {
+        // Halts after one, a few and many tasks, in every lane count a
+        // mixed grid reaches.
+        let configs = mixed_configs();
         for iters in [1, 3, 17, 64, 200] {
             let (replay, descs) = recorded(iters);
-            let slots = [None, Some(4)].map(|d| outcomes(&replay, &descs, d));
-            let solo: Vec<_> = slots
-                .iter()
-                .map(|o| walk_replay(&replay, o, &config, &mut NoopSink))
-                .collect();
-            assert_eq!(fused(&replay, &slots, &config), solo, "iters {iters}");
+            let slots: Vec<_> = [None, Some(4), Some(2), None, Some(1)]
+                .map(|d| outcomes(&replay, &descs, d))
+                .into();
+            for n in 1..=slots.len() {
+                let solo: Vec<_> = (0..n)
+                    .map(|i| scalar(&replay, &slots[i], &configs[i]))
+                    .collect();
+                assert_eq!(
+                    lanes(&replay, &slots[..n], &configs[..n]),
+                    solo,
+                    "iters {iters}, {n} lanes"
+                );
+            }
         }
     }
 
@@ -573,14 +1077,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "a walk takes exactly one outcome per boundary")]
-    fn a_fused_walk_rejects_too_few_outcomes() {
+    fn a_lanes_walk_rejects_too_few_outcomes() {
         let (replay, descs) = recorded(50);
         let (shorter, short_descs) = recorded(49);
         let slots = [
             outcomes(&replay, &descs, None),
             outcomes(&shorter, &short_descs, None),
         ];
-        fused(&replay, &slots, &TimingConfig::default());
+        lanes(&replay, &slots, &[TimingConfig::default(); 2]);
     }
 
     #[test]

@@ -19,23 +19,27 @@
 //! (retiring task, header exit, next-task entry). That covers the packing,
 //! the side columns and the cursor's unpacking.
 //!
-//! [`check_fused_agreement`] closes the remaining gap: it runs the fused
-//! multi-column sweep ([`crate::replay::simulate_replay_fused_with_sinks`])
-//! and the equivalent solo walks ([`crate::replay::walk_replay`]) in one
-//! process, every slot reading the outcomes of one prediction pass
-//! ([`crate::measure::measure_outcomes`]), and asserts bit-identical
-//! [`crate::timing::TimingResult`]s *and* cycle attributions per column.
+//! [`check_fused_agreement`] closes the remaining gap: it runs one
+//! lockstep lanes walk ([`crate::replay::walk_lanes`]), one lane per slot,
+//! each slot with its own outcome pass
+//! ([`crate::measure::measure_outcomes`]) and its own machine, and solo
+//! runs of the scalar core (`timing::simulate_core` on the replay cursor)
+//! in one process, and asserts bit-identical
+//! [`crate::timing::TimingResult`]s *and* cycle attributions per slot. The
+//! lanes and the scalar core are two independent implementations of the
+//! cycle arithmetic, so each comparison checks one against the other.
 //!
 //! Enabling the feature also arms assertions inside the model itself: the
-//! boundary-retirement code in `timing.rs` asserts the commit clock and
+//! boundary-retirement code of both cores asserts the commit clock and
 //! every ring unit's free time only move forward. They compile away when
 //! the feature is off.
 
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::CycleBreakdown;
-use crate::replay::{record_replay, simulate_replay_fused_with_sinks, walk_replay, ReplayCursor};
+use crate::replay::{record_replay, walk_lanes, Lane, ReplayCursor};
 use crate::timing::{
-    CoreStep, InterpSource, NextTaskPredictor, OpClass, StepSource, TimingConfig, TimingResult,
+    simulate_core, CoreStep, InterpSource, NextTaskPredictor, OpClass, StepSource, TimingConfig,
+    TimingResult,
 };
 use crate::trace::TraceError;
 use multiscalar_core::predictor::TaskDesc;
@@ -107,14 +111,18 @@ pub fn check_replay_agreement(
     Ok(steps)
 }
 
-/// Cross-checks the fused sweep engine against solo runs **in one
-/// process**: records `program` once, runs each of `predictors` (one slot
-/// each; `None` = perfect prediction) once, ungated, through
-/// [`measure_outcomes`], walks each slot solo and all slots fused over the
-/// same recording and the same outcomes, and asserts per slot that the
-/// [`TimingResult`]s are bit-identical *and* that the [`CycleBreakdown`]s
-/// agree cause by cause (each breakdown also self-asserts that it sums to
-/// the run's cycle count). Returns the per-slot results.
+/// One slot of [`check_fused_agreement`]: its next-task predictor (`None`
+/// = perfect prediction) and the machine it times.
+pub type FusedSlot = (Option<Box<dyn NextTaskPredictor>>, TimingConfig);
+
+/// Cross-checks the lockstep lanes walk against the scalar core **in one
+/// process**: records `program` once, runs each slot's predictor once,
+/// ungated, through [`measure_outcomes`], walks every slot as one lane of
+/// a single [`walk_lanes`] and each slot solo through the scalar core on
+/// the same recording, and asserts per slot that the [`TimingResult`]s
+/// are bit-identical *and* that the [`CycleBreakdown`]s agree cause by
+/// cause (each breakdown also self-asserts that it sums to the run's cycle
+/// count). Returns the per-slot results.
 ///
 /// # Errors
 ///
@@ -123,52 +131,66 @@ pub fn check_replay_agreement(
 ///
 /// # Panics
 ///
-/// Panics on the first slot where fused and solo disagree — that is the
-/// sanitizer finding a bug in the fused lockstep walk.
+/// Panics on the first slot where the lane and the scalar core disagree —
+/// that is the sanitizer finding a bug in one of the two cores.
 pub fn check_fused_agreement(
     program: &Program,
     tasks: &TaskProgram,
     descs: &[TaskDesc],
-    config: &TimingConfig,
     max_steps: u64,
-    predictors: Vec<Option<Box<dyn NextTaskPredictor>>>,
+    slots: Vec<FusedSlot>,
 ) -> Result<Vec<TimingResult>, TraceError> {
     let replay = record_replay(program, tasks, max_steps)?;
-    let outcomes: Vec<Outcomes> = predictors
+    let runs: Vec<(Outcomes, TimingConfig)> = slots
         .into_iter()
-        .map(|mut pred| {
+        .map(|(mut pred, config)| {
             let pred = pred.as_deref_mut().map(|p| p as &mut dyn NextTaskPredictor);
-            measure_outcomes(pred, descs, &replay.bounds, None)
+            (measure_outcomes(pred, descs, &replay.bounds, None), config)
         })
         .collect();
 
-    let solo: Vec<_> = outcomes
+    let solo: Vec<_> = runs
         .iter()
-        .map(|o| {
+        .map(|(outcomes, config)| {
             let mut breakdown = CycleBreakdown::new();
-            let result = walk_replay(&replay, o, config, &mut breakdown);
+            let mut cursor = ReplayCursor::new(&replay);
+            let result = simulate_core(
+                &mut cursor,
+                outcomes,
+                config,
+                replay.mem_words,
+                &mut breakdown,
+            )
+            .expect("replay cursor never errors");
             (result, breakdown)
         })
         .collect();
 
-    let mut fused_breakdowns = vec![CycleBreakdown::new(); outcomes.len()];
-    let fused = simulate_replay_fused_with_sinks(&replay, &outcomes, config, &mut fused_breakdowns);
-
-    for (i, ((solo_result, solo_breakdown), (fused_result, fused_breakdown))) in solo
+    let lanes: Vec<Lane> = runs
         .iter()
-        .zip(fused.iter().zip(&fused_breakdowns))
+        .map(|(outcomes, config)| Lane {
+            outcomes,
+            config: *config,
+        })
+        .collect();
+    let mut lane_breakdowns = vec![CycleBreakdown::new(); lanes.len()];
+    let walked = walk_lanes(&replay, &lanes, &mut lane_breakdowns);
+
+    for (i, ((solo_result, solo_breakdown), (lane_result, lane_breakdown))) in solo
+        .iter()
+        .zip(walked.iter().zip(&lane_breakdowns))
         .enumerate()
     {
         assert_eq!(
-            solo_result, fused_result,
-            "sanitize: fused slot {i} result diverges from its solo run"
+            solo_result, lane_result,
+            "sanitize: lane {i} result diverges from the scalar core"
         );
         assert_eq!(
-            solo_breakdown, fused_breakdown,
-            "sanitize: fused slot {i} cycle breakdown diverges from its solo run"
+            solo_breakdown, lane_breakdown,
+            "sanitize: lane {i} cycle breakdown diverges from the scalar core"
         );
     }
-    Ok(fused)
+    Ok(walked)
 }
 
 #[cfg(test)]
@@ -207,29 +229,32 @@ mod tests {
         assert!(steps > 300, "the loop body runs 300 times: {steps}");
     }
 
-    /// Fused/solo agreement for every lane-packed automaton family on a
-    /// real paper workload — the block-batched fused walk must stay
-    /// bit-identical (results *and* cycle breakdowns) no matter which
-    /// family drives the inter-task predictor.
+    /// Lanes/scalar agreement for every lane-packed automaton family on a
+    /// real paper workload — the lanes walk must stay bit-identical
+    /// (results *and* cycle breakdowns) no matter which family drives the
+    /// inter-task predictor.
     #[test]
     fn fused_agreement_holds_for_every_lane_packed_family() {
         fn check_family<A: Automaton + 'static>() {
             let w = Spec92::Compress.build(&WorkloadParams::small(7));
             let tasks = TaskFormer::default().form(&w.program).unwrap();
             let descs = task_descs(&tasks);
+            let config = TimingConfig::default();
             let results = check_fused_agreement(
                 &w.program,
                 &tasks,
                 &descs,
-                &TimingConfig::default(),
                 w.max_steps,
                 vec![
-                    None,
-                    Some(Box::new(TaskPredictor::<PathPredictor<A>>::path(
-                        Dolc::new(4, 4, 6, 6, 2),
-                        Dolc::new(4, 3, 4, 4, 2),
-                        16,
-                    ))),
+                    (None, config),
+                    (
+                        Some(Box::new(TaskPredictor::<PathPredictor<A>>::path(
+                            Dolc::new(4, 4, 6, 6, 2),
+                            Dolc::new(4, 3, 4, 4, 2),
+                            16,
+                        ))),
+                        config,
+                    ),
                 ],
             )
             .unwrap();

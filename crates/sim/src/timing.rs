@@ -41,19 +41,24 @@
 //!
 //! # One timing feed in production, one oracle
 //!
-//! The cycle-accounting loop (`simulate_core`) is generic over a step
-//! source that feeds it one instruction's timing-relevant facts at a time.
 //! Exactly one piece of code steps the interpreter and resolves task
 //! boundaries: the interpreter step source `InterpSource`. It has two
 //! jobs. In production it is drained once per benchmark into a recording
 //! ([`crate::replay::record_replay`], whose boundary section is also the
-//! task trace), and every timing run rides that recording through
-//! [`crate::replay::simulate_replay`]. In tests, [`simulate`] feeds
-//! it straight into the core as the oracle the replay engine is checked
-//! against, after draining a first one for the outcome pass's boundaries.
-//! Because both feeds produce the same step stream and the same
-//! outcomes, the two entry points return **bit-identical**
-//! [`TimingResult`]s by construction.
+//! task trace), and every timing run rides that recording through the
+//! lockstep lanes walk ([`crate::replay::walk_lanes`]), which times
+//! several columns in one pass; a single run is one lane.
+//!
+//! This module keeps the scalar cycle-accounting core (`CoreState`,
+//! driven by `simulate_core` over any step source) as the reference. In
+//! tests, [`simulate`] feeds the interpreter straight into it as the
+//! oracle the replay engine is checked against, after draining a first
+//! feed for the outcome pass's boundaries; the sanitizer
+//! ([`crate::sanitize::check_fused_agreement`]) runs it on the replay
+//! cursor against every lane of one walk. The lanes core is the same
+//! cycle arithmetic, widened to a row per lane, so both cores return
+//! **bit-identical** [`TimingResult`]s on the same step stream and
+//! outcomes.
 
 use crate::arb::{ArbConfig, ArbTable};
 use crate::measure::{measure_outcomes, Outcomes};
@@ -80,7 +85,7 @@ pub enum IntraPredictorKind {
 
 /// Runtime state for the selected intra-task predictor.
 #[derive(Debug, Clone)]
-enum IntraState {
+pub(crate) enum IntraState {
     Bimodal(Bimodal),
     Gshare(TwoLevelGag),
     McFarling(McFarling),
@@ -89,7 +94,7 @@ enum IntraState {
 impl IntraState {
     /// A predictor of the kind with [`BIMODAL_BITS`] index bits (and as
     /// many history bits for gshare).
-    fn new(kind: IntraPredictorKind) -> IntraState {
+    pub(crate) fn new(kind: IntraPredictorKind) -> IntraState {
         let bits = BIMODAL_BITS;
         match kind {
             IntraPredictorKind::Bimodal => IntraState::Bimodal(Bimodal::new(bits)),
@@ -98,7 +103,7 @@ impl IntraState {
         }
     }
 
-    fn predict(&self, pc: Addr) -> bool {
+    pub(crate) fn predict(&self, pc: Addr) -> bool {
         match self {
             IntraState::Bimodal(p) => p.predict(pc),
             IntraState::Gshare(p) => p.predict(pc),
@@ -106,7 +111,7 @@ impl IntraState {
         }
     }
 
-    fn update(&mut self, pc: Addr, taken: bool) {
+    pub(crate) fn update(&mut self, pc: Addr, taken: bool) {
         match self {
             IntraState::Bimodal(p) => p.update(pc, taken),
             IntraState::Gshare(p) => p.update(pc, taken),
@@ -283,8 +288,8 @@ pub(crate) const NO_REG: u8 = u8::MAX;
 /// remaining high bits hold the store's issue time. 2^26 dynamic tasks and
 /// 2^38 cycles are far beyond any harness run; the store path asserts both
 /// so an overflow can never silently corrupt violation detection.
-const TASK_IDX_BITS: u32 = 26;
-const TASK_IDX_MASK: u64 = (1 << TASK_IDX_BITS) - 1;
+pub(crate) const TASK_IDX_BITS: u32 = 26;
+pub(crate) const TASK_IDX_MASK: u64 = (1 << TASK_IDX_BITS) - 1;
 
 /// Timing class of one instruction — everything the cycle accounting needs
 /// to know about *what* executed (its *effects* ride the other fields).
@@ -497,12 +502,11 @@ impl StepSource for InterpSource<'_> {
 // The cycle-accounting core
 // ---------------------------------------------------------------------------
 
-/// All per-run mutable state of the cycle-accounting loop, folded out of
-/// [`simulate_core`] so several independent runs (e.g. Table 4's five
-/// predictor columns) can consume a single step stream in lockstep
-/// ([`crate::replay::simulate_replay_fused_with_sinks`]). Each state sees
-/// exactly the step sequence a solo run would, so fused and solo runs are
-/// bit-identical by construction.
+/// All per-run mutable state of the scalar cycle-accounting loop
+/// ([`simulate_core`]): the reference implementation of the timing model.
+/// It runs under the interpreter-fed oracle ([`simulate`]), the sanitizer
+/// and tests; production walks run the lanes core
+/// ([`crate::replay::walk_lanes`]), which must match it bit for bit.
 pub(crate) struct CoreState {
     intra: IntraState,
     result: TimingResult,
@@ -830,11 +834,10 @@ impl CoreState {
     }
 }
 
-/// The timing loop proper, generic over the step feed. Monomorphised for
-/// the interpreter and the replay cursor; both instantiations execute the
-/// same cycle arithmetic on the same step stream and the same outcomes,
-/// which is what makes [`simulate`] and
-/// [`crate::replay::simulate_replay`] bit-identical.
+/// The scalar timing loop, generic over the step feed. Monomorphised for
+/// the interpreter (the oracle, [`simulate`]) and the replay cursor (the
+/// sanitizer's reference for every lane of
+/// [`crate::replay::walk_lanes`]).
 pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
     source: &mut S,
     outcomes: &Outcomes,
@@ -866,8 +869,8 @@ pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
 ///
 /// This is the test oracle. Production timing runs record the execution
 /// once ([`crate::replay::record_replay`]) and time it with
-/// [`crate::replay::simulate_replay`], which returns a bit-identical
-/// result without re-interpreting.
+/// [`crate::replay::simulate_replay`] or [`crate::replay::walk_lanes`],
+/// which return bit-identical results without re-interpreting.
 ///
 /// # Errors
 ///
