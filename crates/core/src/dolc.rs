@@ -18,6 +18,13 @@
 //! Two heuristics drive the design (both reproduced here and ablated in the
 //! benches): low-order address bits carry the most information, and more
 //! recent tasks deserve more bits than older ones.
+//!
+//! Every realizable predictor keeps its path as a [`DolcPath`]: the bits
+//! its configuration reads, held as a shift register the way the hardware
+//! holds them, so pushing a task is one shift and an index is a few masked
+//! shifts and the fold. [`Dolc::index`] over a [`PathRegister`] of exact
+//! addresses is the reference it is tested against; the ideal (alias-free)
+//! predictors keep exact paths in [`PathRegister`]s.
 
 use multiscalar_isa::Addr;
 use std::collections::VecDeque;
@@ -25,9 +32,9 @@ use std::fmt;
 
 /// A shift register of the most recent task addresses, oldest first.
 ///
-/// Both the path-based exit predictor and the correlated task target buffer
-/// maintain one; pushing the current task's entry address advances the path
-/// by one step.
+/// The exact path: the ideal (alias-free) predictors key on it, and
+/// [`Dolc::index`] over it is the reference for [`DolcPath`]. Pushing the
+/// current task's entry address advances the path by one step.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PathRegister {
     addrs: VecDeque<u32>,
@@ -110,11 +117,6 @@ impl PathRegister {
             addrs,
         }
     }
-
-    /// Clears the register.
-    pub fn clear(&mut self) {
-        self.addrs.clear();
-    }
 }
 
 /// Deepest path an allocation-free [`PathKey`] can hold. The paper's ideal
@@ -151,16 +153,39 @@ pub struct Dolc {
     folds: u8,
 }
 
+/// Widest intermediate index a configuration may build: a [`DolcPath`]
+/// holds it in one `u128`.
+pub const MAX_INTERMEDIATE_BITS: u32 = 128;
+
+/// Widest folded index a configuration may build (a 2^28-entry table).
+pub const MAX_INDEX_BITS: u32 = 28;
+
 impl Dolc {
     /// Creates a configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `folds == 0`, if any bit count exceeds 32, or if the
-    /// configuration selects zero index bits.
+    /// Panics where [`Dolc::try_new`] returns an error.
     pub fn new(depth: u8, older_bits: u8, last_bits: u8, current_bits: u8, folds: u8) -> Dolc {
-        assert!(folds > 0, "folds must be at least 1");
-        assert!(older_bits <= 32 && last_bits <= 32 && current_bits <= 32);
+        Dolc::try_new(depth, older_bits, last_bits, current_bits, folds)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a configuration, or says why it is not realizable.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when `folds == 0`, a bit count exceeds 32,
+    /// the configuration selects zero index bits, the intermediate index
+    /// exceeds [`MAX_INTERMEDIATE_BITS`] or the folded index exceeds
+    /// [`MAX_INDEX_BITS`].
+    pub fn try_new(
+        depth: u8,
+        older_bits: u8,
+        last_bits: u8,
+        current_bits: u8,
+        folds: u8,
+    ) -> Result<Dolc, String> {
         let d = Dolc {
             depth,
             older_bits,
@@ -168,16 +193,33 @@ impl Dolc {
             current_bits,
             folds,
         };
-        assert!(d.intermediate_bits() > 0, "index would be empty");
-        assert!(d.index_bits() <= 28, "table would be unreasonably large");
-        d
+        if folds == 0 {
+            return Err(format!("`{d}`: folds must be at least 1"));
+        }
+        if older_bits > 32 || last_bits > 32 || current_bits > 32 {
+            return Err(format!("`{d}`: a task contributes at most 32 bits"));
+        }
+        let inter = d.intermediate_bits();
+        if inter == 0 {
+            return Err(format!("`{d}`: index would be empty"));
+        }
+        if inter > MAX_INTERMEDIATE_BITS {
+            return Err(format!(
+                "`{d}`: intermediate index of {inter} bits exceeds {MAX_INTERMEDIATE_BITS}"
+            ));
+        }
+        if d.index_bits() > MAX_INDEX_BITS {
+            return Err(format!("`{d}`: table would be unreasonably large"));
+        }
+        Ok(d)
     }
 
     /// Parses the paper's `"D-O-L-C (F)"` notation, e.g. `"6-5-8-9 (3)"`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the malformed component.
+    /// Returns a description of the malformed component, or of why a
+    /// well-formed configuration is not realizable ([`Dolc::try_new`]).
     pub fn parse(s: &str) -> Result<Dolc, String> {
         let s = s.trim();
         let (dolc_part, fold_part) = match s.find('(') {
@@ -197,7 +239,7 @@ impl Dolc {
         }
         let nums: Result<Vec<u8>, _> = parts.iter().map(|p| p.trim().parse::<u8>()).collect();
         let nums = nums.map_err(|e| format!("bad number in `{dolc_part}`: {e}"))?;
-        Ok(Dolc::new(nums[0], nums[1], nums[2], nums[3], fold_part))
+        Dolc::try_new(nums[0], nums[1], nums[2], nums[3], fold_part)
     }
 
     /// Path depth `D` (number of preceding tasks encoded).
@@ -254,6 +296,9 @@ impl Dolc {
     /// then `O` bits from each older task, oldest highest — so corresponding
     /// bits of different tasks do not line up under folding, preserving the
     /// low-order information (paper §6.1, heuristic 1).
+    ///
+    /// This walks the exact path; predictors use [`DolcPath::index`],
+    /// which computes the same index from the bits alone.
     pub fn index(&self, path: &PathRegister, current: Addr) -> usize {
         let mut inter: u128 = (current.0 & mask32(self.current_bits as u32)) as u128;
         let mut shift = self.current_bits as u32;
@@ -271,42 +316,10 @@ impl Dolc {
         self.fold(inter)
     }
 
-    /// Exactly [`Dolc::index`], reading the path from a most-recent-first
-    /// window slice instead of a [`PathRegister`]: `window[0]` is the last
-    /// task's address, `window[1]` the one before it, and positions at or
-    /// past `len` read as absent (0) — the same warm-up behaviour as a
-    /// register that has seen the same push stream. A single shared window
-    /// (sized to the deepest configuration) can therefore serve many
-    /// configurations at once, which is what the lane-packed batched sweep
-    /// engine does.
-    pub fn index_window(&self, window: &[u32], len: usize, current: Addr) -> usize {
-        let at = |i: usize| if i < len { window[i] } else { 0 };
-        let mut inter: u128 = (current.0 & mask32(self.current_bits as u32)) as u128;
-        let mut shift = self.current_bits as u32;
-        if self.depth > 0 {
-            inter |= ((at(0) & mask32(self.last_bits as u32)) as u128) << shift;
-            shift += self.last_bits as u32;
-            for i in 1..self.depth as usize {
-                inter |= ((at(i) & mask32(self.older_bits as u32)) as u128) << shift;
-                shift += self.older_bits as u32;
-            }
-        }
-        debug_assert_eq!(shift, self.intermediate_bits());
-        self.fold(inter)
-    }
-
     /// Folds an intermediate value into the final index by XORing `F`
     /// equal-width sub-fields.
     pub fn fold(&self, intermediate: u128) -> usize {
-        let ib = self.index_bits();
-        let m = (1u128 << ib) - 1;
-        let mut acc = 0u128;
-        let mut v = intermediate;
-        for _ in 0..self.folds {
-            acc ^= v & m;
-            v >>= ib;
-        }
-        acc as usize
+        fold(intermediate, self.index_bits(), self.folds as u32)
     }
 }
 
@@ -320,12 +333,133 @@ impl fmt::Display for Dolc {
     }
 }
 
+/// One [`Dolc`] configuration's view of the path, as hardware holds it:
+/// the last task's address, and the older tasks' `O`-bit fields in one
+/// `u128` shift register in the order they take in the intermediate index
+/// (above its `C + L` low bits).
+///
+/// [`push`](Self::push) is one shift, and [`index`](Self::index) three
+/// masked shifts plus the `F`-way fold. Both agree bit for bit with
+/// [`Dolc::index`] over a [`PathRegister`] fed the same pushes, warm-up
+/// included: a task not yet seen reads as address 0. The struct is `Copy`,
+/// so saving and restoring a path (a wrong-path excursion's repair) is a
+/// plain copy.
+///
+/// ```
+/// use multiscalar_core::dolc::{Dolc, DolcPath, PathRegister};
+/// use multiscalar_isa::Addr;
+/// let d = Dolc::new(6, 5, 8, 9, 3);
+/// let (mut fast, mut exact) = (DolcPath::new(d), PathRegister::new(d.depth()));
+/// for a in [0x40, 0x1234, 0x88, 0x40] {
+///     assert_eq!(fast.index(Addr(a)), d.index(&exact, Addr(a)));
+///     fast.push(Addr(a));
+///     exact.push(Addr(a));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DolcPath {
+    /// `O`-bit fields of tasks current−2 … current−D, nearest lowest.
+    older: u128,
+    /// Mask of the `(D-1)*O` bits `older` holds.
+    older_mask: u128,
+    /// The last task's address (0 before the first push).
+    last: u32,
+    current_mask: u32,
+    /// `L` bits, or none at depth 0.
+    last_mask: u32,
+    /// `O` bits, and their count.
+    older_field: u32,
+    older_field_bits: u32,
+    /// Where the last task's bits start: `C`.
+    last_shift: u32,
+    /// Where the older tasks' bits start: `C + L`.
+    older_shift: u32,
+    index_bits: u32,
+    folds: u32,
+    dolc: Dolc,
+}
+
+impl DolcPath {
+    /// An empty path for `dolc`.
+    pub fn new(dolc: Dolc) -> DolcPath {
+        let deep = dolc.depth > 0;
+        let older_total = if deep {
+            (dolc.depth as u32 - 1) * dolc.older_bits as u32
+        } else {
+            0
+        };
+        DolcPath {
+            older: 0,
+            older_mask: mask128(older_total),
+            last: 0,
+            current_mask: mask32(dolc.current_bits as u32),
+            last_mask: if deep {
+                mask32(dolc.last_bits as u32)
+            } else {
+                0
+            },
+            older_field: mask32(dolc.older_bits as u32),
+            older_field_bits: dolc.older_bits as u32,
+            last_shift: dolc.current_bits as u32,
+            older_shift: dolc.current_bits as u32 + dolc.last_bits as u32,
+            index_bits: dolc.index_bits(),
+            folds: dolc.folds as u32,
+            dolc,
+        }
+    }
+
+    /// The configuration this path serves.
+    pub fn dolc(&self) -> Dolc {
+        self.dolc
+    }
+
+    /// Shifts in the newest task address: the last task's `O` bits join
+    /// the older fields, and the oldest field past depth `D` drops out.
+    #[inline]
+    pub fn push(&mut self, addr: Addr) {
+        let nearest = (self.last & self.older_field) as u128;
+        self.older = ((self.older << self.older_field_bits) | nearest) & self.older_mask;
+        self.last = addr.0;
+    }
+
+    /// The table index of `current` along this path (`< table_entries()`).
+    #[inline]
+    pub fn index(&self, current: Addr) -> usize {
+        let inter = (current.0 & self.current_mask) as u128
+            | ((self.last & self.last_mask) as u128) << self.last_shift
+            | self.older << self.older_shift;
+        fold(inter, self.index_bits, self.folds)
+    }
+}
+
+/// XORs `folds` consecutive `index_bits`-wide fields of `intermediate`.
+#[inline]
+fn fold(intermediate: u128, index_bits: u32, folds: u32) -> usize {
+    let m = (1u128 << index_bits) - 1;
+    let mut acc = 0u128;
+    let mut v = intermediate;
+    for _ in 0..folds {
+        acc ^= v & m;
+        v >>= index_bits;
+    }
+    acc as usize
+}
+
 #[inline]
 fn mask32(bits: u32) -> u32 {
     if bits >= 32 {
         u32::MAX
     } else {
         (1u32 << bits) - 1
+    }
+}
+
+#[inline]
+fn mask128(bits: u32) -> u128 {
+    if bits >= 128 {
+        u128::MAX
+    } else {
+        (1u128 << bits) - 1
     }
 }
 
@@ -422,59 +556,54 @@ mod tests {
     }
 
     #[test]
-    fn index_window_matches_index_through_warmup() {
-        // A shared most-recent-first window must reproduce index() exactly,
-        // including the cold-start phase where the register is shorter than
-        // its depth — and even when the window is deeper than the config.
-        let configs = [
-            Dolc::new(0, 0, 0, 14, 1),
-            Dolc::new(1, 0, 7, 7, 1),
-            Dolc::new(3, 6, 8, 8, 2),
-            Dolc::new(6, 5, 8, 9, 3),
-        ];
-        let max_depth = configs.iter().map(|d| d.depth()).max().unwrap();
-        let mut window = vec![0u32; max_depth];
-        let mut len = 0usize;
-        let mut regs: Vec<PathRegister> = configs
-            .iter()
-            .map(|d| PathRegister::new(d.depth()))
-            .collect();
-        for a in 0..64u32 {
-            let cur = Addr(a.wrapping_mul(2654435761));
-            for (d, reg) in configs.iter().zip(&regs) {
-                assert_eq!(
-                    d.index_window(&window, len, cur),
-                    d.index(reg, cur),
-                    "{d} step {a}"
-                );
-            }
-            let pushed = Addr(a.wrapping_mul(40503) ^ 0x40);
-            for i in (1..max_depth).rev() {
-                window[i] = window[i - 1];
-            }
-            if max_depth > 0 {
-                window[0] = pushed.0;
-            }
-            len = (len + 1).min(max_depth);
-            for reg in &mut regs {
-                reg.push(pushed);
-            }
-        }
-    }
-
-    #[test]
     fn snapshot_matches_contents() {
         let mut p = PathRegister::new(2);
         p.push(Addr(7));
         p.push(Addr(9));
         assert_eq!(&*p.snapshot(), &[7, 9]);
-        p.clear();
-        assert!(p.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "folds must be at least 1")]
     fn zero_folds_panics() {
         Dolc::new(1, 1, 1, 1, 0);
+    }
+
+    #[test]
+    fn parse_rejects_unrealizable_configurations() {
+        for (s, why) in [
+            ("0-0-0-0 (1)", "index would be empty"),
+            ("1-2-3-40 (1)", "at most 32 bits"),
+            ("1-1-1-1 (0)", "folds must be at least 1"),
+            ("5-32-32-32 (7)", "exceeds 128"),
+            ("2-0-0-29 (1)", "unreasonably large"),
+        ] {
+            let err = Dolc::parse(s).expect_err(s);
+            assert!(err.contains(why), "{s}: {err}");
+        }
+    }
+
+    #[test]
+    fn intermediate_index_is_bounded_at_128_bits() {
+        // 192 bits folded 7 ways would fit a 28-bit index, but not a u128.
+        assert!(Dolc::try_new(5, 32, 32, 32, 7).is_err());
+        let widest = Dolc::try_new(5, 32, 0, 0, 5).expect("exactly 128 bits");
+        assert_eq!(widest.intermediate_bits(), 128);
+        let mut path = PathRegister::new(widest.depth());
+        let mut fast = DolcPath::new(widest);
+        for a in 0..12u32 {
+            let addr = Addr(a.wrapping_mul(0x9E37_79B9) | 0x8000_0001);
+            let idx = widest.index(&path, addr);
+            assert!(idx < widest.table_entries());
+            assert_eq!(fast.index(addr), idx);
+            path.push(addr);
+            fast.push(addr);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 128")]
+    fn wide_intermediate_panics_in_new() {
+        Dolc::new(5, 32, 32, 32, 7);
     }
 }

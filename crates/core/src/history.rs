@@ -13,8 +13,8 @@
 //!   indexed through a [`Dolc`] configuration. The paper's winner.
 
 use crate::automata::Automaton;
-use crate::dolc::{Dolc, PathRegister};
-use crate::predictor::{ExitPredictor, TaskDesc};
+use crate::dolc::{Dolc, DolcPath};
+use crate::predictor::{ExitPredictor, PendingIndex, TaskDesc};
 use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
 
@@ -55,8 +55,8 @@ const EXIT0: ExitIndex = match ExitIndex::new(0) {
 /// See the [crate-level example](crate) for usage.
 #[derive(Debug, Clone)]
 pub struct PathPredictor<A: Automaton> {
-    dolc: Dolc,
-    path: PathRegister,
+    path: DolcPath,
+    pending: PendingIndex,
     pht: Vec<A>,
     tie: XorShift64,
     mode: SingleExitMode,
@@ -74,8 +74,8 @@ impl<A: Automaton> PathPredictor<A> {
     pub fn with_mode(dolc: Dolc, mode: SingleExitMode) -> PathPredictor<A> {
         let n = dolc.table_entries();
         PathPredictor {
-            dolc,
-            path: PathRegister::new(dolc.depth()),
+            path: DolcPath::new(dolc),
+            pending: PendingIndex::default(),
             pht: vec![A::default(); n],
             tie: XorShift64::default(),
             mode,
@@ -86,7 +86,7 @@ impl<A: Automaton> PathPredictor<A> {
 
     /// The index configuration.
     pub fn dolc(&self) -> Dolc {
-        self.dolc
+        self.path.dolc()
     }
 
     /// PHT storage in bytes, accounted as in the paper
@@ -110,19 +110,24 @@ impl<A: Automaton> ExitPredictor for PathPredictor<A> {
         if self.skip(task) {
             return EXIT0;
         }
-        let idx = self.dolc.index(&self.path, task.entry());
+        let entry = task.entry();
+        let idx = self
+            .pending
+            .get(entry)
+            .unwrap_or_else(|| self.path.index(entry));
+        self.pending.keep(entry, idx);
         self.pht[idx].predict(&mut self.tie)
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
-        if self.skip(task) {
-            self.path.push(task.entry());
-            return;
+        let entry = task.entry();
+        let idx = self.pending.take(entry);
+        if !self.skip(task) {
+            let idx = idx.unwrap_or_else(|| self.path.index(entry));
+            self.pht[idx].update(actual);
+            self.touched_count += touch(&mut self.touched, idx);
         }
-        let idx = self.dolc.index(&self.path, task.entry());
-        self.pht[idx].update(actual);
-        self.touched_count += touch(&mut self.touched, idx);
-        self.path.push(task.entry());
+        self.path.push(entry);
     }
 
     fn states_touched(&self) -> usize {
@@ -142,6 +147,7 @@ pub struct GlobalPredictor<A: Automaton> {
     depth: u32,
     index_bits: u32,
     hist: u64,
+    pending: PendingIndex,
     pht: Vec<A>,
     tie: XorShift64,
     touched: Vec<u64>,
@@ -163,6 +169,7 @@ impl<A: Automaton> GlobalPredictor<A> {
             depth,
             index_bits,
             hist: 0,
+            pending: PendingIndex::default(),
             pht: vec![A::default(); n],
             tie: XorShift64::default(),
             touched: vec![0; n.div_ceil(64)],
@@ -192,12 +199,19 @@ impl<A: Automaton> GlobalPredictor<A> {
 
 impl<A: Automaton> ExitPredictor for GlobalPredictor<A> {
     fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        let idx = self.index(task);
+        let idx = self
+            .pending
+            .get(task.entry())
+            .unwrap_or_else(|| self.index(task));
+        self.pending.keep(task.entry(), idx);
         self.pht[idx].predict(&mut self.tie)
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
-        let idx = self.index(task);
+        let idx = self
+            .pending
+            .take(task.entry())
+            .unwrap_or_else(|| self.index(task));
         self.pht[idx].update(actual);
         self.touched_count += touch(&mut self.touched, idx);
         self.hist = (self.hist << 2) | actual.as_u8() as u64;
@@ -221,6 +235,7 @@ pub struct PerTaskPredictor<A: Automaton> {
     addr_bits: u32,
     hist_bits: u32,
     hrt: Vec<u64>,
+    pending: PendingIndex,
     pht: Vec<A>,
     tie: XorShift64,
     touched: Vec<u64>,
@@ -244,6 +259,7 @@ impl<A: Automaton> PerTaskPredictor<A> {
             addr_bits,
             hist_bits,
             hrt: vec![0; 1usize << addr_bits],
+            pending: PendingIndex::default(),
             pht: vec![A::default(); n],
             tie: XorShift64::default(),
             touched: vec![0; n.div_ceil(64)],
@@ -276,12 +292,19 @@ impl<A: Automaton> PerTaskPredictor<A> {
 
 impl<A: Automaton> ExitPredictor for PerTaskPredictor<A> {
     fn predict(&mut self, task: &TaskDesc) -> ExitIndex {
-        let idx = self.index(task);
+        let idx = self
+            .pending
+            .get(task.entry())
+            .unwrap_or_else(|| self.index(task));
+        self.pending.keep(task.entry(), idx);
         self.pht[idx].predict(&mut self.tie)
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
-        let idx = self.index(task);
+        let idx = self
+            .pending
+            .take(task.entry())
+            .unwrap_or_else(|| self.index(task));
         self.pht[idx].update(actual);
         self.touched_count += touch(&mut self.touched, idx);
         let slot = self.hrt_slot(task);
@@ -509,6 +532,35 @@ mod tests {
 
         let per: PerTaskPredictor<Leh2> = PerTaskPredictor::new(7, 8, 7);
         assert_eq!(per.storage_bytes(), 16 * 1024);
+    }
+
+    #[test]
+    fn bare_update_trains_the_predicted_entry() {
+        use crate::predictor::pending_tests::train_with_and_without_predicts;
+        let d = Dolc::new(3, 4, 5, 5, 2);
+        let (mut cached, mut bare) = (PathPredictor::<Leh2>::new(d), PathPredictor::new(d));
+        train_with_and_without_predicts(&mut cached, &mut bare);
+        assert!(cached.states_touched() > 50);
+        assert_eq!(cached.pht, bare.pht);
+        assert_eq!(cached.touched, bare.touched);
+
+        let (mut cached, mut bare) = (
+            GlobalPredictor::<Leh2>::new(4, 10),
+            GlobalPredictor::new(4, 10),
+        );
+        train_with_and_without_predicts(&mut cached, &mut bare);
+        assert!(cached.states_touched() > 50);
+        assert_eq!(cached.pht, bare.pht);
+        assert_eq!(cached.touched, bare.touched);
+
+        let (mut cached, mut bare) = (
+            PerTaskPredictor::<Leh2>::new(4, 6, 4),
+            PerTaskPredictor::new(4, 6, 4),
+        );
+        train_with_and_without_predicts(&mut cached, &mut bare);
+        assert!(cached.states_touched() > 50);
+        assert_eq!(cached.pht, bare.pht);
+        assert_eq!(cached.touched, bare.touched);
     }
 
     #[test]

@@ -20,11 +20,9 @@
 //!   lane `k`, so reading its table entry is a masked load and writing it
 //!   back is a masked read-modify-write, even when the lanes index
 //!   different table entries;
-//! * **the path window is shared** — every predictor in a fused sweep
-//!   observes the same task stream, so one most-recent-first window (sized
-//!   to the deepest configuration) replaces per-predictor
-//!   [`crate::dolc::PathRegister`]s bit-exactly
-//!   ([`crate::dolc::Dolc::index_window`]).
+//! * **each lane's path is a shift register** — lane `k` keeps a
+//!   [`DolcPath`] of its own configuration, so advancing the path is one
+//!   shift per lane and each lane's index is computed once per event.
 //!
 //! # Bit-identity contract
 //!
@@ -39,10 +37,10 @@
 //! engine instead (the harness has a test proving the fallback).
 
 use crate::automata::{Automaton, LastExit, LastExitHysteresis, VotingCounters};
-use crate::dolc::Dolc;
+use crate::dolc::{Dolc, DolcPath};
 use crate::predictor::TaskDesc;
 use crate::rng::XorShift64;
-use multiscalar_isa::{ExitIndex, MAX_EXITS};
+use multiscalar_isa::{Addr, ExitIndex, MAX_EXITS};
 use std::marker::PhantomData;
 
 /// Widest fan-out a batched sweep supports: 32 two-bit [`LastExit`] lanes.
@@ -307,11 +305,9 @@ impl<A: LaneAutomaton> LanePacked<A> {
 /// [`step`](Self::step) call answers predict + update for every lane.
 #[derive(Debug, Clone)]
 pub struct BatchedExitPredictor<A: LaneAutomaton> {
-    dolcs: Vec<Dolc>,
+    /// Lane `k`'s path, indexed by `configs[k]`.
+    paths: Vec<DolcPath>,
     pht: LanePacked<A>,
-    /// Shared path window, most recent first; `window_len` entries valid.
-    window: Vec<u32>,
-    window_len: usize,
     /// One touched-entry bitmap of `words_per_lane` words per lane.
     touched: Vec<u64>,
     touched_counts: Vec<usize>,
@@ -322,19 +318,16 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
     /// Builds a batch over `configs`, one lane per configuration, or `None`
     /// when the batch shape does not fit: no configurations, or more than
     /// [`LaneAutomaton::LANES`] of them. Configurations may differ in depth
-    /// and index width; the table and window are sized to the largest.
+    /// and index width; the table is sized to the largest.
     pub fn new(configs: &[Dolc]) -> Option<BatchedExitPredictor<A>> {
         if configs.is_empty() || configs.len() > A::LANES {
             return None;
         }
         let entries = configs.iter().map(|d| d.table_entries()).max()?;
-        let max_depth = configs.iter().map(|d| d.depth()).max()?;
         let words_per_lane = entries.div_ceil(64);
         Some(BatchedExitPredictor {
-            dolcs: configs.to_vec(),
+            paths: configs.iter().map(|&d| DolcPath::new(d)).collect(),
             pht: LanePacked::new(entries),
-            window: vec![0; max_depth],
-            window_len: 0,
             touched: vec![0; configs.len() * words_per_lane],
             touched_counts: vec![0; configs.len()],
             words_per_lane,
@@ -343,7 +336,7 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
 
     /// Number of active lanes (= configurations).
     pub fn lanes(&self) -> usize {
-        self.dolcs.len()
+        self.paths.len()
     }
 
     /// Distinct PHT entries lane `lane` has updated — matches the scalar
@@ -360,10 +353,10 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
             return 0;
         }
         let mut idxs = [0usize; MAX_FUSED_LANES];
-        for (k, d) in self.dolcs.iter().enumerate() {
-            idxs[k] = d.index_window(&self.window, self.window_len, task.entry());
+        for (idx, path) in idxs.iter_mut().zip(&self.paths) {
+            *idx = path.index(task.entry());
         }
-        A::lanes_predict(self.pht.gather(&idxs[..self.dolcs.len()]))
+        A::lanes_predict(self.pht.gather(&idxs[..self.paths.len()]))
     }
 
     /// Predict + update for every lane in one call: returns a mask with bit
@@ -375,17 +368,17 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
         if task.single_exit() {
             // SkipPht: predict exit 0 without consulting the table, train
             // nothing, keep the path moving.
-            self.push(entry.0);
+            self.push(entry);
             return if actual.index() == 0 {
                 0
             } else {
                 self.all_lanes_mask()
             };
         }
-        let n = self.dolcs.len();
+        let n = self.paths.len();
         let mut idxs = [0usize; MAX_FUSED_LANES];
-        for (k, d) in self.dolcs.iter().enumerate() {
-            idxs[k] = d.index_window(&self.window, self.window_len, entry);
+        for (idx, path) in idxs.iter_mut().zip(&self.paths) {
+            *idx = path.index(entry);
         }
         let word = self.pht.gather(&idxs[..n]);
         let miss = Self::miss_mask(A::lanes_predict(word), actual.as_u8(), n);
@@ -399,13 +392,13 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
                 self.touched_counts[k] += 1;
             }
         }
-        self.push(entry.0);
+        self.push(entry);
         miss
     }
 
     /// Bit `k` set for every active lane.
     fn all_lanes_mask(&self) -> u32 {
-        let n = self.dolcs.len();
+        let n = self.paths.len();
         if n >= 32 {
             u32::MAX
         } else {
@@ -426,17 +419,11 @@ impl<A: LaneAutomaton> BatchedExitPredictor<A> {
         miss
     }
 
-    /// Shifts the newest task address into the shared window.
+    /// Shifts the newest task address into every lane's path.
     #[inline]
-    fn push(&mut self, addr: u32) {
-        let d = self.window.len();
-        if d == 0 {
-            return;
-        }
-        self.window.copy_within(0..d - 1, 1);
-        self.window[0] = addr;
-        if self.window_len < d {
-            self.window_len += 1;
+    fn push(&mut self, addr: Addr) {
+        for path in &mut self.paths {
+            path.push(addr);
         }
     }
 }
@@ -446,7 +433,7 @@ mod tests {
     use super::*;
     use crate::history::PathPredictor;
     use crate::predictor::{ExitInfo, ExitPredictor};
-    use multiscalar_isa::{Addr, ExitKind};
+    use multiscalar_isa::ExitKind;
     use std::fmt::Debug;
 
     fn e(i: u8) -> ExitIndex {

@@ -24,7 +24,7 @@
 //! | PER-task history scheme (PAp analog) | [`history::PerTaskPredictor`], [`ideal::IdealPer`] |
 //! | PATH path-based scheme | [`history::PathPredictor`], [`ideal::IdealPath`] |
 //! | Ideal sweeps on interned state ids | [`ideal::PathInterner`], [`ideal::ExitInterner`], [`ideal::IdealColumns`] |
-//! | DOLC index construction (`D-O-L-C (F)`) | [`dolc::Dolc`] |
+//! | DOLC index construction (`D-O-L-C (F)`) | [`dolc::Dolc`], [`dolc::DolcPath`] |
 //! | Return-address stack | [`target::ReturnAddressStack`] |
 //! | Task target buffer (TTB) | [`target::Ttb`] |
 //! | Correlated TTB (CTTB), ideal CTTB | [`target::Cttb`], [`target::IdealCttb`] |

@@ -20,8 +20,8 @@
 //! Measured by the harness's `ext-pollution` experiment.
 
 use crate::automata::Automaton;
-use crate::dolc::{Dolc, PathRegister};
-use crate::predictor::{ExitPredictor, TaskDesc};
+use crate::dolc::{Dolc, DolcPath};
+use crate::predictor::{ExitPredictor, PendingIndex, TaskDesc};
 use crate::rng::XorShift64;
 use multiscalar_isa::{Addr, ExitIndex};
 
@@ -37,8 +37,8 @@ const EXIT0: ExitIndex = match ExitIndex::new(0) {
 /// can be replayed into the path register.
 #[derive(Debug, Clone)]
 pub struct PollutedPathPredictor<A: Automaton> {
-    dolc: Dolc,
-    path: PathRegister,
+    path: DolcPath,
+    pending: PendingIndex,
     pht: Vec<A>,
     tie: XorShift64,
     /// Wrong-path tasks the sequencer runs ahead by before the squash.
@@ -53,8 +53,8 @@ impl<A: Automaton> PollutedPathPredictor<A> {
     /// path on each misprediction, with or without register `repair`.
     pub fn new(dolc: Dolc, wrongpath_depth: usize, repair: bool) -> Self {
         PollutedPathPredictor {
-            dolc,
-            path: PathRegister::new(dolc.depth()),
+            path: DolcPath::new(dolc),
+            pending: PendingIndex::default(),
             pht: vec![A::default(); dolc.table_entries()],
             tie: XorShift64::default(),
             wrongpath_depth,
@@ -68,7 +68,12 @@ impl<A: Automaton> PollutedPathPredictor<A> {
         if task.single_exit() {
             return EXIT0;
         }
-        let idx = self.dolc.index(&self.path, task.entry());
+        let entry = task.entry();
+        let idx = self
+            .pending
+            .get(entry)
+            .unwrap_or_else(|| self.path.index(entry));
+        self.pending.keep(entry, idx);
         self.pht[idx].predict(&mut self.tie)
     }
 
@@ -84,17 +89,19 @@ impl<A: Automaton> PollutedPathPredictor<A> {
         actual_target: Addr,
     ) {
         // Non-speculative automaton training, as in §4.1.
+        let entry = task.entry();
+        let idx = self.pending.take(entry);
         if !task.single_exit() {
-            let idx = self.dolc.index(&self.path, task.entry());
+            let idx = idx.unwrap_or_else(|| self.path.index(entry));
             self.pht[idx].update(actual);
         }
-        self.path.push(task.entry());
+        self.path.push(entry);
 
         let mispredicted = predicted != actual || predicted_target != Some(actual_target);
         if mispredicted && self.wrongpath_depth > 0 {
             // Speculative wrong-path excursion: the sequencer pushes the
             // predicted target and synthetic successors into the register.
-            let saved = self.path.clone();
+            let saved = self.path;
             let mut wrong = predicted_target.unwrap_or(actual_target);
             for _ in 0..self.wrongpath_depth {
                 self.path.push(wrong);
@@ -207,6 +214,49 @@ mod tests {
             p.update(&t, actual);
         }
         (misses, p.pollutions())
+    }
+
+    #[test]
+    fn bare_update_trains_the_predicted_entry() {
+        // `cached` predicts before most resolutions — the same task,
+        // another one, or another and then the same; `bare` only resolves.
+        // Excursions and repairs move both paths alike, so both must train
+        // the same entries.
+        for repair in [false, true] {
+            let d = Dolc::new(3, 4, 5, 5, 2);
+            let mut cached: PollutedPathPredictor<Leh2> = PollutedPathPredictor::new(d, 3, repair);
+            let mut bare: PollutedPathPredictor<Leh2> = PollutedPathPredictor::new(d, 3, repair);
+            let mut rng = XorShift64::new(0x5077);
+            for _ in 0..4000 {
+                let t = task(
+                    0x10 + rng.next_below(16) * 8,
+                    1 + rng.next_below(3) as usize,
+                );
+                let actual = e(rng.next_below(t.num_exits() as u32) as u8);
+                let predicted = e(rng.next_below(t.num_exits() as u32) as u8);
+                let other = task(0x200 + rng.next_below(16) * 8, 2);
+                match rng.next_below(4) {
+                    0 => {}
+                    1 => {
+                        cached.predict(&t);
+                    }
+                    2 => {
+                        cached.predict(&other);
+                        cached.predict(&t);
+                    }
+                    _ => {
+                        cached.predict(&other);
+                    }
+                }
+                let predicted_target = t.exit_clamped(predicted).target;
+                let actual_target = t.exit_clamped(actual).target.unwrap();
+                for p in [&mut cached, &mut bare] {
+                    p.update_resolved(&t, predicted, actual, predicted_target, actual_target);
+                }
+            }
+            assert!(cached.pollutions() > 100);
+            assert_eq!(cached.pht, bare.pht);
+        }
     }
 
     #[test]

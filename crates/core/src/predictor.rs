@@ -3,7 +3,7 @@
 //! headerless [`CttbOnlyPredictor`] (paper §5.4, §6.4.2).
 
 use crate::automata::Automaton;
-use crate::dolc::{Dolc, PathRegister};
+use crate::dolc::Dolc;
 use crate::history::PathPredictor;
 use crate::target::{Cttb, ReturnAddressStack};
 use multiscalar_isa::{Addr, ExitIndex, ExitKind};
@@ -89,12 +89,49 @@ pub trait ExitPredictor {
     ///
     /// Must be called exactly once per `predict`, in order. (The functional
     /// simulator updates immediately after each prediction, matching the
-    /// paper's idealised update timing, §3.1.)
+    /// paper's idealised update timing, §3.1.) An `update` with no `predict`
+    /// before it is allowed and trains what `predict` then `update` would.
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex);
 
     /// Number of distinct predictor states (PHT entries / automata) touched
     /// so far — the quantity plotted in the paper's Figure 11.
     fn states_touched(&self) -> usize;
+}
+
+/// The table index a `predict` computed, kept for the `update` of the same
+/// task so that a predictor computes each index once per event.
+///
+/// An index depends only on the task and on history that only `update`
+/// (or a path push) changes, so it stays valid from a `predict` until the
+/// next `update`, which always consumes it. A bare `update`, or one for a
+/// different task than the last `predict`, recomputes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PendingIndex(Option<(Addr, usize)>);
+
+impl PendingIndex {
+    /// `task`'s pending index, if the last call was its `predict`.
+    #[inline]
+    pub(crate) fn get(&self, task: Addr) -> Option<usize> {
+        self.0.filter(|&(t, _)| t == task).map(|(_, i)| i)
+    }
+
+    /// Keeps `index` pending for `task`'s update.
+    #[inline]
+    pub(crate) fn keep(&mut self, task: Addr, index: usize) {
+        self.0 = Some((task, index));
+    }
+
+    /// Consumes the pending index, returning it if it is `task`'s.
+    #[inline]
+    pub(crate) fn take(&mut self, task: Addr) -> Option<usize> {
+        self.0.take().filter(|&(t, _)| t == task).map(|(_, i)| i)
+    }
+
+    /// Drops the pending index (its history has moved on).
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.0 = None;
+    }
 }
 
 impl<P: ExitPredictor + ?Sized> ExitPredictor for Box<P> {
@@ -150,7 +187,6 @@ pub struct TaskPredictor<E: ExitPredictor> {
     exit_pred: E,
     ras: ReturnAddressStack,
     cttb: Cttb,
-    cttb_path: PathRegister,
 }
 
 impl<A: Automaton> TaskPredictor<PathPredictor<A>> {
@@ -168,7 +204,6 @@ impl<E: ExitPredictor> TaskPredictor<E> {
         TaskPredictor {
             exit_pred,
             ras: ReturnAddressStack::new(ras_depth),
-            cttb_path: PathRegister::new(cttb_dolc.depth()),
             cttb: Cttb::new(cttb_dolc),
         }
     }
@@ -185,9 +220,7 @@ impl<E: ExitPredictor> TaskPredictor<E> {
         let target = match spec.kind {
             ExitKind::Branch | ExitKind::Call | ExitKind::Halt => spec.target,
             ExitKind::Return => self.ras.peek(),
-            ExitKind::IndirectBranch | ExitKind::IndirectCall => {
-                self.cttb.predict(&self.cttb_path, task.entry())
-            }
+            ExitKind::IndirectBranch | ExitKind::IndirectCall => self.cttb.predict(task.entry()),
         };
         NextTaskPrediction { exit, target }
     }
@@ -210,10 +243,9 @@ impl<E: ExitPredictor> TaskPredictor<E> {
             _ => {}
         }
         if spec.kind.needs_target_buffer() {
-            self.cttb
-                .update(&self.cttb_path, task.entry(), actual_target);
+            self.cttb.update(task.entry(), actual_target);
         }
-        self.cttb_path.push(task.entry());
+        self.cttb.push(task.entry());
     }
 }
 
@@ -227,32 +259,83 @@ impl<E: ExitPredictor> TaskPredictor<E> {
 #[derive(Debug, Clone)]
 pub struct CttbOnlyPredictor {
     cttb: Cttb,
-    path: PathRegister,
 }
 
 impl CttbOnlyPredictor {
     /// Creates a predictor with the given index configuration.
     pub fn new(dolc: Dolc) -> CttbOnlyPredictor {
         CttbOnlyPredictor {
-            path: PathRegister::new(dolc.depth()),
             cttb: Cttb::new(dolc),
         }
     }
 
     /// Predicts the next task's entry address (`None` while cold).
     pub fn predict(&mut self, current: Addr) -> Option<Addr> {
-        self.cttb.predict(&self.path, current)
+        self.cttb.predict(current)
     }
 
     /// Trains with the actual next task address and advances the path.
     pub fn update(&mut self, current: Addr, actual_next: Addr) {
-        self.cttb.update(&self.path, current, actual_next);
-        self.path.push(current);
+        self.cttb.update(current, actual_next);
+        self.cttb.push(current);
     }
 
     /// Storage accounted as in the paper: 4 bytes per entry.
     pub fn storage_bytes(&self) -> usize {
         self.cttb.storage_bytes()
+    }
+}
+
+/// Shared checks for the predictors that keep a [`PendingIndex`].
+#[cfg(test)]
+pub(crate) mod pending_tests {
+    use super::*;
+    use crate::rng::XorShift64;
+
+    /// Trains `cached` and `bare` on one seeded stream of updates over
+    /// multi- and single-exit tasks. `bare` sees only updates; `cached`
+    /// also sees predictions before most of them — of the same task, of it
+    /// twice, of another task, or of another task and then this one — so
+    /// the two end with the same tables only if a pending index is used
+    /// exactly when it is valid.
+    pub(crate) fn train_with_and_without_predicts<P: ExitPredictor>(cached: &mut P, bare: &mut P) {
+        let tasks: Vec<TaskDesc> = (0..16u32)
+            .map(|t| {
+                let exits = if t % 4 == 0 { 1 } else { 2 + t as usize % 3 };
+                let exit = |i: usize| ExitInfo {
+                    kind: ExitKind::Branch,
+                    target: Some(Addr(0x100 + 5 * t + i as u32)),
+                    return_addr: None,
+                };
+                TaskDesc::new(Addr(0x100 + 5 * t), (0..exits).map(exit).collect())
+            })
+            .collect();
+        let mut rng = XorShift64::new(0xCAC4E);
+        let n = tasks.len() as u32;
+        for _ in 0..4000 {
+            let task = &tasks[rng.next_below(n) as usize];
+            let actual = ExitIndex::new(rng.next_below(task.num_exits() as u32) as u8).unwrap();
+            let other = &tasks[rng.next_below(n) as usize];
+            match rng.next_below(5) {
+                0 => {}
+                1 => {
+                    cached.predict(task);
+                }
+                2 => {
+                    cached.predict(task);
+                    cached.predict(task);
+                }
+                3 => {
+                    cached.predict(other);
+                    cached.predict(task);
+                }
+                _ => {
+                    cached.predict(other);
+                }
+            }
+            cached.update(task, actual);
+            bare.update(task, actual);
+        }
     }
 }
 

@@ -20,8 +20,8 @@
 //! delays — see EXPERIMENTS.md.
 
 use crate::automata::Automaton;
-use crate::dolc::{Dolc, PathRegister};
-use crate::predictor::{ExitPredictor, TaskDesc};
+use crate::dolc::{Dolc, DolcPath};
+use crate::predictor::{ExitPredictor, PendingIndex, TaskDesc};
 use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
 use std::collections::VecDeque;
@@ -36,8 +36,8 @@ const EXIT0: ExitIndex = match ExitIndex::new(0) {
 /// [`crate::history::PathPredictor`].
 #[derive(Debug, Clone)]
 pub struct StalePathPredictor<A: Automaton> {
-    dolc: Dolc,
-    path: PathRegister,
+    path: DolcPath,
+    pending_index: PendingIndex,
     pht: Vec<A>,
     tie: XorShift64,
     delay: usize,
@@ -48,8 +48,8 @@ impl<A: Automaton> StalePathPredictor<A> {
     /// Creates a predictor whose training lags by `delay` task predictions.
     pub fn new(dolc: Dolc, delay: usize) -> StalePathPredictor<A> {
         StalePathPredictor {
-            dolc,
-            path: PathRegister::new(dolc.depth()),
+            path: DolcPath::new(dolc),
+            pending_index: PendingIndex::default(),
             pht: vec![A::default(); dolc.table_entries()],
             tie: XorShift64::default(),
             delay,
@@ -75,17 +75,24 @@ impl<A: Automaton> ExitPredictor for StalePathPredictor<A> {
         if task.single_exit() {
             return EXIT0;
         }
-        let idx = self.dolc.index(&self.path, task.entry());
+        let entry = task.entry();
+        let idx = self
+            .pending_index
+            .get(entry)
+            .unwrap_or_else(|| self.path.index(entry));
+        self.pending_index.keep(entry, idx);
         self.pht[idx].predict(&mut self.tie)
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
+        let entry = task.entry();
+        let idx = self.pending_index.take(entry);
         if !task.single_exit() {
-            let idx = self.dolc.index(&self.path, task.entry());
+            let idx = idx.unwrap_or_else(|| self.path.index(entry));
             self.pending.push_back((idx, actual));
             self.drain(self.delay);
         }
-        self.path.push(task.entry());
+        self.path.push(entry);
     }
 
     fn states_touched(&self) -> usize {
@@ -159,6 +166,17 @@ mod tests {
             (stale as f64) < 4000.0 * 0.5,
             "even badly stale training must beat chance: {stale}"
         );
+    }
+
+    #[test]
+    fn bare_update_queues_the_predicted_entry() {
+        use crate::predictor::pending_tests::train_with_and_without_predicts;
+        let d = Dolc::new(3, 4, 5, 5, 2);
+        let mut cached: StalePathPredictor<Leh2> = StalePathPredictor::new(d, 5);
+        let mut bare: StalePathPredictor<Leh2> = StalePathPredictor::new(d, 5);
+        train_with_and_without_predicts(&mut cached, &mut bare);
+        assert_eq!(cached.pending, bare.pending);
+        assert_eq!(cached.pht, bare.pht);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! very poorly (59% misses on gcc) while a path-indexed [`Cttb`] —
 //! sharing the exit predictor's DOLC index construction — does far better.
 
-use crate::dolc::{Dolc, PathKey, PathRegister, MAX_PATH_KEY_DEPTH};
+use crate::dolc::{Dolc, DolcPath, PathKey, PathRegister, MAX_PATH_KEY_DEPTH};
 use crate::fxhash::FxHashMap;
+use crate::predictor::PendingIndex;
 use multiscalar_isa::Addr;
 use std::collections::VecDeque;
 
@@ -161,37 +162,50 @@ impl Ttb {
 /// same path-based DOLC function as the exit predictor, so different paths
 /// to the same indirect jump can predict different targets.
 ///
-/// The caller owns the [`PathRegister`] (usually shared conceptually with
-/// the exit predictor) and passes it to [`Cttb::predict`] / [`Cttb::update`].
+/// The buffer owns its [`DolcPath`]: [`Cttb::push`] advances it by every
+/// task, while [`Cttb::predict`] and [`Cttb::update`] run only on the
+/// tasks whose exit needs a target buffer. An `update` reuses the index
+/// the `predict` of the same task computed.
 #[derive(Debug, Clone)]
 pub struct Cttb {
-    dolc: Dolc,
+    path: DolcPath,
     entries: Vec<TargetEntry>,
+    pending: PendingIndex,
 }
 
 impl Cttb {
     /// Creates a CTTB with the given index configuration.
     pub fn new(dolc: Dolc) -> Cttb {
         Cttb {
-            dolc,
+            path: DolcPath::new(dolc),
             entries: vec![TargetEntry::default(); dolc.table_entries()],
+            pending: PendingIndex::default(),
         }
     }
 
-    /// The index configuration.
-    pub fn dolc(&self) -> Dolc {
-        self.dolc
-    }
-
-    /// Predicts the target reached from `current` along `path`.
-    pub fn predict(&self, path: &PathRegister, current: Addr) -> Option<Addr> {
-        self.entries[self.dolc.index(path, current)].predict()
+    /// Predicts the target reached from `current` along the path.
+    pub fn predict(&mut self, current: Addr) -> Option<Addr> {
+        let i = self
+            .pending
+            .get(current)
+            .unwrap_or_else(|| self.path.index(current));
+        self.pending.keep(current, i);
+        self.entries[i].predict()
     }
 
     /// Trains with the actual target.
-    pub fn update(&mut self, path: &PathRegister, current: Addr, actual: Addr) {
-        let i = self.dolc.index(path, current);
+    pub fn update(&mut self, current: Addr, actual: Addr) {
+        let i = self
+            .pending
+            .take(current)
+            .unwrap_or_else(|| self.path.index(current));
         self.entries[i].train(actual);
+    }
+
+    /// Advances the path by the task at `addr`.
+    pub fn push(&mut self, addr: Addr) {
+        self.path.push(addr);
+        self.pending.clear();
     }
 
     /// Storage accounted as in the paper: 4 bytes per entry.
@@ -202,10 +216,11 @@ impl Cttb {
 
 /// An ideal (alias-free, infinite) CTTB: one entry per distinct
 /// (task, exact path) state — the paper's Figure 8 model, keyed by hash
-/// map. The oracle that [`IdealTargetColumns`] is tested against.
+/// map over the exact path it keeps. The oracle that
+/// [`IdealTargetColumns`] is tested against.
 #[derive(Debug, Clone, Default)]
 pub struct IdealCttb {
-    depth: usize,
+    path: PathRegister,
     map: FxHashMap<(u32, PathKey), TargetEntry>,
 }
 
@@ -222,29 +237,29 @@ impl IdealCttb {
             "ideal CTTB depth {depth} too deep"
         );
         IdealCttb {
-            depth,
+            path: PathRegister::new(depth),
             map: FxHashMap::default(),
         }
     }
 
-    /// The path depth this buffer keys on.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Predicts the target reached from `current` along `path`.
-    pub fn predict(&self, path: &PathRegister, current: Addr) -> Option<Addr> {
+    /// Predicts the target reached from `current` along the path.
+    pub fn predict(&self, current: Addr) -> Option<Addr> {
         self.map
-            .get(&(current.0, path.key()))
+            .get(&(current.0, self.path.key()))
             .and_then(|e| e.predict())
     }
 
     /// Trains with the actual target.
-    pub fn update(&mut self, path: &PathRegister, current: Addr, actual: Addr) {
+    pub fn update(&mut self, current: Addr, actual: Addr) {
         self.map
-            .entry((current.0, path.key()))
+            .entry((current.0, self.path.key()))
             .or_default()
             .train(actual);
+    }
+
+    /// Advances the path by the task at `addr`.
+    pub fn push(&mut self, addr: Addr) {
+        self.path.push(addr);
     }
 
     /// Number of distinct (task, path) states seen.
@@ -307,6 +322,7 @@ impl IdealTargetColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64;
 
     #[test]
     fn ras_is_lifo() {
@@ -366,31 +382,31 @@ mod tests {
         let mut cttb = Cttb::new(dolc);
 
         // Path addresses must differ in their *low-order* bits — the bits
-        // DOLC harvests (paper §6.1, heuristic 1).
+        // DOLC harvests (paper §6.1, heuristic 1). Two pushes refill the
+        // depth-2 path.
         let task = Addr(0x40);
-        let mut path_a = PathRegister::new(2);
-        path_a.push(Addr(0x10));
-        path_a.push(Addr(0x14));
-        let mut path_b = PathRegister::new(2);
-        path_b.push(Addr(0x21));
-        path_b.push(Addr(0x25));
+        let path_a = [Addr(0x10), Addr(0x14)];
+        let path_b = [Addr(0x21), Addr(0x25)];
 
         let mut ttb_misses = 0;
         let mut cttb_misses = 0;
         for i in 0..100 {
             let (path, target) = if i % 2 == 0 {
-                (&path_a, Addr(0xA0))
+                (path_a, Addr(0xA0))
             } else {
-                (&path_b, Addr(0xB0))
+                (path_b, Addr(0xB0))
             };
+            for a in path {
+                cttb.push(a);
+            }
             if ttb.predict(task) != Some(target) {
                 ttb_misses += 1;
             }
-            if cttb.predict(path, task) != Some(target) && i >= 4 {
+            if cttb.predict(task) != Some(target) && i >= 4 {
                 cttb_misses += 1;
             }
             ttb.update(task, target);
-            cttb.update(path, task, target);
+            cttb.update(task, target);
         }
         assert_eq!(cttb_misses, 0, "CTTB separates the two paths");
         assert!(
@@ -402,20 +418,18 @@ mod tests {
     #[test]
     fn ideal_cttb_never_aliases() {
         let mut ideal = IdealCttb::new(2);
-        let mut path = PathRegister::new(2);
-        // Many distinct paths to the same task, each with its own target.
+        // Many distinct paths to the same task, each with its own target;
+        // two pushes refill the depth-2 path.
         for i in 0..64u32 {
-            path.clear();
-            path.push(Addr(i * 8));
-            path.push(Addr(i * 8 + 4));
-            ideal.update(&path, Addr(0x40), Addr(1000 + i));
+            ideal.push(Addr(i * 8));
+            ideal.push(Addr(i * 8 + 4));
+            ideal.update(Addr(0x40), Addr(1000 + i));
         }
         assert_eq!(ideal.states(), 64);
         for i in 0..64u32 {
-            path.clear();
-            path.push(Addr(i * 8));
-            path.push(Addr(i * 8 + 4));
-            assert_eq!(ideal.predict(&path, Addr(0x40)), Some(Addr(1000 + i)));
+            ideal.push(Addr(i * 8));
+            ideal.push(Addr(i * 8 + 4));
+            assert_eq!(ideal.predict(Addr(0x40)), Some(Addr(1000 + i)));
         }
     }
 
@@ -430,11 +444,53 @@ mod tests {
 
     #[test]
     fn cold_buffers_predict_nothing() {
-        let c = Cttb::new(Dolc::new(1, 0, 4, 4, 1));
-        let p = PathRegister::new(1);
-        assert_eq!(c.predict(&p, Addr(3)), None);
+        let mut c = Cttb::new(Dolc::new(1, 0, 4, 4, 1));
+        assert_eq!(c.predict(Addr(3)), None);
         let i = IdealCttb::new(1);
-        assert_eq!(i.predict(&p, Addr(3)), None);
-        assert_eq!(i.depth(), 1);
+        assert_eq!(i.predict(Addr(3)), None);
+    }
+
+    #[test]
+    fn cttb_bare_update_trains_the_predicted_entry() {
+        // `cached` predicts before most updates — the same task, another
+        // task, another and then the same, or the same task with no update
+        // before the push (a predicted indirect exit that resolved
+        // otherwise); `bare` only updates. Both must train the same
+        // entries.
+        let dolc = Dolc::new(3, 4, 5, 6, 2);
+        let (mut cached, mut bare) = (Cttb::new(dolc), Cttb::new(dolc));
+        let mut rng = XorShift64::new(0xC77B);
+        for _ in 0..4000 {
+            let task = Addr(rng.next_below(32) * 4);
+            let target = Addr(0x1000 + rng.next_below(4));
+            let train = match rng.next_below(5) {
+                0 => true,
+                1 => {
+                    cached.predict(task);
+                    true
+                }
+                2 => {
+                    cached.predict(Addr(task.0 ^ 4));
+                    true
+                }
+                3 => {
+                    cached.predict(Addr(task.0 ^ 4));
+                    cached.predict(task);
+                    true
+                }
+                _ => {
+                    cached.predict(task);
+                    false
+                }
+            };
+            if train {
+                cached.update(task, target);
+                bare.update(task, target);
+            }
+            cached.push(task);
+            bare.push(task);
+        }
+        assert!(cached.entries.iter().filter(|e| e.valid).count() > 100);
+        assert_eq!(cached.entries, bare.entries);
     }
 }

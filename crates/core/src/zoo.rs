@@ -23,7 +23,7 @@ use crate::automata::Automaton;
 use crate::confidence::ConfidenceEstimator;
 use crate::dolc::Dolc;
 use crate::history::PathPredictor;
-use crate::predictor::{ExitPredictor, TaskDesc};
+use crate::predictor::{ExitPredictor, PendingIndex, TaskDesc};
 use crate::rng::XorShift64;
 use multiscalar_isa::ExitIndex;
 
@@ -91,6 +91,7 @@ pub struct GshareExitPredictor<A: Automaton> {
     depth: u32,
     index_bits: u32,
     hist: u64,
+    pending: PendingIndex,
     pht: Vec<A>,
     tie: XorShift64,
     touched: Vec<u64>,
@@ -112,6 +113,7 @@ impl<A: Automaton> GshareExitPredictor<A> {
             depth,
             index_bits,
             hist: 0,
+            pending: PendingIndex::default(),
             pht: vec![A::default(); n],
             tie: XorShift64::default(),
             touched: vec![0; n.div_ceil(64)],
@@ -145,18 +147,23 @@ impl<A: Automaton> ExitPredictor for GshareExitPredictor<A> {
         if task.single_exit() {
             return EXIT0;
         }
-        let idx = self.index(task);
+        let idx = self
+            .pending
+            .get(task.entry())
+            .unwrap_or_else(|| self.index(task));
+        self.pending.keep(task.entry(), idx);
         self.pht[idx].predict(&mut self.tie)
     }
 
     fn update(&mut self, task: &TaskDesc, actual: ExitIndex) {
+        let idx = self.pending.take(task.entry());
         if task.single_exit() {
             // Paper §6.1: no table access, but the step stays part of the
             // global history (exit 0 shifts in).
             self.hist <<= 2;
             return;
         }
-        let idx = self.index(task);
+        let idx = idx.unwrap_or_else(|| self.index(task));
         self.pht[idx].update(actual);
         self.touched_count += touch(&mut self.touched, idx);
         self.hist = (self.hist << 2) | actual.as_u8() as u64;
@@ -347,6 +354,17 @@ mod tests {
             }
         }
         assert_eq!(misses, 0, "address XOR must separate the two tasks");
+    }
+
+    #[test]
+    fn gshare_bare_update_trains_the_predicted_entry() {
+        use crate::predictor::pending_tests::train_with_and_without_predicts;
+        let mut cached: GshareExitPredictor<Leh2> = GshareExitPredictor::new(4, 10);
+        let mut bare: GshareExitPredictor<Leh2> = GshareExitPredictor::new(4, 10);
+        train_with_and_without_predicts(&mut cached, &mut bare);
+        assert!(cached.states_touched() > 50);
+        assert_eq!(cached.pht, bare.pht);
+        assert_eq!(cached.touched, bare.touched);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! construction, path registers and target buffers.
 
 use multiscalar_core::automata::{Automaton, LastExit, LastExitHysteresis, VotingCounters};
-use multiscalar_core::dolc::{Dolc, PathRegister};
+use multiscalar_core::dolc::{Dolc, DolcPath, PathRegister, MAX_INDEX_BITS};
 use multiscalar_core::rng::XorShift64;
 use multiscalar_core::target::ReturnAddressStack;
 use multiscalar_isa::{Addr, ExitIndex, MAX_EXITS};
@@ -101,6 +101,72 @@ fn dolc_index_always_in_table() {
             path.push(Addr(a));
         }
     }
+}
+
+#[test]
+fn dolc_path_matches_index_over_a_path_register() {
+    // The shift-register path must reproduce `Dolc::index` over the exact
+    // path at every step, warm-up included, for any realizable
+    // configuration: depth 0 and 1, O = 0, streams shorter than the depth,
+    // and intermediates up to the full 128 bits.
+    let mut rng = XorShift64::new(0xD01C_9A7B);
+    let pinned = [
+        Dolc::new(0, 0, 0, 14, 1),
+        Dolc::new(0, 9, 9, 9, 1),
+        Dolc::new(1, 0, 7, 7, 1),
+        Dolc::new(1, 32, 32, 32, 3),
+        Dolc::new(4, 0, 6, 6, 1),
+        Dolc::new(6, 5, 8, 9, 3),
+        Dolc::new(5, 32, 0, 0, 5),
+        Dolc::new(3, 32, 32, 32, 5),
+        Dolc::new(97, 1, 0, 0, 4),
+    ];
+    let (mut depth01, mut no_older, mut short, mut wide) = (0, 0, 0, 0);
+    let mut cases = 0;
+    while cases < 2000 {
+        let d = match pinned.get(cases) {
+            Some(&d) => d,
+            None => {
+                let depth = match rng.next_below(4) {
+                    0 => rng.next_below(2),
+                    _ => rng.next_below(12),
+                } as u8;
+                let older = match rng.next_below(4) {
+                    0 => 0,
+                    _ => rng.next_below(33),
+                } as u8;
+                let last = rng.next_below(33) as u8;
+                let current = rng.next_below(33) as u8;
+                let inter = if depth == 0 {
+                    current as u32
+                } else {
+                    (depth as u32 - 1) * older as u32 + last as u32 + current as u32
+                };
+                let folds = inter.div_ceil(MAX_INDEX_BITS).max(1) + rng.next_below(3);
+                match Dolc::try_new(depth, older, last, current, folds as u8) {
+                    Ok(d) => d,
+                    Err(_) => continue,
+                }
+            }
+        };
+        cases += 1;
+        let len = rng.next_below(3 * d.depth() as u32 + 4) as usize;
+        depth01 += usize::from(d.depth() <= 1);
+        no_older += usize::from(d.depth() > 1 && d.older_bits() == 0);
+        short += usize::from(len < d.depth());
+        wide += usize::from(d.intermediate_bits() > 96);
+        let mut fast = DolcPath::new(d);
+        let mut exact = PathRegister::new(d.depth());
+        for step in 0..=len {
+            let cur = Addr(rng.next_u64() as u32);
+            let want = d.index(&exact, cur);
+            assert!(want < d.table_entries(), "{d} step {step}");
+            assert_eq!(fast.index(cur), want, "{d} step {step}");
+            fast.push(cur);
+            exact.push(cur);
+        }
+    }
+    assert!(depth01 > 100 && no_older > 50 && short > 100 && wide > 50);
 }
 
 #[test]

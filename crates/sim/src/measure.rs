@@ -13,7 +13,7 @@
 use crate::timing::NextTaskPredictor;
 use crate::trace::{kind_slot, SharedTrace};
 use multiscalar_core::confidence::ConfidenceEstimator;
-use multiscalar_core::dolc::{PathRegister, MAX_PATH_KEY_DEPTH};
+use multiscalar_core::dolc::MAX_PATH_KEY_DEPTH;
 use multiscalar_core::ideal::{ExitInterner, IdealExitColumns, PathInterner};
 use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
 use multiscalar_core::predictor::{
@@ -448,49 +448,48 @@ pub fn measure_table3<E: ExitPredictor>(
 }
 
 /// A target buffer as seen by the measurement loop — implemented by the
-/// real [`Ttb`] and [`Cttb`] and the alias-free [`IdealCttb`].
+/// real [`Ttb`] and [`Cttb`] and the alias-free [`IdealCttb`]. Each buffer
+/// keeps the path it indexes by (the TTB keeps none).
 pub trait TargetBuffer {
-    /// Predicts the target for the task at `current` given the path.
-    fn predict(&self, path: &PathRegister, current: Addr) -> Option<Addr>;
+    /// Predicts the target for an indirect exit of the task at `current`.
+    fn predict(&mut self, current: Addr) -> Option<Addr>;
     /// Trains with the actual target.
-    fn update(&mut self, path: &PathRegister, current: Addr, actual: Addr);
-    /// Path depth this buffer wants maintained.
-    fn path_depth(&self) -> usize;
+    fn update(&mut self, current: Addr, actual: Addr);
+    /// Advances the buffer's path by the task at `current`.
+    fn push(&mut self, current: Addr);
 }
 
 impl TargetBuffer for Ttb {
-    fn predict(&self, _path: &PathRegister, current: Addr) -> Option<Addr> {
+    fn predict(&mut self, current: Addr) -> Option<Addr> {
         Ttb::predict(self, current)
     }
-    fn update(&mut self, _path: &PathRegister, current: Addr, actual: Addr) {
+    fn update(&mut self, current: Addr, actual: Addr) {
         Ttb::update(self, current, actual)
     }
-    fn path_depth(&self) -> usize {
-        0
-    }
+    fn push(&mut self, _current: Addr) {}
 }
 
 impl TargetBuffer for Cttb {
-    fn predict(&self, path: &PathRegister, current: Addr) -> Option<Addr> {
-        Cttb::predict(self, path, current)
+    fn predict(&mut self, current: Addr) -> Option<Addr> {
+        Cttb::predict(self, current)
     }
-    fn update(&mut self, path: &PathRegister, current: Addr, actual: Addr) {
-        Cttb::update(self, path, current, actual)
+    fn update(&mut self, current: Addr, actual: Addr) {
+        Cttb::update(self, current, actual)
     }
-    fn path_depth(&self) -> usize {
-        self.dolc().depth()
+    fn push(&mut self, current: Addr) {
+        Cttb::push(self, current)
     }
 }
 
 impl TargetBuffer for IdealCttb {
-    fn predict(&self, path: &PathRegister, current: Addr) -> Option<Addr> {
-        IdealCttb::predict(self, path, current)
+    fn predict(&mut self, current: Addr) -> Option<Addr> {
+        IdealCttb::predict(self, current)
     }
-    fn update(&mut self, path: &PathRegister, current: Addr, actual: Addr) {
-        IdealCttb::update(self, path, current, actual)
+    fn update(&mut self, current: Addr, actual: Addr) {
+        IdealCttb::update(self, current, actual)
     }
-    fn path_depth(&self) -> usize {
-        self.depth()
+    fn push(&mut self, current: Addr) {
+        IdealCttb::push(self, current)
     }
 }
 
@@ -502,49 +501,30 @@ pub fn measure_indirect_targets<B: TargetBuffer>(
     descs: &[TaskDesc],
     events: &SharedTrace,
 ) -> MissStats {
-    let mut stats = MissStats::default();
-    let mut path = PathRegister::new(buffer.path_depth());
-    for e in events.iter() {
-        let cur = descs[e.task.index()].entry();
-        if e.kind.needs_target_buffer() {
-            let predicted = buffer.predict(&path, cur);
-            stats.record(predicted != Some(e.next));
-            buffer.update(&path, cur, e.next);
-        }
-        path.push(cur);
-    }
-    stats
+    measure_indirect_targets_fused(std::slice::from_mut(buffer), descs, events)[0]
 }
 
 /// Measures many independent target buffers in a single trace walk
 /// (the fused form of [`measure_indirect_targets`]).
 ///
-/// Each buffer keeps its own [`PathRegister`] at its own depth, so results
-/// are bit-identical to measuring the buffers one at a time.
+/// Each buffer keeps its own path at its own depth, so results are
+/// bit-identical to measuring the buffers one at a time.
 pub fn measure_indirect_targets_fused<B: TargetBuffer>(
     buffers: &mut [B],
     descs: &[TaskDesc],
     events: &SharedTrace,
 ) -> Vec<MissStats> {
     let mut stats = vec![MissStats::default(); buffers.len()];
-    let mut paths: Vec<PathRegister> = buffers
-        .iter()
-        .map(|b| PathRegister::new(b.path_depth()))
-        .collect();
     for e in events.iter() {
         let cur = descs[e.task.index()].entry();
         let needs_target = e.kind.needs_target_buffer();
-        for ((b, s), path) in buffers
-            .iter_mut()
-            .zip(stats.iter_mut())
-            .zip(paths.iter_mut())
-        {
+        for (b, s) in buffers.iter_mut().zip(stats.iter_mut()) {
             if needs_target {
-                let predicted = b.predict(path, cur);
+                let predicted = b.predict(cur);
                 s.record(predicted != Some(e.next));
-                b.update(path, cur, e.next);
+                b.update(cur, e.next);
             }
-            path.push(cur);
+            b.push(cur);
         }
     }
     stats
