@@ -61,42 +61,15 @@ impl PathRegister {
         self.addrs.push_back(addr.0);
     }
 
-    /// Addresses oldest→newest; shorter than `depth` until warmed up.
-    pub fn addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.addrs.iter().map(|&a| Addr(a))
-    }
-
     /// The `i`-th most recent address (0 = last task), if present.
     pub fn recent(&self, i: usize) -> Option<Addr> {
         let n = self.addrs.len();
         (i < n).then(|| Addr(self.addrs[n - 1 - i]))
     }
 
-    /// Number of addresses currently held.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// `true` until the first push (or always, for depth 0).
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// Maximum number of addresses held.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The exact path as a boxed slice (oldest→newest).
-    pub fn snapshot(&self) -> Box<[u32]> {
-        self.addrs.iter().copied().collect()
-    }
-
     /// The exact path as a fixed-size `Copy` key (oldest→newest) — the key
-    /// used by ideal, alias-free predictors. Unlike [`snapshot`], building
-    /// one never touches the heap, so it can sit on the per-event hot path.
-    ///
-    /// [`snapshot`]: Self::snapshot
+    /// used by ideal, alias-free predictors. Building one never touches the
+    /// heap, so it can sit on the per-event hot path.
     ///
     /// # Panics
     ///
@@ -520,27 +493,34 @@ mod tests {
         assert_ne!(d.index(&p1, Addr(0x30)), d.index(&p2, Addr(0x30)));
     }
 
+    /// The key of a register holding exactly `addrs`, oldest first.
+    fn key_of(addrs: &[u32]) -> PathKey {
+        let mut key = PathKey {
+            len: addrs.len() as u8,
+            addrs: [0; MAX_PATH_KEY_DEPTH],
+        };
+        key.addrs[..addrs.len()].copy_from_slice(addrs);
+        key
+    }
+
     #[test]
     fn path_register_is_a_shift_register() {
         let mut p = PathRegister::new(3);
-        assert!(p.is_empty());
+        assert_eq!((p.recent(0), p.key()), (None, key_of(&[])));
         for a in 1..=5u32 {
             p.push(Addr(a));
         }
-        assert_eq!(p.len(), 3);
-        let v: Vec<u32> = p.addrs().map(|a| a.0).collect();
-        assert_eq!(v, vec![3, 4, 5], "keeps the newest 3");
+        assert_eq!(p.key(), key_of(&[3, 4, 5]), "keeps the newest 3");
         assert_eq!(p.recent(0), Some(Addr(5)));
         assert_eq!(p.recent(2), Some(Addr(3)));
         assert_eq!(p.recent(3), None);
-        assert_eq!(p.capacity(), 3);
     }
 
     #[test]
     fn depth_zero_register_stays_empty() {
         let mut p = PathRegister::new(0);
         p.push(Addr(1));
-        assert!(p.is_empty());
+        assert_eq!((p.recent(0), p.key()), (None, key_of(&[])));
     }
 
     #[test]
@@ -553,14 +533,6 @@ mod tests {
             let flipped = d.fold(1u128 << bit);
             assert_ne!(flipped, base, "bit {bit} lost by folding");
         }
-    }
-
-    #[test]
-    fn snapshot_matches_contents() {
-        let mut p = PathRegister::new(2);
-        p.push(Addr(7));
-        p.push(Addr(9));
-        assert_eq!(&*p.snapshot(), &[7, 9]);
     }
 
     #[test]

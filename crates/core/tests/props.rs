@@ -2,7 +2,7 @@
 //! construction, path registers and target buffers.
 
 use multiscalar_core::automata::{Automaton, LastExit, LastExitHysteresis, VotingCounters};
-use multiscalar_core::dolc::{Dolc, DolcPath, PathRegister, MAX_INDEX_BITS};
+use multiscalar_core::dolc::{Dolc, DolcPath, PathRegister, MAX_INDEX_BITS, MAX_PATH_KEY_DEPTH};
 use multiscalar_core::rng::XorShift64;
 use multiscalar_core::target::ReturnAddressStack;
 use multiscalar_isa::{Addr, ExitIndex, MAX_EXITS};
@@ -209,12 +209,19 @@ fn path_register_matches_reference_model() {
                 }
             }
         }
-        let got: Vec<u32> = reg.addrs().map(|a| a.0).collect();
-        assert_eq!(&got, &model);
         for (i, &m) in model.iter().rev().enumerate() {
             assert_eq!(reg.recent(i), Some(Addr(m)));
         }
-        assert_eq!(&*reg.snapshot(), model.as_slice());
+        assert_eq!(reg.recent(model.len()), None, "holds only the model");
+        // A register that never overflowed, fed just the model, holds the
+        // same path.
+        if depth <= MAX_PATH_KEY_DEPTH {
+            let mut fresh = PathRegister::new(depth);
+            for &m in &model {
+                fresh.push(Addr(m));
+            }
+            assert_eq!(reg.key(), fresh.key());
+        }
     }
 }
 

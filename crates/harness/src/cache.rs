@@ -30,20 +30,28 @@
 //! key and one rename winning, which is harmless because both artifacts are
 //! byte-identical by determinism.
 //!
-//! Reads validate magic, schema version, embedded fingerprint and trailing
-//! checksum (see [`multiscalar_sim::codec`]), then check that the
-//! recording fits the program and task partition it will be replayed
-//! under ([`check_fits`]). **Any** failure — truncation, bit rot, a stale
-//! schema, a misfiled entry, a forged recording of another partition —
-//! degrades gracefully: a warning on stderr, the entry evicted, and the
-//! caller re-records as if the cache were cold. A corrupt cache can cost
-//! time, never correctness. [`load_or_record`] is the one load path.
+//! A load reads what predictor sweeps use and nothing more: the header,
+//! the file's length and the boundary section (see
+//! [`multiscalar_sim::codec`]), then checks that the recording fits the
+//! program and task partition it will be replayed under ([`check_fits`]).
+//! The instruction section waits for the first timing walk, which reopens
+//! the entry and reads, checksums and validates it. **Any** failure, at
+//! load or at that first use — truncation, bit rot, a stale schema, a
+//! misfiled entry, a forged recording of another partition — degrades
+//! gracefully: a warning on stderr, the entry evicted, and a fresh
+//! recording in its place, as if the cache were cold (a failure at first
+//! use turns that load's hit into a miss). A corrupt cache can cost time,
+//! never correctness. [`load_or_record`] is the one load path.
 
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use multiscalar_isa::{Fingerprint, FingerprintHasher, Program};
-use multiscalar_sim::codec::{check_fits, decode_replay, encode_replay, CACHE_SCHEMA};
+use multiscalar_sim::codec::{
+    check_fits, open_replay, write_replay, CodecError, Rerecord, CACHE_SCHEMA,
+};
 use multiscalar_sim::replay::{record_replay, InstrReplay};
 use multiscalar_sim::trace::TraceError;
 use multiscalar_taskform::TaskProgram;
@@ -90,7 +98,7 @@ pub fn key_for(spec: Spec92, params: &WorkloadParams) -> Fingerprint {
 /// The recording of `program` under `tasks` that `key` addresses: served
 /// from `cache` when it holds a valid one, otherwise recorded and, when a
 /// cache is given, stored for the next run. The one load path of
-/// benchmark preparation and `harness asm`.
+/// benchmark preparation, `ext-taskform`'s partitions and `harness asm`.
 ///
 /// # Errors
 ///
@@ -103,7 +111,7 @@ pub fn load_or_record(
     tasks: &TaskProgram,
     max_steps: u64,
 ) -> Result<InstrReplay, TraceError> {
-    if let Some(replay) = cache.and_then(|c| c.load_replay(key, program, tasks)) {
+    if let Some(replay) = cache.and_then(|c| c.load_replay(key, program, tasks, max_steps)) {
         return Ok(replay);
     }
     let replay = record_replay(program, tasks, max_steps)?;
@@ -159,10 +167,11 @@ pub struct GcReport {
 /// The content-addressed artifact store: a directory of
 /// `<key-hex>.replay` files plus in-process counters. Share one instance
 /// (behind `&` — all methods take `&self`) across the preparation pool.
-#[derive(Debug)]
+/// A clone is another handle on the same directory and counters.
+#[derive(Debug, Clone)]
 pub struct ArtifactCache {
     dir: PathBuf,
-    counters: Counters,
+    counters: Arc<Counters>,
 }
 
 impl ArtifactCache {
@@ -171,7 +180,7 @@ impl ArtifactCache {
     pub fn new(dir: impl Into<PathBuf>) -> ArtifactCache {
         ArtifactCache {
             dir: dir.into(),
-            counters: Counters::default(),
+            counters: Arc::default(),
         }
     }
 
@@ -200,21 +209,28 @@ impl ArtifactCache {
     /// under `tasks`. `None` on any miss *or* failure; invalid entries are
     /// evicted (with a warning on stderr — stdout stays byte-identical
     /// between cold and warm runs) so the caller silently re-records.
+    ///
+    /// The load reads the entry's header and boundary section only. The
+    /// first timing walk over the recording reads its instruction section;
+    /// if that section is missing or invalid then, the entry is evicted
+    /// the same way, the hit is recounted as a miss, and `program` is
+    /// re-recorded under `tasks` within `max_steps` and stored.
     pub fn load_replay(
         &self,
         key: Fingerprint,
         program: &Program,
         tasks: &TaskProgram,
+        max_steps: u64,
     ) -> Option<InstrReplay> {
         let path = self.entry_path(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
+        let rerecord = self.rerecorder(key, program, tasks, max_steps);
+        match open_replay(&path, key, rerecord)
+            .and_then(|r| check_fits(&r, program, tasks).map(|()| r))
+        {
+            Err(CodecError::Io(std::io::ErrorKind::NotFound)) => {
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
+                None
             }
-        };
-        match decode_replay(&bytes, key).and_then(|r| check_fits(&r, program, tasks).map(|()| r)) {
             Ok(replay) => {
                 // LRU recency signal for `gc`: a served entry is touched so
                 // its mtime orders it after never-hit entries. Best-effort —
@@ -232,21 +248,54 @@ impl ArtifactCache {
                 Some(replay)
             }
             Err(e) => {
-                eprintln!(
-                    "cache: evicting invalid entry {} ({e}); re-recording",
-                    path.display()
-                );
-                let _ = std::fs::remove_file(&path);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                self.evict(key, e);
                 None
             }
         }
     }
 
-    /// Persists a recording under `key`: encode, write to a process-unique
-    /// temp file, atomic rename. Store failures only warn — the cache is an
-    /// accelerator, never a correctness dependency.
+    /// Removes the invalid entry under `key` with a warning, counting an
+    /// eviction and a miss.
+    fn evict(&self, key: Fingerprint, e: CodecError) {
+        let path = self.entry_path(key);
+        eprintln!(
+            "cache: evicting invalid entry {} ({e}); re-recording",
+            path.display()
+        );
+        let _ = std::fs::remove_file(&path);
+        self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// What a loaded recording runs when its instruction section turns out
+    /// missing or invalid at first use: the load's failure path, late. The
+    /// entry is evicted, the load's hit becomes a miss, and the recording
+    /// is made again and stored.
+    fn rerecorder(
+        &self,
+        key: Fingerprint,
+        program: &Program,
+        tasks: &TaskProgram,
+        max_steps: u64,
+    ) -> Rerecord {
+        let cache = self.clone();
+        let (program, tasks) = (program.clone(), tasks.clone());
+        Box::new(move |e| {
+            cache.counters.hits.fetch_sub(1, Ordering::Relaxed);
+            cache.evict(key, e);
+            // The stored recording came from this program, partition and
+            // budget, so recording them again succeeds.
+            let replay = record_replay(&program, &tasks, max_steps)
+                .unwrap_or_else(|e| panic!("re-recording a cached artifact failed: {e}"));
+            cache.store_replay(key, &replay);
+            replay
+        })
+    }
+
+    /// Persists a recording under `key`: stream it into a process-unique
+    /// temp file through a `BufWriter`, then rename it into place
+    /// atomically. Store failures only warn — the cache is an accelerator,
+    /// never a correctness dependency.
     pub fn store_replay(&self, key: Fingerprint, replay: &InstrReplay) {
         // Unique per process *and* per call, so parallel writers (pool
         // jobs, concurrent harness invocations) never share a temp file.
@@ -259,7 +308,8 @@ impl ArtifactCache {
         ));
         let publish = || -> std::io::Result<()> {
             std::fs::create_dir_all(&self.dir)?;
-            std::fs::write(&tmp, encode_replay(replay, key))?;
+            let file = BufWriter::new(std::fs::File::create(&tmp)?);
+            write_replay(replay, key, file)?.flush()?;
             std::fs::rename(&tmp, &path)
         };
         match publish() {

@@ -71,7 +71,9 @@ pub struct Bench {
     /// timing run rides ([`experiments::table4`], `profile`, and the
     /// [`extensions`] timing studies), so no timing run re-interprets the
     /// program. Served from the artifact cache when warm; recorded (one
-    /// interpreter pass) when cold.
+    /// interpreter pass) when cold. A warm load reads the boundary section
+    /// only: the instruction section is read by the first timing walk, so
+    /// a benchmark that only feeds predictor sweeps never reads it.
     pub replay: Arc<InstrReplay>,
     /// The content address `replay` is cached under (see
     /// [`cache::replay_key`]).

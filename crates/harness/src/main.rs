@@ -227,13 +227,16 @@ fn main() -> ExitCode {
         source: None,
     };
     let outcome = registry::dispatch(&inv.request, &resources);
-    // Preparation is the only cache consumer, so the traffic summary is
-    // final here (stderr — stdout stays byte-identical cold vs warm).
-    // Tools that declare no benchmark set never touched the store; skip
-    // the line for them, as the pre-registry special cases did.
+    // Loads, first timing walks and re-recordings all finish inside
+    // dispatch, so the traffic summary is final here (stderr — stdout
+    // stays byte-identical cold vs warm). Skip the line for a tool that
+    // prepares no benchmark and never touched the store.
     let prepared_benches =
         registry::find(&inv.request.experiment).is_some_and(|e| !e.benches.specs().is_empty());
-    if prepared_benches {
+    let touched = store
+        .as_ref()
+        .is_some_and(|s| s.stats() != cache::CacheStats::default());
+    if prepared_benches || touched {
         report_cache(store.as_ref());
     }
 

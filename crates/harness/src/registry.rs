@@ -523,7 +523,7 @@ pub const REGISTRY: &[Experiment] = &[
         group: Group::Ext,
         benches: BenchSet::None,
         kind: Kind::Rendered {
-            render: |c| report::render_taskform(&extensions::ext_taskform(&c.params)),
+            render: |c| report::render_taskform(&extensions::ext_taskform(&c.params, c.store)),
             csv: None,
             json: None,
             artifact: None,

@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 
+use multiscalar_core::rng::XorShift64;
 use multiscalar_harness::cache::ArtifactCache;
 use multiscalar_harness::experiments;
 use multiscalar_harness::pool::Pool;
@@ -230,20 +231,13 @@ fn forged_exit_past_the_header_is_evicted_and_rerecorded() {
     store.clear().unwrap();
     let cold = run(&store);
 
-    // Past the 32-byte header, each column is a u64 count and then its
-    // elements: ops, mem_addrs and branch_pcs (u32), then the boundary
-    // section's tasks (u32) and exits (u8).
+    // The 64-byte header ends with the boundary count; the boundary
+    // section follows it, tasks (u32) first, then exits (u8), and its
+    // checksum covers the header and the section.
     let path = store.entry_path(multiscalar_harness::cache::key_for(spec, &request.params));
     let mut bytes = std::fs::read(&path).unwrap();
-    let count = |bytes: &[u8], at: usize| {
-        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
-    };
-    let mut at = 32;
-    for _ in 0..3 {
-        at += 8 + 4 * count(&bytes, at);
-    }
-    let n = count(&bytes, at);
-    let (tasks_at, exits_at) = (at + 8, at + 8 + 4 * n + 8);
+    let n = Layout::of(&bytes).bounds;
+    let (tasks_at, exits_at) = (64, 64 + 4 * n);
     let partition = TaskFormer::default()
         .form(&spec.build(&request.params).program)
         .unwrap();
@@ -255,11 +249,11 @@ fn forged_exit_past_the_header_is_evicted_and_rerecorded() {
         .find(|&(_, exits)| exits < MAX_EXITS)
         .expect("a task with a spare exit slot");
     bytes[exits_at + k] = spare as u8;
-    let end = bytes.len() - 8;
+    let end = Layout::of(&bytes).bound_sum;
     let mut h = FingerprintHasher::new();
     h.write(&bytes[..end]);
     let sum = h.finish();
-    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
     let store = ArtifactCache::new(&dir);
@@ -300,7 +294,12 @@ fn gc_evicts_lru_entries_past_the_byte_cap() {
     // A hit bumps entry 0 to most-recent, so LRU order is now 1, 2, 3, 4, 0.
     let hit = &baseline[0];
     assert!(store
-        .load_replay(hit.key, &hit.workload.program, &hit.tasks)
+        .load_replay(
+            hit.key,
+            &hit.workload.program,
+            &hit.tasks,
+            hit.workload.max_steps
+        )
         .is_some());
 
     // Cap so that exactly the two oldest cold entries (1 and 2) must go.
@@ -462,7 +461,7 @@ fn touch_failures_are_counted_and_probe_preserves_mtime() {
     let benches = prepare_set_cached(&[Spec92::Compress], &params, &Pool::new(1), Some(&store));
     let b = &benches[0];
     assert!(store
-        .load_replay(b.key, &b.workload.program, &b.tasks)
+        .load_replay(b.key, &b.workload.program, &b.tasks, b.workload.max_steps)
         .is_some());
     let s = store.stats();
     assert_eq!(s.hits, 1);
@@ -496,5 +495,247 @@ fn shared_warm_cache_is_deterministic_across_pool_widths() {
         assert_eq!((s.hits, s.misses), (5, 0), "warm at {threads} threads");
         assert_equivalent(&serial, &parallel, &pool, "pool width");
     }
+    cleanup(&dir);
+}
+
+/// Where an artifact's parts start (see `multiscalar_sim::codec`): the
+/// 64-byte header, the boundary section (14 bytes per boundary) and its
+/// checksum, then the instruction section and its checksum.
+struct Layout {
+    bounds: usize,
+    bound_sum: usize,
+    instrs: usize,
+    instr_sum: usize,
+}
+
+impl Layout {
+    fn of(bytes: &[u8]) -> Layout {
+        let bounds = u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize;
+        let bound_sum = 64 + 14 * bounds;
+        Layout {
+            bounds,
+            bound_sum,
+            instrs: bound_sum + 8,
+            instr_sum: bytes.len() - 8,
+        }
+    }
+}
+
+/// Runs `experiment` on compress at scale 1 through the registry with a
+/// fresh handle on the cache in `dir`; returns its stdout and the cache's
+/// `(hits, misses, stores, evictions)`.
+fn run_compress(experiment: &str, dir: &std::path::Path) -> (String, (u64, u64, u64, u64)) {
+    use multiscalar_harness::proto::Request;
+    use multiscalar_harness::registry;
+    let mut request = Request::new(experiment);
+    request.params = WorkloadParams::small(3);
+    request.bench = Some(Spec92::Compress);
+    let store = ArtifactCache::new(dir);
+    let pool = Pool::new(1);
+    let resources = registry::Resources {
+        pool: &pool,
+        store: Some(&store),
+        cache_dir: dir.to_path_buf(),
+        source: None,
+    };
+    let body = registry::dispatch(&request, &resources)
+        .unwrap_or_else(|e| panic!("{experiment} runs: {e}"))
+        .body;
+    let s = store.stats();
+    (body, (s.hits, s.misses, s.stores, s.evictions))
+}
+
+/// One corruption of a stored artifact.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Keep only the first `n` bytes.
+    Cut(usize),
+    /// Flip bit `bit` of byte `at`.
+    Flip { at: usize, bit: u8 },
+    /// Append `n` zero bytes.
+    Append(usize),
+    /// Write a schema-2 header.
+    Schema2,
+}
+
+impl Mutation {
+    fn apply(self, pristine: &[u8]) -> Vec<u8> {
+        let mut bytes = pristine.to_vec();
+        match self {
+            Mutation::Cut(n) => bytes.truncate(n),
+            Mutation::Flip { at, bit } => bytes[at] ^= 1 << bit,
+            Mutation::Append(n) => bytes.resize(bytes.len() + n, 0),
+            Mutation::Schema2 => bytes[4..8].copy_from_slice(&2u32.to_le_bytes()),
+        }
+        bytes
+    }
+}
+
+/// Writes each mutation of a real scale-1 compress artifact into its cache
+/// entry, then prepares and runs `table4`: nothing panics, stdout equals
+/// the pristine run's, and the cache counts `(0 hits, 1 miss, 1 store,
+/// 1 eviction)` whether the rejection came at load (header, length,
+/// boundary section) or at the first timing walk (instruction section).
+fn mutations_are_rejected_and_rerecorded(
+    tag: &str,
+    pick: fn(&[u8], &mut XorShift64) -> Vec<Mutation>,
+) {
+    let dir = scratch_dir(tag);
+    cleanup(&dir);
+    let (pristine_out, cold) = run_compress("table4", &dir);
+    assert_eq!(cold, (0, 1, 1, 0));
+    let path = ArtifactCache::new(&dir).entry_path(multiscalar_harness::cache::key_for(
+        Spec92::Compress,
+        &WorkloadParams::small(3),
+    ));
+    let pristine = std::fs::read(&path).unwrap();
+    let mut rng = XorShift64::new(0x5EC7_1045);
+    let mutations = pick(&pristine, &mut rng);
+    for m in mutations {
+        std::fs::write(&path, m.apply(&pristine)).unwrap();
+        let (out, counts) = run_compress("table4", &dir);
+        assert_eq!(counts, (0, 1, 1, 1), "{m:?}");
+        assert!(
+            out == pristine_out,
+            "{m:?}: stdout differs from the pristine run"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), pristine, "{m:?}: re-stored");
+    }
+    cleanup(&dir);
+}
+
+/// `n` positions drawn uniformly from `range`.
+fn draws(rng: &mut XorShift64, range: std::ops::Range<usize>, n: usize) -> Vec<usize> {
+    (0..n)
+        .map(|_| range.start + rng.next_below((range.end - range.start) as u32) as usize)
+        .collect()
+}
+
+/// Truncation at every section boundary and at random points, appended
+/// bytes and a schema-2 header.
+#[test]
+fn truncated_extended_and_stale_artifacts_are_rerecorded() {
+    mutations_are_rejected_and_rerecorded("mut-length", |bytes, rng| {
+        let l = Layout::of(bytes);
+        let mut cuts = vec![0, 4, 8, 24, 32, 63, 64, l.bound_sum, l.instrs, l.instr_sum];
+        cuts.extend([l.bound_sum - 1, l.instrs - 1, l.instrs + 1, bytes.len() - 1]);
+        cuts.extend(draws(rng, 0..bytes.len(), 20));
+        let mut m: Vec<Mutation> = cuts.into_iter().map(Mutation::Cut).collect();
+        m.extend([1, 3, 8, 4096].map(Mutation::Append));
+        m.push(Mutation::Schema2);
+        m
+    });
+}
+
+/// A flipped bit in every header byte.
+#[test]
+fn every_flipped_header_byte_is_rerecorded() {
+    mutations_are_rejected_and_rerecorded("mut-header", |_, rng| {
+        (0..64)
+            .map(|at| Mutation::Flip {
+                at,
+                bit: rng.next_below(8) as u8,
+            })
+            .collect()
+    });
+}
+
+/// Flipped bits inside each section and in each section's checksum: the
+/// boundary section's are refused at load, the instruction section's at
+/// the first timing walk.
+#[test]
+fn flipped_section_and_checksum_bytes_are_rerecorded() {
+    mutations_are_rejected_and_rerecorded("mut-sections", |bytes, rng| {
+        let l = Layout::of(bytes);
+        let mut at = draws(rng, 64..l.bound_sum, 35);
+        at.extend(draws(rng, l.instrs..l.instr_sum, 45));
+        at.extend(l.bound_sum..l.instrs);
+        at.extend(l.instr_sum..bytes.len());
+        at.into_iter()
+            .map(|at| Mutation::Flip {
+                at,
+                bit: rng.next_below(8) as u8,
+            })
+            .collect()
+    });
+}
+
+/// A sweep reads only the boundary section: with one byte of the
+/// instruction section flipped, `fig7` is a clean hit with pristine
+/// output, and `table4` on the same entry then evicts and re-records it.
+#[test]
+fn a_sweep_never_reads_the_instruction_section() {
+    let dir = scratch_dir("lazy");
+    cleanup(&dir);
+    let (table4, _) = run_compress("table4", &dir);
+    let (fig7, warm) = run_compress("fig7", &dir);
+    assert_eq!(warm, (1, 0, 0, 0));
+    let path = ArtifactCache::new(&dir).entry_path(multiscalar_harness::cache::key_for(
+        Spec92::Compress,
+        &WorkloadParams::small(3),
+    ));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = Layout::of(&bytes).instr_sum - 8;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (out, counts) = run_compress("fig7", &dir);
+    assert_eq!(counts, (1, 0, 0, 0), "a sweep reads no instructions");
+    assert_eq!(out, fig7);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "the entry stays as it was"
+    );
+
+    let (out, counts) = run_compress("table4", &dir);
+    assert_eq!(counts, (0, 1, 1, 1), "the first walk finds the bad section");
+    assert_eq!(out, table4);
+    assert_ne!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "re-recorded and stored"
+    );
+    assert_eq!(run_compress("table4", &dir), (table4, (1, 0, 0, 0)));
+    cleanup(&dir);
+}
+
+/// `ext-taskform` loads each of its fifteen partitions through the cache:
+/// a cold run records and stores each distinct one (budgets that form the
+/// same partition share its key, so the later ones hit), a warm run reads
+/// all fifteen and records nothing, and both print what an uncached run
+/// prints.
+#[test]
+fn ext_taskform_reads_its_partitions_from_the_cache() {
+    use multiscalar_harness::proto::Request;
+    use multiscalar_harness::registry;
+    let dir = scratch_dir("taskform");
+    cleanup(&dir);
+    let pool = Pool::new(1);
+    let mut request = Request::new("ext-taskform");
+    request.params = WorkloadParams::small(3);
+    let run = |store: Option<&ArtifactCache>| {
+        let resources = registry::Resources {
+            pool: &pool,
+            store,
+            cache_dir: dir.clone(),
+            source: None,
+        };
+        registry::dispatch(&request, &resources)
+            .expect("ext-taskform runs")
+            .body
+    };
+    let counts = |s: &ArtifactCache| {
+        let s = s.stats();
+        (s.hits, s.misses, s.stores, s.evictions)
+    };
+    let uncached = run(None);
+    let cold = ArtifactCache::new(&dir);
+    assert_eq!(run(Some(&cold)), uncached);
+    let (hits, misses, stores, evictions) = counts(&cold);
+    assert_eq!((hits + misses, stores, evictions), (15, misses, 0));
+    let warm = ArtifactCache::new(&dir);
+    assert_eq!(run(Some(&warm)), uncached);
+    assert_eq!(counts(&warm), (15, 0, 0, 0));
     cleanup(&dir);
 }

@@ -49,12 +49,16 @@
 //! kind, next entry, and the task's instruction count), and the cursor
 //! finds each boundary by counting down its task's instructions. Recording
 //! resolves every possible failure (execution faults, unmatched exits, the
-//! step budget) up front, and loading a cached recording
-//! ([`crate::codec::decode_replay`], then [`crate::codec::check_fits`])
-//! rejects any artifact whose columns disagree with its op words or its
-//! partition, which is why [`simulate_replay`] is infallible.
+//! step budget) up front. Loading a cached recording
+//! ([`crate::codec::open_replay`] or [`crate::codec::decode_replay`], then
+//! [`crate::codec::check_fits`]) rejects any artifact whose boundary
+//! section disagrees with its op count or its partition, and the first
+//! read of the instruction section rejects op words and side columns that
+//! disagree, putting a fresh recording's section in their place. That is
+//! why [`simulate_replay`] is infallible.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use multiscalar_core::predictor::TaskDesc;
 use multiscalar_isa::{memory_words, Addr, Program, NUM_REGS};
@@ -84,17 +88,26 @@ fn pack_op(src1: u8, src2: u8, dest: u8, class: OpClass, taken: bool) -> u32 {
 }
 
 /// A recorded execution: everything the timing model needs to re-run a
-/// benchmark without the interpreter. Built by [`record_replay`]; shared
-/// immutably (wrap in [`Arc`] via [`InstrReplay::into_shared`]) across the
-/// pool jobs that consume it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// benchmark without the interpreter. Built by [`record_replay`] or loaded
+/// from the artifact cache ([`crate::codec`]); shared immutably (wrap in
+/// [`Arc`] via [`InstrReplay::into_shared`]) across the pool jobs that
+/// consume it.
+///
+/// A recording has two sections. The boundary section is the task trace
+/// every predictor sweep reads. The instruction section (the op words and
+/// their two side columns) is read only by the timing walk, so a recording
+/// loaded from disk holds it behind a [`OnceLock`] and reads it on the
+/// first walk ([`crate::codec::open_replay`]); a fresh or decoded
+/// recording holds it from the start.
 pub struct InstrReplay {
-    /// One packed op word per committed instruction, in program order.
-    pub(crate) ops: Vec<u32>,
-    /// Word address of each load/store, in program order.
-    pub(crate) mem_addrs: Vec<u32>,
-    /// Address of each *intra-task* conditional branch, in program order.
-    pub(crate) branch_pcs: Vec<u32>,
+    /// The instruction section, once read.
+    section: OnceLock<InstrSection>,
+    /// How a recording loaded from disk reads its instruction section on
+    /// first use; `None` when the section came with the recording.
+    fill: Option<SectionFill>,
+    /// Committed instructions: the op count, known before the instruction
+    /// section is read.
+    instructions: u64,
     /// The boundary section: one event per task boundary, in order, whose
     /// `instrs` counts the retiring task's ops, the crossing one included.
     /// The halting task, which crosses none, gets no event. This is the
@@ -105,15 +118,116 @@ pub struct InstrReplay {
     pub(crate) mem_words: usize,
 }
 
+/// The instruction section of a recording: the columns only the timing
+/// walk reads.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct InstrSection {
+    /// One packed op word per committed instruction, in program order.
+    pub(crate) ops: Vec<u32>,
+    /// Word address of each load/store, in program order.
+    pub(crate) mem_addrs: Vec<u32>,
+    /// Address of each *intra-task* conditional branch, in program order.
+    pub(crate) branch_pcs: Vec<u32>,
+}
+
+/// Reads a loaded recording's instruction section on first use. It cannot
+/// fail: a section it cannot read is re-recorded.
+pub(crate) type SectionFill = Box<dyn Fn() -> InstrSection + Send + Sync>;
+
 impl InstrReplay {
+    /// A recording that holds its instruction section.
+    pub(crate) fn eager(
+        section: InstrSection,
+        bounds: Arc<SharedTrace>,
+        mem_words: usize,
+    ) -> InstrReplay {
+        InstrReplay {
+            instructions: section.ops.len() as u64,
+            section: OnceLock::from(section),
+            fill: None,
+            bounds,
+            mem_words,
+        }
+    }
+
+    /// A recording of `instructions` ops whose instruction section `fill`
+    /// reads on first use.
+    pub(crate) fn lazy(
+        instructions: u64,
+        bounds: Arc<SharedTrace>,
+        mem_words: usize,
+        fill: SectionFill,
+    ) -> InstrReplay {
+        InstrReplay {
+            section: OnceLock::new(),
+            fill: Some(fill),
+            instructions,
+            bounds,
+            mem_words,
+        }
+    }
+
+    /// The instruction section, read on the first call for a recording
+    /// loaded from disk. The replay cursor is its only production reader.
+    pub(crate) fn section(&self) -> &InstrSection {
+        self.section.get_or_init(|| {
+            let fill = self
+                .fill
+                .as_ref()
+                .expect("a recording without its section can read it");
+            fill()
+        })
+    }
+
+    /// The instruction section of a fresh or decoded recording, for
+    /// tampering in tests.
+    #[cfg(test)]
+    pub(crate) fn section_mut(&mut self) -> &mut InstrSection {
+        self.section
+            .get_mut()
+            .expect("the recording holds its section")
+    }
+
+    /// The instruction section, taken out of the recording.
+    pub(crate) fn into_section(self) -> InstrSection {
+        self.section();
+        self.section
+            .into_inner()
+            .expect("the section was just read")
+    }
+
     /// Committed instructions in the recording.
     pub fn instructions(&self) -> u64 {
-        self.ops.len() as u64
+        self.instructions
     }
 
     /// Wraps the recording for sharing across pool jobs.
     pub fn into_shared(self) -> Arc<InstrReplay> {
         Arc::new(self)
+    }
+}
+
+/// Recordings are equal when both sections are; comparing one loaded from
+/// disk reads its instruction section.
+impl PartialEq for InstrReplay {
+    fn eq(&self, other: &InstrReplay) -> bool {
+        self.instructions == other.instructions
+            && self.mem_words == other.mem_words
+            && self.bounds == other.bounds
+            && self.section() == other.section()
+    }
+}
+
+impl Eq for InstrReplay {}
+
+impl fmt::Debug for InstrReplay {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InstrReplay")
+            .field("instructions", &self.instructions)
+            .field("boundaries", &self.bounds.len())
+            .field("mem_words", &self.mem_words)
+            .field("section_read", &self.section.get().is_some())
+            .finish()
     }
 }
 
@@ -166,13 +280,16 @@ pub fn record_replay(
 
     // Deliberately no shrink_to_fit: shrinking reallocates and copies the
     // whole recording, and the unused capacity tail is never faulted in.
-    Ok(InstrReplay {
+    let section = InstrSection {
         ops,
         mem_addrs,
         branch_pcs,
-        bounds: Arc::new(bounds),
-        mem_words: memory_words(program),
-    })
+    };
+    Ok(InstrReplay::eager(
+        section,
+        Arc::new(bounds),
+        memory_words(program),
+    ))
 }
 
 /// The functional [`TraceRun`] of a recording: its boundary section,
@@ -233,11 +350,14 @@ pub(crate) struct ReplayCursor<'a> {
 }
 
 impl<'a> ReplayCursor<'a> {
+    /// A cursor at the start of `r`. This reads the instruction section of
+    /// a recording loaded from disk, once.
     pub(crate) fn new(r: &'a InstrReplay) -> ReplayCursor<'a> {
+        let section = r.section();
         ReplayCursor {
-            ops: &r.ops,
-            mem_addrs: &r.mem_addrs,
-            branch_pcs: &r.branch_pcs,
+            ops: &section.ops,
+            mem_addrs: &section.mem_addrs,
+            branch_pcs: &section.branch_pcs,
             bounds: &r.bounds,
             next_bound: 0,
             left: task_len(&r.bounds, 0),

@@ -63,7 +63,7 @@ fn hybrid_tracks_the_better_component() {
 /// default and large task budgets on the hard benchmarks.
 #[test]
 fn predictor_ordering_survives_reforming() {
-    let rows = ext_taskform(&params());
+    let rows = ext_taskform(&params(), None);
     for r in rows {
         if r.config.starts_with("small") {
             continue; // tiny tasks push context beyond the window — see EXPERIMENTS.md
