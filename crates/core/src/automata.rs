@@ -79,16 +79,6 @@ impl<const BITS: u8, const MRU: bool> VotingCounters<BITS, MRU> {
     pub fn counters(&self) -> [u8; MAX_EXITS] {
         self.counters
     }
-
-    /// Most-recently-taken exit (the MRU tie-break state).
-    pub(crate) fn mru(&self) -> u8 {
-        self.mru
-    }
-
-    /// Rebuilds an automaton from raw state (lane packing codec).
-    pub(crate) fn from_parts(counters: [u8; MAX_EXITS], mru: u8) -> Self {
-        VotingCounters { counters, mru }
-    }
 }
 
 impl<const BITS: u8, const MRU: bool> Automaton for VotingCounters<BITS, MRU> {
@@ -150,18 +140,6 @@ pub struct LastExit {
     last: ExitIndex,
 }
 
-impl LastExit {
-    /// The remembered exit (lane packing codec).
-    pub(crate) fn last(&self) -> ExitIndex {
-        self.last
-    }
-
-    /// Rebuilds an automaton from raw state (lane packing codec).
-    pub(crate) fn from_exit(last: ExitIndex) -> Self {
-        LastExit { last }
-    }
-}
-
 impl Automaton for LastExit {
     const STORAGE_BITS: u32 = 2;
     const NAME: &'static str = "LE";
@@ -196,16 +174,6 @@ impl<const BITS: u8> LastExitHysteresis<BITS> {
     /// Current confidence value (for inspection).
     pub fn confidence(&self) -> u8 {
         self.confidence
-    }
-
-    /// The remembered exit (lane packing codec).
-    pub(crate) fn exit(&self) -> ExitIndex {
-        self.exit
-    }
-
-    /// Rebuilds an automaton from raw state (lane packing codec).
-    pub(crate) fn from_parts(exit: ExitIndex, confidence: u8) -> Self {
-        LastExitHysteresis { exit, confidence }
     }
 }
 

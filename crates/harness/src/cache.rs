@@ -453,7 +453,8 @@ impl ArtifactCache {
 /// already covers at these workload parameters. The per-experiment keys
 /// come from [`crate::registry::bench_keys`] /
 /// [`crate::registry::input_fingerprint`], the same derivation path the
-/// serve result cache memoises under.
+/// serve result cache memoises under; `ext-taskform`'s come from the
+/// helper that derives its fifteen partitions for the study itself.
 pub fn stats_report(store: &ArtifactCache, params: &WorkloadParams) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -493,15 +494,27 @@ pub fn stats_report(store: &ArtifactCache, params: &WorkloadParams) -> String {
     }
     let _ = writeln!(out, "experiment inputs:");
     for exp in crate::registry::REGISTRY {
-        if exp.benches.specs().is_empty() {
+        let (fp, warm) = if exp.name == "ext-taskform" {
+            // It prepares its own fifteen partitions instead of a declared
+            // benchmark set, so its inputs are their entries.
+            let mut h = FingerprintHasher::new();
+            exp.name.hash(&mut h);
+            let mut warm = true;
+            for p in crate::extensions::taskform_partitions(params) {
+                p.key.hash(&mut h);
+                warm &= store.entry_path(p.key).exists();
+            }
+            (h.finish128(), warm)
+        } else if exp.benches.specs().is_empty() {
             continue;
-        }
-        let fp = crate::registry::input_fingerprint(exp, &keys);
-        let warm = exp.benches.specs().iter().all(|spec| {
-            keys.iter()
-                .find(|(s, _)| s == spec)
-                .is_some_and(|&(_, key)| store.entry_path(key).exists())
-        });
+        } else {
+            let warm = exp.benches.specs().iter().all(|spec| {
+                keys.iter()
+                    .find(|(s, _)| s == spec)
+                    .is_some_and(|&(_, key)| store.entry_path(key).exists())
+            });
+            (crate::registry::input_fingerprint(exp, &keys), warm)
+        };
         let state = if warm { "warm" } else { "cold" };
         let _ = writeln!(out, "  {:<16} {fp}  {state}", exp.name);
     }

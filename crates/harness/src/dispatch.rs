@@ -1,5 +1,10 @@
 //! Runtime dispatch over automaton kinds and history schemes, so the CLI
 //! can select predictors the library implements with static generics.
+//!
+//! The real-PATH ladder of Figures 10 and 11 runs LEH-2bit, the paper's
+//! automaton after Figure 6, on the lane-packed engine
+//! ([`multiscalar_core::lane`]) when its batch fits and on the scalar
+//! fused walk otherwise ([`path_real_sweep`]).
 
 use crate::Bench;
 use multiscalar_core::automata::{
@@ -8,7 +13,7 @@ use multiscalar_core::automata::{
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::{GlobalPredictor, PathPredictor, PerTaskPredictor};
 use multiscalar_core::ideal::{IdealColumns, IdealExitColumns};
-use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
+use multiscalar_core::lane::BatchedExitPredictor;
 use multiscalar_core::predictor::{ExitPredictor, TaskPredictor};
 use multiscalar_core::target::Cttb;
 use multiscalar_sim::measure::{
@@ -107,12 +112,13 @@ pub(crate) fn ideal_columns(kind: AutomatonKind, depths: &[u32]) -> Box<dyn Idea
 /// states touched.
 ///
 /// Dispatches to the lane-packed batched engine
-/// ([`measure_exits_batched`]) whenever the sweep fits its lanes — the
-/// ladder always does — falling back to [`path_real_sweep_scalar`]
+/// ([`measure_exits_batched`]) whenever the sweep fits its lanes (at most
+/// [`MAX_FUSED_LANES`](multiscalar_core::lane::MAX_FUSED_LANES) configs;
+/// the ladder always does), falling back to [`path_real_sweep_scalar`]
 /// otherwise. Both paths are bit-identical (`fused_path_ladders_match...`
 /// in `tests/fused.rs` gates this against one-config-at-a-time runs).
 pub fn path_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize)> {
-    match BatchedExitPredictor::<LastExitHysteresis<2>>::new(configs) {
+    match BatchedExitPredictor::new(configs) {
         Some(mut batch) => measure_exits_batched(&mut batch, &bench.descs, &bench.trace.events),
         None => path_real_sweep_scalar::<LastExitHysteresis<2>>(configs, bench),
     }
@@ -120,9 +126,9 @@ pub fn path_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize
 
 /// The scalar fused real-PATH sweep: one predictor instance per
 /// configuration, trained predictor-by-predictor in a single trace walk.
-/// This is the pre-lane-packing engine, kept as the fallback for batch
-/// shapes the packed engine rejects and as the oracle the lane-dispatch
-/// tests compare the packed engine against.
+/// This is the fallback for batches wider than the packed engine's word
+/// and the oracle the lane-dispatch tests and fuzz oracle 6 compare the
+/// packed engine against.
 pub fn path_real_sweep_scalar<A: Automaton>(
     configs: &[Dolc],
     bench: &Bench,
@@ -133,39 +139,6 @@ pub fn path_real_sweep_scalar<A: Automaton>(
         .into_iter()
         .zip(ps.iter().map(|p| p.states_touched()))
         .collect()
-}
-
-/// [`path_real_sweep`] generalised over automaton kinds: lane-packed for
-/// the packable families, scalar for the two `VC RANDOM` kinds — their
-/// tie-break consumes the per-predictor XorShift stream, which the packed
-/// table cannot reproduce exactly, so they take the (bit-identical-by-
-/// construction) scalar walk instead. `tests/lane_dispatch.rs` proves
-/// both the fast path and the fallback via the `lane_packed_sweeps`
-/// counter.
-pub fn path_real_sweep_automaton(
-    kind: AutomatonKind,
-    configs: &[Dolc],
-    bench: &Bench,
-) -> Vec<(MissStats, usize)> {
-    fn packed<A: LaneAutomaton>(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize)> {
-        match BatchedExitPredictor::<A>::new(configs) {
-            Some(mut batch) => measure_exits_batched(&mut batch, &bench.descs, &bench.trace.events),
-            None => path_real_sweep_scalar::<A>(configs, bench),
-        }
-    }
-    match kind {
-        AutomatonKind::Vc2Mru => packed::<VotingCounters<2, true>>(configs, bench),
-        AutomatonKind::Vc2Random => {
-            path_real_sweep_scalar::<VotingCounters<2, false>>(configs, bench)
-        }
-        AutomatonKind::Leh1 => packed::<LastExitHysteresis<1>>(configs, bench),
-        AutomatonKind::Vc3Mru => packed::<VotingCounters<3, true>>(configs, bench),
-        AutomatonKind::Vc3Random => {
-            path_real_sweep_scalar::<VotingCounters<3, false>>(configs, bench)
-        }
-        AutomatonKind::Leh2 => packed::<LastExitHysteresis<2>>(configs, bench),
-        AutomatonKind::LastExit => packed::<LastExit>(configs, bench),
-    }
 }
 
 /// Ideal-PATH sweep over depths (Figures 10 and 11's "ideal" curves): one

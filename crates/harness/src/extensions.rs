@@ -20,6 +20,7 @@ use multiscalar_core::pollution::{PollutedExitAdapter, PollutedPathPredictor};
 use multiscalar_core::predictor::{ExitPredictor, TaskDesc};
 use multiscalar_core::stale::StalePathPredictor;
 use multiscalar_core::tournament::TournamentPredictor;
+use multiscalar_isa::Fingerprint;
 use multiscalar_sim::measure::{
     measure_exits_fused, measure_outcomes, task_descs, MissStats, Outcomes,
 };
@@ -27,8 +28,8 @@ use multiscalar_sim::metrics::{Cause, CycleBreakdown, NoopSink};
 use multiscalar_sim::replay::{derive_trace, record_replay, walk_lanes, InstrReplay, Lane};
 use multiscalar_sim::timing::{ForwardingModel, TimingConfig, TimingResult};
 use multiscalar_sim::trace::SharedTrace;
-use multiscalar_taskform::{TaskFormConfig, TaskFormer};
-use multiscalar_workloads::{Spec92, WorkloadParams};
+use multiscalar_taskform::{TaskFormConfig, TaskFormer, TaskProgram};
+use multiscalar_workloads::{Spec92, Workload, WorkloadParams};
 
 type Leh2 = LastExitHysteresis<2>;
 
@@ -164,6 +165,39 @@ pub struct TaskformRow {
     pub miss: [f64; 3],
 }
 
+/// One of [`ext_taskform`]'s fifteen partitions: a benchmark formed under
+/// one of [`TASKFORM_CONFIGS`], and the cache key its recording lives under.
+pub(crate) struct TaskformPartition {
+    spec: Spec92,
+    label: &'static str,
+    workload: Workload,
+    tasks: TaskProgram,
+    /// The partition recording's [`replay_key`].
+    pub(crate) key: Fingerprint,
+}
+
+/// [`ext_taskform`]'s partitions, benchmark by benchmark in
+/// [`TASKFORM_CONFIGS`] order, built one at a time: the one derivation of
+/// their cache keys, shared by the study and `harness cache stats`.
+pub(crate) fn taskform_partitions(
+    params: &WorkloadParams,
+) -> impl Iterator<Item = TaskformPartition> + '_ {
+    Spec92::ALL.into_iter().flat_map(move |spec| {
+        let w = spec.build(params);
+        TASKFORM_CONFIGS.into_iter().map(move |(label, config)| {
+            let tasks = TaskFormer::new(config).form(&w.program).expect("formation");
+            let key = replay_key(spec, params, &w.program, &tasks, w.max_steps);
+            TaskformPartition {
+                spec,
+                label,
+                workload: w.clone(),
+                tasks,
+                key,
+            }
+        })
+    })
+}
+
 /// Re-partitions every benchmark with three task budgets and re-measures
 /// the three history schemes — the paper's "relative performance of
 /// predictors is very consistent across ... compilations" (§3.2).
@@ -173,23 +207,19 @@ pub struct TaskformRow {
 /// boundary sections and records nothing (the default budget's entry is
 /// the one benchmark preparation stores).
 pub fn ext_taskform(params: &WorkloadParams, store: Option<&ArtifactCache>) -> Vec<TaskformRow> {
-    let mut rows = Vec::new();
-    for spec in Spec92::ALL {
-        let w = spec.build(params);
-        for (label, config) in TASKFORM_CONFIGS {
-            let tasks = TaskFormer::new(config).form(&w.program).expect("formation");
-            let key = replay_key(spec, params, &w.program, &tasks, w.max_steps);
-            let replay = load_or_record(store, key, &w.program, &tasks, w.max_steps)
+    taskform_partitions(params)
+        .map(|p| {
+            let w = &p.workload;
+            let replay = load_or_record(store, p.key, &w.program, &p.tasks, w.max_steps)
                 .expect("recording succeeds");
-            let trace = derive_trace(&replay, &tasks);
-            let descs = task_descs(&tasks);
+            let trace = derive_trace(&replay, &p.tasks);
             let bench = Bench {
-                spec,
-                workload: w.clone(),
-                tasks,
-                descs,
+                spec: p.spec,
+                descs: task_descs(&p.tasks),
+                workload: p.workload,
+                tasks: p.tasks,
                 replay: replay.into_shared(),
-                key,
+                key: p.key,
                 trace,
             };
             let miss = [
@@ -197,15 +227,14 @@ pub fn ext_taskform(params: &WorkloadParams, store: Option<&ArtifactCache>) -> V
                 measure_ideal(Scheme::Per, 7, &bench).miss_rate(),
                 measure_ideal(Scheme::Path, 7, &bench).miss_rate(),
             ];
-            rows.push(TaskformRow {
-                name: spec.name(),
-                config: label,
+            TaskformRow {
+                name: bench.name(),
+                config: p.label,
                 dynamic_tasks: bench.trace.stats.dynamic_tasks,
                 miss,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// One row of the memory-substrate study.

@@ -22,12 +22,12 @@
 //!    share and own intra predictors and ARBs and differ in forwarding) as
 //!    one lockstep lanes walk and must agree per slot with solo runs of
 //!    the scalar core;
-//! 6. **fast sweeps vs scalar oracles** — the SWAR batched sweep over the
-//!    Figure 10 ladder must match the scalar fused walk, miss stats and
-//!    states-touched both; then the interned ideal sweeps must match the
-//!    hash-map oracles at depths 0..=8, miss stats and state counts both
-//!    ([`check_ideal_agreement`]: PATH with LEH-2 and VC RANDOM, GLOBAL
-//!    and PER with LEH-2, and the ideal CTTB);
+//! 6. **fast sweeps vs scalar oracles** — the lane-packed LEH-2bit sweep
+//!    over the Figure 10 ladder must match the scalar fused walk, miss
+//!    stats and states-touched both; then the interned ideal sweeps must
+//!    match the hash-map oracles at depths 0..=8, miss stats and state
+//!    counts both ([`check_ideal_agreement`]: PATH with LEH-2 and VC
+//!    RANDOM, GLOBAL and PER with LEH-2, and the ideal CTTB);
 //! 7. **analyzer soundness** — the bounds, dead-write, and static-exit
 //!    claims the dataflow passes make must survive the concrete execution
 //!    ([`multiscalar_analyze::soundness::check_execution`]): a claimed
@@ -284,7 +284,7 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
     let configs = crate::dispatch::exit_ladder();
     let packed_check = catching(|| {
         let mut batch =
-            BatchedExitPredictor::<Leh2>::new(&configs).expect("the Figure 10 ladder always packs");
+            BatchedExitPredictor::new(&configs).expect("the Figure 10 ladder always packs");
         let packed = measure_exits_batched(&mut batch, &descs, &trace.events);
         let mut scalars: Vec<PathPredictor<Leh2>> =
             configs.iter().map(|&d| PathPredictor::new(d)).collect();
@@ -783,17 +783,12 @@ fn infeasible_branch_program() -> Program {
 }
 
 /// Number of checks [`adversarial_checks`] runs (for reporting).
-pub const ADVERSARIAL_CHECKS: usize = 4;
+pub const ADVERSARIAL_CHECKS: usize = 3;
 
-/// Serial adversarial phase: hand-built taskform edge cases plus the lane
-/// dispatch fallback check. Returns one message per failed check (empty =
-/// all pass). Must run serially with respect to anything touching
-/// [`multiscalar_sim::measure::lane_packed_sweeps`] — the dispatch check
-/// asserts deltas on that process-global counter.
+/// Adversarial phase: hand-built taskform edge cases. Returns one message
+/// per failed check (empty = all pass).
 pub fn adversarial_checks() -> Vec<String> {
-    use multiscalar_sim::measure::lane_packed_sweeps;
     use multiscalar_taskform::{TaskFlowGraph, TaskHeader};
-    use multiscalar_workloads::{Spec92, WorkloadParams};
 
     let mut failures = Vec::new();
     let mut check = |name: &str, result: Result<(), String>| {
@@ -859,37 +854,6 @@ pub fn adversarial_checks() -> Vec<String> {
         }
     });
 
-    // Dispatch fallback: the two `VC RANDOM` families must take the
-    // scalar-only path under batched dispatch (their tie-break XorShift
-    // stream is unreproducible in packed tables), while a packable family
-    // rides the lane-packed sweep — and the packed results must equal the
-    // scalar walk.
-    check("vc-random-scalar-fallback", {
-        let bench = crate::prepare(Spec92::Compress, &WorkloadParams::small(1));
-        let configs = crate::dispatch::exit_ladder();
-        let before = lane_packed_sweeps();
-        let _ =
-            crate::dispatch::path_real_sweep_automaton(AutomatonKind::Vc2Random, &configs, &bench);
-        let _ =
-            crate::dispatch::path_real_sweep_automaton(AutomatonKind::Vc3Random, &configs, &bench);
-        let mid = lane_packed_sweeps();
-        let packed =
-            crate::dispatch::path_real_sweep_automaton(AutomatonKind::Leh2, &configs, &bench);
-        let after = lane_packed_sweeps();
-        if mid != before {
-            Err(format!(
-                "VC RANDOM took the packed path ({} sweeps)",
-                mid - before
-            ))
-        } else if after != mid + 1 {
-            Err("packable family missed the packed path".to_string())
-        } else if packed != crate::dispatch::path_real_sweep_scalar::<Leh2>(&configs, &bench) {
-            Err("packed sweep diverges from the scalar walk".to_string())
-        } else {
-            Ok(())
-        }
-    });
-
     failures
 }
 
@@ -924,10 +888,8 @@ pub fn run_tool(ctx: &crate::registry::ExpCtx) -> Result<crate::registry::Output
             return Err("fuzz needs --seeds A..B (or --smoke for the pinned CI range)".to_string())
         }
     };
-    // Adversarial fixtures first, serially — the dispatch-fallback check
-    // asserts deltas on the process-global lane-packed counter, so
-    // nothing else may sweep concurrently. Their failure detail goes to
-    // stderr (a daemon log line under `serve`), the count into the body.
+    // Adversarial fixtures first. Their failure detail goes to stderr (a
+    // daemon log line under `serve`), the count into the body.
     let adversarial = adversarial_checks();
     for msg in &adversarial {
         eprintln!("{msg}");

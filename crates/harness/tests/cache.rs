@@ -739,3 +739,37 @@ fn ext_taskform_reads_its_partitions_from_the_cache() {
     assert_eq!(counts(&warm), (15, 0, 0, 0));
     cleanup(&dir);
 }
+
+/// `cache stats` covers `ext-taskform`'s fifteen partition entries: its
+/// line reads `cold` on an empty directory and `warm` once one
+/// `ext-taskform` run has stored them.
+#[test]
+fn cache_stats_reports_ext_taskform_coverage() {
+    use multiscalar_harness::cache::stats_report;
+    use multiscalar_harness::proto::Request;
+    use multiscalar_harness::registry;
+    let dir = scratch_dir("taskform-stats");
+    cleanup(&dir);
+    let store = ArtifactCache::new(&dir);
+    let mut request = Request::new("ext-taskform");
+    request.params = WorkloadParams::small(3);
+    let state = || {
+        let report = stats_report(&store, &request.params);
+        let line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("ext-taskform "))
+            .unwrap_or_else(|| panic!("no ext-taskform line in:\n{report}"));
+        line.split_whitespace().last().map(str::to_string)
+    };
+    assert_eq!(state().as_deref(), Some("cold"));
+    let pool = Pool::new(1);
+    let resources = registry::Resources {
+        pool: &pool,
+        store: Some(&store),
+        cache_dir: dir.clone(),
+        source: None,
+    };
+    registry::dispatch(&request, &resources).expect("ext-taskform runs");
+    assert_eq!(state().as_deref(), Some("warm"));
+    cleanup(&dir);
+}

@@ -1,10 +1,6 @@
-//! End-to-end regression fixtures for the differential fuzz harness.
-//!
-//! Everything lives in ONE test function on purpose: the adversarial
-//! phase asserts deltas on the process-global `lane_packed_sweeps`
-//! counter, and any concurrently running oracle (every `differential`
-//! call ends in a lane-packed sweep) would race it. One `#[test]` in the
-//! binary means the whole sequence runs serially.
+//! End-to-end regression fixtures for the differential fuzz harness: the
+//! adversarial fixtures, a pooled seed sweep, and the finding path from a
+//! malformed program through shrinking to a parsed reproducer.
 
 use multiscalar_harness::fuzz::{
     adversarial_checks, differential, fuzz_sweep, parse_case, render_finding, run_case, shrink,
@@ -33,9 +29,7 @@ fn cross_function_branch() -> multiscalar_isa::Program {
 #[test]
 fn differential_harness_end_to_end() {
     // Adversarial fixtures: zero-exit diagnosed, four-exit max,
-    // statically-infeasible branch side, VC RANDOM scalar-only fallback.
-    // Runs first and alone — the fallback check reads the global
-    // lane-packed sweep counter.
+    // statically-infeasible branch side.
     let failures = adversarial_checks();
     assert!(failures.is_empty(), "{failures:#?}");
 

@@ -69,7 +69,7 @@ fn fig6_renderer_names_all_automata() {
 
 #[test]
 fn scorecard_holds_on_a_fresh_run() {
-    let claims = verify::verify(&params(), &Pool::new(2));
+    let claims = verify::verify(&params(), &Pool::new(2), None);
     assert_eq!(claims.len(), 5, "the five conclusions of §7");
     let rendered = verify::render(&claims);
     assert!(

@@ -6,6 +6,11 @@
 //! wrong-path pollution occurs because the functional trace never goes down
 //! a wrong path.
 //!
+//! A sweep walks the trace once for all of its predictors:
+//! [`measure_exits_fused`] steps any set of exit predictors, and
+//! [`measure_exits_batched`] is its lane-packed form for LEH-2bit PATH
+//! batches such as Figure 10's ladder.
+//!
 //! The timing model's inter-task prediction is one of these passes too:
 //! [`measure_outcomes`] turns a [`NextTaskPredictor`] into the
 //! per-boundary [`Outcomes`] every timing walk reads.
@@ -15,7 +20,7 @@ use crate::trace::{kind_slot, SharedTrace};
 use multiscalar_core::confidence::ConfidenceEstimator;
 use multiscalar_core::dolc::MAX_PATH_KEY_DEPTH;
 use multiscalar_core::ideal::{ExitInterner, IdealExitColumns, PathInterner};
-use multiscalar_core::lane::{BatchedExitPredictor, LaneAutomaton};
+use multiscalar_core::lane::BatchedExitPredictor;
 use multiscalar_core::predictor::{
     CttbOnlyPredictor, ExitInfo, ExitPredictor, TaskDesc, TaskPredictor,
 };
@@ -137,10 +142,10 @@ pub fn measure_exits<P: ExitPredictor>(
 /// the per-predictor results are bit-identical to the one-at-a-time loop —
 /// this is what lets a whole depth sweep (`0..=8`) ride one walk.
 ///
-/// When every predictor in the sweep is a PATH predictor over the **same**
-/// lane-packable automaton family (the fig10/fig11 grid shape), use
-/// [`measure_exits_batched`] instead: same results, one SWAR word per
-/// event instead of a predictor-by-predictor loop.
+/// When every predictor in the sweep is an LEH-2bit PATH predictor (the
+/// fig10/fig11 grid shape), [`measure_exits_batched`] gives the same
+/// results with one SWAR word per event instead of a
+/// predictor-by-predictor loop.
 pub fn measure_exits_fused<P: ExitPredictor>(
     predictors: &mut [P],
     descs: &[TaskDesc],
@@ -158,18 +163,18 @@ pub fn measure_exits_fused<P: ExitPredictor>(
     stats
 }
 
-/// Measures a whole homogeneous PATH sweep in one lane-packed trace walk —
+/// Measures a whole LEH-2bit PATH sweep in one lane-packed trace walk —
 /// the SWAR fast path of [`measure_exits_fused`].
 ///
 /// One [`BatchedExitPredictor`] lane stands in for each scalar
-/// `PathPredictor` of the sweep; per event the batch gathers one `u64`,
-/// predicts and trains every lane with branchless lane arithmetic, and
-/// reports a per-lane miss mask. Results — miss stats *and* states-touched
+/// `PathPredictor<LastExitHysteresis<2>>` of the sweep; per event the
+/// batch gathers one `u64`, predicts and trains every lane with branchless
+/// lane arithmetic, and reports a per-lane miss mask. Results — miss stats *and* states-touched
 /// counts — are bit-identical to the scalar fused walk (`multiscalar-core`'s
 /// `lane` module tests enforce the per-lane equivalence; the harness's
 /// fused tests enforce it end to end against `measure_exits`).
-pub fn measure_exits_batched<A: LaneAutomaton>(
-    batch: &mut BatchedExitPredictor<A>,
+pub fn measure_exits_batched(
+    batch: &mut BatchedExitPredictor,
     descs: &[TaskDesc],
     events: &SharedTrace,
 ) -> Vec<(MissStats, usize)> {
@@ -698,8 +703,7 @@ mod tests {
         let fused = measure_exits_fused(&mut scalars, &descs, &events);
 
         let before = lane_packed_sweeps();
-        let mut batch = multiscalar_core::lane::BatchedExitPredictor::<Leh2>::new(&configs)
-            .expect("4 LEH lanes fit");
+        let mut batch = BatchedExitPredictor::new(&configs).expect("4 lanes fit");
         let batched = measure_exits_batched(&mut batch, &descs, &events);
         assert_eq!(lane_packed_sweeps(), before + 1);
 

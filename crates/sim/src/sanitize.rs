@@ -229,12 +229,12 @@ mod tests {
         assert!(steps > 300, "the loop body runs 300 times: {steps}");
     }
 
-    /// Lanes/scalar agreement for every lane-packed automaton family on a
+    /// Lanes/scalar agreement for each of Figure 6's seven automata on a
     /// real paper workload — the lanes walk must stay bit-identical
-    /// (results *and* cycle breakdowns) no matter which family drives the
-    /// inter-task predictor.
+    /// (results *and* cycle breakdowns) no matter which automaton drives
+    /// the inter-task predictor.
     #[test]
-    fn fused_agreement_holds_for_every_lane_packed_family() {
+    fn fused_agreement_holds_for_every_automaton_family() {
         fn check_family<A: Automaton + 'static>() {
             let w = Spec92::Compress.build(&WorkloadParams::small(7));
             let tasks = TaskFormer::default().form(&w.program).unwrap();
@@ -265,6 +265,8 @@ mod tests {
         check_family::<LastExitHysteresis<1>>();
         check_family::<LastExitHysteresis<2>>();
         check_family::<VotingCounters<2, true>>();
+        check_family::<VotingCounters<2, false>>();
         check_family::<VotingCounters<3, true>>();
+        check_family::<VotingCounters<3, false>>();
     }
 }
