@@ -34,14 +34,17 @@
 //! the file's length and the boundary section (see
 //! [`multiscalar_sim::codec`]), then checks that the recording fits the
 //! program and task partition it will be replayed under ([`check_fits`]).
-//! The instruction section waits for the first timing walk, which reopens
-//! the entry and reads, checksums and validates it. **Any** failure, at
-//! load or at that first use — truncation, bit rot, a stale schema, a
+//! The recording it returns never holds its instruction section: each
+//! timing walk reopens the entry and reads the section chunk by chunk,
+//! checking each chunk before it steps any of its ops. **Any** failure, at
+//! load or during a walk — truncation, bit rot, a stale schema, a
 //! misfiled entry, a forged recording of another partition — degrades
 //! gracefully: a warning on stderr, the entry evicted, and a fresh
-//! recording in its place, as if the cache were cold (a failure at first
-//! use turns that load's hit into a miss). A corrupt cache can cost time,
-//! never correctness. [`load_or_record`] is the one load path.
+//! recording in its place, as if the cache were cold. A failure during a
+//! walk turns that load's hit into a miss; the walk continues at the same
+//! op in the fresh recording, which the loaded one keeps for later walks.
+//! A corrupt cache can cost time, never correctness. [`load_or_record`] is
+//! the one load path.
 
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -210,11 +213,12 @@ impl ArtifactCache {
     /// evicted (with a warning on stderr — stdout stays byte-identical
     /// between cold and warm runs) so the caller silently re-records.
     ///
-    /// The load reads the entry's header and boundary section only. The
-    /// first timing walk over the recording reads its instruction section;
-    /// if that section is missing or invalid then, the entry is evicted
-    /// the same way, the hit is recounted as a miss, and `program` is
-    /// re-recorded under `tasks` within `max_steps` and stored.
+    /// The load reads the entry's header and boundary section only. Each
+    /// timing walk over the recording reads its instruction section chunk
+    /// by chunk; the first time a chunk is missing or invalid, the entry
+    /// is evicted the same way, the hit is recounted as a miss, and
+    /// `program` is re-recorded under `tasks` within `max_steps` and
+    /// stored.
     pub fn load_replay(
         &self,
         key: Fingerprint,
@@ -267,10 +271,11 @@ impl ArtifactCache {
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// What a loaded recording runs when its instruction section turns out
-    /// missing or invalid at first use: the load's failure path, late. The
-    /// entry is evicted, the load's hit becomes a miss, and the recording
-    /// is made again and stored.
+    /// What a loaded recording runs, at most once, when a walk finds a
+    /// chunk of its instruction section missing or invalid: the load's
+    /// failure path, late. The entry is evicted, the load's hit becomes a
+    /// miss, and the recording is made again and stored; the walk goes on
+    /// in its section, and the loaded recording keeps it.
     fn rerecorder(
         &self,
         key: Fingerprint,

@@ -72,8 +72,9 @@ pub struct Bench {
     /// [`extensions`] timing studies), so no timing run re-interprets the
     /// program. Served from the artifact cache when warm; recorded (one
     /// interpreter pass) when cold. A warm load reads the boundary section
-    /// only: the instruction section is read by the first timing walk, so
-    /// a benchmark that only feeds predictor sweeps never reads it.
+    /// only and never holds the instruction section: each timing walk
+    /// streams it from the entry chunk by chunk, so a benchmark that only
+    /// feeds predictor sweeps never reads it.
     pub replay: Arc<InstrReplay>,
     /// The content address `replay` is cached under (see
     /// [`cache::replay_key`]).

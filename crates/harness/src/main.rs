@@ -227,7 +227,7 @@ fn main() -> ExitCode {
         source: None,
     };
     let outcome = registry::dispatch(&inv.request, &resources);
-    // Loads, first timing walks and re-recordings all finish inside
+    // Loads, timing walks and re-recordings all finish inside
     // dispatch, so the traffic summary is final here (stderr — stdout
     // stays byte-identical cold vs warm). Skip the line for a tool that
     // prepares no benchmark and never touched the store.

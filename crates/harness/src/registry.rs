@@ -628,7 +628,7 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment {
         name: "verify",
         group: Group::Tool,
-        benches: BenchSet::None,
+        benches: BenchSet::All,
         kind: Kind::Tool(crate::verify::run_tool),
         cache_safe: true,
     },

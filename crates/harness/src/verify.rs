@@ -5,16 +5,15 @@
 //! is the user-facing version, producing a readable report rather than
 //! panics.
 
-use crate::cache::ArtifactCache;
 use crate::dispatch::{measure_ideal, measure_ideal_path_automata, Scheme};
 use crate::experiments;
 use crate::pool::Pool;
-use crate::prepare_set_cached;
+use crate::Bench;
 use multiscalar_core::automata::AutomatonKind;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::target::{Cttb, Ttb};
 use multiscalar_sim::measure::measure_indirect_targets;
-use multiscalar_workloads::{Spec92, WorkloadParams};
+use multiscalar_workloads::Spec92;
 use std::fmt::Write as _;
 
 /// One checked claim.
@@ -30,12 +29,11 @@ pub struct Claim {
     pub evidence: String,
 }
 
-/// Runs the scorecard, preparing the five benchmarks through `store` when
-/// one is given. Any pool width and any cache state produce the same
-/// claims (every measurement is deterministic and results are collected
-/// in job order).
-pub fn verify(params: &WorkloadParams, pool: &Pool, store: Option<&ArtifactCache>) -> Vec<Claim> {
-    let benches = prepare_set_cached(&Spec92::ALL, params, pool, store);
+/// Runs the scorecard over the five prepared benchmarks, gcc first (the
+/// order of [`Spec92::ALL`]). Any pool width and any cache state produce
+/// the same claims (every measurement is deterministic and results are
+/// collected in job order).
+pub fn verify(benches: &[Bench], pool: &Pool) -> Vec<Claim> {
     let gcc = &benches[0];
     let mut claims = Vec::new();
 
@@ -62,7 +60,7 @@ pub fn verify(params: &WorkloadParams, pool: &Pool, store: Option<&ArtifactCache
         let mut wins = 0;
         let (mut sc_per, mut sc_path) = (0.0, 0.0);
         let mut evidence = String::new();
-        for b in &benches {
+        for b in benches {
             let g = measure_ideal(Scheme::Global, 7, b).miss_rate();
             let p = measure_ideal(Scheme::Per, 7, b).miss_rate();
             let t = measure_ideal(Scheme::Path, 7, b).miss_rate();
@@ -110,7 +108,7 @@ pub fn verify(params: &WorkloadParams, pool: &Pool, store: Option<&ArtifactCache
 
     // §6.4.2 / Table 3: headerless prediction is possible but not competitive.
     {
-        let rows = experiments::table3(&benches, pool);
+        let rows = experiments::table3(benches, pool);
         let holds = rows
             .iter()
             .all(|r| r.exit_with_ras_cttb <= r.cttb_only + 1e-9);
@@ -131,7 +129,7 @@ pub fn verify(params: &WorkloadParams, pool: &Pool, store: Option<&ArtifactCache
 
     // §7 / Table 4: better prediction increases IPC.
     {
-        let rows = experiments::table4(&benches, pool);
+        let rows = experiments::table4(benches, pool);
         let holds = rows.iter().all(|r| {
             r.path.ipc() + 1e-9 >= r.simple.ipc()
                 && r.path.ipc() + 1e-9 >= r.global.ipc().min(r.per.ipc())
@@ -174,11 +172,15 @@ pub fn all_hold(claims: &[Claim]) -> bool {
     claims.iter().all(|c| c.holds)
 }
 
-/// The registry tool entry: run the scorecard, with a failed claim
-/// reported as a failing (but rendered) [`Output`](crate::registry::Output),
-/// not a process exit.
+/// The registry tool entry: run the scorecard over the five benchmarks the
+/// dispatch prepared, with a failed claim reported as a failing (but
+/// rendered) [`Output`](crate::registry::Output), not a process exit.
+/// `--bench` is refused: the claims compare benchmarks with each other.
 pub fn run_tool(ctx: &crate::registry::ExpCtx) -> Result<crate::registry::Output, String> {
-    let claims = verify(&ctx.params, ctx.pool, ctx.store);
+    if ctx.prep.narrowed() {
+        return Err("verify scores all five benchmarks; it takes no --bench".to_string());
+    }
+    let claims = verify(ctx.prep.all(), ctx.pool);
     Ok(crate::registry::Output {
         body: format!("{}\n", render(&claims)),
         files: Vec::new(),

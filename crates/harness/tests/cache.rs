@@ -8,7 +8,9 @@ use multiscalar_core::rng::XorShift64;
 use multiscalar_harness::cache::ArtifactCache;
 use multiscalar_harness::experiments;
 use multiscalar_harness::pool::Pool;
+use multiscalar_harness::proto::OutputFormat;
 use multiscalar_harness::{prepare_set_cached, report, Bench};
+use multiscalar_sim::codec::CHUNK_OPS;
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 /// A per-test scratch cache directory (tests in one binary may run in
@@ -500,24 +502,67 @@ fn shared_warm_cache_is_deterministic_across_pool_widths() {
 
 /// Where an artifact's parts start (see `multiscalar_sim::codec`): the
 /// 64-byte header, the boundary section (14 bytes per boundary) and its
-/// checksum, then the instruction section and its checksum.
+/// checksum, then the instruction section's chunks.
 struct Layout {
     bounds: usize,
     bound_sum: usize,
     instrs: usize,
-    instr_sum: usize,
+    chunks: Vec<ChunkAt>,
+}
+
+/// Where one chunk of the instruction section starts and what it holds:
+/// its `n` op words, the `m` memory addresses and the branch pcs they
+/// consume, then its checksum.
+#[derive(Debug, Clone, Copy)]
+struct ChunkAt {
+    ops: usize,
+    n: usize,
+    mem: usize,
+    m: usize,
+    sum: usize,
 }
 
 impl Layout {
     fn of(bytes: &[u8]) -> Layout {
-        let bounds = u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize;
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let count = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let bounds = count(56);
         let bound_sum = 64 + 14 * bounds;
+        let instrs = bound_sum + 8;
+        let mut chunks = Vec::new();
+        let (mut at, mut left) = (instrs, count(32));
+        while left > 0 {
+            let n = left.min(CHUNK_OPS);
+            // Bits 24..26 of an op word are its class: 1 load, 2 store,
+            // 3 intra-task branch.
+            let classes = (0..n).map(|k| (word(at + 4 * k) >> 24) & 3);
+            let m = classes.clone().filter(|&c| c == 1 || c == 2).count();
+            let b = classes.filter(|&c| c == 3).count();
+            let c = ChunkAt {
+                ops: at,
+                n,
+                mem: at + 4 * n,
+                m,
+                sum: at + 4 * (n + m + b),
+            };
+            chunks.push(c);
+            at = c.sum + 8;
+            left -= n;
+        }
+        assert_eq!(at, bytes.len(), "the chunks fill the file");
         Layout {
             bounds,
             bound_sum,
-            instrs: bound_sum + 8,
-            instr_sum: bytes.len() - 8,
+            instrs,
+            chunks,
         }
+    }
+
+    /// The first, a middle and the last chunk.
+    fn picks(&self) -> [ChunkAt; 3] {
+        let c = &self.chunks;
+        assert!(c.len() >= 3, "an artifact of several chunks");
+        [c[0], c[c.len() / 2], c[c.len() - 1]]
     }
 }
 
@@ -525,11 +570,21 @@ impl Layout {
 /// fresh handle on the cache in `dir`; returns its stdout and the cache's
 /// `(hits, misses, stores, evictions)`.
 fn run_compress(experiment: &str, dir: &std::path::Path) -> (String, (u64, u64, u64, u64)) {
+    run_compress_as(experiment, OutputFormat::Text, dir)
+}
+
+/// [`run_compress`] with the output in `format`.
+fn run_compress_as(
+    experiment: &str,
+    format: OutputFormat,
+    dir: &std::path::Path,
+) -> (String, (u64, u64, u64, u64)) {
     use multiscalar_harness::proto::Request;
     use multiscalar_harness::registry;
     let mut request = Request::new(experiment);
     request.params = WorkloadParams::small(3);
     request.bench = Some(Spec92::Compress);
+    request.format = format;
     let store = ArtifactCache::new(dir);
     let pool = Pool::new(1);
     let resources = registry::Resources {
@@ -545,6 +600,14 @@ fn run_compress(experiment: &str, dir: &std::path::Path) -> (String, (u64, u64, 
     (body, (s.hits, s.misses, s.stores, s.evictions))
 }
 
+/// The cache entry of compress at scale 1 in `dir`.
+fn compress_entry(dir: &std::path::Path) -> PathBuf {
+    ArtifactCache::new(dir).entry_path(multiscalar_harness::cache::key_for(
+        Spec92::Compress,
+        &WorkloadParams::small(3),
+    ))
+}
+
 /// One corruption of a stored artifact.
 #[derive(Debug, Clone, Copy)]
 enum Mutation {
@@ -554,8 +617,9 @@ enum Mutation {
     Flip { at: usize, bit: u8 },
     /// Append `n` zero bytes.
     Append(usize),
-    /// Write a schema-2 header.
-    Schema2,
+    /// Write a schema-3 header (the layout before chunked instruction
+    /// sections).
+    Schema3,
 }
 
 impl Mutation {
@@ -565,7 +629,7 @@ impl Mutation {
             Mutation::Cut(n) => bytes.truncate(n),
             Mutation::Flip { at, bit } => bytes[at] ^= 1 << bit,
             Mutation::Append(n) => bytes.resize(bytes.len() + n, 0),
-            Mutation::Schema2 => bytes[4..8].copy_from_slice(&2u32.to_le_bytes()),
+            Mutation::Schema3 => bytes[4..8].copy_from_slice(&3u32.to_le_bytes()),
         }
         bytes
     }
@@ -575,23 +639,20 @@ impl Mutation {
 /// entry, then prepares and runs `table4`: nothing panics, stdout equals
 /// the pristine run's, and the cache counts `(0 hits, 1 miss, 1 store,
 /// 1 eviction)` whether the rejection came at load (header, length,
-/// boundary section) or at the first timing walk (instruction section).
-fn mutations_are_rejected_and_rerecorded(
-    tag: &str,
-    pick: fn(&[u8], &mut XorShift64) -> Vec<Mutation>,
-) {
+/// boundary section) or during the timing walk (an instruction chunk).
+/// A mutation picked with `profile` set runs `profile --json` on its own
+/// copy too, whose breakdown must equal the pristine run's.
+fn mutations_are_rejected_and_rerecorded(tag: &str, pick: fn(&[u8], &mut XorShift64) -> Cases) {
     let dir = scratch_dir(tag);
     cleanup(&dir);
     let (pristine_out, cold) = run_compress("table4", &dir);
     assert_eq!(cold, (0, 1, 1, 0));
-    let path = ArtifactCache::new(&dir).entry_path(multiscalar_harness::cache::key_for(
-        Spec92::Compress,
-        &WorkloadParams::small(3),
-    ));
+    let (pristine_profile, _) = run_compress_as("profile", OutputFormat::Json, &dir);
+    let path = compress_entry(&dir);
     let pristine = std::fs::read(&path).unwrap();
     let mut rng = XorShift64::new(0x5EC7_1045);
     let mutations = pick(&pristine, &mut rng);
-    for m in mutations {
+    for (m, profile) in mutations {
         std::fs::write(&path, m.apply(&pristine)).unwrap();
         let (out, counts) = run_compress("table4", &dir);
         assert_eq!(counts, (0, 1, 1, 1), "{m:?}");
@@ -600,8 +661,25 @@ fn mutations_are_rejected_and_rerecorded(
             "{m:?}: stdout differs from the pristine run"
         );
         assert_eq!(std::fs::read(&path).unwrap(), pristine, "{m:?}: re-stored");
+        if profile {
+            std::fs::write(&path, m.apply(&pristine)).unwrap();
+            let (out, counts) = run_compress_as("profile", OutputFormat::Json, &dir);
+            assert_eq!(counts, (0, 1, 1, 1), "{m:?}: profile");
+            assert!(
+                out == pristine_profile,
+                "{m:?}: profile --json differs from the pristine run"
+            );
+        }
     }
     cleanup(&dir);
+}
+
+/// Mutations, each with whether it also runs `profile --json`.
+type Cases = Vec<(Mutation, bool)>;
+
+/// Mutations that run `table4` only.
+fn table4_only(m: impl IntoIterator<Item = Mutation>) -> Cases {
+    m.into_iter().map(|m| (m, false)).collect()
 }
 
 /// `n` positions drawn uniformly from `range`.
@@ -611,18 +689,25 @@ fn draws(rng: &mut XorShift64, range: std::ops::Range<usize>, n: usize) -> Vec<u
         .collect()
 }
 
-/// Truncation at every section boundary and at random points, appended
-/// bytes and a schema-2 header.
+/// Truncation at every section boundary, at the edges of and inside the
+/// first, a middle and the last instruction chunk, and at random points;
+/// appended bytes and a schema-3 header.
 #[test]
 fn truncated_extended_and_stale_artifacts_are_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-length", |bytes, rng| {
         let l = Layout::of(bytes);
-        let mut cuts = vec![0, 4, 8, 24, 32, 63, 64, l.bound_sum, l.instrs, l.instr_sum];
+        let last = l.chunks[l.chunks.len() - 1];
+        let mut cuts = vec![0, 4, 8, 24, 32, 63, 64, l.bound_sum, l.instrs, last.sum];
         cuts.extend([l.bound_sum - 1, l.instrs - 1, l.instrs + 1, bytes.len() - 1]);
+        for c in l.picks() {
+            // A chunk's start, the middle of its op words, its side
+            // entries and its checksum.
+            cuts.extend([c.ops, c.ops + 2 * c.n + 1, c.mem, c.sum, c.sum + 4]);
+        }
         cuts.extend(draws(rng, 0..bytes.len(), 20));
-        let mut m: Vec<Mutation> = cuts.into_iter().map(Mutation::Cut).collect();
-        m.extend([1, 3, 8, 4096].map(Mutation::Append));
-        m.push(Mutation::Schema2);
+        let mut m = table4_only(cuts.into_iter().map(Mutation::Cut));
+        m.extend(table4_only([1, 3, 8, 4096].map(Mutation::Append)));
+        m.push((Mutation::Schema3, false));
         m
     });
 }
@@ -631,32 +716,54 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
 #[test]
 fn every_flipped_header_byte_is_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-header", |_, rng| {
-        (0..64)
-            .map(|at| Mutation::Flip {
-                at,
-                bit: rng.next_below(8) as u8,
-            })
-            .collect()
+        table4_only((0..64).map(|at| Mutation::Flip {
+            at,
+            bit: rng.next_below(8) as u8,
+        }))
     });
 }
 
-/// Flipped bits inside each section and in each section's checksum: the
-/// boundary section's are refused at load, the instruction section's at
-/// the first timing walk.
+/// Flipped bits inside each section and in each checksum. The boundary
+/// section's are refused at load. The instruction section's are refused
+/// when the walk reaches their chunk: in the first chunk before any op is
+/// stepped, in a middle or the last chunk after the earlier chunks were,
+/// so those also run `profile --json`, whose breakdown must stay pristine.
+/// In each of the three chunks the flips hit an op's class bits, a
+/// register byte, a memory address and the chunk checksum.
 #[test]
 fn flipped_section_and_checksum_bytes_are_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-sections", |bytes, rng| {
         let l = Layout::of(bytes);
+        let last = l.chunks[l.chunks.len() - 1];
+        let flip = |at: usize, rng: &mut XorShift64| Mutation::Flip {
+            at,
+            bit: rng.next_below(8) as u8,
+        };
         let mut at = draws(rng, 64..l.bound_sum, 35);
-        at.extend(draws(rng, l.instrs..l.instr_sum, 45));
+        at.extend(draws(rng, l.instrs..last.sum, 45));
         at.extend(l.bound_sum..l.instrs);
-        at.extend(l.instr_sum..bytes.len());
-        at.into_iter()
-            .map(|at| Mutation::Flip {
-                at,
-                bit: rng.next_below(8) as u8,
-            })
-            .collect()
+        at.extend(last.sum..bytes.len());
+        let mut m: Vec<(Mutation, bool)> =
+            at.into_iter().map(|at| (flip(at, rng), false)).collect();
+        for (k, c) in l.picks().into_iter().enumerate() {
+            let op = c.ops + 4 * rng.next_below(c.n as u32) as usize;
+            assert!(c.m > 0, "chunk {k} carries memory addresses");
+            let addr = c.mem + 4 * rng.next_below(c.m as u32) as usize;
+            let sum = c.sum + rng.next_below(8) as usize;
+            let cases = [
+                // Bits 24..26 of the word are its class.
+                Mutation::Flip {
+                    at: op + 3,
+                    bit: rng.next_below(2) as u8,
+                },
+                // Byte 0 is its first source register.
+                flip(op, rng),
+                flip(addr, rng),
+                flip(sum, rng),
+            ];
+            m.extend(cases.map(|case| (case, k > 0)));
+        }
+        m
     });
 }
 
@@ -670,12 +777,10 @@ fn a_sweep_never_reads_the_instruction_section() {
     let (table4, _) = run_compress("table4", &dir);
     let (fig7, warm) = run_compress("fig7", &dir);
     assert_eq!(warm, (1, 0, 0, 0));
-    let path = ArtifactCache::new(&dir).entry_path(multiscalar_harness::cache::key_for(
-        Spec92::Compress,
-        &WorkloadParams::small(3),
-    ));
+    let path = compress_entry(&dir);
     let mut bytes = std::fs::read(&path).unwrap();
-    let at = Layout::of(&bytes).instr_sum - 8;
+    let l = Layout::of(&bytes);
+    let at = l.chunks[l.chunks.len() - 1].sum - 8;
     bytes[at] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
 
@@ -689,7 +794,7 @@ fn a_sweep_never_reads_the_instruction_section() {
     );
 
     let (out, counts) = run_compress("table4", &dir);
-    assert_eq!(counts, (0, 1, 1, 1), "the first walk finds the bad section");
+    assert_eq!(counts, (0, 1, 1, 1), "the walk finds the bad chunk");
     assert_eq!(out, table4);
     assert_ne!(
         std::fs::read(&path).unwrap(),
@@ -697,6 +802,81 @@ fn a_sweep_never_reads_the_instruction_section() {
         "re-recorded and stored"
     );
     assert_eq!(run_compress("table4", &dir), (table4, (1, 0, 0, 0)));
+    cleanup(&dir);
+}
+
+/// Compress at scale 1 prepared through a fresh handle on the cache in
+/// `dir`, and that handle.
+fn prepare_compress(dir: &std::path::Path, pool: &Pool) -> (Vec<Bench>, ArtifactCache) {
+    let store = ArtifactCache::new(dir);
+    let benches = prepare_set_cached(
+        &[Spec92::Compress],
+        &WorkloadParams::small(3),
+        pool,
+        Some(&store),
+    );
+    (benches, store)
+}
+
+/// A recording loaded from the artifact cache holds no instruction
+/// section, before a walk and after one: the walk reads the section chunk
+/// by chunk and keeps none of it. A fresh recording holds its section.
+#[test]
+fn a_loaded_recording_never_holds_its_instruction_section() {
+    let dir = scratch_dir("holds");
+    cleanup(&dir);
+    let pool = Pool::new(1);
+    let (cold, _) = prepare_compress(&dir, &pool);
+    assert!(cold[0].replay.holds_instructions(), "a fresh recording");
+    let (warm, store) = prepare_compress(&dir, &pool);
+    assert!(!warm[0].replay.holds_instructions(), "a loaded recording");
+    assert_eq!(render_table4(&warm, &pool), render_table4(&cold, &pool));
+    assert!(!warm[0].replay.holds_instructions(), "after a walk");
+    assert_eq!(render_table4(&warm, &pool), render_table4(&cold, &pool));
+    assert!(!warm[0].replay.holds_instructions(), "after a second walk");
+    let s = store.stats();
+    assert_eq!((s.hits, s.misses, s.stores, s.evictions), (1, 0, 0, 0));
+    cleanup(&dir);
+}
+
+/// A walk that finds a bad chunk in the middle of the section re-records
+/// once and continues in the fresh section, which the recording keeps: a
+/// second walk reads that section, not the file (corrupted again here),
+/// and evicts nothing more.
+#[test]
+fn a_second_walk_after_a_mid_walk_fallback_reads_the_kept_section() {
+    let dir = scratch_dir("fallback");
+    cleanup(&dir);
+    let pool = Pool::new(1);
+    let (cold, _) = prepare_compress(&dir, &pool);
+    let pristine = render_table4(&cold, &pool);
+    let path = compress_entry(&dir);
+    let flip = || {
+        let mut bytes = std::fs::read(&path).unwrap();
+        let [_, middle, _] = Layout::of(&bytes).picks();
+        bytes[middle.ops + 4 * (middle.n / 2)] ^= 0x04;
+        std::fs::write(&path, &bytes).unwrap();
+    };
+    flip();
+
+    let (warm, store) = prepare_compress(&dir, &pool);
+    assert_eq!(store.stats().hits, 1, "the boundary section loads");
+    assert_eq!(render_table4(&warm, &pool), pristine);
+    let s = store.stats();
+    assert_eq!((s.hits, s.misses, s.stores, s.evictions), (0, 1, 1, 1));
+    assert!(
+        warm[0].replay.holds_instructions(),
+        "the fresh section is kept"
+    );
+
+    flip();
+    assert_eq!(render_table4(&warm, &pool), pristine);
+    let s = store.stats();
+    assert_eq!(
+        (s.hits, s.misses, s.stores, s.evictions),
+        (0, 1, 1, 1),
+        "no second eviction"
+    );
     cleanup(&dir);
 }
 
@@ -740,36 +920,58 @@ fn ext_taskform_reads_its_partitions_from_the_cache() {
     cleanup(&dir);
 }
 
+/// The state `cache stats` reports for `experiment` at scale 1 on `store`.
+fn coverage(store: &ArtifactCache, experiment: &str) -> String {
+    let report = multiscalar_harness::cache::stats_report(store, &WorkloadParams::small(3));
+    let line = report
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(experiment))
+        .unwrap_or_else(|| panic!("no {experiment} line in:\n{report}"));
+    line.split_whitespace().last().unwrap().to_string()
+}
+
+/// Dispatches `experiment` at scale 1 through `store`.
+fn dispatch_through(store: &ArtifactCache, experiment: &str) {
+    use multiscalar_harness::proto::Request;
+    use multiscalar_harness::registry;
+    let mut request = Request::new(experiment);
+    request.params = WorkloadParams::small(3);
+    let pool = Pool::new(1);
+    let resources = registry::Resources {
+        pool: &pool,
+        store: Some(store),
+        cache_dir: store.dir().to_path_buf(),
+        source: None,
+    };
+    registry::dispatch(&request, &resources).unwrap_or_else(|e| panic!("{experiment} runs: {e}"));
+}
+
 /// `cache stats` covers `ext-taskform`'s fifteen partition entries: its
 /// line reads `cold` on an empty directory and `warm` once one
 /// `ext-taskform` run has stored them.
 #[test]
 fn cache_stats_reports_ext_taskform_coverage() {
-    use multiscalar_harness::cache::stats_report;
-    use multiscalar_harness::proto::Request;
-    use multiscalar_harness::registry;
     let dir = scratch_dir("taskform-stats");
     cleanup(&dir);
     let store = ArtifactCache::new(&dir);
-    let mut request = Request::new("ext-taskform");
-    request.params = WorkloadParams::small(3);
-    let state = || {
-        let report = stats_report(&store, &request.params);
-        let line = report
-            .lines()
-            .find(|l| l.trim_start().starts_with("ext-taskform "))
-            .unwrap_or_else(|| panic!("no ext-taskform line in:\n{report}"));
-        line.split_whitespace().last().map(str::to_string)
-    };
-    assert_eq!(state().as_deref(), Some("cold"));
-    let pool = Pool::new(1);
-    let resources = registry::Resources {
-        pool: &pool,
-        store: Some(&store),
-        cache_dir: dir.clone(),
-        source: None,
-    };
-    registry::dispatch(&request, &resources).expect("ext-taskform runs");
-    assert_eq!(state().as_deref(), Some("warm"));
+    assert_eq!(coverage(&store, "ext-taskform"), "cold");
+    dispatch_through(&store, "ext-taskform");
+    assert_eq!(coverage(&store, "ext-taskform"), "warm");
+    cleanup(&dir);
+}
+
+/// `verify` declares the five benchmarks it scores, so `cache stats`
+/// prints a line for it: `cold` on an empty directory and `warm` once one
+/// `verify` run has stored their entries.
+#[test]
+fn cache_stats_reports_verify_coverage() {
+    let dir = scratch_dir("verify-stats");
+    cleanup(&dir);
+    let store = ArtifactCache::new(&dir);
+    assert_eq!(coverage(&store, "verify"), "cold");
+    dispatch_through(&store, "verify");
+    assert_eq!(coverage(&store, "verify"), "warm");
+    let s = store.stats();
+    assert_eq!((s.hits, s.misses, s.stores), (0, 5, 5));
     cleanup(&dir);
 }

@@ -3,7 +3,7 @@
 //! benchmarks, and the scorecard passes on a fresh small-scale run.
 
 use multiscalar_harness::pool::Pool;
-use multiscalar_harness::{experiments, extensions, prepare, report, verify};
+use multiscalar_harness::{experiments, extensions, prepare, prepare_all_with, report, verify};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 fn params() -> WorkloadParams {
@@ -69,7 +69,8 @@ fn fig6_renderer_names_all_automata() {
 
 #[test]
 fn scorecard_holds_on_a_fresh_run() {
-    let claims = verify::verify(&params(), &Pool::new(2), None);
+    let pool = Pool::new(2);
+    let claims = verify::verify(&prepare_all_with(&params(), &pool), &pool);
     assert_eq!(claims.len(), 5, "the five conclusions of §7");
     let rendered = verify::render(&claims);
     assert!(

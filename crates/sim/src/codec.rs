@@ -16,22 +16,32 @@
 //!                 (its Table 1 slot), next u32, instrs u32
 //! 64+14·B   8     boundary checksum: two-lane FxHash of bytes 0..64+14·B
 //!                 (the header and the boundary section)
-//! I         4·N   the instruction section, I = 72+14·B: ops u32,
-//!                 mem_addrs u32, branch_pcs u32, N the sum of their counts
-//! I+4·N     8     instruction checksum: FxHash of the instruction section
+//! I         …     the instruction section, I = 72+14·B: one chunk per
+//!                 CHUNK_OPS op words (the last chunk takes the rest),
+//!                 each laid out as
+//!                   4·n   n op words
+//!                   4·m   the m memory addresses those ops' loads and
+//!                         stores consume, in program order
+//!                   4·b   the b branch pcs their intra-task branches
+//!                         consume, in program order
+//!                   8     chunk checksum: FxHash of the chunk's index
+//!                         and its 4·(n+m+b) bytes
 //! ```
 //!
-//! The header alone sizes the file, so a reader checks the file's length
-//! before it reads a section. Both sections go through one bounded
-//! streaming reader: it reads fixed-size chunks, folds each into the
-//! section's checksum as it arrives, and never allocates more than the
-//! bytes that remain. The encoder is the same stream in reverse
-//! ([`write_replay`]; [`encode_replay`] is its `Vec` form).
+//! The header alone sizes the file: the instruction section takes four
+//! bytes per element of its three columns plus eight per chunk. A reader
+//! checks the file's length before it reads a section. The boundary section
+//! goes through a bounded streaming reader that folds each piece into the
+//! section's checksum as it arrives and never allocates more than the
+//! bytes that remain. The instruction section goes through a chunk reader
+//! whose buffers hold one chunk: at most [`CHUNK_OPS`] op words and the
+//! side entries they consume, 192 KiB. The encoder is the same layout in
+//! reverse ([`write_replay`]; [`encode_replay`] is its `Vec` form).
 //!
 //! # Guarantees
 //!
 //! * **Round-trip equality**: `decode(encode(r, k), k) == r` for every
-//!   recording (tested on all five workloads).
+//!   recording (tested on all five workloads and at chunk edges).
 //! * **Graceful failure**: decoding never panics and never fabricates a
 //!   recording. Truncation, appended bytes, bit flips, schema bumps and
 //!   key mismatches all surface as a typed [`CodecError`]. On top of the
@@ -40,24 +50,29 @@
 //!   infallible fast path (which [`crate::replay::walk_lanes`] runs on) in
 //!   a state that would panic it.
 //!
-//! [`decode_replay`] reads both sections at once. [`open_replay`], the
-//! artifact cache's load, reads only what predictor sweeps use and leaves
-//! the instruction section to the first timing walk. The checks split the
-//! same way:
+//! [`decode_replay`] reads both sections at once into a recording that
+//! holds them. [`open_replay`], the artifact cache's load, reads only the
+//! header and the boundary section, which is all predictor sweeps use. The
+//! recording it returns holds no instruction section: every timing walk
+//! over it reopens the artifact and reads the section chunk by chunk, and
+//! no file stays open between walks. The checks split the same way:
 //!
 //! | when | checks |
 //! |---|---|
 //! | load | magic, schema, key; the file length the header's counts declare; the boundary checksum; exit indices `< MAX_EXITS` and kind slots inside Table 1; every task size at least 1, the sizes summing below the op count (so the halting task keeps its halt) |
-//! | first use | the header and the length again; the instruction checksum; one load/store op word per `mem_addrs` entry and one branch per `branch_pcs` entry; every register byte names a register (or is absent); every memory address below `mem_words` |
+//! | each walk | the header and the length again; then per chunk, before any of its ops is stepped: its loads/stores and branches against the side entries left (the last chunk takes exactly what remains), its checksum, every register byte names a register (or is absent), every memory address below `mem_words` |
 //!
-//! A failure at first use goes to the caller's [`Rerecord`], which the
-//! artifact cache answers as it answers a failure at load: evict, then
-//! re-record. The rest needs the program and its task partition, which
-//! the decoder never sees: that every boundary names a task of the
-//! partition, an exit of that task's header and that exit's kind, and that
-//! `mem_words` is the program's data-memory size (the timing core
-//! allocates that many words). [`check_fits`] checks all of it; the
-//! artifact cache runs it on every load.
+//! A chunk that fails goes to the caller's [`Rerecord`], which the artifact
+//! cache answers as it answers a failure at load: evict, then re-record.
+//! The walk continues at the failed chunk's first op in the re-recorded
+//! section, and the recording keeps that section for later walks, so a
+//! failure costs time once and never changes a result. The rest needs the
+//! program and its task partition, which the decoder never sees: that
+//! every boundary names a task of the partition, an exit of that task's
+//! header and that exit's kind, and that `mem_words` is the program's
+//! data-memory size (the timing core allocates that many words).
+//! [`check_fits`] checks all of it; the artifact cache runs it on every
+//! load.
 //!
 //! Bump [`CACHE_SCHEMA`] whenever this layout *or the meaning of any
 //! recorded field* changes (e.g. a timing-semantics change that alters what
@@ -72,16 +87,20 @@ use std::fmt;
 use std::fs::File;
 use std::hash::Hasher as _;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
-use crate::replay::{InstrReplay, InstrSection, CLASS_SHIFT};
+use crate::replay::{Chunk, InstrReplay, InstrSection, CLASS_SHIFT};
 use crate::timing::{OpClass, NO_REG};
 use crate::trace::{kind_slot, SharedTrace};
 
 /// Schema version of the artifact cache: codec layout + recording
 /// semantics. Any change to either must bump this.
-pub const CACHE_SCHEMA: u32 = 3;
+pub const CACHE_SCHEMA: u32 = 4;
+
+/// Op words per chunk of the instruction section. A chunk's op words take
+/// 64 KiB, and the whole chunk, side entries included, at most 192 KiB.
+pub const CHUNK_OPS: usize = 16 * 1024;
 
 /// File magic: "Multiscalar RePlay".
 pub const MAGIC: [u8; 4] = *b"MSRP";
@@ -105,7 +124,7 @@ pub enum CodecError {
     },
     /// The file ended before the declared contents.
     Truncated,
-    /// A section's checksum does not match its contents.
+    /// A section's or a chunk's checksum does not match its contents.
     BadChecksum,
     /// The contents decoded but violate a structural invariant.
     Malformed(&'static str),
@@ -148,7 +167,7 @@ const HEADER_BYTES: u64 = 64;
 /// Bytes of one boundary: task u32, exit u8, kind u8, next u32, instrs u32.
 const BOUNDARY_BYTES: u64 = 14;
 
-/// Bytes the streaming reader and writer move at a time.
+/// Bytes the boundary section's streaming reader and writer move at a time.
 const CHUNK: usize = 64 * 1024;
 
 /// A section checksum folded in as its bytes arrive: the two-lane FxHash
@@ -198,6 +217,15 @@ impl StreamSum {
     }
 }
 
+/// The checksum of chunk `index` of an instruction section, whose bytes
+/// are `bytes`. Folding in the index makes a chunk that moved fail.
+fn chunk_sum(index: u64, bytes: &[u8]) -> u64 {
+    let mut hasher = FingerprintHasher::new();
+    hasher.write_u64(index);
+    hasher.write(bytes);
+    hasher.finish()
+}
+
 /// The header: what sizes and locates the two sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Header {
@@ -209,8 +237,8 @@ struct Header {
 }
 
 impl Header {
-    fn of(r: &InstrReplay) -> Header {
-        let s = r.section();
+    /// The header of recording `r` whose instruction section is `s`.
+    fn of(r: &InstrReplay, s: &InstrSection) -> Header {
         Header {
             mem_words: r.mem_words,
             ops: s.ops.len() as u64,
@@ -228,16 +256,19 @@ impl Header {
             .checked_add(HEADER_BYTES + 8)
     }
 
-    /// The file length the counts declare (`None` past `u64`).
+    /// The file length the counts declare (`None` past `u64`): four bytes
+    /// per element of the instruction section's columns, plus a checksum
+    /// per chunk.
     fn file_len(&self) -> Option<u64> {
         let words = self
             .ops
             .checked_add(self.mem_addrs)?
             .checked_add(self.branch_pcs)?;
+        let sums = self.ops.div_ceil(CHUNK_OPS as u64) * 8;
         words
             .checked_mul(4)?
-            .checked_add(self.instr_offset()?)?
-            .checked_add(8)
+            .checked_add(sums)?
+            .checked_add(self.instr_offset()?)
     }
 
     /// Checks that a file of `len` bytes holds exactly what the header
@@ -252,11 +283,12 @@ impl Header {
     }
 }
 
-/// The bounded streaming reader both sections are decoded through. It
-/// reads the source in chunks of at most [`CHUNK`] bytes and folds each
-/// into the running section checksum as it arrives. It knows how many
-/// bytes the source holds and never allocates more than the bytes that
-/// remain, so a corrupt count cannot trigger an oversized allocation.
+/// The bounded streaming reader the header and the boundary section are
+/// decoded through. It reads the source in pieces of at most [`CHUNK`]
+/// bytes and folds each into the running section checksum as it arrives.
+/// It knows how many bytes the source holds and never allocates more than
+/// the bytes that remain, so a corrupt count cannot trigger an oversized
+/// allocation.
 struct SectionReader<R> {
     src: R,
     /// Bytes left in the source.
@@ -275,8 +307,7 @@ impl<R: Read> SectionReader<R> {
         }
     }
 
-    /// Reads `n` bytes into the chunk buffer and folds them into the
-    /// checksum.
+    /// Reads `n` bytes into the buffer and folds them into the checksum.
     fn fill(&mut self, n: usize) -> Result<&[u8], CodecError> {
         if n as u64 > self.left {
             return Err(CodecError::Truncated);
@@ -338,9 +369,9 @@ impl<R: Read> SectionReader<R> {
         let mut rest = bytes;
         while rest > 0 {
             let take = rest.min(CHUNK - CHUNK % W);
-            let chunk = self.fill(take)?;
+            let piece = self.fill(take)?;
             out.extend(
-                chunk
+                piece
                     .chunks_exact(W)
                     .map(|c| f(c.try_into().expect("W-byte element"))),
             );
@@ -349,8 +380,7 @@ impl<R: Read> SectionReader<R> {
         Ok(out)
     }
 
-    /// Skips `n` bytes of a seekable source, starting a fresh section
-    /// checksum after them.
+    /// Skips `n` bytes of a seekable source.
     fn skip(&mut self, n: u64) -> Result<(), CodecError>
     where
         R: Seek,
@@ -360,7 +390,6 @@ impl<R: Read> SectionReader<R> {
         }
         self.src.seek(SeekFrom::Current(n as i64))?;
         self.left -= n;
-        self.sum = StreamSum::new();
         Ok(())
     }
 
@@ -413,71 +442,211 @@ impl<R: Read> SectionReader<R> {
             instrs,
         })
     }
+}
 
-    /// Reads, checksums and validates the instruction section.
-    fn instrs(&mut self, head: &Header) -> Result<InstrSection, CodecError> {
-        let section = InstrSection {
-            ops: self.col(head.ops, u32::from_le_bytes)?,
-            mem_addrs: self.col(head.mem_addrs, u32::from_le_bytes)?,
-            branch_pcs: self.col(head.branch_pcs, u32::from_le_bytes)?,
-        };
-        self.seal()?;
-        check_instrs(&section, head.mem_words)?;
-        Ok(section)
+/// What a run of op words consumes from the side columns, and whether
+/// every register byte in it names a register. The cursor takes one
+/// `mem_addrs` entry per load/store and one `branch_pcs` entry per branch,
+/// and indexes the register scoreboard without bounds checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Census {
+    /// Loads and stores.
+    pub(crate) mem: usize,
+    /// Intra-task branches.
+    pub(crate) branches: usize,
+    /// Whether every register byte is a register or [`NO_REG`].
+    regs_ok: bool,
+}
+
+impl Census {
+    /// One branch-free pass over `ops` (u32 tallies per 64 Ki ops, so
+    /// every lane stays 32 bits wide).
+    pub(crate) fn of(ops: &[u32]) -> Census {
+        const _: () = assert!(NO_REG == u8::MAX);
+        let (mut mem, mut branches, mut bad_reg) = (0usize, 0usize, 0u32);
+        for piece in ops.chunks(1 << 16) {
+            let (mut m, mut b) = (0u32, 0u32);
+            for &op in piece {
+                let class = (op >> CLASS_SHIFT) & 0x3;
+                m += u32::from(class == OpClass::Load as u32)
+                    + u32::from(class == OpClass::Store as u32);
+                b += u32::from(class == OpClass::Branch as u32);
+                // Adding one wraps NO_REG (255) to 0, so a byte is valid
+                // iff the sum is at most NUM_REGS.
+                for shift in [0, 8, 16] {
+                    let reg = (op >> shift).wrapping_add(1) & 0xFF;
+                    bad_reg |= u32::from(reg > NUM_REGS as u32);
+                }
+            }
+            mem += m as usize;
+            branches += b as usize;
+        }
+        Census {
+            mem,
+            branches,
+            regs_ok: bad_reg == 0,
+        }
     }
 }
 
-/// Checks the instruction section against itself and `mem_words`: the
-/// cursor takes one `mem_addrs` entry per load/store and one `branch_pcs`
-/// entry per branch, and indexes the register scoreboard and the store
-/// table without bounds checks. One branch-free pass over the op words
-/// (u32 tallies per chunk, so every lane stays 32 bits wide) plus a max
-/// over the addresses checks all four.
-fn check_instrs(s: &InstrSection, mem_words: usize) -> Result<(), CodecError> {
-    const _: () = assert!(NO_REG == u8::MAX);
-    let (mut n_mem, mut n_branch, mut bad_reg) = (0usize, 0usize, 0u32);
-    for chunk in s.ops.chunks(1 << 16) {
-        let (mut mem, mut branch) = (0u32, 0u32);
-        for &op in chunk {
-            let class = (op >> CLASS_SHIFT) & 0x3;
-            mem += u32::from(class == OpClass::Load as u32)
-                + u32::from(class == OpClass::Store as u32);
-            branch += u32::from(class == OpClass::Branch as u32);
-            // Adding one wraps NO_REG (255) to 0, so a byte is valid iff
-            // the sum is at most NUM_REGS.
-            for shift in [0, 8, 16] {
-                let reg = (op >> shift).wrapping_add(1) & 0xFF;
-                bad_reg |= u32::from(reg > NUM_REGS as u32);
-            }
+/// Decodes little-endian words into `out`, replacing its contents.
+fn get_words(bytes: &[u8], out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word"))),
+    );
+}
+
+/// Appends `words` to `out`, little-endian.
+fn put_words(out: &mut Vec<u8>, words: &[u32]) {
+    for &w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Reads an instruction section one chunk at a time. Each chunk is checked
+/// whole before it is handed out: its side entries against its op words
+/// and the header's counts, its checksum, its register bytes and its
+/// memory addresses. The buffers hold one chunk, whatever the section's
+/// length.
+pub(crate) struct ChunkReader<R> {
+    src: R,
+    head: Header,
+    /// Index of the next chunk.
+    index: u64,
+    /// Elements of each column read so far.
+    ops_at: u64,
+    mem_at: u64,
+    branch_at: u64,
+    /// The current chunk's bytes, as stored.
+    raw: Vec<u8>,
+    /// The current chunk, decoded.
+    chunk: InstrSection,
+}
+
+impl<R: Read> ChunkReader<R> {
+    /// A reader of `head`'s instruction section from `src`, which must be
+    /// at its first chunk.
+    fn new(src: R, head: Header) -> ChunkReader<R> {
+        ChunkReader {
+            src,
+            head,
+            index: 0,
+            ops_at: 0,
+            mem_at: 0,
+            branch_at: 0,
+            raw: Vec::new(),
+            chunk: InstrSection::default(),
         }
-        n_mem += mem as usize;
-        n_branch += branch as usize;
     }
-    if n_mem != s.mem_addrs.len() {
-        return Err(CodecError::Malformed(
+
+    /// Reads and checks the next chunk; `Ok(false)` past the last one.
+    pub(crate) fn advance(&mut self) -> Result<bool, CodecError> {
+        let head = self.head;
+        let left = head.ops - self.ops_at;
+        if left == 0 {
+            return Ok(false);
+        }
+        let n = left.min(CHUNK_OPS as u64) as usize;
+        let last = n as u64 == left;
+        self.raw.resize(4 * n, 0);
+        self.src.read_exact(&mut self.raw)?;
+        get_words(&self.raw, &mut self.chunk.ops);
+        let census = Census::of(&self.chunk.ops);
+        // A chunk carries exactly what its ops consume, so the side entries
+        // left bound every chunk's count and the last chunk uses them up.
+        let side = |count: usize, left: u64, what| {
+            if count as u64 > left || (last && count as u64 != left) {
+                Err(CodecError::Malformed(what))
+            } else {
+                Ok(count)
+            }
+        };
+        let m = side(
+            census.mem,
+            head.mem_addrs - self.mem_at,
             "load/store count differs from mem_addrs",
-        ));
-    }
-    if n_branch != s.branch_pcs.len() {
-        return Err(CodecError::Malformed(
+        )?;
+        let b = side(
+            census.branches,
+            head.branch_pcs - self.branch_at,
             "branch count differs from branch_pcs",
-        ));
+        )?;
+        let body = 4 * (n + m + b);
+        self.raw.resize(body + 8, 0);
+        self.src.read_exact(&mut self.raw[4 * n..])?;
+        let (bytes, stored) = self.raw.split_at(body);
+        if u64::from_le_bytes(stored.try_into().expect("8-byte checksum"))
+            != chunk_sum(self.index, bytes)
+        {
+            return Err(CodecError::BadChecksum);
+        }
+        if !census.regs_ok {
+            return Err(CodecError::Malformed("register byte out of range"));
+        }
+        get_words(&bytes[4 * n..4 * (n + m)], &mut self.chunk.mem_addrs);
+        if self
+            .chunk
+            .mem_addrs
+            .iter()
+            .max()
+            .is_some_and(|&a| a as usize >= head.mem_words)
+        {
+            return Err(CodecError::Malformed("memory address beyond mem_words"));
+        }
+        get_words(&bytes[4 * (n + m)..], &mut self.chunk.branch_pcs);
+        self.index += 1;
+        self.ops_at += n as u64;
+        self.mem_at += m as u64;
+        self.branch_at += b as u64;
+        Ok(true)
     }
-    if bad_reg != 0 {
-        return Err(CodecError::Malformed("register byte out of range"));
+
+    /// The chunk the last successful [`ChunkReader::advance`] read.
+    pub(crate) fn chunk(&self) -> Chunk<'_> {
+        Chunk {
+            ops: &self.chunk.ops,
+            mem_addrs: &self.chunk.mem_addrs,
+            branch_pcs: &self.chunk.branch_pcs,
+            last: self.ops_at == self.head.ops,
+        }
     }
-    if s.mem_addrs
-        .iter()
-        .max()
-        .is_some_and(|&a| a as usize >= mem_words)
-    {
-        return Err(CodecError::Malformed("memory address beyond mem_words"));
+}
+
+/// Writes an instruction section as its run of chunks.
+fn write_instrs<W: Write>(out: &mut W, s: &InstrSection) -> io::Result<()> {
+    let chunks = s.ops.len().div_ceil(CHUNK_OPS);
+    let (mut mem, mut branches) = (&s.mem_addrs[..], &s.branch_pcs[..]);
+    let mut buf = Vec::with_capacity(12 * CHUNK_OPS + 8);
+    for (index, ops) in s.ops.chunks(CHUNK_OPS).enumerate() {
+        // Each chunk carries what its ops consume. The last takes whatever
+        // is left, so a section whose columns disagree (a tampered one in
+        // tests) still fills the length its header declares, and fails
+        // its read.
+        let (m, b) = if index + 1 == chunks {
+            (mem.len(), branches.len())
+        } else {
+            let census = Census::of(ops);
+            (census.mem, census.branches)
+        };
+        let (chunk_mem, rest) = mem.split_at(m);
+        mem = rest;
+        let (chunk_branches, rest) = branches.split_at(b);
+        branches = rest;
+        buf.clear();
+        put_words(&mut buf, ops);
+        put_words(&mut buf, chunk_mem);
+        put_words(&mut buf, chunk_branches);
+        out.write_all(&buf)?;
+        out.write_all(&chunk_sum(index as u64, &buf).to_le_bytes())?;
     }
     Ok(())
 }
 
-/// The encoder's side of the stream: each section goes to `out` in
-/// chunks and into its checksum as it goes.
+/// The encoder's side of the boundary section's stream: each column goes
+/// to `out` in pieces and into the section checksum as it goes.
 struct SectionWriter<W> {
     out: W,
     sum: StreamSum,
@@ -496,9 +665,9 @@ impl<W: Write> SectionWriter<W> {
         vals: &[T],
         f: impl Fn(T) -> [u8; N],
     ) -> io::Result<()> {
-        for chunk in vals.chunks(CHUNK / N) {
+        for piece in vals.chunks(CHUNK / N) {
             self.buf.clear();
-            for &v in chunk {
+            for &v in piece {
                 self.buf.extend_from_slice(&f(v));
             }
             self.sum.update(&self.buf);
@@ -515,14 +684,24 @@ impl<W: Write> SectionWriter<W> {
 }
 
 /// Streams a recording under cache key `key` into `out` and returns it.
-/// A recording loaded from disk has its instruction section read first.
+/// The instruction section of a recording loaded from disk is read whole
+/// for the write and not kept.
 ///
 /// # Errors
 ///
 /// The first error `out` returns.
 pub fn write_replay<W: Write>(r: &InstrReplay, key: Fingerprint, out: W) -> io::Result<W> {
-    let head = Header::of(r);
-    let s = r.section();
+    write_parts(r, &r.section(), key, out)
+}
+
+/// [`write_replay`] of `r` whose instruction section is `s`.
+fn write_parts<W: Write>(
+    r: &InstrReplay,
+    s: &InstrSection,
+    key: Fingerprint,
+    out: W,
+) -> io::Result<W> {
+    let head = Header::of(r, s);
     let b = &*r.bounds;
     let mut w = SectionWriter {
         out,
@@ -549,54 +728,103 @@ pub fn write_replay<W: Write>(r: &InstrReplay, key: Fingerprint, out: W) -> io::
     w.col(&b.nexts, |a| a.0.to_le_bytes())?;
     w.col(&b.instrs, u32::to_le_bytes)?;
     w.seal()?;
-    w.col(&s.ops, u32::to_le_bytes)?;
-    w.col(&s.mem_addrs, u32::to_le_bytes)?;
-    w.col(&s.branch_pcs, u32::to_le_bytes)?;
-    w.seal()?;
+    write_instrs(&mut w.out, s)?;
     Ok(w.out)
 }
 
 /// Serialises a recording under cache key `key`: [`write_replay`] into a
 /// `Vec` of exactly the artifact's length.
 pub fn encode_replay(r: &InstrReplay, key: Fingerprint) -> Vec<u8> {
-    let len = Header::of(r)
+    let s = r.section();
+    let len = Header::of(r, &s)
         .file_len()
         .expect("an in-memory recording fits u64");
     let out = Vec::with_capacity(usize::try_from(len).expect("the artifact fits memory"));
-    write_replay(r, key, out).expect("writing to a Vec never fails")
+    write_parts(r, &s, key, out).expect("writing to a Vec never fails")
 }
 
 /// Deserialises a recording, both sections at once, validating integrity
 /// (magic, schema version, length, checksums), identity (`expected` cache
-/// key) and structure (the boundary section, and the side columns against
-/// the op words). See the module docs for the failure contract.
+/// key) and structure (the boundary section, and every chunk's side
+/// entries, registers and addresses). The recording holds its instruction
+/// section. See the module docs for the failure contract.
 pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay, CodecError> {
     let mut r = SectionReader::new(bytes, bytes.len() as u64);
     let head = r.header(expected)?;
     head.check_len(bytes.len() as u64)?;
     let bounds = r.bounds(&head)?;
-    let section = r.instrs(&head)?;
-    Ok(InstrReplay::eager(
-        section,
-        Arc::new(bounds),
-        head.mem_words,
-    ))
+    // The length check bounds every count by the input's length.
+    let mut s = InstrSection {
+        ops: Vec::with_capacity(head.ops as usize),
+        mem_addrs: Vec::with_capacity(head.mem_addrs as usize),
+        branch_pcs: Vec::with_capacity(head.branch_pcs as usize),
+    };
+    let mut chunks = ChunkReader::new(r.src, head);
+    while chunks.advance()? {
+        let c = chunks.chunk();
+        s.ops.extend_from_slice(c.ops);
+        s.mem_addrs.extend_from_slice(c.mem_addrs);
+        s.branch_pcs.extend_from_slice(c.branch_pcs);
+    }
+    Ok(InstrReplay::held(s, Arc::new(bounds), head.mem_words))
 }
 
-/// Handles an instruction section that turned out missing or invalid at
-/// first use: it gets the error, and the instruction section of the
-/// recording it returns takes the missing one's place. The artifact cache
+/// Handles an instruction section that turned out missing or invalid
+/// during a walk: it gets the error, and the instruction section of the
+/// recording it returns takes the stored one's place. The artifact cache
 /// evicts the entry and re-records.
 pub type Rerecord = Box<dyn Fn(CodecError) -> InstrReplay + Send + Sync>;
+
+/// A recording's instruction section left on disk: what a recording that
+/// [`open_replay`] loaded keeps in its place. Each walk reopens the
+/// artifact and reads the section through a [`ChunkReader`]. A section
+/// that fails is re-recorded once, and the recording keeps that one.
+pub(crate) struct StoredSection {
+    path: PathBuf,
+    key: Fingerprint,
+    head: Header,
+    rerecord: Rerecord,
+    /// The re-recorded section, once reading the stored one failed.
+    fallback: OnceLock<InstrSection>,
+}
+
+impl StoredSection {
+    /// Reopens the artifact for a walk. Its header must still be the one
+    /// loaded, and its length the one that header declares; the reader is
+    /// left at the first chunk.
+    pub(crate) fn open(&self) -> Result<ChunkReader<File>, CodecError> {
+        let (mut r, head) = open_checked(&self.path, self.key)?;
+        if head != self.head {
+            return Err(CodecError::Malformed("header changed since load"));
+        }
+        // Past the boundary section and its checksum; the length check
+        // bounds the product.
+        r.skip(head.bounds * BOUNDARY_BYTES + 8)?;
+        Ok(ChunkReader::new(r.src, head))
+    }
+
+    /// The re-recorded section. The first failure goes to the re-recorder;
+    /// any later one, in this walk or another, gets the section it made.
+    pub(crate) fn fallback(&self, e: CodecError) -> &InstrSection {
+        self.fallback
+            .get_or_init(|| (self.rerecord)(e).into_section())
+    }
+
+    /// The re-recorded section, once reading the stored one has failed.
+    pub(crate) fn held(&self) -> Option<&InstrSection> {
+        self.fallback.get()
+    }
+}
 
 /// Loads the artifact at `path` for cache key `expected`, reading only its
 /// header and boundary section. It checks the header, that the file's
 /// length is exactly what the header's counts declare and the boundary
-/// section (see the module docs), and leaves the instruction section
-/// unread. The first timing walk over the recording reopens `path`,
-/// re-checks the header and the length, and reads, checksums and validates
-/// the instruction section; if that fails, `rerecord` supplies it. The
-/// recording holds no open file in between.
+/// section (see the module docs). The recording it returns holds no
+/// instruction section and no open file: each timing walk over it reopens
+/// `path`, re-checks the header and the length, and reads the instruction
+/// section chunk by chunk, checking each chunk before it steps any of its
+/// ops. If a chunk cannot be read or fails its checks, `rerecord` supplies
+/// the section, once; the walk continues in it, and the recording keeps it.
 ///
 /// # Errors
 ///
@@ -609,14 +837,18 @@ pub fn open_replay(
 ) -> Result<InstrReplay, CodecError> {
     let (mut r, head) = open_checked(path, expected)?;
     let bounds = r.bounds(&head)?;
-    let path = path.to_path_buf();
-    let fill =
-        move || read_instrs(&path, expected, &head).unwrap_or_else(|e| rerecord(e).into_section());
-    Ok(InstrReplay::lazy(
+    let stored = StoredSection {
+        path: path.to_path_buf(),
+        key: expected,
+        head,
+        rerecord,
+        fallback: OnceLock::new(),
+    };
+    Ok(InstrReplay::stored(
+        stored,
         head.ops,
         Arc::new(bounds),
         head.mem_words,
-        Box::new(fill),
     ))
 }
 
@@ -632,23 +864,6 @@ fn open_checked(
     let head = r.header(expected)?;
     head.check_len(len)?;
     Ok((r, head))
-}
-
-/// The first-use read of [`open_replay`]: the instruction section of the
-/// artifact at `path`, whose header must still be `loaded`.
-fn read_instrs(
-    path: &Path,
-    expected: Fingerprint,
-    loaded: &Header,
-) -> Result<InstrSection, CodecError> {
-    let (mut r, head) = open_checked(path, expected)?;
-    if head != *loaded {
-        return Err(CodecError::Malformed("header changed since load"));
-    }
-    // Past the boundary section and its checksum; the length check
-    // bounds the product.
-    r.skip(head.bounds * BOUNDARY_BYTES + 8)?;
-    r.instrs(&head)
 }
 
 /// Checks that a decoded recording fits the program and task partition it

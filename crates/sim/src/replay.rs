@@ -37,7 +37,7 @@
 //! bits  0..8   src1 register (NO_REG when absent)
 //! bits  8..16  src2 register (NO_REG when absent)
 //! bits 16..24  dest register (NO_REG when absent)
-//! bits 24..26  OpClass
+//! bits 24..26  OpClass: 0 other, 1 load, 2 store, 3 intra-task branch
 //! bit  26      taken (intra-task branches only)
 //! ```
 //!
@@ -47,24 +47,39 @@
 //! op word. Task boundaries are sparse: the boundary section is a
 //! [`SharedTrace`], one event per dynamic task (retiring task, exit, exit
 //! kind, next entry, and the task's instruction count), and the cursor
-//! finds each boundary by counting down its task's instructions. Recording
-//! resolves every possible failure (execution faults, unmatched exits, the
-//! step budget) up front. Loading a cached recording
+//! finds each boundary by counting down its task's instructions.
+//!
+//! # Where the instruction section lives
+//!
+//! The op words and their two side columns form the instruction section,
+//! which only timing walks read. A fresh or decoded recording holds it in
+//! memory, and a walk steps it as one chunk. A recording loaded from the
+//! artifact cache ([`crate::codec::open_replay`]) holds only its boundary
+//! section: each walk reads the instruction section from disk chunk by
+//! chunk through one bounded buffer, so it never holds the section whole.
+//! Either way one cursor steps each chunk, carrying its place in the task
+//! sequence from chunk to chunk.
+//!
+//! Recording resolves every possible failure (execution faults, unmatched
+//! exits, the step budget) up front. Loading a cached recording
 //! ([`crate::codec::open_replay`] or [`crate::codec::decode_replay`], then
 //! [`crate::codec::check_fits`]) rejects any artifact whose boundary
-//! section disagrees with its op count or its partition, and the first
-//! read of the instruction section rejects op words and side columns that
-//! disagree, putting a fresh recording's section in their place. That is
-//! why [`simulate_replay`] is infallible.
+//! section disagrees with its op count or its partition, and a walk checks
+//! each stored chunk before it steps any of its ops, putting a fresh
+//! recording's section in place of one that fails. That is why
+//! [`simulate_replay`] is infallible.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::fs::File;
+use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
 use multiscalar_isa::{memory_words, Addr, Program, NUM_REGS};
 use multiscalar_taskform::TaskProgram;
 
 use crate::arb::ArbTable;
+use crate::codec::{Census, ChunkReader, StoredSection};
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
 use crate::timing::{
@@ -95,18 +110,15 @@ fn pack_op(src1: u8, src2: u8, dest: u8, class: OpClass, taken: bool) -> u32 {
 ///
 /// A recording has two sections. The boundary section is the task trace
 /// every predictor sweep reads. The instruction section (the op words and
-/// their two side columns) is read only by the timing walk, so a recording
-/// loaded from disk holds it behind a [`OnceLock`] and reads it on the
-/// first walk ([`crate::codec::open_replay`]); a fresh or decoded
-/// recording holds it from the start.
+/// their two side columns) is read only by timing walks. A fresh or
+/// decoded recording holds it; a recording loaded from disk
+/// ([`crate::codec::open_replay`]) does not, and each walk reads it from
+/// disk chunk by chunk ([`InstrReplay::holds_instructions`]).
 pub struct InstrReplay {
-    /// The instruction section, once read.
-    section: OnceLock<InstrSection>,
-    /// How a recording loaded from disk reads its instruction section on
-    /// first use; `None` when the section came with the recording.
-    fill: Option<SectionFill>,
-    /// Committed instructions: the op count, known before the instruction
-    /// section is read.
+    /// The instruction section, or where to read it.
+    instrs: Instrs,
+    /// Committed instructions: the op count, known without the
+    /// instruction section.
     instructions: u64,
     /// The boundary section: one event per task boundary, in order, whose
     /// `instrs` counts the retiring task's ops, the crossing one included.
@@ -116,6 +128,14 @@ pub struct InstrReplay {
     /// The program's data-memory size in words
     /// ([`multiscalar_isa::memory_words`]), for the core's store table.
     pub(crate) mem_words: usize,
+}
+
+/// Where a recording's instruction section lives.
+enum Instrs {
+    /// In memory: a fresh or decoded recording.
+    Held(InstrSection),
+    /// On disk: a recording loaded from the artifact cache.
+    Stored(StoredSection),
 }
 
 /// The instruction section of a recording: the columns only the timing
@@ -130,70 +150,87 @@ pub(crate) struct InstrSection {
     pub(crate) branch_pcs: Vec<u32>,
 }
 
-/// Reads a loaded recording's instruction section on first use. It cannot
-/// fail: a section it cannot read is re-recorded.
-pub(crate) type SectionFill = Box<dyn Fn() -> InstrSection + Send + Sync>;
-
 impl InstrReplay {
     /// A recording that holds its instruction section.
-    pub(crate) fn eager(
+    pub(crate) fn held(
         section: InstrSection,
         bounds: Arc<SharedTrace>,
         mem_words: usize,
     ) -> InstrReplay {
         InstrReplay {
             instructions: section.ops.len() as u64,
-            section: OnceLock::from(section),
-            fill: None,
+            instrs: Instrs::Held(section),
             bounds,
             mem_words,
         }
     }
 
-    /// A recording of `instructions` ops whose instruction section `fill`
-    /// reads on first use.
-    pub(crate) fn lazy(
+    /// A recording of `instructions` ops whose instruction section stays
+    /// on disk.
+    pub(crate) fn stored(
+        stored: StoredSection,
         instructions: u64,
         bounds: Arc<SharedTrace>,
         mem_words: usize,
-        fill: SectionFill,
     ) -> InstrReplay {
         InstrReplay {
-            section: OnceLock::new(),
-            fill: Some(fill),
+            instrs: Instrs::Stored(stored),
             instructions,
             bounds,
             mem_words,
         }
     }
 
-    /// The instruction section, read on the first call for a recording
-    /// loaded from disk. The replay cursor is its only production reader.
-    pub(crate) fn section(&self) -> &InstrSection {
-        self.section.get_or_init(|| {
-            let fill = self
-                .fill
-                .as_ref()
-                .expect("a recording without its section can read it");
-            fill()
-        })
+    /// Whether the recording holds its instruction section in memory. A
+    /// fresh or decoded recording does. One loaded from the artifact cache
+    /// does not, before or after any number of walks, unless reading the
+    /// stored section failed during a walk: it then keeps the re-recorded
+    /// section.
+    pub fn holds_instructions(&self) -> bool {
+        self.held_section().is_some()
+    }
+
+    /// The instruction section the recording holds, if it holds one.
+    fn held_section(&self) -> Option<&InstrSection> {
+        match &self.instrs {
+            Instrs::Held(s) => Some(s),
+            Instrs::Stored(stored) => stored.held(),
+        }
+    }
+
+    /// The instruction section whole: a held one borrowed, a stored one
+    /// read from disk into a copy the recording does not keep. For
+    /// comparisons and the encoder; walks read chunks.
+    pub(crate) fn section(&self) -> Cow<'_, InstrSection> {
+        if let Some(s) = self.held_section() {
+            return Cow::Borrowed(s);
+        }
+        let mut s = InstrSection::default();
+        let mut chunks = Chunks::new(self);
+        while let Some(c) = chunks.next_chunk() {
+            s.ops.extend_from_slice(c.ops);
+            s.mem_addrs.extend_from_slice(c.mem_addrs);
+            s.branch_pcs.extend_from_slice(c.branch_pcs);
+        }
+        Cow::Owned(s)
     }
 
     /// The instruction section of a fresh or decoded recording, for
     /// tampering in tests.
     #[cfg(test)]
     pub(crate) fn section_mut(&mut self) -> &mut InstrSection {
-        self.section
-            .get_mut()
-            .expect("the recording holds its section")
+        match &mut self.instrs {
+            Instrs::Held(s) => s,
+            Instrs::Stored(_) => panic!("the recording holds its section"),
+        }
     }
 
     /// The instruction section, taken out of the recording.
     pub(crate) fn into_section(self) -> InstrSection {
-        self.section();
-        self.section
-            .into_inner()
-            .expect("the section was just read")
+        match self.instrs {
+            Instrs::Held(s) => s,
+            Instrs::Stored(_) => self.section().into_owned(),
+        }
     }
 
     /// Committed instructions in the recording.
@@ -226,8 +263,99 @@ impl fmt::Debug for InstrReplay {
             .field("instructions", &self.instructions)
             .field("boundaries", &self.bounds.len())
             .field("mem_words", &self.mem_words)
-            .field("section_read", &self.section.get().is_some())
+            .field("holds_instructions", &self.holds_instructions())
             .finish()
+    }
+}
+
+/// A run of consecutive ops of a recording with the side entries they
+/// consume: what the cursor steps. A held section is one chunk; a stored
+/// one is read [`crate::codec::CHUNK_OPS`] ops at a time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chunk<'a> {
+    pub(crate) ops: &'a [u32],
+    pub(crate) mem_addrs: &'a [u32],
+    pub(crate) branch_pcs: &'a [u32],
+    /// Whether the chunk ends the recording, so its last op is the halt.
+    pub(crate) last: bool,
+}
+
+impl<'a> Chunk<'a> {
+    /// The rest of `s` from op `at` on, with the side entries those ops
+    /// consume. A walk enters a re-recorded section here, at the first op
+    /// of the stored chunk that failed. The side positions are counted in
+    /// `s` itself, so they are the walk's own whenever the chunks it
+    /// stepped were the recording's.
+    fn rest(s: &'a InstrSection, at: usize) -> Chunk<'a> {
+        // At least the halt remains, whatever a stored header claimed.
+        let at = at.min(s.ops.len().saturating_sub(1));
+        let done = Census::of(&s.ops[..at]);
+        Chunk {
+            ops: &s.ops[at..],
+            mem_addrs: &s.mem_addrs[done.mem..],
+            branch_pcs: &s.branch_pcs[done.branches..],
+            last: true,
+        }
+    }
+}
+
+/// The chunks of one walk over a recording, in order.
+pub(crate) struct Chunks<'r> {
+    feed: Feed<'r>,
+    /// Ops handed out so far.
+    at: usize,
+}
+
+/// Where a walk's next chunk comes from.
+enum Feed<'r> {
+    /// A section in memory: the rest of it, from the ops handed out on, is
+    /// the next chunk.
+    Held(&'r InstrSection),
+    /// A section on disk, and its reader once the first chunk opened it.
+    Stored(&'r StoredSection, Option<ChunkReader<File>>),
+    /// Past the last chunk.
+    Done,
+}
+
+impl<'r> Chunks<'r> {
+    /// The chunks of a walk over `replay`, from its first op.
+    pub(crate) fn new(replay: &'r InstrReplay) -> Chunks<'r> {
+        let feed = match &replay.instrs {
+            Instrs::Held(s) => Feed::Held(s),
+            Instrs::Stored(stored) => match stored.held() {
+                Some(s) => Feed::Held(s),
+                None => Feed::Stored(stored, None),
+            },
+        };
+        Chunks { feed, at: 0 }
+    }
+
+    /// The next chunk, checked whole; `None` past the last. A stored chunk
+    /// that cannot be read or fails its checks is replaced, from its first
+    /// op on, by the re-recorded section.
+    pub(crate) fn next_chunk(&mut self) -> Option<Chunk<'_>> {
+        if let Feed::Stored(stored, reader) = &mut self.feed {
+            let stored: &'r StoredSection = stored;
+            let read = match reader {
+                Some(r) => r.advance(),
+                None => stored.open().and_then(|r| reader.insert(r).advance()),
+            };
+            match read {
+                Ok(true) => {}
+                Ok(false) => self.feed = Feed::Done,
+                Err(e) => self.feed = Feed::Held(stored.fallback(e)),
+            }
+        }
+        if let Feed::Held(s) = self.feed {
+            self.feed = Feed::Done;
+            return Some(Chunk::rest(s, self.at));
+        }
+        let Feed::Stored(_, Some(reader)) = &self.feed else {
+            return None;
+        };
+        let chunk = reader.chunk();
+        self.at += chunk.ops.len();
+        Some(chunk)
     }
 }
 
@@ -285,7 +413,7 @@ pub fn record_replay(
         mem_addrs,
         branch_pcs,
     };
-    Ok(InstrReplay::eager(
+    Ok(InstrReplay::held(
         section,
         Arc::new(bounds),
         memory_words(program),
@@ -312,73 +440,86 @@ pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
     }
 }
 
-/// How far ahead (in elements) the cursor pulls upcoming replay columns
-/// toward the cache. One op word is 4 bytes, so 64 elements is four cache
-/// lines of lookahead — far enough to cover a lanes walk's per-step work,
-/// near enough not to thrash.
-const PREFETCH_AHEAD: usize = 64;
-
-/// Forces the load of the element `PREFETCH_AHEAD` slots ahead, warming the
-/// cache line it lives on. A plain read through [`std::hint::black_box`]
-/// (not an intrinsic): safe, portable, and free of side effects beyond the
-/// memory touch.
-#[inline(always)]
-fn prefetch<T: Copy>(s: &[T]) {
-    if let Some(&v) = s.get(PREFETCH_AHEAD) {
-        std::hint::black_box(v);
-    }
-}
-
-/// A cursor walking an [`InstrReplay`] as a [`StepSource`]. Infallible by
-/// construction: recording already resolved every error. Holds shrinking
-/// slices rather than indices so the per-op path carries no bounds checks,
-/// and prefetches upcoming columns of the recording as it advances.
+/// A cursor stepping one chunk of a recording. Infallible by
+/// construction: recording already resolved every error, and a stored
+/// chunk is checked before the cursor sees it. Holds shrinking slices
+/// rather than indices so the per-op path carries no bounds checks.
 pub(crate) struct ReplayCursor<'a> {
-    /// Remaining op words; the last element is the halting instruction.
+    /// The chunk's remaining op words.
     ops: &'a [u32],
-    /// Remaining load/store word addresses.
+    /// Its remaining load/store word addresses.
     mem_addrs: &'a [u32],
-    /// Remaining intra-task branch addresses.
+    /// Its remaining intra-task branch addresses.
     branch_pcs: &'a [u32],
+    /// Whether the chunk ends the recording, so its last op is the halt.
+    last: bool,
     /// The recording's boundary section.
     bounds: &'a SharedTrace,
-    /// Index of the next boundary in `bounds`.
+    /// Where the walk is in the task sequence.
+    clock: TaskClock,
+}
+
+/// Where a walk is in the recording's task sequence: what one chunk's
+/// cursor hands the next.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TaskClock {
+    /// Index of the next boundary in the boundary section.
     next_bound: usize,
     /// Ops left in the current task, the boundary-crossing one included;
     /// `u64::MAX` in the halting task, which crosses none.
     left: u64,
 }
 
-impl<'a> ReplayCursor<'a> {
-    /// A cursor at the start of `r`. This reads the instruction section of
-    /// a recording loaded from disk, once.
-    pub(crate) fn new(r: &'a InstrReplay) -> ReplayCursor<'a> {
-        let section = r.section();
-        ReplayCursor {
-            ops: &section.ops,
-            mem_addrs: &section.mem_addrs,
-            branch_pcs: &section.branch_pcs,
-            bounds: &r.bounds,
+impl TaskClock {
+    /// The start of a recording with boundary section `bounds`.
+    pub(crate) fn start(bounds: &SharedTrace) -> TaskClock {
+        TaskClock {
             next_bound: 0,
-            left: task_len(&r.bounds, 0),
+            left: task_len(bounds, 0),
         }
     }
 }
 
-/// Ops of the task retiring at boundary `k`, or `u64::MAX` past the last
-/// boundary (the halting task).
-fn task_len(bounds: &SharedTrace, k: usize) -> u64 {
-    bounds.instrs.get(k).map_or(u64::MAX, |&n| u64::from(n))
-}
+impl<'a> ReplayCursor<'a> {
+    /// A cursor at the start of `chunk`, at `clock` in the task sequence
+    /// of the recording whose boundary section is `bounds`.
+    pub(crate) fn new(
+        chunk: Chunk<'a>,
+        bounds: &'a SharedTrace,
+        clock: TaskClock,
+    ) -> ReplayCursor<'a> {
+        ReplayCursor {
+            ops: chunk.ops,
+            mem_addrs: chunk.mem_addrs,
+            branch_pcs: chunk.branch_pcs,
+            last: chunk.last,
+            bounds,
+            clock,
+        }
+    }
 
-impl StepSource for ReplayCursor<'_> {
-    fn next_step(&mut self) -> Result<CoreStep, TraceError> {
-        prefetch(self.ops);
-        let (&op, rest) = self.ops.split_first().expect("cursor stops at halt");
+    /// A cursor over the whole of a recording that holds its instruction
+    /// section, as one chunk: the scalar core's feed.
+    ///
+    /// # Panics
+    ///
+    /// If `r` holds no instruction section (a recording loaded from the
+    /// artifact cache).
+    pub(crate) fn whole(r: &'a InstrReplay) -> ReplayCursor<'a> {
+        let s = r
+            .held_section()
+            .expect("the scalar core steps a recording that holds its instructions");
+        ReplayCursor::new(Chunk::rest(s, 0), &r.bounds, TaskClock::start(&r.bounds))
+    }
+
+    /// The chunk's next op, or `None` past its last. Forced inline so the
+    /// step lives in the walk's loop, in registers.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) -> Option<CoreStep> {
+        let (&op, rest) = self.ops.split_first()?;
         let class = OpClass::from_u8(((op >> CLASS_SHIFT) & 0x3) as u8);
 
         let mem_addr = if matches!(class, OpClass::Load | OpClass::Store) {
-            prefetch(self.mem_addrs);
             let (&a, rest) = self.mem_addrs.split_first().expect("recorded address");
             self.mem_addrs = rest;
             a
@@ -394,16 +535,17 @@ impl StepSource for ReplayCursor<'_> {
         };
 
         // The halting instruction is always the recording's last op.
-        let halt = rest.is_empty();
+        let halt = self.last & rest.is_empty();
         // The op that finishes its task's count crosses the boundary.
         // Task sizes are at least 1 and leave the halting task its op
         // (recording guarantees both; decoding checks them), so the count
         // never underflows and the halt is never a boundary.
-        self.left -= 1;
-        let boundary = if self.left == 0 {
-            let k = self.next_bound;
-            self.next_bound += 1;
-            self.left = task_len(self.bounds, self.next_bound);
+        let clock = &mut self.clock;
+        clock.left -= 1;
+        let boundary = if clock.left == 0 {
+            let k = clock.next_bound;
+            clock.next_bound += 1;
+            clock.left = task_len(self.bounds, clock.next_bound);
             Some(BoundaryStep {
                 task: self.bounds.tasks[k].0,
                 exit: self.bounds.exits[k],
@@ -414,7 +556,7 @@ impl StepSource for ReplayCursor<'_> {
         };
         self.ops = rest;
 
-        Ok(CoreStep {
+        Some(CoreStep {
             src1: (op & 0xFF) as u8,
             src2: ((op >> 8) & 0xFF) as u8,
             dest: ((op >> 16) & 0xFF) as u8,
@@ -425,6 +567,18 @@ impl StepSource for ReplayCursor<'_> {
             halt,
             boundary,
         })
+    }
+}
+
+/// Ops of the task retiring at boundary `k`, or `u64::MAX` past the last
+/// boundary (the halting task).
+fn task_len(bounds: &SharedTrace, k: usize) -> u64 {
+    bounds.instrs.get(k).map_or(u64::MAX, |&n| u64::from(n))
+}
+
+impl StepSource for ReplayCursor<'_> {
+    fn next_step(&mut self) -> Result<CoreStep, TraceError> {
+        Ok(self.step().expect("cursor stops at halt"))
     }
 }
 
@@ -562,13 +716,14 @@ fn walk_chunk<const N: usize, M: MetricsSink>(
             sink.frontier(0, complete, FrontierCause::Startup);
         }
     }
-    let mut cursor = ReplayCursor::new(replay);
-    loop {
-        let step = cursor.next_step().expect("replay cursor never errors");
-        core.on_step(&step, sinks);
-        if step.halt {
-            break;
+    let mut chunks = Chunks::new(replay);
+    let mut clock = TaskClock::start(&replay.bounds);
+    while let Some(chunk) = chunks.next_chunk() {
+        let mut cursor = ReplayCursor::new(chunk, &replay.bounds, clock);
+        while let Some(step) = cursor.step() {
+            core.on_step(&step, sinks);
         }
+        clock = cursor.clock;
     }
     core.finish(sinks)
 }
@@ -1080,7 +1235,7 @@ mod tests {
     /// The scalar core's solo run of one column over a recording: the
     /// reference every lane of [`walk_lanes`] must match.
     fn scalar(replay: &InstrReplay, outcomes: &Outcomes, config: &TimingConfig) -> TimingResult {
-        let mut cursor = ReplayCursor::new(replay);
+        let mut cursor = ReplayCursor::whole(replay);
         simulate_core(
             &mut cursor,
             outcomes,

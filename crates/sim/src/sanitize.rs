@@ -89,7 +89,7 @@ pub fn check_replay_agreement(
 ) -> Result<u64, TraceError> {
     let replay = record_replay(program, tasks, max_steps)?;
     let mut interp = InterpSource::new(program, tasks, max_steps);
-    let mut cursor = ReplayCursor::new(&replay);
+    let mut cursor = ReplayCursor::whole(&replay);
     let mut steps = 0u64;
     loop {
         let a = interp.next_step()?;
@@ -153,7 +153,7 @@ pub fn check_fused_agreement(
         .iter()
         .map(|(outcomes, config)| {
             let mut breakdown = CycleBreakdown::new();
-            let mut cursor = ReplayCursor::new(&replay);
+            let mut cursor = ReplayCursor::whole(&replay);
             let result = simulate_core(
                 &mut cursor,
                 outcomes,

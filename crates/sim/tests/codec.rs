@@ -1,19 +1,32 @@
 //! Codec guarantees over the real workload set: round-trip identity on all
 //! five SPEC92 analogs, a decoded recording's trace equal to a fresh
-//! recording's, adversarial decoding that errs instead of panicking, and
-//! the lazy load that leaves the instruction section to the first walk.
+//! recording's, adversarial decoding that errs instead of panicking, the
+//! load that leaves the instruction section on disk, and walks over a
+//! loaded recording, which read that section chunk by chunk, equal to
+//! walks over the fresh one, at chunk edges and on every benchmark.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use multiscalar_core::predictor::TaskDesc;
-use multiscalar_isa::{fingerprint_of, Fingerprint};
-use multiscalar_sim::codec::{open_replay, Rerecord};
-use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay, InstrReplay};
-use multiscalar_sim::timing::TimingConfig;
+use multiscalar_core::automata::LastExitHysteresis;
+use multiscalar_core::dolc::Dolc;
+use multiscalar_core::history::PathPredictor;
+use multiscalar_core::predictor::{TaskDesc, TaskPredictor};
+use multiscalar_isa::{fingerprint_of, AluOp, Cond, Fingerprint, Program, ProgramBuilder, Reg};
+use multiscalar_sim::arb::ArbConfig;
+use multiscalar_sim::codec::{open_replay, Rerecord, CHUNK_OPS};
+use multiscalar_sim::replay::{
+    derive_trace, record_replay, simulate_replay, walk_lanes, InstrReplay, Lane,
+};
+use multiscalar_sim::timing::{
+    ForwardingModel, IntraPredictorKind, NextTaskPredictor, TimingConfig, TimingResult,
+};
 use multiscalar_sim::trace::collect_trace;
-use multiscalar_sim::{decode_replay, encode_replay, task_descs, CodecError};
-use multiscalar_taskform::TaskFormer;
+use multiscalar_sim::{
+    decode_replay, encode_replay, measure_outcomes, task_descs, CodecError, CycleBreakdown,
+    Outcomes,
+};
+use multiscalar_taskform::{TaskFormer, TaskProgram};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 /// `decode(encode(r)) == r` on every workload, and the trace of the
@@ -115,7 +128,7 @@ fn adversarial_decoding_errs_gracefully() {
 }
 
 /// A compress recording, its task descriptors and its artifact bytes, for
-/// the lazy-load tests.
+/// the load tests.
 fn compress_artifact(key: Fingerprint) -> (InstrReplay, Vec<TaskDesc>, Vec<u8>) {
     let w = Spec92::Compress.build(&WorkloadParams::small(7));
     let tasks = TaskFormer::default().form(&w.program).unwrap();
@@ -151,11 +164,11 @@ fn counting_rerecord(fresh: InstrReplay, errors: Arc<Mutex<Vec<CodecError>>>) ->
 }
 
 /// `open_replay` reads the header and the boundary section only: a bad
-/// instruction section loads, derives the same trace, and surfaces at the
-/// first timing walk, where the re-recorder supplies the section and the
-/// walk's result is unchanged.
+/// instruction chunk loads, derives the same trace, and surfaces when a
+/// timing walk reaches it, where the re-recorder supplies the section and
+/// the walk's result is unchanged.
 #[test]
-fn open_replay_reads_the_instruction_section_on_first_use() {
+fn open_replay_leaves_the_instruction_section_to_the_walks() {
     let key = fingerprint_of(&"lazy");
     let (replay, descs, mut bytes) = compress_artifact(key);
     let path = scratch_file("lazy");
@@ -181,15 +194,17 @@ fn open_replay_reads_the_instruction_section_on_first_use() {
     let walked = simulate_replay(&lazy, &descs, None, &config);
     assert_eq!(*errors.lock().unwrap(), [CodecError::BadChecksum]);
     assert_eq!(walked, simulate_replay(&replay, &descs, None, &config));
-    // The slot is filled once; a second walk reads nothing.
+    // The re-recorded section is kept; a second walk re-records nothing.
+    assert!(lazy.holds_instructions());
     assert_eq!(simulate_replay(&lazy, &descs, None, &config), walked);
     assert_eq!(errors.lock().unwrap().len(), 1);
     let _ = std::fs::remove_file(&path);
 }
 
-/// A pristine artifact opened lazily equals the recording once compared
-/// (which reads its instruction section) and never re-records; an entry
-/// that disappears before the first walk is re-recorded.
+/// A pristine artifact opened from disk equals the recording once
+/// compared (which reads its instruction section without keeping it) and
+/// never re-records; an entry that disappears before a walk is
+/// re-recorded.
 #[test]
 fn open_replay_fills_from_disk_or_from_the_rerecorder() {
     let key = fingerprint_of(&"pristine");
@@ -207,6 +222,7 @@ fn open_replay_fills_from_disk_or_from_the_rerecorder() {
     let lazy = open_replay(&path, key, never(&errors)).unwrap();
     assert_eq!(lazy, replay);
     assert!(errors.lock().unwrap().is_empty());
+    assert!(!lazy.holds_instructions());
 
     let (fresh, _, _) = compress_artifact(key);
     let lazy = open_replay(&path, key, counting_rerecord(fresh, Arc::clone(&errors))).unwrap();
@@ -262,4 +278,162 @@ fn open_replay_checks_the_length_before_any_section() {
         CodecError::Io(std::io::ErrorKind::NotFound)
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A loop with ALU work, memory traffic and a data-dependent intra-task
+/// branch run `iters` times, then `pad` straight-line ALU ops and the halt.
+fn padded_program(iters: i32, pad: u64) -> Program {
+    let mut b = ProgramBuilder::new();
+    let main = b.begin_function("main");
+    b.load_imm(Reg(1), 0);
+    b.load_imm(Reg(2), iters);
+    let top = b.here_label();
+    b.op_imm(AluOp::And, Reg(3), Reg(1), 3);
+    b.store(Reg(1), Reg(3), 0);
+    b.load(Reg(4), Reg(3), 0);
+    let skip = b.new_label();
+    b.branch(Cond::Ne, Reg(3), Reg(0), skip);
+    b.op_imm(AluOp::Add, Reg(5), Reg(5), 1);
+    b.bind(skip);
+    b.op_imm(AluOp::Add, Reg(1), Reg(1), 1);
+    b.branch(Cond::Lt, Reg(1), Reg(2), top);
+    for _ in 0..pad {
+        b.op_imm(AluOp::Add, Reg(6), Reg(6), 1);
+    }
+    b.halt();
+    b.end_function();
+    b.finish(main).unwrap()
+}
+
+/// A program, its partition and a recording of exactly `ops` ops: the loop
+/// runs as many times as fits, and padding makes up the rest.
+fn recording_of_len(ops: u64) -> (Program, TaskProgram, InstrReplay) {
+    let record = |iters: i32, pad: u64| {
+        let p = padded_program(iters, pad);
+        let tasks = TaskFormer::default().form(&p).unwrap();
+        let r = record_replay(&p, &tasks, 10 * ops).unwrap();
+        (p, tasks, r)
+    };
+    // Each iteration runs six or seven ops, so step up from a count that
+    // surely fits until padding closes the gap.
+    let mut iters = (ops / 8) as i32;
+    loop {
+        let gap = ops - record(iters, 0).2.instructions();
+        if gap < 8 {
+            let (p, tasks, r) = record(iters, gap);
+            assert_eq!(r.instructions(), ops);
+            return (p, tasks, r);
+        }
+        iters += (gap / 7) as i32;
+    }
+}
+
+/// Five machines that share and split the walk's per-recording state.
+fn mixed_machines() -> [TimingConfig; 5] {
+    let tiny = ArbConfig {
+        banks: 1,
+        entries_per_bank: 1,
+    };
+    [
+        TimingConfig::paper(),
+        TimingConfig::paper().forwarding(ForwardingModel::ReleaseAtEnd),
+        TimingConfig::paper().arb(None),
+        TimingConfig::paper()
+            .intra_predictor(IntraPredictorKind::McFarling)
+            .arb(Some(tiny)),
+        TimingConfig::paper()
+            .intra_predictor(IntraPredictorKind::Gshare)
+            .forwarding(ForwardingModel::ReleaseAtEnd),
+    ]
+}
+
+/// Walks `replay` as its first `n` lanes, each with a cycle breakdown.
+fn walk(
+    replay: &InstrReplay,
+    outcomes: &[Outcomes],
+    n: usize,
+) -> (Vec<TimingResult>, Vec<CycleBreakdown>) {
+    let lanes: Vec<Lane> = outcomes
+        .iter()
+        .zip(mixed_machines())
+        .take(n)
+        .map(|(outcomes, config)| Lane { outcomes, config })
+        .collect();
+    let mut sinks = vec![CycleBreakdown::new(); n];
+    (walk_lanes(replay, &lanes, &mut sinks), sinks)
+}
+
+/// The artifact of `fresh` on disk, loaded back as the artifact cache
+/// loads it, walks exactly as `fresh` does at every lane count from one to
+/// five, results and cycle breakdowns alike, and holds no instruction
+/// section before or after; the decoded artifact equals `fresh`.
+fn assert_loaded_walks_match(tag: &str, fresh: &InstrReplay, tasks: &TaskProgram) {
+    let key = fingerprint_of(&tag);
+    let bytes = encode_replay(fresh, key);
+    assert_eq!(
+        decode_replay(&bytes, key).unwrap(),
+        *fresh,
+        "{tag}: round trip"
+    );
+    let path = scratch_file(tag);
+    std::fs::write(&path, &bytes).unwrap();
+    let refuse =
+        Box::new(|e| -> InstrReplay { panic!("a valid artifact is never re-recorded: {e}") });
+    let loaded = open_replay(&path, key, refuse).unwrap();
+    assert!(!loaded.holds_instructions(), "{tag}: loaded");
+
+    let descs = task_descs(tasks);
+    let events = derive_trace(fresh, tasks).events;
+    let path_at = |depth| {
+        TaskPredictor::<PathPredictor<LastExitHysteresis<2>>>::path(
+            Dolc::new(depth, 4, 6, 6, 2),
+            Dolc::new(4, 3, 4, 4, 2),
+            16,
+        )
+    };
+    let outcomes: Vec<Outcomes> = [None, Some(0), Some(2), Some(4), None]
+        .into_iter()
+        .map(|depth| {
+            let mut p = depth.map(path_at);
+            let p = p.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
+            measure_outcomes(p, &descs, &events, None)
+        })
+        .collect();
+    for n in 1..=5 {
+        assert_eq!(
+            walk(&loaded, &outcomes, n),
+            walk(fresh, &outcomes, n),
+            "{tag}: {n} lanes"
+        );
+    }
+    assert!(!loaded.holds_instructions(), "{tag}: walked");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Recordings that end one op short of a chunk edge, exactly on it and
+/// one op past it (two chunks in), walk and round-trip alike loaded and
+/// fresh.
+#[test]
+fn recordings_at_chunk_edges_walk_alike_loaded_and_fresh() {
+    let edge = 2 * CHUNK_OPS as u64;
+    for ops in [edge - 1, edge, edge + 1] {
+        let (_, tasks, fresh) = recording_of_len(ops);
+        assert_loaded_walks_match(&format!("edge-{ops}"), &fresh, &tasks);
+    }
+}
+
+/// The five scale-1 benchmarks walk and round-trip alike loaded and fresh.
+#[test]
+fn benchmarks_walk_alike_loaded_and_fresh() {
+    let params = WorkloadParams::small(7);
+    for &spec in &Spec92::ALL {
+        let w = spec.build(&params);
+        let tasks = TaskFormer::default().form(&w.program).unwrap();
+        let fresh = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+        assert!(
+            fresh.instructions() > 4 * CHUNK_OPS as u64,
+            "{spec}: chunks"
+        );
+        assert_loaded_walks_match(spec.name(), &fresh, &tasks);
+    }
 }
