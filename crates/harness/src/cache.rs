@@ -30,15 +30,17 @@
 //! key and one rename winning, which is harmless because both artifacts are
 //! byte-identical by determinism.
 //!
-//! A load reads what predictor sweeps use and nothing more: the header,
-//! the file's length and the boundary section (see
-//! [`multiscalar_sim::codec`]), then checks that the recording fits the
-//! program and task partition it will be replayed under ([`check_fits`]).
-//! The recording it returns never holds its instruction section: each
-//! timing walk reopens the entry and reads the section chunk by chunk,
-//! checking each chunk before it steps any of its ops. **Any** failure, at
-//! load or during a walk — truncation, bit rot, a stale schema, a
-//! misfiled entry, a forged recording of another partition — degrades
+//! A load reads what predictor sweeps use and little more: the header,
+//! the file's length, the boundary section and the program's code table
+//! (see [`multiscalar_sim::codec`]), then checks that the recording fits
+//! the program and task partition it will be replayed under
+//! ([`check_fits`]). The recording it returns never holds its instruction
+//! section (a taken bit per op and the memory addresses): each timing
+//! walk reopens the entry and reads the section chunk by chunk,
+//! regenerating and checking each chunk's path before it steps any of its
+//! ops. **Any** failure, at load or during a walk — truncation, bit rot, a
+//! stale schema, a misfiled entry, a forged recording of another program
+//! or partition — degrades
 //! gracefully: a warning on stderr, the entry evicted, and a fresh
 //! recording in its place, as if the cache were cold. A failure during a
 //! walk turns that load's hit into a miss; the walk continues at the same
@@ -213,12 +215,12 @@ impl ArtifactCache {
     /// evicted (with a warning on stderr — stdout stays byte-identical
     /// between cold and warm runs) so the caller silently re-records.
     ///
-    /// The load reads the entry's header and boundary section only. Each
-    /// timing walk over the recording reads its instruction section chunk
-    /// by chunk; the first time a chunk is missing or invalid, the entry
-    /// is evicted the same way, the hit is recounted as a miss, and
-    /// `program` is re-recorded under `tasks` within `max_steps` and
-    /// stored.
+    /// The load reads the entry's header, boundary section and code table
+    /// only. Each timing walk over the recording reads its instruction
+    /// section chunk by chunk; the first time a chunk is missing or
+    /// invalid, the entry is evicted the same way, the hit is recounted
+    /// as a miss, and `program` is re-recorded under `tasks` within
+    /// `max_steps` and stored.
     pub fn load_replay(
         &self,
         key: Fingerprint,

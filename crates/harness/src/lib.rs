@@ -72,7 +72,8 @@ pub struct Bench {
     /// [`extensions`] timing studies), so no timing run re-interprets the
     /// program. Served from the artifact cache when warm; recorded (one
     /// interpreter pass) when cold. A warm load reads the boundary section
-    /// only and never holds the instruction section: each timing walk
+    /// and the code table only and never holds the instruction section
+    /// (a taken bit per op and the memory addresses): each timing walk
     /// streams it from the entry chunk by chunk, so a benchmark that only
     /// feeds predictor sweeps never reads it.
     pub replay: Arc<InstrReplay>,

@@ -211,10 +211,7 @@ impl Request {
         match key {
             "experiment" => self.experiment = value.as_str(key)?.to_string(),
             "seed" => self.params.seed = value.as_u64(key)?,
-            "scale" => {
-                self.params.scale = u32::try_from(value.as_u64(key)?)
-                    .map_err(|_| format!("bad value for `{key}`"))?
-            }
+            "scale" => self.params.scale = check_scale(value.as_u64(key)?)?,
             "bench" => {
                 let name = value.as_str(key)?;
                 self.bench =
@@ -248,8 +245,27 @@ impl Request {
     }
 }
 
+/// The largest workload scale a request may ask for: far above the
+/// documented 1–4, and a bound on what one request can make a process
+/// record and hold.
+pub const MAX_SCALE: u32 = 64;
+
+/// The widest seed range a request may ask for.
+pub const MAX_SEED_RANGE: u64 = 1_000_000;
+
+/// Checks a `--scale N` / `"scale":N` value against [`MAX_SCALE`] — one
+/// check for both surfaces, so both reject the same scales with the same
+/// text.
+pub fn check_scale(scale: u64) -> Result<u32, String> {
+    u32::try_from(scale)
+        .ok()
+        .filter(|&s| s <= MAX_SCALE)
+        .ok_or(format!("scale {scale} is above the limit of {MAX_SCALE}"))
+}
+
 /// Parses a `--seeds A..B` / `"seeds":"A..B"` range — one code path for
-/// both surfaces, so both reject `5..5` with the same text.
+/// both surfaces, so both reject `5..5`, and a range wider than
+/// [`MAX_SEED_RANGE`], with the same text.
 pub fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
     let (a, b) = spec
         .split_once("..")
@@ -260,6 +276,11 @@ pub fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
     let end: u64 = b.parse().map_err(|e| format!("bad seed range end: {e}"))?;
     if start >= end {
         return Err(format!("empty seed range `{spec}`"));
+    }
+    if end - start > MAX_SEED_RANGE {
+        return Err(format!(
+            "seed range `{spec}` is wider than the limit of {MAX_SEED_RANGE} seeds"
+        ));
     }
     Ok(start..end)
 }

@@ -6,18 +6,19 @@
 //! The timing model has two step feeds — the live interpreter feed (the
 //! oracle, [`crate::timing::simulate`]) and the recorded replay
 //! ([`crate::replay::simulate_replay`], production) — that are
-//! bit-identical *by construction*: the recording is the interpreter feed,
-//! packed into columns, and neither walk predicts — both read the
-//! per-boundary miss/gated bits of one trace pass
+//! bit-identical *by construction*: the recording keeps the interpreter
+//! feed's control flow and memory addresses, the cursor regenerates every
+//! other field from the program's code table, and neither walk predicts —
+//! both read the per-boundary miss/gated bits of one trace pass
 //! ([`crate::measure::measure_outcomes`]). This module turns that
 //! construction argument into a checked invariant:
 //! [`check_replay_agreement`] records an execution, then walks a fresh
 //! interpreter feed and the replay cursor in lockstep and asserts that
-//! every step they produce agrees — same instruction
-//! class, same register operands, same memory address, same intra-task
-//! branch outcome, and, crucially, the **same task-boundary events**
-//! (retiring task, header exit, next-task entry). That covers the packing,
-//! the side columns and the cursor's unpacking.
+//! every step they produce is equal — same pc, instruction class and
+//! register operands, same memory address, same intra-task branch
+//! outcome, and, crucially, the **same task-boundary events** (retiring
+//! task, header exit, next-task entry). That covers the recorder, the
+//! code table and the cursor's regeneration of the path.
 //!
 //! [`check_fused_agreement`] closes the remaining gap: it runs one
 //! lockstep lanes walk ([`crate::replay::walk_lanes`]), one lane per slot,
@@ -38,39 +39,16 @@ use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::CycleBreakdown;
 use crate::replay::{record_replay, walk_lanes, Lane, ReplayCursor};
 use crate::timing::{
-    simulate_core, CoreStep, InterpSource, NextTaskPredictor, OpClass, StepSource, TimingConfig,
-    TimingResult,
+    simulate_core, InterpSource, NextTaskPredictor, StepSource, TimingConfig, TimingResult,
 };
 use crate::trace::TraceError;
 use multiscalar_core::predictor::TaskDesc;
 use multiscalar_isa::Program;
 use multiscalar_taskform::TaskProgram;
 
-/// `true` when two steps agree on every field that is *valid* for their
-/// instruction class.
-///
-/// The feeds differ harmlessly on don't-care fields: the interpreter puts
-/// the instruction's own pc in `branch_pc` for every step while the replay
-/// stores branch pcs only for intra-task branches, so `branch_pc`/`taken`
-/// are compared only for [`OpClass::Branch`] and `mem_addr` only for memory
-/// operations.
-fn steps_agree(a: &CoreStep, b: &CoreStep) -> bool {
-    if (a.src1, a.src2, a.dest, a.class, a.halt) != (b.src1, b.src2, b.dest, b.class, b.halt) {
-        return false;
-    }
-    if a.boundary != b.boundary {
-        return false;
-    }
-    match a.class {
-        OpClass::Load | OpClass::Store => a.mem_addr == b.mem_addr,
-        OpClass::Branch => a.branch_pc == b.branch_pc && a.taken == b.taken,
-        OpClass::Other => true,
-    }
-}
-
 /// Records `program`'s execution, then re-executes it while walking the
-/// recording in lockstep, asserting the two step feeds agree everywhere —
-/// in particular at every task boundary. Returns the number of steps
+/// recording in lockstep, asserting the two step feeds are equal step for
+/// step — in particular at every task boundary. Returns the number of steps
 /// checked (= committed instructions).
 ///
 /// # Errors
@@ -95,7 +73,7 @@ pub fn check_replay_agreement(
         let a = interp.next_step()?;
         let b = cursor.next_step().expect("replay cursor never errors");
         assert!(
-            steps_agree(&a, &b),
+            a == b,
             "sanitize: step {steps} diverges\n  interpreter: {a:?}\n  replay:      {b:?}"
         );
         steps += 1;

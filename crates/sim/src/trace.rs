@@ -48,6 +48,18 @@ pub enum TraceError {
         /// Where control landed.
         to: Addr,
     },
+    /// Control left an instruction inside its task other than the way the
+    /// code says it can (a return, an indirect jump or an indirect call
+    /// that crosses no boundary), so a recording could not regenerate the
+    /// path from its taken bits.
+    DynamicTransfer {
+        /// The task control stayed in.
+        task: TaskId,
+        /// The transferring instruction.
+        from: Addr,
+        /// Where control landed.
+        to: Addr,
+    },
     /// The step budget ran out before the program halted.
     StepLimit,
 }
@@ -60,6 +72,12 @@ impl fmt::Display for TraceError {
                 write!(
                     f,
                     "{task} crossed {from}->{to} without a matching header exit"
+                )
+            }
+            TraceError::DynamicTransfer { task, from, to } => {
+                write!(
+                    f,
+                    "{task} transferred {from}->{to} dynamically without crossing a boundary"
                 )
             }
             TraceError::StepLimit => f.write_str("step budget exhausted before halt"),

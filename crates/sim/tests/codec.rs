@@ -3,7 +3,10 @@
 //! recording's, adversarial decoding that errs instead of panicking, the
 //! load that leaves the instruction section on disk, and walks over a
 //! loaded recording, which read that section chunk by chunk, equal to
-//! walks over the fresh one, at chunk edges and on every benchmark.
+//! walks over the fresh one, at chunk edges and on every benchmark. The
+//! recording keeps only control flow and memory addresses: its
+//! regenerated steps equal the interpreter's, and its instruction section
+//! takes a bit per op and four bytes per memory reference.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -12,12 +15,15 @@ use multiscalar_core::automata::LastExitHysteresis;
 use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::{TaskDesc, TaskPredictor};
-use multiscalar_isa::{fingerprint_of, AluOp, Cond, Fingerprint, Program, ProgramBuilder, Reg};
+use multiscalar_isa::{
+    assemble, fingerprint_of, AluOp, Cond, Fingerprint, Interpreter, Program, ProgramBuilder, Reg,
+};
 use multiscalar_sim::arb::ArbConfig;
 use multiscalar_sim::codec::{open_replay, Rerecord, CHUNK_OPS};
 use multiscalar_sim::replay::{
     derive_trace, record_replay, simulate_replay, walk_lanes, InstrReplay, Lane,
 };
+use multiscalar_sim::sanitize::check_replay_agreement;
 use multiscalar_sim::timing::{
     ForwardingModel, IntraPredictorKind, NextTaskPredictor, TimingConfig, TimingResult,
 };
@@ -27,7 +33,7 @@ use multiscalar_sim::{
     Outcomes,
 };
 use multiscalar_taskform::{TaskFormer, TaskProgram};
-use multiscalar_workloads::{Spec92, WorkloadParams};
+use multiscalar_workloads::{fuzz, Spec92, WorkloadParams};
 
 /// `decode(encode(r)) == r` on every workload, and the trace of the
 /// decoded recording (its boundary section and statistics) equals the
@@ -137,11 +143,18 @@ fn compress_artifact(key: Fingerprint) -> (InstrReplay, Vec<TaskDesc>, Vec<u8>) 
     (replay, task_descs(&tasks), bytes)
 }
 
+/// The header count at byte `at` of an encoded artifact.
+fn count(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
 /// Where the instruction section of an encoded artifact starts: after the
-/// 64-byte header, 14 bytes per boundary and the boundary checksum.
+/// 64-byte header, 14 bytes per boundary and the boundary checksum, then
+/// the code section (the entry pc and 8 bytes per instruction) and its
+/// checksum.
 fn instr_offset(bytes: &[u8]) -> usize {
-    let n = u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize;
-    64 + 14 * n + 8
+    let (code, bounds) = (count(bytes, 48), count(bytes, 56));
+    64 + 14 * bounds + 8 + 4 + 8 * code + 8
 }
 
 /// A per-test scratch file.
@@ -172,8 +185,9 @@ fn open_replay_leaves_the_instruction_section_to_the_walks() {
     let key = fingerprint_of(&"lazy");
     let (replay, descs, mut bytes) = compress_artifact(key);
     let path = scratch_file("lazy");
-    let at = instr_offset(&bytes);
-    bytes[at + 5] ^= 0x10;
+    // A memory address of the first chunk, past its taken bits.
+    let at = instr_offset(&bytes) + CHUNK_OPS / 8;
+    bytes[at] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
 
     let errors = Arc::new(Mutex::new(Vec::new()));
@@ -435,5 +449,66 @@ fn benchmarks_walk_alike_loaded_and_fresh() {
             "{spec}: chunks"
         );
         assert_loaded_walks_match(spec.name(), &fresh, &tasks);
+    }
+}
+
+/// The regenerated step stream of a recording equals the interpreter's,
+/// step for step (pc, registers, class, memory address, taken bit, halt
+/// and boundary), on the five scale-1 benchmarks and every program under
+/// `benchmarks/`.
+#[test]
+fn regenerated_steps_equal_the_interpreters() {
+    let params = WorkloadParams::small(7);
+    for &spec in &Spec92::ALL {
+        let w = spec.build(&params);
+        let tasks = TaskFormer::default().form(&w.program).unwrap();
+        let steps = check_replay_agreement(&w.program, &tasks, w.max_steps)
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert!(steps > 0, "{spec}");
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "masm"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "benchmarks/*.masm");
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let asm = assemble(&text).unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+        let tasks = TaskFormer::default()
+            .form_with_entries(&asm.program, &asm.task_entries)
+            .unwrap();
+        let steps = check_replay_agreement(&asm.program, &tasks, fuzz::MAX_STEPS)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(steps > 0, "{}", path.display());
+    }
+}
+
+/// On the five scale-1 benchmarks the instruction section takes at most
+/// four bytes per memory reference, one bit per op and eight bytes per
+/// chunk, counted against an interpreter run of the program.
+#[test]
+fn the_instruction_section_is_a_bit_per_op_and_the_addresses() {
+    let params = WorkloadParams::small(7);
+    for &spec in &Spec92::ALL {
+        let w = spec.build(&params);
+        let tasks = TaskFormer::default().form(&w.program).unwrap();
+        let replay = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+        let mut interp = Interpreter::new(&w.program);
+        let (mut ops, mut mem) = (0usize, 0usize);
+        while !interp.is_halted() {
+            mem += interp.step().unwrap().mem_addr.is_some() as usize;
+            ops += 1;
+        }
+        assert_eq!(ops as u64, replay.instructions(), "{spec}");
+        let bytes = encode_replay(&replay, fingerprint_of(&spec.name()));
+        let section = bytes.len() - instr_offset(&bytes);
+        let bound = 4 * mem + ops.div_ceil(8) + 8 * ops.div_ceil(CHUNK_OPS);
+        assert!(
+            section <= bound,
+            "{spec}: {section} bytes for {ops} ops and {mem} memory references"
+        );
     }
 }
