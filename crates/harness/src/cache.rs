@@ -36,17 +36,16 @@
 //! the program and task partition it will be replayed under
 //! ([`check_fits`]). The recording it returns never holds its instruction
 //! section (a taken bit per op and the memory addresses): each timing
-//! walk reopens the entry and reads the section chunk by chunk,
-//! regenerating and checking each chunk's path before it steps any of its
-//! ops. **Any** failure, at load or during a walk — truncation, bit rot, a
-//! stale schema, a misfiled entry, a forged recording of another program
-//! or partition — degrades
-//! gracefully: a warning on stderr, the entry evicted, and a fresh
-//! recording in its place, as if the cache were cold. A failure during a
-//! walk turns that load's hit into a miss; the walk continues at the same
-//! op in the fresh recording, which the loaded one keeps for later walks.
-//! A corrupt cache can cost time, never correctness. [`load_or_record`] is
-//! the one load path.
+//! walk reopens the entry and reads the section chunk by chunk, checking
+//! each chunk's bytes before it steps any of its ops and its path as it
+//! steps them. **Any** failure, at load or during a walk — truncation, bit
+//! rot, a stale schema, a misfiled entry, a forged recording of another
+//! program or partition — degrades gracefully: a warning on stderr, the
+//! entry evicted, and a fresh recording in its place, as if the cache
+//! were cold. A failure during a walk turns that load's hit into a miss;
+//! the walk starts over in the fresh recording, which the loaded one keeps
+//! for later walks. A corrupt cache can cost time, never correctness.
+//! [`load_or_record`] is the one load path.
 
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -217,10 +216,11 @@ impl ArtifactCache {
     ///
     /// The load reads the entry's header, boundary section and code table
     /// only. Each timing walk over the recording reads its instruction
-    /// section chunk by chunk; the first time a chunk is missing or
-    /// invalid, the entry is evicted the same way, the hit is recounted
-    /// as a miss, and `program` is re-recorded under `tasks` within
-    /// `max_steps` and stored.
+    /// section chunk by chunk and checks each chunk's path as it steps it;
+    /// the first time a chunk is missing or invalid, the entry is evicted
+    /// the same way, the hit is recounted as a miss, `program` is
+    /// re-recorded under `tasks` within `max_steps` and stored, and the
+    /// walk starts over on the fresh recording.
     pub fn load_replay(
         &self,
         key: Fingerprint,
@@ -276,8 +276,9 @@ impl ArtifactCache {
     /// What a loaded recording runs, at most once, when a walk finds a
     /// chunk of its instruction section missing or invalid: the load's
     /// failure path, late. The entry is evicted, the load's hit becomes a
-    /// miss, and the recording is made again and stored; the walk goes on
-    /// in its section, and the loaded recording keeps it.
+    /// miss, and the recording is made again and stored; the walk starts
+    /// over on its section from its first op, and the loaded recording
+    /// keeps it.
     fn rerecorder(
         &self,
         key: Fingerprint,

@@ -78,7 +78,7 @@ pub fn profile(benches: &[Bench], pool: &Pool, occupancy: bool) -> Vec<ProfileRo
 /// One benchmark's cells: every column as one lane of [`walk_table4`], each
 /// lane reporting to a copy of `sink`, which `split` turns into the cell's
 /// breakdown and occupancy.
-fn profile_cells<M: MetricsSink + Clone>(
+fn profile_cells<M: MetricsSink>(
     b: &Bench,
     sink: M,
     split: impl Fn(M) -> (CycleBreakdown, Option<UnitOccupancy>),

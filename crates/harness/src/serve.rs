@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::cache::ArtifactCache;
 use crate::pool::Pool;
@@ -200,7 +200,7 @@ impl Server {
 
     /// The benchmark cache keys at `params`, memoised per (seed, scale).
     fn keys_for(&self, params: &WorkloadParams) -> BenchKeys {
-        let mut memo = self.bench_keys.lock().unwrap();
+        let mut memo = lock(&self.bench_keys);
         memo.entry((params.seed, params.scale))
             .or_insert_with(|| registry::bench_keys(params))
             .clone()
@@ -219,7 +219,7 @@ impl Server {
             registry::result_key(exp.expect("found"), req, &keys)
         });
         if let Some(key) = key {
-            if let Some(output) = self.results.lock().unwrap().get(key) {
+            if let Some(output) = lock(&self.results).get(key) {
                 return ok_response(id, true, &output);
             }
         }
@@ -232,7 +232,7 @@ impl Server {
         match registry::dispatch(req, &res) {
             Ok(output) => {
                 if let Some(key) = key {
-                    self.results.lock().unwrap().insert(key, &output);
+                    lock(&self.results).insert(key, &output);
                 }
                 ok_response(id, false, &output)
             }
@@ -318,7 +318,7 @@ impl Server {
         let mut push = |k: &str, v: u64| stats.push((k.to_string(), v));
         push("requests", self.requests.load(Ordering::Relaxed));
         {
-            let rc = self.results.lock().unwrap();
+            let rc = lock(&self.results);
             push("result_hits", rc.hits);
             push("result_misses", rc.misses);
             push("result_evictions", rc.evictions);
@@ -326,7 +326,7 @@ impl Server {
             push("result_bytes", rc.total_bytes);
             push("result_max_bytes", rc.max_bytes);
         }
-        push("bench_resident", self.benches.lock().unwrap().len() as u64);
+        push("bench_resident", lock(&self.benches).len() as u64);
         if let Some(store) = &self.store {
             let s = store.stats();
             push("store_hits", s.hits);
@@ -449,7 +449,7 @@ impl BenchSource for Server {
         // warm-ups of the same parameter point — exactly the "prepare
         // once" the server exists for. Distinct connections pay at most
         // one preparation per benchmark per parameter point.
-        let mut resident = self.benches.lock().unwrap();
+        let mut resident = lock(&self.benches);
         let missing: Vec<Spec92> = specs
             .iter()
             .copied()
@@ -465,6 +465,14 @@ impl BenchSource for Server {
             .map(|&s| resident.get(&key_of(s)).expect("prepared").clone())
             .collect()
     }
+}
+
+/// Locks one of the server's maps, poisoned or not. A panic in an
+/// experiment or a preparation poisons the lock it runs under, but each
+/// map is written only after the call that can panic returns, so its data
+/// is whole, and one panic must not fail every later request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn ok_response(id: Option<i128>, cached: bool, output: &Output) -> Response {
@@ -601,6 +609,31 @@ mod tests {
         assert_eq!(rc.entries.len(), 0);
         assert_eq!(rc.total_bytes, 0);
         assert_eq!(rc.evictions, 1);
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_take_the_server_down() {
+        let dir = std::env::temp_dir().join("serve-unit-poison");
+        let mut config = test_config(&dir, 1 << 20);
+        config.no_cache = true;
+        let server = Server::new(&config);
+        std::thread::scope(|s| {
+            let benches = s.spawn(|| {
+                let _held = server.benches.lock();
+                panic!("a panic while the bench pool is locked");
+            });
+            let results = s.spawn(|| {
+                let _held = server.results.lock();
+                panic!("a panic while the result cache is locked");
+            });
+            assert!(benches.join().is_err() && results.join().is_err());
+        });
+        assert!(server.benches.is_poisoned() && server.results.is_poisoned());
+        let (resp, _) = server.handle_line(r#"{"id":1,"cmd":"stats"}"#);
+        assert!(resp.starts_with(r#"{"id":1,"ok":true"#), "{resp}");
+        let (resp, _) =
+            server.handle_line(r#"{"id":2,"experiment":"table2","bench":"xlisp","scale":1}"#);
+        assert!(resp.starts_with(r#"{"id":2,"ok":true"#), "{resp}");
     }
 
     #[test]

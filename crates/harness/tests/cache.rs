@@ -514,35 +514,49 @@ struct Layout {
     chunks: Vec<ChunkAt>,
 }
 
-/// Where one chunk of the instruction section starts and what it holds:
-/// the taken bits of its `n` ops, the `m` memory addresses they consume,
-/// then its checksum.
+/// Where chunk `index` of the instruction section starts and what it
+/// holds: the taken bits of its `n` ops, its address count, the `m` memory
+/// addresses those ops consume, then its checksum. Its op `plain` is not
+/// a conditional branch.
 #[derive(Debug, Clone, Copy)]
 struct ChunkAt {
+    index: usize,
     bits: usize,
     n: usize,
+    count: usize,
     mem: usize,
     m: usize,
     sum: usize,
+    plain: usize,
 }
 
-/// The memory references among each `CHUNK_OPS` ops of compress at scale
-/// 1, counted by running the program.
-fn memory_refs_per_chunk() -> &'static [usize] {
-    static REFS: std::sync::OnceLock<Vec<usize>> = std::sync::OnceLock::new();
-    REFS.get_or_init(|| {
+/// For each `CHUNK_OPS` ops of compress at scale 1, found by running the
+/// program: the memory references among them, and the first of them that
+/// is not a conditional branch.
+fn ops_per_chunk() -> &'static [(usize, usize)] {
+    static FACTS: std::sync::OnceLock<Vec<(usize, usize)>> = std::sync::OnceLock::new();
+    FACTS.get_or_init(|| {
+        use multiscalar_isa::Instruction;
         let w = Spec92::Compress.build(&WorkloadParams::small(3));
         let mut interp = multiscalar_isa::Interpreter::new(&w.program);
-        let mut refs = Vec::new();
+        let mut facts: Vec<(usize, Option<usize>)> = Vec::new();
         let mut ops = 0;
         while !interp.is_halted() {
             if ops % CHUNK_OPS == 0 {
-                refs.push(0);
+                facts.push((0, None));
             }
-            *refs.last_mut().unwrap() += interp.step().unwrap().mem_addr.is_some() as usize;
+            let step = interp.step().unwrap();
+            let (refs, plain) = facts.last_mut().unwrap();
+            *refs += step.mem_addr.is_some() as usize;
+            if !matches!(step.inst, Instruction::Branch { .. }) {
+                plain.get_or_insert(ops % CHUNK_OPS);
+            }
             ops += 1;
         }
-        refs
+        facts
+            .into_iter()
+            .map(|(refs, plain)| (refs, plain.expect("an op that is not a branch")))
+            .collect()
     })
 }
 
@@ -559,15 +573,20 @@ impl Layout {
         let instrs = code_sum + 8;
         let mut chunks = Vec::new();
         let (mut at, mut left) = (instrs, count(32));
-        for &m in memory_refs_per_chunk() {
+        for (index, &(m, plain)) in ops_per_chunk().iter().enumerate() {
             let n = left.min(CHUNK_OPS);
+            let count = at + n.div_ceil(8);
             let c = ChunkAt {
+                index,
                 bits: at,
                 n,
-                mem: at + n.div_ceil(8),
+                count,
+                mem: count + 4,
                 m,
-                sum: at + n.div_ceil(8) + 4 * m,
+                sum: count + 4 + 4 * m,
+                plain,
             };
+            assert_eq!(bytes[count..count + 4], (m as u32).to_le_bytes());
             chunks.push(c);
             at = c.sum + 8;
             left -= n;
@@ -604,6 +623,18 @@ fn reseal_bounds(bytes: &mut [u8]) {
     h.write(&bytes[..end]);
     let sum = h.finish();
     bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Recomputes the checksum of chunk `c` of `bytes` after a forgery inside
+/// it: the hash of its index and its bytes.
+fn reseal_chunk(bytes: &mut [u8], c: ChunkAt) {
+    use multiscalar_isa::FingerprintHasher;
+    use std::hash::Hasher as _;
+    let mut h = FingerprintHasher::new();
+    h.write_u64(c.index as u64);
+    h.write(&bytes[c.bits..c.sum]);
+    let sum = h.finish();
+    bytes[c.sum..c.sum + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Runs `experiment` on compress at scale 1 through the registry with a
@@ -657,12 +688,15 @@ enum Mutation {
     Flip { at: usize, bit: u8 },
     /// Append `n` zero bytes.
     Append(usize),
-    /// Write a schema-4 header (the layout that stored an op word per
-    /// instruction).
-    Schema4,
+    /// Write a schema-5 header (the layout that stored no address count
+    /// per chunk).
+    Schema5,
     /// Point boundary `k`'s next task past the code, and re-seal the
     /// boundary checksum.
     NextOutsideCode(usize),
+    /// Set the taken bit of chunk `c`'s op `c.plain`, which is not a
+    /// conditional branch, and re-seal the chunk's checksum.
+    StrayTaken(ChunkAt),
 }
 
 impl Mutation {
@@ -672,13 +706,17 @@ impl Mutation {
             Mutation::Cut(n) => bytes.truncate(n),
             Mutation::Flip { at, bit } => bytes[at] ^= 1 << bit,
             Mutation::Append(n) => bytes.resize(bytes.len() + n, 0),
-            Mutation::Schema4 => bytes[4..8].copy_from_slice(&4u32.to_le_bytes()),
+            Mutation::Schema5 => bytes[4..8].copy_from_slice(&5u32.to_le_bytes()),
             Mutation::NextOutsideCode(k) => {
                 let l = Layout::of(&bytes);
                 // Columns: tasks u32, exits u8, kinds u8, then nexts u32.
                 let at = 64 + 6 * l.bounds + 4 * k;
                 bytes[at..at + 4].copy_from_slice(&(l.code_len as u32).to_le_bytes());
                 reseal_bounds(&mut bytes);
+            }
+            Mutation::StrayTaken(c) => {
+                bytes[c.bits + c.plain / 8] |= 1 << (c.plain % 8);
+                reseal_chunk(&mut bytes, c);
             }
         }
         bytes
@@ -741,7 +779,7 @@ fn draws(rng: &mut XorShift64, range: std::ops::Range<usize>, n: usize) -> Vec<u
 
 /// Truncation at every section boundary, at the edges of and inside the
 /// first, a middle and the last instruction chunk, and at random points;
-/// appended bytes and a schema-4 header.
+/// appended bytes and a schema-5 header.
 #[test]
 fn truncated_extended_and_stale_artifacts_are_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-length", |bytes, rng| {
@@ -769,14 +807,21 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
         ]);
         cuts.extend([l.instrs - 1, l.instrs + 1, bytes.len() - 1]);
         for c in l.picks() {
-            // A chunk's start, the middle of its taken bits, its
-            // addresses and its checksum.
-            cuts.extend([c.bits, c.bits + c.n / 16, c.mem, c.sum, c.sum + 4]);
+            // A chunk's start, the middle of its taken bits, its address
+            // count, its addresses and its checksum.
+            cuts.extend([
+                c.bits,
+                c.bits + c.n / 16,
+                c.count + 2,
+                c.mem,
+                c.sum,
+                c.sum + 4,
+            ]);
         }
         cuts.extend(draws(rng, 0..bytes.len(), 20));
         let mut m = table4_only(cuts.into_iter().map(Mutation::Cut));
         m.extend(table4_only([1, 3, 8, 4096].map(Mutation::Append)));
-        m.push((Mutation::Schema4, false));
+        m.push((Mutation::Schema5, false));
         m
     });
 }
@@ -800,8 +845,8 @@ fn every_flipped_header_byte_is_rerecorded() {
 /// in the first chunk before any op is stepped, in a middle or the last
 /// chunk after the earlier chunks were, so those also run `profile
 /// --json`, whose breakdown must stay pristine. In each of the three
-/// chunks the flips hit a taken-bit byte, a memory address and the chunk
-/// checksum.
+/// chunks the flips hit a taken-bit byte, a memory address, the chunk
+/// checksum and the address count.
 #[test]
 fn flipped_section_and_checksum_bytes_are_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-sections", |bytes, rng| {
@@ -837,10 +882,32 @@ fn flipped_section_and_checksum_bytes_are_rerecorded() {
             let bits = c.bits + rng.next_below(c.n.div_ceil(8) as u32) as usize;
             let addr = c.mem + 4 * rng.next_below(c.m as u32) as usize;
             let sum = c.sum + rng.next_below(8) as usize;
-            let cases = [flip(bits, rng), flip(addr, rng), flip(sum, rng)];
+            let count = Mutation::Flip {
+                at: c.count,
+                bit: 0,
+            };
+            let cases = [flip(bits, rng), flip(addr, rng), flip(sum, rng), count];
             m.extend(cases.map(|case| (case, k > 0)));
         }
         m
+    });
+}
+
+/// A taken bit set on an op that is not a conditional branch, under a
+/// re-sealed chunk checksum, in the first, a middle and the last chunk:
+/// the chunk reads clean, and only stepping it finds the bit, after the
+/// walk has stepped ops of it. The walk starts over on the re-recorded
+/// section, so `table4` stays pristine, and so does `profile --json`'s
+/// breakdown after the middle and the last chunk, which the walk reaches
+/// after stepping whole earlier chunks.
+#[test]
+fn a_stray_taken_bit_under_a_resealed_checksum_is_rerecorded() {
+    mutations_are_rejected_and_rerecorded("mut-stray-taken", |bytes, _| {
+        let l = Layout::of(bytes);
+        l.picks()
+            .into_iter()
+            .map(|c| (Mutation::StrayTaken(c), c.index > 0))
+            .collect()
     });
 }
 
@@ -917,7 +984,7 @@ fn a_loaded_recording_never_holds_its_instruction_section() {
 }
 
 /// A walk that finds a bad chunk in the middle of the section re-records
-/// once and continues in the fresh section, which the recording keeps: a
+/// once and starts over on the fresh section, which the recording keeps: a
 /// second walk reads that section, not the file (corrupted again here),
 /// and evicts nothing more.
 #[test]

@@ -24,22 +24,22 @@
 //!                 CHUNK_OPS ops (the last chunk takes the rest), each
 //!                 laid out as
 //!                   ⌈n/8⌉ the n ops' taken bits, bit i%8 of byte i/8
+//!                   4     m, the count of the chunk's addresses
 //!                   4·m   the word addresses of the m loads and stores
 //!                         among those ops, in program order
 //!                   8     chunk checksum: FxHash of the chunk's index
-//!                         and its ⌈n/8⌉+4·m bytes
+//!                         and its ⌈n/8⌉+4+4·m bytes
 //! ```
 //!
 //! The header alone sizes the file: the instruction section takes one bit
-//! per op, four bytes per memory address and eight per chunk. A reader
+//! per op, four bytes per memory address and twelve per chunk. A reader
 //! checks the file's length before it reads a section. The boundary and
 //! code sections go through a bounded streaming reader that folds each
 //! piece into the section's checksum as it arrives and never allocates
 //! more than the bytes that remain. The instruction section goes through a
 //! chunk reader whose buffers hold one chunk: at most [`CHUNK_OPS`] taken
-//! bits and the addresses of their memory references, 66 KiB. The
-//! encoder is the same layout in reverse ([`write_replay`];
-//! [`encode_replay`] is its `Vec` form).
+//! bits and as many addresses, 66 KiB. The encoder is the same layout in
+//! reverse ([`write_replay`]; [`encode_replay`] is its `Vec` form).
 //!
 //! # Guarantees
 //!
@@ -65,17 +65,19 @@
 //! | when | checks |
 //! |---|---|
 //! | load | magic, schema, key; the file length the header's counts declare; the boundary checksum; exit indices `< MAX_EXITS` and kind slots inside Table 1; every task size at least 1, the sizes summing below the op count (so the halting task keeps its halt); the code checksum; the entry inside the code, every successor at most the code's length, every register byte naming a register (or absent), no op-word bit above the halt's; every boundary `next` inside the code |
-//! | each walk | the header and the length again; then per chunk, before any of its ops is stepped, a census in which the walk's own cursor regenerates the chunk's pc path from the pc and task clock the walk carries in, and which checks that every pc is inside the code, every op that ends no task has a static successor, set taken bits sit only on intra-task conditional branches, the halt is the last op of the last chunk and no other, and the memory references fit the addresses left (the last chunk takes exactly what remains); then its checksum, and every memory address below `mem_words` |
+//! | each walk | the header and the length again; then per chunk, before any of its ops is stepped, its checksum, its address count against the addresses left (at most one per op; the last chunk takes exactly what remains) and every memory address below `mem_words`; then, as the walk's cursor steps the chunk, one flag per rule (`ReplayCursor::check`): no pc reaches the code table's sentinel (so every op that ends no task has a static successor), the halt is the last op of the last chunk and no other, set taken bits sit only on intra-task conditional branches, and the chunk's loads and stores use exactly its addresses |
 //!
-//! A chunk that fails goes to the caller's [`Rerecord`], which the artifact
-//! cache answers as it answers a failure at load: evict, then re-record.
-//! The walk continues at the failed chunk's first op, pc, memory address
-//! and task in the re-recorded section, and the recording keeps that
-//! section for later walks, so a failure costs time once and never
-//! changes a result. The rest needs the program and its task partition,
-//! which the decoder never sees: that the code table is the program's,
-//! that every boundary names a task of the partition, an exit of that
-//! task's header and that exit's kind, and that `mem_words` is the
+//! [`decode_replay`] and the whole-section read of a loaded recording run
+//! the same checks with the same cursor over every chunk. A chunk that
+//! fails a walk's read or check goes to the caller's [`Rerecord`], which
+//! the artifact cache answers as it answers a failure at load: evict, then
+//! re-record. The walk starts over at the recording's first op in the
+//! re-recorded section, from the sinks it began with, and the recording
+//! keeps that section for later walks, so a failure costs time once and
+//! never changes a result. The rest needs the program and its task
+//! partition, which the decoder never sees: that the code table is the
+//! program's, that every boundary names a task of the partition, an exit
+//! of that task's header and that exit's kind, and that `mem_words` is the
 //! program's data-memory size (the timing core allocates that many words).
 //! [`check_fits`] checks all of it; the artifact cache runs it on every
 //! load.
@@ -89,6 +91,7 @@ use multiscalar_isa::{
     memory_words, Addr, ExitIndex, ExitKind, Fingerprint, FingerprintHasher, Program, NUM_REGS,
 };
 use multiscalar_taskform::{TaskId, TaskProgram};
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
 use std::hash::Hasher as _;
@@ -97,14 +100,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use crate::replay::{
-    Chunk, CodeEntry, CodeTable, InstrReplay, InstrSection, Place, ReplayCursor, HALT_BIT,
+    Chunk, CodeEntry, CodeTable, InstrReplay, InstrSection, ReplayCursor, SENTINEL_BIT,
 };
 use crate::timing::{OpClass, NO_REG};
 use crate::trace::{kind_slot, SharedTrace};
 
 /// Schema version of the artifact cache: codec layout + recording
 /// semantics. Any change to either must bump this.
-pub const CACHE_SCHEMA: u32 = 5;
+pub const CACHE_SCHEMA: u32 = 6;
 
 /// Ops per chunk of the instruction section. A chunk's taken bits take
 /// 2 KiB, and the whole chunk, memory addresses included, at most 66 KiB.
@@ -274,13 +277,14 @@ impl Header {
     }
 
     /// The file length the counts declare (`None` past `u64`): a bit per
-    /// op, four bytes per memory address and a checksum per chunk.
+    /// op, four bytes per memory address, and an address count and a
+    /// checksum per chunk.
     fn file_len(&self) -> Option<u64> {
         let chunks = self.ops.div_ceil(CHUNK_OPS as u64);
         self.mem_addrs
             .checked_mul(4)?
             .checked_add(self.ops.div_ceil(8))?
-            .checked_add(chunks * 8)?
+            .checked_add(chunks * 12)?
             .checked_add(self.instr_offset()?)
     }
 
@@ -475,7 +479,8 @@ impl<R: Read> SectionReader<R> {
         }
         const _: () = assert!(NO_REG == u8::MAX);
         for &op in &ops {
-            if op >= HALT_BIT << 1 {
+            // Only the sentinel carries a bit above the halt's.
+            if op >= SENTINEL_BIT {
                 return Err(CodecError::Malformed("op word bit past the halt's"));
             }
             // Adding one wraps NO_REG (255) to 0, so a byte is valid iff
@@ -502,56 +507,6 @@ impl<R: Read> SectionReader<R> {
     }
 }
 
-/// Regenerates the pc path of a stored chunk of `n` ops with taken bits
-/// `taken` from `place`, where the walk is at its first op, and checks it
-/// before the walk steps any of its ops (see the module's check table).
-/// The walk's own cursor regenerates the path, so the checked path is the
-/// stepped one. `last` says the chunk ends the recording. Returns where
-/// the walk is after the chunk.
-fn census(
-    code: &CodeTable,
-    bounds: &SharedTrace,
-    taken: &[u8],
-    n: usize,
-    last: bool,
-    place: Place,
-) -> Result<Place, CodecError> {
-    let malformed = |what| Err(CodecError::Malformed(what));
-    let len = code.len() as u32;
-    let chunk = Chunk {
-        taken,
-        first: 0,
-        end: n,
-        mem_addrs: &[],
-        last,
-        start: place,
-    };
-    let mut cursor = ReplayCursor::new(chunk, code, bounds);
-    let mut mem = 0;
-    while let Some(op) = cursor.regenerate() {
-        if op.pc >= len {
-            return malformed("pc outside the code");
-        }
-        let halt = cursor.at_halt();
-        if op.entry.is_halt() != halt {
-            return malformed(if halt {
-                "recording does not end on the halt"
-            } else {
-                "halt before the recording's end"
-            });
-        }
-        let class = op.entry.class();
-        if op.bit && (op.bound.is_some() || class != OpClass::Branch) {
-            return malformed("taken bit off an intra-task branch");
-        }
-        if op.bound.is_none() && !halt && cursor.pc() == len {
-            return malformed("an op inside a task has no static successor");
-        }
-        mem += matches!(class, OpClass::Load | OpClass::Store) as usize;
-    }
-    Ok(cursor.place(place.op + n, place.mem + mem))
-}
-
 /// Decodes little-endian words into `out`, replacing its contents.
 fn get_words(bytes: &[u8], out: &mut Vec<u32>) {
     out.clear();
@@ -570,23 +525,22 @@ fn put_words(out: &mut Vec<u8>, words: &[u32]) {
 }
 
 /// Reads an instruction section one chunk at a time. Each chunk is checked
-/// whole before it is handed out: its census from the place the walk
-/// carries in, its addresses against the header's count, its checksum and
-/// its memory addresses. The buffers hold one chunk, whatever the
+/// whole before it is handed out: its checksum, its address count against
+/// the addresses left and its memory addresses against `mem_words`. The
+/// path rules are the cursor's to check as it steps the chunk
+/// ([`ReplayCursor::check`]). The buffers hold one chunk, whatever the
 /// section's length.
 pub(crate) struct ChunkReader<R> {
     src: R,
     head: Header,
     /// Index of the next chunk.
     index: u64,
-    /// Where the walk is at the current chunk's first op.
-    start: Place,
-    /// Where the walk is at the next chunk's first op.
-    place: Place,
-    /// Ops in the current chunk.
-    n: usize,
-    /// The current chunk's bytes as stored: taken bits, then addresses,
-    /// then the checksum.
+    /// Ops in the chunks not yet read.
+    ops_left: u64,
+    /// Memory addresses in the chunks not yet read.
+    mem_left: u64,
+    /// The current chunk's bytes as stored: taken bits, address count,
+    /// addresses, then the checksum.
     raw: Vec<u8>,
     /// The current chunk's memory addresses, decoded.
     mem_addrs: Vec<u32>,
@@ -594,91 +548,93 @@ pub(crate) struct ChunkReader<R> {
 
 impl<R: Read> ChunkReader<R> {
     /// A reader of `head`'s instruction section from `src`, which must be
-    /// at its first chunk, for a walk that starts at `start`.
-    fn new(src: R, head: Header, start: Place) -> ChunkReader<R> {
+    /// at its first chunk.
+    fn new(src: R, head: Header) -> ChunkReader<R> {
         ChunkReader {
             src,
             head,
             index: 0,
-            start,
-            place: start,
-            n: 0,
+            ops_left: head.ops,
+            mem_left: head.mem_addrs,
             raw: Vec::new(),
             mem_addrs: Vec::new(),
         }
     }
 
-    /// Reads and checks the next chunk of the recording whose code table
-    /// is `code` and boundary section `bounds`; `Ok(false)` past the last
-    /// one. A chunk that fails leaves [`ChunkReader::place`] at its first
-    /// op.
-    pub(crate) fn advance(
-        &mut self,
-        code: &CodeTable,
-        bounds: &SharedTrace,
-    ) -> Result<bool, CodecError> {
-        let head = self.head;
-        let left = head.ops - self.place.op as u64;
-        if left == 0 {
-            return Ok(false);
+    /// Reads and checks the next chunk; `None` past the last one.
+    pub(crate) fn next_chunk(&mut self) -> Result<Option<Chunk<'_>>, CodecError> {
+        if self.ops_left == 0 {
+            return Ok(None);
         }
-        let n = left.min(CHUNK_OPS as u64) as usize;
-        let last = n as u64 == left;
+        let n = self.ops_left.min(CHUNK_OPS as u64) as usize;
+        let last = n as u64 == self.ops_left;
         let bits = n.div_ceil(8);
-        self.raw.resize(bits, 0);
+        self.raw.resize(bits + 4, 0);
         self.src.read_exact(&mut self.raw)?;
-        let after = census(code, bounds, &self.raw, n, last, self.place)?;
-        // A chunk carries exactly what its ops consume, so the addresses
-        // left bound every chunk's count and the last chunk uses them up.
-        let m = after.mem - self.place.mem;
-        let mem_left = head.mem_addrs - self.place.mem as u64;
-        if m as u64 > mem_left || (last && m as u64 != mem_left) {
+        // Each op consumes at most one address, and the last chunk takes
+        // what is left.
+        let m = u64::from(u32::from_le_bytes(
+            self.raw[bits..].try_into().expect("4-byte count"),
+        ));
+        if m > n as u64 || m > self.mem_left || (last && m != self.mem_left) {
             return Err(CodecError::Malformed(
-                "load/store count differs from mem_addrs",
+                "chunk address count differs from mem_addrs",
             ));
         }
-        let body = bits + 4 * m;
+        let body = bits + 4 + 4 * m as usize;
         self.raw.resize(body + 8, 0);
-        self.src.read_exact(&mut self.raw[bits..])?;
+        self.src.read_exact(&mut self.raw[bits + 4..])?;
         let (bytes, stored) = self.raw.split_at(body);
         if u64::from_le_bytes(stored.try_into().expect("8-byte checksum"))
             != chunk_sum(self.index, bytes)
         {
             return Err(CodecError::BadChecksum);
         }
-        get_words(&bytes[bits..], &mut self.mem_addrs);
+        get_words(&bytes[bits + 4..], &mut self.mem_addrs);
         if self
             .mem_addrs
             .iter()
             .max()
-            .is_some_and(|&a| a as usize >= head.mem_words)
+            .is_some_and(|&a| a as usize >= self.head.mem_words)
         {
             return Err(CodecError::Malformed("memory address beyond mem_words"));
         }
         self.index += 1;
-        self.n = n;
-        self.start = self.place;
-        self.place = after;
-        Ok(true)
-    }
-
-    /// Where the walk is at the first op of the next chunk, or of the
-    /// chunk that just failed.
-    pub(crate) fn place(&self) -> Place {
-        self.place
-    }
-
-    /// The chunk the last successful [`ChunkReader::advance`] read.
-    pub(crate) fn chunk(&self) -> Chunk<'_> {
-        Chunk {
-            taken: &self.raw[..self.n.div_ceil(8)],
-            first: 0,
-            end: self.n,
+        self.ops_left -= n as u64;
+        self.mem_left -= m;
+        Ok(Some(Chunk {
+            taken: &self.raw[..bits],
+            at: 0,
+            end: n,
             mem_addrs: &self.mem_addrs,
-            last: self.place.op as u64 == self.head.ops,
-            start: self.start,
-        }
+            last,
+        }))
     }
+}
+
+/// Reads the instruction section `chunks` is at, whole, for the recording
+/// whose code table is `code` and boundary section `bounds`, stepping one
+/// cursor over every chunk and checking each as a walk does.
+fn read_section<R: Read>(
+    mut chunks: ChunkReader<R>,
+    code: &CodeTable,
+    bounds: &SharedTrace,
+) -> Result<InstrSection, CodecError> {
+    // The file's length bounds every count.
+    let head = chunks.head;
+    let mut s = InstrSection {
+        ops: head.ops as usize,
+        taken: Vec::with_capacity(head.ops.div_ceil(8) as usize),
+        mem_addrs: Vec::with_capacity(head.mem_addrs as usize),
+    };
+    let mut cursor = ReplayCursor::new(code, bounds);
+    while let Some(mut chunk) = chunks.next_chunk()? {
+        s.taken.extend_from_slice(chunk.taken);
+        s.mem_addrs.extend_from_slice(chunk.mem_addrs);
+        while cursor.step(&mut chunk).is_some() {}
+        cursor.check(&chunk)?;
+    }
+    Ok(s)
 }
 
 /// Writes an instruction section as its run of chunks.
@@ -687,10 +643,11 @@ fn write_instrs<W: Write>(out: &mut W, r: &InstrReplay, s: &InstrSection) -> io:
     // stepping the section. The last takes whatever is left, so a section
     // whose columns disagree (a tampered one in tests) still fills the
     // length its header declares, and fails its read.
-    let mut cursor = ReplayCursor::new(Chunk::rest(s, r.start()), &r.code, &r.bounds);
+    let mut cursor = ReplayCursor::new(&r.code, &r.bounds);
+    let mut whole = Chunk::whole(s);
     let mut mem = &s.mem_addrs[..];
     let chunks = s.ops.div_ceil(CHUNK_OPS);
-    let mut buf = Vec::with_capacity(CHUNK_OPS / 8 + 4 * CHUNK_OPS);
+    let mut buf = Vec::with_capacity(CHUNK_OPS / 8 + 4 + 4 * CHUNK_OPS);
     for index in 0..chunks {
         let first = index * CHUNK_OPS;
         let end = (first + CHUNK_OPS).min(s.ops);
@@ -699,7 +656,7 @@ fn write_instrs<W: Write>(out: &mut W, r: &InstrReplay, s: &InstrSection) -> io:
         } else {
             let mut m = 0;
             for _ in first..end {
-                let class = cursor.step().map(|step| step.class);
+                let class = cursor.step(&mut whole).map(|step| step.class);
                 m += matches!(class, Some(OpClass::Load | OpClass::Store)) as usize;
             }
             m.min(mem.len())
@@ -708,6 +665,7 @@ fn write_instrs<W: Write>(out: &mut W, r: &InstrReplay, s: &InstrSection) -> io:
         mem = rest;
         buf.clear();
         buf.extend_from_slice(&s.taken[first / 8..end.div_ceil(8)]);
+        buf.extend_from_slice(&(m as u32).to_le_bytes());
         put_words(&mut buf, chunk_mem);
         out.write_all(&buf)?;
         out.write_all(&chunk_sum(index as u64, &buf).to_le_bytes())?;
@@ -821,33 +779,22 @@ pub fn encode_replay(r: &InstrReplay, key: Fingerprint) -> Vec<u8> {
 /// Deserialises a recording, every section at once, validating integrity
 /// (magic, schema version, length, checksums), identity (`expected` cache
 /// key) and structure (the boundary section, the code table, and every
-/// chunk's census and addresses). The recording holds its instruction
-/// section. See the module docs for the failure contract.
+/// chunk, stepped and checked by a walk's cursor). The recording holds its
+/// instruction section. See the module docs for the failure contract.
 pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay, CodecError> {
     let mut r = SectionReader::new(bytes, bytes.len() as u64);
     let head = r.header(expected)?;
     head.check_len(bytes.len() as u64)?;
     let bounds = r.bounds(&head)?;
     let code = r.code(&head, &bounds)?;
-    // The length check bounds every count by the input's length.
-    let mut s = InstrSection {
-        ops: head.ops as usize,
-        taken: Vec::with_capacity(head.ops.div_ceil(8) as usize),
-        mem_addrs: Vec::with_capacity(head.mem_addrs as usize),
-    };
-    let mut chunks = ChunkReader::new(r.src, head, Place::start(&code, &bounds));
-    while chunks.advance(&code, &bounds)? {
-        let c = chunks.chunk();
-        s.taken.extend_from_slice(c.taken);
-        s.mem_addrs.extend_from_slice(c.mem_addrs);
-    }
+    let s = read_section(ChunkReader::new(r.src, head), &code, &bounds)?;
     Ok(InstrReplay::held(s, Arc::new(bounds), code, head.mem_words))
 }
 
 /// Handles an instruction section that turned out missing or invalid
 /// during a walk: it gets the error, and the instruction section of the
-/// recording it returns takes the stored one's place. The artifact cache
-/// evicts the entry and re-records.
+/// recording it returns takes the stored one's place, where the walk
+/// starts over. The artifact cache evicts the entry and re-records.
 pub type Rerecord = Box<dyn Fn(CodecError) -> InstrReplay + Send + Sync>;
 
 /// A recording's instruction section left on disk: what a recording that
@@ -864,10 +811,10 @@ pub(crate) struct StoredSection {
 }
 
 impl StoredSection {
-    /// Reopens the artifact for a walk that starts at `start`. Its header
-    /// must still be the one loaded, and its length the one that header
-    /// declares; the reader is left at the first chunk.
-    pub(crate) fn open(&self, start: Place) -> Result<ChunkReader<File>, CodecError> {
+    /// Reopens the artifact for a walk. Its header must still be the one
+    /// loaded, and its length the one that header declares; the reader is
+    /// left at the first chunk.
+    pub(crate) fn open(&self) -> Result<ChunkReader<File>, CodecError> {
         let (mut r, head) = open_checked(&self.path, self.key)?;
         if head != self.head {
             return Err(CodecError::Malformed("header changed since load"));
@@ -876,7 +823,7 @@ impl StoredSection {
         // length check bounds the sum.
         let instrs = head.instr_offset().expect("a checked length");
         r.skip(instrs - HEADER_BYTES)?;
-        Ok(ChunkReader::new(r.src, head, start))
+        Ok(ChunkReader::new(r.src, head))
     }
 
     /// The re-recorded section. The first failure goes to the re-recorder;
@@ -890,6 +837,20 @@ impl StoredSection {
     pub(crate) fn held(&self) -> Option<&InstrSection> {
         self.fallback.get()
     }
+
+    /// The section whole: the re-recorded one if a read has failed, else
+    /// the stored one read and checked into a copy (and if that fails, the
+    /// re-recorded one), for the recording whose code table is `code` and
+    /// boundary section `bounds`.
+    pub(crate) fn section(&self, code: &CodeTable, bounds: &SharedTrace) -> Cow<'_, InstrSection> {
+        if let Some(s) = self.held() {
+            return Cow::Borrowed(s);
+        }
+        match self.open().and_then(|r| read_section(r, code, bounds)) {
+            Ok(s) => Cow::Owned(s),
+            Err(e) => Cow::Borrowed(self.fallback(e)),
+        }
+    }
 }
 
 /// Loads the artifact at `path` for cache key `expected`, reading only its
@@ -898,10 +859,10 @@ impl StoredSection {
 /// declare, and both sections (see the module docs). The recording it
 /// returns holds no instruction section and no open file: each timing walk
 /// over it reopens `path`, re-checks the header and the length, and reads
-/// the instruction section chunk by chunk, checking each chunk before it
-/// steps any of its ops. If a chunk cannot be read or fails its checks,
-/// `rerecord` supplies the section, once; the walk continues in it, and
-/// the recording keeps it.
+/// the instruction section chunk by chunk, checking each chunk's bytes
+/// before it steps any of its ops and its path as it steps them. If a
+/// chunk cannot be read or fails its checks, `rerecord` supplies the
+/// section, once; the walk starts over in it, and the recording keeps it.
 ///
 /// # Errors
 ///
@@ -992,7 +953,7 @@ pub fn check_fits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::record_replay;
+    use crate::replay::{record_replay, HALT_BIT};
     use multiscalar_isa::{fingerprint_of, AluOp, Cond, ProgramBuilder, Reg};
     use multiscalar_taskform::TaskFormer;
 
@@ -1129,6 +1090,37 @@ mod tests {
     }
 
     #[test]
+    fn an_extra_memory_address_is_malformed() {
+        // The chunk's count takes it, so only the step finds the address
+        // no load or store uses.
+        assert_eq!(
+            decode_tampered(|r| instrs(r).mem_addrs.push(0)).unwrap_err(),
+            CodecError::Malformed("load/store count differs from mem_addrs")
+        );
+    }
+
+    #[test]
+    fn a_chunk_address_count_other_than_what_is_left_is_malformed() {
+        // The one chunk must take every address: one more or one fewer
+        // fails before its checksum is read.
+        let r = recording();
+        let key = fingerprint_of(&"key");
+        let bytes = encode_replay(&r, key);
+        let head = Header::of(&r, &r.section());
+        let at = (head.instr_offset().unwrap() + head.ops.div_ceil(8)) as usize;
+        let count = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!(u64::from(count), head.mem_addrs);
+        for forged in [count + 1, count - 1] {
+            let mut bytes = bytes.clone();
+            bytes[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(
+                decode_replay(&bytes, key).unwrap_err(),
+                CodecError::Malformed("chunk address count differs from mem_addrs")
+            );
+        }
+    }
+
+    #[test]
     fn taken_bit_off_an_intra_task_branch_is_malformed() {
         // The first op loads an immediate.
         assert_eq!(
@@ -1148,13 +1140,14 @@ mod tests {
 
     #[test]
     fn a_recording_must_end_on_the_halt() {
+        // A last op that is no halt, and a halt before the last op.
         assert_eq!(
             decode_tampered(|r| {
                 let halt = entry_at(r, |e| e.is_halt());
                 r.code.code_mut()[halt].op &= !HALT_BIT;
             })
             .unwrap_err(),
-            CodecError::Malformed("recording does not end on the halt")
+            CodecError::Malformed("the halt is not the recording's last op")
         );
         assert_eq!(
             decode_tampered(|r| {
@@ -1162,7 +1155,7 @@ mod tests {
                 r.code.code_mut()[first].op |= HALT_BIT;
             })
             .unwrap_err(),
-            CodecError::Malformed("halt before the recording's end")
+            CodecError::Malformed("the halt is not the recording's last op")
         );
     }
 

@@ -107,7 +107,9 @@ pub struct BoundaryEvent {
 /// Observer of one timing run. All hooks have no-op defaults; implementors
 /// override what they need. `ENABLED = false` lets the core skip even the
 /// construction of event payloads, which is what makes [`NoopSink`] free.
-pub trait MetricsSink {
+/// A sink is `Clone` so that a walk which finds a bad chunk of a stored
+/// recording can start over from the sinks it began with.
+pub trait MetricsSink: Clone {
     /// Whether the core should emit events to this sink at all.
     const ENABLED: bool;
 

@@ -48,6 +48,7 @@
 //!         bits 16..24  dest register (NO_REG when absent)
 //!         bits 24..26  OpClass: 0 other, 1 load, 2 store, 3 conditional branch
 //!         bit  26      the halt
+//!         bit  27      the sentinel past the code (no stored op word has it)
 //!   succ  the next pc inside a task: the fall-through, a conditional
 //!         branch's taken target, a jump's or call's target; the code's
 //!         length when only a boundary can say (a return, an indirect jump
@@ -73,21 +74,24 @@
 //! artifact cache ([`crate::codec::open_replay`]) holds only its boundary
 //! section and its code table: each walk reads the instruction section
 //! from disk chunk by chunk through one bounded buffer, so it never holds
-//! the section whole. Either way one cursor steps each chunk from the
-//! place the walk carries in: its pc, its place in the task sequence and
-//! in the memory addresses.
+//! the section whole. Either way one cursor steps the walk's chunks in
+//! order and carries its pc and its place in the task sequence from each
+//! chunk to the next.
 //!
 //! Recording resolves every possible failure (execution faults, unmatched
 //! exits, intra-task transfers without a static successor, the step
 //! budget) up front. Loading a cached recording
 //! ([`crate::codec::open_replay`] or [`crate::codec::decode_replay`], then
 //! [`crate::codec::check_fits`]) rejects any artifact whose boundary
-//! section or code table is malformed or does not fit its program, and a
-//! walk regenerates each stored chunk's pc path and checks it before it
-//! steps any of its ops, putting a fresh recording's section in place of
-//! one that fails. The cursor itself is total: its pc never leaves the
-//! code table and its sentinel, and a missing memory address reads as
-//! word 0. That is why [`simulate_replay`] is infallible.
+//! section or code table is malformed or does not fit its program. A
+//! section is checked as it is stepped: each step of the cursor flags
+//! the rules of the path its op breaks (`ReplayCursor::check` lists
+//! them). A held section keeps the rules, which recording guarantees
+//! and decoding checks; a walk whose chunk read from disk fails its read
+//! or its flags starts over on a fresh recording's section. The cursor itself is total: its
+//! pc never leaves the code table and its sentinel, and a missing memory
+//! address reads as word 0. That is why [`simulate_replay`] is
+//! infallible.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -99,7 +103,7 @@ use multiscalar_isa::{memory_words, Addr, Instruction, Program, NUM_REGS};
 use multiscalar_taskform::TaskProgram;
 
 use crate::arb::ArbTable;
-use crate::codec::{ChunkReader, StoredSection};
+use crate::codec::{ChunkReader, CodecError, StoredSection};
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
 use crate::timing::{
@@ -113,6 +117,10 @@ use crate::trace::{SharedTrace, TraceError, TraceRun, TraceStats};
 const CLASS_SHIFT: u32 = 24;
 /// The op-word bit that marks the halt.
 pub(crate) const HALT_BIT: u32 = 1 << 26;
+/// The op-word bit that marks the sentinel past the code. The loader
+/// refuses a stored op word with any bit above the halt's, so a step that
+/// reads this bit has left the code.
+pub(crate) const SENTINEL_BIT: u32 = HALT_BIT << 1;
 
 #[inline]
 fn pack_op(src1: u8, src2: u8, dest: u8, class: OpClass) -> u32 {
@@ -157,8 +165,8 @@ impl CodeEntry {
 /// A program's code table: its entry point and one [`CodeEntry`] per
 /// static instruction, then a sentinel at the code's length, an ALU op
 /// that succeeds itself, so a walk's pc stays in the table whatever bits
-/// it is fed. No valid path reaches the sentinel; a chunk's check rejects
-/// any path that does.
+/// it is fed. No valid path reaches the sentinel; its op word carries
+/// [`SENTINEL_BIT`], which the cursor's step flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CodeTable {
     /// Where every walk starts.
@@ -191,7 +199,7 @@ impl CodeTable {
     pub(crate) fn with_sentinel(entry: u32, mut entries: Vec<CodeEntry>) -> CodeTable {
         let len = entries.len() as u32;
         entries.push(CodeEntry {
-            op: pack_op(NO_REG, NO_REG, NO_REG, OpClass::Other),
+            op: pack_op(NO_REG, NO_REG, NO_REG, OpClass::Other) | SENTINEL_BIT,
             succ: len,
         });
         CodeTable { entry, entries }
@@ -325,25 +333,32 @@ impl InstrReplay {
         }
     }
 
+    /// The stored section a walk reads from disk, unless the recording
+    /// holds its section.
+    fn unread_section(&self) -> Option<&StoredSection> {
+        match &self.instrs {
+            Instrs::Stored(stored) if stored.held().is_none() => Some(stored),
+            _ => None,
+        }
+    }
+
+    /// The chunks a walk steps, in order: a held section as one chunk, a
+    /// stored one read from disk.
+    fn chunks(&self) -> Result<Chunks<'_>, CodecError> {
+        match self.unread_section() {
+            Some(stored) => stored.open().map(Chunks::Stored),
+            None => Ok(Chunks::Held(self.held_section().map(Chunk::whole))),
+        }
+    }
+
     /// The instruction section whole: a held one borrowed, a stored one
-    /// read from disk into a copy the recording does not keep (or, if
-    /// reading it fails, the re-recorded section it then keeps). For
-    /// comparisons and the encoder; walks read chunks.
+    /// read and checked from disk into a copy the recording does not keep
+    /// (or, if reading it fails, the re-recorded section it then keeps).
+    /// For comparisons and the encoder; walks read chunks.
     pub(crate) fn section(&self) -> Cow<'_, InstrSection> {
-        if let Some(s) = self.held_section() {
-            return Cow::Borrowed(s);
-        }
-        let mut s = InstrSection::default();
-        let mut chunks = Chunks::new(self);
-        while let Some(c) = chunks.next_chunk() {
-            s.ops += c.end - c.first;
-            s.taken
-                .extend_from_slice(&c.taken[c.first / 8..c.end.div_ceil(8)]);
-            s.mem_addrs.extend_from_slice(c.mem_addrs);
-        }
-        match self.held_section() {
-            Some(fallback) => Cow::Borrowed(fallback),
-            None => Cow::Owned(s),
+        match &self.instrs {
+            Instrs::Held(s) => Cow::Borrowed(s),
+            Instrs::Stored(stored) => stored.section(&self.code, &self.bounds),
         }
     }
 
@@ -363,11 +378,6 @@ impl InstrReplay {
             Instrs::Held(s) => s,
             Instrs::Stored(_) => self.section().into_owned(),
         }
-    }
-
-    /// Where every walk over the recording starts.
-    pub(crate) fn start(&self) -> Place {
-        Place::start(&self.code, &self.bounds)
     }
 
     /// Committed instructions in the recording.
@@ -407,129 +417,49 @@ impl fmt::Debug for InstrReplay {
     }
 }
 
-/// Where a walk is: what one chunk hands the next, and where a walk enters
-/// a re-recorded section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Place {
-    /// Ops stepped so far.
-    pub(crate) op: usize,
-    /// The next op's pc.
-    pub(crate) pc: u32,
-    /// Memory addresses consumed so far.
-    pub(crate) mem: usize,
-    /// Where the walk is in the task sequence.
-    pub(crate) clock: TaskClock,
-}
-
-impl Place {
-    /// Where every walk over a recording with code table `code` and
-    /// boundary section `bounds` starts: its first op, at the entry point.
-    pub(crate) fn start(code: &CodeTable, bounds: &SharedTrace) -> Place {
-        Place {
-            op: 0,
-            pc: code.entry,
-            mem: 0,
-            clock: TaskClock::start(bounds),
-        }
-    }
-}
-
-/// A run of consecutive ops of a recording with the memory addresses they
-/// consume, and the place the walk enters it at: what the cursor steps. A
-/// held section is one chunk; a stored one is read
-/// [`crate::codec::CHUNK_OPS`] ops at a time.
+/// A run of consecutive ops of a recording and the memory addresses they
+/// consume: what the cursor steps. A held section is one chunk; a stored
+/// one is read [`crate::codec::CHUNK_OPS`] ops at a time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Chunk<'a> {
-    /// Taken bits; the chunk's ops are bits `first..end`.
+    /// Taken bits; the next op reads bit `at`, and the chunk ends at bit
+    /// `end`.
     pub(crate) taken: &'a [u8],
-    pub(crate) first: usize,
+    pub(crate) at: usize,
     pub(crate) end: usize,
+    /// The addresses its remaining loads and stores consume.
     pub(crate) mem_addrs: &'a [u32],
     /// Whether the chunk ends the recording, so its last op is the halt.
     pub(crate) last: bool,
-    /// Where the walk is at the chunk's first op.
-    pub(crate) start: Place,
 }
 
 impl<'a> Chunk<'a> {
-    /// The rest of `s` from `place` on. A walk enters a re-recorded
-    /// section here, at the first op of the stored chunk that failed, with
-    /// the pc, clock and memory position it carried out of the chunks it
-    /// stepped, which are the fresh section's own whenever those chunks
-    /// were the recording's. Whatever a stored header claimed, the slices
-    /// stay inside `s` and at least the halt remains.
-    pub(crate) fn rest(s: &'a InstrSection, place: Place) -> Chunk<'a> {
+    /// The whole of a held section.
+    pub(crate) fn whole(s: &'a InstrSection) -> Chunk<'a> {
         Chunk {
             taken: &s.taken,
-            first: place.op.min(s.ops.saturating_sub(1)),
+            at: 0,
             end: s.ops,
-            mem_addrs: s.mem_addrs.get(place.mem..).unwrap_or_default(),
+            mem_addrs: &s.mem_addrs,
             last: true,
-            start: place,
         }
     }
 }
 
-/// The chunks of one walk over a recording, in order.
-pub(crate) struct Chunks<'r> {
-    replay: &'r InstrReplay,
-    feed: Feed<'r>,
+/// The chunks of one walk: a held section's one, or a stored section's,
+/// read from disk one at a time.
+enum Chunks<'a> {
+    Held(Option<Chunk<'a>>),
+    Stored(ChunkReader<File>),
 }
 
-/// Where a walk's next chunk comes from.
-enum Feed<'r> {
-    /// A section in memory, entered at a place: the next chunk is the rest
-    /// of it.
-    Held(&'r InstrSection, Place),
-    /// A section on disk, and its reader once the first chunk opened it.
-    Stored(&'r StoredSection, Option<ChunkReader<File>>),
-    /// Past the last chunk.
-    Done,
-}
-
-impl<'r> Chunks<'r> {
-    /// The chunks of a walk over `replay`, from its first op.
-    pub(crate) fn new(replay: &'r InstrReplay) -> Chunks<'r> {
-        let feed = match &replay.instrs {
-            Instrs::Held(s) => Feed::Held(s, replay.start()),
-            Instrs::Stored(stored) => match stored.held() {
-                Some(s) => Feed::Held(s, replay.start()),
-                None => Feed::Stored(stored, None),
-            },
-        };
-        Chunks { replay, feed }
-    }
-
-    /// The next chunk, checked whole; `None` past the last. A stored chunk
-    /// that cannot be read or fails its checks is replaced, from its first
-    /// op on, by the re-recorded section.
-    pub(crate) fn next_chunk(&mut self) -> Option<Chunk<'_>> {
-        let replay = self.replay;
-        if let Feed::Stored(stored, reader) = &mut self.feed {
-            let stored: &'r StoredSection = stored;
-            let read = match reader {
-                Some(r) => r.advance(&replay.code, &replay.bounds),
-                None => stored
-                    .open(replay.start())
-                    .and_then(|r| reader.insert(r).advance(&replay.code, &replay.bounds)),
-            };
-            match read {
-                Ok(true) => {}
-                Ok(false) => self.feed = Feed::Done,
-                Err(e) => {
-                    let place = reader.as_ref().map_or(replay.start(), |r| r.place());
-                    self.feed = Feed::Held(stored.fallback(e), place);
-                }
-            }
+impl Chunks<'_> {
+    /// The next chunk; `None` past the last.
+    fn next_chunk(&mut self) -> Result<Option<Chunk<'_>>, CodecError> {
+        match self {
+            Chunks::Held(chunk) => Ok(chunk.take()),
+            Chunks::Stored(reader) => reader.next_chunk(),
         }
-        if let Feed::Held(s, place) = self.feed {
-            self.feed = Feed::Done;
-            return Some(Chunk::rest(s, place));
-        }
-        let Feed::Stored(_, Some(reader)) = &self.feed else {
-            return None;
-        };
-        Some(reader.chunk())
     }
 }
 
@@ -620,33 +550,27 @@ pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
     }
 }
 
-/// A cursor stepping one chunk of a recording, regenerating each op from
-/// the code table. Total: its pc stays in the table, a missing memory
-/// address reads as word 0, and recording and the chunk checks guarantee
-/// neither happens on a valid path.
+/// A cursor stepping a recording's chunks in order, regenerating each op
+/// from the code table. It carries the pc and the task clock from each
+/// chunk to the next. Total: its pc stays in the table, a missing memory
+/// address reads as word 0, and recording guarantees neither happens on
+/// a fresh path. Each step flags the rules of the path its op breaks
+/// ([`ReplayCursor::check`]).
 pub(crate) struct ReplayCursor<'a> {
     /// The code table's entries, its sentinel included.
     code: &'a [CodeEntry],
-    /// The chunk's taken bits; the next op reads bit `at`, and the chunk
-    /// ends at bit `end`.
-    taken: &'a [u8],
-    at: usize,
-    end: usize,
-    /// Its remaining load/store word addresses.
-    mem_addrs: &'a [u32],
-    /// Whether the chunk ends the recording, so its last op is the halt.
-    last: bool,
     /// The recording's boundary section.
     bounds: &'a SharedTrace,
     /// The next op's pc.
     pc: u32,
     /// Where the walk is in the task sequence.
     clock: TaskClock,
+    /// The rules its steps found broken, one bit each.
+    flags: u32,
 }
 
 /// Where a walk is in the recording's task sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TaskClock {
+struct TaskClock {
     /// Index of the next boundary in the boundary section.
     next_bound: usize,
     /// Ops left in the current task, the boundary-crossing one included;
@@ -679,112 +603,62 @@ impl TaskClock {
     }
 }
 
+// The rules a step enforces, one flag bit each. A path that reaches the
+// sentinel flags its op-word bit.
+/// The halt is not the recording's last op, or its last op is no halt.
+const MISPLACED_HALT: u32 = 1;
+/// A taken bit is set on an op that is not an intra-task conditional
+/// branch.
+const STRAY_TAKEN: u32 = 1 << 1;
+/// A load or store found no address left in its chunk, or the chunk ended
+/// with addresses left.
+const UNMATCHED_ADDRESS: u32 = 1 << 2;
+
 impl<'a> ReplayCursor<'a> {
-    /// A cursor at the start of `chunk` of the recording whose code table
-    /// is `code` and whose boundary section is `bounds`.
-    pub(crate) fn new(
-        chunk: Chunk<'a>,
-        code: &'a CodeTable,
-        bounds: &'a SharedTrace,
-    ) -> ReplayCursor<'a> {
+    /// A cursor at the first op of the recording whose code table is
+    /// `code` and whose boundary section is `bounds`.
+    pub(crate) fn new(code: &'a CodeTable, bounds: &'a SharedTrace) -> ReplayCursor<'a> {
         ReplayCursor {
             code: &code.entries,
-            taken: chunk.taken,
-            at: chunk.first,
-            end: chunk.end,
-            mem_addrs: chunk.mem_addrs,
-            last: chunk.last,
             bounds,
-            pc: chunk.start.pc,
-            clock: chunk.start.clock,
+            pc: code.entry,
+            clock: TaskClock::start(bounds),
+            flags: 0,
         }
     }
 
-    /// A cursor over the whole of a recording that holds its instruction
-    /// section, as one chunk: the scalar core's feed.
-    ///
-    /// # Panics
-    ///
-    /// If `r` holds no instruction section (a recording loaded from the
-    /// artifact cache).
-    pub(crate) fn whole(r: &'a InstrReplay) -> ReplayCursor<'a> {
-        let s = r
-            .held_section()
-            .expect("the scalar core steps a recording that holds its instructions");
-        ReplayCursor::new(Chunk::rest(s, r.start()), &r.code, &r.bounds)
-    }
-
-    /// The next op's pc.
-    pub(crate) fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    /// Where the walk is at the next op, `op` ops and `mem` memory
-    /// addresses into the recording.
-    pub(crate) fn place(&self, op: usize, mem: usize) -> Place {
-        Place {
-            op,
-            pc: self.pc,
-            mem,
-            clock: self.clock,
-        }
-    }
-
-    /// The chunk's next op as the code table regenerates it, or `None`
-    /// past its last: its pc, its entry, its raw taken bit and the index
-    /// of the boundary it crosses, if it ends its task. The cursor moves to
-    /// the next op's pc: the boundary's `next`, else the entry's
-    /// [`CodeEntry::next`]. A chunk's census checks these before the walk
-    /// [`ReplayCursor::step`]s them.
+    /// The next op of `chunk`, or `None` past its last. The next pc is the
+    /// boundary's `next` on an op that ends its task, else the entry's
+    /// [`CodeEntry::next`]. The step also flags the rules the op breaks,
+    /// for [`ReplayCursor::check`]. Forced inline so the step lives in the
+    /// walk's loop, in registers.
     #[inline(always)]
-    pub(crate) fn regenerate(&mut self) -> Option<Regenerated> {
-        let i = self.at;
-        if i == self.end {
+    pub(crate) fn step(&mut self, chunk: &mut Chunk<'_>) -> Option<CoreStep> {
+        let i = chunk.at;
+        if i == chunk.end {
             return None;
         }
-        self.at = i + 1;
+        chunk.at = i + 1;
         let pc = self.pc;
         let entry = self.code[pc as usize];
-        let bit = (self.taken[i / 8] >> (i % 8)) & 1 != 0;
+        let bit = (chunk.taken[i / 8] >> (i % 8)) & 1 != 0;
         let bound = self.clock.tick(self.bounds);
         self.pc = match bound {
             Some(k) => self.bounds.nexts[k].0,
             None => entry.next(pc, bit),
         };
-        Some(Regenerated {
-            pc,
-            entry,
-            bit,
-            bound,
-        })
-    }
-
-    /// Whether the op just regenerated is the recording's halt: the last
-    /// op of the chunk that ends the recording.
-    #[inline(always)]
-    pub(crate) fn at_halt(&self) -> bool {
-        self.last & (self.at == self.end)
-    }
-
-    /// The chunk's next op, or `None` past its last. Forced inline so the
-    /// step lives in the walk's loop, in registers.
-    #[inline(always)]
-    pub(crate) fn step(&mut self) -> Option<CoreStep> {
-        let Regenerated {
-            pc,
-            entry,
-            bit,
-            bound,
-        } = self.regenerate()?;
         let mut class = entry.class();
 
         let mem_addr = if matches!(class, OpClass::Load | OpClass::Store) {
-            match self.mem_addrs.split_first() {
+            match chunk.mem_addrs.split_first() {
                 Some((&a, rest)) => {
-                    self.mem_addrs = rest;
+                    chunk.mem_addrs = rest;
                     a
                 }
-                None => 0,
+                None => {
+                    self.flags |= UNMATCHED_ADDRESS;
+                    0
+                }
             }
         } else {
             0
@@ -793,7 +667,11 @@ impl<'a> ReplayCursor<'a> {
         // The halting instruction is always the recording's last op, and
         // the task sizes leave the halting task its op, so the halt is
         // never a boundary.
-        let halt = self.at_halt();
+        let halt = chunk.last & (chunk.at == chunk.end);
+        let stray = bit & (bound.is_some() | (class != OpClass::Branch));
+        self.flags |= entry.op & SENTINEL_BIT;
+        self.flags |= u32::from(entry.is_halt() != halt) * MISPLACED_HALT;
+        self.flags |= u32::from(stray) * STRAY_TAKEN;
         let mut taken = false;
         let boundary = match bound {
             Some(k) => {
@@ -826,19 +704,32 @@ impl<'a> ReplayCursor<'a> {
             boundary,
         })
     }
-}
 
-/// One op as [`ReplayCursor::regenerate`] finds it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Regenerated {
-    /// The op's pc.
-    pub(crate) pc: u32,
-    /// Its code-table entry.
-    pub(crate) entry: CodeEntry,
-    /// Its stored taken bit.
-    pub(crate) bit: bool,
-    /// The index of the boundary it crosses, if it ends its task.
-    pub(crate) bound: Option<usize>,
+    /// Ends `chunk`, which the cursor has stepped to its end: the first
+    /// rule its steps broke, in the order below, or addresses left
+    /// unused. Every pc is inside the code, so an op that ends no
+    /// task has a static successor; the halt is the recording's last op
+    /// and no other; a set taken bit sits only on an intra-task
+    /// conditional branch; and a chunk's loads and stores use exactly its
+    /// addresses.
+    pub(crate) fn check(&self, chunk: &Chunk<'_>) -> Result<(), CodecError> {
+        let mut flags = self.flags;
+        if !chunk.mem_addrs.is_empty() {
+            flags |= UNMATCHED_ADDRESS;
+        }
+        let broken = [
+            (SENTINEL_BIT, "an op inside a task has no static successor"),
+            (MISPLACED_HALT, "the halt is not the recording's last op"),
+            (STRAY_TAKEN, "taken bit off an intra-task branch"),
+            (UNMATCHED_ADDRESS, "load/store count differs from mem_addrs"),
+        ]
+        .into_iter()
+        .find(|&(flag, _)| flags & flag != 0);
+        match broken {
+            Some((_, what)) => Err(CodecError::Malformed(what)),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Ops of the task retiring at boundary `k`, or `u64::MAX` past the last
@@ -847,7 +738,36 @@ fn task_len(bounds: &SharedTrace, k: usize) -> u64 {
     bounds.instrs.get(k).map_or(u64::MAX, |&n| u64::from(n))
 }
 
-impl StepSource for ReplayCursor<'_> {
+/// A cursor over the whole of a recording that holds its instruction
+/// section, as one chunk: the scalar core's feed.
+pub(crate) struct WholeCursor<'a> {
+    cursor: ReplayCursor<'a>,
+    chunk: Chunk<'a>,
+}
+
+impl<'a> WholeCursor<'a> {
+    /// # Panics
+    ///
+    /// If `r` holds no instruction section (a recording loaded from the
+    /// artifact cache that no walk has re-recorded).
+    pub(crate) fn new(r: &'a InstrReplay) -> WholeCursor<'a> {
+        let s = r
+            .held_section()
+            .expect("a whole cursor steps a recording that holds its instructions");
+        WholeCursor {
+            cursor: ReplayCursor::new(&r.code, &r.bounds),
+            chunk: Chunk::whole(s),
+        }
+    }
+
+    /// The next op, or `None` past the halt.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) -> Option<CoreStep> {
+        self.cursor.step(&mut self.chunk)
+    }
+}
+
+impl StepSource for WholeCursor<'_> {
     fn next_step(&mut self) -> Result<CoreStep, TraceError> {
         Ok(self.step().expect("cursor stops at halt"))
     }
@@ -981,20 +901,45 @@ fn walk_chunk<const N: usize, M: MetricsSink>(
 ) -> [TimingResult; N] {
     let lanes: &[Lane; N] = lanes.try_into().expect("a chunk of N lanes");
     let sinks: &mut [M; N] = sinks.try_into().expect("one sink per lane");
-    let mut core = LaneCore::new(lanes, replay.mem_words);
-    for (sink, &complete) in sinks.iter_mut().zip(&core.complete) {
-        if M::ENABLED {
-            sink.frontier(0, complete, FrontierCause::Startup);
+    // A bad chunk of a section read from disk turns up after the walk has
+    // stepped ops it must not count: the walk starts over on the
+    // re-recorded section, with the sinks it began with. A held section
+    // keeps the rules: recording guarantees them, and decoding checks them.
+    let mut begun = replay
+        .unread_section()
+        .map(|stored| (stored, sinks.clone()));
+    loop {
+        match walk_section(replay, lanes, sinks) {
+            Ok(results) => return results,
+            Err(e) => {
+                let (stored, begun) = begun
+                    .take()
+                    .expect("only a section read from disk fails, once");
+                stored.fallback(e);
+                *sinks = begun;
+            }
         }
     }
-    let mut chunks = Chunks::new(replay);
-    while let Some(chunk) = chunks.next_chunk() {
-        let mut cursor = ReplayCursor::new(chunk, &replay.code, &replay.bounds);
-        while let Some(step) = cursor.step() {
+}
+
+/// [`walk_chunk`] over the recording's chunks, each checked as the walk
+/// steps it; the first chunk that fails its read or its check ends the
+/// walk.
+fn walk_section<const N: usize, M: MetricsSink>(
+    replay: &InstrReplay,
+    lanes: &[Lane; N],
+    sinks: &mut [M; N],
+) -> Result<[TimingResult; N], CodecError> {
+    let mut chunks = replay.chunks()?;
+    let mut core = LaneCore::new(lanes, replay.mem_words, sinks);
+    let mut cursor = ReplayCursor::new(&replay.code, &replay.bounds);
+    while let Some(mut chunk) = chunks.next_chunk()? {
+        while let Some(step) = cursor.step(&mut chunk) {
             core.on_step(&step, sinks);
         }
+        cursor.check(&chunk)?;
     }
-    core.finish(sinks)
+    Ok(core.finish(sinks))
 }
 
 /// The distinct values of `keys`, in first-seen order, each with the mask
@@ -1052,7 +997,13 @@ struct LaneCore<'a, const N: usize> {
 }
 
 impl<'a, const N: usize> LaneCore<'a, N> {
-    fn new(lanes: &[Lane<'a>; N], mem_words: usize) -> LaneCore<'a, N> {
+    /// The state at a walk's first op, whose startup each lane reports to
+    /// its sink.
+    fn new<M: MetricsSink>(
+        lanes: &[Lane<'a>; N],
+        mem_words: usize,
+        sinks: &mut [M; N],
+    ) -> LaneCore<'a, N> {
         let intra = lane_groups(lanes.iter().map(|l| l.config.intra_predictor))
             .into_iter()
             .map(|(kind, mask)| (IntraState::new(kind), mask))
@@ -1068,6 +1019,11 @@ impl<'a, const N: usize> LaneCore<'a, N> {
             .fold(0, |mask, (i, _)| mask | 1 << i);
         let dispatch = 1u64; // first dispatch
         let t_issue = dispatch + 1;
+        if M::ENABLED {
+            for sink in sinks.iter_mut() {
+                sink.frontier(0, t_issue, FrontierCause::Startup);
+            }
+        }
         LaneCore {
             outcomes: lanes.map(|l| l.outcomes.bits()),
             intra,
@@ -1543,7 +1499,7 @@ mod tests {
     /// The scalar core's solo run of one column over a recording: the
     /// reference every lane of [`walk_lanes`] must match.
     fn scalar(replay: &InstrReplay, outcomes: &Outcomes, config: &TimingConfig) -> TimingResult {
-        let mut cursor = ReplayCursor::whole(replay);
+        let mut cursor = WholeCursor::new(replay);
         simulate_core(
             &mut cursor,
             outcomes,

@@ -37,7 +37,7 @@
 
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::CycleBreakdown;
-use crate::replay::{record_replay, walk_lanes, Lane, ReplayCursor};
+use crate::replay::{record_replay, walk_lanes, Lane, WholeCursor};
 use crate::timing::{
     simulate_core, InterpSource, NextTaskPredictor, StepSource, TimingConfig, TimingResult,
 };
@@ -67,7 +67,7 @@ pub fn check_replay_agreement(
 ) -> Result<u64, TraceError> {
     let replay = record_replay(program, tasks, max_steps)?;
     let mut interp = InterpSource::new(program, tasks, max_steps);
-    let mut cursor = ReplayCursor::whole(&replay);
+    let mut cursor = WholeCursor::new(&replay);
     let mut steps = 0u64;
     loop {
         let a = interp.next_step()?;
@@ -131,7 +131,7 @@ pub fn check_fused_agreement(
         .iter()
         .map(|(outcomes, config)| {
             let mut breakdown = CycleBreakdown::new();
-            let mut cursor = ReplayCursor::whole(&replay);
+            let mut cursor = WholeCursor::new(&replay);
             let result = simulate_core(
                 &mut cursor,
                 outcomes,

@@ -3,11 +3,13 @@
 //! recording's, adversarial decoding that errs instead of panicking, the
 //! load that leaves the instruction section on disk, and walks over a
 //! loaded recording, which read that section chunk by chunk, equal to
-//! walks over the fresh one, at chunk edges and on every benchmark. The
+//! walks over the fresh one, at chunk edges and on every benchmark, and
+//! stored chunks whose bytes check out but whose path does not. The
 //! recording keeps only control flow and memory addresses: its
 //! regenerated steps equal the interpreter's, and its instruction section
 //! takes a bit per op and four bytes per memory reference.
 
+use std::hash::Hasher as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -16,7 +18,8 @@ use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::{TaskDesc, TaskPredictor};
 use multiscalar_isa::{
-    assemble, fingerprint_of, AluOp, Cond, Fingerprint, Interpreter, Program, ProgramBuilder, Reg,
+    assemble, fingerprint_of, AluOp, Cond, Fingerprint, FingerprintHasher, Interpreter, Program,
+    ProgramBuilder, Reg,
 };
 use multiscalar_sim::arb::ArbConfig;
 use multiscalar_sim::codec::{open_replay, Rerecord, CHUNK_OPS};
@@ -185,8 +188,9 @@ fn open_replay_leaves_the_instruction_section_to_the_walks() {
     let key = fingerprint_of(&"lazy");
     let (replay, descs, mut bytes) = compress_artifact(key);
     let path = scratch_file("lazy");
-    // A memory address of the first chunk, past its taken bits.
-    let at = instr_offset(&bytes) + CHUNK_OPS / 8;
+    // A memory address of the first chunk, past its taken bits and its
+    // address count.
+    let at = instr_offset(&bytes) + CHUNK_OPS / 8 + 4;
     bytes[at] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
 
@@ -377,6 +381,28 @@ fn walk(
     (walk_lanes(replay, &lanes, &mut sinks), sinks)
 }
 
+/// Five outcome passes over `fresh`: perfect prediction and PATH at depths
+/// 0, 2 and 4, then perfect prediction again.
+fn five_passes(fresh: &InstrReplay, tasks: &TaskProgram) -> Vec<Outcomes> {
+    let descs = task_descs(tasks);
+    let events = derive_trace(fresh, tasks).events;
+    let path_at = |depth| {
+        TaskPredictor::<PathPredictor<LastExitHysteresis<2>>>::path(
+            Dolc::new(depth, 4, 6, 6, 2),
+            Dolc::new(4, 3, 4, 4, 2),
+            16,
+        )
+    };
+    [None, Some(0), Some(2), Some(4), None]
+        .into_iter()
+        .map(|depth| {
+            let mut p = depth.map(path_at);
+            let p = p.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
+            measure_outcomes(p, &descs, &events, None)
+        })
+        .collect()
+}
+
 /// The artifact of `fresh` on disk, loaded back as the artifact cache
 /// loads it, walks exactly as `fresh` does at every lane count from one to
 /// five, results and cycle breakdowns alike, and holds no instruction
@@ -396,23 +422,7 @@ fn assert_loaded_walks_match(tag: &str, fresh: &InstrReplay, tasks: &TaskProgram
     let loaded = open_replay(&path, key, refuse).unwrap();
     assert!(!loaded.holds_instructions(), "{tag}: loaded");
 
-    let descs = task_descs(tasks);
-    let events = derive_trace(fresh, tasks).events;
-    let path_at = |depth| {
-        TaskPredictor::<PathPredictor<LastExitHysteresis<2>>>::path(
-            Dolc::new(depth, 4, 6, 6, 2),
-            Dolc::new(4, 3, 4, 4, 2),
-            16,
-        )
-    };
-    let outcomes: Vec<Outcomes> = [None, Some(0), Some(2), Some(4), None]
-        .into_iter()
-        .map(|depth| {
-            let mut p = depth.map(path_at);
-            let p = p.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-            measure_outcomes(p, &descs, &events, None)
-        })
-        .collect();
+    let outcomes = five_passes(fresh, tasks);
     for n in 1..=5 {
         assert_eq!(
             walk(&loaded, &outcomes, n),
@@ -434,6 +444,102 @@ fn recordings_at_chunk_edges_walk_alike_loaded_and_fresh() {
         let (_, tasks, fresh) = recording_of_len(ops);
         assert_loaded_walks_match(&format!("edge-{ops}"), &fresh, &tasks);
     }
+}
+
+/// One stored chunk: its taken bits and its memory addresses.
+type StoredChunk = (Vec<u8>, Vec<u32>);
+
+/// The chunks of an encoded artifact's instruction section.
+fn chunks_of(bytes: &[u8]) -> Vec<StoredChunk> {
+    let mut ops = count(bytes, 32);
+    let mut at = instr_offset(bytes);
+    let mut chunks = Vec::new();
+    while ops > 0 {
+        let n = ops.min(CHUNK_OPS);
+        let bits = bytes[at..at + n.div_ceil(8)].to_vec();
+        at += bits.len();
+        let m = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let addrs = bytes[at + 4..at + 4 + 4 * m]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        chunks.push((bits, addrs));
+        at += 4 + 4 * m + 8;
+        ops -= n;
+    }
+    assert_eq!(at, bytes.len(), "the chunks fill the file");
+    chunks
+}
+
+/// `bytes` with its instruction section rewritten as `chunks`, each with
+/// its address count and a checksum that matches it.
+fn with_chunks(bytes: &[u8], chunks: &[StoredChunk]) -> Vec<u8> {
+    let mut out = bytes[..instr_offset(bytes)].to_vec();
+    for (index, (bits, addrs)) in chunks.iter().enumerate() {
+        let mut chunk = bits.clone();
+        chunk.extend_from_slice(&(addrs.len() as u32).to_le_bytes());
+        for a in addrs {
+            chunk.extend_from_slice(&a.to_le_bytes());
+        }
+        let mut sum = FingerprintHasher::new();
+        sum.write_u64(index as u64);
+        sum.write(&chunk);
+        out.extend_from_slice(&chunk);
+        out.extend_from_slice(&sum.finish().to_le_bytes());
+    }
+    out
+}
+
+/// One memory address moved between the first two chunks, in either
+/// direction, with both counts and both checksums fixed to match: the
+/// file's length and its address total still fit, and only stepping the
+/// first chunk finds a load or store without its address, or an address
+/// left over. The decoder refuses it. A walk over it loaded from disk has
+/// stepped that chunk when it finds out; it re-records once and starts
+/// over, and its results and cycle breakdowns equal the fresh
+/// recording's.
+#[test]
+fn an_address_moved_between_chunks_is_refused_as_the_walk_steps_it() {
+    let ops = 2 * CHUNK_OPS as u64 + 1;
+    let (program, tasks, fresh) = recording_of_len(ops);
+    let key = fingerprint_of(&"moved");
+    let bytes = encode_replay(&fresh, key);
+    let chunks = chunks_of(&bytes);
+    assert_eq!(chunks.len(), 3);
+    assert!(!chunks[0].1.is_empty() && !chunks[1].1.is_empty());
+    let outcomes = five_passes(&fresh, &tasks);
+    let unmatched = CodecError::Malformed("load/store count differs from mem_addrs");
+    for forward in [true, false] {
+        let mut moved = chunks.clone();
+        if forward {
+            let a = moved[0].1.pop().unwrap();
+            moved[1].1.insert(0, a);
+        } else {
+            let a = moved[1].1.remove(0);
+            moved[0].1.push(a);
+        }
+        let forged = with_chunks(&bytes, &moved);
+        assert_eq!(forged.len(), bytes.len(), "forward {forward}");
+        assert_eq!(decode_replay(&forged, key).unwrap_err(), unmatched);
+
+        let path = scratch_file(&format!("moved-{forward}"));
+        std::fs::write(&path, &forged).unwrap();
+        let errors = Arc::new(Mutex::new(Vec::new()));
+        let again = record_replay(&program, &tasks, 10 * ops).unwrap();
+        let loaded =
+            open_replay(&path, key, counting_rerecord(again, Arc::clone(&errors))).unwrap();
+        assert_eq!(
+            walk(&loaded, &outcomes, 5),
+            walk(&fresh, &outcomes, 5),
+            "forward {forward}"
+        );
+        assert_eq!(*errors.lock().unwrap(), [unmatched]);
+        assert!(loaded.holds_instructions());
+        let _ = std::fs::remove_file(&path);
+    }
+    // The same artifact with its chunks as stored walks without a
+    // re-record.
+    assert_eq!(with_chunks(&bytes, &chunks), bytes);
 }
 
 /// The five scale-1 benchmarks walk and round-trip alike loaded and fresh.
@@ -487,8 +593,9 @@ fn regenerated_steps_equal_the_interpreters() {
 }
 
 /// On the five scale-1 benchmarks the instruction section takes at most
-/// four bytes per memory reference, one bit per op and eight bytes per
-/// chunk, counted against an interpreter run of the program.
+/// four bytes per memory reference, one bit per op and twelve bytes per
+/// chunk (its address count and its checksum), counted against an
+/// interpreter run of the program.
 #[test]
 fn the_instruction_section_is_a_bit_per_op_and_the_addresses() {
     let params = WorkloadParams::small(7);
@@ -505,7 +612,7 @@ fn the_instruction_section_is_a_bit_per_op_and_the_addresses() {
         assert_eq!(ops as u64, replay.instructions(), "{spec}");
         let bytes = encode_replay(&replay, fingerprint_of(&spec.name()));
         let section = bytes.len() - instr_offset(&bytes);
-        let bound = 4 * mem + ops.div_ceil(8) + 8 * ops.div_ceil(CHUNK_OPS);
+        let bound = 4 * mem + ops.div_ceil(8) + 12 * ops.div_ceil(CHUNK_OPS);
         assert!(
             section <= bound,
             "{spec}: {section} bytes for {ops} ops and {mem} memory references"
