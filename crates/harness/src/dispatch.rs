@@ -127,7 +127,7 @@ pub fn path_real_sweep(configs: &[Dolc], bench: &Bench) -> Vec<(MissStats, usize
 /// The scalar fused real-PATH sweep: one predictor instance per
 /// configuration, trained predictor-by-predictor in a single trace walk.
 /// This is the fallback for batches wider than the packed engine's word
-/// and the oracle the lane-dispatch tests and fuzz oracle 6 compare the
+/// and the oracle the lane-dispatch tests and fuzz oracle 5 compare the
 /// packed engine against.
 pub fn path_real_sweep_scalar<A: Automaton>(
     configs: &[Dolc],
@@ -170,16 +170,6 @@ pub fn cttb_ideal_sweep(depths: &[usize], bench: &Bench) -> Vec<MissStats> {
         .collect()
 }
 
-/// Builds a boxed *real* exit predictor of the given scheme, LEH-2bit, with
-/// the paper's Table 4 sizing (16 KB PHT = 2^15 4-bit entries, depth 7).
-pub fn real_predictor_16kb(scheme: Scheme) -> Box<dyn ExitPredictor> {
-    match scheme {
-        Scheme::Global => Box::new(GlobalPredictor::<LastExitHysteresis<2>>::new(7, 15)),
-        Scheme::Per => Box::new(PerTaskPredictor::<LastExitHysteresis<2>>::new(7, 8, 7)),
-        Scheme::Path => Box::new(PathPredictor::<LastExitHysteresis<2>>::new(dolc_15bit(7))),
-    }
-}
-
 /// The five predictor columns of Table 4, in the paper's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table4Column {
@@ -216,17 +206,28 @@ impl Table4Column {
         }
     }
 
+    /// The PATH-indexed exit predictor's configuration of this column, a
+    /// 15-bit index (16 KB PHT): depth 0 for Simple, depth 7 for PATH, and
+    /// `None` for the columns that index otherwise.
+    pub fn path_dolc(self) -> Option<Dolc> {
+        match self {
+            Table4Column::Simple => Some(Dolc::new(0, 0, 0, 15, 1)),
+            // (6 × 5) + 7 + 8 = 45 bits, folded 3 ways: a 15-bit index.
+            Table4Column::Path => Some(Dolc::new(7, 5, 7, 8, 3)),
+            Table4Column::Global | Table4Column::Per | Table4Column::Perfect => None,
+        }
+    }
+
     /// Builds this column's next-task predictor with the paper's Table 4
-    /// sizing (16 KB PHT, 8 KB CTTB, 64-deep RAS); `None` for Perfect.
+    /// sizing (16 KB PHT = 2^15 4-bit LEH-2bit entries, 8 KB CTTB, 64-deep
+    /// RAS); `None` for Perfect.
     pub fn predictor(self) -> Option<TaskPredictor<Box<dyn ExitPredictor>>> {
-        let exit_pred: Box<dyn ExitPredictor> = match self {
-            Table4Column::Simple => {
-                Box::new(PathPredictor::<LastExitHysteresis<2>>::new(dolc_15bit(0)))
-            }
-            Table4Column::Global => real_predictor_16kb(Scheme::Global),
-            Table4Column::Per => real_predictor_16kb(Scheme::Per),
-            Table4Column::Path => real_predictor_16kb(Scheme::Path),
-            Table4Column::Perfect => return None,
+        type Leh2 = LastExitHysteresis<2>;
+        let exit_pred: Box<dyn ExitPredictor> = match (self, self.path_dolc()) {
+            (_, Some(dolc)) => Box::new(PathPredictor::<Leh2>::new(dolc)),
+            (Table4Column::Global, None) => Box::new(GlobalPredictor::<Leh2>::new(7, 15)),
+            (Table4Column::Per, None) => Box::new(PerTaskPredictor::<Leh2>::new(7, 8, 7)),
+            _ => return None,
         };
         Some(with_table4_targets(exit_pred))
     }
@@ -281,29 +282,6 @@ pub fn cttb_ladder() -> Vec<Dolc> {
     ]
 }
 
-/// A 15-bit-index PATH configuration (16 KB PHT) for the given depth, used
-/// by Table 4.
-pub fn dolc_15bit(depth: u8) -> Dolc {
-    match depth {
-        0 => Dolc::new(0, 0, 0, 15, 1),
-        7 => Dolc::new(7, 5, 7, 8, 3), // (6*5)+7+8 = 45 bits / 3 = 15
-        d => {
-            // Generic construction: spread bits to reach 15 * min(F, ...).
-            let f = 1 + (d as u32 + 1) / 3;
-            let target = 15 * f;
-            let older = if d > 1 {
-                ((target - 16) / (d as u32 - 1)).min(10) as u8
-            } else {
-                0
-            };
-            let rest = target - (d as u32 - 1) * older as u32;
-            let last = (rest / 2) as u8;
-            let current = (rest - last as u32) as u8;
-            Dolc::new(d, older, last, current, f as u8)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,10 +306,18 @@ mod tests {
         }
     }
 
+    /// The PATH-indexed columns [`Table4Column::predictor`] builds (Simple
+    /// at depth 0, PATH at depth 7) index a 16 KB PHT.
     #[test]
     fn table4_dolc_is_16kb() {
-        assert_eq!(dolc_15bit(0).index_bits(), 15);
-        assert_eq!(dolc_15bit(7).index_bits(), 15);
+        let dolcs: Vec<_> = Table4Column::ALL
+            .iter()
+            .filter_map(|c| c.path_dolc())
+            .collect();
+        assert_eq!(dolcs.iter().map(|d| d.depth()).collect::<Vec<_>>(), [0, 7]);
+        for dolc in dolcs {
+            assert_eq!(dolc.index_bits(), 15, "{dolc}");
+        }
     }
 
     #[test]

@@ -13,27 +13,25 @@
 //!    [`crate::extensions::TASKFORM_CONFIGS`]) must partition and validate;
 //! 3. **interpreter vs replay** — the sanitize lockstep walk
 //!    ([`check_replay_agreement`]) must agree step for step;
-//! 4. **timing engines** — the interpreter-fed and replay-fed timing runs
-//!    must produce bit-identical
-//!    [`TimingResult`](multiscalar_sim::timing::TimingResult)s *and*
-//!    [`CycleBreakdown`]s, each breakdown summing exactly to `cycles`;
-//! 5. **lanes vs scalar core** — [`check_fused_agreement`] walks four
+//! 4. **lanes vs scalar core** — [`check_fused_agreement`] walks four
 //!    slots (perfect, PATH and the two zoo families, on four machines that
 //!    share and own intra predictors and ARBs and differ in forwarding) as
-//!    one lockstep lanes walk and must agree per slot with solo runs of
-//!    the scalar core;
-//! 6. **fast sweeps vs scalar oracles** — the lane-packed LEH-2bit sweep
+//!    one lockstep lanes walk of the recording and must agree per slot,
+//!    [`TimingResult`](multiscalar_sim::timing::TimingResult)s and cycle
+//!    breakdowns (each summing exactly to `cycles`), with solo runs of the
+//!    scalar core fed by the interpreter;
+//! 5. **fast sweeps vs scalar oracles** — the lane-packed LEH-2bit sweep
 //!    over the Figure 10 ladder must match the scalar fused walk, miss
 //!    stats and states-touched both; then the interned ideal sweeps must
 //!    match the hash-map oracles at depths 0..=8, miss stats and state
 //!    counts both ([`check_ideal_agreement`]: PATH with LEH-2 and VC
 //!    RANDOM, GLOBAL and PER with LEH-2, and the ideal CTTB);
-//! 7. **analyzer soundness** — the bounds, dead-write, and static-exit
+//! 6. **analyzer soundness** — the bounds, dead-write, and static-exit
 //!    claims the dataflow passes make must survive the concrete execution
 //!    ([`multiscalar_analyze::soundness::check_execution`]): a claimed
 //!    in-bounds access never faults, a claimed dead write is never read,
 //!    a claimed static exit never takes another edge;
-//! 8. **assembler round trip** — the program's canonical `.masm` text
+//! 7. **assembler round trip** — the program's canonical `.masm` text
 //!    ([`multiscalar_isa::to_masm`]) must reassemble to the identical
 //!    program, and seeded byte-level mutations of that text must never
 //!    panic the assembler (accepted mutants must themselves round-trip).
@@ -66,15 +64,15 @@ use multiscalar_sim::measure::{
     measure_ideal_per, measure_ideal_targets, measure_indirect_targets_fused, task_descs,
     MissStats,
 };
-use multiscalar_sim::metrics::CycleBreakdown;
-use multiscalar_sim::replay::{derive_trace, record_replay, simulate_replay_with_sink};
+use multiscalar_sim::replay::{derive_trace, record_replay};
 use multiscalar_sim::sanitize::{check_fused_agreement, check_replay_agreement, FusedSlot};
-use multiscalar_sim::timing::{
-    simulate_with_sink, ForwardingModel, IntraPredictorKind, TimingConfig,
-};
+use multiscalar_sim::timing::{ForwardingModel, IntraPredictorKind, TimingConfig};
 use multiscalar_sim::trace::SharedTrace;
 use multiscalar_taskform::TaskFormer;
-use multiscalar_workloads::fuzz::{fuzz_program, FuzzShape, MAX_MEMOPS, MAX_STEPS};
+use multiscalar_workloads::fuzz::{
+    fuzz_program, FuzzShape, FORMER_BUDGETS, MAX_CONSTRUCTS, MAX_FUNCTIONS, MAX_MEMOPS,
+    MAX_NESTING, MAX_STEPS,
+};
 use std::panic::AssertUnwindSafe;
 
 type Leh2 = LastExitHysteresis<2>;
@@ -216,70 +214,20 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Err(panic) => return Some(("replay-divergence", panic)),
     }
 
-    // Oracle 4: the two timing engines agree, and cycles attribute exactly.
+    // Oracle 4: one lanes walk vs the interpreter-fed scalar core, four
+    // mixed slots.
     let descs = task_descs(&tasks);
-    let timing = TimingConfig::paper();
-    let replay = match record_replay(program, &tasks, MAX_STEPS) {
-        Ok(r) => r,
-        Err(e) => return Some(("trace-error", e.to_string())),
-    };
-    let engine_check = catching(|| {
-        let make = || {
-            TaskPredictor::<PathPredictor<Leh2>>::path(
-                Dolc::new(4, 4, 6, 6, 2),
-                Dolc::new(4, 3, 4, 4, 2),
-                16,
-            )
-        };
-        let mut interp_bd = CycleBreakdown::new();
-        let mut p = make();
-        let interp = simulate_with_sink(
-            program,
-            &tasks,
-            &descs,
-            Some(&mut p),
-            &timing,
-            MAX_STEPS,
-            &mut interp_bd,
-        )?;
-        let mut replay_bd = CycleBreakdown::new();
-        let mut p = make();
-        let replayed =
-            simulate_replay_with_sink(&replay, &descs, Some(&mut p), &timing, &mut replay_bd);
-        if interp != replayed {
-            return Ok(Some(format!(
-                "interpreter vs replay TimingResult: {interp:?} vs {replayed:?}"
-            )));
-        }
-        if interp_bd != replay_bd {
-            return Ok(Some(format!(
-                "interpreter vs replay CycleBreakdown: {interp_bd:?} vs {replay_bd:?}"
-            )));
-        }
-        if interp_bd.total() != interp.cycles {
-            return Ok(Some(format!(
-                "breakdown sums to {} but the run took {} cycles",
-                interp_bd.total(),
-                interp.cycles
-            )));
-        }
-        Ok::<Option<String>, multiscalar_sim::trace::TraceError>(None)
-    });
-    match engine_check {
-        Ok(Ok(None)) => {}
-        Ok(Ok(Some(detail))) => return Some(("engine-divergence", detail)),
-        Ok(Err(e)) => return Some(("trace-error", e.to_string())),
-        Err(panic) => return Some(("engine-divergence", panic)),
-    }
-
-    // Oracle 5: one lanes walk vs the scalar core, four mixed slots.
     match catching(|| check_fused_agreement(program, &tasks, &descs, MAX_STEPS, fused_slots())) {
         Ok(Ok(_)) => {}
         Ok(Err(e)) => return Some(("trace-error", e.to_string())),
         Err(panic) => return Some(("fused-divergence", panic)),
     }
 
-    // Oracle 6: lane-packed batched sweep vs the scalar fused walk...
+    // Oracle 5: lane-packed batched sweep vs the scalar fused walk...
+    let replay = match record_replay(program, &tasks, MAX_STEPS) {
+        Ok(r) => r,
+        Err(e) => return Some(("trace-error", e.to_string())),
+    };
     let trace = derive_trace(&replay, &tasks);
     let configs = crate::dispatch::exit_ladder();
     let packed_check = catching(|| {
@@ -309,7 +257,7 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Err(panic) => return Some(("ideal-divergence", panic)),
     }
 
-    // Oracle 7: analyzer soundness — replay the bounds, dead-write and
+    // Oracle 6: analyzer soundness — replay the bounds, dead-write and
     // static-exit claims against the concrete execution.
     match catching(|| multiscalar_analyze::soundness::check_execution(program, &tasks, MAX_STEPS)) {
         Ok(v) if v.is_empty() => {}
@@ -325,7 +273,7 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
         Err(panic) => return Some(("soundness", panic)),
     }
 
-    // Oracle 8: assembler round trip — the canonical `.masm` text must
+    // Oracle 7: assembler round trip — the canonical `.masm` text must
     // reassemble to the identical program, and seeded text mutations must
     // never panic the assembler; whatever mutated text it still accepts
     // must itself reach a canonical fixed point.
@@ -336,11 +284,11 @@ pub fn differential(program: &Program, former: usize) -> Option<(&'static str, S
     }
 }
 
-/// The automata oracle 6 runs ideal PATH with: the paper's LEH-2 and a
+/// The automata oracle 5 runs ideal PATH with: the paper's LEH-2 and a
 /// VC RANDOM kind, whose tie draws must follow the oracle's order.
 const ORACLE_KINDS: [AutomatonKind; 2] = [AutomatonKind::Leh2, AutomatonKind::Vc3Random];
 
-/// The ideal half of oracle 6: at every depth of
+/// The ideal half of oracle 5: at every depth of
 /// [`DEPTHS`](crate::experiments::DEPTHS), the interned ideal sweeps must
 /// equal the hash-map oracles they replace, miss stats and state counts
 /// both. That covers PATH for each of `kinds` (in one walk, as Figure 6
@@ -461,7 +409,7 @@ fn oracle_ideal_path(
     }
 }
 
-/// How many mutated texts oracle 8 throws at the assembler per case.
+/// How many mutated texts oracle 7 throws at the assembler per case.
 const MASM_MUTANTS: usize = 8;
 
 /// The assembler round-trip oracle: `parse(to_masm(p)) == p` exactly, and
@@ -645,6 +593,13 @@ pub fn render_finding(f: &Finding) -> String {
 
 /// Parses a reproducer artifact back into the case to re-run. Ignores
 /// unknown keys (`kind=`/`detail=` are informational).
+///
+/// # Errors
+///
+/// A missing `seed=` line, a value that is not a number, or a shape value
+/// outside the range [`FuzzShape`] documents for its key, named in the
+/// message: generating a program out of range panics or runs without
+/// bound, outside the oracles' panic guard.
 pub fn parse_case(text: &str) -> Result<FuzzCase, String> {
     let mut case = FuzzCase::from_seed(0);
     let mut saw_seed = false;
@@ -652,21 +607,29 @@ pub fn parse_case(text: &str) -> Result<FuzzCase, String> {
         let Some((key, value)) = line.split_once('=') else {
             continue;
         };
+        let key = key.trim();
         let parse = |v: &str| -> Result<u64, String> {
             v.trim()
                 .parse()
                 .map_err(|e| format!("bad value for {key}: {e}"))
         };
-        match key.trim() {
+        let bounded = |v: &str, min: usize, max: usize| -> Result<usize, String> {
+            let n = parse(v)?;
+            usize::try_from(n)
+                .ok()
+                .filter(|n| (min..=max).contains(n))
+                .ok_or_else(|| format!("{key}={n} is outside {min}..={max}"))
+        };
+        match key {
             "seed" => {
                 case.seed = parse(value)?;
                 saw_seed = true;
             }
-            "functions" => case.shape.functions = parse(value)? as usize,
-            "constructs" => case.shape.constructs = parse(value)? as usize,
-            "nesting" => case.shape.nesting = parse(value)? as u32,
-            "former" => case.shape.former = parse(value)? as usize,
-            "memops" => case.shape.memops = parse(value)? as usize,
+            "functions" => case.shape.functions = bounded(value, 1, MAX_FUNCTIONS)?,
+            "constructs" => case.shape.constructs = bounded(value, 1, MAX_CONSTRUCTS)?,
+            "nesting" => case.shape.nesting = bounded(value, 0, MAX_NESTING as usize)? as u32,
+            "former" => case.shape.former = bounded(value, 0, FORMER_BUDGETS - 1)?,
+            "memops" => case.shape.memops = bounded(value, 0, MAX_MEMOPS)?,
             _ => {}
         }
     }
@@ -989,5 +952,62 @@ mod tests {
         let parsed = parse_case(&text).unwrap();
         assert_eq!(parsed, f.case);
         assert!(parse_case("kind=lint\n").is_err(), "seed is mandatory");
+    }
+
+    /// Every shape the shrinker can reach from the largest shapes, at
+    /// every former budget, renders to a reproducer that parses back.
+    #[test]
+    fn every_shrinkable_shape_round_trips() {
+        let mut todo: Vec<FuzzShape> = (0..FORMER_BUDGETS)
+            .map(|former| FuzzShape {
+                functions: MAX_FUNCTIONS,
+                constructs: MAX_CONSTRUCTS,
+                nesting: MAX_NESTING,
+                former,
+                memops: MAX_MEMOPS,
+            })
+            .collect();
+        let mut seen = Vec::new();
+        while let Some(shape) = todo.pop() {
+            if seen.contains(&shape) {
+                continue;
+            }
+            let f = Finding {
+                case: FuzzCase { seed: 7, shape },
+                kind: "synthetic",
+                detail: String::new(),
+                shrunk: false,
+            };
+            assert_eq!(parse_case(&render_finding(&f)), Ok(f.case));
+            todo.extend(shape.shrink_candidates());
+            seen.push(shape);
+        }
+        let nesting = MAX_NESTING as usize + 1;
+        let all = MAX_FUNCTIONS * MAX_CONSTRUCTS * nesting * (MAX_MEMOPS + 1) * FORMER_BUDGETS;
+        assert_eq!(seen.len(), all, "every in-range shape is reachable");
+    }
+
+    /// A shape value outside its documented range is refused with an
+    /// error that names the key, before any program is generated.
+    #[test]
+    fn out_of_range_shapes_are_refused() {
+        for (line, range) in [
+            ("functions=0", "1..=6"),
+            ("functions=7", "1..=6"),
+            ("constructs=0", "1..=6"),
+            ("nesting=4", "0..=3"),
+            ("nesting=4294967296", "0..=3"),
+            ("former=3", "0..=2"),
+            ("former=7", "0..=2"),
+            ("memops=5", "0..=4"),
+            ("memops=1000000", "0..=4"),
+        ] {
+            let err = parse_case(&format!("seed=1\n{line}\n")).unwrap_err();
+            assert_eq!(err, format!("{line} is outside {range}"));
+        }
+        assert_eq!(
+            parse_case("seed=1\nmemops=x\n").unwrap_err(),
+            "bad value for memops: invalid digit found in string"
+        );
     }
 }

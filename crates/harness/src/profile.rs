@@ -10,9 +10,7 @@
 //! which `tests/profile.rs` checks against the interpreter-fed timing
 //! oracle. With `--occupancy` a [`UnitOccupancy`]
 //! sink rides the same pass and three per-unit utilisation columns join
-//! the output (the default output stays byte-identical). [`events_jsonl`]
-//! exposes the task-level JSON-lines event log of a single run for the
-//! same grid.
+//! the output (the default output stays byte-identical).
 
 use std::fmt::Write as _;
 
@@ -20,9 +18,8 @@ use crate::dispatch::Table4Column;
 use crate::experiments::walk_table4;
 use crate::pool::{Job, Pool};
 use crate::Bench;
-use multiscalar_sim::metrics::{Cause, CycleBreakdown, MetricsSink, TaskEventSink, UnitOccupancy};
-use multiscalar_sim::replay::walk_replay;
-use multiscalar_sim::timing::{TimingConfig, TimingResult, N_UNITS};
+use multiscalar_sim::metrics::{Cause, CycleBreakdown, MetricsSink, UnitOccupancy};
+use multiscalar_sim::timing::{TimingResult, N_UNITS};
 
 /// Schema version stamped into `profile.json`; bump on breaking changes.
 pub const PROFILE_SCHEMA_VERSION: u32 = 1;
@@ -99,16 +96,6 @@ fn profile_cells<M: MetricsSink>(
             }
         })
         .collect()
-}
-
-/// The task-level event log (JSON lines) of one benchmark's run under one
-/// predictor column: `resolve` / `squash` / `commit` / `dispatch` per
-/// boundary, with machine clocks and exit numbers.
-pub fn events_jsonl(bench: &Bench, column: Table4Column) -> String {
-    let mut sink = TaskEventSink::new();
-    let outcomes = column.outcomes(bench);
-    walk_replay(&bench.replay, &outcomes, &TimingConfig::paper(), &mut sink);
-    sink.into_jsonl()
 }
 
 /// Renders the profile as per-benchmark tables: one line per predictor

@@ -18,10 +18,10 @@
 //! access to the request.
 //!
 //! Experiments run against an [`ExpCtx`], which owns the prepared
-//! benchmarks plus per-invocation caches: experiments that share work
-//! (Figures 10/11 share one predictor pass; `table4`'s rows feed both its
-//! table and its CSV) compute it once per dispatch regardless of how many
-//! renderers consume it.
+//! benchmarks plus per-invocation caches for work that one dispatch reads
+//! more than once: Figures 10 and 11 share one predictor pass (`all` and
+//! `csv` read it for both), and `profile`'s grid feeds both its output and
+//! its `profile.json` artifact.
 //!
 //! Every entry also **declares its inputs**: the benchmark set it reads
 //! ([`BenchSet`]). Running one experiment prepares only its declared set,
@@ -33,7 +33,7 @@
 use std::cell::OnceCell;
 
 use crate::cache::ArtifactCache;
-use crate::experiments::{self, Fig10Row, Fig11Row, Table4Row};
+use crate::experiments::{self, Fig10Row, Fig11Row};
 use crate::pool::Pool;
 use crate::profile::{self, ProfileRow};
 use crate::proto::{OutputFormat, Request};
@@ -184,7 +184,6 @@ pub struct ExpCtx<'a> {
     /// it even when `--no-cache` disabled preparation caching).
     pub cache_dir: std::path::PathBuf,
     fig10_fig11: OnceCell<(Vec<Fig10Row>, Vec<Fig11Row>)>,
-    table4: OnceCell<Vec<Table4Row>>,
     profile: OnceCell<Vec<ProfileRow>>,
 }
 
@@ -206,7 +205,6 @@ impl<'a> ExpCtx<'a> {
             store,
             cache_dir,
             fig10_fig11: OnceCell::new(),
-            table4: OnceCell::new(),
             profile: OnceCell::new(),
         }
     }
@@ -228,13 +226,6 @@ impl<'a> ExpCtx<'a> {
         rows.into_iter()
             .filter(|r| r.name == "gcc" || r.name == "espresso")
             .collect()
-    }
-
-    /// Table 4's rows; computed once and served to the table renderer and
-    /// the CSV writer alike.
-    pub fn table4(&self) -> &[Table4Row] {
-        self.table4
-            .get_or_init(|| experiments::table4(self.prep.all(), self.pool))
     }
 
     /// The cycle-attribution profile grid; computed once per dispatch.
@@ -485,8 +476,10 @@ pub const REGISTRY: &[Experiment] = &[
         group: Group::Paper,
         benches: BenchSet::All,
         kind: Kind::Rendered {
-            render: |c| report::render_table4(c.table4()),
-            csv: Some(("table4.csv", |c| csv::table4(c.table4()))),
+            render: |c| report::render_table4(&experiments::table4(c.prep.all(), c.pool)),
+            csv: Some(("table4.csv", |c| {
+                csv::table4(&experiments::table4(c.prep.all(), c.pool))
+            })),
             json: None,
             artifact: None,
         },

@@ -222,28 +222,3 @@ fn lanes_walk_preserves_attribution_and_occupancy() {
         }
     }
 }
-
-/// The task-level event log is well-formed JSON lines covering the whole
-/// run: one resolve per dynamic task, a squash line per non-gated
-/// mispredict, and a final halt record.
-#[test]
-fn event_log_covers_the_run() {
-    let b = prepare(Spec92::Compress, &params());
-    let log = profile::events_jsonl(&b, Table4Column::Path);
-    let resolves = log.lines().filter(|l| l.contains("\"resolve\"")).count();
-    let squashes = log.lines().filter(|l| l.contains("\"squash\"")).count();
-    assert!(resolves > 0, "log must contain task resolutions");
-    assert!(squashes > 0, "a real predictor must squash somewhere");
-    assert!(squashes <= resolves, "at most one squash per boundary");
-    let halt = log.lines().last().expect("log is non-empty");
-    assert!(
-        halt.contains("\"halt\""),
-        "log must end with the halt record"
-    );
-    for line in log.lines() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "malformed event line: {line}"
-        );
-    }
-}

@@ -208,7 +208,7 @@ fn ablation_rows_match_the_interpreter() {
 fn walks_count_exactly_the_outcome_bits() {
     use multiscalar_sim::measure::{measure_outcomes, Outcomes};
     use multiscalar_sim::metrics::NoopSink;
-    use multiscalar_sim::replay::walk_replay;
+    use multiscalar_sim::replay::{walk_lanes, Lane};
 
     let b = prepare(Spec92::Compress, &params());
     let config = TimingConfig::paper();
@@ -218,7 +218,11 @@ fn walks_count_exactly_the_outcome_bits() {
             let mut pred = column.predictor();
             let pred = pred.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
             let outcomes = measure_outcomes(pred, &b.descs, &b.trace.events, gate);
-            let r = walk_replay(&b.replay, &outcomes, &config, &mut NoopSink);
+            let lane = Lane {
+                outcomes: &outcomes,
+                config,
+            };
+            let r = walk_lanes(&b.replay, &[lane], &mut [NoopSink])[0];
             let label = format!("{}/{gate:?}", column.name());
             let count = |bit: u8| outcomes.bits().iter().filter(|&&o| o & bit != 0).count();
             assert_eq!(outcomes.bits().len() as u64, r.dynamic_tasks, "{label}");

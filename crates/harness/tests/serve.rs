@@ -368,6 +368,45 @@ fn a_non_utf8_line_is_answered_and_the_connection_keeps_serving() {
     );
 }
 
+/// Hostile fuzz reproducers: each shape value outside its documented
+/// range gets one error response that names the key, before any program
+/// is generated (a zero function count would panic the generator, a huge
+/// memop count would run for minutes), and the connection keeps serving.
+#[test]
+fn out_of_range_fuzz_repros_are_refused_and_the_connection_keeps_serving() {
+    let dir = scratch_dir("repro");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = [
+        "functions=0",
+        "memops=1000000",
+        "nesting=4294967296",
+        "former=7",
+    ];
+    let mut input = String::new();
+    let mut expected = Vec::new();
+    for (id, line) in bad.iter().enumerate() {
+        let path = dir.join(format!("repro-{id}.txt"));
+        std::fs::write(&path, format!("seed=1\n{line}\n")).unwrap();
+        let path = path.display();
+        input.push_str(&format!(
+            "{{\"id\":{id},\"experiment\":\"fuzz\",\"repro\":\"{path}\"}}\n"
+        ));
+        expected.push(format!(
+            r#"{{"id":{id},"ok":false,"error":"bad reproducer {path}: {line} is outside "#
+        ));
+    }
+    input.push_str("{\"id\":9,\"cmd\":\"ping\"}\n");
+    let (lines, server) = converse("repro", input.as_bytes());
+    let (pong, _) = server.handle_line(r#"{"id":9,"cmd":"ping"}"#);
+    assert_eq!(lines.len(), bad.len() + 1, "{lines:?}");
+    for (line, prefix) in lines.iter().zip(&expected) {
+        assert!(line.starts_with(prefix.as_str()), "{line}");
+    }
+    assert_eq!(lines[bad.len()], pong);
+    assert!(pong.contains("pong"), "{pong}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The CLI's `--scale` flag and the wire's `scale` field share one limit:
 /// both refuse 65 with the same text and accept 64. A seed range wider
 /// than a million seeds is refused as well.

@@ -56,7 +56,7 @@
 //! **exactly** (`Program` equality: code, function table, entry, data
 //! and indirect-target metadata). The property is enforced corpus-wide:
 //! over the five paper workloads, the seeded fuzz corpus and every
-//! differential-fuzzer case (oracle 8).
+//! differential-fuzzer case (oracle 7).
 
 use crate::asm::{assemble, AsmDiagnostic};
 use crate::program::Program;

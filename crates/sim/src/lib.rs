@@ -19,7 +19,8 @@
 //!   ([`replay::walk_lanes`]) is the one timing feed in production, and it
 //!   times all of an experiment's columns in one pass.
 //!   [`timing::simulate`], which re-interprets the program through the
-//!   scalar core, stays as the test oracle it is bit-identical to.
+//!   scalar core, stays as the test oracle it is bit-identical to; the
+//!   interpreter is the scalar core's only feed.
 //!
 //! One walker steps the interpreter and resolves task boundaries; the
 //! recording ([`replay::record_replay`]) and the timing oracle drain it.
@@ -29,8 +30,9 @@
 //!
 //! Building with `--features sanitize` arms runtime assertions over the
 //! timing model's invariants (monotone commit and ring-unit clocks); the
-//! `sanitize` module's agreement checkers (replay against the interpreter,
-//! lanes against the scalar core) compile in every build. See DESIGN.md.
+//! `sanitize` module's agreement checkers (the replay cursor against the
+//! interpreter, step by step; the lanes walk of a recording against the
+//! interpreter-fed scalar core) compile in every build. See DESIGN.md.
 //!
 //! # Example: measuring a predictor on a workload
 //!
@@ -65,11 +67,10 @@ pub mod trace;
 pub use codec::{decode_replay, encode_replay, CodecError, CACHE_SCHEMA};
 pub use measure::{measure_outcomes, task_descs, MissStats, Outcomes};
 pub use metrics::{
-    BoundaryEvent, Cause, CycleBreakdown, FrontierCause, MetricsSink, NoopSink, StallCause,
-    TaskEventSink, UnitOccupancy,
+    Cause, CycleBreakdown, FrontierCause, MetricsSink, NoopSink, StallCause, UnitOccupancy,
 };
 pub use replay::{
     derive_trace, record_replay, simulate_replay, simulate_replay_with_sink, walk_lanes,
-    walk_replay, InstrReplay, Lane,
+    InstrReplay, Lane,
 };
 pub use trace::{TaskEvent, TraceRun, TraceStats};

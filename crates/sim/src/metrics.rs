@@ -1,4 +1,4 @@
-//! Cycle-attribution and event-tracing sinks for the timing core.
+//! Cycle-attribution sinks for the timing core.
 //!
 //! Both timing cores — the lanes walk ([`crate::replay::walk_lanes`], one
 //! sink per lane) and the scalar reference (`timing::simulate_core`) — are
@@ -7,7 +7,7 @@
 //! entry points ([`crate::timing::simulate`],
 //! [`crate::replay::simulate_replay`]) pay **zero** cost and stay
 //! bit-identical to the uninstrumented core. Passing a real sink
-//! ([`CycleBreakdown`], [`TaskEventSink`]) through the `*_with_sink`
+//! ([`CycleBreakdown`], [`UnitOccupancy`]) through the `*_with_sink`
 //! variants turns the same run into an attributed one.
 //!
 //! # The attribution model
@@ -41,7 +41,6 @@
 //! run, for both the interpreter and the replay engine.
 
 use crate::timing::{TimingResult, N_UNITS};
-use std::fmt::Write as _;
 
 /// Why the in-task issue cursor was pushed forward (stall *debt* — charged
 /// against the frontier only if the stall reaches it).
@@ -80,33 +79,10 @@ pub enum FrontierCause {
     Dispatch,
 }
 
-/// One resolved task boundary, as the timing core saw it. Only constructed
-/// when the sink's [`MetricsSink::ENABLED`] is true.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundaryEvent {
-    /// Zero-based dynamic boundary number.
-    pub index: u64,
-    /// Static id of the retiring task.
-    pub task: u32,
-    /// Header exit number the task took.
-    pub exit: u8,
-    /// Entry address of the task executed next.
-    pub next: u32,
-    /// Whether the prediction missed (the boundary's outcome bit).
-    pub miss: bool,
-    /// Whether confidence gating withheld speculation at this boundary.
-    pub gated: bool,
-    /// Clock at which the retiring task completed.
-    pub complete: u64,
-    /// Clock at which the retiring task committed (strictly FIFO).
-    pub commit: u64,
-    /// Clock at which the next task was dispatched.
-    pub dispatch: u64,
-}
-
 /// Observer of one timing run. All hooks have no-op defaults; implementors
-/// override what they need. `ENABLED = false` lets the core skip even the
-/// construction of event payloads, which is what makes [`NoopSink`] free.
+/// override what they need. `ENABLED = false` lets the core skip every hook
+/// call and the arguments it computes for them, which is what makes
+/// [`NoopSink`] free.
 /// A sink is `Clone` so that a walk which finds a bad chunk of a stored
 /// recording can start over from the sinks it began with.
 pub trait MetricsSink: Clone {
@@ -127,10 +103,11 @@ pub trait MetricsSink: Clone {
         let _ = (from, to, cause);
     }
 
-    /// A task boundary resolved.
+    /// A task boundary resolved: the retiring task committed at `commit`
+    /// and the next task was dispatched at `dispatch`.
     #[inline(always)]
-    fn boundary(&mut self, ev: &BoundaryEvent) {
-        let _ = ev;
+    fn boundary(&mut self, commit: u64, dispatch: u64) {
+        let _ = (commit, dispatch);
     }
 
     /// The run ended with this result.
@@ -322,9 +299,9 @@ impl<A: MetricsSink, B: MetricsSink> MetricsSink for (A, B) {
     }
 
     #[inline(always)]
-    fn boundary(&mut self, ev: &BoundaryEvent) {
-        self.0.boundary(ev);
-        self.1.boundary(ev);
+    fn boundary(&mut self, commit: u64, dispatch: u64) {
+        self.0.boundary(commit, dispatch);
+        self.1.boundary(commit, dispatch);
     }
 
     #[inline(always)]
@@ -429,15 +406,15 @@ impl MetricsSink for UnitOccupancy {
         self.stall_acc += cycles;
     }
 
-    fn boundary(&mut self, ev: &BoundaryEvent) {
+    fn boundary(&mut self, commit: u64, dispatch: u64) {
         // The retiring task holds its unit until the commit point frees it.
-        let end = (ev.commit + 1).max(self.cur_start);
+        let end = (commit + 1).max(self.cur_start);
         self.close_residency(end);
         // The next task starts on the next ring unit once it is dispatched
         // and that unit is free.
         let next = (self.cur_unit + 1) % N_UNITS;
         self.cur_unit = next;
-        self.cur_start = ev.dispatch.max(self.last_end[next]);
+        self.cur_start = dispatch.max(self.last_end[next]);
     }
 
     fn finish(&mut self, result: &TimingResult) {
@@ -470,74 +447,6 @@ impl MetricsSink for UnitOccupancy {
             self.busy,
             self.stalled,
             self.idle
-        );
-    }
-}
-
-/// Records task-level events as JSON lines: `resolve` (with the
-/// boundary's miss bit), `squash` (on a mispredicted, non-gated boundary),
-/// `commit` and `dispatch` per boundary, with machine clocks and exit
-/// numbers, plus a final `halt` line. Fields are numbers and fixed
-/// keywords only, so no JSON escaping is needed.
-#[derive(Debug, Clone, Default)]
-pub struct TaskEventSink {
-    out: String,
-}
-
-impl TaskEventSink {
-    /// An empty sink.
-    pub fn new() -> TaskEventSink {
-        TaskEventSink::default()
-    }
-
-    /// The JSON-lines log recorded so far.
-    pub fn as_str(&self) -> &str {
-        &self.out
-    }
-
-    /// Consumes the sink, returning the JSON-lines log.
-    pub fn into_jsonl(self) -> String {
-        self.out
-    }
-}
-
-impl MetricsSink for TaskEventSink {
-    const ENABLED: bool = true;
-
-    fn boundary(&mut self, ev: &BoundaryEvent) {
-        let b = ev.index;
-        let t = ev.task;
-        let _ = writeln!(
-            self.out,
-            "{{\"ev\":\"resolve\",\"boundary\":{b},\"task\":{t},\"exit\":{},\"next\":{},\
-             \"miss\":{},\"clock\":{}}}",
-            ev.exit, ev.next, ev.miss, ev.complete
-        );
-        if ev.miss && !ev.gated {
-            let _ = writeln!(
-                self.out,
-                "{{\"ev\":\"squash\",\"boundary\":{b},\"task\":{t},\"clock\":{}}}",
-                ev.complete
-            );
-        }
-        let _ = writeln!(
-            self.out,
-            "{{\"ev\":\"commit\",\"boundary\":{b},\"task\":{t},\"clock\":{}}}",
-            ev.commit
-        );
-        let _ = writeln!(
-            self.out,
-            "{{\"ev\":\"dispatch\",\"boundary\":{b},\"next\":{},\"gated\":{},\"clock\":{}}}",
-            ev.next, ev.gated, ev.dispatch
-        );
-    }
-
-    fn finish(&mut self, result: &TimingResult) {
-        let _ = writeln!(
-            self.out,
-            "{{\"ev\":\"halt\",\"cycles\":{},\"instructions\":{},\"tasks\":{},\
-             \"task_mispredicts\":{}}}",
-            result.cycles, result.instructions, result.dynamic_tasks, result.task_mispredicts
         );
     }
 }

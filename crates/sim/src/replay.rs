@@ -20,10 +20,9 @@
 //! lane being one column (an [`Outcomes`] and a [`TimingConfig`]). An
 //! experiment walks a benchmark once: Table 4 and `profile` as five lanes,
 //! `ext-memory` as four, `ext-intra` as three, `ext-confidence` as two and
-//! `ext-zoo` as four. [`walk_replay`] and [`simulate_replay`] are one
-//! lane. The walk runs with zero re-interpretation, and each lane's
-//! `TimingResult` is bit-identical to [`crate::timing::simulate`]'s, which
-//! stays only as the test oracle.
+//! `ext-zoo` as four. [`simulate_replay`] is one lane. The walk runs with
+//! zero re-interpretation, and each lane's `TimingResult` is bit-identical
+//! to [`crate::timing::simulate`]'s, which stays only as the test oracle.
 //!
 //! Prediction is not part of the walk: [`simulate_replay`] runs the
 //! outcome pass ([`crate::measure::measure_outcomes`]) over the boundary
@@ -105,12 +104,12 @@ use multiscalar_taskform::TaskProgram;
 use crate::arb::ArbTable;
 use crate::codec::{ChunkReader, CodecError, StoredSection};
 use crate::measure::{measure_outcomes, Outcomes};
-use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
+use crate::metrics::{FrontierCause, MetricsSink, NoopSink, StallCause};
 use crate::timing::{
     op_facts, static_successor, BoundaryStep, CoreStep, ForwardingModel, InterpSource, IntraState,
-    NextTaskPredictor, OpClass, StepSource, TimingConfig, TimingResult, ARB_FULL_PENALTY,
-    DISPATCH_COST, INTRA_PENALTY, ISSUE_WIDTH, LOAD_LATENCY, NO_REG, N_UNITS, SQUASH_PENALTY,
-    TASK_IDX_BITS, TASK_IDX_MASK, VIOLATION_PENALTY,
+    NextTaskPredictor, OpClass, TimingConfig, TimingResult, ARB_FULL_PENALTY, DISPATCH_COST,
+    INTRA_PENALTY, ISSUE_WIDTH, LOAD_LATENCY, NO_REG, N_UNITS, SQUASH_PENALTY, TASK_IDX_BITS,
+    TASK_IDX_MASK, VIOLATION_PENALTY,
 };
 use crate::trace::{SharedTrace, TraceError, TraceRun, TraceStats};
 
@@ -738,41 +737,6 @@ fn task_len(bounds: &SharedTrace, k: usize) -> u64 {
     bounds.instrs.get(k).map_or(u64::MAX, |&n| u64::from(n))
 }
 
-/// A cursor over the whole of a recording that holds its instruction
-/// section, as one chunk: the scalar core's feed.
-pub(crate) struct WholeCursor<'a> {
-    cursor: ReplayCursor<'a>,
-    chunk: Chunk<'a>,
-}
-
-impl<'a> WholeCursor<'a> {
-    /// # Panics
-    ///
-    /// If `r` holds no instruction section (a recording loaded from the
-    /// artifact cache that no walk has re-recorded).
-    pub(crate) fn new(r: &'a InstrReplay) -> WholeCursor<'a> {
-        let s = r
-            .held_section()
-            .expect("a whole cursor steps a recording that holds its instructions");
-        WholeCursor {
-            cursor: ReplayCursor::new(&r.code, &r.bounds),
-            chunk: Chunk::whole(s),
-        }
-    }
-
-    /// The next op, or `None` past the halt.
-    #[inline(always)]
-    pub(crate) fn step(&mut self) -> Option<CoreStep> {
-        self.cursor.step(&mut self.chunk)
-    }
-}
-
-impl StepSource for WholeCursor<'_> {
-    fn next_step(&mut self) -> Result<CoreStep, TraceError> {
-        Ok(self.step().expect("cursor stops at halt"))
-    }
-}
-
 /// Runs the timing model over a recorded execution — same cycle accounting
 /// as [`crate::timing::simulate`], zero re-interpretation, bit-identical
 /// [`TimingResult`].
@@ -791,7 +755,7 @@ pub fn simulate_replay(
 
 /// [`simulate_replay`] with a live [`MetricsSink`] observing the run: the
 /// outcome pass ([`measure_outcomes`]) over the recording's boundary
-/// section, then a one-lane [`walk_replay`]. Breakdowns and event logs are
+/// section, then a one-lane [`walk_lanes`]. Breakdowns are
 /// engine-independent: the lane reports the same sink stream as
 /// [`crate::timing::simulate_with_sink`] for the same execution.
 pub fn simulate_replay_with_sink<M: MetricsSink>(
@@ -802,25 +766,8 @@ pub fn simulate_replay_with_sink<M: MetricsSink>(
     sink: &mut M,
 ) -> TimingResult {
     let outcomes = measure_outcomes(predictor, descs, &replay.bounds, None);
-    walk_replay(replay, &outcomes, config, sink)
-}
-
-/// Walks a recording through the timing model with its prediction done:
-/// one [`Outcomes`] byte per boundary of `replay`, which several walks may
-/// share. A gated run is a walk of gated outcomes. This is a one-lane
-/// [`walk_lanes`].
-///
-/// # Panics
-///
-/// Panics unless `outcomes` has exactly one outcome per boundary.
-pub fn walk_replay<M: MetricsSink>(
-    replay: &InstrReplay,
-    outcomes: &Outcomes,
-    config: &TimingConfig,
-    sink: &mut M,
-) -> TimingResult {
     let lane = Lane {
-        outcomes,
+        outcomes: &outcomes,
         config: *config,
     };
     walk_lanes(replay, &[lane], std::slice::from_mut(sink))[0]
@@ -836,7 +783,8 @@ fn assert_covers(replay: &InstrReplay, outcomes: &Outcomes) {
 
 /// One column of a lockstep walk ([`walk_lanes`]): the outcome bits it
 /// reads and the machine it times. Lanes borrow their outcomes, so several
-/// machines can walk one prediction pass.
+/// machines can walk one prediction pass, and a gated run is a lane of
+/// gated outcomes.
 #[derive(Debug, Clone, Copy)]
 pub struct Lane<'a> {
     /// One outcome byte per boundary of the recording.
@@ -845,14 +793,15 @@ pub struct Lane<'a> {
     pub config: TimingConfig,
 }
 
-/// Lanes one monomorphised walk carries; wider requests walk in chunks.
-const MAX_LANES: usize = 8;
+/// Lanes one walk carries at most: the widest walk an experiment runs
+/// (Table 4's five columns, and `profile`'s).
+const MAX_LANES: usize = 5;
 
 /// Times several columns over one recording in a **single** walk: lane `i`
 /// reads `lanes[i].outcomes`, times `lanes[i].config` and reports to
 /// `sinks[i]`, and its result is bit-identical to a solo run of the
-/// scalar core (`timing::simulate_core` on the same recording) with the
-/// same outcomes, machine and sink.
+/// interpreter-fed scalar core (`timing::simulate_core`) over the recorded
+/// execution with the same outcomes, machine and sink.
 ///
 /// Each recorded instruction is decoded once. Everything that depends only
 /// on the recording is computed once per step and shared: the intra-task
@@ -862,44 +811,43 @@ const MAX_LANES: usize = 8;
 /// distinct geometry, and the register mask of the current task once. The
 /// clocks, scoreboard and store table are rows of one value per lane, so
 /// the per-lane work is a short loop over `N` lanes, monomorphised for
-/// `N` in `1..=8`.
+/// `N` in `1..=5`.
 ///
 /// # Panics
 ///
-/// If `sinks` and `lanes` differ in length, or a lane's outcomes do not
-/// cover exactly the recording's boundaries.
+/// If `sinks` and `lanes` differ in length, more than five lanes are asked
+/// for (no experiment walks more), or a lane's outcomes do not cover
+/// exactly the recording's boundaries.
 pub fn walk_lanes<M: MetricsSink>(
     replay: &InstrReplay,
     lanes: &[Lane],
     sinks: &mut [M],
 ) -> Vec<TimingResult> {
     assert_eq!(lanes.len(), sinks.len(), "one sink per lane");
+    assert!(
+        lanes.len() <= MAX_LANES,
+        "a walk carries at most {MAX_LANES} lanes"
+    );
     for lane in lanes {
         assert_covers(replay, lane.outcomes);
     }
-    let mut results = Vec::with_capacity(lanes.len());
-    for (lanes, sinks) in lanes.chunks(MAX_LANES).zip(sinks.chunks_mut(MAX_LANES)) {
-        match lanes.len() {
-            1 => results.extend(walk_chunk::<1, M>(replay, lanes, sinks)),
-            2 => results.extend(walk_chunk::<2, M>(replay, lanes, sinks)),
-            3 => results.extend(walk_chunk::<3, M>(replay, lanes, sinks)),
-            4 => results.extend(walk_chunk::<4, M>(replay, lanes, sinks)),
-            5 => results.extend(walk_chunk::<5, M>(replay, lanes, sinks)),
-            6 => results.extend(walk_chunk::<6, M>(replay, lanes, sinks)),
-            7 => results.extend(walk_chunk::<7, M>(replay, lanes, sinks)),
-            _ => results.extend(walk_chunk::<MAX_LANES, M>(replay, lanes, sinks)),
-        }
+    match lanes.len() {
+        0 => Vec::new(),
+        1 => walk_n::<1, M>(replay, lanes, sinks).into(),
+        2 => walk_n::<2, M>(replay, lanes, sinks).into(),
+        3 => walk_n::<3, M>(replay, lanes, sinks).into(),
+        4 => walk_n::<4, M>(replay, lanes, sinks).into(),
+        _ => walk_n::<MAX_LANES, M>(replay, lanes, sinks).into(),
     }
-    results
 }
 
 /// One lockstep walk of exactly `N` lanes.
-fn walk_chunk<const N: usize, M: MetricsSink>(
+fn walk_n<const N: usize, M: MetricsSink>(
     replay: &InstrReplay,
     lanes: &[Lane],
     sinks: &mut [M],
 ) -> [TimingResult; N] {
-    let lanes: &[Lane; N] = lanes.try_into().expect("a chunk of N lanes");
+    let lanes: &[Lane; N] = lanes.try_into().expect("exactly N lanes");
     let sinks: &mut [M; N] = sinks.try_into().expect("one sink per lane");
     // A bad chunk of a section read from disk turns up after the walk has
     // stepped ops it must not count: the walk starts over on the
@@ -922,7 +870,7 @@ fn walk_chunk<const N: usize, M: MetricsSink>(
     }
 }
 
-/// [`walk_chunk`] over the recording's chunks, each checked as the walk
+/// [`walk_n`] over the recording's chunks, each checked as the walk
 /// steps it; the first chunk that fails its read or its check ends the
 /// walk.
 fn walk_section<const N: usize, M: MetricsSink>(
@@ -1169,7 +1117,7 @@ impl<'a, const N: usize> LaneCore<'a, N> {
             return;
         }
         match step.boundary {
-            Some(bound) => self.retire(bound, sinks),
+            Some(_) => self.retire(sinks),
             None if step.class == OpClass::Branch => self.intra_branch(step, &issue, sinks),
             None => {}
         }
@@ -1246,9 +1194,9 @@ impl<'a, const N: usize> LaneCore<'a, N> {
         }
     }
 
-    /// Retires the current task at `bound` and dispatches the next, in
-    /// every lane by its own outcome bit.
-    fn retire<M: MetricsSink>(&mut self, bound: BoundaryStep, sinks: &mut [M; N]) {
+    /// Retires the current task at its boundary and dispatches the next,
+    /// in every lane by its own outcome bit.
+    fn retire<M: MetricsSink>(&mut self, sinks: &mut [M; N]) {
         let k = self.task_index as usize;
         // Release-at-end lanes release the finished task's created
         // registers (the header's create mask, §2.1) to younger tasks.
@@ -1323,17 +1271,7 @@ impl<'a, const N: usize> LaneCore<'a, N> {
                     FrontierCause::Dispatch
                 };
                 sink.frontier(complete, to, cause);
-                sink.boundary(&BoundaryEvent {
-                    index: k as u64,
-                    task: bound.task,
-                    exit: bound.exit.as_u8(),
-                    next: bound.next.0,
-                    miss,
-                    gated,
-                    complete,
-                    commit,
-                    dispatch: self.dispatch[i],
-                });
+                sink.boundary(commit, self.dispatch[i]);
             }
             self.complete[i] = to;
         }
@@ -1360,6 +1298,7 @@ impl<'a, const N: usize> LaneCore<'a, N> {
 mod tests {
     use super::*;
     use crate::measure::task_descs;
+    use crate::metrics::CycleBreakdown;
     use crate::timing::{simulate, simulate_core};
     use multiscalar_core::automata::LastExitHysteresis;
     use multiscalar_core::dolc::Dolc;
@@ -1479,50 +1418,75 @@ mod tests {
         assert!(legacy.dynamic_tasks > 0);
     }
 
-    /// A recording of [`mixed_program`] and its task descriptors.
-    fn recorded(iters: i32) -> (InstrReplay, Vec<TaskDesc>) {
-        let p = mixed_program(iters);
-        let tp = TaskFormer::default().form(&p).unwrap();
-        (record_replay(&p, &tp, 1_000_000).unwrap(), task_descs(&tp))
+    /// A recording of [`mixed_program`], with the program and partition it
+    /// records and the partition's task descriptors.
+    struct Recorded {
+        program: Program,
+        tasks: TaskProgram,
+        replay: InstrReplay,
+        descs: Vec<TaskDesc>,
+    }
+
+    fn recorded(iters: i32) -> Recorded {
+        let program = mixed_program(iters);
+        let tasks = TaskFormer::default().form(&program).unwrap();
+        let replay = record_replay(&program, &tasks, 1_000_000).unwrap();
+        let descs = task_descs(&tasks);
+        Recorded {
+            program,
+            tasks,
+            replay,
+            descs,
+        }
     }
 
     /// The outcomes of a PATH predictor at `depth` over a recording
     /// (`None`: perfect prediction).
-    fn outcomes(replay: &InstrReplay, descs: &[TaskDesc], depth: Option<u8>) -> Outcomes {
+    fn outcomes(rec: &Recorded, depth: Option<u8>) -> Outcomes {
         let mut p = depth.map(|d| {
             TaskPredictor::<PathLeh2>::path(Dolc::new(d, 4, 6, 6, 2), Dolc::new(4, 3, 4, 4, 2), 16)
         });
         let p = p.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
-        measure_outcomes(p, descs, &replay.bounds, None)
+        measure_outcomes(p, &rec.descs, &rec.replay.bounds, None)
     }
 
-    /// The scalar core's solo run of one column over a recording: the
-    /// reference every lane of [`walk_lanes`] must match.
-    fn scalar(replay: &InstrReplay, outcomes: &Outcomes, config: &TimingConfig) -> TimingResult {
-        let mut cursor = WholeCursor::new(replay);
-        simulate_core(
-            &mut cursor,
-            outcomes,
-            config,
-            replay.mem_words,
-            &mut NoopSink,
-        )
-        .expect("replay cursor never errors")
+    /// The interpreter-fed scalar core's solo run of one column over the
+    /// recorded program, with its cycle breakdown: the reference every lane
+    /// of [`walk_lanes`] must match.
+    fn scalar(
+        rec: &Recorded,
+        outcomes: &Outcomes,
+        config: &TimingConfig,
+    ) -> (TimingResult, CycleBreakdown) {
+        let mut feed = InterpSource::new(&rec.program, &rec.tasks, 1_000_000);
+        let mut breakdown = CycleBreakdown::new();
+        let mem_words = memory_words(&rec.program);
+        let result = simulate_core(&mut feed, outcomes, config, mem_words, &mut breakdown)
+            .expect("the recorded program runs");
+        (result, breakdown)
     }
 
-    /// Walks `outcomes[i]` under `configs[i]` as one lockstep walk,
-    /// without sinks.
+    /// Walks `outcomes[i]` under `configs[i]` as one lockstep walk, each
+    /// lane with a cycle breakdown. The same walk without sinks must time
+    /// alike.
     fn lanes(
         replay: &InstrReplay,
         outcomes: &[Outcomes],
         configs: &[TimingConfig],
-    ) -> Vec<TimingResult> {
+    ) -> Vec<(TimingResult, CycleBreakdown)> {
         let lanes: Vec<Lane> = outcomes
             .iter()
             .zip(configs)
             .map(|(outcomes, &config)| Lane { outcomes, config })
             .collect();
-        walk_lanes(replay, &lanes, &mut vec![NoopSink; lanes.len()])
+        let mut breakdowns = vec![CycleBreakdown::new(); lanes.len()];
+        let results = walk_lanes(replay, &lanes, &mut breakdowns);
+        assert_eq!(
+            walk_lanes(replay, &lanes, &mut vec![NoopSink; lanes.len()]),
+            results,
+            "sinks never alter cycle arithmetic"
+        );
+        results.into_iter().zip(breakdowns).collect()
     }
 
     /// Machines that share an intra predictor or an ARB with the paper's
@@ -1549,55 +1513,60 @@ mod tests {
 
     #[test]
     fn lanes_match_scalar_core_runs() {
-        let (replay, descs) = recorded(500);
+        let rec = recorded(500);
         let config = TimingConfig::default();
-        let slots = [None, Some(2), Some(4)].map(|d| outcomes(&replay, &descs, d));
-        let solo: Vec<_> = slots.iter().map(|o| scalar(&replay, o, &config)).collect();
-        assert_eq!(lanes(&replay, &slots, &[config; 3]), solo);
-        assert_eq!(solo[0], simulate_replay(&replay, &descs, None, &config));
+        let slots = [None, Some(2), Some(4)].map(|d| outcomes(&rec, d));
+        let solo: Vec<_> = slots.iter().map(|o| scalar(&rec, o, &config)).collect();
+        assert_eq!(lanes(&rec.replay, &slots, &[config; 3]), solo);
         assert_eq!(
-            solo[2],
-            walk_replay(&replay, &slots[2], &config, &mut NoopSink)
+            solo[0].0,
+            simulate_replay(&rec.replay, &rec.descs, None, &config)
         );
+        assert_eq!(lanes(&rec.replay, &slots[2..], &[config]), solo[2..]);
     }
 
     #[test]
-    fn mixed_machines_match_scalar_core_runs_beyond_one_chunk() {
-        // Ten lanes walk as a chunk of eight and a chunk of two; every
-        // machine meets every outcome pass somewhere in the grid.
-        let (replay, descs) = recorded(300);
-        let passes = [None, Some(4)].map(|d| outcomes(&replay, &descs, d));
+    fn mixed_machines_match_scalar_core_runs_under_each_outcome_pass() {
+        // Every machine meets every outcome pass: one five-lane walk per
+        // pass.
+        let rec = recorded(300);
         let configs = mixed_configs();
-        let grid: Vec<(Outcomes, TimingConfig)> = configs
-            .iter()
-            .flat_map(|&c| passes.iter().map(move |o| (o.clone(), c)))
-            .collect();
-        let (slots, configs): (Vec<_>, Vec<_>) = grid.into_iter().unzip();
-        let solo: Vec<_> = slots
-            .iter()
-            .zip(&configs)
-            .map(|(o, c)| scalar(&replay, o, c))
-            .collect();
-        assert_eq!(slots.len(), 10);
-        assert_eq!(lanes(&replay, &slots, &configs), solo);
+        for depth in [None, Some(4)] {
+            let slots = configs.map(|_| outcomes(&rec, depth));
+            let solo: Vec<_> = slots
+                .iter()
+                .zip(&configs)
+                .map(|(o, c)| scalar(&rec, o, c))
+                .collect();
+            assert_eq!(lanes(&rec.replay, &slots, &configs), solo, "{depth:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a walk carries at most 5 lanes")]
+    fn a_walk_refuses_more_lanes_than_any_experiment_runs() {
+        let rec = recorded(50);
+        let slots = [None; 6].map(|d| outcomes(&rec, d));
+        lanes(&rec.replay, &slots, &[TimingConfig::default(); 6]);
     }
 
     #[test]
     fn lanes_match_the_scalar_core_across_program_lengths() {
         // Halts after one, a few and many tasks, in every lane count a
-        // mixed grid reaches.
+        // mixed grid reaches. Each lane's result and cycle breakdown equal
+        // its interpreter-fed scalar run.
         let configs = mixed_configs();
         for iters in [1, 3, 17, 64, 200] {
-            let (replay, descs) = recorded(iters);
+            let rec = recorded(iters);
             let slots: Vec<_> = [None, Some(4), Some(2), None, Some(1)]
-                .map(|d| outcomes(&replay, &descs, d))
+                .map(|d| outcomes(&rec, d))
                 .into();
             for n in 1..=slots.len() {
                 let solo: Vec<_> = (0..n)
-                    .map(|i| scalar(&replay, &slots[i], &configs[i]))
+                    .map(|i| scalar(&rec, &slots[i], &configs[i]))
                     .collect();
                 assert_eq!(
-                    lanes(&replay, &slots[..n], &configs[..n]),
+                    lanes(&rec.replay, &slots[..n], &configs[..n]),
                     solo,
                     "iters {iters}, {n} lanes"
                 );
@@ -1608,22 +1577,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "a walk takes exactly one outcome per boundary")]
     fn a_walk_rejects_too_many_outcomes() {
-        let (replay, _) = recorded(50);
-        let (longer, descs) = recorded(51);
-        let extra = outcomes(&longer, &descs, None);
-        walk_replay(&replay, &extra, &TimingConfig::default(), &mut NoopSink);
+        let rec = recorded(50);
+        let extra = outcomes(&recorded(51), None);
+        lanes(&rec.replay, &[extra], &[TimingConfig::default()]);
     }
 
     #[test]
     #[should_panic(expected = "a walk takes exactly one outcome per boundary")]
     fn a_lanes_walk_rejects_too_few_outcomes() {
-        let (replay, descs) = recorded(50);
-        let (shorter, short_descs) = recorded(49);
-        let slots = [
-            outcomes(&replay, &descs, None),
-            outcomes(&shorter, &short_descs, None),
-        ];
-        lanes(&replay, &slots, &[TimingConfig::default(); 2]);
+        let rec = recorded(50);
+        let slots = [outcomes(&rec, None), outcomes(&recorded(49), None)];
+        lanes(&rec.replay, &slots, &[TimingConfig::default(); 2]);
     }
 
     #[test]
@@ -1631,10 +1595,8 @@ mod tests {
         use crate::arb::ArbConfig;
         use crate::timing::{ForwardingModel, IntraPredictorKind};
 
-        let p = mixed_program(400);
-        let tp = TaskFormer::default().form(&p).unwrap();
-        let descs = task_descs(&tp);
-        let replay = record_replay(&p, &tp, 1_000_000).unwrap();
+        let rec = recorded(400);
+        let (p, tp, descs) = (&rec.program, &rec.tasks, &rec.descs);
         let mk = || {
             TaskPredictor::<PathLeh2>::path(Dolc::new(4, 4, 6, 6, 2), Dolc::new(4, 3, 4, 4, 2), 16)
         };
@@ -1649,24 +1611,25 @@ mod tests {
             })),
         ];
         for config in &configs {
-            let legacy = simulate(&p, &tp, &descs, None, config, 1_000_000).unwrap();
-            let fast = simulate_replay(&replay, &descs, None, config);
+            let legacy = simulate(p, tp, descs, None, config, 1_000_000).unwrap();
+            let fast = simulate_replay(&rec.replay, descs, None, config);
             assert_eq!(legacy, fast, "config {config:?}");
-            let legacy = simulate(&p, &tp, &descs, Some(&mut mk()), config, 1_000_000).unwrap();
-            let fast = simulate_replay(&replay, &descs, Some(&mut mk()), config);
+            let legacy = simulate(p, tp, descs, Some(&mut mk()), config, 1_000_000).unwrap();
+            let fast = simulate_replay(&rec.replay, descs, Some(&mut mk()), config);
             assert_eq!(legacy, fast, "config {config:?} with PATH");
         }
         // A gated run is a walk of gated outcomes; both feeds walk them
         // alike.
         let config = TimingConfig::paper();
         for gate in [2, 8] {
-            let gated = measure_outcomes(Some(&mut mk()), &descs, &replay.bounds, Some(gate));
-            let mut feed = InterpSource::new(&p, &tp, 1_000_000);
-            let mem_words = memory_words(&p);
-            let legacy = simulate_core(&mut feed, &gated, &config, mem_words, &mut NoopSink);
-            let fast = walk_replay(&replay, &gated, &config, &mut NoopSink);
-            assert_eq!(legacy.unwrap(), fast, "gate {gate}");
-            assert!(fast.gated_boundaries > 0, "the gate withholds speculation");
+            let gated = measure_outcomes(Some(&mut mk()), descs, &rec.replay.bounds, Some(gate));
+            let legacy = scalar(&rec, &gated, &config);
+            let fast = lanes(&rec.replay, std::slice::from_ref(&gated), &[config]);
+            assert_eq!(fast, [legacy], "gate {gate}");
+            assert!(
+                fast[0].0.gated_boundaries > 0,
+                "the gate withholds speculation"
+            );
         }
     }
 }

@@ -12,23 +12,25 @@
 //! both read the per-boundary miss/gated bits of one trace pass
 //! ([`crate::measure::measure_outcomes`]). This module turns that
 //! construction argument into a checked invariant:
-//! [`check_replay_agreement`] records an execution, then walks a fresh
-//! interpreter feed and the replay cursor in lockstep and asserts that
-//! every step they produce is equal — same pc, instruction class and
-//! register operands, same memory address, same intra-task branch
-//! outcome, and, crucially, the **same task-boundary events** (retiring
-//! task, header exit, next-task entry). That covers the recorder, the
-//! code table and the cursor's regeneration of the path.
+//! [`check_replay_agreement`] records an execution, then steps a fresh
+//! interpreter feed and the replay cursor over the recording in lockstep
+//! and asserts that every step they produce is equal — same pc,
+//! instruction class and register operands, same memory address, same
+//! intra-task branch outcome, and, crucially, the **same task-boundary
+//! events** (retiring task, header exit, next-task entry). That covers the
+//! recorder, the code table and the cursor's regeneration of the path.
 //!
 //! [`check_fused_agreement`] closes the remaining gap: it runs one
-//! lockstep lanes walk ([`crate::replay::walk_lanes`]), one lane per slot,
-//! each slot with its own outcome pass
+//! lockstep lanes walk ([`crate::replay::walk_lanes`]) of a recording, one
+//! lane per slot, each slot with its own outcome pass
 //! ([`crate::measure::measure_outcomes`]) and its own machine, and solo
-//! runs of the scalar core (`timing::simulate_core` on the replay cursor)
+//! runs of the scalar core fed by the interpreter (`timing::simulate_core`)
 //! in one process, and asserts bit-identical
 //! [`crate::timing::TimingResult`]s *and* cycle attributions per slot. The
 //! lanes and the scalar core are two independent implementations of the
-//! cycle arithmetic, so each comparison checks one against the other.
+//! cycle arithmetic, and the scalar core never reads the recording, so
+//! each comparison checks the lanes core and the cursor's regenerated
+//! steps against the interpreter's execution.
 //!
 //! Enabling the feature also arms assertions inside the model itself: the
 //! boundary-retirement code of both cores asserts the commit clock and
@@ -37,19 +39,18 @@
 
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::CycleBreakdown;
-use crate::replay::{record_replay, walk_lanes, Lane, WholeCursor};
-use crate::timing::{
-    simulate_core, InterpSource, NextTaskPredictor, StepSource, TimingConfig, TimingResult,
-};
+use crate::replay::{record_replay, walk_lanes, Chunk, Lane, ReplayCursor};
+use crate::timing::{simulate_core, InterpSource, NextTaskPredictor, TimingConfig, TimingResult};
 use crate::trace::TraceError;
 use multiscalar_core::predictor::TaskDesc;
-use multiscalar_isa::Program;
+use multiscalar_isa::{memory_words, Program};
 use multiscalar_taskform::TaskProgram;
 
-/// Records `program`'s execution, then re-executes it while walking the
-/// recording in lockstep, asserting the two step feeds are equal step for
-/// step — in particular at every task boundary. Returns the number of steps
-/// checked (= committed instructions).
+/// Records `program`'s execution, then re-executes it while stepping the
+/// replay cursor over the recording in lockstep, asserting the two step
+/// feeds are equal step for step — in particular at every task boundary —
+/// and that the cursor's steps break none of the rules a walk checks.
+/// Returns the number of steps checked (= committed instructions).
 ///
 /// # Errors
 ///
@@ -66,14 +67,16 @@ pub fn check_replay_agreement(
     max_steps: u64,
 ) -> Result<u64, TraceError> {
     let replay = record_replay(program, tasks, max_steps)?;
+    let section = replay.section();
+    let mut chunk = Chunk::whole(&section);
+    let mut cursor = ReplayCursor::new(&replay.code, &replay.bounds);
     let mut interp = InterpSource::new(program, tasks, max_steps);
-    let mut cursor = WholeCursor::new(&replay);
     let mut steps = 0u64;
     loop {
         let a = interp.next_step()?;
-        let b = cursor.next_step().expect("replay cursor never errors");
+        let b = cursor.step(&mut chunk);
         assert!(
-            a == b,
+            Some(a) == b,
             "sanitize: step {steps} diverges\n  interpreter: {a:?}\n  replay:      {b:?}"
         );
         steps += 1;
@@ -86,6 +89,9 @@ pub fn check_replay_agreement(
         replay.instructions(),
         "sanitize: replay length disagrees with the interpreter"
     );
+    if let Err(e) = cursor.check(&chunk) {
+        panic!("sanitize: the recording breaks a rule of its path: {e}");
+    }
     Ok(steps)
 }
 
@@ -96,21 +102,22 @@ pub type FusedSlot = (Option<Box<dyn NextTaskPredictor>>, TimingConfig);
 /// Cross-checks the lockstep lanes walk against the scalar core **in one
 /// process**: records `program` once, runs each slot's predictor once,
 /// ungated, through [`measure_outcomes`], walks every slot as one lane of
-/// a single [`walk_lanes`] and each slot solo through the scalar core on
-/// the same recording, and asserts per slot that the [`TimingResult`]s
-/// are bit-identical *and* that the [`CycleBreakdown`]s agree cause by
-/// cause (each breakdown also self-asserts that it sums to the run's cycle
-/// count). Returns the per-slot results.
+/// a single [`walk_lanes`] of the recording and each slot solo through the
+/// scalar core fed by the interpreter, and asserts per slot that the
+/// [`TimingResult`]s are bit-identical *and* that the [`CycleBreakdown`]s
+/// agree cause by cause (each breakdown also self-asserts that it sums to
+/// the run's cycle count). Returns the per-slot results.
 ///
 /// # Errors
 ///
-/// Propagates recording failures (execution faults, step-budget
-/// exhaustion).
+/// Propagates the interpreter's failures (execution faults, step-budget
+/// exhaustion), in recording or in a solo run.
 ///
 /// # Panics
 ///
 /// Panics on the first slot where the lane and the scalar core disagree —
-/// that is the sanitizer finding a bug in one of the two cores.
+/// that is the sanitizer finding a bug in one of the two cores — and on
+/// more than five slots, the most one walk carries.
 pub fn check_fused_agreement(
     program: &Program,
     tasks: &TaskProgram,
@@ -127,22 +134,16 @@ pub fn check_fused_agreement(
         })
         .collect();
 
-    let solo: Vec<_> = runs
+    let mem_words = memory_words(program);
+    let solo = runs
         .iter()
         .map(|(outcomes, config)| {
+            let mut feed = InterpSource::new(program, tasks, max_steps);
             let mut breakdown = CycleBreakdown::new();
-            let mut cursor = WholeCursor::new(&replay);
-            let result = simulate_core(
-                &mut cursor,
-                outcomes,
-                config,
-                replay.mem_words,
-                &mut breakdown,
-            )
-            .expect("replay cursor never errors");
-            (result, breakdown)
+            let result = simulate_core(&mut feed, outcomes, config, mem_words, &mut breakdown)?;
+            Ok((result, breakdown))
         })
-        .collect();
+        .collect::<Result<Vec<_>, TraceError>>()?;
 
     let lanes: Vec<Lane> = runs
         .iter()

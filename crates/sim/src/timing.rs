@@ -50,19 +50,20 @@
 //! several columns in one pass; a single run is one lane.
 //!
 //! This module keeps the scalar cycle-accounting core (`CoreState`,
-//! driven by `simulate_core` over any step source) as the reference. In
-//! tests, [`simulate`] feeds the interpreter straight into it as the
-//! oracle the replay engine is checked against, after draining a first
-//! feed for the outcome pass's boundaries; the sanitizer
-//! ([`crate::sanitize::check_fused_agreement`]) runs it on the replay
-//! cursor against every lane of one walk. The lanes core is the same
-//! cycle arithmetic, widened to a row per lane, so both cores return
-//! **bit-identical** [`TimingResult`]s on the same step stream and
-//! outcomes.
+//! driven by `simulate_core`) as the reference, and the interpreter is its
+//! only feed. In tests, [`simulate`] runs it as the oracle the replay
+//! engine is checked against, after draining a first feed for the outcome
+//! pass's boundaries; the sanitizer
+//! ([`crate::sanitize::check_fused_agreement`]) runs it against every lane
+//! of one walk of a recording. The lanes core is the same cycle
+//! arithmetic, widened to a row per lane, so both cores return
+//! **bit-identical** [`TimingResult`]s on the same execution and outcomes,
+//! and a bug in the cursor that regenerates the walk's steps shows as a
+//! disagreement.
 
 use crate::arb::{ArbConfig, ArbTable};
 use crate::measure::{measure_outcomes, Outcomes};
-use crate::metrics::{BoundaryEvent, FrontierCause, MetricsSink, NoopSink, StallCause};
+use crate::metrics::{FrontierCause, MetricsSink, NoopSink, StallCause};
 use multiscalar_core::predictor::{ExitPredictor, TaskDesc, TaskPredictor};
 use multiscalar_core::scalar::{Bimodal, McFarling, TwoLevelGag};
 use multiscalar_isa::{
@@ -357,14 +358,6 @@ pub(crate) struct CoreStep {
     pub boundary: Option<BoundaryStep>,
 }
 
-/// A stream of [`CoreStep`]s driving [`simulate_core`] — the interpreter
-/// (the oracle) or a recorded replay cursor (production).
-pub(crate) trait StepSource {
-    /// Produces the next instruction's step, or the error that ended the
-    /// run (execution fault, unmatched boundary, step-budget exhaustion).
-    fn next_step(&mut self) -> Result<CoreStep, TraceError>;
-}
-
 /// What the timing model knows of `inst` before it executes: its first
 /// and second source and its destination register ([`NO_REG`] when
 /// absent), and its class. A conditional branch is an
@@ -402,12 +395,12 @@ pub(crate) fn static_successor(inst: &Instruction, pc: Addr) -> Option<Addr> {
     }
 }
 
-/// The interpreter-backed [`StepSource`]: executes the program and resolves
-/// task boundaries on the fly. The only code that steps the interpreter —
-/// recording ([`crate::replay::record_replay`], which every task trace
-/// derives from) and the timing oracle ([`simulate`]) both drain it, so
-/// the step budget, boundary resolution and `UnmatchedExit` checks exist
-/// once.
+/// The interpreter step source: executes the program and resolves task
+/// boundaries on the fly, one [`CoreStep`] per instruction. The only code
+/// that steps the interpreter — recording ([`crate::replay::record_replay`],
+/// which every task trace derives from) and the timing oracle
+/// ([`simulate`]) both drain it, so the step budget, boundary resolution
+/// and `UnmatchedExit` checks exist once.
 pub(crate) struct InterpSource<'a> {
     interp: Interpreter<'a>,
     tasks: &'a TaskProgram,
@@ -442,14 +435,15 @@ impl<'a> InterpSource<'a> {
     pub(crate) fn into_code(self) -> CodeTable {
         self.code
     }
-}
 
-impl StepSource for InterpSource<'_> {
+    /// Produces the next instruction's step, or the error that ended the
+    /// run (execution fault, unmatched boundary, intra-task transfer
+    /// without a static successor, step-budget exhaustion).
     // Forced inline into each drain (recording, the oracle): without it,
     // recording the five scale-2 workloads took 1.29x as long (2-vCPU
     // Xeon VM, one thread, medians of 9 alternating rounds).
     #[inline(always)]
-    fn next_step(&mut self) -> Result<CoreStep, TraceError> {
+    pub(crate) fn next_step(&mut self) -> Result<CoreStep, TraceError> {
         if self.steps >= self.max_steps {
             return Err(TraceError::StepLimit);
         }
@@ -751,7 +745,7 @@ impl CoreState {
 
         // --- task boundary? ----------------------------------------------
         match step.boundary {
-            Some(bound) => {
+            Some(_) => {
                 // The outcome pass already predicted this boundary.
                 let bits = outcomes.bits()[self.task_index as usize];
                 let miss = bits & Outcomes::MISS != 0;
@@ -837,17 +831,7 @@ impl CoreState {
                         FrontierCause::Dispatch
                     };
                     sink.frontier(self.complete, to, cause);
-                    sink.boundary(&BoundaryEvent {
-                        index: self.result.dynamic_tasks - 1,
-                        task: bound.task,
-                        exit: bound.exit.as_u8(),
-                        next: bound.next.0,
-                        miss,
-                        gated,
-                        complete: self.complete,
-                        commit,
-                        dispatch: self.dispatch,
-                    });
+                    sink.boundary(commit, self.dispatch);
                 }
                 self.complete = to;
             }
@@ -882,12 +866,11 @@ impl CoreState {
     }
 }
 
-/// The scalar timing loop, generic over the step feed. Monomorphised for
-/// the interpreter (the oracle, [`simulate`]) and the replay cursor (the
-/// sanitizer's reference for every lane of
-/// [`crate::replay::walk_lanes`]).
-pub(crate) fn simulate_core<S: StepSource, M: MetricsSink>(
-    source: &mut S,
+/// The scalar timing loop over the interpreter's steps: the oracle
+/// ([`simulate`]) and the sanitizer's reference for every lane of
+/// [`crate::replay::walk_lanes`].
+pub(crate) fn simulate_core<M: MetricsSink>(
+    source: &mut InterpSource<'_>,
     outcomes: &Outcomes,
     config: &TimingConfig,
     mem_words: usize,
@@ -945,8 +928,8 @@ pub fn simulate(
 
 /// [`simulate`] with a live [`MetricsSink`] observing the run. The
 /// `NoopSink` instantiation *is* [`simulate`]; a [`crate::CycleBreakdown`]
-/// attributes every cycle, a [`crate::TaskEventSink`] records task-level
-/// events. The sink never alters cycle arithmetic, so the returned
+/// attributes every cycle, a [`crate::UnitOccupancy`] splits each ring
+/// unit's cycles. The sink never alters cycle arithmetic, so the returned
 /// [`TimingResult`] is bit-identical across sinks.
 ///
 /// # Errors
@@ -1296,7 +1279,7 @@ mod tests {
 
     #[test]
     fn cycle_breakdown_sums_to_total_and_leaves_result_unchanged() {
-        use crate::metrics::{Cause, CycleBreakdown, TaskEventSink};
+        use crate::metrics::{Cause, CycleBreakdown};
         let p = store_load_program();
         let tp = TaskFormer::default().form(&p).unwrap();
         let descs = task_descs(&tp);
@@ -1328,18 +1311,6 @@ mod tests {
         if r2.task_mispredicts > 0 {
             assert!(bd2.get(Cause::SquashRefill) > 0, "misses must cost cycles");
         }
-
-        // The event sink logs one block per boundary plus a halt line.
-        let mut ev = TaskEventSink::new();
-        let r3 = simulate_with_sink(&p, &tp, &descs, None, &config, 1_000_000, &mut ev).unwrap();
-        assert_eq!(plain, r3);
-        let log = ev.into_jsonl();
-        assert_eq!(
-            log.matches("\"ev\":\"resolve\"").count() as u64,
-            plain.dynamic_tasks
-        );
-        assert!(log.trim_end().ends_with('}'), "well-formed last line");
-        assert!(log.contains("\"ev\":\"halt\""));
     }
 
     #[test]
