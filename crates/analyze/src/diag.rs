@@ -376,9 +376,11 @@ pub mod codes {
         ASM_BAD_EXPRESSION = "E110", Error, Asm,
             "constant expression does not evaluate",
             "Evaluation of a constant expression failed: division by \
-             zero or 64-bit signed overflow. Expressions support + - * /, \
-             unary minus, parentheses, and lo()/hi() 16-bit splits over \
-             integers and symbol values.";
+             zero or 64-bit signed overflow, or the expression nests \
+             deeper than 64 levels (each parenthesis, unary minus, \
+             lo()/hi() and chained operator adds one). Expressions \
+             support + - * /, unary minus, parentheses, and lo()/hi() \
+             16-bit splits over integers and symbol values.";
         ASM_BAD_TASK = "E111", Error, Asm,
             "misplaced .task directive",
             "`.task` marks the next instruction as a Multiscalar task \

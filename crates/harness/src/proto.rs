@@ -571,14 +571,21 @@ impl Json {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Arrays and objects a JSON document may nest: the protocol nests three
+/// (the envelope, a batch's `requests` array and each request object),
+/// and the limit keeps the parser's recursion and the tree's drop off the
+/// end of the stack.
+pub const MAX_JSON_DEPTH: usize = 16;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so
+/// is nesting deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing characters at byte {}", p.pos));
@@ -611,10 +618,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// The value at `pos`, inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -728,7 +740,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -738,7 +750,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -751,7 +763,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut fields: Vec<(String, Json)> = Vec::new();
         self.skip_ws();
@@ -768,7 +780,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -925,6 +937,20 @@ mod tests {
         assert!(parse_json(r#"{"a":1,"a":2}"#)
             .unwrap_err()
             .contains("duplicate"));
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        let nest = |open: &str, close: &str, n| open.repeat(n) + "1" + &close.repeat(n);
+        assert!(parse_json(&nest("[", "]", MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nest(r#"{"a":"#, "}", MAX_JSON_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&nest("[", "]", MAX_JSON_DEPTH + 1)).unwrap_err(),
+            format!("nesting deeper than {MAX_JSON_DEPTH} levels at byte {MAX_JSON_DEPTH}")
+        );
+        // A nested value keeps its field-typed error.
+        let err = parse_line(r#"{"experiment":[["table2"]]}"#).unwrap_err();
+        assert_eq!(err, "field `experiment` must be a string, got array");
     }
 
     #[test]

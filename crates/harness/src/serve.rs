@@ -507,7 +507,8 @@ pub fn serve_stdio(config: &ServeConfig) {
 
 /// Runs the server on a Unix socket, one thread per connection sharing the
 /// one resident [`Server`]. A shutdown command from any connection stops
-/// the accept loop.
+/// the accept loop. A failed accept is logged and retried, and finished
+/// connections' threads are reaped as new ones start.
 #[cfg(unix)]
 pub fn serve_unix(config: &ServeConfig, path: &std::path::Path) -> Result<(), String> {
     use std::os::unix::net::{UnixListener, UnixStream};
@@ -525,12 +526,28 @@ pub fn serve_unix(config: &ServeConfig, path: &std::path::Path) -> Result<(), St
         config.pool.threads(),
         config.result_max_bytes
     );
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut failing = false;
     for stream in listener.incoming() {
         if server.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { break };
+        // A failed accept (out of descriptors, say) is logged once per run
+        // of failures; open connections may free what it needs.
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                if !std::mem::replace(&mut failing, true) {
+                    eprintln!("serve: accept failed ({e}); retrying");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                continue;
+            }
+        };
+        failing = false;
+        // A finished connection's thread keeps its stack until its handle
+        // is dropped.
+        workers.retain(|w| !w.is_finished());
         let server = Arc::clone(&server);
         let path = path.to_path_buf();
         workers.push(std::thread::spawn(move || {

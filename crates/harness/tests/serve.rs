@@ -368,6 +368,22 @@ fn a_non_utf8_line_is_answered_and_the_connection_keeps_serving() {
     );
 }
 
+/// A line nested far deeper than the protocol's three levels gets one
+/// error response naming the byte where the nesting went too deep, and
+/// the connection goes on to answer the next line.
+#[test]
+fn a_deeply_nested_line_is_answered_and_the_connection_keeps_serving() {
+    use multiscalar_harness::proto::MAX_JSON_DEPTH;
+    let mut input = "[".repeat(100_000);
+    input.push_str("\n{\"id\":7,\"cmd\":\"ping\"}\n");
+    let (lines, server) = converse("deep", input.as_bytes());
+    let (pong, _) = server.handle_line(r#"{"id":7,"cmd":"ping"}"#);
+    let too_deep = format!(
+        r#"{{"id":null,"ok":false,"error":"nesting deeper than {MAX_JSON_DEPTH} levels at byte {MAX_JSON_DEPTH}"}}"#
+    );
+    assert_eq!(lines, [too_deep, pong]);
+}
+
 /// Hostile fuzz reproducers: each shape value outside its documented
 /// range gets one error response that names the key, before any program
 /// is generated (a zero function count would panic the generator, a huge
@@ -436,5 +452,142 @@ fn the_cli_and_the_wire_share_the_scale_limit() {
     assert_eq!(
         parse_seed_range("7..1000008").unwrap_err(),
         "seed range `7..1000008` is wider than the limit of 1000000 seeds"
+    );
+}
+
+/// A `harness serve --socket` child limited to `fds` open descriptors,
+/// and its socket. Dropping it kills a server the test has not shut down
+/// and removes its scratch directory.
+#[cfg(unix)]
+struct SocketServer {
+    child: std::process::Child,
+    socket: std::path::PathBuf,
+}
+
+#[cfg(unix)]
+impl SocketServer {
+    /// Starts the server and waits until it accepts.
+    fn start(tag: &str, fds: u32) -> SocketServer {
+        use std::process::{Command, Stdio};
+        let dir = scratch_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("serve.sock");
+        let child = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -n {fds}; exec \"$0\" serve --socket \"$1\" --no-cache --threads 1"
+            ))
+            .arg(env!("CARGO_BIN_EXE_harness"))
+            .arg(&socket)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh runs");
+        let server = SocketServer { child, socket };
+        for _ in 0..1000 {
+            if std::os::unix::net::UnixStream::connect(&server.socket).is_ok() {
+                return server;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("the server never accepted on {}", server.socket.display());
+    }
+
+    /// Sends `line` on a new connection and returns the response.
+    fn ask(&self, line: &str) -> String {
+        use std::io::{BufRead, Write};
+        let mut stream =
+            std::os::unix::net::UnixStream::connect(&self.socket).expect("the server accepts");
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut response = String::new();
+        std::io::BufReader::new(&stream)
+            .read_line(&mut response)
+            .unwrap();
+        response
+    }
+
+    /// Shuts the server down and checks that it exits 0.
+    fn shut_down(mut self) {
+        assert!(self
+            .ask(r#"{"id":0,"cmd":"shutdown"}"#)
+            .contains("shutting down"));
+        let status = self.child.wait().unwrap();
+        assert!(status.success(), "{status:?}");
+    }
+}
+
+#[cfg(unix)]
+impl Drop for SocketServer {
+    fn drop(&mut self) {
+        // A no-op once the server has been waited for.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(dir) = self.socket.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// A socket server out of descriptors keeps serving: with more
+/// connections held open than its limit allows, accepting fails, which
+/// it logs, and once they close the next connection's `ping` is answered.
+#[cfg(unix)]
+#[test]
+fn a_socket_server_outlives_running_out_of_descriptors() {
+    use std::io::BufRead;
+    let mut server = SocketServer::start("fds", 12);
+    let stderr = std::io::BufReader::new(server.child.stderr.take().expect("piped"));
+    let (tx, lines) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stderr.lines() {
+            let _ = tx.send(line.expect("UTF-8 stderr"));
+        }
+    });
+    let held: Vec<_> = (0..16)
+        .map(|_| std::os::unix::net::UnixStream::connect(&server.socket).expect("queued"))
+        .collect();
+    // Within a generous deadline, so a server that stopped accepting fails
+    // the test rather than hanging it.
+    let deadline = std::time::Duration::from_secs(30);
+    assert!(
+        std::iter::from_fn(|| lines.recv_timeout(deadline).ok())
+            .any(|line| line.starts_with("serve: accept failed")),
+        "the server never logged a failed accept"
+    );
+    drop(held);
+    let pong = server.ask(r#"{"id":1,"cmd":"ping"}"#);
+    assert!(pong.contains("pong"), "{pong}");
+    server.shut_down();
+    reader
+        .join()
+        .expect("the stderr reader ends with the server");
+}
+
+/// A socket server reaps each finished connection's thread: 64 sequential
+/// connections leave its memory map within a few lines of where the first
+/// left it.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_socket_server_reaps_finished_connection_threads() {
+    let server = SocketServer::start("reap", 1024);
+    let maps = || {
+        std::fs::read_to_string(format!("/proc/{}/maps", server.child.id()))
+            .unwrap()
+            .lines()
+            .count()
+    };
+    assert!(server.ask(r#"{"id":1,"cmd":"ping"}"#).contains("pong"));
+    let first = maps();
+    for id in 2..=64 {
+        assert!(server
+            .ask(&format!(r#"{{"id":{id},"cmd":"ping"}}"#))
+            .contains("pong"));
+    }
+    let last = maps();
+    server.shut_down();
+    assert!(
+        last <= first + 8,
+        "{first} map lines after one connection, {last} after 64"
     );
 }

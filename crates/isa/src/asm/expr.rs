@@ -14,7 +14,9 @@
 //! and `hi(x)` take the low/high 16 bits — the classic split for
 //! materialising an address in two immediates. All arithmetic is checked
 //! `i64`: overflow and division by zero are diagnostics, never panics or
-//! silent wrap-around.
+//! silent wrap-around. So is an expression deeper than
+//! [`MAX_EXPR_DEPTH`] levels, since parsing, evaluating and dropping the
+//! tree all recurse through its levels.
 
 use super::lexer::{Tok, Token};
 use super::{codes, AsmDiagnostic, Span};
@@ -188,53 +190,79 @@ pub fn describe(tok: &Tok) -> String {
     }
 }
 
+/// Levels an expression may nest: the whole expression is one, and each
+/// parenthesis, unary minus, `lo`/`hi` and chained operator adds one.
+pub const MAX_EXPR_DEPTH: u32 = 64;
+
+/// `level` when it is within [`MAX_EXPR_DEPTH`], else an E110 at `span`.
+fn within(level: u32, span: Span) -> Result<u32, AsmDiagnostic> {
+    (level <= MAX_EXPR_DEPTH).then_some(level).ok_or_else(|| {
+        let too_deep = format!("expression nests deeper than {MAX_EXPR_DEPTH} levels");
+        AsmDiagnostic::new(codes::BAD_EXPRESSION, span, too_deep)
+    })
+}
+
+/// An expression and the deepest level it reaches. Each parser below
+/// takes the level its expression sits at, and refuses a level past
+/// [`MAX_EXPR_DEPTH`] before it recurses into it.
+type Parsed = Result<(Expr, u32), AsmDiagnostic>;
+
 /// Parses one expression at the cursor (precedence-climbing descent).
 pub fn parse(c: &mut Cursor) -> Result<Expr, AsmDiagnostic> {
-    let mut lhs = parse_term(c)?;
-    while let Some(t) = c.peek() {
-        let op = match t.tok {
-            Tok::Plus => BinOp::Add,
-            Tok::Minus => BinOp::Sub,
-            _ => break,
-        };
-        c.bump();
-        let rhs = parse_term(c)?;
-        let span = lhs.span().to(rhs.span());
-        lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs), span);
-    }
-    Ok(lhs)
+    parse_sum(c, 1).map(|(e, _)| e)
 }
 
-fn parse_term(c: &mut Cursor) -> Result<Expr, AsmDiagnostic> {
-    let mut lhs = parse_unary(c)?;
-    while let Some(t) = c.peek() {
-        let op = match t.tok {
-            Tok::Star => BinOp::Mul,
-            Tok::Slash => BinOp::Div,
-            _ => break,
-        };
-        c.bump();
-        let rhs = parse_unary(c)?;
-        let span = lhs.span().to(rhs.span());
-        lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs), span);
-    }
-    Ok(lhs)
+fn parse_sum(c: &mut Cursor, level: u32) -> Parsed {
+    let op = |t: &Tok| match t {
+        Tok::Plus => Some(BinOp::Add),
+        Tok::Minus => Some(BinOp::Sub),
+        _ => None,
+    };
+    parse_chain(c, level, op, parse_term)
 }
 
-fn parse_unary(c: &mut Cursor) -> Result<Expr, AsmDiagnostic> {
+fn parse_term(c: &mut Cursor, level: u32) -> Parsed {
+    let op = |t: &Tok| match t {
+        Tok::Star => Some(BinOp::Mul),
+        Tok::Slash => Some(BinOp::Div),
+        _ => None,
+    };
+    parse_chain(c, level, op, parse_unary)
+}
+
+/// `operand (op operand)*`, left-associative: each operator pushes the
+/// chain so far one level down.
+fn parse_chain(
+    c: &mut Cursor,
+    level: u32,
+    op: fn(&Tok) -> Option<BinOp>,
+    operand: fn(&mut Cursor, u32) -> Parsed,
+) -> Parsed {
+    let (mut lhs, mut deepest) = operand(c, level)?;
+    while let Some(op) = c.peek().and_then(|t| op(&t.tok)) {
+        c.bump();
+        let (rhs, rhs_deepest) = operand(c, level + 1)?;
+        let span = lhs.span().to(rhs.span());
+        deepest = within((deepest + 1).max(rhs_deepest), span)?;
+        lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs), span);
+    }
+    Ok((lhs, deepest))
+}
+
+fn parse_unary(c: &mut Cursor, level: u32) -> Parsed {
     if let Some(t) = c.peek() {
         if t.tok == Tok::Minus {
             let start = t.span;
             c.bump();
-            let e = parse_unary(c)?;
+            let (e, deepest) = parse_unary(c, within(level + 1, start)?)?;
             let span = start.to(e.span());
-            return Ok(Expr::Neg(Box::new(e), span));
+            return Ok((Expr::Neg(Box::new(e), span), deepest));
         }
     }
-    parse_primary(c)
+    parse_primary(c, level)
 }
 
-fn parse_primary(c: &mut Cursor) -> Result<Expr, AsmDiagnostic> {
+fn parse_primary(c: &mut Cursor, level: u32) -> Parsed {
     let Some(t) = c.bump() else {
         return Err(AsmDiagnostic::new(
             codes::SYNTAX,
@@ -243,28 +271,30 @@ fn parse_primary(c: &mut Cursor) -> Result<Expr, AsmDiagnostic> {
         ));
     };
     match &t.tok {
-        Tok::Int(v) => Ok(Expr::Int(*v, t.span)),
+        Tok::Int(v) => Ok((Expr::Int(*v, t.span), level)),
         Tok::Ident(name) if (name == "lo" || name == "hi") && starts_paren(c) => {
             c.expect(&Tok::LParen, "`(`")?;
-            let inner = parse(c)?;
+            let (inner, deepest) = parse_sum(c, within(level + 1, t.span)?)?;
             let close = c.expect(&Tok::RParen, "`)`")?;
             let span = t.span.to(close);
-            Ok(if name == "lo" {
+            let e = if name == "lo" {
                 Expr::Lo(Box::new(inner), span)
             } else {
                 Expr::Hi(Box::new(inner), span)
-            })
+            };
+            Ok((e, deepest))
         }
-        Tok::Ident(name) => Ok(Expr::Sym(name.clone(), t.span)),
+        Tok::Ident(name) => Ok((Expr::Sym(name.clone(), t.span), level)),
         Tok::LParen => {
-            let inner = parse(c)?;
+            let (inner, deepest) = parse_sum(c, within(level + 1, t.span)?)?;
             let close = c.expect(&Tok::RParen, "`)`")?;
             let span = t.span.to(close);
             // Keep the grouped span so diagnostics cover the parens.
-            Ok(match inner {
+            let e = match inner {
                 Expr::Bin(op, a, b, _) => Expr::Bin(op, a, b, span),
                 other => other,
-            })
+            };
+            Ok((e, deepest))
         }
         other => Err(AsmDiagnostic::new(
             codes::SYNTAX,
@@ -343,6 +373,38 @@ mod tests {
             eval_str(&format!("{big}+1"), &|_| None).unwrap_err().code,
             codes::BAD_EXPRESSION
         );
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        // The whole expression is one level; each of these adds one more.
+        let n = MAX_EXPR_DEPTH as usize - 1;
+        let parens = |n| "(".repeat(n) + "1" + &")".repeat(n);
+        let minuses = |n| "-".repeat(n) + "1";
+        let chain = |n| "1+".repeat(n) + "1";
+        assert_eq!(eval_const(&parens(n)), 1);
+        assert_eq!(eval_const(&minuses(n)), (-1i64).pow(n as u32));
+        assert_eq!(eval_const(&chain(n)), n as i64 + 1);
+        for text in [parens(n + 1), minuses(n + 1), chain(n + 1)] {
+            let err = eval_str(&text, &|_| None).unwrap_err();
+            assert_eq!(err.code, codes::BAD_EXPRESSION, "{text}");
+        }
+    }
+
+    #[test]
+    fn a_hundred_thousand_levels_assemble_to_e110() {
+        let n = 100_000;
+        let deep = [
+            "(".repeat(n) + "1" + &")".repeat(n),
+            "-".repeat(n) + "1",
+            "1+".repeat(n) + "1",
+        ];
+        for e in deep {
+            let text = format!("func! main\n  li r1, {e}\n  halt\nend\n");
+            let diags = crate::asm::assemble(&text).unwrap_err();
+            let found: Vec<_> = diags.iter().map(|d| d.code).collect();
+            assert_eq!(found, [codes::BAD_EXPRESSION], "{}", &e[..8]);
+        }
     }
 
     #[test]

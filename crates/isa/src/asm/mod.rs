@@ -100,7 +100,8 @@ pub mod codes {
     /// Function body invalid: empty, or falls off its own end.
     pub const BAD_FUNCTION: &str = "E109";
     /// Constant expression cannot be evaluated (division by zero,
-    /// overflow, malformed grammar).
+    /// overflow, malformed grammar, nesting deeper than
+    /// [`super::expr::MAX_EXPR_DEPTH`] levels).
     pub const BAD_EXPRESSION: &str = "E110";
     /// `.task` directive in an invalid position.
     pub const BAD_TASK_DIRECTIVE: &str = "E111";

@@ -38,13 +38,20 @@
 //! piece into the section's checksum as it arrives and never allocates
 //! more than the bytes that remain. The instruction section goes through a
 //! chunk reader whose buffers hold one chunk: at most [`CHUNK_OPS`] taken
-//! bits and as many addresses, 66 KiB. The encoder is the same layout in
-//! reverse ([`write_replay`]; [`encode_replay`] is its `Vec` form).
+//! bits and as many addresses, 66 KiB.
+//!
+//! The instruction section has this one form everywhere: the recorder
+//! writes its chunks as it records ([`crate::replay::record_replay`]), a
+//! fresh or decoded recording holds them, and every walk reads them
+//! through the same chunk reader, from memory or from the artifact. The
+//! encoder ([`write_replay`]; [`encode_replay`] is its `Vec` form) writes
+//! the header and the boundary and code sections, then copies the chunks.
 //!
 //! # Guarantees
 //!
 //! * **Round-trip equality**: `decode(encode(r, k), k) == r` for every
-//!   recording (tested on all five workloads and at chunk edges).
+//!   recording (tested on all five workloads and at chunk edges), and the
+//!   bytes of a three-chunk artifact are pinned by a test.
 //! * **Graceful failure**: decoding never panics and never fabricates a
 //!   recording. Truncation, appended bytes, bit flips, schema bumps and
 //!   key mismatches all surface as a typed [`CodecError`]. On top of the
@@ -54,8 +61,9 @@
 //!   regenerate.
 //!
 //! [`decode_replay`] reads every section at once into a recording that
-//! holds them; it needs no program, because the code table travels in the
-//! artifact. [`open_replay`], the artifact cache's load, reads the header,
+//! holds them, its instruction section a copy of the artifact's chunks; it
+//! needs no program, because the code table travels in the artifact.
+//! [`open_replay`], the artifact cache's load, reads the header,
 //! the boundary section and the code section, which is all predictor
 //! sweeps use and at most a few hundred KiB beyond the boundaries. The
 //! recording it returns holds no instruction section: every timing walk
@@ -65,12 +73,13 @@
 //! | when | checks |
 //! |---|---|
 //! | load | magic, schema, key; the file length the header's counts declare; the boundary checksum; exit indices `< MAX_EXITS` and kind slots inside Table 1; every task size at least 1, the sizes summing below the op count (so the halting task keeps its halt); the code checksum; the entry inside the code, every successor at most the code's length, every register byte naming a register (or absent), no op-word bit above the halt's; every boundary `next` inside the code |
-//! | each walk | the header and the length again; then per chunk, before any of its ops is stepped, its checksum, its address count against the addresses left (at most one per op; the last chunk takes exactly what remains) and every memory address below `mem_words`; then, as the walk's cursor steps the chunk, one flag per rule (`ReplayCursor::check`): no pc reaches the code table's sentinel (so every op that ends no task has a static successor), the halt is the last op of the last chunk and no other, set taken bits sit only on intra-task conditional branches, and the chunk's loads and stores use exactly its addresses |
+//! | each walk, held or stored | a stored section's header and length again; then per chunk, before any of its ops is stepped, its checksum, its address count against the addresses left (at most one per op; the last chunk takes exactly what remains) and every memory address below `mem_words`; then, as the walk's cursor steps the chunk, one flag per rule (`ReplayCursor::check`): no pc reaches the code table's sentinel (so every op that ends no task has a static successor), the halt is the last op of the last chunk and no other, set taken bits sit only on intra-task conditional branches, and the chunk's loads and stores use exactly its addresses |
 //!
-//! [`decode_replay`] and the whole-section read of a loaded recording run
-//! the same checks with the same cursor over every chunk. A chunk that
-//! fails a walk's read or check goes to the caller's [`Rerecord`], which
-//! the artifact cache answers as it answers a failure at load: evict, then
+//! [`decode_replay`] runs the load checks, then a walk's checks with the
+//! same cursor over every chunk. A held section keeps the rules, which
+//! recording guarantees and decoding checks. A stored chunk that fails a
+//! walk's read or check goes to the caller's [`Rerecord`], which the
+//! artifact cache answers as it answers a failure at load: evict, then
 //! re-record. The walk starts over at the recording's first op in the
 //! re-recorded section, from the sinks it began with, and the recording
 //! keeps that section for later walks, so a failure costs time once and
@@ -91,7 +100,6 @@ use multiscalar_isa::{
     memory_words, Addr, ExitIndex, ExitKind, Fingerprint, FingerprintHasher, Program, NUM_REGS,
 };
 use multiscalar_taskform::{TaskId, TaskProgram};
-use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
 use std::hash::Hasher as _;
@@ -100,9 +108,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use crate::replay::{
-    Chunk, CodeEntry, CodeTable, InstrReplay, InstrSection, ReplayCursor, SENTINEL_BIT,
+    Chunk, CodeEntry, CodeTable, InstrReplay, ReplayCursor, Section, SENTINEL_BIT,
 };
-use crate::timing::{OpClass, NO_REG};
+use crate::timing::NO_REG;
 use crate::trace::{kind_slot, SharedTrace};
 
 /// Schema version of the artifact cache: codec layout + recording
@@ -255,12 +263,12 @@ struct Header {
 }
 
 impl Header {
-    /// The header of recording `r` whose instruction section is `s`.
-    fn of(r: &InstrReplay, s: &InstrSection) -> Header {
+    /// The header of recording `r`.
+    fn of(r: &InstrReplay) -> Header {
         Header {
             mem_words: r.mem_words,
-            ops: s.ops as u64,
-            mem_addrs: s.mem_addrs.len() as u64,
+            ops: r.instructions(),
+            mem_addrs: r.mem_addrs,
             code: r.code.len() as u64,
             bounds: r.bounds.len() as u64,
         }
@@ -397,19 +405,6 @@ impl<R: Read> SectionReader<R> {
         Ok(out)
     }
 
-    /// Skips `n` bytes of a seekable source.
-    fn skip(&mut self, n: u64) -> Result<(), CodecError>
-    where
-        R: Seek,
-    {
-        if n > self.left {
-            return Err(CodecError::Truncated);
-        }
-        self.src.seek(SeekFrom::Current(n as i64))?;
-        self.left -= n;
-        Ok(())
-    }
-
     /// Reads a section's stored checksum and compares it with what was
     /// folded in since the previous one.
     fn seal(&mut self) -> Result<(), CodecError> {
@@ -524,15 +519,16 @@ fn put_words(out: &mut Vec<u8>, words: &[u32]) {
     }
 }
 
-/// Reads an instruction section one chunk at a time. Each chunk is checked
-/// whole before it is handed out: its checksum, its address count against
-/// the addresses left and its memory addresses against `mem_words`. The
-/// path rules are the cursor's to check as it steps the chunk
+/// Reads an instruction section one chunk at a time, from a recording's
+/// bytes or its reopened artifact alike. Each chunk is checked whole
+/// before it is handed out: its checksum, its address count against the
+/// addresses left and its memory addresses against `mem_words`. The path
+/// rules are the cursor's to check as it steps the chunk
 /// ([`ReplayCursor::check`]). The buffers hold one chunk, whatever the
 /// section's length.
-pub(crate) struct ChunkReader<R> {
-    src: R,
-    head: Header,
+pub(crate) struct ChunkReader<'a> {
+    src: Box<dyn Read + 'a>,
+    mem_words: usize,
     /// Index of the next chunk.
     index: u64,
     /// Ops in the chunks not yet read.
@@ -546,19 +542,24 @@ pub(crate) struct ChunkReader<R> {
     mem_addrs: Vec<u32>,
 }
 
-impl<R: Read> ChunkReader<R> {
+impl<'a> ChunkReader<'a> {
     /// A reader of `head`'s instruction section from `src`, which must be
     /// at its first chunk.
-    fn new(src: R, head: Header) -> ChunkReader<R> {
+    fn new(src: impl Read + 'a, head: Header) -> ChunkReader<'a> {
         ChunkReader {
-            src,
-            head,
+            src: Box::new(src),
+            mem_words: head.mem_words,
             index: 0,
             ops_left: head.ops,
             mem_left: head.mem_addrs,
             raw: Vec::new(),
             mem_addrs: Vec::new(),
         }
+    }
+
+    /// A reader of `bytes`, the instruction section recording `r` holds.
+    pub(crate) fn held(bytes: &'a [u8], r: &InstrReplay) -> ChunkReader<'a> {
+        ChunkReader::new(bytes, Header::of(r))
     }
 
     /// Reads and checks the next chunk; `None` past the last one.
@@ -595,7 +596,7 @@ impl<R: Read> ChunkReader<R> {
             .mem_addrs
             .iter()
             .max()
-            .is_some_and(|&a| a as usize >= self.head.mem_words)
+            .is_some_and(|&a| a as usize >= self.mem_words)
         {
             return Err(CodecError::Malformed("memory address beyond mem_words"));
         }
@@ -610,65 +611,88 @@ impl<R: Read> ChunkReader<R> {
             last,
         }))
     }
+
+    /// The chunk [`ChunkReader::next_chunk`] read last, as the artifact
+    /// stores it: its taken bits, address count, addresses and checksum.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.raw
+    }
 }
 
-/// Reads the instruction section `chunks` is at, whole, for the recording
-/// whose code table is `code` and boundary section `bounds`, stepping one
-/// cursor over every chunk and checking each as a walk does.
-fn read_section<R: Read>(
-    mut chunks: ChunkReader<R>,
-    code: &CodeTable,
-    bounds: &SharedTrace,
-) -> Result<InstrSection, CodecError> {
-    // The file's length bounds every count.
-    let head = chunks.head;
-    let mut s = InstrSection {
-        ops: head.ops as usize,
-        taken: Vec::with_capacity(head.ops.div_ceil(8) as usize),
-        mem_addrs: Vec::with_capacity(head.mem_addrs as usize),
-    };
-    let mut cursor = ReplayCursor::new(code, bounds);
+/// Lays an instruction section out as the artifact's run of chunks, one op
+/// at a time, sealing each chunk as it fills: what the recorder writes.
+#[derive(Default)]
+pub(crate) struct ChunkWriter {
+    /// The sealed chunks, then the open chunk's taken bits.
+    bytes: Vec<u8>,
+    /// Where the open chunk starts in `bytes`.
+    start: usize,
+    /// The open chunk's memory addresses.
+    addrs: Vec<u32>,
+    /// Ops written, and memory addresses in the sealed chunks.
+    ops: u64,
+    mem_addrs: u64,
+}
+
+impl ChunkWriter {
+    /// A writer with room for `max_ops` ops that are all loads or stores
+    /// (a bit, four bytes and a share of a chunk's twelve each), so the
+    /// section never moves as it grows. Capacity never written is virtual
+    /// address space only.
+    pub(crate) fn with_capacity(max_ops: usize) -> ChunkWriter {
+        ChunkWriter {
+            bytes: Vec::with_capacity(max_ops.saturating_mul(5)),
+            ..ChunkWriter::default()
+        }
+    }
+
+    /// Writes one op: its taken bit and, for a load or a store, its word
+    /// address.
+    #[inline]
+    pub(crate) fn push(&mut self, taken: bool, mem_addr: Option<u32>) {
+        if self.ops.is_multiple_of(8) {
+            self.bytes.push(0);
+        }
+        *self.bytes.last_mut().expect("a byte of taken bits") |= u8::from(taken) << (self.ops % 8);
+        self.addrs.extend(mem_addr);
+        self.ops += 1;
+        if self.ops.is_multiple_of(CHUNK_OPS as u64) {
+            self.seal();
+        }
+    }
+
+    /// Ends the open chunk with its address count, its addresses and its
+    /// checksum.
+    fn seal(&mut self) {
+        let index = (self.ops - 1) / CHUNK_OPS as u64;
+        self.bytes
+            .extend_from_slice(&(self.addrs.len() as u32).to_le_bytes());
+        put_words(&mut self.bytes, &self.addrs);
+        let sum = chunk_sum(index, &self.bytes[self.start..]);
+        self.bytes.extend_from_slice(&sum.to_le_bytes());
+        self.start = self.bytes.len();
+        self.mem_addrs += self.addrs.len() as u64;
+        self.addrs.clear();
+    }
+
+    /// Seals the last chunk. Returns the section's bytes, its op count and
+    /// its memory-address count.
+    pub(crate) fn finish(mut self) -> (Vec<u8>, u64, u64) {
+        if !self.ops.is_multiple_of(CHUNK_OPS as u64) {
+            self.seal();
+        }
+        (self.bytes, self.ops, self.mem_addrs)
+    }
+}
+
+/// Reads every chunk of `r`'s instruction section and steps one cursor
+/// over them, checking each chunk as a walk does.
+fn check_section(r: &InstrReplay) -> Result<(), CodecError> {
+    let mut chunks = r.chunks()?;
+    let mut cursor = ReplayCursor::new(&r.code, &r.bounds);
     while let Some(mut chunk) = chunks.next_chunk()? {
-        s.taken.extend_from_slice(chunk.taken);
-        s.mem_addrs.extend_from_slice(chunk.mem_addrs);
         while cursor.step(&mut chunk).is_some() {}
         cursor.check(&chunk)?;
-    }
-    Ok(s)
-}
-
-/// Writes an instruction section as its run of chunks.
-fn write_instrs<W: Write>(out: &mut W, r: &InstrReplay, s: &InstrSection) -> io::Result<()> {
-    // Each chunk carries the addresses its ops consume, counted by
-    // stepping the section. The last takes whatever is left, so a section
-    // whose columns disagree (a tampered one in tests) still fills the
-    // length its header declares, and fails its read.
-    let mut cursor = ReplayCursor::new(&r.code, &r.bounds);
-    let mut whole = Chunk::whole(s);
-    let mut mem = &s.mem_addrs[..];
-    let chunks = s.ops.div_ceil(CHUNK_OPS);
-    let mut buf = Vec::with_capacity(CHUNK_OPS / 8 + 4 + 4 * CHUNK_OPS);
-    for index in 0..chunks {
-        let first = index * CHUNK_OPS;
-        let end = (first + CHUNK_OPS).min(s.ops);
-        let m = if index + 1 == chunks {
-            mem.len()
-        } else {
-            let mut m = 0;
-            for _ in first..end {
-                let class = cursor.step(&mut whole).map(|step| step.class);
-                m += matches!(class, Some(OpClass::Load | OpClass::Store)) as usize;
-            }
-            m.min(mem.len())
-        };
-        let (chunk_mem, rest) = mem.split_at(m);
-        mem = rest;
-        buf.clear();
-        buf.extend_from_slice(&s.taken[first / 8..end.div_ceil(8)]);
-        buf.extend_from_slice(&(m as u32).to_le_bytes());
-        put_words(&mut buf, chunk_mem);
-        out.write_all(&buf)?;
-        out.write_all(&chunk_sum(index as u64, &buf).to_le_bytes())?;
     }
     Ok(())
 }
@@ -712,25 +736,17 @@ impl<W: Write> SectionWriter<W> {
     }
 }
 
-/// Streams a recording under cache key `key` into `out` and returns it.
-/// The instruction section of a recording loaded from disk is read whole
-/// for the write and not kept.
+/// Streams a recording under cache key `key` into `out` and returns it:
+/// the header, the boundary and code sections, then the instruction
+/// section's chunks as the recording holds them (or, loaded from disk,
+/// as its artifact stores them), each checked as it is read.
 ///
 /// # Errors
 ///
-/// The first error `out` returns.
+/// The first error `out` returns, or a chunk of a loaded recording's
+/// artifact that fails its read.
 pub fn write_replay<W: Write>(r: &InstrReplay, key: Fingerprint, out: W) -> io::Result<W> {
-    write_parts(r, &r.section(), key, out)
-}
-
-/// [`write_replay`] of `r` whose instruction section is `s`.
-fn write_parts<W: Write>(
-    r: &InstrReplay,
-    s: &InstrSection,
-    key: Fingerprint,
-    out: W,
-) -> io::Result<W> {
-    let head = Header::of(r, s);
+    let head = Header::of(r);
     let b = &*r.bounds;
     let mut w = SectionWriter {
         out,
@@ -761,34 +777,49 @@ fn write_parts<W: Write>(
     w.col(r.code.code(), |e| e.op.to_le_bytes())?;
     w.col(r.code.code(), |e| e.succ.to_le_bytes())?;
     w.seal()?;
-    write_instrs(&mut w.out, r, s)?;
+    let mut chunks = r.chunks().map_err(io::Error::other)?;
+    while chunks.next_chunk().map_err(io::Error::other)?.is_some() {
+        w.out.write_all(chunks.bytes())?;
+    }
     Ok(w.out)
 }
 
 /// Serialises a recording under cache key `key`: [`write_replay`] into a
 /// `Vec` of exactly the artifact's length.
+///
+/// # Panics
+///
+/// If `r` was loaded from disk and a chunk of its artifact fails its read.
 pub fn encode_replay(r: &InstrReplay, key: Fingerprint) -> Vec<u8> {
-    let s = r.section();
-    let len = Header::of(r, &s)
+    let len = Header::of(r)
         .file_len()
         .expect("an in-memory recording fits u64");
     let out = Vec::with_capacity(usize::try_from(len).expect("the artifact fits memory"));
-    write_parts(r, &s, key, out).expect("writing to a Vec never fails")
+    write_replay(r, key, out).unwrap_or_else(|e| panic!("encoding a recording failed: {e}"))
 }
 
 /// Deserialises a recording, every section at once, validating integrity
 /// (magic, schema version, length, checksums), identity (`expected` cache
 /// key) and structure (the boundary section, the code table, and every
-/// chunk, stepped and checked by a walk's cursor). The recording holds its
-/// instruction section. See the module docs for the failure contract.
+/// chunk, stepped and checked by a walk's cursor). The recording holds a
+/// copy of the artifact's instruction section. See the module docs for
+/// the failure contract.
 pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay, CodecError> {
     let mut r = SectionReader::new(bytes, bytes.len() as u64);
     let head = r.header(expected)?;
     head.check_len(bytes.len() as u64)?;
     let bounds = r.bounds(&head)?;
     let code = r.code(&head, &bounds)?;
-    let s = read_section(ChunkReader::new(r.src, head), &code, &bounds)?;
-    Ok(InstrReplay::held(s, Arc::new(bounds), code, head.mem_words))
+    let replay = InstrReplay {
+        section: Section::Held(r.src.to_vec()),
+        instructions: head.ops,
+        mem_addrs: head.mem_addrs,
+        bounds: Arc::new(bounds),
+        code,
+        mem_words: head.mem_words,
+    };
+    check_section(&replay)?;
+    Ok(replay)
 }
 
 /// Handles an instruction section that turned out missing or invalid
@@ -806,50 +837,36 @@ pub(crate) struct StoredSection {
     key: Fingerprint,
     head: Header,
     rerecord: Rerecord,
-    /// The re-recorded section, once reading the stored one failed.
-    fallback: OnceLock<InstrSection>,
+    /// The re-recorded recording, once reading the stored section failed.
+    fallback: OnceLock<Box<InstrReplay>>,
 }
 
 impl StoredSection {
     /// Reopens the artifact for a walk. Its header must still be the one
     /// loaded, and its length the one that header declares; the reader is
     /// left at the first chunk.
-    pub(crate) fn open(&self) -> Result<ChunkReader<File>, CodecError> {
+    pub(crate) fn open(&self) -> Result<ChunkReader<'static>, CodecError> {
         let (mut r, head) = open_checked(&self.path, self.key)?;
         if head != self.head {
             return Err(CodecError::Malformed("header changed since load"));
         }
         // Past the boundary and code sections and their checksums; the
-        // length check bounds the sum.
+        // length check bounds the offset.
         let instrs = head.instr_offset().expect("a checked length");
-        r.skip(instrs - HEADER_BYTES)?;
+        r.src.seek(SeekFrom::Start(instrs))?;
         Ok(ChunkReader::new(r.src, head))
     }
 
-    /// The re-recorded section. The first failure goes to the re-recorder;
-    /// any later one, in this walk or another, gets the section it made.
-    pub(crate) fn fallback(&self, e: CodecError) -> &InstrSection {
-        self.fallback
-            .get_or_init(|| (self.rerecord)(e).into_section())
+    /// Re-records the section. The first failure goes to the re-recorder;
+    /// any later one, in this walk or another, keeps the recording it made.
+    pub(crate) fn fallback(&self, e: CodecError) {
+        self.fallback.get_or_init(|| Box::new((self.rerecord)(e)));
     }
 
-    /// The re-recorded section, once reading the stored one has failed.
-    pub(crate) fn held(&self) -> Option<&InstrSection> {
-        self.fallback.get()
-    }
-
-    /// The section whole: the re-recorded one if a read has failed, else
-    /// the stored one read and checked into a copy (and if that fails, the
-    /// re-recorded one), for the recording whose code table is `code` and
-    /// boundary section `bounds`.
-    pub(crate) fn section(&self, code: &CodeTable, bounds: &SharedTrace) -> Cow<'_, InstrSection> {
-        if let Some(s) = self.held() {
-            return Cow::Borrowed(s);
-        }
-        match self.open().and_then(|r| read_section(r, code, bounds)) {
-            Ok(s) => Cow::Owned(s),
-            Err(e) => Cow::Borrowed(self.fallback(e)),
-        }
+    /// The re-recorded recording, once reading the stored section has
+    /// failed.
+    pub(crate) fn replaced(&self) -> Option<&InstrReplay> {
+        self.fallback.get().map(|r| &**r)
     }
 }
 
@@ -883,13 +900,14 @@ pub fn open_replay(
         rerecord,
         fallback: OnceLock::new(),
     };
-    Ok(InstrReplay::stored(
-        stored,
-        head.ops,
-        Arc::new(bounds),
+    Ok(InstrReplay {
+        section: Section::Stored(stored),
+        instructions: head.ops,
+        mem_addrs: head.mem_addrs,
+        bounds: Arc::new(bounds),
         code,
-        head.mem_words,
-    ))
+        mem_words: head.mem_words,
+    })
 }
 
 /// Opens the artifact at `path` and reads its header, checking it against
@@ -1065,24 +1083,41 @@ mod tests {
     /// valid) and decodes the result.
     fn decode_tampered(tamper: impl FnOnce(&mut InstrReplay)) -> Result<InstrReplay, CodecError> {
         let mut r = recording();
-        let s = instrs(&mut r);
-        assert!(!s.mem_addrs.is_empty() && s.taken.iter().any(|&b| b != 0));
         tamper(&mut r);
         let key = fingerprint_of(&"key");
         decode_replay(&encode_replay(&r, key), key)
     }
 
-    /// The instruction section of a fresh recording, for in-place
-    /// tampering.
-    fn instrs(r: &mut InstrReplay) -> &mut InstrSection {
-        r.section_mut()
+    /// Rewrites the first chunk of a real recording through `tamper` (its
+    /// taken bits and its memory addresses) and reseals it, so its address
+    /// count, its checksum and the recording's address total follow the
+    /// tamper. Then checks the section as decoding does.
+    fn check_forged(tamper: impl FnOnce(&mut Vec<u8>, &mut Vec<u32>)) -> Result<(), CodecError> {
+        let mut r = recording();
+        let mut chunks = r.chunks().unwrap();
+        let chunk = chunks.next_chunk().unwrap().expect("a chunk");
+        let (mut taken, mut addrs) = (chunk.taken.to_vec(), chunk.mem_addrs.to_vec());
+        let (len, m) = (chunks.bytes().len(), addrs.len());
+        drop(chunks);
+        assert!(m > 0 && taken.iter().any(|&b| b != 0));
+        tamper(&mut taken, &mut addrs);
+        let mut forged = taken;
+        forged.extend_from_slice(&(addrs.len() as u32).to_le_bytes());
+        put_words(&mut forged, &addrs);
+        forged.extend_from_slice(&chunk_sum(0, &forged).to_le_bytes());
+        r.mem_addrs = r.mem_addrs + addrs.len() as u64 - m as u64;
+        let Section::Held(bytes) = &mut r.section else {
+            unreachable!("a fresh recording holds its section")
+        };
+        bytes.splice(..len, forged);
+        check_section(&r)
     }
 
     #[test]
     fn dropped_memory_address_is_malformed() {
         assert_eq!(
-            decode_tampered(|r| {
-                instrs(r).mem_addrs.pop();
+            check_forged(|_, addrs| {
+                addrs.pop();
             })
             .unwrap_err(),
             CodecError::Malformed("load/store count differs from mem_addrs")
@@ -1094,7 +1129,7 @@ mod tests {
         // The chunk's count takes it, so only the step finds the address
         // no load or store uses.
         assert_eq!(
-            decode_tampered(|r| instrs(r).mem_addrs.push(0)).unwrap_err(),
+            check_forged(|_, addrs| addrs.push(0)).unwrap_err(),
             CodecError::Malformed("load/store count differs from mem_addrs")
         );
     }
@@ -1106,7 +1141,7 @@ mod tests {
         let r = recording();
         let key = fingerprint_of(&"key");
         let bytes = encode_replay(&r, key);
-        let head = Header::of(&r, &r.section());
+        let head = Header::of(&r);
         let at = (head.instr_offset().unwrap() + head.ops.div_ceil(8)) as usize;
         let count = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         assert_eq!(u64::from(count), head.mem_addrs);
@@ -1124,7 +1159,7 @@ mod tests {
     fn taken_bit_off_an_intra_task_branch_is_malformed() {
         // The first op loads an immediate.
         assert_eq!(
-            decode_tampered(|r| instrs(r).taken[0] |= 1).unwrap_err(),
+            check_forged(|taken, _| taken[0] |= 1).unwrap_err(),
             CodecError::Malformed("taken bit off an intra-task branch")
         );
     }
@@ -1214,11 +1249,7 @@ mod tests {
     #[test]
     fn memory_address_beyond_mem_words_is_malformed() {
         assert_eq!(
-            decode_tampered(|r| {
-                let mem_words = r.mem_words as u32;
-                instrs(r).mem_addrs[0] = mem_words;
-            })
-            .unwrap_err(),
+            check_forged(|_, addrs| addrs[0] = recording().mem_words as u32).unwrap_err(),
             CodecError::Malformed("memory address beyond mem_words")
         );
     }

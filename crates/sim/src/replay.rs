@@ -68,14 +68,16 @@
 //! # Where the instruction section lives
 //!
 //! The taken bits and the memory addresses form the instruction section,
-//! which only timing walks read. A fresh or decoded recording holds it in
-//! memory, and a walk steps it as one chunk. A recording loaded from the
-//! artifact cache ([`crate::codec::open_replay`]) holds only its boundary
-//! section and its code table: each walk reads the instruction section
-//! from disk chunk by chunk through one bounded buffer, so it never holds
-//! the section whole. Either way one cursor steps the walk's chunks in
-//! order and carries its pc and its place in the task sequence from each
-//! chunk to the next.
+//! which only timing walks read. It has one form: the artifact's run of
+//! self-checked chunks of [`crate::codec::CHUNK_OPS`] ops, which the
+//! recorder writes as it records. A fresh or decoded recording holds those
+//! bytes. A recording loaded from the artifact cache
+//! ([`crate::codec::open_replay`]) holds only its boundary section and its
+//! code table, and each walk reads the section from disk. Either way one
+//! chunk reader feeds the walk through one bounded buffer, checking each
+//! chunk's bytes before any of its ops is stepped, and one cursor steps
+//! the chunks in order, carrying its pc and its place in the task sequence
+//! from each chunk to the next.
 //!
 //! Recording resolves every possible failure (execution faults, unmatched
 //! exits, intra-task transfers without a static successor, the step
@@ -87,22 +89,20 @@
 //! the rules of the path its op breaks (`ReplayCursor::check` lists
 //! them). A held section keeps the rules, which recording guarantees
 //! and decoding checks; a walk whose chunk read from disk fails its read
-//! or its flags starts over on a fresh recording's section. The cursor itself is total: its
-//! pc never leaves the code table and its sentinel, and a missing memory
-//! address reads as word 0. That is why [`simulate_replay`] is
-//! infallible.
+//! or its flags starts over on a fresh recording's section. The cursor
+//! itself is total: its pc never leaves the code table and its sentinel,
+//! and a missing memory address reads as word 0. That is why
+//! [`simulate_replay`] is infallible.
 
-use std::borrow::Cow;
 use std::fmt;
-use std::fs::File;
 use std::sync::Arc;
 
 use multiscalar_core::predictor::TaskDesc;
-use multiscalar_isa::{memory_words, Addr, Instruction, Program, NUM_REGS};
+use multiscalar_isa::{memory_words, Addr, Fingerprint, Instruction, Program, NUM_REGS};
 use multiscalar_taskform::TaskProgram;
 
 use crate::arb::ArbTable;
-use crate::codec::{ChunkReader, CodecError, StoredSection};
+use crate::codec::{write_replay, ChunkReader, ChunkWriter, CodecError, StoredSection};
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::{FrontierCause, MetricsSink, NoopSink, StallCause};
 use crate::timing::{
@@ -236,17 +236,20 @@ impl CodeTable {
 ///
 /// A recording has a boundary section, the task trace every predictor
 /// sweep reads; the program's code table; and an instruction section (the
-/// taken bits and the memory addresses), which only timing walks read. A
-/// fresh or decoded recording holds its instruction section; a recording
-/// loaded from disk ([`crate::codec::open_replay`]) does not, and each
-/// walk reads it from disk chunk by chunk
+/// taken bits and the memory addresses), which only timing walks read, in
+/// the artifact's chunks. A fresh or decoded recording holds those bytes;
+/// a recording loaded from disk ([`crate::codec::open_replay`]) does not,
+/// and each walk reads them from disk
 /// ([`InstrReplay::holds_instructions`]).
 pub struct InstrReplay {
     /// The instruction section, or where to read it.
-    instrs: Instrs,
+    pub(crate) section: Section,
     /// Committed instructions: the op count, known without the
     /// instruction section.
-    instructions: u64,
+    pub(crate) instructions: u64,
+    /// The loads and stores: how many memory addresses the instruction
+    /// section holds.
+    pub(crate) mem_addrs: u64,
     /// The boundary section: one event per task boundary, in order, whose
     /// `instrs` counts the retiring task's ops, the crossing one included.
     /// The halting task, which crosses none, gets no event. This is the
@@ -259,123 +262,45 @@ pub struct InstrReplay {
     pub(crate) mem_words: usize,
 }
 
-/// Where a recording's instruction section lives.
-enum Instrs {
-    /// In memory: a fresh or decoded recording.
-    Held(InstrSection),
+/// Where a recording's instruction section lives. Either way it is the
+/// artifact's run of chunks ([`crate::codec`]), read through one
+/// [`ChunkReader`].
+pub(crate) enum Section {
+    /// In memory: a fresh or decoded recording's.
+    Held(Vec<u8>),
     /// On disk: a recording loaded from the artifact cache.
     Stored(StoredSection),
 }
 
-/// The instruction section of a recording: what only the timing walk
-/// reads.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub(crate) struct InstrSection {
-    /// Committed instructions.
-    pub(crate) ops: usize,
-    /// One bit per op, bit `i % 8` of byte `i / 8`: set on each taken
-    /// intra-task conditional branch.
-    pub(crate) taken: Vec<u8>,
-    /// Word address of each load/store, in program order.
-    pub(crate) mem_addrs: Vec<u32>,
-}
-
 impl InstrReplay {
-    /// A recording that holds its instruction section.
-    pub(crate) fn held(
-        section: InstrSection,
-        bounds: Arc<SharedTrace>,
-        code: CodeTable,
-        mem_words: usize,
-    ) -> InstrReplay {
-        InstrReplay {
-            instructions: section.ops as u64,
-            instrs: Instrs::Held(section),
-            bounds,
-            code,
-            mem_words,
-        }
-    }
-
-    /// A recording of `instructions` ops whose instruction section stays
-    /// on disk.
-    pub(crate) fn stored(
-        stored: StoredSection,
-        instructions: u64,
-        bounds: Arc<SharedTrace>,
-        code: CodeTable,
-        mem_words: usize,
-    ) -> InstrReplay {
-        InstrReplay {
-            instrs: Instrs::Stored(stored),
-            instructions,
-            bounds,
-            code,
-            mem_words,
-        }
-    }
-
     /// Whether the recording holds its instruction section in memory. A
     /// fresh or decoded recording does. One loaded from the artifact cache
     /// does not, before or after any number of walks, unless reading the
     /// stored section failed during a walk: it then keeps the re-recorded
     /// section.
     pub fn holds_instructions(&self) -> bool {
-        self.held_section().is_some()
-    }
-
-    /// The instruction section the recording holds, if it holds one.
-    fn held_section(&self) -> Option<&InstrSection> {
-        match &self.instrs {
-            Instrs::Held(s) => Some(s),
-            Instrs::Stored(stored) => stored.held(),
-        }
+        self.unread_section().is_none()
     }
 
     /// The stored section a walk reads from disk, unless the recording
     /// holds its section.
     fn unread_section(&self) -> Option<&StoredSection> {
-        match &self.instrs {
-            Instrs::Stored(stored) if stored.held().is_none() => Some(stored),
+        match &self.section {
+            Section::Stored(stored) if stored.replaced().is_none() => Some(stored),
             _ => None,
         }
     }
 
-    /// The chunks a walk steps, in order: a held section as one chunk, a
-    /// stored one read from disk.
-    fn chunks(&self) -> Result<Chunks<'_>, CodecError> {
-        match self.unread_section() {
-            Some(stored) => stored.open().map(Chunks::Stored),
-            None => Ok(Chunks::Held(self.held_section().map(Chunk::whole))),
-        }
-    }
-
-    /// The instruction section whole: a held one borrowed, a stored one
-    /// read and checked from disk into a copy the recording does not keep
-    /// (or, if reading it fails, the re-recorded section it then keeps).
-    /// For comparisons and the encoder; walks read chunks.
-    pub(crate) fn section(&self) -> Cow<'_, InstrSection> {
-        match &self.instrs {
-            Instrs::Held(s) => Cow::Borrowed(s),
-            Instrs::Stored(stored) => stored.section(&self.code, &self.bounds),
-        }
-    }
-
-    /// The instruction section of a fresh or decoded recording, for
-    /// tampering in tests.
-    #[cfg(test)]
-    pub(crate) fn section_mut(&mut self) -> &mut InstrSection {
-        match &mut self.instrs {
-            Instrs::Held(s) => s,
-            Instrs::Stored(_) => panic!("the recording holds its section"),
-        }
-    }
-
-    /// The instruction section, taken out of the recording.
-    pub(crate) fn into_section(self) -> InstrSection {
-        match self.instrs {
-            Instrs::Held(s) => s,
-            Instrs::Stored(_) => self.section().into_owned(),
+    /// The chunks of the instruction section, read in order: held bytes
+    /// from memory (a re-recorded section's once a stored one failed), a
+    /// stored section from its reopened artifact.
+    pub(crate) fn chunks(&self) -> Result<ChunkReader<'_>, CodecError> {
+        match &self.section {
+            Section::Held(bytes) => Ok(ChunkReader::held(bytes, self)),
+            Section::Stored(stored) => match stored.replaced() {
+                Some(fresh) => fresh.chunks(),
+                None => stored.open(),
+            },
         }
     }
 
@@ -390,19 +315,15 @@ impl InstrReplay {
     }
 }
 
-/// Recordings are equal when all their parts are; comparing one loaded
-/// from disk reads its instruction section.
+/// Recordings are equal when their artifacts are, under one key: every
+/// part, the instruction section byte for byte. Comparing one loaded from
+/// disk reads its section; a section that fails its read equals none.
 impl PartialEq for InstrReplay {
     fn eq(&self, other: &InstrReplay) -> bool {
-        self.instructions == other.instructions
-            && self.mem_words == other.mem_words
-            && self.bounds == other.bounds
-            && self.code == other.code
-            && self.section() == other.section()
+        let artifact = |r| write_replay(r, Fingerprint { hi: 0, lo: 0 }, Vec::new());
+        matches!((artifact(self), artifact(other)), (Ok(a), Ok(b)) if a == b)
     }
 }
-
-impl Eq for InstrReplay {}
 
 impl fmt::Debug for InstrReplay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -417,8 +338,8 @@ impl fmt::Debug for InstrReplay {
 }
 
 /// A run of consecutive ops of a recording and the memory addresses they
-/// consume: what the cursor steps. A held section is one chunk; a stored
-/// one is read [`crate::codec::CHUNK_OPS`] ops at a time.
+/// consume: what the cursor steps, one chunk of the instruction section
+/// ([`crate::codec::CHUNK_OPS`] ops, the last chunk the rest).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Chunk<'a> {
     /// Taken bits; the next op reads bit `at`, and the chunk ends at bit
@@ -432,44 +353,16 @@ pub(crate) struct Chunk<'a> {
     pub(crate) last: bool,
 }
 
-impl<'a> Chunk<'a> {
-    /// The whole of a held section.
-    pub(crate) fn whole(s: &'a InstrSection) -> Chunk<'a> {
-        Chunk {
-            taken: &s.taken,
-            at: 0,
-            end: s.ops,
-            mem_addrs: &s.mem_addrs,
-            last: true,
-        }
-    }
-}
-
-/// The chunks of one walk: a held section's one, or a stored section's,
-/// read from disk one at a time.
-enum Chunks<'a> {
-    Held(Option<Chunk<'a>>),
-    Stored(ChunkReader<File>),
-}
-
-impl Chunks<'_> {
-    /// The next chunk; `None` past the last.
-    fn next_chunk(&mut self) -> Result<Option<Chunk<'_>>, CodecError> {
-        match self {
-            Chunks::Held(chunk) => Ok(chunk.take()),
-            Chunks::Stored(reader) => reader.next_chunk(),
-        }
-    }
-}
-
 /// Executes the program once and records its [`InstrReplay`].
 ///
 /// The recording drains the interpreter step source that also feeds
-/// [`crate::timing::simulate`], keeping each step's taken bit and memory
-/// address and each boundary, with its exit kind from the task header, in
-/// the boundary section. It therefore fails in exactly the situations the
-/// oracle does: execution faults, unmatched boundary crossings, intra-task
-/// transfers without a static successor, and step-budget exhaustion.
+/// [`crate::timing::simulate`], writing each step's taken bit and memory
+/// address into the instruction section's chunks as the artifact lays
+/// them out, and each boundary, with its exit kind from the task header,
+/// into the boundary section. It therefore fails in exactly the situations
+/// the oracle does: execution faults, unmatched boundary crossings,
+/// intra-task transfers without a static successor, and step-budget
+/// exhaustion.
 pub fn record_replay(
     program: &Program,
     tasks: &TaskProgram,
@@ -482,24 +375,14 @@ pub fn record_replay(
     // space only, while growing a multi-megabyte Vec copies (and faults in)
     // every page it has already recorded, which dominates recording cost.
     let cap = usize::try_from(max_steps).unwrap_or(usize::MAX);
-    let mut taken = Vec::with_capacity(cap / 8 + 1);
-    let mut mem_addrs = Vec::with_capacity(cap);
+    let mut section = ChunkWriter::with_capacity(cap);
     let mut bounds = SharedTrace::with_capacity(cap / 16);
 
-    let mut ops = 0usize;
-    let mut byte = 0u8;
     let mut task_instrs = 0u32;
     loop {
         let step = source.next_step()?;
-        if matches!(step.class, OpClass::Load | OpClass::Store) {
-            mem_addrs.push(step.mem_addr);
-        }
-        byte |= (step.taken as u8) << (ops % 8);
-        ops += 1;
-        if ops.is_multiple_of(8) {
-            taken.push(byte);
-            byte = 0;
-        }
+        let mem = matches!(step.class, OpClass::Load | OpClass::Store).then_some(step.mem_addr);
+        section.push(step.taken, mem);
         task_instrs += 1;
         if let Some(b) = step.boundary {
             bounds.push(tasks, b, task_instrs);
@@ -510,23 +393,18 @@ pub fn record_replay(
             break;
         }
     }
-    if !ops.is_multiple_of(8) {
-        taken.push(byte);
-    }
 
     // Deliberately no shrink_to_fit: shrinking reallocates and copies the
     // whole recording, and the unused capacity tail is never faulted in.
-    let section = InstrSection {
-        ops,
-        taken,
+    let (bytes, instructions, mem_addrs) = section.finish();
+    Ok(InstrReplay {
+        section: Section::Held(bytes),
+        instructions,
         mem_addrs,
-    };
-    Ok(InstrReplay::held(
-        section,
-        Arc::new(bounds),
-        source.into_code(),
-        memory_words(program),
-    ))
+        bounds: Arc::new(bounds),
+        code: source.into_code(),
+        mem_words: memory_words(program),
+    })
 }
 
 /// The functional [`TraceRun`] of a recording: its boundary section,

@@ -37,9 +37,10 @@
 //! every ring unit's free time only move forward. They compile away when
 //! the feature is off.
 
+use crate::codec::CodecError;
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::CycleBreakdown;
-use crate::replay::{record_replay, walk_lanes, Chunk, Lane, ReplayCursor};
+use crate::replay::{record_replay, walk_lanes, Lane, ReplayCursor};
 use crate::timing::{simulate_core, InterpSource, NextTaskPredictor, TimingConfig, TimingResult};
 use crate::trace::TraceError;
 use multiscalar_core::predictor::TaskDesc;
@@ -47,9 +48,10 @@ use multiscalar_isa::{memory_words, Program};
 use multiscalar_taskform::TaskProgram;
 
 /// Records `program`'s execution, then re-executes it while stepping the
-/// replay cursor over the recording in lockstep, asserting the two step
-/// feeds are equal step for step — in particular at every task boundary —
-/// and that the cursor's steps break none of the rules a walk checks.
+/// replay cursor over the recording in lockstep, chunk by chunk as a walk
+/// reads it, asserting the two step feeds are equal step for step — in
+/// particular at every task boundary and chunk edge — and that the
+/// cursor's steps break none of the rules a walk checks.
 /// Returns the number of steps checked (= committed instructions).
 ///
 /// # Errors
@@ -67,31 +69,31 @@ pub fn check_replay_agreement(
     max_steps: u64,
 ) -> Result<u64, TraceError> {
     let replay = record_replay(program, tasks, max_steps)?;
-    let section = replay.section();
-    let mut chunk = Chunk::whole(&section);
+    fn broken<T>(e: CodecError) -> T {
+        panic!("sanitize: the recording breaks a rule of its path: {e}")
+    }
+    let mut chunks = replay.chunks().unwrap_or_else(broken);
     let mut cursor = ReplayCursor::new(&replay.code, &replay.bounds);
     let mut interp = InterpSource::new(program, tasks, max_steps);
     let mut steps = 0u64;
-    loop {
-        let a = interp.next_step()?;
-        let b = cursor.step(&mut chunk);
-        assert!(
-            Some(a) == b,
-            "sanitize: step {steps} diverges\n  interpreter: {a:?}\n  replay:      {b:?}"
-        );
-        steps += 1;
-        if a.halt {
-            break;
+    // The replay's last op is the halt, so equal steps end both feeds
+    // together.
+    while let Some(mut chunk) = chunks.next_chunk().unwrap_or_else(broken) {
+        while let Some(b) = cursor.step(&mut chunk) {
+            let a = interp.next_step()?;
+            assert!(
+                a == b,
+                "sanitize: step {steps} diverges\n  interpreter: {a:?}\n  replay:      {b:?}"
+            );
+            steps += 1;
         }
+        cursor.check(&chunk).unwrap_or_else(broken);
     }
     assert_eq!(
         steps,
         replay.instructions(),
         "sanitize: replay length disagrees with the interpreter"
     );
-    if let Err(e) = cursor.check(&chunk) {
-        panic!("sanitize: the recording breaks a rule of its path: {e}");
-    }
     Ok(steps)
 }
 
@@ -175,6 +177,7 @@ pub fn check_fused_agreement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arb::ArbConfig;
     use crate::measure::task_descs;
     use multiscalar_core::automata::{Automaton, LastExit, LastExitHysteresis, VotingCounters};
     use multiscalar_core::dolc::Dolc;
@@ -211,34 +214,38 @@ mod tests {
     /// Lanes/scalar agreement for each of Figure 6's seven automata on a
     /// real paper workload — the lanes walk must stay bit-identical
     /// (results *and* cycle breakdowns) no matter which automaton drives
-    /// the inter-task predictor.
+    /// the inter-task predictor. Each family's PATH predictor times the
+    /// paper machine and a 1x1-ARB machine, whose ARB fills on the second
+    /// distinct word a task touches, so every memory address counts.
     #[test]
     fn fused_agreement_holds_for_every_automaton_family() {
         fn check_family<A: Automaton + 'static>() {
             let w = Spec92::Compress.build(&WorkloadParams::small(7));
             let tasks = TaskFormer::default().form(&w.program).unwrap();
             let descs = task_descs(&tasks);
+            let path = || -> Option<Box<dyn NextTaskPredictor>> {
+                Some(Box::new(TaskPredictor::<PathPredictor<A>>::path(
+                    Dolc::new(4, 4, 6, 6, 2),
+                    Dolc::new(4, 3, 4, 4, 2),
+                    16,
+                )))
+            };
             let config = TimingConfig::default();
+            let tiny = ArbConfig {
+                banks: 1,
+                entries_per_bank: 1,
+            };
             let results = check_fused_agreement(
                 &w.program,
                 &tasks,
                 &descs,
                 w.max_steps,
-                vec![
-                    (None, config),
-                    (
-                        Some(Box::new(TaskPredictor::<PathPredictor<A>>::path(
-                            Dolc::new(4, 4, 6, 6, 2),
-                            Dolc::new(4, 3, 4, 4, 2),
-                            16,
-                        ))),
-                        config,
-                    ),
-                ],
+                vec![(path(), config), (path(), config.arb(Some(tiny)))],
             )
             .unwrap();
             assert_eq!(results.len(), 2, "{}", A::NAME);
             assert!(results[0].dynamic_tasks > 0, "{}", A::NAME);
+            assert!(results[1].arb_full_stalls > 0, "{}", A::NAME);
         }
         check_family::<LastExit>();
         check_family::<LastExitHysteresis<1>>();

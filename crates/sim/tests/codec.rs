@@ -1,13 +1,14 @@
 //! Codec guarantees over the real workload set: round-trip identity on all
 //! five SPEC92 analogs, a decoded recording's trace equal to a fresh
-//! recording's, adversarial decoding that errs instead of panicking, the
-//! load that leaves the instruction section on disk, and walks over a
-//! loaded recording, which read that section chunk by chunk, equal to
-//! walks over the fresh one, at chunk edges and on every benchmark, and
-//! stored chunks whose bytes check out but whose path does not. The
-//! recording keeps only control flow and memory addresses: its
-//! regenerated steps equal the interpreter's, and its instruction section
-//! takes a bit per op and four bytes per memory reference.
+//! recording's, adversarial decoding that errs instead of panicking, an
+//! artifact layout pinned across builds, the load that leaves the
+//! instruction section on disk, and walks that read the section chunk by
+//! chunk, loaded and fresh alike, equal to interpreter-fed runs at chunk
+//! edges and on every benchmark, and stored chunks whose bytes check out
+//! but whose path does not. The recording keeps only control flow and
+//! memory addresses: its regenerated steps equal the interpreter's, and
+//! its instruction section takes a bit per op and four bytes per memory
+//! reference.
 
 use std::hash::Hasher as _;
 use std::path::PathBuf;
@@ -28,7 +29,8 @@ use multiscalar_sim::replay::{
 };
 use multiscalar_sim::sanitize::check_replay_agreement;
 use multiscalar_sim::timing::{
-    ForwardingModel, IntraPredictorKind, NextTaskPredictor, TimingConfig, TimingResult,
+    simulate_with_sink, ForwardingModel, IntraPredictorKind, NextTaskPredictor, TimingConfig,
+    TimingResult,
 };
 use multiscalar_sim::trace::collect_trace;
 use multiscalar_sim::{
@@ -381,33 +383,67 @@ fn walk(
     (walk_lanes(replay, &lanes, &mut sinks), sinks)
 }
 
-/// Five outcome passes over `fresh`: perfect prediction and PATH at depths
-/// 0, 2 and 4, then perfect prediction again.
-fn five_passes(fresh: &InstrReplay, tasks: &TaskProgram) -> Vec<Outcomes> {
-    let descs = task_descs(tasks);
-    let events = derive_trace(fresh, tasks).events;
-    let path_at = |depth| {
-        TaskPredictor::<PathPredictor<LastExitHysteresis<2>>>::path(
+/// The next-task predictor of lane `lane` of five: perfect prediction and
+/// PATH at depths 0, 2 and 4, then perfect prediction again.
+fn lane_predictor(lane: usize) -> Option<Box<dyn NextTaskPredictor>> {
+    [None, Some(0), Some(2), Some(4), None][lane].map(|depth| {
+        Box::new(TaskPredictor::<PathPredictor<LastExitHysteresis<2>>>::path(
             Dolc::new(depth, 4, 6, 6, 2),
             Dolc::new(4, 3, 4, 4, 2),
             16,
-        )
-    };
-    [None, Some(0), Some(2), Some(4), None]
-        .into_iter()
-        .map(|depth| {
-            let mut p = depth.map(path_at);
-            let p = p.as_mut().map(|p| p as &mut dyn NextTaskPredictor);
+        )) as Box<dyn NextTaskPredictor>
+    })
+}
+
+/// Five outcome passes over `fresh`, one per lane predictor.
+fn five_passes(fresh: &InstrReplay, tasks: &TaskProgram) -> Vec<Outcomes> {
+    let descs = task_descs(tasks);
+    let events = derive_trace(fresh, tasks).events;
+    (0..5)
+        .map(|lane| {
+            let mut p = lane_predictor(lane);
+            let p = p.as_deref_mut().map(|p| p as &mut dyn NextTaskPredictor);
             measure_outcomes(p, &descs, &events, None)
         })
         .collect()
 }
 
-/// The artifact of `fresh` on disk, loaded back as the artifact cache
-/// loads it, walks exactly as `fresh` does at every lane count from one to
-/// five, results and cycle breakdowns alike, and holds no instruction
-/// section before or after; the decoded artifact equals `fresh`.
-fn assert_loaded_walks_match(tag: &str, fresh: &InstrReplay, tasks: &TaskProgram) {
+/// What the five lanes of a walk of `program` must equal: each lane's
+/// predictor and machine run solo on the interpreter-fed scalar core, with
+/// its cycle breakdown.
+fn interpreted(
+    program: &Program,
+    tasks: &TaskProgram,
+    max_steps: u64,
+) -> (Vec<TimingResult>, Vec<CycleBreakdown>) {
+    let descs = task_descs(tasks);
+    (0..5)
+        .zip(mixed_machines())
+        .map(|(lane, config)| {
+            let mut p = lane_predictor(lane);
+            let p = p.as_deref_mut().map(|p| p as &mut dyn NextTaskPredictor);
+            let mut sink = CycleBreakdown::new();
+            let result =
+                simulate_with_sink(program, tasks, &descs, p, &config, max_steps, &mut sink)
+                    .unwrap();
+            (result, sink)
+        })
+        .unzip()
+}
+
+/// `fresh`, a recording of `program`, walks at every lane count from one
+/// to five as the interpreter-fed scalar core runs each lane, results and
+/// cycle breakdowns alike. Its artifact on disk, loaded back as the
+/// artifact cache loads it, walks exactly as `fresh` does and holds no
+/// instruction section before or after; the decoded artifact equals
+/// `fresh`.
+fn assert_loaded_walks_match(
+    tag: &str,
+    program: &Program,
+    tasks: &TaskProgram,
+    max_steps: u64,
+    fresh: &InstrReplay,
+) {
     let key = fingerprint_of(&tag);
     let bytes = encode_replay(fresh, key);
     assert_eq!(
@@ -423,11 +459,18 @@ fn assert_loaded_walks_match(tag: &str, fresh: &InstrReplay, tasks: &TaskProgram
     assert!(!loaded.holds_instructions(), "{tag}: loaded");
 
     let outcomes = five_passes(fresh, tasks);
+    let (results, breakdowns) = interpreted(program, tasks, max_steps);
     for n in 1..=5 {
+        let walked = walk(fresh, &outcomes, n);
+        assert_eq!(
+            walked,
+            (results[..n].to_vec(), breakdowns[..n].to_vec()),
+            "{tag}: {n} lanes, fresh and interpreter-fed"
+        );
         assert_eq!(
             walk(&loaded, &outcomes, n),
-            walk(fresh, &outcomes, n),
-            "{tag}: {n} lanes"
+            walked,
+            "{tag}: {n} lanes, loaded and fresh"
         );
     }
     assert!(!loaded.holds_instructions(), "{tag}: walked");
@@ -435,15 +478,32 @@ fn assert_loaded_walks_match(tag: &str, fresh: &InstrReplay, tasks: &TaskProgram
 }
 
 /// Recordings that end one op short of a chunk edge, exactly on it and
-/// one op past it (two chunks in), walk and round-trip alike loaded and
-/// fresh.
+/// one op past it (two chunks in) walk alike loaded, fresh and fed by the
+/// interpreter, and round-trip.
 #[test]
 fn recordings_at_chunk_edges_walk_alike_loaded_and_fresh() {
     let edge = 2 * CHUNK_OPS as u64;
     for ops in [edge - 1, edge, edge + 1] {
-        let (_, tasks, fresh) = recording_of_len(ops);
-        assert_loaded_walks_match(&format!("edge-{ops}"), &fresh, &tasks);
+        let (program, tasks, fresh) = recording_of_len(ops);
+        let tag = format!("edge-{ops}");
+        assert_loaded_walks_match(&tag, &program, &tasks, 10 * ops, &fresh);
     }
+}
+
+/// The artifact of a three-chunk recording (its last chunk one op) under a
+/// fixed key hashes to a pinned value: the on-disk layout cannot move
+/// without this test noticing, whatever both sides of a round trip agree
+/// on.
+#[test]
+fn the_artifact_layout_is_pinned() {
+    let (_, _, r) = recording_of_len(2 * CHUNK_OPS as u64 + 1);
+    let bytes = encode_replay(&r, fingerprint_of(&"pinned"));
+    assert_eq!(
+        fingerprint_of(&bytes).to_string(),
+        "605f48b841ec7cda633dfafa99ff6674",
+        "the artifact layout moved: a layout change bumps CACHE_SCHEMA and \
+         this constant together"
+    );
 }
 
 /// One stored chunk: its taken bits and its memory addresses.
@@ -542,7 +602,8 @@ fn an_address_moved_between_chunks_is_refused_as_the_walk_steps_it() {
     assert_eq!(with_chunks(&bytes, &chunks), bytes);
 }
 
-/// The five scale-1 benchmarks walk and round-trip alike loaded and fresh.
+/// The five scale-1 benchmarks walk alike loaded, fresh and fed by the
+/// interpreter, and round-trip.
 #[test]
 fn benchmarks_walk_alike_loaded_and_fresh() {
     let params = WorkloadParams::small(7);
@@ -554,7 +615,7 @@ fn benchmarks_walk_alike_loaded_and_fresh() {
             fresh.instructions() > 4 * CHUNK_OPS as u64,
             "{spec}: chunks"
         );
-        assert_loaded_walks_match(spec.name(), &fresh, &tasks);
+        assert_loaded_walks_match(spec.name(), &w.program, &tasks, w.max_steps, &fresh);
     }
 }
 
