@@ -146,9 +146,10 @@ fn stale_schema_entry_is_evicted() {
 
 /// A recording with a valid checksum but a foreign task partition — the
 /// same program formed with the `small (8/2)` budget, stored under the
-/// default partition's key — names tasks the default partition does not
-/// have. It is evicted and re-recorded like a corrupt entry, never
-/// replayed, and `table4`'s output stays byte-identical.
+/// default partition's key — carries a task table the default partition
+/// does not have, so `check_fits` refuses it. It is evicted and
+/// re-recorded like a corrupt entry, never replayed, and `table4`'s output
+/// stays byte-identical.
 #[test]
 fn foreign_partition_recording_is_evicted_and_rerecorded() {
     use multiscalar_harness::extensions::TASKFORM_CONFIGS;
@@ -199,16 +200,19 @@ fn foreign_partition_recording_is_evicted_and_rerecorded() {
     cleanup(&dir);
 }
 
-/// A stored artifact with one forged exit byte — below `MAX_EXITS`, so the
-/// decoder accepts it, but past its task's header exits — and a re-sealed
-/// checksum is evicted and re-recorded, never replayed or traced, and
-/// `table4`'s output stays byte-identical.
+/// A stored artifact with one forged boundary byte, whose exit index — two
+/// bits, so below `MAX_EXITS` — lies past its task's header exits, and a
+/// re-sealed checksum, is evicted and re-recorded, never replayed or
+/// traced, and `table4`'s output stays byte-identical. The boundary byte
+/// names no task: its task is the one the previous boundary entered, which
+/// the load's decoding checks the exit against.
 #[test]
 fn forged_exit_past_the_header_is_evicted_and_rerecorded() {
     use multiscalar_harness::proto::Request;
     use multiscalar_harness::registry;
     use multiscalar_isa::MAX_EXITS;
-    use multiscalar_taskform::{TaskFormer, TaskId};
+    use multiscalar_sim::{derive_trace, record_replay};
+    use multiscalar_taskform::TaskFormer;
 
     let dir = scratch_dir("forged-exit");
     let pool = Pool::new(1);
@@ -232,24 +236,11 @@ fn forged_exit_past_the_header_is_evicted_and_rerecorded() {
     store.clear().unwrap();
     let cold = run(&store);
 
-    // The 64-byte header ends with the boundary count; the boundary
-    // section follows it, tasks (u32) first, then exits (u8), and its
-    // checksum covers the header and the section.
     let path = store.entry_path(multiscalar_harness::cache::key_for(spec, &request.params));
     let mut bytes = std::fs::read(&path).unwrap();
-    let n = Layout::of(&bytes).bounds;
-    let (tasks_at, exits_at) = (64, 64 + 4 * n);
-    let partition = TaskFormer::default()
-        .form(&spec.build(&request.params).program)
-        .unwrap();
-    let (k, spare) = (0..n)
-        .map(|k| {
-            let t = u32::from_le_bytes(bytes[tasks_at + 4 * k..][..4].try_into().unwrap());
-            (k, partition.task(TaskId(t)).header().num_exits())
-        })
-        .find(|&(_, exits)| exits < MAX_EXITS)
-        .expect("a task with a spare exit slot");
-    bytes[exits_at + k] = spare as u8;
+    let (k, spare) = spare_exit(&bytes);
+    let at = Layout::of(&bytes).bytes + k;
+    bytes[at] = bytes[at] & !0b11 | spare;
     reseal_bounds(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
 
@@ -259,6 +250,23 @@ fn forged_exit_past_the_header_is_evicted_and_rerecorded() {
     assert_eq!((s.hits, s.misses, s.stores, s.evictions), (0, 1, 1, 1));
     assert_eq!(cold, repaired, "the re-recorded run is byte-identical");
     cleanup(&dir);
+
+    /// The first boundary of the artifact `bytes` of compress at scale 1
+    /// whose task has a spare exit slot, and that slot's index.
+    fn spare_exit(bytes: &[u8]) -> (usize, u8) {
+        let w = Spec92::Compress.build(&WorkloadParams::small(3));
+        let partition = TaskFormer::default().form(&w.program).unwrap();
+        let replay = record_replay(&w.program, &partition, w.max_steps).unwrap();
+        let events = derive_trace(&replay, &partition).events;
+        assert_eq!(events.len(), Layout::of(bytes).bounds);
+        events
+            .iter()
+            .enumerate()
+            .map(|(k, e)| (k, partition.task(e.task).header().num_exits()))
+            .find(|&(_, exits)| exits < MAX_EXITS)
+            .map(|(k, exits)| (k, exits as u8))
+            .expect("a task with a spare exit slot")
+    }
 }
 
 /// `gc` evicts least-recently-used entries past the byte cap: a hit bumps
@@ -496,13 +504,29 @@ fn shared_warm_cache_is_deterministic_across_pool_widths() {
 }
 
 /// Where an artifact's parts start (see `multiscalar_sim::codec`): the
-/// 64-byte header, the boundary section (14 bytes per boundary) and its
-/// checksum, the code section (the entry pc, then a 4-byte op word and a
-/// 4-byte successor per instruction) and its checksum, then the
-/// instruction section's chunks.
+/// 96-byte header, the boundary section (a byte per boundary, then the
+/// escaped sizes and the stored targets, four bytes each) and its
+/// checksum, the task section (each task's entry pc and exit count, then
+/// each exit's kind and static target) and its checksum, the code section
+/// (the entry pc, then a 4-byte op word and a 4-byte successor per
+/// instruction) and its checksum, then the instruction section's chunks.
 struct Layout {
+    /// Boundaries, and where their bytes start.
     bounds: usize,
+    bytes: usize,
+    /// Stored targets, and where they start.
+    targets: usize,
+    target: usize,
     bound_sum: usize,
+    /// Static tasks and their exits.
+    tasks: usize,
+    exits: usize,
+    /// Where the task section starts: the entry pcs, then the exit
+    /// counts, the exit kinds and the static targets.
+    entries: usize,
+    kinds: usize,
+    statics: usize,
+    task_sum: usize,
     /// Instructions in the code table.
     code_len: usize,
     /// Where the code section starts: its entry pc, then the op words.
@@ -564,10 +588,15 @@ impl Layout {
     /// The layout of `bytes`, an artifact of compress at scale 1.
     fn of(bytes: &[u8]) -> Layout {
         let count = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-        let bounds = count(56);
-        let code_len = count(48);
-        let bound_sum = 64 + 14 * bounds;
-        let code = bound_sum + 8;
+        let (code_len, bounds, targets) = (count(48), count(56), count(64));
+        let (escapes, tasks, exits) = (count(72), count(80), count(88));
+        let target = 96 + bounds + 4 * escapes;
+        let bound_sum = target + 4 * targets;
+        let entries = bound_sum + 8;
+        let kinds = entries + 5 * tasks;
+        let statics = kinds + exits;
+        let task_sum = statics + 4 * exits;
+        let code = task_sum + 8;
         let succs = code + 4 + 4 * code_len;
         let code_sum = succs + 4 * code_len;
         let instrs = code_sum + 8;
@@ -595,7 +624,16 @@ impl Layout {
         assert_eq!(at, bytes.len(), "the chunks fill the file");
         Layout {
             bounds,
+            bytes: 96,
+            targets,
+            target,
             bound_sum,
+            tasks,
+            exits,
+            entries,
+            kinds,
+            statics,
+            task_sum,
             code_len,
             code,
             succs,
@@ -623,6 +661,18 @@ fn reseal_bounds(bytes: &mut [u8]) {
     h.write(&bytes[..end]);
     let sum = h.finish();
     bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Recomputes the task checksum of `bytes` after a forgery inside the task
+/// section.
+fn reseal_tasks(bytes: &mut [u8]) {
+    use multiscalar_isa::FingerprintHasher;
+    use std::hash::Hasher as _;
+    let l = Layout::of(bytes);
+    let mut h = FingerprintHasher::new();
+    h.write(&bytes[l.entries..l.task_sum]);
+    let sum = h.finish();
+    bytes[l.task_sum..l.task_sum + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Recomputes the checksum of chunk `c` of `bytes` after a forgery inside
@@ -691,9 +741,18 @@ enum Mutation {
     /// Write a schema-5 header (the layout that stored no address count
     /// per chunk).
     Schema5,
-    /// Point boundary `k`'s next task past the code, and re-seal the
-    /// boundary checksum.
-    NextOutsideCode(usize),
+    /// Write the same recording as a whole schema-6 artifact (14 bytes per
+    /// boundary, no task section) under the same key.
+    Schema6,
+    /// Point stored target `k` at `pc`, and re-seal the boundary
+    /// checksum.
+    StoredTarget { k: usize, pc: u32 },
+    /// Give task-table exit `x` the kind code `code`, and re-seal the task
+    /// checksum.
+    TaskKind { x: usize, code: u8 },
+    /// Give task-table exit `x` the static target `pc`, and re-seal the
+    /// task checksum.
+    TaskTarget { x: usize, pc: u32 },
     /// Set the taken bit of chunk `c`'s op `c.plain`, which is not a
     /// conditional branch, and re-seal the chunk's checksum.
     StrayTaken(ChunkAt),
@@ -707,12 +766,21 @@ impl Mutation {
             Mutation::Flip { at, bit } => bytes[at] ^= 1 << bit,
             Mutation::Append(n) => bytes.resize(bytes.len() + n, 0),
             Mutation::Schema5 => bytes[4..8].copy_from_slice(&5u32.to_le_bytes()),
-            Mutation::NextOutsideCode(k) => {
-                let l = Layout::of(&bytes);
-                // Columns: tasks u32, exits u8, kinds u8, then nexts u32.
-                let at = 64 + 6 * l.bounds + 4 * k;
-                bytes[at..at + 4].copy_from_slice(&(l.code_len as u32).to_le_bytes());
+            Mutation::Schema6 => bytes = schema6(&bytes),
+            Mutation::StoredTarget { k, pc } => {
+                let at = Layout::of(&bytes).target + 4 * k;
+                bytes[at..at + 4].copy_from_slice(&pc.to_le_bytes());
                 reseal_bounds(&mut bytes);
+            }
+            Mutation::TaskKind { x, code } => {
+                let at = Layout::of(&bytes).kinds + x;
+                bytes[at] = code;
+                reseal_tasks(&mut bytes);
+            }
+            Mutation::TaskTarget { x, pc } => {
+                let at = Layout::of(&bytes).statics + 4 * x;
+                bytes[at..at + 4].copy_from_slice(&pc.to_le_bytes());
+                reseal_tasks(&mut bytes);
             }
             Mutation::StrayTaken(c) => {
                 bytes[c.bits + c.plain / 8] |= 1 << (c.plain % 8);
@@ -721,6 +789,40 @@ impl Mutation {
         }
         bytes
     }
+}
+
+/// The schema-6 artifact of the recording whose artifact is `bytes`
+/// (compress at scale 1), under the same key: the same header fields with
+/// four counts, a boundary section of five columns with one element per
+/// boundary (task u32, exit u8, kind u8, next u32, size u32) and its
+/// checksum, then the same code and instruction sections.
+fn schema6(bytes: &[u8]) -> Vec<u8> {
+    use multiscalar_isa::{ExitKind, FingerprintHasher};
+    use multiscalar_sim::{derive_trace, record_replay};
+    use multiscalar_taskform::TaskFormer;
+    use std::hash::Hasher as _;
+    let l = Layout::of(bytes);
+    let w = Spec92::Compress.build(&WorkloadParams::small(3));
+    let tasks = TaskFormer::default().form(&w.program).unwrap();
+    let replay = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+    let events: Vec<_> = derive_trace(&replay, &tasks).events.iter().collect();
+    assert_eq!(events.len(), l.bounds);
+    let mut out = b"MSRP".to_vec();
+    out.extend_from_slice(&6u32.to_le_bytes());
+    // The key, mem_words and the counts of ops, addresses, code and
+    // boundaries.
+    out.extend_from_slice(&bytes[8..64]);
+    let slot = |k: ExitKind| ExitKind::TABLE1.iter().position(|&t| t == k).unwrap() as u8;
+    out.extend(events.iter().flat_map(|e| e.task.0.to_le_bytes()));
+    out.extend(events.iter().map(|e| e.exit.as_u8()));
+    out.extend(events.iter().map(|e| slot(e.kind)));
+    out.extend(events.iter().flat_map(|e| e.next.0.to_le_bytes()));
+    out.extend(events.iter().flat_map(|e| e.instrs.to_le_bytes()));
+    let mut h = FingerprintHasher::new();
+    h.write(&out);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+    out.extend_from_slice(&bytes[l.code..]);
+    out
 }
 
 /// Writes each mutation of a real scale-1 compress artifact into its cache
@@ -779,7 +881,7 @@ fn draws(rng: &mut XorShift64, range: std::ops::Range<usize>, n: usize) -> Vec<u
 
 /// Truncation at every section boundary, at the edges of and inside the
 /// first, a middle and the last instruction chunk, and at random points;
-/// appended bytes and a schema-5 header.
+/// appended bytes, a schema-5 header and a whole schema-6 artifact.
 #[test]
 fn truncated_extended_and_stale_artifacts_are_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-length", |bytes, rng| {
@@ -805,6 +907,16 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
             l.code_sum,
             l.code_sum + 7,
         ]);
+        cuts.extend([
+            95,
+            96,
+            l.target,
+            l.entries,
+            l.kinds,
+            l.statics + 2,
+            l.task_sum,
+            l.task_sum + 7,
+        ]);
         cuts.extend([l.instrs - 1, l.instrs + 1, bytes.len() - 1]);
         for c in l.picks() {
             // A chunk's start, the middle of its taken bits, its address
@@ -822,6 +934,7 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
         let mut m = table4_only(cuts.into_iter().map(Mutation::Cut));
         m.extend(table4_only([1, 3, 8, 4096].map(Mutation::Append)));
         m.push((Mutation::Schema5, false));
+        m.push((Mutation::Schema6, false));
         m
     });
 }
@@ -830,17 +943,17 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
 #[test]
 fn every_flipped_header_byte_is_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-header", |_, rng| {
-        table4_only((0..64).map(|at| Mutation::Flip {
+        table4_only((0..96).map(|at| Mutation::Flip {
             at,
             bit: rng.next_below(8) as u8,
         }))
     });
 }
 
-/// Flipped bits inside each section and in each checksum. The boundary
-/// and code sections' are refused at load, among them a code entry's
-/// register byte, class bits and successor, and so is a boundary whose
-/// next task lies past the code under a re-sealed checksum. The
+/// Flipped bits inside each section and in each checksum. The boundary,
+/// task and code sections' are refused at load, among them a code entry's
+/// register byte, class bits and successor, and so is a stored target
+/// past the code under a re-sealed checksum. The
 /// instruction section's are refused when the walk reaches their chunk:
 /// in the first chunk before any op is stepped, in a middle or the last
 /// chunk after the earlier chunks were, so those also run `profile
@@ -856,10 +969,10 @@ fn flipped_section_and_checksum_bytes_are_rerecorded() {
             at,
             bit: rng.next_below(8) as u8,
         };
-        let mut at = draws(rng, 64..l.bound_sum, 35);
+        let mut at = draws(rng, 96..l.bound_sum, 35);
         at.extend(draws(rng, l.instrs..last.sum, 45));
         at.extend(draws(rng, l.code..l.code_sum, 20));
-        at.extend(l.bound_sum..l.code);
+        at.extend(l.bound_sum..l.entries);
         at.extend(l.code_sum..l.instrs);
         at.extend(last.sum..bytes.len());
         let mut m: Vec<(Mutation, bool)> =
@@ -875,7 +988,10 @@ fn flipped_section_and_checksum_bytes_are_rerecorded() {
                 bit: rng.next_below(2) as u8,
             },
             flip(l.succs + 4 * entry + rng.next_below(2) as usize, rng),
-            Mutation::NextOutsideCode(rng.next_below(l.bounds as u32) as usize),
+            Mutation::StoredTarget {
+                k: rng.next_below(l.targets as u32) as usize,
+                pc: l.code_len as u32,
+            },
         ]));
         for (k, c) in l.picks().into_iter().enumerate() {
             assert!(c.m > 0, "chunk {k} carries memory addresses");
@@ -889,7 +1005,54 @@ fn flipped_section_and_checksum_bytes_are_rerecorded() {
             let cases = [flip(bits, rng), flip(addr, rng), flip(sum, rng), count];
             m.extend(cases.map(|case| (case, k > 0)));
         }
+        // The task section's bytes and its checksum, drawn after the rest.
+        let mut tasks = draws(rng, l.entries..l.task_sum, 30);
+        tasks.extend(l.task_sum..l.code);
+        m.extend(tasks.into_iter().map(|at| (flip(at, rng), false)));
         m
+    });
+}
+
+/// Forgeries under re-sealed checksums that only the partition or the
+/// decoding of the boundary section can tell: a stored target past the
+/// code and one inside it where no task starts, task-table kinds changed
+/// within the static and within the dynamic kinds (so every boundary
+/// still decodes), and a static target moved to another task's entry.
+/// Each is refused at load or by `check_fits`, then evicted and
+/// re-recorded, and `table4` stays pristine.
+#[test]
+fn resealed_task_table_and_target_forgeries_are_rerecorded() {
+    mutations_are_rejected_and_rerecorded("mut-task-table", |bytes, rng| {
+        let l = Layout::of(bytes);
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let entries: Vec<u32> = (0..l.tasks).map(|t| word(l.entries + 4 * t)).collect();
+        let free = (0..l.code_len as u32)
+            .find(|pc| !entries.contains(pc))
+            .expect("a pc no task starts at");
+        let k = rng.next_below(l.targets as u32) as usize;
+        let mut m = vec![
+            Mutation::StoredTarget {
+                k,
+                pc: l.code_len as u32,
+            },
+            Mutation::StoredTarget { k, pc: free },
+        ];
+        // Branch for call, and return for indirect branch.
+        for (from, to) in [(0, 1), (2, 3)] {
+            let x = (0..l.exits)
+                .find(|&x| bytes[l.kinds + x] == from)
+                .expect("an exit of that kind");
+            m.push(Mutation::TaskKind { x, code: to });
+        }
+        let x = (0..l.exits)
+            .find(|&x| word(l.statics + 4 * x) != u32::MAX)
+            .expect("a static exit");
+        let pc = *entries
+            .iter()
+            .find(|&&pc| pc != word(l.statics + 4 * x))
+            .unwrap();
+        m.push(Mutation::TaskTarget { x, pc });
+        table4_only(m)
     });
 }
 

@@ -4,37 +4,55 @@
 //! # Layout (all integers little-endian)
 //!
 //! ```text
-//! offset    size  field
-//! 0         4     magic "MSRP"
-//! 4         4     schema version (CACHE_SCHEMA)
-//! 8         16    content fingerprint (the cache key the artifact was
-//!                 recorded under; readers reject a mismatch)
-//! 24        8     mem_words
-//! 32        32    element counts: ops, mem_addrs, code, boundaries
-//! 64        14·B  the boundary section, one column after another, one
-//!                 element per dynamic task: task u32, exit u8, kind u8
-//!                 (its Table 1 slot), next u32, instrs u32
-//! 64+14·B   8     boundary checksum: two-lane FxHash of bytes 0..64+14·B
-//!                 (the header and the boundary section)
-//! C         4+8·L the code section, C = 72+14·B: the entry pc u32, the L
-//!                 op words, then the L static successors (u32 each; L,
-//!                 the code's length, where only a boundary can say)
-//! C+4+8·L   8     code checksum: two-lane FxHash of the code section
-//! I         …     the instruction section, I = C+12+8·L: one chunk per
-//!                 CHUNK_OPS ops (the last chunk takes the rest), each
-//!                 laid out as
-//!                   ⌈n/8⌉ the n ops' taken bits, bit i%8 of byte i/8
-//!                   4     m, the count of the chunk's addresses
-//!                   4·m   the word addresses of the m loads and stores
-//!                         among those ops, in program order
-//!                   8     chunk checksum: FxHash of the chunk's index
-//!                         and its ⌈n/8⌉+4+4·m bytes
+//! offset    size   field
+//! 0         4      magic "MSRP"
+//! 4         4      schema version (CACHE_SCHEMA)
+//! 8         16     content fingerprint (the cache key the artifact was
+//!                  recorded under; readers reject a mismatch)
+//! 24        8      mem_words
+//! 32        64     element counts: ops, mem_addrs, code, boundaries,
+//!                  targets, escapes, tasks, task exits
+//! 96        B      the boundary section, one byte per dynamic task: the
+//!                  exit taken (bits 0..2) and the task's size in ops
+//!                  (bits 2..8, 1..=63; 0 escapes a larger size)
+//! 96+B      4·E    the E escaped sizes (u32 each, above 63), in order
+//! 96+B+4·E  4·S    the S stored targets (u32 each): the next pc of each
+//!                  boundary whose exit has no static target (a return, an
+//!                  indirect branch or call), in order
+//! T-8       8      boundary checksum: two-lane FxHash of bytes 0..T-8 (the
+//!                  header and the boundary section)
+//! T         5·N+5·X the task section, T = 104+B+4·E+4·S: the N tasks'
+//!                  entry pcs (u32 each), their exit counts (u8 each), then
+//!                  the X exits' kinds (u8 each: the Table 1 slot, 5 for
+//!                  the halt) and static targets (u32 each; 2^32-1 where
+//!                  the header has none), task after task in header order
+//! C-8       8      task checksum: two-lane FxHash of the task section
+//! C         4+8·L  the code section, C = T+8+5·N+5·X: the entry pc u32,
+//!                  the L op words, then the L static successors (u32 each;
+//!                  L, the code's length, where only a boundary can say)
+//! C+4+8·L   8      code checksum: two-lane FxHash of the code section
+//! I         …      the instruction section, I = C+12+8·L: one chunk per
+//!                  CHUNK_OPS ops (the last chunk takes the rest), each
+//!                  laid out as
+//!                    ⌈n/8⌉ the n ops' taken bits, bit i%8 of byte i/8
+//!                    4     m, the count of the chunk's addresses
+//!                    4·m   the word addresses of the m loads and stores
+//!                          among those ops, in program order
+//!                    8     chunk checksum: FxHash of the chunk's index
+//!                          and its ⌈n/8⌉+4+4·m bytes
 //! ```
+//!
+//! The boundary section keeps what execution decides and nothing the
+//! partition says ([`SharedTrace`]): a boundary's task is the one entered
+//! at the previous boundary's next pc (the first is the entry point's),
+//! and its kind and a static exit's next pc are the task header's, which
+//! the task section carries. So a task takes about 1.9 bytes on the five
+//! benchmarks.
 //!
 //! The header alone sizes the file: the instruction section takes one bit
 //! per op, four bytes per memory address and twelve per chunk. A reader
-//! checks the file's length before it reads a section. The boundary and
-//! code sections go through a bounded streaming reader that folds each
+//! checks the file's length before it reads a section. The boundary, task
+//! and code sections go through a bounded streaming reader that folds each
 //! piece into the section's checksum as it arrives and never allocates
 //! more than the bytes that remain. The instruction section goes through a
 //! chunk reader whose buffers hold one chunk: at most [`CHUNK_OPS`] taken
@@ -43,9 +61,11 @@
 //! The instruction section has this one form everywhere: the recorder
 //! writes its chunks as it records ([`crate::replay::record_replay`]), a
 //! fresh or decoded recording holds them, and every walk reads them
-//! through the same chunk reader, from memory or from the artifact. The
-//! encoder ([`write_replay`]; [`encode_replay`] is its `Vec` form) writes
-//! the header and the boundary and code sections, then copies the chunks.
+//! through the same chunk reader, from memory or from the artifact. So
+//! does the boundary section: the recorder writes it, a recording holds it
+//! and the artifact stores it. The encoder ([`write_replay`];
+//! [`encode_replay`] is its `Vec` form) writes the header and the
+//! boundary, task and code sections, then copies the chunks.
 //!
 //! # Guarantees
 //!
@@ -62,17 +82,18 @@
 //!
 //! [`decode_replay`] reads every section at once into a recording that
 //! holds them, its instruction section a copy of the artifact's chunks; it
-//! needs no program, because the code table travels in the artifact.
-//! [`open_replay`], the artifact cache's load, reads the header,
-//! the boundary section and the code section, which is all predictor
-//! sweeps use and at most a few hundred KiB beyond the boundaries. The
+//! needs no program, because the task table and the code table travel in
+//! the artifact. [`open_replay`], the artifact cache's load, reads the
+//! header and the boundary, task and code sections, which is all
+//! predictor sweeps use and at most a few hundred KiB beyond the
+//! boundaries. The
 //! recording it returns holds no instruction section: every timing walk
 //! over it reopens the artifact and reads the section chunk by chunk, and
 //! no file stays open between walks. The checks split the same way:
 //!
 //! | when | checks |
 //! |---|---|
-//! | load | magic, schema, key; the file length the header's counts declare; the boundary checksum; exit indices `< MAX_EXITS` and kind slots inside Table 1; every task size at least 1, the sizes summing below the op count (so the halting task keeps its halt); the code checksum; the entry inside the code, every successor at most the code's length, every register byte naming a register (or absent), no op-word bit above the halt's; every boundary `next` inside the code |
+//! | load | magic, schema, key; the file length the header's counts declare; the boundary checksum; the task checksum; every task's exit count at most `MAX_EXITS`, the counts summing to the exit count, every kind code naming a kind of Table 1 or the halt, every static target inside the code; the code checksum; the entry inside the code, every successor at most the code's length, every register byte naming a register (or absent), no op-word bit above the halt's; every task entry inside the code and entering its own task (so no two tasks share one), the entry point entering a task; then the boundary section, decoded in order: every exit inside its derived task's header and no halt exit, every static next pc a boundary takes entering a task, every stored target inside the code and entering a task, every escaped size above 63 (so every size is at least 1), the sizes summing below the op count (so the halting task keeps its halt), and the escape and target columns used up exactly |
 //! | each walk, held or stored | a stored section's header and length again; then per chunk, before any of its ops is stepped, its checksum, its address count against the addresses left (at most one per op; the last chunk takes exactly what remains) and every memory address below `mem_words`; then, as the walk's cursor steps the chunk, one flag per rule (`ReplayCursor::check`): no pc reaches the code table's sentinel (so every op that ends no task has a static successor), the halt is the last op of the last chunk and no other, set taken bits sit only on intra-task conditional branches, and the chunk's loads and stores use exactly its addresses |
 //!
 //! [`decode_replay`] runs the load checks, then a walk's checks with the
@@ -85,11 +106,11 @@
 //! keeps that section for later walks, so a failure costs time once and
 //! never changes a result. The rest needs the program and its task
 //! partition, which the decoder never sees: that the code table is the
-//! program's, that every boundary names a task of the partition, an exit
-//! of that task's header and that exit's kind, and that `mem_words` is the
-//! program's data-memory size (the timing core allocates that many words).
-//! [`check_fits`] checks all of it; the artifact cache runs it on every
-//! load.
+//! program's, that the task table is the partition's (so every boundary
+//! names a task of the partition, an exit of that task's header and that
+//! exit's kind), and that `mem_words` is the program's data-memory size
+//! (the timing core allocates that many words). [`check_fits`] checks all
+//! of it; the artifact cache runs it on every load.
 //!
 //! Bump [`CACHE_SCHEMA`] whenever this layout *or the meaning of any
 //! recorded field* changes (e.g. a timing-semantics change that alters what
@@ -97,9 +118,9 @@
 //! instead of silently producing wrong results.
 
 use multiscalar_isa::{
-    memory_words, Addr, ExitIndex, ExitKind, Fingerprint, FingerprintHasher, Program, NUM_REGS,
+    memory_words, ExitKind, Fingerprint, FingerprintHasher, Program, MAX_EXITS, NUM_REGS,
 };
-use multiscalar_taskform::{TaskId, TaskProgram};
+use multiscalar_taskform::TaskProgram;
 use std::fmt;
 use std::fs::File;
 use std::hash::Hasher as _;
@@ -111,11 +132,11 @@ use crate::replay::{
     Chunk, CodeEntry, CodeTable, InstrReplay, ReplayCursor, Section, SENTINEL_BIT,
 };
 use crate::timing::NO_REG;
-use crate::trace::{kind_slot, SharedTrace};
+use crate::trace::{SharedTrace, TableExit, TaskTable, NO_TARGET};
 
 /// Schema version of the artifact cache: codec layout + recording
 /// semantics. Any change to either must bump this.
-pub const CACHE_SCHEMA: u32 = 6;
+pub const CACHE_SCHEMA: u32 = 7;
 
 /// Ops per chunk of the instruction section. A chunk's taken bits take
 /// 2 KiB, and the whole chunk, memory addresses included, at most 66 KiB.
@@ -184,11 +205,31 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// Bytes of the header: magic, schema, key, `mem_words` and four counts.
-const HEADER_BYTES: u64 = 64;
+/// Bytes of the header: magic, schema, key, `mem_words` and eight counts.
+const HEADER_BYTES: u64 = 96;
 
-/// Bytes of one boundary: task u32, exit u8, kind u8, next u32, instrs u32.
-const BOUNDARY_BYTES: u64 = 14;
+/// Bytes of one task, and of one task exit, in the task section: an entry
+/// pc u32 and an exit count u8; a kind u8 and a static target u32.
+const TASK_BYTES: u64 = 5;
+
+/// Exit kinds by their code in a stored task table: Table 1's order, then
+/// the halt.
+const KINDS: [ExitKind; 6] = [
+    ExitKind::Branch,
+    ExitKind::Call,
+    ExitKind::Return,
+    ExitKind::IndirectBranch,
+    ExitKind::IndirectCall,
+    ExitKind::Halt,
+];
+
+/// The code of `kind` in a stored task table (see [`KINDS`]).
+fn kind_code(kind: ExitKind) -> u8 {
+    KINDS
+        .iter()
+        .position(|&k| k == kind)
+        .expect("every kind has a code") as u8
+}
 
 /// Bytes of one code-table entry: op word u32, successor u32.
 const CODE_BYTES: u64 = 8;
@@ -260,28 +301,43 @@ struct Header {
     mem_addrs: u64,
     code: u64,
     bounds: u64,
+    targets: u64,
+    escapes: u64,
+    tasks: u64,
+    exits: u64,
 }
 
 impl Header {
     /// The header of recording `r`.
     fn of(r: &InstrReplay) -> Header {
+        let b = &*r.bounds;
         Header {
             mem_words: r.mem_words,
             ops: r.instructions(),
             mem_addrs: r.mem_addrs,
             code: r.code.len() as u64,
-            bounds: r.bounds.len() as u64,
+            bounds: b.len() as u64,
+            targets: b.targets.len() as u64,
+            escapes: b.sizes.len() as u64,
+            tasks: b.table.entries.len() as u64,
+            exits: b.table.exits.len() as u64,
         }
     }
 
     /// Where the instruction section starts: after the header, the
-    /// boundary section, the code section and their checksums.
+    /// boundary, task and code sections and their checksums.
     fn instr_offset(&self) -> Option<u64> {
-        let bounds = self.bounds.checked_mul(BOUNDARY_BYTES)?;
+        let words = self.escapes.checked_add(self.targets)?.checked_mul(4)?;
+        let tasks = self
+            .tasks
+            .checked_add(self.exits)?
+            .checked_mul(TASK_BYTES)?;
         let code = self.code.checked_mul(CODE_BYTES)?;
-        bounds
+        self.bounds
+            .checked_add(words)?
+            .checked_add(tasks)?
             .checked_add(code)?
-            .checked_add(HEADER_BYTES + 8 + 4 + 8)
+            .checked_add(HEADER_BYTES + 8 + 8 + 4 + 8)
     }
 
     /// The file length the counts declare (`None` past `u64`): a bit per
@@ -376,6 +432,10 @@ impl<R: Read> SectionReader<R> {
             mem_addrs: self.u64()?,
             code: self.u64()?,
             bounds: self.u64()?,
+            targets: self.u64()?,
+            escapes: self.u64()?,
+            tasks: self.u64()?,
+            exits: self.u64()?,
         })
     }
 
@@ -422,42 +482,72 @@ impl<R: Read> SectionReader<R> {
         }
     }
 
-    /// Reads, checksums and validates the boundary section.
-    fn bounds(&mut self, head: &Header) -> Result<SharedTrace, CodecError> {
-        let n = head.bounds;
-        let tasks = self.col(n, |b| TaskId(u32::from_le_bytes(b)))?;
-        let exits = self.col(n, |[e]| ExitIndex::new(e))?;
-        let kinds = self.col(n, |[k]| ExitKind::TABLE1.get(usize::from(k)).copied())?;
-        let nexts = self.col(n, |b| Addr(u32::from_le_bytes(b)))?;
-        let instrs = self.col(n, u32::from_le_bytes)?;
+    /// Reads and checks the boundary, task and code sections: the
+    /// recording's boundary section, decoded against the task table once,
+    /// and its code table.
+    fn sections(&mut self, head: &Header) -> Result<(SharedTrace, CodeTable), CodecError> {
+        let bytes = self.col(head.bounds, |[b]| b)?;
+        let sizes = self.col(head.escapes, u32::from_le_bytes)?;
+        let targets = self.col(head.targets, u32::from_le_bytes)?;
         self.seal()?;
-
-        let exits: Option<Vec<_>> = exits.into_iter().collect();
-        let exits = exits.ok_or(CodecError::Malformed("exit index out of range"))?;
-        let kinds: Option<Vec<_>> = kinds.into_iter().collect();
-        let kinds = kinds.ok_or(CodecError::Malformed("kind slot outside Table 1"))?;
-        // The cursor counts each task's ops down to its boundary, so a task
-        // has at least one op, and the halting task keeps at least its halt
-        // (which also rules out an empty recording).
-        if instrs.contains(&0) {
-            return Err(CodecError::Malformed("zero task size"));
+        let (entries, counts, exits) = self.tasks(head)?;
+        let code = self.code(head)?;
+        let table = TaskTable::derive(entries, counts, exits, code.len());
+        if !table.entries_are_distinct() {
+            return Err(CodecError::Malformed(
+                "task entry outside the code or shared",
+            ));
         }
-        let recorded = instrs.iter().fold(0u64, |s, &n| s.saturating_add(n.into()));
-        if recorded >= head.ops {
-            return Err(CodecError::Malformed("task sizes leave no halting op"));
-        }
-        Ok(SharedTrace {
-            tasks,
-            exits,
-            kinds,
-            nexts,
-            instrs,
-        })
+        let bounds = SharedTrace {
+            bytes,
+            sizes,
+            targets,
+            ..SharedTrace::new(table, code.entry)
+        };
+        bounds.check(head.ops).map_err(CodecError::Malformed)?;
+        Ok((bounds, code))
     }
 
-    /// Reads, checksums and validates the code section, and checks every
-    /// boundary of `bounds` enters the code.
-    fn code(&mut self, head: &Header, bounds: &SharedTrace) -> Result<CodeTable, CodecError> {
+    /// Reads, checksums and validates the task section's columns: each
+    /// task's entry pc and exit count, and every exit.
+    fn tasks(&mut self, head: &Header) -> Result<TaskColumns, CodecError> {
+        let entries = self.col(head.tasks, u32::from_le_bytes)?;
+        let counts = self.col(head.tasks, |[n]| n)?;
+        let kinds = self.col(head.exits, |[k]| KINDS.get(usize::from(k)).copied())?;
+        let targets = self.col(head.exits, u32::from_le_bytes)?;
+        self.seal()?;
+
+        // Task ids are u32, and the largest is the decoder's "no task".
+        if head.tasks >= u64::from(u32::MAX) {
+            return Err(CodecError::Malformed("more tasks than task ids"));
+        }
+        if counts.iter().any(|&n| usize::from(n) > MAX_EXITS) {
+            return Err(CodecError::Malformed("task exit count past MAX_EXITS"));
+        }
+        if counts.iter().map(|&n| u64::from(n)).sum::<u64>() != head.exits {
+            return Err(CodecError::Malformed(
+                "task exit counts differ from the exits",
+            ));
+        }
+        if targets
+            .iter()
+            .any(|&t| t != NO_TARGET && u64::from(t) >= head.code)
+        {
+            return Err(CodecError::Malformed("static target outside the code"));
+        }
+        let exits = kinds
+            .into_iter()
+            .zip(targets)
+            .map(|(kind, target)| kind.map(|kind| TableExit { kind, target }))
+            .collect::<Option<Vec<_>>>()
+            .ok_or(CodecError::Malformed(
+                "task exit kind outside Table 1 and the halt",
+            ))?;
+        Ok((entries, counts, exits))
+    }
+
+    /// Reads, checksums and validates the code section.
+    fn code(&mut self, head: &Header) -> Result<CodeTable, CodecError> {
         let entry = u32::from_le_bytes(self.array()?);
         let ops = self.col(head.code, u32::from_le_bytes)?;
         let succs = self.col(head.code, u32::from_le_bytes)?;
@@ -490,9 +580,6 @@ impl<R: Read> SectionReader<R> {
         if succs.iter().any(|&s| s > len) {
             return Err(CodecError::Malformed("successor past the code"));
         }
-        if bounds.nexts.iter().any(|a| a.0 >= len) {
-            return Err(CodecError::Malformed("boundary next outside the code"));
-        }
         let entries = ops
             .into_iter()
             .zip(succs)
@@ -501,6 +588,10 @@ impl<R: Read> SectionReader<R> {
         Ok(CodeTable::with_sentinel(entry, entries))
     }
 }
+
+/// A task section's stored columns: each task's entry pc and exit count,
+/// and every exit.
+type TaskColumns = (Vec<u32>, Vec<u8>, Vec<TableExit>);
 
 /// Decodes little-endian words into `out`, replacing its contents.
 fn get_words(bytes: &[u8], out: &mut Vec<u32>) {
@@ -635,17 +726,6 @@ pub(crate) struct ChunkWriter {
 }
 
 impl ChunkWriter {
-    /// A writer with room for `max_ops` ops that are all loads or stores
-    /// (a bit, four bytes and a share of a chunk's twelve each), so the
-    /// section never moves as it grows. Capacity never written is virtual
-    /// address space only.
-    pub(crate) fn with_capacity(max_ops: usize) -> ChunkWriter {
-        ChunkWriter {
-            bytes: Vec::with_capacity(max_ops.saturating_mul(5)),
-            ..ChunkWriter::default()
-        }
-    }
-
     /// Writes one op: its taken bit and, for a load or a store, its word
     /// address.
     #[inline]
@@ -762,16 +842,22 @@ pub fn write_replay<W: Write>(r: &InstrReplay, key: Fingerprint, out: W) -> io::
         head.mem_addrs,
         head.code,
         head.bounds,
+        head.targets,
+        head.escapes,
+        head.tasks,
+        head.exits,
     ] {
         w.put(&field.to_le_bytes())?;
     }
-    w.col(&b.tasks, |t| t.0.to_le_bytes())?;
-    w.col(&b.exits, |e| [e.as_u8()])?;
-    w.col(&b.kinds, |k| {
-        [kind_slot(k).expect("halting task is never recorded") as u8]
-    })?;
-    w.col(&b.nexts, |a| a.0.to_le_bytes())?;
-    w.col(&b.instrs, u32::to_le_bytes)?;
+    w.col(&b.bytes, |byte| [byte])?;
+    w.col(&b.sizes, u32::to_le_bytes)?;
+    w.col(&b.targets, u32::to_le_bytes)?;
+    w.seal()?;
+    let t = &b.table;
+    w.col(&t.entries, u32::to_le_bytes)?;
+    w.col(&t.counts, |n| [n])?;
+    w.col(&t.exits, |e| [kind_code(e.kind)])?;
+    w.col(&t.exits, |e| e.target.to_le_bytes())?;
     w.seal()?;
     w.put(&r.code.entry.to_le_bytes())?;
     w.col(r.code.code(), |e| e.op.to_le_bytes())?;
@@ -808,8 +894,7 @@ pub fn decode_replay(bytes: &[u8], expected: Fingerprint) -> Result<InstrReplay,
     let mut r = SectionReader::new(bytes, bytes.len() as u64);
     let head = r.header(expected)?;
     head.check_len(bytes.len() as u64)?;
-    let bounds = r.bounds(&head)?;
-    let code = r.code(&head, &bounds)?;
+    let (bounds, code) = r.sections(&head)?;
     let replay = InstrReplay {
         section: Section::Held(r.src.to_vec()),
         instructions: head.ops,
@@ -850,8 +935,8 @@ impl StoredSection {
         if head != self.head {
             return Err(CodecError::Malformed("header changed since load"));
         }
-        // Past the boundary and code sections and their checksums; the
-        // length check bounds the offset.
+        // Past the boundary, task and code sections and their checksums;
+        // the length check bounds the offset.
         let instrs = head.instr_offset().expect("a checked length");
         r.src.seek(SeekFrom::Start(instrs))?;
         Ok(ChunkReader::new(r.src, head))
@@ -871,7 +956,7 @@ impl StoredSection {
 }
 
 /// Loads the artifact at `path` for cache key `expected`, reading only its
-/// header, its boundary section and its code section. It checks the
+/// header and its boundary, task and code sections. It checks the
 /// header, that the file's length is exactly what the header's counts
 /// declare, and both sections (see the module docs). The recording it
 /// returns holds no instruction section and no open file: each timing walk
@@ -891,8 +976,7 @@ pub fn open_replay(
     rerecord: Rerecord,
 ) -> Result<InstrReplay, CodecError> {
     let (mut r, head) = open_checked(path, expected)?;
-    let bounds = r.bounds(&head)?;
-    let code = r.code(&head, &bounds)?;
+    let (bounds, code) = r.sections(&head)?;
     let stored = StoredSection {
         path: path.to_path_buf(),
         key: expected,
@@ -926,13 +1010,15 @@ fn open_checked(
 
 /// Checks that a decoded recording fits the program and task partition it
 /// is about to be replayed under: its `mem_words` is `program`'s
-/// data-memory size, its code table is the one built from `program` (so,
-/// with the decoder's checks, every boundary enters `program`'s code),
-/// and every boundary names a task of `tasks`, an exit of that task's
-/// header and that exit's kind (the timing core, the predictor sweeps and
-/// [`crate::replay::derive_trace`] index the partition and its headers
-/// with them). A recording of the same program under another partition,
-/// or of another program, fails here even with a valid checksum.
+/// data-memory size, its code table is the one built from `program`, and
+/// its task table is the one built from `tasks`. With the decoder's
+/// checks, every boundary then enters `program`'s code and names a task of
+/// `tasks`, an exit of that task's header and that exit's kind (the timing
+/// core, the predictor sweeps and [`crate::replay::derive_trace`] index
+/// the partition and its headers with them), because the boundary section
+/// stores none of them. A recording of the same program under another
+/// partition, or of another program, fails here even with a valid
+/// checksum.
 ///
 /// # Errors
 ///
@@ -952,18 +1038,10 @@ pub fn check_fits(
             "code table differs from the program's",
         ));
     }
-    for e in replay.bounds.iter() {
-        let exit = tasks
-            .tasks()
-            .get(e.task.index())
-            .map(|t| t.header().exit(e.exit));
-        let what = match exit {
-            None => "boundary task outside the partition",
-            Some(None) => "boundary exit past its task's header",
-            Some(Some(x)) if x.kind != e.kind => "boundary kind differs from its task's header",
-            Some(Some(_)) => continue,
-        };
-        return Err(CodecError::Malformed(what));
+    if replay.bounds.table != TaskTable::of(tasks, &replay.code) {
+        return Err(CodecError::Malformed(
+            "task table differs from the partition's",
+        ));
     }
     Ok(())
 }
@@ -972,15 +1050,23 @@ pub fn check_fits(
 mod tests {
     use super::*;
     use crate::replay::{record_replay, HALT_BIT};
-    use multiscalar_isa::{fingerprint_of, AluOp, Cond, ProgramBuilder, Reg};
+    use crate::timing::BoundaryStep;
+    use crate::trace::TaskEvent;
+    use multiscalar_isa::{fingerprint_of, Addr, AluOp, Cond, ExitKind, ProgramBuilder, Reg};
     use multiscalar_taskform::TaskFormer;
 
     fn program() -> (Program, TaskProgram) {
         let mut b = ProgramBuilder::new();
+        // A callee, so the boundary section stores return targets.
+        let f = b.begin_function("f");
+        b.op_imm(AluOp::Add, Reg(6), Reg(6), 1);
+        b.ret();
+        b.end_function();
         let main = b.begin_function("main");
         b.load_imm(Reg(1), 0);
         b.load_imm(Reg(2), 40);
         let top = b.here_label();
+        b.call_label(f);
         b.op_imm(AluOp::And, Reg(3), Reg(1), 3);
         b.store(Reg(1), Reg(3), 0);
         b.load(Reg(4), Reg(3), 0);
@@ -1227,18 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_next_outside_the_code_is_malformed() {
-        assert_eq!(
-            decode_tampered(|r| {
-                let len = r.code.len() as u32;
-                bounds(r).nexts[0] = Addr(len);
-            })
-            .unwrap_err(),
-            CodecError::Malformed("boundary next outside the code")
-        );
-    }
-
-    #[test]
     fn op_word_bits_past_the_halt_are_malformed() {
         assert_eq!(
             decode_tampered(|r| r.code.code_mut()[0].op |= HALT_BIT << 1).unwrap_err(),
@@ -1271,12 +1345,126 @@ mod tests {
         Arc::make_mut(&mut r.bounds)
     }
 
+    /// Rewrites the boundary section of `r` from its events as `tamper`
+    /// leaves them, through the recorder's own `push`: the exits, the
+    /// sizes and the targets of exits without a static one are kept, and
+    /// the tasks follow from them.
+    fn rewrite(r: &mut InstrReplay, tamper: impl FnOnce(&mut Vec<TaskEvent>)) {
+        let mut events: Vec<TaskEvent> = r.bounds.iter().collect();
+        tamper(&mut events);
+        let entry = r.code.entry;
+        let b = bounds(r);
+        let mut section = SharedTrace::new(b.table.clone(), entry);
+        for e in events {
+            let step = BoundaryStep {
+                task: e.task.0,
+                exit: e.exit,
+                next: e.next,
+            };
+            section.push(step, e.instrs);
+        }
+        *b = section;
+    }
+
+    /// The first boundary whose kind satisfies `pick`.
+    fn first_of(events: &[TaskEvent], pick: impl Fn(ExitKind) -> bool) -> usize {
+        events
+            .iter()
+            .position(|e| pick(e.kind))
+            .expect("a boundary of that kind")
+    }
+
+    #[test]
+    fn a_stored_target_that_enters_no_task_is_malformed() {
+        // Past the code, and inside it where no task starts.
+        let len = recording().code.len() as u32;
+        let inside = {
+            let r = recording();
+            (0..len)
+                .find(|&pc| r.bounds.table.entered_at(pc).is_none())
+                .expect("a pc no task starts at")
+        };
+        for next in [len, inside, u32::MAX - 1] {
+            assert_eq!(
+                decode_tampered(|r| rewrite(r, |ev| {
+                    let k = first_of(ev, |kind| kind == ExitKind::Return);
+                    ev[k].next = Addr(next);
+                }))
+                .unwrap_err(),
+                CodecError::Malformed("stored target enters no task"),
+                "next {next}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_boundary_exit_past_its_tasks_header_is_malformed() {
+        // Below MAX_EXITS, so the byte holds it, but past the header.
+        assert_eq!(
+            decode_tampered(|r| {
+                let counts = r.bounds.table.counts.clone();
+                rewrite(r, |ev| {
+                    let (k, n) = ev
+                        .iter()
+                        .enumerate()
+                        .map(|(k, e)| (k, counts[e.task.index()]))
+                        .find(|&(_, n)| usize::from(n) < multiscalar_isa::MAX_EXITS)
+                        .expect("a task with a spare exit slot");
+                    ev[k].exit = multiscalar_isa::ExitIndex::new(n).unwrap();
+                })
+            })
+            .unwrap_err(),
+            CodecError::Malformed("boundary exit past its task's header")
+        );
+    }
+
+    #[test]
+    fn a_boundary_through_a_halt_exit_is_malformed() {
+        // The halting task's halt exit, taken by a boundary of that task.
+        let (halt_task, halt_exit) = {
+            let r = recording();
+            let t = &r.bounds.table;
+            let mut at = 0;
+            let found = t.counts.iter().enumerate().find_map(|(task, &n)| {
+                let own = &t.exits[at..at + usize::from(n)];
+                at += usize::from(n);
+                own.iter()
+                    .position(|e| e.kind == ExitKind::Halt)
+                    .map(|i| (task as u32, i as u8))
+            });
+            found.expect("a task with a halt exit")
+        };
+        let forged = decode_tampered(|r| {
+            rewrite(r, |ev| {
+                let k = ev
+                    .iter()
+                    .position(|e| e.task.0 == halt_task)
+                    .expect("a boundary of the halting task");
+                ev[k].exit = multiscalar_isa::ExitIndex::new(halt_exit).unwrap();
+            })
+        });
+        assert_eq!(
+            forged.unwrap_err(),
+            CodecError::Malformed("boundary through a halt exit")
+        );
+    }
+
     #[test]
     fn zero_task_size_is_malformed() {
-        assert_eq!(
-            decode_tampered(|r| bounds(r).instrs[0] = 0).unwrap_err(),
-            CodecError::Malformed("zero task size")
-        );
+        // A byte's size field cannot hold 0, which escapes; an escaped
+        // size must be above what the byte holds, so 0 is refused too.
+        for escaped in [0, 1, crate::trace::MAX_INLINE_SIZE] {
+            assert_eq!(
+                decode_tampered(|r| {
+                    let b = bounds(r);
+                    b.bytes[0] &= 0b11;
+                    b.sizes.insert(0, escaped);
+                })
+                .unwrap_err(),
+                CodecError::Malformed("escaped task size fits its byte"),
+                "escaped {escaped}"
+            );
+        }
     }
 
     #[test]
@@ -1284,13 +1472,42 @@ mod tests {
         assert_eq!(
             decode_tampered(|r| {
                 let ops = r.instructions() as u32;
-                let b = bounds(r);
-                let recorded: u32 = b.instrs.iter().sum();
-                b.instrs[0] += ops - recorded;
+                rewrite(r, |ev| {
+                    let recorded: u32 = ev.iter().map(|e| e.instrs).sum();
+                    ev[0].instrs += ops - recorded;
+                })
             })
             .unwrap_err(),
             CodecError::Malformed("task sizes leave no halting op")
         );
+    }
+
+    #[test]
+    fn escape_and_target_columns_are_used_up_exactly() {
+        type Tamper = fn(&mut SharedTrace);
+        let cases: [(Tamper, &str); 4] = [
+            (|b| b.bytes[0] &= 0b11, "escaped sizes run out"),
+            (
+                |b| b.sizes.push(100),
+                "escaped sizes or stored targets left over",
+            ),
+            (
+                |b| {
+                    b.targets.pop();
+                },
+                "stored targets run out",
+            ),
+            (
+                |b| b.targets.push(b.table.entries[0]),
+                "escaped sizes or stored targets left over",
+            ),
+        ];
+        for (tamper, what) in cases {
+            assert_eq!(
+                decode_tampered(|r| tamper(bounds(r))).unwrap_err(),
+                CodecError::Malformed(what)
+            );
+        }
     }
 
     fn checksum(bytes: &[u8]) -> u64 {
@@ -1299,36 +1516,82 @@ mod tests {
         h.finish()
     }
 
-    /// Encodes a real recording, overwrites the first byte of boundary
-    /// column `col` (0 = task, 1 = exit, 2 = kind), re-seals the boundary
-    /// checksum and decodes the result.
-    fn decode_forged_byte(col: usize, byte: u8) -> Result<InstrReplay, CodecError> {
+    /// Encodes a real recording, overwrites the first byte of task-section
+    /// column `col` (0 = exit counts, 1 = kind codes) whose value `pick`
+    /// accepts with `byte`, re-seals the task checksum and decodes the
+    /// result.
+    fn decode_forged_task_byte(
+        col: usize,
+        pick: impl Fn(u8) -> bool,
+        byte: u8,
+    ) -> Result<InstrReplay, CodecError> {
         let key = fingerprint_of(&"key");
         let mut bytes = encode_replay(&recording(), key);
-        let n = u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize;
-        bytes[64 + [0, 4 * n, 5 * n][col]] = byte;
-        let end = 64 + 14 * n;
-        let sum = checksum(&bytes[..end]);
+        let count = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let (b, s, e, n, x) = (count(56), count(64), count(72), count(80), count(88));
+        let start = 96 + b + 4 * (e + s) + 8;
+        let column = [
+            start + 4 * n..start + 5 * n,
+            start + 5 * n..start + 5 * n + x,
+        ][col]
+            .clone();
+        let at = column
+            .clone()
+            .find(|&at| pick(bytes[at]))
+            .expect("a byte to forge");
+        bytes[at] = byte;
+        let end = start + 5 * (n + x);
+        let sum = checksum(&bytes[start..end]);
         bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
         decode_replay(&bytes, key)
     }
 
     #[test]
-    fn forged_exit_beyond_max_exits_is_malformed() {
+    fn forged_exit_count_beyond_max_exits_is_malformed() {
         assert_eq!(
-            decode_forged_byte(1, multiscalar_isa::MAX_EXITS as u8).unwrap_err(),
-            CodecError::Malformed("exit index out of range")
+            decode_forged_task_byte(0, |_| true, multiscalar_isa::MAX_EXITS as u8 + 1).unwrap_err(),
+            CodecError::Malformed("task exit count past MAX_EXITS")
         );
     }
 
     #[test]
-    fn forged_kind_slot_outside_table1_is_malformed() {
+    fn forged_kind_code_outside_table1_and_the_halt_is_malformed() {
+        let branch = kind_code(ExitKind::Branch);
         assert_eq!(
-            decode_forged_byte(2, ExitKind::TABLE1.len() as u8).unwrap_err(),
-            CodecError::Malformed("kind slot outside Table 1")
+            decode_forged_task_byte(1, |_| true, KINDS.len() as u8).unwrap_err(),
+            CodecError::Malformed("task exit kind outside Table 1 and the halt")
         );
-        // A valid slot decodes: only the slot range is the decoder's job.
-        assert!(decode_forged_byte(2, 0).is_ok());
+        // A static kind for a static one decodes: only the code's range is
+        // the decoder's job, and `check_fits` compares the kinds.
+        assert!(decode_forged_task_byte(1, |k| k == branch, kind_code(ExitKind::Call)).is_ok());
+    }
+
+    #[test]
+    fn task_table_targets_and_entries_outside_the_code_are_malformed() {
+        assert_eq!(
+            decode_tampered(|r| {
+                let len = r.code.len() as u32;
+                let t = &mut bounds(r).table;
+                let e = t.exits.iter_mut().find(|e| e.target != NO_TARGET).unwrap();
+                e.target = len;
+            })
+            .unwrap_err(),
+            CodecError::Malformed("static target outside the code")
+        );
+        let shared_or_outside: [fn(&mut TaskTable, u32); 2] = [
+            |t, len| t.entries[0] = len,
+            |t, _| t.entries[1] = t.entries[0],
+        ];
+        for tamper in shared_or_outside {
+            assert_eq!(
+                decode_tampered(|r| {
+                    let len = r.code.len() as u32;
+                    tamper(&mut bounds(r).table, len);
+                })
+                .unwrap_err(),
+                CodecError::Malformed("task entry outside the code or shared")
+            );
+        }
     }
 
     #[test]
@@ -1352,50 +1615,105 @@ mod tests {
         check_fits(&r, &p, &tp)
     }
 
+    /// Rebuilds `r`'s task table from its stored parts after `tamper`.
+    fn retable(
+        r: &mut InstrReplay,
+        tamper: impl FnOnce(&mut Vec<u32>, &mut Vec<u8>, &mut Vec<TableExit>),
+    ) {
+        let len = r.code.len();
+        let t = &mut bounds(r).table;
+        let (mut entries, mut counts, mut exits) =
+            (t.entries.clone(), t.counts.clone(), t.exits.clone());
+        tamper(&mut entries, &mut counts, &mut exits);
+        *t = TaskTable::derive(entries, counts, exits, len);
+    }
+
+    const TABLE_DIFFERS: CodecError =
+        CodecError::Malformed("task table differs from the partition's");
+
     #[test]
     fn boundary_task_outside_the_partition_does_not_fit() {
+        // A task the partition lacks: no boundary can name it now, but the
+        // table that decodes every boundary must be the partition's.
         assert_eq!(
-            check_tampered(|r, tp| {
-                let b = bounds(r);
-                let last = b.len() - 1;
-                b.tasks[last] = TaskId(tp.tasks().len() as u32);
+            check_tampered(|r, _| {
+                let free = (0..r.code.len() as u32)
+                    .find(|&pc| r.bounds.table.entered_at(pc).is_none())
+                    .expect("a pc no task starts at");
+                retable(r, |entries, counts, _| {
+                    entries.push(free);
+                    counts.push(0);
+                });
             })
             .unwrap_err(),
-            CodecError::Malformed("boundary task outside the partition")
+            TABLE_DIFFERS
         );
     }
 
     #[test]
     fn exit_past_its_tasks_header_does_not_fit() {
-        // In range for the decoder (below MAX_EXITS), but past the header.
+        // An exit the header lacks, on a task with a spare slot.
         assert_eq!(
             check_tampered(|r, tp| {
-                let b = bounds(r);
-                let (k, n) = (0..b.len())
-                    .map(|k| (k, tp.task(b.tasks[k]).header().num_exits()))
-                    .find(|&(_, n)| n < multiscalar_isa::MAX_EXITS)
+                let task = tp
+                    .tasks()
+                    .iter()
+                    .position(|t| t.header().num_exits() < multiscalar_isa::MAX_EXITS)
                     .expect("a task with a spare exit slot");
-                b.exits[k] = ExitIndex::new(n as u8).unwrap();
+                let at: usize = tp.tasks()[..=task]
+                    .iter()
+                    .map(|t| t.header().num_exits())
+                    .sum();
+                let target = tp.tasks()[0].entry().0;
+                retable(r, |_, counts, exits| {
+                    counts[task] += 1;
+                    exits.insert(
+                        at,
+                        TableExit {
+                            kind: ExitKind::Branch,
+                            target,
+                        },
+                    );
+                });
             })
             .unwrap_err(),
-            CodecError::Malformed("boundary exit past its task's header")
+            TABLE_DIFFERS
         );
     }
 
     #[test]
     fn kind_disagreeing_with_the_header_does_not_fit() {
         assert_eq!(
-            check_tampered(|r, _| {
-                let b = bounds(r);
-                b.kinds[0] = if b.kinds[0] == ExitKind::Call {
-                    ExitKind::Branch
-                } else {
-                    ExitKind::Call
-                };
-            })
+            check_tampered(|r, _| retable(r, |_, _, exits| {
+                let e = exits
+                    .iter_mut()
+                    .find(|e| e.kind == ExitKind::Branch)
+                    .expect("a branch exit");
+                e.kind = ExitKind::Call;
+            }))
             .unwrap_err(),
-            CodecError::Malformed("boundary kind differs from its task's header")
+            TABLE_DIFFERS
         );
+    }
+
+    #[test]
+    fn a_static_target_disagreeing_with_the_header_is_refused() {
+        // Another task's entry: the derived tasks after a boundary through
+        // it change, so decoding or `check_fits` refuses it.
+        let (p, tp) = program();
+        let mut r = record_replay(&p, &tp, 1_000_000).unwrap();
+        let entries = r.bounds.table.entries.clone();
+        retable(&mut r, |_, _, exits| {
+            let e = exits
+                .iter_mut()
+                .find(|e| e.target != NO_TARGET)
+                .expect("a static exit");
+            e.target = *entries.iter().find(|&&pc| pc != e.target).unwrap();
+        });
+        let key = fingerprint_of(&"key");
+        let refused =
+            decode_replay(&encode_replay(&r, key), key).and_then(|r| check_fits(&r, &p, &tp));
+        assert!(refused.is_err());
     }
 
     #[test]

@@ -33,10 +33,15 @@
 //!
 //! A recording has four parts:
 //!
-//! * the **boundary section**, a [`SharedTrace`]: one event per dynamic
-//!   task (retiring task, exit, exit kind, next entry, and the task's
-//!   instruction count). The cursor finds each boundary by counting down
-//!   its task's instructions, and takes the next pc from its `next`;
+//! * the **boundary section**, a [`SharedTrace`]: per dynamic task, one
+//!   byte of the exit taken and the task's instruction count (a longer
+//!   task escapes its count to a column of its own), and a stored target
+//!   for each return or indirect exit, decoded in order against the
+//!   partition's task table, which the section carries. Each boundary's
+//!   task is the one the previous boundary's next pc enters (the first is
+//!   the entry point's), and its kind and a static exit's next pc are the
+//!   task header's. The cursor finds each boundary by counting down its
+//!   task's instructions, and takes the next pc from the decoded `next`;
 //! * the **code table**, one entry per static instruction of the program
 //!   (its entry point too), plus a sentinel past the end. An entry is a
 //!   `u32` op word and a `u32` static successor:
@@ -84,7 +89,8 @@
 //! budget) up front. Loading a cached recording
 //! ([`crate::codec::open_replay`] or [`crate::codec::decode_replay`], then
 //! [`crate::codec::check_fits`]) rejects any artifact whose boundary
-//! section or code table is malformed or does not fit its program. A
+//! section, task table or code table is malformed or does not fit its
+//! program and partition. A
 //! section is checked as it is stepped: each step of the cursor flags
 //! the rules of the path its op breaks (`ReplayCursor::check` lists
 //! them). A held section keeps the rules, which recording guarantees
@@ -111,7 +117,7 @@ use crate::timing::{
     INTRA_PENALTY, ISSUE_WIDTH, LOAD_LATENCY, NO_REG, N_UNITS, SQUASH_PENALTY, TASK_IDX_BITS,
     TASK_IDX_MASK, VIOLATION_PENALTY,
 };
-use crate::trace::{SharedTrace, TraceError, TraceRun, TraceStats};
+use crate::trace::{Events, SharedTrace, TaskEvent, TaskTable, TraceError, TraceRun, TraceStats};
 
 const CLASS_SHIFT: u32 = 24;
 /// The op-word bit that marks the halt.
@@ -251,9 +257,10 @@ pub struct InstrReplay {
     /// section holds.
     pub(crate) mem_addrs: u64,
     /// The boundary section: one event per task boundary, in order, whose
-    /// `instrs` counts the retiring task's ops, the crossing one included.
-    /// The halting task, which crosses none, gets no event. This is the
-    /// benchmark's task trace; [`derive_trace`] shares it.
+    /// `instrs` counts the retiring task's ops, the crossing one included,
+    /// held compact with the task table it decodes against. The halting
+    /// task, which crosses none, gets no event. This is the benchmark's
+    /// task trace; [`derive_trace`] shares it.
     pub(crate) bounds: Arc<SharedTrace>,
     /// The program's code table, which every op is regenerated from.
     pub(crate) code: CodeTable,
@@ -358,25 +365,21 @@ pub(crate) struct Chunk<'a> {
 /// The recording drains the interpreter step source that also feeds
 /// [`crate::timing::simulate`], writing each step's taken bit and memory
 /// address into the instruction section's chunks as the artifact lays
-/// them out, and each boundary, with its exit kind from the task header,
-/// into the boundary section. It therefore fails in exactly the situations
-/// the oracle does: execution faults, unmatched boundary crossings,
-/// intra-task transfers without a static successor, and step-budget
-/// exhaustion.
+/// them out, and each boundary into the boundary section in its compact
+/// form: the exit, the task's size, and a target only where the task
+/// header has none. Both grow as they fill. It therefore fails in exactly
+/// the situations the oracle does: execution faults, unmatched boundary
+/// crossings, intra-task transfers without a static successor, and
+/// step-budget exhaustion.
 pub fn record_replay(
     program: &Program,
     tasks: &TaskProgram,
     max_steps: u64,
 ) -> Result<InstrReplay, TraceError> {
     let mut source = InterpSource::new(program, tasks, max_steps);
-
-    // Reserve the step budget up front. The budget is a workload-proportional
-    // cap, so this over-reserves — but untouched capacity is virtual address
-    // space only, while growing a multi-megabyte Vec copies (and faults in)
-    // every page it has already recorded, which dominates recording cost.
-    let cap = usize::try_from(max_steps).unwrap_or(usize::MAX);
-    let mut section = ChunkWriter::with_capacity(cap);
-    let mut bounds = SharedTrace::with_capacity(cap / 16);
+    let mut section = ChunkWriter::default();
+    let code = source.code();
+    let mut bounds = SharedTrace::new(TaskTable::of(tasks, code), code.entry);
 
     let mut task_instrs = 0u32;
     loop {
@@ -385,7 +388,7 @@ pub fn record_replay(
         section.push(step.taken, mem);
         task_instrs += 1;
         if let Some(b) = step.boundary {
-            bounds.push(tasks, b, task_instrs);
+            bounds.push(b, task_instrs);
             task_instrs = 0;
         }
         if step.halt {
@@ -394,8 +397,6 @@ pub fn record_replay(
         }
     }
 
-    // Deliberately no shrink_to_fit: shrinking reallocates and copies the
-    // whole recording, and the unused capacity tail is never faulted in.
     let (bytes, instructions, mem_addrs) = section.finish();
     Ok(InstrReplay {
         section: Section::Held(bytes),
@@ -415,10 +416,10 @@ pub fn record_replay(
 ///
 /// # Panics
 ///
-/// Panics if the recording names a task outside `tasks` (a recording is
-/// only meaningful under the partition it was recorded with; the cache
-/// guarantees this by keying on both fingerprints, and
-/// [`crate::codec::check_fits`] checks every boundary against the
+/// Panics if the recording's task table has a task outside `tasks` (a
+/// recording is only meaningful under the partition it was recorded with;
+/// the cache guarantees this by keying on both fingerprints, and
+/// [`crate::codec::check_fits`] checks the task table against the
 /// partition on load).
 pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
     TraceRun {
@@ -436,47 +437,57 @@ pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
 pub(crate) struct ReplayCursor<'a> {
     /// The code table's entries, its sentinel included.
     code: &'a [CodeEntry],
-    /// The recording's boundary section.
-    bounds: &'a SharedTrace,
     /// The next op's pc.
     pc: u32,
     /// Where the walk is in the task sequence.
-    clock: TaskClock,
+    clock: TaskClock<'a>,
     /// The rules its steps found broken, one bit each.
     flags: u32,
 }
 
-/// Where a walk is in the recording's task sequence.
-struct TaskClock {
-    /// Index of the next boundary in the boundary section.
-    next_bound: usize,
+/// Where a walk is in the recording's task sequence: the boundary section
+/// decoded in order, one boundary ahead.
+struct TaskClock<'a> {
+    /// The boundaries after the current task's.
+    events: Events<'a>,
+    /// The current task's boundary; `None` in the halting task.
+    current: Option<TaskEvent>,
     /// Ops left in the current task, the boundary-crossing one included;
     /// `u64::MAX` in the halting task, which crosses none.
     left: u64,
 }
 
-impl TaskClock {
+impl<'a> TaskClock<'a> {
     /// The start of a recording with boundary section `bounds`.
-    fn start(bounds: &SharedTrace) -> TaskClock {
-        TaskClock {
-            next_bound: 0,
-            left: task_len(bounds, 0),
-        }
+    fn start(bounds: &'a SharedTrace) -> TaskClock<'a> {
+        let mut clock = TaskClock {
+            events: bounds.iter(),
+            current: None,
+            left: 0,
+        };
+        clock.advance();
+        clock
     }
 
-    /// Counts one op: the index of the boundary it crosses, if it ends
-    /// its task. Task sizes are at least 1 (recording guarantees it;
-    /// loading checks it), so the count never underflows.
+    /// Moves to the next task.
     #[inline(always)]
-    fn tick(&mut self, bounds: &SharedTrace) -> Option<usize> {
+    fn advance(&mut self) {
+        self.current = self.events.next();
+        self.left = self.current.map_or(u64::MAX, |e| u64::from(e.instrs));
+    }
+
+    /// Counts one op: the boundary it crosses, if it ends its task. Task
+    /// sizes are at least 1 (recording guarantees it; loading checks it),
+    /// so the count never underflows.
+    #[inline(always)]
+    fn tick(&mut self) -> Option<TaskEvent> {
         self.left -= 1;
         if self.left != 0 {
             return None;
         }
-        let k = self.next_bound;
-        self.next_bound += 1;
-        self.left = task_len(bounds, self.next_bound);
-        Some(k)
+        let ended = self.current;
+        self.advance();
+        ended
     }
 }
 
@@ -497,7 +508,6 @@ impl<'a> ReplayCursor<'a> {
     pub(crate) fn new(code: &'a CodeTable, bounds: &'a SharedTrace) -> ReplayCursor<'a> {
         ReplayCursor {
             code: &code.entries,
-            bounds,
             pc: code.entry,
             clock: TaskClock::start(bounds),
             flags: 0,
@@ -519,9 +529,9 @@ impl<'a> ReplayCursor<'a> {
         let pc = self.pc;
         let entry = self.code[pc as usize];
         let bit = (chunk.taken[i / 8] >> (i % 8)) & 1 != 0;
-        let bound = self.clock.tick(self.bounds);
+        let bound = self.clock.tick();
         self.pc = match bound {
-            Some(k) => self.bounds.nexts[k].0,
+            Some(e) => e.next.0,
             None => entry.next(pc, bit),
         };
         let mut class = entry.class();
@@ -551,16 +561,16 @@ impl<'a> ReplayCursor<'a> {
         self.flags |= u32::from(stray) * STRAY_TAKEN;
         let mut taken = false;
         let boundary = match bound {
-            Some(k) => {
+            Some(e) => {
                 // The intra predictor never sees boundary-crossing
                 // branches.
                 if class == OpClass::Branch {
                     class = OpClass::Other;
                 }
                 Some(BoundaryStep {
-                    task: self.bounds.tasks[k].0,
-                    exit: self.bounds.exits[k],
-                    next: self.bounds.nexts[k],
+                    task: e.task.0,
+                    exit: e.exit,
+                    next: e.next,
                 })
             }
             None => {
@@ -607,12 +617,6 @@ impl<'a> ReplayCursor<'a> {
             None => Ok(()),
         }
     }
-}
-
-/// Ops of the task retiring at boundary `k`, or `u64::MAX` past the last
-/// boundary (the halting task).
-fn task_len(bounds: &SharedTrace, k: usize) -> u64 {
-    bounds.instrs.get(k).map_or(u64::MAX, |&n| u64::from(n))
 }
 
 /// Runs the timing model over a recorded execution — same cycle accounting

@@ -72,7 +72,7 @@ use multiscalar_isa::{
 use multiscalar_taskform::{TaskId, TaskProgram};
 
 use crate::replay::CodeTable;
-use crate::trace::{SharedTrace, TraceError};
+use crate::trace::{SharedTrace, TaskTable, TraceError};
 
 /// Which predictor the processing units use for *intra-task* conditional
 /// branches (paper §2.2 uses a bimodal; the others are ablation choices).
@@ -432,6 +432,11 @@ impl<'a> InterpSource<'a> {
     }
 
     /// The program's code table.
+    pub(crate) fn code(&self) -> &CodeTable {
+        &self.code
+    }
+
+    /// The program's code table, kept.
     pub(crate) fn into_code(self) -> CodeTable {
         self.code
     }
@@ -947,13 +952,14 @@ pub fn simulate_with_sink<M: MetricsSink>(
     // The outcome pass reads the boundaries of a feed of its own, not a
     // recording's, so the oracle does not depend on the recorder.
     let mut feed = InterpSource::new(program, tasks, max_steps);
-    let mut trace = SharedTrace::with_capacity(0);
+    let code = feed.code();
+    let mut trace = SharedTrace::new(TaskTable::of(tasks, code), code.entry);
     let mut instrs = 0;
     loop {
         let step = feed.next_step()?;
         instrs += 1;
         if let Some(b) = step.boundary {
-            trace.push(tasks, b, instrs);
+            trace.push(b, instrs);
             instrs = 0;
         }
         if step.halt {

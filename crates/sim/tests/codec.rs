@@ -6,8 +6,10 @@
 //! chunk, loaded and fresh alike, equal to interpreter-fed runs at chunk
 //! edges and on every benchmark, and stored chunks whose bytes check out
 //! but whose path does not. The recording keeps only control flow and
-//! memory addresses: its regenerated steps equal the interpreter's, and
-//! its instruction section takes a bit per op and four bytes per memory
+//! memory addresses: its regenerated steps equal the interpreter's, its
+//! boundary section takes a byte per task and a target per return or
+//! indirect exit, with a task longer than a byte holds escaped, and its
+//! instruction section takes a bit per op and four bytes per memory
 //! reference.
 
 use std::hash::Hasher as _;
@@ -19,8 +21,8 @@ use multiscalar_core::dolc::Dolc;
 use multiscalar_core::history::PathPredictor;
 use multiscalar_core::predictor::{TaskDesc, TaskPredictor};
 use multiscalar_isa::{
-    assemble, fingerprint_of, AluOp, Cond, Fingerprint, FingerprintHasher, Interpreter, Program,
-    ProgramBuilder, Reg,
+    assemble, fingerprint_of, AluOp, Cond, ExitKind, Fingerprint, FingerprintHasher, Interpreter,
+    Program, ProgramBuilder, Reg,
 };
 use multiscalar_sim::arb::ArbConfig;
 use multiscalar_sim::codec::{open_replay, Rerecord, CHUNK_OPS};
@@ -37,7 +39,7 @@ use multiscalar_sim::{
     decode_replay, encode_replay, measure_outcomes, task_descs, CodecError, CycleBreakdown,
     Outcomes,
 };
-use multiscalar_taskform::{TaskFormer, TaskProgram};
+use multiscalar_taskform::{TaskFormConfig, TaskFormer, TaskProgram};
 use multiscalar_workloads::{fuzz, Spec92, WorkloadParams};
 
 /// `decode(encode(r)) == r` on every workload, and the trace of the
@@ -153,13 +155,21 @@ fn count(bytes: &[u8], at: usize) -> usize {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
 }
 
+/// Bytes of an encoded artifact's boundary section, as its header counts
+/// them: a byte per boundary and four per escaped size and stored target.
+fn boundary_bytes(bytes: &[u8]) -> usize {
+    let (bounds, targets, escapes) = (count(bytes, 56), count(bytes, 64), count(bytes, 72));
+    bounds + 4 * (targets + escapes)
+}
+
 /// Where the instruction section of an encoded artifact starts: after the
-/// 64-byte header, 14 bytes per boundary and the boundary checksum, then
-/// the code section (the entry pc and 8 bytes per instruction) and its
+/// 96-byte header, the boundary section and its checksum, the task
+/// section (5 bytes per task and per task exit) and its checksum, then the
+/// code section (the entry pc and 8 bytes per instruction) and its
 /// checksum.
 fn instr_offset(bytes: &[u8]) -> usize {
-    let (code, bounds) = (count(bytes, 48), count(bytes, 56));
-    64 + 14 * bounds + 8 + 4 + 8 * code + 8
+    let (code, tasks, exits) = (count(bytes, 48), count(bytes, 80), count(bytes, 88));
+    96 + boundary_bytes(bytes) + 8 + 5 * (tasks + exits) + 8 + 4 + 8 * code + 8
 }
 
 /// A per-test scratch file.
@@ -500,7 +510,7 @@ fn the_artifact_layout_is_pinned() {
     let bytes = encode_replay(&r, fingerprint_of(&"pinned"));
     assert_eq!(
         fingerprint_of(&bytes).to_string(),
-        "605f48b841ec7cda633dfafa99ff6674",
+        "835cea6cd9d85d851c1ecf4b9c89d85e",
         "the artifact layout moved: a layout change bumps CACHE_SCHEMA and \
          this constant together"
     );
@@ -679,4 +689,86 @@ fn the_instruction_section_is_a_bit_per_op_and_the_addresses() {
             "{spec}: {section} bytes for {ops} ops and {mem} memory references"
         );
     }
+}
+
+/// On the five scale-1 benchmarks the boundary section takes exactly a
+/// byte per task, four bytes per boundary through a return or an indirect
+/// exit (the targets a task header cannot hold) and four per task longer
+/// than a byte holds, counted from the trace's events. The section's
+/// length is what is left of the artifact once the header, the checksums,
+/// the task and code sections and the instruction section (sized by their
+/// own counts) are taken away.
+#[test]
+fn the_boundary_section_is_a_byte_per_task_and_a_target_per_dynamic_exit() {
+    let params = WorkloadParams::small(7);
+    for &spec in &Spec92::ALL {
+        let w = spec.build(&params);
+        let tasks = TaskFormer::default().form(&w.program).unwrap();
+        let replay = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+        let events = derive_trace(&replay, &tasks).events;
+        let dynamic = events.iter().filter(|e| !e.kind.target_known()).count();
+        let long = events.iter().filter(|e| e.instrs > 63).count();
+        assert!(dynamic > 0, "{spec}: returns or indirect exits");
+
+        let bytes = encode_replay(&replay, fingerprint_of(&spec.name()));
+        let (ops, mem, code) = (count(&bytes, 32), count(&bytes, 40), count(&bytes, 48));
+        let (task_count, exits) = (count(&bytes, 80), count(&bytes, 88));
+        let instrs = ops.div_ceil(8) + 12 * ops.div_ceil(CHUNK_OPS) + 4 * mem;
+        let rest = 96 + 8 + 5 * (task_count + exits) + 8 + 4 + 8 * code + 8 + instrs;
+        let section = bytes.len() - rest;
+        assert_eq!(
+            section,
+            events.len() + 4 * dynamic + 4 * long,
+            "{spec}: {} tasks, {dynamic} dynamic exits, {long} escaped sizes",
+            events.len()
+        );
+        assert_eq!(section, boundary_bytes(&bytes), "{spec}: header counts");
+    }
+}
+
+/// Tasks longer than a boundary byte holds: straight-line runs of 62, 63,
+/// 64 and 100 ops, each ended by a call, under a former that allows
+/// 128-op tasks, so the tasks around the byte's limit of 63 ops are 63,
+/// 64 and 65 ops long. The sizes above 63 go through the escape column,
+/// 63 stays in its byte, and the recording round-trips, steps as the
+/// interpreter does and walks alike loaded and fresh.
+#[test]
+fn a_task_longer_than_a_byte_holds_escapes_and_round_trips() {
+    let mut b = ProgramBuilder::new();
+    let f = b.begin_function("f");
+    b.ret();
+    b.end_function();
+    let main = b.begin_function("main");
+    for run in [62, 63, 64, 100] {
+        for _ in 0..run {
+            b.op_imm(AluOp::Add, Reg(3), Reg(3), 1);
+        }
+        b.call_label(f);
+    }
+    b.halt();
+    b.end_function();
+    let program = b.finish(main).unwrap();
+    let config = TaskFormConfig {
+        max_instrs: 128,
+        max_blocks: 12,
+    };
+    let tasks = TaskFormer::new(config).form(&program).unwrap();
+    tasks.validate(&program).unwrap();
+    let fresh = record_replay(&program, &tasks, 100_000).unwrap();
+    let key = fingerprint_of(&"escape");
+    let bytes = encode_replay(&fresh, key);
+    assert_eq!(decode_replay(&bytes, key).unwrap(), fresh, "round trip");
+    let steps = check_replay_agreement(&program, &tasks, 100_000).unwrap();
+    assert_eq!(steps, fresh.instructions());
+    assert_loaded_walks_match("escape", &program, &tasks, 100_000, &fresh);
+
+    let events = derive_trace(&fresh, &tasks).events;
+    let sizes: Vec<u32> = events.iter().map(|e| e.instrs).collect();
+    for edge in [63, 64, 65] {
+        assert!(sizes.contains(&edge), "a task of {edge} ops: {sizes:?}");
+    }
+    let long = sizes.iter().filter(|&&n| n > 63).count();
+    assert_eq!(count(&bytes, 72), long, "the escape column: {sizes:?}");
+    let kinds: Vec<ExitKind> = events.iter().map(|e| e.kind).collect();
+    assert!(kinds.contains(&ExitKind::Return), "{kinds:?}");
 }
