@@ -338,9 +338,9 @@ pub mod codes {
             "value out of encodable range",
             "A constant evaluated fine but does not fit where it is used: \
              immediates must fit in i32, data words in a 32-bit word, \
-             `.zero` counts in 0..=2^20, and code addresses inside the \
-             assembled program. The message carries the offending value \
-             and the accepted range.";
+             `.zero` counts in 0..=2^20, the whole data section in 2^22 \
+             words, and code addresses inside the assembled program. The \
+             message carries the offending value and the accepted range.";
         ASM_DUPLICATE_LABEL = "E105", Error, Asm,
             "duplicate label",
             "Labels share one global namespace with functions and data \

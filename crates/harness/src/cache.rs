@@ -456,13 +456,31 @@ impl ArtifactCache {
     }
 }
 
+/// The cache key every benchmark would be prepared under at `params`.
+fn bench_keys(params: &WorkloadParams) -> Vec<(Spec92, Fingerprint)> {
+    Spec92::ALL
+        .iter()
+        .map(|&s| (s, key_for(s, params)))
+        .collect()
+}
+
+/// The content address of everything an experiment reads: its name folded
+/// with the cache key of each artifact it prepares.
+fn input_fingerprint(name: &str, inputs: &[Fingerprint]) -> Fingerprint {
+    let mut h = FingerprintHasher::new();
+    name.hash(&mut h);
+    for key in inputs {
+        key.hash(&mut h);
+    }
+    h.finish128()
+}
+
 /// `harness cache stats`: what is on disk, plus — via the registry's
 /// declared input sets — which benchmarks and experiments the cache
-/// already covers at these workload parameters. The per-experiment keys
-/// come from [`crate::registry::bench_keys`] /
-/// [`crate::registry::input_fingerprint`], the same derivation path the
-/// serve result cache memoises under; `ext-taskform`'s come from the
-/// helper that derives its fifteen partitions for the study itself.
+/// already covers at these workload parameters. Each experiment's line
+/// carries the content address of its inputs: its name folded with the
+/// cache keys of its declared benchmarks, or for `ext-taskform` of the
+/// fifteen partitions the helper behind the study itself derives.
 pub fn stats_report(store: &ArtifactCache, params: &WorkloadParams) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -486,7 +504,7 @@ pub fn stats_report(store: &ArtifactCache, params: &WorkloadParams) -> String {
     } else {
         let _ = writeln!(out, "recency touch: ok ({probed} entries writable)");
     }
-    let keys = crate::registry::bench_keys(params);
+    let keys = bench_keys(params);
     let _ = writeln!(
         out,
         "benchmark artifacts (seed {}, scale {}):",
@@ -501,29 +519,23 @@ pub fn stats_report(store: &ArtifactCache, params: &WorkloadParams) -> String {
         let _ = writeln!(out, "  {:<10} {key}  {state}", spec.name());
     }
     let _ = writeln!(out, "experiment inputs:");
+    let key_of = |spec: Spec92| keys.iter().find(|(s, _)| *s == spec).expect("every spec").1;
     for exp in crate::registry::REGISTRY {
-        let (fp, warm) = if exp.name == "ext-taskform" {
-            // It prepares its own fifteen partitions instead of a declared
-            // benchmark set, so its inputs are their entries.
-            let mut h = FingerprintHasher::new();
-            exp.name.hash(&mut h);
-            let mut warm = true;
-            for p in crate::extensions::taskform_partitions(params) {
-                p.key.hash(&mut h);
-                warm &= store.entry_path(p.key).exists();
-            }
-            (h.finish128(), warm)
-        } else if exp.benches.specs().is_empty() {
-            continue;
+        // `ext-taskform` prepares its own fifteen partitions instead of a
+        // declared benchmark set, so its inputs are their entries.
+        let inputs: Vec<Fingerprint> = if exp.name == "ext-taskform" {
+            crate::extensions::taskform_partitions(params)
+                .map(|p| p.key)
+                .collect()
         } else {
-            let warm = exp.benches.specs().iter().all(|spec| {
-                keys.iter()
-                    .find(|(s, _)| s == spec)
-                    .is_some_and(|&(_, key)| store.entry_path(key).exists())
-            });
-            (crate::registry::input_fingerprint(exp, &keys), warm)
+            exp.benches.specs().iter().map(|&s| key_of(s)).collect()
         };
+        if inputs.is_empty() {
+            continue;
+        }
+        let warm = inputs.iter().all(|&key| store.entry_path(key).exists());
         let state = if warm { "warm" } else { "cold" };
+        let fp = input_fingerprint(exp.name, &inputs);
         let _ = writeln!(out, "  {:<16} {fp}  {state}", exp.name);
     }
     out
@@ -537,7 +549,7 @@ pub fn run_tool(ctx: &crate::registry::ExpCtx) -> Result<crate::registry::Output
     use crate::registry::Output;
     let store = ArtifactCache::new(ctx.cache_dir.clone());
     match ctx.req.opts.cache_action {
-        Some(CacheAction::Stats) => Ok(Output::text(stats_report(&store, &ctx.params))),
+        Some(CacheAction::Stats) => Ok(Output::text(stats_report(&store, &ctx.req.params))),
         Some(CacheAction::Clear) => match store.clear() {
             Ok(n) => Ok(Output::text(format!(
                 "removed {n} artifacts from {}\n",

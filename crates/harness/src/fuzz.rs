@@ -827,8 +827,7 @@ pub fn run_tool(ctx: &crate::registry::ExpCtx) -> Result<crate::registry::Output
     use crate::registry::Output;
     // Replaying one dumped reproducer: parse, re-run, report.
     if let Some(path) = &ctx.req.opts.repro {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
+        let text = crate::read_input(path)?;
         let case = parse_case(&text).map_err(|e| format!("bad reproducer {path}: {e}"))?;
         return Ok(match run_case(&case) {
             None => Output::text(format!("repro seed {}: all oracles pass\n", case.seed)),

@@ -129,6 +129,29 @@ pub fn prepare_cached(
     }
 }
 
+/// The longest file a request may name (`asm`, `disasm` and `lint FILE`,
+/// `fuzz --repro FILE`): twice the canonical text of the largest generated
+/// workload (compress at scale 64, 7,988,040 bytes), and a bound on what
+/// one request can make a process read.
+pub const MAX_INPUT_BYTES: u64 = 16 << 20;
+
+/// Reads the text file a request names, refusing one longer than
+/// [`MAX_INPUT_BYTES`] (say, `/dev/zero`) after reading one byte past it.
+pub(crate) fn read_input(path: &str) -> Result<String, String> {
+    use std::io::Read as _;
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(MAX_INPUT_BYTES + 1).read_to_end(&mut bytes))
+        .map_err(|e| format!("could not read {path}: {e}"))?;
+    if bytes.len() as u64 > MAX_INPUT_BYTES {
+        return Err(format!(
+            "{path} is longer than the limit of {MAX_INPUT_BYTES} bytes"
+        ));
+    }
+    String::from_utf8(bytes)
+        .map_err(|_| format!("could not read {path}: stream did not contain valid UTF-8"))
+}
+
 /// [`prepare_cached`] without a cache (always records).
 pub fn prepare(spec: Spec92, params: &WorkloadParams) -> Bench {
     prepare_cached(spec, params, None)

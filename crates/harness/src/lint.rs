@@ -207,14 +207,13 @@ pub fn run_tool(ctx: &crate::registry::ExpCtx) -> Result<crate::registry::Output
         };
     }
     if ctx.req.opts.speculation {
-        return Ok(Output::text(speculation_report(&ctx.params)));
+        return Ok(Output::text(speculation_report(&ctx.req.params)));
     }
     // `harness lint FILE.masm`: assemble the file and lint it alone.
     // Assembly errors render through the same diagnostic machinery with
     // source spans (rustc-style carets, or `line`/`col` in JSON).
     if let Some(path) = &ctx.req.opts.file {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
+        let text = crate::read_input(path)?;
         let target = match multiscalar_isa::assemble(&text) {
             Ok(asm) => lint_program_with_entries(path, asm.program, &asm.task_entries),
             Err(errs) => {
@@ -243,7 +242,7 @@ pub fn run_tool(ctx: &crate::registry::ExpCtx) -> Result<crate::registry::Output
             ok: !failed(targets, ctx.req.opts.deny_warnings),
         });
     }
-    let targets = lint_all(&ctx.params);
+    let targets = lint_all(&ctx.req.params);
     let body = if ctx.req.format == OutputFormat::Json {
         render_json(&targets)
     } else {

@@ -58,7 +58,7 @@ fn read_source(ctx: &ExpCtx, tool: &str) -> Result<(String, String), String> {
         .file
         .clone()
         .ok_or(format!("usage: harness {tool} FILE.masm"))?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("could not read {path}: {e}"))?;
+    let text = crate::read_input(&path)?;
     Ok((path, text))
 }
 

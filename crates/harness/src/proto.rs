@@ -12,7 +12,7 @@
 //! container has no registry access, so no serde) covers the protocol's
 //! needs: objects, arrays, strings with full escape handling, integers,
 //! booleans and null. Floats are rejected — every numeric protocol field
-//! is an integer, and refusing floats keeps request fingerprints exact.
+//! is an integer, and refusing floats keeps every request field exact.
 //!
 //! ```text
 //! → {"id":1,"cmd":"run","experiment":"table2","scale":1}
@@ -26,7 +26,7 @@
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
 /// Which rendering of an experiment's one run a request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OutputFormat {
     /// The human-readable table (the default).
     #[default]
@@ -47,19 +47,10 @@ impl OutputFormat {
             _ => None,
         }
     }
-
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OutputFormat::Text => "text",
-            OutputFormat::Csv => "csv",
-            OutputFormat::Json => "json",
-        }
-    }
 }
 
 /// A `harness cache` sub-action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheAction {
     /// Report disk entries plus per-experiment warm/cold coverage.
     Stats,
@@ -79,21 +70,12 @@ impl CacheAction {
             _ => None,
         }
     }
-
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheAction::Stats => "stats",
-            CacheAction::Clear => "clear",
-            CacheAction::Gc => "gc",
-        }
-    }
 }
 
 /// Tool-specific request options. Every field has a CLI flag and a wire
 /// field of the same meaning; tools read the ones they declare and ignore
 /// the rest.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ToolOpts {
     /// Collect per-ring-unit occupancy (`profile --occupancy`).
     pub occupancy: bool,
@@ -119,13 +101,14 @@ pub struct ToolOpts {
     pub file: Option<String>,
 }
 
-/// One experiment request: everything that determines one run's output.
-/// Process-level resources — thread pool width, artifact-cache location —
-/// deliberately live *outside* the request (`main::Invocation`,
+/// One experiment request: everything that determines one run's output,
+/// and so the key `harness serve` memoises that output under. Process-level
+/// resources — thread pool width, artifact-cache location — deliberately
+/// live *outside* the request (`main::Invocation`,
 /// [`crate::serve::ServeConfig`]): two clients of one server may not ask
-/// for different cache directories, and a request's fingerprint must not
+/// for different cache directories, and a request's output must not
 /// depend on where it runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Registry name of the experiment or tool to run.
     pub experiment: String,
@@ -152,56 +135,18 @@ impl Request {
         }
     }
 
-    /// Serialises the request as one wire object (without an envelope id).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.field_str("cmd", "run");
-        self.write_fields(&mut w);
-        w.finish()
-    }
-
-    fn write_fields(&self, w: &mut JsonWriter) {
-        w.field_str("experiment", &self.experiment);
-        w.field_num("seed", self.params.seed as i128);
-        w.field_num("scale", self.params.scale as i128);
-        if let Some(b) = self.bench {
-            w.field_str("bench", b.name());
-        }
-        w.field_str("format", self.format.name());
+    /// Whether the run's bytes depend on the disk: it reads a `.masm`
+    /// source (`file`) or a fuzz reproducer (`repro`), or reports on or
+    /// changes the cache directory (`cache_action`). (Preparation's reads
+    /// of the artifact store never change a run's bytes.) The same such
+    /// request can print different bytes once the disk changes, so the
+    /// server never memoises one. The rule reads the fields, not what the
+    /// experiment does with them: `table2` with a stray `file`, or `lint`
+    /// with both `explain` and `file`, is not memoised either, which costs
+    /// a fresh run and never a stale answer.
+    pub fn reads_disk(&self) -> bool {
         let o = &self.opts;
-        if o.occupancy {
-            w.field_bool("occupancy", true);
-        }
-        if o.deny_warnings {
-            w.field_bool("deny_warnings", true);
-        }
-        if o.speculation {
-            w.field_bool("speculation", true);
-        }
-        if o.smoke {
-            w.field_bool("smoke", true);
-        }
-        if let Some(code) = &o.explain {
-            w.field_str("explain", code);
-        }
-        if let Some(r) = &o.seeds {
-            w.field_str("seeds", &format!("{}..{}", r.start, r.end));
-        }
-        if let Some(p) = &o.repro {
-            w.field_str("repro", p);
-        }
-        if let Some(a) = o.cache_action {
-            w.field_str("cache_action", a.name());
-        }
-        if let Some(n) = o.cache_max_bytes {
-            w.field_num("cache_max_bytes", n as i128);
-        }
-        if let Some(d) = &o.csv_dir {
-            w.field_str("csv_dir", d);
-        }
-        if let Some(f) = &o.file {
-            w.field_str("file", f);
-        }
+        o.file.is_some() || o.repro.is_some() || o.cache_action.is_some()
     }
 
     /// Applies one wire field to the request under construction. Shared by
@@ -501,8 +446,8 @@ impl Response {
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value. Numbers are integers ([`Json::Num`]): every
-/// numeric protocol field is one, and rejecting floats keeps request
-/// fingerprints exact.
+/// numeric protocol field is one, and rejecting floats keeps every
+/// request field exact.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -581,6 +526,7 @@ pub const MAX_JSON_DEPTH: usize = 16;
 /// is nesting deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -594,6 +540,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -716,11 +663,14 @@ impl Parser<'_> {
                     return Err("unescaped control character in string".to_string())
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. Every other step consumes
+                    // whole ASCII bytes, so `pos` is on a char boundary
+                    // and the slice costs nothing, however long the rest.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid utf-8")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -901,17 +851,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_round_trips_through_its_own_wire_form() {
-        let mut req = Request::new("table4");
-        req.params.seed = 42;
-        req.params.scale = 2;
-        req.bench = Some(Spec92::Gcc);
-        req.format = OutputFormat::Json;
-        req.opts.occupancy = true;
-        req.opts.seeds = Some(3..9);
-        let line = req.to_json();
-        let env = parse_line(&line).unwrap();
-        assert_eq!(env.cmd, Command::Run(req));
+    fn every_wire_field_parses_into_the_request() {
+        let line = r#"{"experiment":"fuzz","seed":42,"scale":2,"bench":"gcc","format":"json","occupancy":true,"deny_warnings":true,"speculation":true,"smoke":true,"explain":"E102","seeds":"3..9","repro":"r.txt","cache_action":"gc","cache_max_bytes":1024,"csv_dir":"out","file":"a.masm"}"#;
+        let want = Request {
+            experiment: "fuzz".to_string(),
+            params: WorkloadParams { seed: 42, scale: 2 },
+            bench: Some(Spec92::Gcc),
+            format: OutputFormat::Json,
+            opts: ToolOpts {
+                occupancy: true,
+                deny_warnings: true,
+                speculation: true,
+                smoke: true,
+                explain: Some("E102".to_string()),
+                seeds: Some(3..9),
+                repro: Some("r.txt".to_string()),
+                cache_action: Some(CacheAction::Gc),
+                cache_max_bytes: Some(1024),
+                csv_dir: Some("out".to_string()),
+                file: Some("a.masm".to_string()),
+            },
+        };
+        assert_eq!(parse_line(line).unwrap().cmd, Command::Run(want));
     }
 
     #[test]
@@ -960,6 +921,18 @@ mod tests {
         let mut out = String::new();
         write_json_str(&mut out, "a\"b\\c\n\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\n\\u0001\"");
+    }
+
+    #[test]
+    fn a_string_filling_a_line_parses_in_one_pass() {
+        // One pass over a 1 MiB string takes milliseconds; re-reading the
+        // rest of the line at each character takes tens of seconds.
+        let text = "dé".repeat((1 << 20) / 3);
+        let start = std::time::Instant::now();
+        let v = parse_json(&format!("\"{text}\"")).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v, Json::Str(text));
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! [`Output`] (exact stdout bytes + artifact files + pass/fail), with
 //! errors as values rather than `eprintln!` + exit codes. The CLI prints
 //! the `Output`; the server serialises it into a
-//! [`crate::proto::Response`] and memoises it under [`result_key`].
+//! [`crate::proto::Response`] and memoises it under the request's
+//! fingerprint.
 //!
 //! Entries come in two [`Kind`]s. Declarative [`Kind::Rendered`] entries
 //! (the paper artifacts) register text/CSV/JSON renderers and the request's
@@ -25,10 +26,9 @@
 //!
 //! Every entry also **declares its inputs**: the benchmark set it reads
 //! ([`BenchSet`]). Running one experiment prepares only its declared set,
-//! and the set's cache keys fold into a per-experiment
-//! [`input_fingerprint`] — the shared key-derivation path behind both
-//! `harness cache stats` coverage reporting and the serve result cache
-//! ([`result_key`]).
+//! and `harness cache stats` alone folds the set's cache keys into a
+//! per-experiment input fingerprint and reports whether its artifacts are
+//! on disk.
 
 use std::cell::OnceCell;
 
@@ -38,9 +38,7 @@ use crate::pool::Pool;
 use crate::profile::{self, ProfileRow};
 use crate::proto::{OutputFormat, Request};
 use crate::{csv, extensions, prepare_set_cached, report, Bench};
-use multiscalar_isa::{fingerprint::FingerprintHasher, Fingerprint};
 use multiscalar_workloads::{Spec92, WorkloadParams};
-use std::hash::Hash as _;
 
 /// The benchmark set an experiment declares as its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,20 +92,10 @@ pub struct Prepared {
 
 impl Prepared {
     /// Prepares the benchmark set — `bench` when given, the declared `set`
-    /// otherwise — through the artifact cache when one is supplied.
+    /// otherwise — from `source` when one is given (the serve path's
+    /// resident pool), else through the artifact cache when one is
+    /// supplied.
     pub fn new(
-        bench: Option<Spec92>,
-        set: BenchSet,
-        params: &WorkloadParams,
-        pool: &Pool,
-        cache: Option<&ArtifactCache>,
-    ) -> Prepared {
-        Prepared::with_source(bench, set, params, pool, cache, None)
-    }
-
-    /// [`Prepared::new`] with an optional [`BenchSource`] supplying the
-    /// benchmarks (the serve path's resident pool).
-    pub fn with_source(
         bench: Option<Spec92>,
         set: BenchSet,
         params: &WorkloadParams,
@@ -171,12 +159,8 @@ pub struct ExpCtx<'a> {
     pub prep: &'a Prepared,
     /// The `--threads`-wide job pool.
     pub pool: &'a Pool,
-    /// The request being executed (format, tool options, ...).
+    /// The request being executed (parameters, format, tool options, ...).
     pub req: &'a Request,
-    /// Workload parameters (for experiments that re-generate workloads).
-    pub params: WorkloadParams,
-    /// Collect per-ring-unit occupancy in `profile` (`--occupancy`).
-    pub occupancy: bool,
     /// The artifact store this dispatch prepares through, if caching is
     /// enabled.
     pub store: Option<&'a ArtifactCache>,
@@ -188,7 +172,7 @@ pub struct ExpCtx<'a> {
 }
 
 impl<'a> ExpCtx<'a> {
-    /// A fresh context with empty caches, carrying `req`'s parameters.
+    /// A fresh context with empty caches.
     pub fn new(
         prep: &'a Prepared,
         pool: &'a Pool,
@@ -200,8 +184,6 @@ impl<'a> ExpCtx<'a> {
             prep,
             pool,
             req,
-            params: req.params,
-            occupancy: req.opts.occupancy,
             store,
             cache_dir,
             fig10_fig11: OnceCell::new(),
@@ -231,7 +213,7 @@ impl<'a> ExpCtx<'a> {
     /// The cycle-attribution profile grid; computed once per dispatch.
     pub fn profile(&self) -> &[ProfileRow] {
         self.profile
-            .get_or_init(|| profile::profile(self.prep.all(), self.pool, self.occupancy))
+            .get_or_init(|| profile::profile(self.prep.all(), self.pool, self.req.opts.occupancy))
     }
 }
 
@@ -307,14 +289,10 @@ pub struct Experiment {
     /// Grouping for the `all` / `ext` / `csv` umbrellas.
     pub group: Group,
     /// The benchmark set this experiment reads — prepared (and only it)
-    /// when the experiment runs; folded into [`input_fingerprint`].
+    /// when the experiment runs.
     pub benches: BenchSet,
     /// How it executes.
     pub kind: Kind,
-    /// Whether a run is a pure function of its [`Request`] — the server
-    /// memoises only these. `false` for disk-mutating tools (`cache`) and
-    /// tools that read a source file (`asm`, `disasm`).
-    pub cache_safe: bool,
 }
 
 impl Experiment {
@@ -342,7 +320,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig3",
@@ -354,7 +331,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig4",
@@ -366,7 +342,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig6",
@@ -380,7 +355,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig7",
@@ -394,7 +368,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig8",
@@ -413,7 +386,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig10",
@@ -425,7 +397,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig11",
@@ -437,7 +408,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "fig12",
@@ -455,7 +425,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "table3",
@@ -469,7 +438,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "table4",
@@ -483,7 +451,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-staleness",
@@ -497,7 +464,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-hybrid",
@@ -509,19 +475,17 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-taskform",
         group: Group::Ext,
         benches: BenchSet::None,
         kind: Kind::Rendered {
-            render: |c| report::render_taskform(&extensions::ext_taskform(&c.params, c.store)),
+            render: |c| report::render_taskform(&extensions::ext_taskform(&c.req.params, c.store)),
             csv: None,
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-memory",
@@ -533,7 +497,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-confidence",
@@ -545,7 +508,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-intra",
@@ -557,7 +519,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-pollution",
@@ -571,7 +532,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "ext-zoo",
@@ -583,7 +543,6 @@ pub const REGISTRY: &[Experiment] = &[
             json: None,
             artifact: None,
         },
-        cache_safe: true,
     },
     Experiment {
         name: "profile",
@@ -595,76 +554,60 @@ pub const REGISTRY: &[Experiment] = &[
             json: Some(|c| profile::to_json(c.profile())),
             artifact: Some(("profile.json", |c| profile::to_json(c.profile()))),
         },
-        cache_safe: true,
     },
     Experiment {
         name: "all",
         group: Group::Tool,
         benches: BenchSet::All,
         kind: Kind::Tool(run_all),
-        cache_safe: true,
     },
     Experiment {
         name: "ext",
         group: Group::Tool,
         benches: BenchSet::All,
         kind: Kind::Tool(run_ext),
-        cache_safe: true,
     },
     Experiment {
         name: "csv",
         group: Group::Tool,
         benches: BenchSet::All,
         kind: Kind::Tool(run_csv),
-        cache_safe: true,
     },
     Experiment {
         name: "verify",
         group: Group::Tool,
         benches: BenchSet::All,
         kind: Kind::Tool(crate::verify::run_tool),
-        cache_safe: true,
     },
     Experiment {
         name: "lint",
         group: Group::Tool,
         benches: BenchSet::None,
         kind: Kind::Tool(crate::lint::run_tool),
-        cache_safe: true,
     },
     Experiment {
         name: "fuzz",
         group: Group::Tool,
         benches: BenchSet::None,
-        // Deterministic per seed range, but `--repro` reads a file; the
-        // server additionally skips memoisation for repro requests.
         kind: Kind::Tool(crate::fuzz::run_tool),
-        cache_safe: true,
     },
     Experiment {
         name: "asm",
         group: Group::Tool,
         benches: BenchSet::None,
-        // Reads a file from disk, so the server must not memoise: the
-        // same request can legitimately produce different bytes after an
-        // edit (the *artifact* cache is still safe — the replay key folds
-        // the source bytes).
         kind: Kind::Tool(crate::masm::run_asm),
-        cache_safe: false,
     },
     Experiment {
         name: "disasm",
         group: Group::Tool,
         benches: BenchSet::None,
         kind: Kind::Tool(crate::masm::run_disasm),
-        cache_safe: false,
     },
     Experiment {
         name: "cache",
         group: Group::Tool,
         benches: BenchSet::None,
         kind: Kind::Tool(crate::cache::run_tool),
-        cache_safe: false,
     },
 ];
 
@@ -767,7 +710,7 @@ pub fn dispatch(req: &Request, res: &Resources) -> Result<Output, String> {
     } else {
         req.bench
     };
-    let prep = Prepared::with_source(
+    let prep = Prepared::new(
         bench,
         exp.benches,
         &req.params,
@@ -812,61 +755,4 @@ pub fn execute(exp: &Experiment, ctx: &ExpCtx) -> Result<Output, String> {
             })
         }
     }
-}
-
-/// The cache key every benchmark would be prepared under at `params` —
-/// computed without recording anything (see [`crate::cache::key_for`]).
-/// The shared key-derivation path: `harness cache stats` folds these into
-/// per-experiment coverage, and the serve result cache folds them into
-/// [`result_key`].
-pub fn bench_keys(params: &WorkloadParams) -> Vec<(Spec92, Fingerprint)> {
-    Spec92::ALL
-        .iter()
-        .map(|&s| (s, crate::cache::key_for(s, params)))
-        .collect()
-}
-
-/// The content address of everything `exp` reads: its name folded with the
-/// cache key of each benchmark in its declared set. `keys` maps every
-/// spec to its replay-artifact key (see [`bench_keys`]) so callers compute
-/// the five keys once and fold them per experiment.
-pub fn input_fingerprint(exp: &Experiment, keys: &[(Spec92, Fingerprint)]) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    exp.name.hash(&mut h);
-    for &spec in exp.benches.specs() {
-        let key = keys
-            .iter()
-            .find(|(s, _)| *s == spec)
-            .map(|(_, k)| *k)
-            .expect("key for every spec");
-        key.hash(&mut h);
-    }
-    h.finish128()
-}
-
-/// The serve result cache's memoisation key: [`input_fingerprint`] (the
-/// experiment's content-addressed inputs) × workload parameters × output
-/// format × every tool option that can change the rendered bytes.
-/// Two requests with equal keys produce byte-identical [`Output`]s, so a
-/// cached body can be replayed verbatim.
-pub fn result_key(exp: &Experiment, req: &Request, keys: &[(Spec92, Fingerprint)]) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    input_fingerprint(exp, keys).hash(&mut h);
-    req.params.seed.hash(&mut h);
-    req.params.scale.hash(&mut h);
-    req.format.name().hash(&mut h);
-    req.bench.map(|b| b.name()).hash(&mut h);
-    let o = &req.opts;
-    o.occupancy.hash(&mut h);
-    o.deny_warnings.hash(&mut h);
-    o.speculation.hash(&mut h);
-    o.smoke.hash(&mut h);
-    o.explain.hash(&mut h);
-    o.seeds.as_ref().map(|r| (r.start, r.end)).hash(&mut h);
-    o.repro.hash(&mut h);
-    o.cache_action.map(|a| a.name()).hash(&mut h);
-    o.cache_max_bytes.hash(&mut h);
-    o.csv_dir.hash(&mut h);
-    o.file.hash(&mut h);
-    h.finish128()
 }

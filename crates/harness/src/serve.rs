@@ -4,13 +4,17 @@
 //! invocation: preparing benchmarks (build + task-form + record, or at
 //! best a disk read through the artifact cache) and running the
 //! experiment itself. The server pays each cost **once**: prepared
-//! [`Bench`]es live in an in-memory pool (their replays and traces are
-//! immutable behind `Arc`, so serving one to a request is a cheap clone),
-//! and rendered [`Output`]s are memoised in a byte-capped LRU result
-//! cache keyed by [`registry::result_key`] — the experiment's
-//! content-addressed inputs × workload parameters × output format × tool
-//! options. A repeated request is served byte-identical from memory
-//! without touching a benchmark at all.
+//! [`Bench`]es live in an in-memory pool keyed by (benchmark, workload
+//! parameters) (their replays and traces are immutable behind `Arc`, so
+//! serving one to a request is a cheap clone), and rendered [`Output`]s
+//! are memoised in a byte-capped LRU result cache keyed by the
+//! [`Request`]'s 128-bit fingerprint — a digest of everything that
+//! determines a run's output. A repeated request is served byte-identical
+//! from memory without touching a benchmark at all. The memo lives as
+//! long as the process, and a request that reads the disk
+//! ([`Request::reads_disk`]: a `.masm` file, a fuzz reproducer, the cache
+//! directory) is never memoised, since the same request can print
+//! different bytes after the disk changes.
 //!
 //! The wire protocol is line-delimited JSON over stdio or a Unix socket
 //! (see [`crate::proto`]): one [`Envelope`] per request line, one
@@ -24,7 +28,9 @@
 //! 1. the on-disk [`ArtifactCache`] (PR 5) warms cold *preparation*
 //!    across processes;
 //! 2. the resident bench pool keeps *prepared* benchmarks hot within the
-//!    server's lifetime;
+//!    server's lifetime, each prepared at most once, outside the pool's
+//!    lock, so a cold parameter point never stalls a request for a
+//!    resident one;
 //! 3. the result cache keeps *rendered* outputs hot, with hit/miss/evict
 //!    counters reported by the `stats` command.
 
@@ -32,18 +38,18 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::cache::ArtifactCache;
 use crate::pool::Pool;
 use crate::proto::{Command, Envelope, Request, Response};
 use crate::registry::{self, BenchSource, Output};
 use crate::Bench;
-use multiscalar_isa::Fingerprint;
+use multiscalar_isa::{fingerprint_of, Fingerprint};
 use multiscalar_workloads::{Spec92, WorkloadParams};
 
-/// One benchmark spec paired with its replay-artifact cache key.
-type BenchKeys = Vec<(Spec92, Fingerprint)>;
+/// One resident benchmark, empty until its one preparation fills it.
+type Slot = Arc<OnceLock<Bench>>;
 
 /// Everything `harness serve` is configured with. These are process-level
 /// resources (where the server runs), deliberately outside [`Request`]
@@ -75,9 +81,12 @@ struct CachedResult {
     last_used: u64,
 }
 
-/// The byte-capped LRU result cache plus its counters. Recency is a
-/// monotonic tick bumped on every lookup — cheap, deterministic, and
-/// immune to wall-clock weirdness.
+/// The byte-capped LRU result cache plus its counters, keyed by each
+/// request's [`fingerprint_of`]: the field list stays in the request's
+/// parsers, and a key is 16 bytes however long the request's strings, so
+/// the cap bounds what the memo holds. Recency is a monotonic tick bumped
+/// on every lookup — cheap, deterministic, and immune to wall-clock
+/// weirdness.
 struct ResultCache {
     entries: HashMap<Fingerprint, CachedResult>,
     total_bytes: u64,
@@ -150,7 +159,8 @@ impl ResultCache {
 }
 
 /// What one cached result costs the cap: its rendered bytes plus a small
-/// per-entry overhead so a flood of tiny entries still hits the cap.
+/// per-entry overhead (its key among it) so a flood of tiny entries still
+/// hits the cap.
 fn result_bytes(output: &Output) -> u64 {
     let files: usize = output
         .files
@@ -165,14 +175,9 @@ pub struct Server {
     pool: Pool,
     store: Option<ArtifactCache>,
     cache_dir: PathBuf,
-    /// Prepared benchmarks, keyed by their replay-artifact key (which
-    /// folds spec + workload parameters, so every parameter point gets
-    /// its own residency).
-    benches: Mutex<HashMap<Fingerprint, Bench>>,
-    /// Benchmark cache keys per parameter point. [`cache::key_for`]
-    /// rebuilds the workload to fingerprint it, so the five keys are
-    /// computed once per (seed, scale) rather than once per request.
-    bench_keys: Mutex<HashMap<(u64, u32), BenchKeys>>,
+    /// One slot per (benchmark, workload parameters) a request has
+    /// needed, filled by its one preparation.
+    benches: Mutex<HashMap<(Spec92, WorkloadParams), Slot>>,
     results: Mutex<ResultCache>,
     requests: AtomicU64,
     shutdown: AtomicBool,
@@ -191,33 +196,19 @@ impl Server {
             store,
             cache_dir: config.cache_dir.clone(),
             benches: Mutex::new(HashMap::new()),
-            bench_keys: Mutex::new(HashMap::new()),
             results: Mutex::new(ResultCache::new(config.result_max_bytes)),
             requests: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         }
     }
 
-    /// The benchmark cache keys at `params`, memoised per (seed, scale).
-    fn keys_for(&self, params: &WorkloadParams) -> BenchKeys {
-        let mut memo = lock(&self.bench_keys);
-        memo.entry((params.seed, params.scale))
-            .or_insert_with(|| registry::bench_keys(params))
-            .clone()
-    }
-
     /// Runs one request through the shared dispatch path, memoising the
-    /// rendered output when the experiment declares itself cache-safe.
+    /// rendered output under the request's fingerprint. A request for an
+    /// unknown experiment, or one that reads the disk, skips the memo.
     pub fn run_request(&self, id: Option<i128>, req: &Request) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let exp = registry::find(&req.experiment);
-        // `fuzz --repro` reads a file the request doesn't fingerprint, so
-        // repro runs are never memoised even though fuzz itself is pure.
-        let memoise = exp.is_some_and(|e| e.cache_safe) && req.opts.repro.is_none();
-        let key = memoise.then(|| {
-            let keys = self.keys_for(&req.params);
-            registry::result_key(exp.expect("found"), req, &keys)
-        });
+        let memoise = registry::find(&req.experiment).is_some() && !req.reads_disk();
+        let key = memoise.then(|| fingerprint_of(req));
         if let Some(key) = key {
             if let Some(output) = lock(&self.results).get(key) {
                 return ok_response(id, true, &output);
@@ -326,7 +317,11 @@ impl Server {
             push("result_bytes", rc.total_bytes);
             push("result_max_bytes", rc.max_bytes);
         }
-        push("bench_resident", lock(&self.benches).len() as u64);
+        let resident = lock(&self.benches)
+            .values()
+            .filter(|slot| slot.get().is_some())
+            .count();
+        push("bench_resident", resident as u64);
         if let Some(store) = &self.store {
             let s = store.stats();
             push("store_hits", s.hits);
@@ -427,9 +422,11 @@ fn read_capped_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> std::io::Re
 }
 
 /// The server's resident bench pool, substituted into [`registry::dispatch`]
-/// in place of per-invocation preparation: missing benchmarks are prepared
-/// once (warming from the artifact cache when one is attached) and every
-/// later request clones the resident, `Arc`-shared preparation.
+/// in place of per-invocation preparation. The lock is held only to find
+/// or add each (benchmark, parameters) slot; the empty slots fill on the
+/// pool outside it (warming from the artifact cache when one is
+/// attached), each once however many requests wait on it, and every later
+/// request clones the resident, `Arc`-shared preparation.
 impl BenchSource for Server {
     fn benches(
         &self,
@@ -438,39 +435,38 @@ impl BenchSource for Server {
         pool: &Pool,
         cache: Option<&ArtifactCache>,
     ) -> Vec<Bench> {
-        let keys = self.keys_for(params);
-        let key_of = |spec: Spec92| {
-            keys.iter()
-                .find(|(s, _)| *s == spec)
-                .map(|(_, k)| *k)
-                .expect("key for every spec")
+        let params = *params;
+        let slots: Vec<Slot> = {
+            let mut resident = lock(&self.benches);
+            specs
+                .iter()
+                .map(|&s| Arc::clone(resident.entry((s, params)).or_default()))
+                .collect()
         };
-        // Holding the lock across preparation serialises concurrent
-        // warm-ups of the same parameter point — exactly the "prepare
-        // once" the server exists for. Distinct connections pay at most
-        // one preparation per benchmark per parameter point.
-        let mut resident = lock(&self.benches);
-        let missing: Vec<Spec92> = specs
+        // A preparation that panics leaves its slot empty for the next
+        // request.
+        let jobs = specs
             .iter()
-            .copied()
-            .filter(|&s| !resident.contains_key(&key_of(s)))
+            .zip(&slots)
+            .filter(|(_, slot)| slot.get().is_none())
+            .map(|(&s, slot)| {
+                move || {
+                    slot.get_or_init(|| crate::prepare_cached(s, &params, cache));
+                }
+            })
             .collect();
-        if !missing.is_empty() {
-            for bench in crate::prepare_set_cached(&missing, params, pool, cache) {
-                resident.insert(bench.key, bench);
-            }
-        }
-        specs
+        pool.run(jobs);
+        slots
             .iter()
-            .map(|&s| resident.get(&key_of(s)).expect("prepared").clone())
+            .map(|slot| slot.get().expect("prepared").clone())
             .collect()
     }
 }
 
-/// Locks one of the server's maps, poisoned or not. A panic in an
-/// experiment or a preparation poisons the lock it runs under, but each
-/// map is written only after the call that can panic returns, so its data
-/// is whole, and one panic must not fail every later request.
+/// Locks one of the server's maps, poisoned or not. A panic while a map
+/// is locked poisons it, but each map is written only after the call that
+/// can panic returns, so its data is whole, and one panic must not fail
+/// every later request.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -598,11 +594,10 @@ mod tests {
     fn lru_evicts_oldest_first_and_counts() {
         let mut rc = ResultCache::new(400);
         let out = |body: &str| Output::text(body.to_string());
-        let k = |n: u64| {
-            use std::hash::Hash as _;
-            let mut h = multiscalar_isa::FingerprintHasher::new();
-            n.hash(&mut h);
-            h.finish128()
+        let k = |seed: u64| {
+            let mut r = Request::new("table2");
+            r.params.seed = seed;
+            fingerprint_of(&r)
         };
         rc.insert(k(1), &out(&"a".repeat(100)));
         rc.insert(k(2), &out(&"b".repeat(100)));
@@ -619,13 +614,35 @@ mod tests {
     #[test]
     fn oversized_entry_does_not_wedge_the_cache() {
         let mut rc = ResultCache::new(50);
-        let mut h = multiscalar_isa::FingerprintHasher::new();
-        use std::hash::Hash as _;
-        1u64.hash(&mut h);
-        rc.insert(h.finish128(), &Output::text("x".repeat(1000)));
+        let key = fingerprint_of(&Request::new("table2"));
+        rc.insert(key, &Output::text("x".repeat(1000)));
         assert_eq!(rc.entries.len(), 0);
         assert_eq!(rc.total_bytes, 0);
         assert_eq!(rc.evictions, 1);
+    }
+
+    #[test]
+    fn distinct_long_requests_evict_under_the_cap() {
+        // Requests that differ only in a long `csv_dir` are distinct
+        // entries, each charged the per-entry overhead however long its
+        // strings, so a flood of them evicts rather than growing the memo.
+        let mut rc = ResultCache::new(1024);
+        let request = |i: usize| {
+            let mut r = Request::new("lint");
+            r.opts.explain = Some("E102".to_string());
+            r.opts.csv_dir = Some(format!("{}{i}", "d".repeat(1 << 16)));
+            r
+        };
+        let out = Output::text("ok\n".to_string());
+        for i in 0..100 {
+            rc.insert(fingerprint_of(&request(i)), &out);
+        }
+        let fit = 1024 / result_bytes(&out);
+        assert_eq!(rc.entries.len() as u64, fit);
+        assert_eq!(rc.evictions, 100 - fit);
+        assert!(rc.total_bytes <= rc.max_bytes);
+        assert!(rc.get(fingerprint_of(&request(99))).is_some());
+        assert!(rc.get(fingerprint_of(&request(0))).is_none());
     }
 
     #[test]

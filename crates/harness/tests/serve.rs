@@ -1,10 +1,10 @@
 //! Integration tests for `harness serve`: protocol shape (golden),
-//! counter-verified byte-identical memoisation, concurrent-client
-//! independence, batch ordering and LRU eviction.
+//! counter-verified byte-identical memoisation, the requests it never
+//! memoises, concurrent-client independence, preparing each benchmark
+//! once, batch ordering and LRU eviction.
 
 use multiscalar_harness::pool::Pool;
-use multiscalar_harness::proto::Request;
-use multiscalar_harness::proto::Response;
+use multiscalar_harness::proto::{CacheAction, Request, Response};
 use multiscalar_harness::registry;
 use multiscalar_harness::serve::{self, ServeConfig, Server};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,10 +163,12 @@ fn repeated_request_is_a_counted_byte_identical_cache_hit() {
 /// [`registry::dispatch`] path the server and CLI share. Their rendered
 /// bodies — counts, canonical disassembly, rustc-style and JSON error
 /// rendering — are pinned against a golden file over committed fixtures.
-/// And because they read files, the server must never memoise them: an
-/// identical repeat request is counter-verified to re-run.
+/// And because a request that reads the disk — a source file, a fuzz
+/// reproducer, the cache directory — can print other bytes once the disk
+/// changes, the server must never memoise one: an identical repeat
+/// request is counter-verified to re-run.
 #[test]
-fn masm_tool_dispatch_matches_golden_and_is_never_memoised() {
+fn masm_tool_dispatch_matches_golden_and_disk_reads_are_never_memoised() {
     let pool = Pool::new(2);
     let resources = registry::Resources {
         pool: &pool,
@@ -206,20 +208,114 @@ fn masm_tool_dispatch_matches_golden_and_is_never_memoised() {
         );
     }
 
-    // file-reading tools are registered `cache_safe: false` — the server
-    // re-runs an identical request rather than serving stale bytes.
-    let server = Server::new(&config("masm-memo", serve::DEFAULT_RESULT_MAX_BYTES));
-    let mut r = req("disasm");
-    r.opts.file = Some("tests/fixtures/demo.masm".to_string());
-    for id in 0..2 {
-        match server.run_request(Some(id), &r) {
-            Response::Ok { cached, .. } => {
-                assert!(!cached, "file-sourced tools must never be memoised")
+    let cfg = config("masm-memo", serve::DEFAULT_RESULT_MAX_BYTES);
+    std::fs::create_dir_all(&cfg.cache_dir).unwrap();
+    let repro = cfg.cache_dir.join("repro.txt");
+    std::fs::write(&repro, "seed=1\n").unwrap();
+    let server = Server::new(&cfg);
+    let mut disasm = req("disasm");
+    disasm.opts.file = Some("tests/fixtures/demo.masm".to_string());
+    let mut fuzz = req("fuzz");
+    fuzz.opts.repro = Some(repro.display().to_string());
+    let mut stats = req("cache");
+    stats.opts.cache_action = Some(CacheAction::Stats);
+    for r in [&disasm, &fuzz, &stats] {
+        for id in 0..2 {
+            match server.run_request(Some(id), r) {
+                Response::Ok { cached, .. } => {
+                    assert!(!cached, "`{}` must never be memoised", r.experiment)
+                }
+                other => panic!("`{}` run failed: {other:?}", r.experiment),
             }
-            other => panic!("disasm run failed: {other:?}"),
         }
     }
     assert_eq!(stat(&server, "result_hits"), 0);
+    assert_eq!(stat(&server, "result_misses"), 0);
+    // A usage error names no file, so it goes through the memo and counts
+    // one miss, like every other failing request for a known experiment.
+    let usage = server.run_request(Some(9), &req("asm"));
+    assert!(matches!(usage, Response::Error { .. }), "{usage:?}");
+    assert_eq!(stat(&server, "result_misses"), 1);
+    let _ = std::fs::remove_dir_all(&cfg.cache_dir);
+}
+
+/// `lint FILE` reads its file on every request: a file edited between two
+/// identical requests is linted again, and the second answer reports the
+/// edit rather than replaying the first.
+#[test]
+fn an_edited_lint_file_is_linted_again() {
+    let cfg = config("lint-edit", serve::DEFAULT_RESULT_MAX_BYTES);
+    std::fs::create_dir_all(&cfg.cache_dir).unwrap();
+    let path = cfg.cache_dir.join("edited.masm");
+    std::fs::copy("tests/fixtures/demo.masm", &path).unwrap();
+    let server = Server::new(&cfg);
+    let mut r = req("lint");
+    r.opts.file = Some(path.display().to_string());
+    let first = server.run_request(Some(1), &r);
+    assert!(
+        matches!(
+            first,
+            Response::Ok {
+                cached: false,
+                exit_ok: true,
+                ..
+            }
+        ),
+        "the clean file lints clean: {first:?}"
+    );
+    std::fs::write(&path, "func! main\n  frobnicate r1\n  halt\nend\n").unwrap();
+    match server.run_request(Some(2), &r) {
+        Response::Ok {
+            cached,
+            exit_ok,
+            body,
+            ..
+        } => {
+            assert!(!cached, "an edited file must be linted again");
+            assert!(!exit_ok, "the edit fails lint");
+            assert!(body.contains("E102"), "{body}");
+        }
+        other => panic!("lint run failed: {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&cfg.cache_dir);
+}
+
+/// Every tool that reads a file a request names reads at most
+/// `MAX_INPUT_BYTES` of it: a file one byte longer, and on unix
+/// `/dev/zero`, is refused by each of them with one error that names the
+/// limit.
+#[test]
+fn a_file_over_the_input_cap_is_refused_by_every_reader() {
+    use multiscalar_harness::MAX_INPUT_BYTES;
+    let dir = scratch_dir("input-cap");
+    std::fs::create_dir_all(&dir).unwrap();
+    let long = dir.join("long.masm");
+    std::fs::write(&long, vec![b';'; MAX_INPUT_BYTES as usize + 1]).unwrap();
+    let mut paths = vec![long.display().to_string()];
+    if cfg!(unix) {
+        paths.push("/dev/zero".to_string());
+    }
+    let pool = Pool::new(1);
+    let resources = registry::Resources {
+        pool: &pool,
+        store: None,
+        cache_dir: dir.join("cache"),
+        source: None,
+    };
+    for path in &paths {
+        let refused = format!("{path} is longer than the limit of {MAX_INPUT_BYTES} bytes");
+        for tool in ["lint", "asm", "disasm", "fuzz"] {
+            let mut r = req(tool);
+            if tool == "fuzz" {
+                r.opts.repro = Some(path.clone());
+            } else {
+                r.opts.file = Some(path.clone());
+            }
+            let got = registry::dispatch(&r, &resources).err();
+            assert_eq!(got.as_deref(), Some(refused.as_str()), "{tool} {path}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Concurrent clients interleave without affecting each other: every
@@ -262,6 +358,30 @@ fn concurrent_clients_get_independent_byte_identical_responses() {
             bodies, &reference,
             "a concurrent client saw different bytes than the serial reference"
         );
+    }
+}
+
+/// Four clients send the same cold request to a fresh server at once:
+/// each benchmark is prepared once, outside the pool's lock, however many
+/// requests wait on it.
+#[test]
+fn concurrent_cold_requests_prepare_each_benchmark_once() {
+    let server = Server::new(&config("cold-race", serve::DEFAULT_RESULT_MAX_BYTES));
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for id in 0..4 {
+            let (server, start) = (&server, &start);
+            scope.spawn(move || {
+                start.wait();
+                match server.run_request(Some(id), &req("table2")) {
+                    Response::Ok { exit_ok: true, .. } => {}
+                    other => panic!("table2 failed: {other:?}"),
+                }
+            });
+        }
+    });
+    for key in ["store_misses", "store_stores", "bench_resident"] {
+        assert_eq!(stat(&server, key), 5, "{key}");
     }
 }
 

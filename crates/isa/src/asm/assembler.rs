@@ -27,6 +27,12 @@ use std::collections::HashMap;
 /// source, not a meaningful program limit.
 pub const MAX_ZERO_WORDS: i64 = 1 << 20;
 
+/// Largest data section a program may declare across all its `.data` and
+/// `.zero` directives (16 MiB of data): twice the largest generated
+/// workload's (compress at scale 64, 1,922,304 words), and a bound on what
+/// one source file can make the assembler allocate.
+pub const MAX_DATA_WORDS: usize = 1 << 22;
+
 /// An instruction parsed but not yet encoded: registers are resolved
 /// (they never depend on symbols) while immediates, offsets and targets
 /// stay as expressions until pass 2.
@@ -351,6 +357,7 @@ impl Assembler {
                     c.bump();
                     values.push(expr::parse(c)?);
                 }
+                self.reserve_data(values.len(), "data", span)?;
                 self.data.push(PendingData {
                     index: self.data_len,
                     values,
@@ -371,6 +378,7 @@ impl Assembler {
                         format!("`.zero` count {n} out of range (0..={MAX_ZERO_WORDS})"),
                     ));
                 }
+                self.reserve_data(n as usize, "zero", count.span())?;
                 self.data_len += n as usize;
                 Ok(())
             }
@@ -391,6 +399,23 @@ impl Assembler {
                 format!("unknown directive `.{other}`"),
             )),
         }
+    }
+
+    /// Refuses a `.data` or `.zero` directive of `words` words that would
+    /// take the data section past [`MAX_DATA_WORDS`]; its words are then
+    /// not counted.
+    fn reserve_data(&self, words: usize, directive: &str, span: Span) -> Result<(), AsmDiagnostic> {
+        if self.data_len + words <= MAX_DATA_WORDS {
+            return Ok(());
+        }
+        Err(AsmDiagnostic::new(
+            codes::OUT_OF_RANGE,
+            span,
+            format!(
+                "`.{directive}` of {words} words takes the data section past \
+                 {MAX_DATA_WORDS} words"
+            ),
+        ))
     }
 
     fn begin_function(

@@ -529,6 +529,31 @@ mod tests {
     }
 
     #[test]
+    fn the_data_section_is_capped_across_directives() {
+        use crate::asm::assembler::{MAX_DATA_WORDS, MAX_ZERO_WORDS};
+        let zeros = |n: usize| ".zero 1048576\n".repeat(n);
+        let program = "func main\n halt\nend";
+        assert_eq!(MAX_DATA_WORDS as i64, 4 * MAX_ZERO_WORDS);
+        let p = parse_program(&(zeros(4) + program)).unwrap();
+        assert_eq!(p.initial_data().len(), MAX_DATA_WORDS);
+        // The fifth is refused where its count is written, and only it.
+        let refused = |text: String| {
+            let Err(d) = assemble(&text) else {
+                panic!("a data section past the cap assembled")
+            };
+            d
+        };
+        let d = refused(zeros(5) + program);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].code, codes::OUT_OF_RANGE);
+        assert_eq!((d[0].span.line, d[0].span.col), (5, 7));
+        assert!(d[0].message.ends_with("past 4194304 words"), "{d:?}");
+        // A `.data` list counts toward the same cap.
+        let d = refused(zeros(4) + ".data 1, 2\n" + program);
+        assert_eq!((d[0].code, d[0].span.line), (codes::OUT_OF_RANGE, 5));
+    }
+
+    #[test]
     fn hex_immediates() {
         let p = parse_program("func main\n li r1, 0xff\n li r2, -0x10\n halt\nend").unwrap();
         assert_eq!(

@@ -61,7 +61,7 @@ use multiscalar_isa::{fingerprint_of, Fingerprint, Program};
 pub const GENERATOR_VERSION: u32 = 1;
 
 /// Parameters common to all generators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadParams {
     /// RNG seed: same seed, same program and same input data.
     pub seed: u64,
