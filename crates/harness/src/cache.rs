@@ -107,7 +107,8 @@ pub fn key_for(spec: Spec92, params: &WorkloadParams) -> Fingerprint {
 /// # Errors
 ///
 /// The recording's failure modes: execution faults, unmatched boundary
-/// crossings, step-budget exhaustion.
+/// crossings, intra-task transfers without a static successor, and
+/// step-budget exhaustion.
 pub fn load_or_record(
     cache: Option<&ArtifactCache>,
     key: Fingerprint,

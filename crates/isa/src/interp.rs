@@ -1,8 +1,10 @@
 //! A functional interpreter for [`Program`]s.
 //!
 //! The interpreter executes one instruction per [`Interpreter::step`] and
-//! reports every control transfer, which is what the Multiscalar functional
-//! simulator consumes to reconstruct task-level traces.
+//! reports its next pc, its memory address and its control transfer. The
+//! Multiscalar simulator's step source reads the next pc and the memory
+//! address to resolve task boundaries and record an execution; only the
+//! static analyzer's soundness check reads [`StepInfo::transfer`].
 
 use crate::inst::{Instruction, Reg, NUM_REGS};
 use crate::program::{Addr, Program};
@@ -159,8 +161,11 @@ impl<'p> Interpreter<'p> {
     /// data memory initialised from the program's data segment and extended
     /// to [`memory_words`] words.
     pub fn new(program: &'p Program) -> Self {
-        let mut mem = program.initial_data().to_vec();
-        mem.resize(memory_words(program), 0);
+        // Zeroed on allocation, so the pages the program never touches
+        // are never written.
+        let data = program.initial_data();
+        let mut mem = vec![0; memory_words(program)];
+        mem[..data.len()].copy_from_slice(data);
         Interpreter {
             program,
             pc: program.entry_point(),
@@ -226,6 +231,7 @@ impl<'p> Interpreter<'p> {
     ///
     /// Propagates any [`ExecError`] raised by the instruction; the
     /// interpreter is left at the faulting instruction.
+    #[inline]
     pub fn step(&mut self) -> Result<StepInfo, ExecError> {
         let pc = self.pc;
         let inst = self.program.fetch(pc).ok_or(ExecError::BadFetch(pc))?;

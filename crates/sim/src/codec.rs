@@ -714,10 +714,12 @@ impl<'a> ChunkReader<'a> {
 /// at a time, sealing each chunk as it fills: what the recorder writes.
 #[derive(Default)]
 pub(crate) struct ChunkWriter {
-    /// The sealed chunks, then the open chunk's taken bits.
+    /// The sealed chunks, then the open chunk's full bytes of taken bits.
     bytes: Vec<u8>,
     /// Where the open chunk starts in `bytes`.
     start: usize,
+    /// The open byte of taken bits, pushed once its eighth op is written.
+    open: u8,
     /// The open chunk's memory addresses.
     addrs: Vec<u32>,
     /// Ops written, and memory addresses in the sealed chunks.
@@ -730,19 +732,21 @@ impl ChunkWriter {
     /// address.
     #[inline]
     pub(crate) fn push(&mut self, taken: bool, mem_addr: Option<u32>) {
-        if self.ops.is_multiple_of(8) {
-            self.bytes.push(0);
-        }
-        *self.bytes.last_mut().expect("a byte of taken bits") |= u8::from(taken) << (self.ops % 8);
+        self.open |= u8::from(taken) << (self.ops % 8);
         self.addrs.extend(mem_addr);
         self.ops += 1;
-        if self.ops.is_multiple_of(CHUNK_OPS as u64) {
-            self.seal();
+        if self.ops.is_multiple_of(8) {
+            self.bytes.push(std::mem::take(&mut self.open));
+            // A chunk's op count is a multiple of 8, so a full chunk
+            // ends on a full byte.
+            if self.ops.is_multiple_of(CHUNK_OPS as u64) {
+                self.seal();
+            }
         }
     }
 
-    /// Ends the open chunk with its address count, its addresses and its
-    /// checksum.
+    /// Ends the open chunk, its taken bits written, with its address
+    /// count, its addresses and its checksum.
     fn seal(&mut self) {
         let index = (self.ops - 1) / CHUNK_OPS as u64;
         self.bytes
@@ -758,6 +762,9 @@ impl ChunkWriter {
     /// Seals the last chunk. Returns the section's bytes, its op count and
     /// its memory-address count.
     pub(crate) fn finish(mut self) -> (Vec<u8>, u64, u64) {
+        if !self.ops.is_multiple_of(8) {
+            self.bytes.push(self.open);
+        }
         if !self.ops.is_multiple_of(CHUNK_OPS as u64) {
             self.seal();
         }

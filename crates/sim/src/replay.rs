@@ -147,6 +147,14 @@ impl CodeEntry {
         OpClass::from_u8(((self.op >> CLASS_SHIFT) & 0x3) as u8)
     }
 
+    /// The entry's source registers, destination register and class,
+    /// as [`op_facts`] gives them for its instruction.
+    #[inline(always)]
+    pub(crate) fn facts(self) -> (u8, u8, u8, OpClass) {
+        let op = self.op;
+        (op as u8, (op >> 8) as u8, (op >> 16) as u8, self.class())
+    }
+
     /// Whether the instruction is the halt.
     pub(crate) fn is_halt(self) -> bool {
         self.op & HALT_BIT != 0
@@ -1186,8 +1194,8 @@ mod tests {
     use multiscalar_core::dolc::Dolc;
     use multiscalar_core::history::PathPredictor;
     use multiscalar_core::predictor::TaskPredictor;
-    use multiscalar_isa::{AluOp, Cond, ProgramBuilder, Reg};
-    use multiscalar_taskform::TaskFormer;
+    use multiscalar_isa::{AluOp, Cond, ExecError, ExitKind, FuncId, ProgramBuilder, Reg};
+    use multiscalar_taskform::{ExitSpec, Task, TaskFormer, TaskHeader, TaskId};
 
     type PathLeh2 = PathPredictor<LastExitHysteresis<2>>;
 
@@ -1224,43 +1232,150 @@ mod tests {
         assert_eq!(r.bounds.len() as u64, t.dynamic_tasks);
     }
 
-    #[test]
-    fn an_intra_task_indirect_jump_cannot_be_recorded() {
-        use multiscalar_isa::FuncId;
-        use multiscalar_taskform::{Task, TaskHeader, TaskId};
-        // One task over `li r1, 2; jr r1; halt`: the jump lands on the
-        // next instruction without leaving the task, so no taken bit and
-        // no static successor says where it went.
+    /// A hand partition: task `i` enters at `tasks[i].0` with the header
+    /// exits `tasks[i].1`, and `owners[pc]` owns each pc.
+    fn partition(tasks: Vec<(u32, Vec<ExitSpec>)>, owners: &[u32]) -> TaskProgram {
+        let tasks = tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, (entry, exits))| {
+                let id = TaskId(i as u32);
+                let size = owners.iter().filter(|&&o| o == id.0).count();
+                let header = TaskHeader::new(exits);
+                Task::from_raw_parts(id, FuncId(0), Addr(entry), header, vec![Addr(entry)], size)
+            })
+            .collect();
+        TaskProgram::from_raw_parts(tasks, owners.iter().map(|&o| TaskId(o)).collect())
+    }
+
+    /// `emit`'s code as `main`.
+    fn program_of(emit: impl FnOnce(&mut ProgramBuilder)) -> Program {
         let mut b = ProgramBuilder::new();
         let main = b.begin_function("main");
-        let halt = b.new_label();
-        b.load_imm(Reg(1), 2);
-        b.jump_indirect_with_targets(Reg(1), &[halt]);
-        b.bind(halt);
-        b.halt();
+        emit(&mut b);
         b.end_function();
-        let p = b.finish(main).unwrap();
-        let task = Task::from_raw_parts(
-            TaskId(0),
-            FuncId(0),
-            Addr(0),
-            TaskHeader::new(Vec::new()),
-            vec![Addr(0)],
-            3,
-        );
-        let tp = TaskProgram::from_raw_parts(vec![task], vec![TaskId(0); 3]);
-        let refused = TraceError::DynamicTransfer {
-            task: TaskId(0),
-            from: Addr(1),
-            to: Addr(2),
+        b.finish(main).unwrap()
+    }
+
+    /// Every way the step source fails, each on a hand partition: the
+    /// recorder and the interpreter-fed oracle drain the same source, so
+    /// each returns the same error, field for field, or the same op count.
+    #[test]
+    fn the_recorder_and_the_oracle_fail_alike() {
+        // `li r1, 0; li r2, 1; halt`
+        let straight = program_of(|b| {
+            b.load_imm(Reg(1), 0);
+            b.load_imm(Reg(2), 1);
+            b.halt();
+        });
+        // `li r1, -5; ld r2, 0(r1); halt`
+        let faulting = program_of(|b| {
+            b.load_imm(Reg(1), -5);
+            b.load(Reg(2), Reg(1), 0);
+            b.halt();
+        });
+        // `li r1, 2; jr r1; halt`: the jump lands on the next instruction
+        // without leaving the task, so no taken bit and no static
+        // successor says where it went.
+        let indirect = program_of(|b| {
+            let halt = b.new_label();
+            b.load_imm(Reg(1), 2);
+            b.jump_indirect_with_targets(Reg(1), &[halt]);
+            b.bind(halt);
+            b.halt();
+        });
+        let one_task = || partition(vec![(0, Vec::new())], &[0; 3]);
+        let branch_to = |target| {
+            vec![ExitSpec {
+                source: Addr(0),
+                kind: ExitKind::Branch,
+                target: Some(Addr(target)),
+                return_addr: None,
+            }]
         };
-        assert_eq!(record_replay(&p, &tp, 100).unwrap_err(), refused);
+        let unmatched = Err(TraceError::UnmatchedExit {
+            task: TaskId(0),
+            from: Addr(0),
+            to: Addr(1),
+        });
+        let cases = [
+            (
+                "a step from no exit source into another task",
+                &straight,
+                partition(vec![(0, Vec::new()), (1, Vec::new())], &[0, 1, 1]),
+                100,
+                unmatched.clone(),
+            ),
+            (
+                "a step from an exit source that matches none of its exits",
+                &straight,
+                partition(vec![(0, branch_to(2)), (1, Vec::new())], &[0, 1, 1]),
+                100,
+                unmatched.clone(),
+            ),
+            (
+                "a matched exit whose next pc starts no task",
+                &straight,
+                partition(vec![(0, branch_to(1)), (2, Vec::new())], &[0, 1, 1]),
+                100,
+                unmatched,
+            ),
+            (
+                "an out-of-bounds load",
+                &faulting,
+                one_task(),
+                100,
+                // Registers hold words, so the base reads as 2^32 - 5.
+                Err(TraceError::Exec(ExecError::MemOutOfBounds {
+                    pc: Addr(1),
+                    addr: i64::from(-5i32 as u32),
+                })),
+            ),
+            (
+                "an intra-task indirect jump",
+                &indirect,
+                one_task(),
+                100,
+                Err(TraceError::DynamicTransfer {
+                    task: TaskId(0),
+                    from: Addr(1),
+                    to: Addr(2),
+                }),
+            ),
+            ("a budget of the op count", &straight, one_task(), 3, Ok(3)),
+            (
+                "a budget one op short",
+                &straight,
+                one_task(),
+                2,
+                Err(TraceError::StepLimit),
+            ),
+        ];
         let config = TimingConfig::default();
-        assert_eq!(
-            simulate(&p, &tp, &[], None, &config, 100).unwrap_err(),
-            refused,
-            "the oracle fails alike"
-        );
+        for (what, program, tasks, budget, want) in cases {
+            let recorded = record_replay(program, &tasks, budget).map(|r| r.instructions());
+            assert_eq!(recorded, want, "{what}: the recorder");
+            let timed = simulate(program, &tasks, &[], None, &config, budget);
+            assert_eq!(timed.map(|t| t.instructions), want, "{what}: the oracle");
+        }
+    }
+
+    /// The step source reads an op's registers and class from its
+    /// code-table entry on every step that crosses no boundary, so the
+    /// packed entry must give what `op_facts` gives for the instruction,
+    /// loads and stores included, on every instruction of the five
+    /// benchmarks.
+    #[test]
+    fn the_code_table_holds_each_ops_facts() {
+        use multiscalar_workloads::{Spec92, WorkloadParams};
+        for &spec in &Spec92::ALL {
+            let w = spec.build(&WorkloadParams::small(7));
+            let code = CodeTable::of(&w.program);
+            for (pc, inst) in w.program.code().iter().enumerate() {
+                let facts = code.at(pc as u32).facts();
+                assert_eq!(facts, op_facts(inst), "{spec}: pc {pc}, {inst:?}");
+            }
+        }
     }
 
     #[test]

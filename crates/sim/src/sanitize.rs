@@ -57,7 +57,8 @@ use multiscalar_taskform::TaskProgram;
 /// # Errors
 ///
 /// Propagates the interpreter feed's failure modes: execution faults,
-/// unmatched boundary crossings, step-budget exhaustion.
+/// unmatched boundary crossings, intra-task transfers without a static
+/// successor, and step-budget exhaustion.
 ///
 /// # Panics
 ///

@@ -395,18 +395,59 @@ pub(crate) fn static_successor(inst: &Instruction, pc: Addr) -> Option<Addr> {
     }
 }
 
+/// The bit of a step-table word that marks an exit source: a pc that is
+/// the source of an exit in its own task's header.
+const EXIT_SOURCE: u32 = 1 << 31;
+/// The owner in a step-table word of a pc that no task owns.
+const UNOWNED: u32 = EXIT_SOURCE - 1;
+
+/// The step table of `program` under `tasks`: one word per pc, the index
+/// of the task that owns it ([`UNOWNED`] for none, or for an id past the
+/// partition's tasks, which no current task can equal), with
+/// [`EXIT_SOURCE`] set when the pc is the source of an exit in that
+/// task's header.
+fn step_table(program: &Program, tasks: &TaskProgram) -> Vec<u32> {
+    let count = (tasks.static_task_count() as u32).min(UNOWNED);
+    (0..program.len() as u32)
+        .map(Addr)
+        .map(|pc| match tasks.task_at(pc) {
+            Some(t) if t.0 < count => {
+                let exits = tasks.task(t).header().exits();
+                let source = exits.iter().any(|e| e.source == pc);
+                if source {
+                    t.0 | EXIT_SOURCE
+                } else {
+                    t.0
+                }
+            }
+            _ => UNOWNED,
+        })
+        .collect()
+}
+
 /// The interpreter step source: executes the program and resolves task
 /// boundaries on the fly, one [`CoreStep`] per instruction. The only code
 /// that steps the interpreter — recording ([`crate::replay::record_replay`],
 /// which every task trace derives from) and the timing oracle
 /// ([`simulate`]) both drain it, so the step budget, boundary resolution
 /// and `UnmatchedExit` checks exist once.
+///
+/// Every step starts at a pc of the current task: the first task owns the
+/// entry, a step that stays in its task is checked to, and a crossing
+/// enters the task that owns its target. A header exit leaves from its
+/// own pc, so a step from a pc that is the source of no exit of its task
+/// crosses no boundary. The step table marks the exit sources; a step
+/// from any other pc takes the intra-task step without looking at the
+/// header, and so does a step from an exit source that matches none of
+/// its exits.
 pub(crate) struct InterpSource<'a> {
     interp: Interpreter<'a>,
     tasks: &'a TaskProgram,
     /// The program's code table: a step that stays in its task must go
     /// where the table's next-pc rule says.
     code: CodeTable,
+    /// The program's step table ([`step_table`]).
+    table: Vec<u32>,
     cur_task: TaskId,
     steps: u64,
     max_steps: u64,
@@ -425,6 +466,7 @@ impl<'a> InterpSource<'a> {
             interp: Interpreter::new(program),
             tasks,
             code: CodeTable::of(program),
+            table: step_table(program, tasks),
             cur_task,
             steps: 0,
             max_steps,
@@ -455,7 +497,17 @@ impl<'a> InterpSource<'a> {
         let info = self.interp.step()?;
         self.steps += 1;
 
-        let (src1, src2, dest, mut class) = op_facts(&info.inst);
+        // The halt takes the general step whether or not a hand-made
+        // partition names it an exit source.
+        if self.table[info.pc.index()] & EXIT_SOURCE == 0 && !self.interp.is_halted() {
+            return self.intra_task_step(info.pc, info.next, info.mem_addr);
+        }
+
+        // A copy, so that only the instruction goes to memory for
+        // `op_facts`, not the whole step: spilling the step cost every
+        // intra-task step too.
+        let inst = info.inst;
+        let (src1, src2, dest, mut class) = op_facts(&inst);
         let mem_addr = info.mem_addr.unwrap_or(0);
 
         if self.interp.is_halted() {
@@ -480,57 +532,26 @@ impl<'a> InterpSource<'a> {
                 self.tasks.resolve_exit(self.cur_task, info.pc, next_pc)
             };
 
-        let mut taken = false;
-        let boundary = match crossed {
-            Some(exit) => {
-                let retiring = self.cur_task;
-                // The intra predictor never sees boundary-crossing branches.
-                if class == OpClass::Branch {
-                    class = OpClass::Other;
-                }
-                self.cur_task = match self.tasks.task_entered_at(next_pc) {
-                    Some(t) => t,
-                    None => {
-                        return Err(TraceError::UnmatchedExit {
-                            task: retiring,
-                            from: info.pc,
-                            to: next_pc,
-                        })
-                    }
-                };
-                Some(BoundaryStep {
-                    task: retiring.0,
-                    exit,
-                    next: next_pc,
+        // A step that crosses no boundary makes the intra-task step's
+        // checks, whichever way it was found to stay.
+        let Some(exit) = crossed else {
+            return self.intra_task_step(info.pc, next_pc, info.mem_addr);
+        };
+        let retiring = self.cur_task;
+        // The intra predictor never sees boundary-crossing branches.
+        if class == OpClass::Branch {
+            class = OpClass::Other;
+        }
+        self.cur_task = match self.tasks.task_entered_at(next_pc) {
+            Some(t) => t,
+            None => {
+                return Err(TraceError::UnmatchedExit {
+                    task: retiring,
+                    from: info.pc,
+                    to: next_pc,
                 })
             }
-            None => {
-                if class == OpClass::Branch {
-                    taken = next_pc != info.pc.next();
-                }
-                // Sanity: control must remain within the current task.
-                if self.tasks.task_at(next_pc) != Some(self.cur_task) {
-                    return Err(TraceError::UnmatchedExit {
-                        task: self.cur_task,
-                        from: info.pc,
-                        to: next_pc,
-                    });
-                }
-                // Inside a task, control goes where the code table says,
-                // so a recording can keep one taken bit per op and
-                // regenerate the rest; a return or an indirect transfer
-                // that stays in its task has no static successor.
-                if self.code.at(info.pc.0).next(info.pc.0, taken) != next_pc.0 {
-                    return Err(TraceError::DynamicTransfer {
-                        task: self.cur_task,
-                        from: info.pc,
-                        to: next_pc,
-                    });
-                }
-                None
-            }
         };
-
         Ok(CoreStep {
             src1,
             src2,
@@ -538,9 +559,61 @@ impl<'a> InterpSource<'a> {
             class,
             mem_addr,
             pc: info.pc,
+            taken: false,
+            halt: false,
+            boundary: Some(BoundaryStep {
+                task: retiring.0,
+                exit,
+                next: next_pc,
+            }),
+        })
+    }
+
+    /// The step from `pc`, which the current task owns, to `next` when it
+    /// matches no exit of the task's header: `next` must belong to the
+    /// task (`UnmatchedExit`) and be where the code table's next-pc rule
+    /// goes (`DynamicTransfer`). The op's registers and class come from
+    /// its code-table entry.
+    #[inline(always)]
+    fn intra_task_step(
+        &self,
+        pc: Addr,
+        next: Addr,
+        mem_addr: Option<u32>,
+    ) -> Result<CoreStep, TraceError> {
+        let entry = self.code.at(pc.0);
+        let (src1, src2, dest, class) = entry.facts();
+        let taken = class == OpClass::Branch && next != pc.next();
+        // The table covers the code; the partition answers for a pc past
+        // it.
+        let stays = match self.table.get(next.index()) {
+            Some(&word) => word & !EXIT_SOURCE == self.cur_task.0,
+            None => self.tasks.task_at(next) == Some(self.cur_task),
+        };
+        if !stays {
+            return Err(TraceError::UnmatchedExit {
+                task: self.cur_task,
+                from: pc,
+                to: next,
+            });
+        }
+        if entry.next(pc.0, taken) != next.0 {
+            return Err(TraceError::DynamicTransfer {
+                task: self.cur_task,
+                from: pc,
+                to: next,
+            });
+        }
+        Ok(CoreStep {
+            src1,
+            src2,
+            dest,
+            class,
+            mem_addr: mem_addr.unwrap_or(0),
+            pc,
             taken,
             halt: false,
-            boundary,
+            boundary: None,
         })
     }
 }
@@ -910,8 +983,9 @@ pub(crate) fn simulate_core<M: MetricsSink>(
 ///
 /// # Errors
 ///
-/// Same failure modes as trace generation: execution faults, unmatched
-/// boundary crossings, step-budget exhaustion.
+/// Same failure modes as recording: execution faults, unmatched boundary
+/// crossings, intra-task transfers without a static successor, and
+/// step-budget exhaustion.
 pub fn simulate(
     program: &Program,
     tasks: &TaskProgram,

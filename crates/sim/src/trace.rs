@@ -532,7 +532,8 @@ pub struct TraceRun {
 /// # Errors
 ///
 /// Fails on execution faults, unmatched boundary crossings (task-former
-/// bugs) or step-budget exhaustion.
+/// bugs), intra-task transfers without a static successor, or step-budget
+/// exhaustion.
 pub fn collect_trace(
     program: &Program,
     tasks: &TaskProgram,

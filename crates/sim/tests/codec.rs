@@ -45,17 +45,35 @@ use multiscalar_workloads::{fuzz, Spec92, WorkloadParams};
 /// `decode(encode(r)) == r` on every workload, and the trace of the
 /// decoded recording (its boundary section and statistics) equals the
 /// trace of a fresh interpreter run — the property that lets one cached
-/// artifact serve both the functional trace and the timing runs.
+/// artifact serve both the functional trace and the timing runs. Each
+/// artifact's bytes are pinned too, so a recorder change that moves a
+/// real recording fails here, not only in a byte comparison by hand.
 #[test]
 fn round_trip_and_derived_trace_match_on_all_workloads() {
     let params = WorkloadParams::small(7);
-    for &spec in &Spec92::ALL {
+    let pinned = [
+        ("gcc", "28a4a3717042369bcff0c9664b2922de"),
+        ("compress", "9de653b2c17f1a5178b0102878c4a537"),
+        ("espresso", "8ce4ce1777f99a88f431eb7d3586f434"),
+        ("sc", "fbd63195438e58b3571873bdeb3bf264"),
+        ("xlisp", "1ea1836a59204b21b3b64343340ac9d8"),
+    ];
+    let names: Vec<_> = Spec92::ALL.iter().map(|s| s.name()).collect();
+    assert_eq!(names, pinned.map(|(name, _)| name));
+    for (&spec, (_, want)) in Spec92::ALL.iter().zip(pinned) {
         let w = spec.build(&params);
         let tasks = TaskFormer::default().form(&w.program).unwrap();
         let replay = record_replay(&w.program, &tasks, w.max_steps).unwrap();
         let key = fingerprint_of(&(spec.name(), params.seed, params.scale));
 
         let bytes = encode_replay(&replay, key);
+        assert_eq!(
+            fingerprint_of(&bytes).to_string(),
+            want,
+            "{spec}: the artifact moved; the recorder, the layout, the \
+             workload generator and the task former can move it, and only \
+             a change that means to updates these constants"
+        );
         let decoded = decode_replay(&bytes, key).unwrap_or_else(|e| panic!("{spec}: {e}"));
         assert_eq!(decoded, replay, "{spec}: round-trip must be identity");
 
