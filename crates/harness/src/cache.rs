@@ -35,10 +35,10 @@
 //! (see [`multiscalar_sim::codec`]), then checks that the recording fits
 //! the program and task partition it will be replayed under
 //! ([`check_fits`]). The recording it returns never holds its instruction
-//! section (a taken bit per op and the memory addresses): each timing
-//! walk reopens the entry and reads the section chunk by chunk, checking
-//! each chunk's bytes before it steps any of its ops and its path as it
-//! steps them. **Any** failure, at load or during a walk — truncation, bit
+//! section (the intra-task branches' taken bits and the address deltas):
+//! each timing walk reopens the entry and reads the section chunk by chunk,
+//! checking each chunk's bytes before it steps any of its ops and its path
+//! as it steps them. **Any** failure, at load or during a walk — truncation, bit
 //! rot, a stale schema, a misfiled entry, a forged recording of another
 //! program or partition — degrades gracefully: a warning on stderr, the
 //! entry evicted, and a fresh recording in its place, as if the cache

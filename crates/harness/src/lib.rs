@@ -73,9 +73,9 @@ pub struct Bench {
     /// program. Served from the artifact cache when warm; recorded (one
     /// interpreter pass) when cold. A warm load reads the boundary section
     /// and the code table only and never holds the instruction section
-    /// (a taken bit per op and the memory addresses): each timing walk
-    /// streams it from the entry chunk by chunk, so a benchmark that only
-    /// feeds predictor sweeps never reads it.
+    /// (the intra-task branches' taken bits and the address deltas): each
+    /// timing walk streams it from the entry chunk by chunk, so a
+    /// benchmark that only feeds predictor sweeps never reads it.
     pub replay: Arc<InstrReplay>,
     /// The content address `replay` is cached under (see
     /// [`cache::replay_key`]).

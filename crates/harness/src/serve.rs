@@ -317,11 +317,14 @@ impl Server {
             push("result_bytes", rc.total_bytes);
             push("result_max_bytes", rc.max_bytes);
         }
-        let resident = lock(&self.benches)
+        let (resident, bytes) = lock(&self.benches)
             .values()
-            .filter(|slot| slot.get().is_some())
-            .count();
-        push("bench_resident", resident as u64);
+            .filter_map(|slot| slot.get())
+            .fold((0, 0), |(n, bytes), b| {
+                (n + 1, bytes + b.replay.held_bytes())
+            });
+        push("bench_resident", resident);
+        push("bench_bytes", bytes);
         if let Some(store) = &self.store {
             let s = store.stats();
             push("store_hits", s.hits);

@@ -504,7 +504,7 @@ fn shared_warm_cache_is_deterministic_across_pool_widths() {
 }
 
 /// Where an artifact's parts start (see `multiscalar_sim::codec`): the
-/// 96-byte header, the boundary section (a byte per boundary, then the
+/// 104-byte header, the boundary section (a byte per boundary, then the
 /// escaped sizes and the stored targets, four bytes each) and its
 /// checksum, the task section (each task's entry pc and exit count, then
 /// each exit's kind and static target) and its checksum, the code section
@@ -539,59 +539,47 @@ struct Layout {
 }
 
 /// Where chunk `index` of the instruction section starts and what it
-/// holds: the taken bits of its `n` ops, its address count, the `m` memory
-/// addresses those ops consume, then its checksum. Its op `plain` is not
-/// a conditional branch.
+/// holds: the count `b` of the intra-task conditional branches among its
+/// ops and their taken bits, the count `m` of its memory references,
+/// the count `k` of their delta bytes, those bytes, then its checksum.
 #[derive(Debug, Clone, Copy)]
 struct ChunkAt {
     index: usize,
+    /// Where it starts, at its branch count.
+    start: usize,
+    b: usize,
     bits: usize,
-    n: usize,
+    /// Where its address count is, then its delta byte count.
     count: usize,
-    mem: usize,
     m: usize,
+    k: usize,
+    deltas: usize,
     sum: usize,
-    plain: usize,
 }
 
-/// For each `CHUNK_OPS` ops of compress at scale 1, found by running the
-/// program: the memory references among them, and the first of them that
-/// is not a conditional branch.
-fn ops_per_chunk() -> &'static [(usize, usize)] {
-    static FACTS: std::sync::OnceLock<Vec<(usize, usize)>> = std::sync::OnceLock::new();
-    FACTS.get_or_init(|| {
-        use multiscalar_isa::Instruction;
-        let w = Spec92::Compress.build(&WorkloadParams::small(3));
-        let mut interp = multiscalar_isa::Interpreter::new(&w.program);
-        let mut facts: Vec<(usize, Option<usize>)> = Vec::new();
-        let mut ops = 0;
-        while !interp.is_halted() {
-            if ops % CHUNK_OPS == 0 {
-                facts.push((0, None));
-            }
-            let step = interp.step().unwrap();
-            let (refs, plain) = facts.last_mut().unwrap();
-            *refs += step.mem_addr.is_some() as usize;
-            if !matches!(step.inst, Instruction::Branch { .. }) {
-                plain.get_or_insert(ops % CHUNK_OPS);
-            }
-            ops += 1;
-        }
-        facts
-            .into_iter()
-            .map(|(refs, plain)| (refs, plain.expect("an op that is not a branch")))
-            .collect()
-    })
+/// The little-endian `u32` at byte `at` of `bytes`.
+fn word(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// The header count at byte `at` of `bytes`.
+fn count(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// Where the boundary checksum of `bytes` starts.
+fn bound_sum(bytes: &[u8]) -> usize {
+    let (bounds, targets, escapes) = (count(bytes, 56), count(bytes, 64), count(bytes, 72));
+    104 + bounds + 4 * (escapes + targets)
 }
 
 impl Layout {
     /// The layout of `bytes`, an artifact of compress at scale 1.
     fn of(bytes: &[u8]) -> Layout {
-        let count = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-        let (code_len, bounds, targets) = (count(48), count(56), count(64));
-        let (escapes, tasks, exits) = (count(72), count(80), count(88));
-        let target = 96 + bounds + 4 * escapes;
-        let bound_sum = target + 4 * targets;
+        let (code_len, bounds, targets) = (count(bytes, 48), count(bytes, 56), count(bytes, 64));
+        let (escapes, tasks, exits) = (count(bytes, 72), count(bytes, 80), count(bytes, 88));
+        let target = 104 + bounds + 4 * escapes;
+        let bound_sum = bound_sum(bytes);
         let entries = bound_sum + 8;
         let kinds = entries + 5 * tasks;
         let statics = kinds + exits;
@@ -601,30 +589,31 @@ impl Layout {
         let code_sum = succs + 4 * code_len;
         let instrs = code_sum + 8;
         let mut chunks = Vec::new();
-        let (mut at, mut left) = (instrs, count(32));
-        for (index, &(m, plain)) in ops_per_chunk().iter().enumerate() {
-            let n = left.min(CHUNK_OPS);
-            let count = at + n.div_ceil(8);
+        let (mut at, mut left) = (instrs, count(bytes, 32));
+        while left > 0 {
+            let b = word(bytes, at);
+            let count = at + 4 + b.div_ceil(8);
+            let (m, k) = (word(bytes, count), word(bytes, count + 4));
             let c = ChunkAt {
-                index,
-                bits: at,
-                n,
+                index: chunks.len(),
+                start: at,
+                b,
+                bits: at + 4,
                 count,
-                mem: count + 4,
                 m,
-                sum: count + 4 + 4 * m,
-                plain,
+                k,
+                deltas: count + 8,
+                sum: count + 8 + k,
             };
-            assert_eq!(bytes[count..count + 4], (m as u32).to_le_bytes());
             chunks.push(c);
             at = c.sum + 8;
-            left -= n;
+            left -= left.min(CHUNK_OPS);
         }
-        assert_eq!(left, 0, "the chunks hold every op");
         assert_eq!(at, bytes.len(), "the chunks fill the file");
+        assert_eq!(count(bytes, 96), at - instrs, "the header's section length");
         Layout {
             bounds,
-            bytes: 96,
+            bytes: 104,
             targets,
             target,
             bound_sum,
@@ -656,7 +645,7 @@ impl Layout {
 fn reseal_bounds(bytes: &mut [u8]) {
     use multiscalar_isa::FingerprintHasher;
     use std::hash::Hasher as _;
-    let end = Layout::of(bytes).bound_sum;
+    let end = bound_sum(bytes);
     let mut h = FingerprintHasher::new();
     h.write(&bytes[..end]);
     let sum = h.finish();
@@ -675,16 +664,118 @@ fn reseal_tasks(bytes: &mut [u8]) {
     bytes[l.task_sum..l.task_sum + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
-/// Recomputes the checksum of chunk `c` of `bytes` after a forgery inside
-/// it: the hash of its index and its bytes.
-fn reseal_chunk(bytes: &mut [u8], c: ChunkAt) {
+/// The checksum of chunk `index` whose bytes are `chunk`: the hash of its
+/// index and its bytes.
+fn chunk_sum(index: usize, chunk: &[u8]) -> [u8; 8] {
     use multiscalar_isa::FingerprintHasher;
     use std::hash::Hasher as _;
     let mut h = FingerprintHasher::new();
-    h.write_u64(c.index as u64);
-    h.write(&bytes[c.bits..c.sum]);
-    let sum = h.finish();
-    bytes[c.sum..c.sum + 8].copy_from_slice(&sum.to_le_bytes());
+    h.write_u64(index as u64);
+    h.write(chunk);
+    h.finish().to_le_bytes()
+}
+
+/// A chunk's stored fields, for forging: its branch count and taken bits,
+/// its address count and its delta bytes.
+struct Fields {
+    b: usize,
+    taken: Vec<u8>,
+    m: usize,
+    deltas: Vec<u8>,
+}
+
+impl Fields {
+    /// Where its first delta ends: after the varint's final byte, the
+    /// first byte below 0x80.
+    fn first_delta_end(&self) -> usize {
+        1 + self.deltas.iter().position(|&b| b < 0x80).unwrap()
+    }
+}
+
+/// Rewrites chunk `c` of `bytes` through `tamper` and re-seals it: its
+/// counts and checksum follow the tamper, and so do the header's section
+/// length and the boundary checksum over it.
+fn forge_chunk(bytes: &mut Vec<u8>, c: ChunkAt, tamper: impl FnOnce(&mut Fields)) {
+    let instrs = Layout::of(bytes).instrs;
+    let mut f = Fields {
+        b: c.b,
+        taken: bytes[c.bits..c.count].to_vec(),
+        m: c.m,
+        deltas: bytes[c.deltas..c.sum].to_vec(),
+    };
+    tamper(&mut f);
+    let mut chunk = (f.b as u32).to_le_bytes().to_vec();
+    chunk.extend_from_slice(&f.taken);
+    chunk.extend_from_slice(&(f.m as u32).to_le_bytes());
+    chunk.extend_from_slice(&(f.deltas.len() as u32).to_le_bytes());
+    chunk.extend_from_slice(&f.deltas);
+    let sum = chunk_sum(c.index, &chunk);
+    chunk.extend_from_slice(&sum);
+    bytes.splice(c.start..c.sum + 8, chunk);
+    let len = (bytes.len() - instrs) as u64;
+    bytes[96..104].copy_from_slice(&len.to_le_bytes());
+    reseal_bounds(bytes);
+}
+
+/// A delta as its zigzag LEB128 varint.
+fn varint(delta: i32) -> Vec<u8> {
+    let mut zigzag = ((delta << 1) ^ (delta >> 31)) as u32;
+    let mut out = Vec::new();
+    while zigzag >= 0x80 {
+        out.push(zigzag as u8 | 0x80);
+        zigzag >>= 7;
+    }
+    out.push(zigzag as u8);
+    out
+}
+
+/// The delta a varint holds.
+fn unvarint(bytes: &[u8]) -> i32 {
+    let zigzag = bytes
+        .iter()
+        .enumerate()
+        .fold(0u32, |z, (i, &b)| z | u32::from(b & 0x7F) << (7 * i));
+    (zigzag >> 1) as i32 ^ -((zigzag & 1) as i32)
+}
+
+/// What an interpreter run of compress at scale 1 decides, op by op:
+/// whether the op is an intra-task conditional branch that was taken
+/// (one that ends a task is not intra-task), and the word address of each
+/// load and store, in order.
+struct Run {
+    taken: Vec<bool>,
+    addrs: Vec<u32>,
+}
+
+fn compress_run() -> &'static Run {
+    static RUN: std::sync::OnceLock<Run> = std::sync::OnceLock::new();
+    RUN.get_or_init(|| {
+        use multiscalar_isa::Instruction;
+        use multiscalar_sim::{derive_trace, record_replay};
+        use multiscalar_taskform::TaskFormer;
+        let w = Spec92::Compress.build(&WorkloadParams::small(3));
+        let tasks = TaskFormer::default().form(&w.program).unwrap();
+        let replay = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+        let mut ends = std::collections::HashSet::new();
+        let mut op = 0;
+        for e in derive_trace(&replay, &tasks).events.iter() {
+            op += e.instrs as usize;
+            ends.insert(op - 1);
+        }
+        let mut interp = multiscalar_isa::Interpreter::new(&w.program);
+        let mut run = Run {
+            taken: Vec::new(),
+            addrs: Vec::new(),
+        };
+        while !interp.is_halted() {
+            let step = interp.step().unwrap();
+            let branch = matches!(step.inst, Instruction::Branch { .. });
+            let intra = branch && !ends.contains(&run.taken.len());
+            run.taken.push(intra && step.next != step.pc.next());
+            run.addrs.extend(step.mem_addr);
+        }
+        run
+    })
 }
 
 /// Runs `experiment` on compress at scale 1 through the registry with a
@@ -744,6 +835,10 @@ enum Mutation {
     /// Write the same recording as a whole schema-6 artifact (14 bytes per
     /// boundary, no task section) under the same key.
     Schema6,
+    /// Write the same recording as a whole schema-7 artifact (a 96-byte
+    /// header, a taken bit per op and four bytes per address) under the
+    /// same key.
+    Schema7,
     /// Point stored target `k` at `pc`, and re-seal the boundary
     /// checksum.
     StoredTarget { k: usize, pc: u32 },
@@ -753,9 +848,17 @@ enum Mutation {
     /// Give task-table exit `x` the static target `pc`, and re-seal the
     /// task checksum.
     TaskTarget { x: usize, pc: u32 },
-    /// Set the taken bit of chunk `c`'s op `c.plain`, which is not a
-    /// conditional branch, and re-seal the chunk's checksum.
-    StrayTaken(ChunkAt),
+    /// Give chunk `c` one taken bit too many (`more`) or one too few, and
+    /// re-seal it.
+    TakenBits { c: ChunkAt, more: bool },
+    /// Store chunk `c`'s first zero delta as `0x80 0x00`, and re-seal it.
+    Overlong(ChunkAt),
+    /// Set the top bit of chunk `c`'s last delta byte, so that delta runs
+    /// past the chunk's delta bytes, and re-seal it.
+    PastStream(ChunkAt),
+    /// Give chunk `c`'s first delta the value that puts its address at
+    /// `mem_words`, and re-seal it.
+    WildAddress(ChunkAt),
 }
 
 impl Mutation {
@@ -767,6 +870,7 @@ impl Mutation {
             Mutation::Append(n) => bytes.resize(bytes.len() + n, 0),
             Mutation::Schema5 => bytes[4..8].copy_from_slice(&5u32.to_le_bytes()),
             Mutation::Schema6 => bytes = schema6(&bytes),
+            Mutation::Schema7 => bytes = schema7(&bytes),
             Mutation::StoredTarget { k, pc } => {
                 let at = Layout::of(&bytes).target + 4 * k;
                 bytes[at..at + 4].copy_from_slice(&pc.to_le_bytes());
@@ -782,9 +886,34 @@ impl Mutation {
                 bytes[at..at + 4].copy_from_slice(&pc.to_le_bytes());
                 reseal_tasks(&mut bytes);
             }
-            Mutation::StrayTaken(c) => {
-                bytes[c.bits + c.plain / 8] |= 1 << (c.plain % 8);
-                reseal_chunk(&mut bytes, c);
+            Mutation::TakenBits { c, more } => forge_chunk(&mut bytes, c, |f| {
+                f.b = if more { f.b + 1 } else { f.b - 1 };
+                f.taken.resize(f.b.div_ceil(8), 0);
+                if !f.b.is_multiple_of(8) {
+                    // The bits past the branches stay clear.
+                    *f.taken.last_mut().unwrap() &= (1 << (f.b % 8)) - 1;
+                }
+            }),
+            Mutation::Overlong(c) => forge_chunk(&mut bytes, c, |f| {
+                // A zero byte is a whole delta: no longer one ends on it.
+                let at = f.deltas.iter().position(|&b| b == 0).expect("a zero delta");
+                f.deltas.splice(at..=at, [0x80, 0x00]);
+            }),
+            Mutation::PastStream(c) => {
+                forge_chunk(&mut bytes, c, |f| *f.deltas.last_mut().unwrap() |= 0x80);
+            }
+            Mutation::WildAddress(c) => {
+                let l = Layout::of(&bytes);
+                let first: usize = l.chunks[..c.index].iter().map(|c| c.m).sum();
+                let addr = compress_run().addrs[first];
+                let mem_words = count(&bytes, 24) as u32;
+                forge_chunk(&mut bytes, c, |f| {
+                    let end = f.first_delta_end();
+                    // The last address at its pc is `addr` less its delta.
+                    let last = addr.wrapping_sub(unvarint(&f.deltas[..end]) as u32);
+                    f.deltas
+                        .splice(..end, varint(mem_words.wrapping_sub(last) as i32));
+                });
             }
         }
         bytes
@@ -795,7 +924,8 @@ impl Mutation {
 /// (compress at scale 1), under the same key: the same header fields with
 /// four counts, a boundary section of five columns with one element per
 /// boundary (task u32, exit u8, kind u8, next u32, size u32) and its
-/// checksum, then the same code and instruction sections.
+/// checksum, then the code section and the instruction section as `bytes`
+/// holds them.
 fn schema6(bytes: &[u8]) -> Vec<u8> {
     use multiscalar_isa::{ExitKind, FingerprintHasher};
     use multiscalar_sim::{derive_trace, record_replay};
@@ -822,6 +952,45 @@ fn schema6(bytes: &[u8]) -> Vec<u8> {
     h.write(&out);
     out.extend_from_slice(&h.finish().to_le_bytes());
     out.extend_from_slice(&bytes[l.code..]);
+    out
+}
+
+/// The schema-7 artifact of the recording whose artifact is `bytes`
+/// (compress at scale 1), under the same key: a 96-byte header (the same
+/// fields, without the section length), the same boundary section with
+/// its checksum over that header, the same task and code sections, then
+/// per `CHUNK_OPS` ops a taken bit per op (set on each taken intra-task
+/// conditional branch), the address count, the addresses (u32 each) and
+/// the chunk checksum.
+fn schema7(bytes: &[u8]) -> Vec<u8> {
+    use multiscalar_isa::FingerprintHasher;
+    use std::hash::Hasher as _;
+    let l = Layout::of(bytes);
+    let run = compress_run();
+    let mut out = b"MSRP".to_vec();
+    out.extend_from_slice(&7u32.to_le_bytes());
+    // The key, mem_words and the eight counts.
+    out.extend_from_slice(&bytes[8..96]);
+    out.extend_from_slice(&bytes[104..l.bound_sum]);
+    let mut h = FingerprintHasher::new();
+    h.write(&out);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+    out.extend_from_slice(&bytes[l.entries..l.instrs]);
+    let mut addrs = run.addrs.iter();
+    for (c, ops) in l.chunks.iter().zip(run.taken.chunks(CHUNK_OPS)) {
+        let mut chunk = vec![0u8; ops.len().div_ceil(8)];
+        for (i, _) in ops.iter().enumerate().filter(|&(_, &taken)| taken) {
+            chunk[i / 8] |= 1 << (i % 8);
+        }
+        chunk.extend_from_slice(&(c.m as u32).to_le_bytes());
+        for a in addrs.by_ref().take(c.m) {
+            chunk.extend_from_slice(&a.to_le_bytes());
+        }
+        let sum = chunk_sum(c.index, &chunk);
+        out.extend_from_slice(&chunk);
+        out.extend_from_slice(&sum);
+    }
+    assert_eq!(addrs.next(), None, "every address in its chunk");
     out
 }
 
@@ -881,7 +1050,8 @@ fn draws(rng: &mut XorShift64, range: std::ops::Range<usize>, n: usize) -> Vec<u
 
 /// Truncation at every section boundary, at the edges of and inside the
 /// first, a middle and the last instruction chunk, and at random points;
-/// appended bytes, a schema-5 header and a whole schema-6 artifact.
+/// appended bytes, a schema-5 header and whole schema-6 and schema-7
+/// artifacts.
 #[test]
 fn truncated_extended_and_stale_artifacts_are_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-length", |bytes, rng| {
@@ -910,6 +1080,8 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
         cuts.extend([
             95,
             96,
+            103,
+            104,
             l.target,
             l.entries,
             l.kinds,
@@ -919,13 +1091,17 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
         ]);
         cuts.extend([l.instrs - 1, l.instrs + 1, bytes.len() - 1]);
         for c in l.picks() {
-            // A chunk's start, the middle of its taken bits, its address
-            // count, its addresses and its checksum.
+            // A chunk's start, its branch count, the middle of its taken
+            // bits, its address count, its delta byte count, its deltas and
+            // its checksum.
             cuts.extend([
-                c.bits,
-                c.bits + c.n / 16,
+                c.start,
+                c.start + 2,
+                c.bits + c.b / 16,
                 c.count + 2,
-                c.mem,
+                c.count + 6,
+                c.deltas,
+                c.deltas + c.k / 2,
                 c.sum,
                 c.sum + 4,
             ]);
@@ -935,6 +1111,7 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
         m.extend(table4_only([1, 3, 8, 4096].map(Mutation::Append)));
         m.push((Mutation::Schema5, false));
         m.push((Mutation::Schema6, false));
+        m.push((Mutation::Schema7, false));
         m
     });
 }
@@ -943,7 +1120,7 @@ fn truncated_extended_and_stale_artifacts_are_rerecorded() {
 #[test]
 fn every_flipped_header_byte_is_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-header", |_, rng| {
-        table4_only((0..96).map(|at| Mutation::Flip {
+        table4_only((0..104).map(|at| Mutation::Flip {
             at,
             bit: rng.next_below(8) as u8,
         }))
@@ -958,8 +1135,9 @@ fn every_flipped_header_byte_is_rerecorded() {
 /// in the first chunk before any op is stepped, in a middle or the last
 /// chunk after the earlier chunks were, so those also run `profile
 /// --json`, whose breakdown must stay pristine. In each of the three
-/// chunks the flips hit a taken-bit byte, a memory address, the chunk
-/// checksum and the address count.
+/// chunks the flips hit a taken-bit byte, a delta byte, the chunk
+/// checksum and the address count, then the branch count and the delta
+/// byte count.
 #[test]
 fn flipped_section_and_checksum_bytes_are_rerecorded() {
     mutations_are_rejected_and_rerecorded("mut-sections", |bytes, rng| {
@@ -969,7 +1147,7 @@ fn flipped_section_and_checksum_bytes_are_rerecorded() {
             at,
             bit: rng.next_below(8) as u8,
         };
-        let mut at = draws(rng, 96..l.bound_sum, 35);
+        let mut at = draws(rng, 104..l.bound_sum, 35);
         at.extend(draws(rng, l.instrs..last.sum, 45));
         at.extend(draws(rng, l.code..l.code_sum, 20));
         at.extend(l.bound_sum..l.entries);
@@ -994,16 +1172,19 @@ fn flipped_section_and_checksum_bytes_are_rerecorded() {
             },
         ]));
         for (k, c) in l.picks().into_iter().enumerate() {
-            assert!(c.m > 0, "chunk {k} carries memory addresses");
-            let bits = c.bits + rng.next_below(c.n.div_ceil(8) as u32) as usize;
-            let addr = c.mem + 4 * rng.next_below(c.m as u32) as usize;
+            assert!(c.b > 0 && c.k > 0, "chunk {k} carries bits and deltas");
+            let bits = c.bits + rng.next_below(c.b.div_ceil(8) as u32) as usize;
+            let delta = c.deltas + rng.next_below(c.k as u32) as usize;
             let sum = c.sum + rng.next_below(8) as usize;
-            let count = Mutation::Flip {
-                at: c.count,
-                bit: 0,
-            };
-            let cases = [flip(bits, rng), flip(addr, rng), flip(sum, rng), count];
+            let low = |at| Mutation::Flip { at, bit: 0 };
+            let cases = [
+                flip(bits, rng),
+                flip(delta, rng),
+                flip(sum, rng),
+                low(c.count),
+            ];
             m.extend(cases.map(|case| (case, k > 0)));
+            m.extend([low(c.start), low(c.count + 4)].map(|case| (case, k > 0)));
         }
         // The task section's bytes and its checksum, drawn after the rest.
         let mut tasks = draws(rng, l.entries..l.task_sum, 30);
@@ -1056,20 +1237,45 @@ fn resealed_task_table_and_target_forgeries_are_rerecorded() {
     });
 }
 
-/// A taken bit set on an op that is not a conditional branch, under a
-/// re-sealed chunk checksum, in the first, a middle and the last chunk:
-/// the chunk reads clean, and only stepping it finds the bit, after the
-/// walk has stepped ops of it. The walk starts over on the re-recorded
-/// section, so `table4` stays pristine, and so does `profile --json`'s
-/// breakdown after the middle and the last chunk, which the walk reaches
-/// after stepping whole earlier chunks.
+/// A chunk with one taken bit too many or one too few, under a re-sealed
+/// chunk checksum and section length, in the first, a middle and the last
+/// chunk: the chunk reads clean, and only stepping it finds the count that
+/// its branches do not match, after the walk has stepped ops of it. The
+/// walk starts over on the re-recorded section, so `table4` stays
+/// pristine, and so does `profile --json`'s breakdown after the middle and
+/// the last chunk, which the walk reaches after stepping whole earlier
+/// chunks.
 #[test]
-fn a_stray_taken_bit_under_a_resealed_checksum_is_rerecorded() {
-    mutations_are_rejected_and_rerecorded("mut-stray-taken", |bytes, _| {
+fn taken_bit_counts_off_by_one_under_resealed_checksums_are_rerecorded() {
+    mutations_are_rejected_and_rerecorded("mut-taken-bits", |bytes, _| {
         let l = Layout::of(bytes);
         l.picks()
             .into_iter()
-            .map(|c| (Mutation::StrayTaken(c), c.index > 0))
+            .flat_map(|c| [true, false].map(|more| (Mutation::TakenBits { c, more }, c.index > 0)))
+            .collect()
+    });
+}
+
+/// Address deltas forged under re-sealed checksums in the first, a middle
+/// and the last chunk: a zero delta stored overlong as `0x80 0x00`, a last
+/// delta that runs past the chunk's delta bytes, and a first delta that
+/// puts its address at `mem_words`. Each chunk reads clean, and stepping it
+/// finds the delta; `table4` and, past the first chunk, `profile --json`
+/// stay pristine.
+#[test]
+fn resealed_delta_forgeries_are_rerecorded() {
+    mutations_are_rejected_and_rerecorded("mut-deltas", |bytes, _| {
+        let l = Layout::of(bytes);
+        l.picks()
+            .into_iter()
+            .flat_map(|c| {
+                let cases = [
+                    Mutation::Overlong(c),
+                    Mutation::PastStream(c),
+                    Mutation::WildAddress(c),
+                ];
+                cases.map(|m| (m, c.index > 0))
+            })
             .collect()
     });
 }
@@ -1161,7 +1367,7 @@ fn a_second_walk_after_a_mid_walk_fallback_reads_the_kept_section() {
     let flip = || {
         let mut bytes = std::fs::read(&path).unwrap();
         let [_, middle, _] = Layout::of(&bytes).picks();
-        bytes[middle.mem + 4 * (middle.m / 2)] ^= 0x04;
+        bytes[middle.deltas + middle.k / 2] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
     };
     flip();

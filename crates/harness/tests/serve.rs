@@ -159,6 +159,52 @@ fn repeated_request_is_a_counted_byte_identical_cache_hit() {
     assert_eq!(stat(&server, "bench_resident"), 5);
 }
 
+/// `stats` counts the resident recordings' bytes as their artifacts do
+/// (`InstrReplay::held_bytes`): without a store, the five recordings a
+/// scale-1 `table2` prepares hold their whole artifacts, and so do fresh
+/// recordings a cold store has just written; loaded from a warm store,
+/// they hold all but their instruction sections, which stay on disk.
+#[test]
+fn bench_bytes_counts_what_the_resident_recordings_hold() {
+    use multiscalar_workloads::Spec92;
+    let request = req("table2");
+    let benches =
+        multiscalar_harness::prepare_set_cached(&Spec92::ALL, &request.params, &Pool::new(2), None);
+    let artifacts: Vec<Vec<u8>> = benches
+        .iter()
+        .map(|b| multiscalar_sim::encode_replay(&b.replay, b.key))
+        .collect();
+    let whole: u64 = artifacts.iter().map(|a| a.len() as u64).sum();
+    // The header's section length (see `multiscalar_sim::codec`).
+    let sections: u64 = artifacts
+        .iter()
+        .map(|a| u64::from_le_bytes(a[96..104].try_into().unwrap()))
+        .sum();
+    assert!(sections > 0 && sections < whole);
+    let run = |server: &Server| match server.run_request(Some(1), &request) {
+        Response::Ok { exit_ok: true, .. } => {}
+        other => panic!("table2 failed: {other:?}"),
+    };
+
+    let mut uncached = config("bench-bytes", serve::DEFAULT_RESULT_MAX_BYTES);
+    uncached.no_cache = true;
+    let server = Server::new(&uncached);
+    run(&server);
+    assert_eq!(stat(&server, "bench_resident"), 5);
+    assert_eq!(stat(&server, "bench_bytes"), whole, "--no-cache");
+
+    let cfg = config("bench-bytes-store", serve::DEFAULT_RESULT_MAX_BYTES);
+    let cold = Server::new(&cfg);
+    run(&cold);
+    assert_eq!(stat(&cold, "store_stores"), 5);
+    assert_eq!(stat(&cold, "bench_bytes"), whole, "fresh recordings");
+    let warm = Server::new(&cfg);
+    run(&warm);
+    assert_eq!(stat(&warm, "store_hits"), 5);
+    assert_eq!(stat(&warm, "bench_bytes"), whole - sections, "loaded");
+    let _ = std::fs::remove_dir_all(&cfg.cache_dir);
+}
+
 /// `asm`/`disasm` are first-class tool experiments behind the same
 /// [`registry::dispatch`] path the server and CLI share. Their rendered
 /// bodies — counts, canonical disassembly, rustc-style and JSON error

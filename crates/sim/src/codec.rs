@@ -12,16 +12,17 @@
 //! 24        8      mem_words
 //! 32        64     element counts: ops, mem_addrs, code, boundaries,
 //!                  targets, escapes, tasks, task exits
-//! 96        B      the boundary section, one byte per dynamic task: the
+//! 96        8      the instruction section's length in bytes
+//! 104       B      the boundary section, one byte per dynamic task: the
 //!                  exit taken (bits 0..2) and the task's size in ops
 //!                  (bits 2..8, 1..=63; 0 escapes a larger size)
-//! 96+B      4·E    the E escaped sizes (u32 each, above 63), in order
-//! 96+B+4·E  4·S    the S stored targets (u32 each): the next pc of each
+//! 104+B     4·E    the E escaped sizes (u32 each, above 63), in order
+//! 104+B+4·E 4·S    the S stored targets (u32 each): the next pc of each
 //!                  boundary whose exit has no static target (a return, an
 //!                  indirect branch or call), in order
 //! T-8       8      boundary checksum: two-lane FxHash of bytes 0..T-8 (the
 //!                  header and the boundary section)
-//! T         5·N+5·X the task section, T = 104+B+4·E+4·S: the N tasks'
+//! T         5·N+5·X the task section, T = 112+B+4·E+4·S: the N tasks'
 //!                  entry pcs (u32 each), their exit counts (u8 each), then
 //!                  the X exits' kinds (u8 each: the Table 1 slot, 5 for
 //!                  the halt) and static targets (u32 each; 2^32-1 where
@@ -34,38 +35,51 @@
 //! I         …      the instruction section, I = C+12+8·L: one chunk per
 //!                  CHUNK_OPS ops (the last chunk takes the rest), each
 //!                  laid out as
-//!                    ⌈n/8⌉ the n ops' taken bits, bit i%8 of byte i/8
-//!                    4     m, the count of the chunk's addresses
-//!                    4·m   the word addresses of the m loads and stores
-//!                          among those ops, in program order
+//!                    4     b, the count of the chunk's intra-task
+//!                          conditional branches
+//!                    ⌈b/8⌉ their taken bits, bit i%8 of byte i/8 for the
+//!                          i-th branch, the bits past b clear
+//!                    4     m, the count of the chunk's loads and stores
+//!                    4     k, the bytes of their address deltas
+//!                    k     the m address deltas in program order, each a
+//!                          zigzag LEB128 varint (shortest form) of the
+//!                          reference's word address minus the previous
+//!                          address at the same pc (0 before that pc's
+//!                          first), wrapping at 2^32
 //!                    8     chunk checksum: FxHash of the chunk's index
-//!                          and its ⌈n/8⌉+4+4·m bytes
+//!                          and its 12+⌈b/8⌉+k bytes
 //! ```
 //!
-//! The boundary section keeps what execution decides and nothing the
-//! partition says ([`SharedTrace`]): a boundary's task is the one entered
-//! at the previous boundary's next pc (the first is the entry point's),
-//! and its kind and a static exit's next pc are the task header's, which
-//! the task section carries. So a task takes about 1.9 bytes on the five
-//! benchmarks.
+//! Both sections keep what execution decides and nothing the program or
+//! the partition says. The boundary section ([`SharedTrace`]): a
+//! boundary's task is the one entered at the previous boundary's next pc
+//! (the first is the entry point's), and its kind and a static exit's next
+//! pc are the task header's, which the task section carries. So a task
+//! takes about 1.9 bytes on the five benchmarks. The instruction section:
+//! the code table says which op is a conditional branch and which a load
+//! or a store, and the task clock which branch crosses a boundary, so only
+//! an intra-task branch keeps a bit; and most references land near the
+//! previous one at the same pc, so a delta takes about 1.1 bytes.
 //!
-//! The header alone sizes the file: the instruction section takes one bit
-//! per op, four bytes per memory address and twelve per chunk. A reader
-//! checks the file's length before it reads a section. The boundary, task
-//! and code sections go through a bounded streaming reader that folds each
-//! piece into the section's checksum as it arrives and never allocates
-//! more than the bytes that remain. The instruction section goes through a
-//! chunk reader whose buffers hold one chunk: at most [`CHUNK_OPS`] taken
-//! bits and as many addresses, 66 KiB.
+//! The header alone sizes the file: it counts the instruction section's
+//! bytes too. A reader checks the file's length before it reads a section.
+//! The boundary, task and code sections go through a bounded streaming
+//! reader that folds each piece into the section's checksum as it arrives
+//! and never allocates more than the bytes that remain. The instruction
+//! section goes through a chunk reader, which hands a held section's
+//! chunks out as slices of its bytes and reads a stored one's into a
+//! buffer that holds one chunk: at most [`CHUNK_OPS`] taken bits and as
+//! many deltas of at most five bytes, 82 KiB.
 //!
 //! The instruction section has this one form everywhere: the recorder
 //! writes its chunks as it records ([`crate::replay::record_replay`]), a
 //! fresh or decoded recording holds them, and every walk reads them
-//! through the same chunk reader, from memory or from the artifact. So
-//! does the boundary section: the recorder writes it, a recording holds it
-//! and the artifact stores it. The encoder ([`write_replay`];
-//! [`encode_replay`] is its `Vec` form) writes the header and the
-//! boundary, task and code sections, then copies the chunks.
+//! through the same chunk reader, from memory or from the artifact, and
+//! decodes each op's bit and address as its cursor steps it. So does the
+//! boundary section: the recorder writes it, a recording holds it and the
+//! artifact stores it. The encoder ([`write_replay`]; [`encode_replay`] is
+//! its `Vec` form) writes the header and the boundary, task and code
+//! sections, then copies the chunks.
 //!
 //! # Guarantees
 //!
@@ -93,8 +107,8 @@
 //!
 //! | when | checks |
 //! |---|---|
-//! | load | magic, schema, key; the file length the header's counts declare; the boundary checksum; the task checksum; every task's exit count at most `MAX_EXITS`, the counts summing to the exit count, every kind code naming a kind of Table 1 or the halt, every static target inside the code; the code checksum; the entry inside the code, every successor at most the code's length, every register byte naming a register (or absent), no op-word bit above the halt's; every task entry inside the code and entering its own task (so no two tasks share one), the entry point entering a task; then the boundary section, decoded in order: every exit inside its derived task's header and no halt exit, every static next pc a boundary takes entering a task, every stored target inside the code and entering a task, every escaped size above 63 (so every size is at least 1), the sizes summing below the op count (so the halting task keeps its halt), and the escape and target columns used up exactly |
-//! | each walk, held or stored | a stored section's header and length again; then per chunk, before any of its ops is stepped, its checksum, its address count against the addresses left (at most one per op; the last chunk takes exactly what remains) and every memory address below `mem_words`; then, as the walk's cursor steps the chunk, one flag per rule (`ReplayCursor::check`): no pc reaches the code table's sentinel (so every op that ends no task has a static successor), the halt is the last op of the last chunk and no other, set taken bits sit only on intra-task conditional branches, and the chunk's loads and stores use exactly its addresses |
+//! | load | magic, schema, key; the file length the header declares; the boundary checksum; the task checksum; every task's exit count at most `MAX_EXITS`, the counts summing to the exit count, every kind code naming a kind of Table 1 or the halt, every static target inside the code; the code checksum; the entry inside the code, every successor at most the code's length, every register byte naming a register (or absent), no op-word bit above the halt's; every task entry inside the code and entering its own task (so no two tasks share one), the entry point entering a task; then the boundary section, decoded in order: every exit inside its derived task's header and no halt exit, every static next pc a boundary takes entering a task, every stored target inside the code and entering a task, every escaped size above 63 (so every size is at least 1), the sizes summing below the op count (so the halting task keeps its halt), and the escape and target columns used up exactly |
+//! | each walk, held or stored | a stored section's header and length again; then per chunk, before any of its ops is stepped, its checksum, that it ends inside the section (and the last chunk at its end), its branch count at most its ops, its address count against the addresses left (at most one per op; the last chunk takes exactly what remains), its delta bytes at most five per address, and its taken bits past `b` clear; then, as the walk's cursor steps the chunk, one flag per rule (`ReplayCursor::check`): no pc reaches the code table's sentinel (so every op that ends no task has a static successor), the halt is the last op of the last chunk and no other, the chunk's intra-task conditional branches read exactly its `b` bits, its loads and stores exactly its `m` deltas, and those exactly its `k` bytes, every delta is a varint in its shortest form, and every address lies below `mem_words` |
 //!
 //! [`decode_replay`] runs the load checks, then a walk's checks with the
 //! same cursor over every chunk. A held section keeps the rules, which
@@ -131,20 +145,20 @@ use std::sync::{Arc, OnceLock};
 use crate::replay::{
     Chunk, CodeEntry, CodeTable, InstrReplay, ReplayCursor, Section, SENTINEL_BIT,
 };
-use crate::timing::NO_REG;
+use crate::timing::{OpClass, NO_REG};
 use crate::trace::{SharedTrace, TableExit, TaskTable, NO_TARGET};
 
 /// Schema version of the artifact cache: codec layout + recording
 /// semantics. Any change to either must bump this.
-pub const CACHE_SCHEMA: u32 = 7;
+pub const CACHE_SCHEMA: u32 = 8;
 
 /// Ops per chunk of the instruction section. A chunk's taken bits take
-/// 2 KiB, and the whole chunk, memory addresses included, at most 66 KiB.
+/// at most 2 KiB, and the whole chunk, address deltas included, at most
+/// 82 KiB.
 pub const CHUNK_OPS: usize = 16 * 1024;
 
-// A chunk's taken bits fill whole bytes, so the chunks of a section
-// concatenate into its bit column.
-const _: () = assert!(CHUNK_OPS.is_multiple_of(8));
+/// Bytes of one address delta at most: a `u32` in seven-bit groups.
+const MAX_DELTA_BYTES: usize = 5;
 
 /// File magic: "Multiscalar RePlay".
 pub const MAGIC: [u8; 4] = *b"MSRP";
@@ -205,8 +219,9 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// Bytes of the header: magic, schema, key, `mem_words` and eight counts.
-const HEADER_BYTES: u64 = 96;
+/// Bytes of the header: magic, schema, key, `mem_words`, eight counts and
+/// the instruction section's length.
+const HEADER_BYTES: u64 = 104;
 
 /// Bytes of one task, and of one task exit, in the task section: an entry
 /// pc u32 and an exit count u8; a kind u8 and a static target u32.
@@ -293,6 +308,73 @@ fn chunk_sum(index: u64, bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
+/// Appends the delta from `last` to `addr`, the word addresses of two
+/// references at one pc, as a zigzag LEB128 varint: the difference
+/// wrapped to an `i32`, zigzagged so small magnitudes of either sign take
+/// few bits, in seven-bit groups, low group first, each but the last with
+/// its top bit set.
+#[inline]
+pub(crate) fn put_delta(out: &mut Vec<u8>, last: u32, addr: u32) {
+    let delta = addr.wrapping_sub(last) as i32;
+    let mut zigzag = ((delta << 1) ^ (delta >> 31)) as u32;
+    while zigzag >= 0x80 {
+        out.push(zigzag as u8 | 0x80);
+        zigzag >>= 7;
+    }
+    out.push(zigzag as u8);
+}
+
+/// Why an address delta failed to decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BadDelta {
+    /// Its bytes run past the chunk's stream.
+    PastStream,
+    /// It is not the shortest form of a `u32`: a last group of zero after
+    /// others, or more than 32 bits.
+    Overlong,
+}
+
+/// Reads one address delta ([`put_delta`]) from the front of `bytes` and
+/// moves past it; the difference comes back as the `u32` to add, wrapping,
+/// to the previous address. On an error `bytes` is left empty.
+#[inline(always)]
+pub(crate) fn read_delta(bytes: &mut &[u8]) -> Result<u32, BadDelta> {
+    match bytes.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
+            *bytes = rest;
+            Ok(unzigzag(u32::from(byte)))
+        }
+        _ => read_long_delta(bytes),
+    }
+}
+
+/// [`read_delta`] past its one-byte form.
+fn read_long_delta(bytes: &mut &[u8]) -> Result<u32, BadDelta> {
+    let stream = std::mem::take(bytes);
+    let mut zigzag = 0u32;
+    for (i, &byte) in stream.iter().enumerate() {
+        if i == MAX_DELTA_BYTES {
+            return Err(BadDelta::Overlong);
+        }
+        zigzag |= u32::from(byte & 0x7F) << (7 * i);
+        if byte < 0x80 {
+            // The fifth group holds the top four bits.
+            if (i > 0 && byte == 0) || (i == MAX_DELTA_BYTES - 1 && byte > 0x0F) {
+                return Err(BadDelta::Overlong);
+            }
+            *bytes = &stream[i + 1..];
+            return Ok(unzigzag(zigzag));
+        }
+    }
+    Err(BadDelta::PastStream)
+}
+
+/// The difference a zigzagged delta stands for, as the `u32` to add.
+#[inline(always)]
+fn unzigzag(zigzag: u32) -> u32 {
+    (zigzag >> 1) ^ 0u32.wrapping_sub(zigzag & 1)
+}
+
 /// The header: what sizes and locates the sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Header {
@@ -305,6 +387,8 @@ struct Header {
     escapes: u64,
     tasks: u64,
     exits: u64,
+    /// Bytes of the instruction section.
+    instr_bytes: u64,
 }
 
 impl Header {
@@ -321,6 +405,7 @@ impl Header {
             escapes: b.sizes.len() as u64,
             tasks: b.table.entries.len() as u64,
             exits: b.table.exits.len() as u64,
+            instr_bytes: r.section_len(),
         }
     }
 
@@ -340,16 +425,10 @@ impl Header {
             .checked_add(HEADER_BYTES + 8 + 8 + 4 + 8)
     }
 
-    /// The file length the counts declare (`None` past `u64`): a bit per
-    /// op, four bytes per memory address, and an address count and a
-    /// checksum per chunk.
+    /// The file length the header declares (`None` past `u64`): the
+    /// sections its counts size, then the instruction section's bytes.
     fn file_len(&self) -> Option<u64> {
-        let chunks = self.ops.div_ceil(CHUNK_OPS as u64);
-        self.mem_addrs
-            .checked_mul(4)?
-            .checked_add(self.ops.div_ceil(8))?
-            .checked_add(chunks * 12)?
-            .checked_add(self.instr_offset()?)
+        self.instr_offset()?.checked_add(self.instr_bytes)
     }
 
     /// Checks that a file of `len` bytes holds exactly what the header
@@ -436,6 +515,7 @@ impl<R: Read> SectionReader<R> {
             escapes: self.u64()?,
             tasks: self.u64()?,
             exits: self.u64()?,
+            instr_bytes: self.u64()?,
         })
     }
 
@@ -593,44 +673,43 @@ impl<R: Read> SectionReader<R> {
 /// and every exit.
 type TaskColumns = (Vec<u32>, Vec<u8>, Vec<TableExit>);
 
-/// Decodes little-endian words into `out`, replacing its contents.
-fn get_words(bytes: &[u8], out: &mut Vec<u32>) {
-    out.clear();
-    out.extend(
-        bytes
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word"))),
-    );
+/// The little-endian `u32` at byte `at` of `bytes`.
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte word"))
 }
 
-/// Appends `words` to `out`, little-endian.
-fn put_words(out: &mut Vec<u8>, words: &[u32]) {
-    for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
+/// Where a [`ChunkReader`] reads from.
+enum Source<'a> {
+    /// A held section from the current chunk on; its chunks are handed out
+    /// as slices of it.
+    Held(&'a [u8]),
+    /// An artifact at the current chunk, and the bytes of that chunk read
+    /// so far.
+    Stored(Box<dyn Read + 'a>, Vec<u8>),
 }
 
 /// Reads an instruction section one chunk at a time, from a recording's
-/// bytes or its reopened artifact alike. Each chunk is checked whole
-/// before it is handed out: its checksum, its address count against the
-/// addresses left and its memory addresses against `mem_words`. The path
-/// rules are the cursor's to check as it steps the chunk
-/// ([`ReplayCursor::check`]). The buffers hold one chunk, whatever the
-/// section's length.
+/// bytes or its reopened artifact alike: a held section's chunks are
+/// slices of its bytes, and a stored section's are read into one buffer
+/// that holds one chunk, whatever the section's length. Each chunk is
+/// checked whole before it is handed out: its checksum, that it ends
+/// inside the section (and the last one at its end), its counts against
+/// its ops, the addresses left and its bytes, and its unused taken bits.
+/// What the ops decide (which op reads a bit or a delta, and the address
+/// a delta gives) is the cursor's to check as it steps the chunk
+/// ([`ReplayCursor::check`]).
 pub(crate) struct ChunkReader<'a> {
-    src: Box<dyn Read + 'a>,
-    mem_words: usize,
+    src: Source<'a>,
     /// Index of the next chunk.
     index: u64,
     /// Ops in the chunks not yet read.
     ops_left: u64,
     /// Memory addresses in the chunks not yet read.
     mem_left: u64,
-    /// The current chunk's bytes as stored: taken bits, address count,
-    /// addresses, then the checksum.
-    raw: Vec<u8>,
-    /// The current chunk's memory addresses, decoded.
-    mem_addrs: Vec<u32>,
+    /// Bytes of the section past those of the current chunk read so far.
+    bytes_left: u64,
+    /// Bytes of the current chunk read so far.
+    len: usize,
 }
 
 impl<'a> ChunkReader<'a> {
@@ -638,136 +717,219 @@ impl<'a> ChunkReader<'a> {
     /// at its first chunk.
     fn new(src: impl Read + 'a, head: Header) -> ChunkReader<'a> {
         ChunkReader {
-            src: Box::new(src),
-            mem_words: head.mem_words,
+            src: Source::Stored(Box::new(src), Vec::new()),
             index: 0,
             ops_left: head.ops,
             mem_left: head.mem_addrs,
-            raw: Vec::new(),
-            mem_addrs: Vec::new(),
+            bytes_left: head.instr_bytes,
+            len: 0,
         }
     }
 
     /// A reader of `bytes`, the instruction section recording `r` holds.
     pub(crate) fn held(bytes: &'a [u8], r: &InstrReplay) -> ChunkReader<'a> {
-        ChunkReader::new(bytes, Header::of(r))
+        ChunkReader {
+            src: Source::Held(bytes),
+            index: 0,
+            ops_left: r.instructions(),
+            mem_left: r.mem_addrs,
+            bytes_left: bytes.len() as u64,
+            len: 0,
+        }
+    }
+
+    /// The current chunk's first `len` bytes, at least as many as it has
+    /// read so far; a chunk may not run past the section.
+    fn fill(&mut self, len: usize) -> Result<&[u8], CodecError> {
+        let more = (len - self.len) as u64;
+        if more > self.bytes_left {
+            return Err(CodecError::Malformed(
+                "chunk runs past the instruction section",
+            ));
+        }
+        self.bytes_left -= more;
+        let read = std::mem::replace(&mut self.len, len);
+        match &mut self.src {
+            Source::Held(rest) => Ok(&rest[..len]),
+            Source::Stored(src, raw) => {
+                raw.resize(len, 0);
+                src.read_exact(&mut raw[read..])?;
+                Ok(raw)
+            }
+        }
     }
 
     /// Reads and checks the next chunk; `None` past the last one.
     pub(crate) fn next_chunk(&mut self) -> Result<Option<Chunk<'_>>, CodecError> {
+        match &mut self.src {
+            Source::Held(rest) => *rest = &rest[self.len..],
+            Source::Stored(_, raw) => raw.clear(),
+        }
+        self.len = 0;
         if self.ops_left == 0 {
-            return Ok(None);
+            return match self.bytes_left {
+                0 => Ok(None),
+                _ => Err(CodecError::Malformed(
+                    "instruction section longer than its chunks",
+                )),
+            };
         }
         let n = self.ops_left.min(CHUNK_OPS as u64) as usize;
         let last = n as u64 == self.ops_left;
-        let bits = n.div_ceil(8);
-        self.raw.resize(bits + 4, 0);
-        self.src.read_exact(&mut self.raw)?;
+        let b = word(self.fill(4)?, 0) as usize;
+        if b > n {
+            return Err(CodecError::Malformed("chunk branch count past its ops"));
+        }
+        let bits = b.div_ceil(8);
+        let counts = self.fill(12 + bits)?;
+        let (m, k) = (word(counts, 4 + bits), word(counts, 8 + bits) as usize);
         // Each op consumes at most one address, and the last chunk takes
         // what is left.
-        let m = u64::from(u32::from_le_bytes(
-            self.raw[bits..].try_into().expect("4-byte count"),
-        ));
+        let m = u64::from(m);
         if m > n as u64 || m > self.mem_left || (last && m != self.mem_left) {
             return Err(CodecError::Malformed(
                 "chunk address count differs from mem_addrs",
             ));
         }
-        let body = bits + 4 + 4 * m as usize;
-        self.raw.resize(body + 8, 0);
-        self.src.read_exact(&mut self.raw[bits + 4..])?;
-        let (bytes, stored) = self.raw.split_at(body);
-        if u64::from_le_bytes(stored.try_into().expect("8-byte checksum"))
-            != chunk_sum(self.index, bytes)
-        {
-            return Err(CodecError::BadChecksum);
+        // So a stored chunk's buffer stays bounded.
+        if k as u64 > MAX_DELTA_BYTES as u64 * m {
+            return Err(CodecError::Malformed(
+                "chunk delta bytes past five per address",
+            ));
         }
-        get_words(&bytes[bits + 4..], &mut self.mem_addrs);
-        if self
-            .mem_addrs
-            .iter()
-            .max()
-            .is_some_and(|&a| a as usize >= self.mem_words)
-        {
-            return Err(CodecError::Malformed("memory address beyond mem_words"));
-        }
+        let index = self.index;
         self.index += 1;
         self.ops_left -= n as u64;
         self.mem_left -= m;
+        let body = 12 + bits + k;
+        let raw = self.fill(body + 8)?;
+        let (bytes, stored) = raw.split_at(body);
+        if u64::from_le_bytes(stored.try_into().expect("8-byte checksum"))
+            != chunk_sum(index, bytes)
+        {
+            return Err(CodecError::BadChecksum);
+        }
+        // The last byte's bits past the chunk's branches are clear, so a
+        // chunk has one form.
+        if bits > 0 && u32::from(bytes[3 + bits]) >> (b - 8 * (bits - 1)) != 0 {
+            return Err(CodecError::Malformed("taken bit past the chunk's branches"));
+        }
         Ok(Some(Chunk {
-            taken: &self.raw[..bits],
             at: 0,
             end: n,
-            mem_addrs: &self.mem_addrs,
             last,
+            taken: &bytes[4..4 + bits],
+            branches: b,
+            bit: 0,
+            refs: m as usize,
+            deltas: &bytes[12 + bits..],
         }))
     }
 
     /// The chunk [`ChunkReader::next_chunk`] read last, as the artifact
-    /// stores it: its taken bits, address count, addresses and checksum.
+    /// stores it: its counts, taken bits and deltas and its checksum.
     pub(crate) fn bytes(&self) -> &[u8] {
-        &self.raw
+        match &self.src {
+            Source::Held(rest) => &rest[..self.len],
+            Source::Stored(_, raw) => raw,
+        }
     }
 }
 
 /// Lays an instruction section out as the artifact's run of chunks, one op
 /// at a time, sealing each chunk as it fills: what the recorder writes.
-#[derive(Default)]
 pub(crate) struct ChunkWriter {
-    /// The sealed chunks, then the open chunk's full bytes of taken bits.
+    /// The sealed chunks.
     bytes: Vec<u8>,
-    /// Where the open chunk starts in `bytes`.
-    start: usize,
-    /// The open byte of taken bits, pushed once its eighth op is written.
+    /// The open chunk's full bytes of taken bits, and its open byte,
+    /// pushed once its eighth branch is written.
+    taken: Vec<u8>,
     open: u8,
-    /// The open chunk's memory addresses.
-    addrs: Vec<u32>,
+    /// The open chunk's intra-task conditional branches, and its loads and
+    /// stores.
+    branches: u32,
+    refs: u32,
+    /// The open chunk's address deltas.
+    deltas: Vec<u8>,
+    /// Per pc, the word address of its last load or store (0 before its
+    /// first), which the next one's delta is taken from.
+    last_addr: Vec<u32>,
     /// Ops written, and memory addresses in the sealed chunks.
     ops: u64,
     mem_addrs: u64,
 }
 
 impl ChunkWriter {
-    /// Writes one op: its taken bit and, for a load or a store, its word
-    /// address.
+    /// A writer for the steps of a program of `code_len` instructions.
+    pub(crate) fn new(code_len: usize) -> ChunkWriter {
+        ChunkWriter {
+            bytes: Vec::new(),
+            taken: Vec::new(),
+            open: 0,
+            branches: 0,
+            refs: 0,
+            deltas: Vec::new(),
+            last_addr: vec![0; code_len],
+            ops: 0,
+            mem_addrs: 0,
+        }
+    }
+
+    /// Writes one op, the step source's step from `pc`: a taken bit if its
+    /// class is `Branch` (the step source classes a conditional branch
+    /// that crosses a boundary `Other`), and an address delta if it is a
+    /// load or a store.
     #[inline]
-    pub(crate) fn push(&mut self, taken: bool, mem_addr: Option<u32>) {
-        self.open |= u8::from(taken) << (self.ops % 8);
-        self.addrs.extend(mem_addr);
-        self.ops += 1;
-        if self.ops.is_multiple_of(8) {
-            self.bytes.push(std::mem::take(&mut self.open));
-            // A chunk's op count is a multiple of 8, so a full chunk
-            // ends on a full byte.
-            if self.ops.is_multiple_of(CHUNK_OPS as u64) {
-                self.seal();
+    pub(crate) fn push(&mut self, pc: u32, class: OpClass, taken: bool, mem_addr: u32) {
+        match class {
+            OpClass::Branch => {
+                self.open |= u8::from(taken) << (self.branches % 8);
+                self.branches += 1;
+                if self.branches.is_multiple_of(8) {
+                    self.taken.push(std::mem::take(&mut self.open));
+                }
             }
+            OpClass::Load | OpClass::Store => {
+                let last = &mut self.last_addr[pc as usize];
+                put_delta(&mut self.deltas, *last, mem_addr);
+                *last = mem_addr;
+                self.refs += 1;
+            }
+            OpClass::Other => {}
+        }
+        self.ops += 1;
+        if self.ops.is_multiple_of(CHUNK_OPS as u64) {
+            self.seal();
         }
     }
 
-    /// Ends the open chunk, its taken bits written, with its address
-    /// count, its addresses and its checksum.
+    /// Ends the open chunk: its branch count and taken bits, its address
+    /// count, its deltas' byte count and deltas, and its checksum.
     fn seal(&mut self) {
+        if !self.branches.is_multiple_of(8) {
+            self.taken.push(std::mem::take(&mut self.open));
+        }
         let index = (self.ops - 1) / CHUNK_OPS as u64;
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&self.branches.to_le_bytes());
+        self.bytes.append(&mut self.taken);
+        self.bytes.extend_from_slice(&self.refs.to_le_bytes());
         self.bytes
-            .extend_from_slice(&(self.addrs.len() as u32).to_le_bytes());
-        put_words(&mut self.bytes, &self.addrs);
-        let sum = chunk_sum(index, &self.bytes[self.start..]);
+            .extend_from_slice(&(self.deltas.len() as u32).to_le_bytes());
+        self.bytes.append(&mut self.deltas);
+        let sum = chunk_sum(index, &self.bytes[start..]);
         self.bytes.extend_from_slice(&sum.to_le_bytes());
-        self.start = self.bytes.len();
-        self.mem_addrs += self.addrs.len() as u64;
-        self.addrs.clear();
+        self.mem_addrs += u64::from(self.refs);
+        (self.branches, self.refs) = (0, 0);
     }
 
-    /// Seals the last chunk. Returns the section's bytes, its op count and
-    /// its memory-address count.
+    /// Seals the last chunk. Returns the section's bytes, without the
+    /// room they grew into, its op count and its memory-address count.
     pub(crate) fn finish(mut self) -> (Vec<u8>, u64, u64) {
-        if !self.ops.is_multiple_of(8) {
-            self.bytes.push(self.open);
-        }
         if !self.ops.is_multiple_of(CHUNK_OPS as u64) {
             self.seal();
         }
+        self.bytes.shrink_to_fit();
         (self.bytes, self.ops, self.mem_addrs)
     }
 }
@@ -776,7 +938,7 @@ impl ChunkWriter {
 /// over them, checking each chunk as a walk does.
 fn check_section(r: &InstrReplay) -> Result<(), CodecError> {
     let mut chunks = r.chunks()?;
-    let mut cursor = ReplayCursor::new(&r.code, &r.bounds);
+    let mut cursor = ReplayCursor::new(r);
     while let Some(mut chunk) = chunks.next_chunk()? {
         while cursor.step(&mut chunk).is_some() {}
         cursor.check(&chunk)?;
@@ -853,6 +1015,7 @@ pub fn write_replay<W: Write>(r: &InstrReplay, key: Fingerprint, out: W) -> io::
         head.escapes,
         head.tasks,
         head.exits,
+        head.instr_bytes,
     ] {
         w.put(&field.to_le_bytes())?;
     }
@@ -884,11 +1047,16 @@ pub fn write_replay<W: Write>(r: &InstrReplay, key: Fingerprint, out: W) -> io::
 ///
 /// If `r` was loaded from disk and a chunk of its artifact fails its read.
 pub fn encode_replay(r: &InstrReplay, key: Fingerprint) -> Vec<u8> {
-    let len = Header::of(r)
-        .file_len()
-        .expect("an in-memory recording fits u64");
+    let len = artifact_len(r);
     let out = Vec::with_capacity(usize::try_from(len).expect("the artifact fits memory"));
     write_replay(r, key, out).unwrap_or_else(|e| panic!("encoding a recording failed: {e}"))
+}
+
+/// The length of recording `r`'s artifact.
+pub(crate) fn artifact_len(r: &InstrReplay) -> u64 {
+    Header::of(r)
+        .file_len()
+        .expect("an in-memory recording fits u64")
 }
 
 /// Deserialises a recording, every section at once, validating integrity
@@ -947,6 +1115,11 @@ impl StoredSection {
         let instrs = head.instr_offset().expect("a checked length");
         r.src.seek(SeekFrom::Start(instrs))?;
         Ok(ChunkReader::new(r.src, head))
+    }
+
+    /// Bytes of the stored section, as its header declares them.
+    pub(crate) fn instr_bytes(&self) -> u64 {
+        self.head.instr_bytes
     }
 
     /// Re-records the section. The first failure goes to the re-recorder;
@@ -1181,36 +1354,94 @@ mod tests {
         decode_replay(&encode_replay(&r, key), key)
     }
 
-    /// Rewrites the first chunk of a real recording through `tamper` (its
-    /// taken bits and its memory addresses) and reseals it, so its address
-    /// count, its checksum and the recording's address total follow the
-    /// tamper. Then checks the section as decoding does.
-    fn check_forged(tamper: impl FnOnce(&mut Vec<u8>, &mut Vec<u32>)) -> Result<(), CodecError> {
+    /// One chunk's stored fields: its branch count and taken bits, its
+    /// address count and its address deltas.
+    struct RawChunk {
+        branches: u32,
+        taken: Vec<u8>,
+        refs: u32,
+        deltas: Vec<u8>,
+    }
+
+    impl RawChunk {
+        /// The chunk whose stored bytes `bytes` begin with.
+        fn parse(bytes: &[u8]) -> RawChunk {
+            let branches = word(bytes, 0);
+            let bits = (branches as usize).div_ceil(8);
+            let k = word(bytes, 8 + bits) as usize;
+            RawChunk {
+                branches,
+                taken: bytes[4..4 + bits].to_vec(),
+                refs: word(bytes, 4 + bits),
+                deltas: bytes[12 + bits..12 + bits + k].to_vec(),
+            }
+        }
+
+        /// The chunk's bytes as chunk `index` stores them, checksum last.
+        fn seal(&self, index: u64) -> Vec<u8> {
+            let mut out = self.branches.to_le_bytes().to_vec();
+            out.extend_from_slice(&self.taken);
+            out.extend_from_slice(&self.refs.to_le_bytes());
+            out.extend_from_slice(&(self.deltas.len() as u32).to_le_bytes());
+            out.extend_from_slice(&self.deltas);
+            out.extend_from_slice(&chunk_sum(index, &out).to_le_bytes());
+            out
+        }
+
+        /// Where each of its deltas starts in `deltas`.
+        fn delta_starts(&self) -> Vec<usize> {
+            let mut starts = vec![0];
+            starts.extend(
+                self.deltas
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b < 0x80)
+                    .map(|(i, _)| i + 1),
+            );
+            starts.pop();
+            starts
+        }
+
+        /// Sets the branch count to `n`, keeping the first bits and
+        /// clearing any bit past `n`.
+        fn set_branches(&mut self, n: u32) {
+            self.branches = n;
+            self.taken.resize((n as usize).div_ceil(8), 0);
+            if !n.is_multiple_of(8) {
+                *self.taken.last_mut().unwrap() &= (1u8 << (n % 8)) - 1;
+            }
+        }
+    }
+
+    /// Rewrites the first chunk of a real recording through `tamper` and
+    /// reseals it, so its checksum, the recording's address total and its
+    /// section's length follow the tamper. Then checks the section as
+    /// decoding does.
+    fn check_forged(tamper: impl FnOnce(&mut RawChunk)) -> Result<(), CodecError> {
         let mut r = recording();
         let mut chunks = r.chunks().unwrap();
-        let chunk = chunks.next_chunk().unwrap().expect("a chunk");
-        let (mut taken, mut addrs) = (chunk.taken.to_vec(), chunk.mem_addrs.to_vec());
-        let (len, m) = (chunks.bytes().len(), addrs.len());
+        chunks.next_chunk().unwrap().expect("a chunk");
+        let stored = chunks.bytes().to_vec();
         drop(chunks);
-        assert!(m > 0 && taken.iter().any(|&b| b != 0));
-        tamper(&mut taken, &mut addrs);
-        let mut forged = taken;
-        forged.extend_from_slice(&(addrs.len() as u32).to_le_bytes());
-        put_words(&mut forged, &addrs);
-        forged.extend_from_slice(&chunk_sum(0, &forged).to_le_bytes());
-        r.mem_addrs = r.mem_addrs + addrs.len() as u64 - m as u64;
+        let mut chunk = RawChunk::parse(&stored);
+        let m = chunk.refs;
+        assert!(m > 0 && chunk.taken.iter().any(|&b| b != 0));
+        tamper(&mut chunk);
+        r.mem_addrs = r.mem_addrs + u64::from(chunk.refs) - u64::from(m);
         let Section::Held(bytes) = &mut r.section else {
             unreachable!("a fresh recording holds its section")
         };
-        bytes.splice(..len, forged);
+        bytes.splice(..stored.len(), chunk.seal(0));
         check_section(&r)
     }
 
     #[test]
     fn dropped_memory_address_is_malformed() {
         assert_eq!(
-            check_forged(|_, addrs| {
-                addrs.pop();
+            check_forged(|c| {
+                let last = *c.delta_starts().last().unwrap();
+                c.deltas.truncate(last);
+                c.refs -= 1;
             })
             .unwrap_err(),
             CodecError::Malformed("load/store count differs from mem_addrs")
@@ -1222,7 +1453,11 @@ mod tests {
         // The chunk's count takes it, so only the step finds the address
         // no load or store uses.
         assert_eq!(
-            check_forged(|_, addrs| addrs.push(0)).unwrap_err(),
+            check_forged(|c| {
+                c.deltas.push(0);
+                c.refs += 1;
+            })
+            .unwrap_err(),
             CodecError::Malformed("load/store count differs from mem_addrs")
         );
     }
@@ -1235,8 +1470,9 @@ mod tests {
         let key = fingerprint_of(&"key");
         let bytes = encode_replay(&r, key);
         let head = Header::of(&r);
-        let at = (head.instr_offset().unwrap() + head.ops.div_ceil(8)) as usize;
-        let count = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let start = head.instr_offset().unwrap() as usize;
+        let at = start + 4 + (word(&bytes, start) as usize).div_ceil(8);
+        let count = word(&bytes, at);
         assert_eq!(u64::from(count), head.mem_addrs);
         for forged in [count + 1, count - 1] {
             let mut bytes = bytes.clone();
@@ -1249,12 +1485,124 @@ mod tests {
     }
 
     #[test]
-    fn taken_bit_off_an_intra_task_branch_is_malformed() {
-        // The first op loads an immediate.
+    fn a_taken_bit_count_other_than_the_chunks_branches_is_malformed() {
+        // One bit too many is left over; one too few leaves the last
+        // branch without its bit.
+        for more in [true, false] {
+            assert_eq!(
+                check_forged(|c| c.set_branches(if more {
+                    c.branches + 1
+                } else {
+                    c.branches - 1
+                }))
+                .unwrap_err(),
+                CodecError::Malformed("taken-bit count differs from the chunk's branches"),
+                "one bit too {}",
+                if more { "many" } else { "few" }
+            );
+        }
+    }
+
+    #[test]
+    fn a_taken_bit_past_the_chunks_branches_is_malformed() {
         assert_eq!(
-            check_forged(|taken, _| taken[0] |= 1).unwrap_err(),
-            CodecError::Malformed("taken bit off an intra-task branch")
+            check_forged(|c| {
+                // Bit 7 of the last byte lies past the branches, once they
+                // do not fill it.
+                if c.branches.is_multiple_of(8) {
+                    c.branches -= 1;
+                }
+                *c.taken.last_mut().unwrap() |= 0x80;
+            })
+            .unwrap_err(),
+            CodecError::Malformed("taken bit past the chunk's branches")
         );
+    }
+
+    #[test]
+    fn address_deltas_must_fill_their_bytes_exactly() {
+        // The last delta running past the bytes, and a byte left over.
+        let cases: [fn(&mut RawChunk); 2] = [
+            |c| *c.deltas.last_mut().unwrap() |= 0x80,
+            |c| c.deltas.push(0),
+        ];
+        for tamper in cases {
+            assert_eq!(
+                check_forged(tamper).unwrap_err(),
+                CodecError::Malformed("address deltas differ from their byte count")
+            );
+        }
+        // More than five bytes per address fails before any op is
+        // stepped.
+        assert_eq!(
+            check_forged(|c| c.deltas = vec![0; 5 * c.refs as usize + 1]).unwrap_err(),
+            CodecError::Malformed("chunk delta bytes past five per address")
+        );
+    }
+
+    #[test]
+    fn an_overlong_address_delta_is_malformed() {
+        // The first delta with one more group, of zero bits.
+        assert_eq!(
+            check_forged(|c| {
+                let end = c.delta_starts()[1];
+                c.deltas[end - 1] |= 0x80;
+                c.deltas.insert(end, 0);
+            })
+            .unwrap_err(),
+            CodecError::Malformed("address delta not in its shortest form")
+        );
+    }
+
+    #[test]
+    fn address_deltas_round_trip_at_their_edges() {
+        let lens = [
+            (0, 1),
+            (1, 1),
+            (-1, 1),
+            (63, 1),
+            (-63, 1),
+            (64, 2),
+            (-64, 1),
+            (8191, 2),
+            (-8191, 2),
+            (8192, 3),
+            (-8192, 2),
+            (i32::MIN, 5),
+            (i32::MAX, 5),
+        ];
+        // The last values put the delta across the wrap of u32.
+        for last in [0, 7, 1 << 31, u32::MAX - 2, u32::MAX] {
+            for (delta, len) in lens {
+                let addr = last.wrapping_add(delta as u32);
+                let mut out = Vec::new();
+                put_delta(&mut out, last, addr);
+                assert_eq!(out.len(), len, "delta {delta}");
+                out.push(0x55);
+                let mut bytes = &out[..];
+                let read = read_delta(&mut bytes).map(|d| last.wrapping_add(d));
+                assert_eq!(read, Ok(addr), "delta {delta} from {last}");
+                assert_eq!(bytes, [0x55], "delta {delta}: its bytes, no more");
+            }
+        }
+        // A delta that wraps: from near the top of u32 to near 0 is +8.
+        let mut out = Vec::new();
+        put_delta(&mut out, u32::MAX - 2, 5);
+        assert_eq!(out, [16]);
+        let refused: [(&[u8], BadDelta); 7] = [
+            (&[], BadDelta::PastStream),
+            (&[0x80], BadDelta::PastStream),
+            (&[0xFF, 0xFF, 0xFF, 0xFF], BadDelta::PastStream),
+            (&[0x80, 0x00], BadDelta::Overlong),
+            (&[0xFF, 0x80, 0x00], BadDelta::Overlong),
+            (&[0xFF, 0xFF, 0xFF, 0xFF, 0x10], BadDelta::Overlong),
+            (&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], BadDelta::Overlong),
+        ];
+        for (stored, why) in refused {
+            let mut bytes = stored;
+            assert_eq!(read_delta(&mut bytes), Err(why), "{stored:?}");
+            assert!(bytes.is_empty(), "{stored:?}");
+        }
     }
 
     /// The index of the first op of `r`'s entry task whose code entry
@@ -1329,8 +1677,15 @@ mod tests {
 
     #[test]
     fn memory_address_beyond_mem_words_is_malformed() {
+        // The recording's first reference, whose delta is its address.
         assert_eq!(
-            check_forged(|_, addrs| addrs[0] = recording().mem_words as u32).unwrap_err(),
+            check_forged(|c| {
+                let end = c.delta_starts()[1];
+                let mut first = Vec::new();
+                put_delta(&mut first, 0, recording().mem_words as u32);
+                c.deltas.splice(..end, first);
+            })
+            .unwrap_err(),
             CodecError::Malformed("memory address beyond mem_words")
         );
     }
@@ -1536,7 +1891,7 @@ mod tests {
         let mut bytes = encode_replay(&recording(), key);
         let count = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
         let (b, s, e, n, x) = (count(56), count(64), count(72), count(80), count(88));
-        let start = 96 + b + 4 * (e + s) + 8;
+        let start = 104 + b + 4 * (e + s) + 8;
         let column = [
             start + 4 * n..start + 5 * n,
             start + 5 * n..start + 5 * n + x,

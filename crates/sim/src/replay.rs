@@ -59,30 +59,36 @@
 //!         or call, the halt)
 //!   ```
 //!
-//! * one **taken bit** per op, set on each taken intra-task conditional
-//!   branch;
-//! * the **word address** of each load and store, in program order.
+//! * one **taken bit** per intra-task conditional branch: an op whose
+//!   entry's class is a conditional branch and which ends no task;
+//! * one **address delta** per load and store, in program order: its word
+//!   address minus the previous address at the same pc (0 before that
+//!   pc's first).
 //!
 //! The cursor regenerates each step from the entry at its pc. The next pc
 //! comes from the boundary's `next` on the op that ends its task, else
-//! from the taken bit (a conditional branch not taken falls through), else
-//! from the static successor. A boundary-crossing conditional branch is
-//! classed `Other` there, as the interpreter step source classes it: the
-//! intra predictor never sees it.
+//! from the branch's taken bit (a conditional branch not taken falls
+//! through), else from the static successor. A boundary-crossing
+//! conditional branch reads no bit and is classed `Other` there, as the
+//! interpreter step source classes it: the intra predictor never sees it.
+//! A load or store adds its delta to the last address at its pc, which the
+//! cursor keeps per pc.
 //!
 //! # Where the instruction section lives
 //!
-//! The taken bits and the memory addresses form the instruction section,
+//! The taken bits and the address deltas form the instruction section,
 //! which only timing walks read. It has one form: the artifact's run of
 //! self-checked chunks of [`crate::codec::CHUNK_OPS`] ops, which the
 //! recorder writes as it records. A fresh or decoded recording holds those
 //! bytes. A recording loaded from the artifact cache
 //! ([`crate::codec::open_replay`]) holds only its boundary section and its
 //! code table, and each walk reads the section from disk. Either way one
-//! chunk reader feeds the walk through one bounded buffer, checking each
-//! chunk's bytes before any of its ops is stepped, and one cursor steps
-//! the chunks in order, carrying its pc and its place in the task sequence
-//! from each chunk to the next.
+//! chunk reader feeds the walk, handing out a held section's chunks as
+//! slices of its bytes and reading a stored one's through one bounded
+//! buffer, and checks each chunk's bytes before any of its ops is stepped.
+//! One cursor steps the chunks in order, decoding each op's bit and
+//! address as it steps it, and carries its pc, its place in the task
+//! sequence and each pc's last address from each chunk to the next.
 //!
 //! Recording resolves every possible failure (execution faults, unmatched
 //! exits, intra-task transfers without a static successor, the step
@@ -97,7 +103,8 @@
 //! and decoding checks; a walk whose chunk read from disk fails its read
 //! or its flags starts over on a fresh recording's section. The cursor
 //! itself is total: its pc never leaves the code table and its sentinel,
-//! and a missing memory address reads as word 0. That is why
+//! a missing taken bit reads as not taken, and a missing, undecodable or
+//! out-of-range memory address reads as word 0. That is why
 //! [`simulate_replay`] is infallible.
 
 use std::fmt;
@@ -108,7 +115,10 @@ use multiscalar_isa::{memory_words, Addr, Fingerprint, Instruction, Program, NUM
 use multiscalar_taskform::TaskProgram;
 
 use crate::arb::ArbTable;
-use crate::codec::{write_replay, ChunkReader, ChunkWriter, CodecError, StoredSection};
+use crate::codec::{
+    artifact_len, read_delta, write_replay, BadDelta, ChunkReader, ChunkWriter, CodecError,
+    StoredSection,
+};
 use crate::measure::{measure_outcomes, Outcomes};
 use crate::metrics::{FrontierCause, MetricsSink, NoopSink, StallCause};
 use crate::timing::{
@@ -250,8 +260,8 @@ impl CodeTable {
 ///
 /// A recording has a boundary section, the task trace every predictor
 /// sweep reads; the program's code table; and an instruction section (the
-/// taken bits and the memory addresses), which only timing walks read, in
-/// the artifact's chunks. A fresh or decoded recording holds those bytes;
+/// intra-task branches' taken bits and the memory references' address
+/// deltas), which only timing walks read, in the artifact's chunks. A fresh or decoded recording holds those bytes;
 /// a recording loaded from disk ([`crate::codec::open_replay`]) does not,
 /// and each walk reads them from disk
 /// ([`InstrReplay::holds_instructions`]).
@@ -319,6 +329,26 @@ impl InstrReplay {
         }
     }
 
+    /// Bytes of the instruction section, held or as its artifact stores
+    /// them.
+    pub(crate) fn section_len(&self) -> u64 {
+        match &self.section {
+            Section::Held(bytes) => bytes.len() as u64,
+            Section::Stored(stored) => stored.instr_bytes(),
+        }
+    }
+
+    /// Bytes the recording holds, as its artifact counts them: the
+    /// artifact's length, less the instruction section when that is left
+    /// on disk ([`InstrReplay::holds_instructions`]).
+    pub fn held_bytes(&self) -> u64 {
+        let len = artifact_len(self);
+        match self.unread_section() {
+            Some(stored) => len - stored.instr_bytes(),
+            None => len,
+        }
+    }
+
     /// Committed instructions in the recording.
     pub fn instructions(&self) -> u64 {
         self.instructions
@@ -352,48 +382,54 @@ impl fmt::Debug for InstrReplay {
     }
 }
 
-/// A run of consecutive ops of a recording and the memory addresses they
-/// consume: what the cursor steps, one chunk of the instruction section
-/// ([`crate::codec::CHUNK_OPS`] ops, the last chunk the rest).
+/// A run of consecutive ops of a recording with the taken bits and the
+/// address deltas they read: what the cursor steps, one chunk of the
+/// instruction section ([`crate::codec::CHUNK_OPS`] ops, the last chunk
+/// the rest).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Chunk<'a> {
-    /// Taken bits; the next op reads bit `at`, and the chunk ends at bit
-    /// `end`.
-    pub(crate) taken: &'a [u8],
+    /// Ops: the next is op `at`, and the chunk ends at op `end`.
     pub(crate) at: usize,
     pub(crate) end: usize,
-    /// The addresses its remaining loads and stores consume.
-    pub(crate) mem_addrs: &'a [u32],
     /// Whether the chunk ends the recording, so its last op is the halt.
     pub(crate) last: bool,
+    /// The taken bits of its `branches` intra-task conditional branches;
+    /// the next branch reads bit `bit`.
+    pub(crate) taken: &'a [u8],
+    pub(crate) branches: usize,
+    pub(crate) bit: usize,
+    /// Its loads and stores not yet stepped, and the address deltas they
+    /// read.
+    pub(crate) refs: usize,
+    pub(crate) deltas: &'a [u8],
 }
 
 /// Executes the program once and records its [`InstrReplay`].
 ///
 /// The recording drains the interpreter step source that also feeds
-/// [`crate::timing::simulate`], writing each step's taken bit and memory
-/// address into the instruction section's chunks as the artifact lays
-/// them out, and each boundary into the boundary section in its compact
-/// form: the exit, the task's size, and a target only where the task
-/// header has none. Both grow as they fill. It therefore fails in exactly
-/// the situations the oracle does: execution faults, unmatched boundary
-/// crossings, intra-task transfers without a static successor, and
-/// step-budget exhaustion.
+/// [`crate::timing::simulate`], writing each intra-task branch's taken bit
+/// and each memory reference's address delta into the instruction
+/// section's chunks as the artifact lays them out, and each boundary into
+/// the boundary section in its compact form: the exit, the task's size,
+/// and a target only where the task header has none. Both grow as they
+/// fill, and keep only their bytes once the run ends. It therefore fails
+/// in exactly the situations the oracle does: execution faults, unmatched
+/// boundary crossings, intra-task transfers without a static successor,
+/// and step-budget exhaustion.
 pub fn record_replay(
     program: &Program,
     tasks: &TaskProgram,
     max_steps: u64,
 ) -> Result<InstrReplay, TraceError> {
     let mut source = InterpSource::new(program, tasks, max_steps);
-    let mut section = ChunkWriter::default();
     let code = source.code();
+    let mut section = ChunkWriter::new(code.len());
     let mut bounds = SharedTrace::new(TaskTable::of(tasks, code), code.entry);
 
     let mut task_instrs = 0u32;
     loop {
         let step = source.next_step()?;
-        let mem = matches!(step.class, OpClass::Load | OpClass::Store).then_some(step.mem_addr);
-        section.push(step.taken, mem);
+        section.push(step.pc.0, step.class, step.taken, step.mem_addr);
         task_instrs += 1;
         if let Some(b) = step.boundary {
             bounds.push(b, task_instrs);
@@ -406,6 +442,11 @@ pub fn record_replay(
     }
 
     let (bytes, instructions, mem_addrs) = section.finish();
+    // A recording a server keeps for its lifetime holds the sections'
+    // bytes, not the room they grew into.
+    bounds.bytes.shrink_to_fit();
+    bounds.sizes.shrink_to_fit();
+    bounds.targets.shrink_to_fit();
     Ok(InstrReplay {
         section: Section::Held(bytes),
         instructions,
@@ -437,10 +478,12 @@ pub fn derive_trace(replay: &InstrReplay, tasks: &TaskProgram) -> TraceRun {
 }
 
 /// A cursor stepping a recording's chunks in order, regenerating each op
-/// from the code table. It carries the pc and the task clock from each
-/// chunk to the next. Total: its pc stays in the table, a missing memory
-/// address reads as word 0, and recording guarantees neither happens on
-/// a fresh path. Each step flags the rules of the path its op breaks
+/// from the code table and decoding its taken bit and its address. It
+/// carries the pc, the task clock and each pc's last address from each
+/// chunk to the next. Total: its pc stays in the table, a missing taken
+/// bit reads as not taken, a missing, undecodable or out-of-range memory
+/// address reads as word 0, and recording guarantees none of that happens
+/// on a fresh path. Each step flags the rules of the path its op breaks
 /// ([`ReplayCursor::check`]).
 pub(crate) struct ReplayCursor<'a> {
     /// The code table's entries, its sentinel included.
@@ -449,6 +492,11 @@ pub(crate) struct ReplayCursor<'a> {
     pc: u32,
     /// Where the walk is in the task sequence.
     clock: TaskClock<'a>,
+    /// Per pc, the word address of its last load or store (0 before its
+    /// first), which the next one's delta is added to.
+    last_addr: Vec<u32>,
+    /// The data memory's size in words, which every address lies below.
+    mem_words: usize,
     /// The rules its steps found broken, one bit each.
     flags: u32,
 }
@@ -503,30 +551,39 @@ impl<'a> TaskClock<'a> {
 // sentinel flags its op-word bit.
 /// The halt is not the recording's last op, or its last op is no halt.
 const MISPLACED_HALT: u32 = 1;
-/// A taken bit is set on an op that is not an intra-task conditional
-/// branch.
-const STRAY_TAKEN: u32 = 1 << 1;
+/// An intra-task conditional branch found no taken bit left in its chunk,
+/// or the chunk ended with bits left.
+const UNMATCHED_BIT: u32 = 1 << 1;
 /// A load or store found no address left in its chunk, or the chunk ended
 /// with addresses left.
 const UNMATCHED_ADDRESS: u32 = 1 << 2;
+/// A delta ran past its chunk's delta bytes, or the chunk ended with bytes
+/// left.
+const DELTA_BYTES: u32 = 1 << 3;
+/// A delta is not a `u32` varint in its shortest form.
+const OVERLONG_DELTA: u32 = 1 << 4;
+/// An address is at or past `mem_words`.
+const WILD_ADDRESS: u32 = 1 << 5;
 
 impl<'a> ReplayCursor<'a> {
-    /// A cursor at the first op of the recording whose code table is
-    /// `code` and whose boundary section is `bounds`.
-    pub(crate) fn new(code: &'a CodeTable, bounds: &'a SharedTrace) -> ReplayCursor<'a> {
+    /// A cursor at the first op of recording `r`.
+    pub(crate) fn new(r: &'a InstrReplay) -> ReplayCursor<'a> {
         ReplayCursor {
-            code: &code.entries,
-            pc: code.entry,
-            clock: TaskClock::start(bounds),
+            code: &r.code.entries,
+            pc: r.code.entry,
+            clock: TaskClock::start(&r.bounds),
+            last_addr: vec![0; r.code.entries.len()],
+            mem_words: r.mem_words,
             flags: 0,
         }
     }
 
     /// The next op of `chunk`, or `None` past its last. The next pc is the
     /// boundary's `next` on an op that ends its task, else the entry's
-    /// [`CodeEntry::next`]. The step also flags the rules the op breaks,
-    /// for [`ReplayCursor::check`]. Forced inline so the step lives in the
-    /// walk's loop, in registers.
+    /// [`CodeEntry::next`], an intra-task conditional branch reading its
+    /// taken bit. A load or a store reads its address delta. The step also
+    /// flags the rules the op breaks, for [`ReplayCursor::check`]. Forced
+    /// inline so the step lives in the walk's loop, in registers.
     #[inline(always)]
     pub(crate) fn step(&mut self, chunk: &mut Chunk<'_>) -> Option<CoreStep> {
         let i = chunk.at;
@@ -536,25 +593,32 @@ impl<'a> ReplayCursor<'a> {
         chunk.at = i + 1;
         let pc = self.pc;
         let entry = self.code[pc as usize];
-        let bit = (chunk.taken[i / 8] >> (i % 8)) & 1 != 0;
-        let bound = self.clock.tick();
-        self.pc = match bound {
-            Some(e) => e.next.0,
-            None => entry.next(pc, bit),
-        };
         let mut class = entry.class();
-
-        let mem_addr = if matches!(class, OpClass::Load | OpClass::Store) {
-            match chunk.mem_addrs.split_first() {
-                Some((&a, rest)) => {
-                    chunk.mem_addrs = rest;
-                    a
+        let mut taken = false;
+        let boundary = match self.clock.tick() {
+            Some(e) => {
+                // The intra predictor never sees boundary-crossing
+                // branches, and they keep no taken bit.
+                if class == OpClass::Branch {
+                    class = OpClass::Other;
                 }
-                None => {
-                    self.flags |= UNMATCHED_ADDRESS;
-                    0
-                }
+                self.pc = e.next.0;
+                Some(BoundaryStep {
+                    task: e.task.0,
+                    exit: e.exit,
+                    next: e.next,
+                })
             }
+            None => {
+                if class == OpClass::Branch {
+                    taken = self.taken_bit(chunk);
+                }
+                self.pc = entry.next(pc, taken);
+                None
+            }
+        };
+        let mem_addr = if matches!(class, OpClass::Load | OpClass::Store) {
+            self.address(pc, chunk)
         } else {
             0
         };
@@ -563,29 +627,8 @@ impl<'a> ReplayCursor<'a> {
         // the task sizes leave the halting task its op, so the halt is
         // never a boundary.
         let halt = chunk.last & (chunk.at == chunk.end);
-        let stray = bit & (bound.is_some() | (class != OpClass::Branch));
         self.flags |= entry.op & SENTINEL_BIT;
         self.flags |= u32::from(entry.is_halt() != halt) * MISPLACED_HALT;
-        self.flags |= u32::from(stray) * STRAY_TAKEN;
-        let mut taken = false;
-        let boundary = match bound {
-            Some(e) => {
-                // The intra predictor never sees boundary-crossing
-                // branches.
-                if class == OpClass::Branch {
-                    class = OpClass::Other;
-                }
-                Some(BoundaryStep {
-                    task: e.task.0,
-                    exit: e.exit,
-                    next: e.next,
-                })
-            }
-            None => {
-                taken = bit & (class == OpClass::Branch);
-                None
-            }
-        };
 
         Some(CoreStep {
             src1: entry.op as u8,
@@ -600,23 +643,78 @@ impl<'a> ReplayCursor<'a> {
         })
     }
 
+    /// The taken bit of the intra-task conditional branch `chunk` steps.
+    #[inline(always)]
+    fn taken_bit(&mut self, chunk: &mut Chunk<'_>) -> bool {
+        let j = chunk.bit;
+        if j == chunk.branches {
+            self.flags |= UNMATCHED_BIT;
+            return false;
+        }
+        chunk.bit = j + 1;
+        (chunk.taken[j / 8] >> (j % 8)) & 1 != 0
+    }
+
+    /// The word address of the load or store at `pc` that `chunk` steps:
+    /// its delta added to the last address at `pc`.
+    #[inline(always)]
+    fn address(&mut self, pc: u32, chunk: &mut Chunk<'_>) -> u32 {
+        if chunk.refs == 0 {
+            self.flags |= UNMATCHED_ADDRESS;
+            return 0;
+        }
+        chunk.refs -= 1;
+        let delta = match read_delta(&mut chunk.deltas) {
+            Ok(delta) => delta,
+            Err(BadDelta::PastStream) => {
+                self.flags |= DELTA_BYTES;
+                return 0;
+            }
+            Err(BadDelta::Overlong) => {
+                self.flags |= OVERLONG_DELTA;
+                return 0;
+            }
+        };
+        let last = &mut self.last_addr[pc as usize];
+        *last = last.wrapping_add(delta);
+        if *last as usize >= self.mem_words {
+            self.flags |= WILD_ADDRESS;
+            return 0;
+        }
+        *last
+    }
+
     /// Ends `chunk`, which the cursor has stepped to its end: the first
-    /// rule its steps broke, in the order below, or addresses left
-    /// unused. Every pc is inside the code, so an op that ends no
-    /// task has a static successor; the halt is the recording's last op
-    /// and no other; a set taken bit sits only on an intra-task
-    /// conditional branch; and a chunk's loads and stores use exactly its
-    /// addresses.
+    /// rule its steps broke, in the order below, counting bits, addresses
+    /// or delta bytes left unused. Every pc is inside the code, so an op
+    /// that ends no task has a static successor; the halt is the
+    /// recording's last op and no other; the chunk's intra-task
+    /// conditional branches read exactly its taken bits and its loads and
+    /// stores exactly its deltas; every delta is in its shortest form, and
+    /// the deltas take exactly their bytes (a bad delta leaves none for
+    /// the rest); and every address lies below `mem_words`.
     pub(crate) fn check(&self, chunk: &Chunk<'_>) -> Result<(), CodecError> {
         let mut flags = self.flags;
-        if !chunk.mem_addrs.is_empty() {
+        if chunk.bit != chunk.branches {
+            flags |= UNMATCHED_BIT;
+        }
+        if chunk.refs != 0 {
             flags |= UNMATCHED_ADDRESS;
+        }
+        if !chunk.deltas.is_empty() {
+            flags |= DELTA_BYTES;
         }
         let broken = [
             (SENTINEL_BIT, "an op inside a task has no static successor"),
             (MISPLACED_HALT, "the halt is not the recording's last op"),
-            (STRAY_TAKEN, "taken bit off an intra-task branch"),
+            (
+                UNMATCHED_BIT,
+                "taken-bit count differs from the chunk's branches",
+            ),
             (UNMATCHED_ADDRESS, "load/store count differs from mem_addrs"),
+            (OVERLONG_DELTA, "address delta not in its shortest form"),
+            (DELTA_BYTES, "address deltas differ from their byte count"),
+            (WILD_ADDRESS, "memory address beyond mem_words"),
         ]
         .into_iter()
         .find(|&(flag, _)| flags & flag != 0);
@@ -770,7 +868,7 @@ fn walk_section<const N: usize, M: MetricsSink>(
 ) -> Result<[TimingResult; N], CodecError> {
     let mut chunks = replay.chunks()?;
     let mut core = LaneCore::new(lanes, replay.mem_words, sinks);
-    let mut cursor = ReplayCursor::new(&replay.code, &replay.bounds);
+    let mut cursor = ReplayCursor::new(replay);
     while let Some(mut chunk) = chunks.next_chunk()? {
         while let Some(step) = cursor.step(&mut chunk) {
             core.on_step(&step, sinks);

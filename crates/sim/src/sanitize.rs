@@ -74,7 +74,7 @@ pub fn check_replay_agreement(
         panic!("sanitize: the recording breaks a rule of its path: {e}")
     }
     let mut chunks = replay.chunks().unwrap_or_else(broken);
-    let mut cursor = ReplayCursor::new(&replay.code, &replay.bounds);
+    let mut cursor = ReplayCursor::new(&replay);
     let mut interp = InterpSource::new(program, tasks, max_steps);
     let mut steps = 0u64;
     // The replay's last op is the halt, so equal steps end both feeds

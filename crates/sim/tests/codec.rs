@@ -9,7 +9,7 @@
 //! memory addresses: its regenerated steps equal the interpreter's, its
 //! boundary section takes a byte per task and a target per return or
 //! indirect exit, with a task longer than a byte holds escaped, and its
-//! instruction section takes a bit per op and four bytes per memory
+//! instruction section a bit per intra-task branch and a varint per memory
 //! reference.
 
 use std::hash::Hasher as _;
@@ -52,11 +52,11 @@ use multiscalar_workloads::{fuzz, Spec92, WorkloadParams};
 fn round_trip_and_derived_trace_match_on_all_workloads() {
     let params = WorkloadParams::small(7);
     let pinned = [
-        ("gcc", "28a4a3717042369bcff0c9664b2922de"),
-        ("compress", "9de653b2c17f1a5178b0102878c4a537"),
-        ("espresso", "8ce4ce1777f99a88f431eb7d3586f434"),
-        ("sc", "fbd63195438e58b3571873bdeb3bf264"),
-        ("xlisp", "1ea1836a59204b21b3b64343340ac9d8"),
+        ("gcc", "0306ca16b85f906a2439b814ead31b69"),
+        ("compress", "75caa40e141ed549b2950fe568cce5dd"),
+        ("espresso", "fe8d12ded81eb52ed2bfb9eda7fe3c64"),
+        ("sc", "c1f7b7519e97f7a8a1c49a5d2887ab70"),
+        ("xlisp", "ad04794ca1d075114be1fec50b12a21e"),
     ];
     let names: Vec<_> = Spec92::ALL.iter().map(|s| s.name()).collect();
     assert_eq!(names, pinned.map(|(name, _)| name));
@@ -181,13 +181,18 @@ fn boundary_bytes(bytes: &[u8]) -> usize {
 }
 
 /// Where the instruction section of an encoded artifact starts: after the
-/// 96-byte header, the boundary section and its checksum, the task
+/// 104-byte header, the boundary section and its checksum, the task
 /// section (5 bytes per task and per task exit) and its checksum, then the
 /// code section (the entry pc and 8 bytes per instruction) and its
 /// checksum.
 fn instr_offset(bytes: &[u8]) -> usize {
     let (code, tasks, exits) = (count(bytes, 48), count(bytes, 80), count(bytes, 88));
-    96 + boundary_bytes(bytes) + 8 + 5 * (tasks + exits) + 8 + 4 + 8 * code + 8
+    104 + boundary_bytes(bytes) + 8 + 5 * (tasks + exits) + 8 + 4 + 8 * code + 8
+}
+
+/// The little-endian `u32` at byte `at` of `bytes`.
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
 /// A per-test scratch file.
@@ -218,9 +223,10 @@ fn open_replay_leaves_the_instruction_section_to_the_walks() {
     let key = fingerprint_of(&"lazy");
     let (replay, descs, mut bytes) = compress_artifact(key);
     let path = scratch_file("lazy");
-    // A memory address of the first chunk, past its taken bits and its
-    // address count.
-    let at = instr_offset(&bytes) + CHUNK_OPS / 8 + 4;
+    // An address delta of the first chunk, past its branch count, its
+    // taken bits, its address count and its delta bytes.
+    let first = instr_offset(&bytes);
+    let at = first + 12 + (word(&bytes, first) as usize).div_ceil(8);
     bytes[at] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
 
@@ -528,14 +534,37 @@ fn the_artifact_layout_is_pinned() {
     let bytes = encode_replay(&r, fingerprint_of(&"pinned"));
     assert_eq!(
         fingerprint_of(&bytes).to_string(),
-        "835cea6cd9d85d851c1ecf4b9c89d85e",
+        "05e4a65c87d9db56c2887a4ecd8ba9ee",
         "the artifact layout moved: a layout change bumps CACHE_SCHEMA and \
          this constant together"
     );
 }
 
-/// One stored chunk: its taken bits and its memory addresses.
-type StoredChunk = (Vec<u8>, Vec<u32>);
+/// One stored chunk: its branch count and taken bits, its address count
+/// and its address deltas.
+#[derive(Debug, Clone, PartialEq)]
+struct StoredChunk {
+    branches: u32,
+    taken: Vec<u8>,
+    refs: u32,
+    deltas: Vec<u8>,
+}
+
+impl StoredChunk {
+    /// Where its last delta starts: after the last-but-one varint's final
+    /// byte, the only bytes below 0x80.
+    fn last_delta(&self) -> usize {
+        let ends = self.deltas[..self.deltas.len() - 1]
+            .iter()
+            .rposition(|&b| b < 0x80);
+        ends.map_or(0, |at| at + 1)
+    }
+
+    /// Where its first delta ends.
+    fn first_delta_end(&self) -> usize {
+        1 + self.deltas.iter().position(|&b| b < 0x80).unwrap()
+    }
+}
 
 /// The chunks of an encoded artifact's instruction section.
 fn chunks_of(bytes: &[u8]) -> Vec<StoredChunk> {
@@ -543,32 +572,38 @@ fn chunks_of(bytes: &[u8]) -> Vec<StoredChunk> {
     let mut at = instr_offset(bytes);
     let mut chunks = Vec::new();
     while ops > 0 {
-        let n = ops.min(CHUNK_OPS);
-        let bits = bytes[at..at + n.div_ceil(8)].to_vec();
-        at += bits.len();
-        let m = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let addrs = bytes[at + 4..at + 4 + 4 * m]
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        chunks.push((bits, addrs));
-        at += 4 + 4 * m + 8;
-        ops -= n;
+        let branches = word(bytes, at);
+        let bits = (branches as usize).div_ceil(8);
+        let k = word(bytes, at + 8 + bits) as usize;
+        let deltas = at + 12 + bits;
+        chunks.push(StoredChunk {
+            branches,
+            taken: bytes[at + 4..at + 4 + bits].to_vec(),
+            refs: word(bytes, at + 4 + bits),
+            deltas: bytes[deltas..deltas + k].to_vec(),
+        });
+        at = deltas + k + 8;
+        ops -= ops.min(CHUNK_OPS);
     }
     assert_eq!(at, bytes.len(), "the chunks fill the file");
+    assert_eq!(
+        count(bytes, 96),
+        at - instr_offset(bytes),
+        "the header's section length"
+    );
     chunks
 }
 
 /// `bytes` with its instruction section rewritten as `chunks`, each with
-/// its address count and a checksum that matches it.
+/// its counts and a checksum that matches it.
 fn with_chunks(bytes: &[u8], chunks: &[StoredChunk]) -> Vec<u8> {
     let mut out = bytes[..instr_offset(bytes)].to_vec();
-    for (index, (bits, addrs)) in chunks.iter().enumerate() {
-        let mut chunk = bits.clone();
-        chunk.extend_from_slice(&(addrs.len() as u32).to_le_bytes());
-        for a in addrs {
-            chunk.extend_from_slice(&a.to_le_bytes());
-        }
+    for (index, c) in chunks.iter().enumerate() {
+        let mut chunk = c.branches.to_le_bytes().to_vec();
+        chunk.extend_from_slice(&c.taken);
+        chunk.extend_from_slice(&c.refs.to_le_bytes());
+        chunk.extend_from_slice(&(c.deltas.len() as u32).to_le_bytes());
+        chunk.extend_from_slice(&c.deltas);
         let mut sum = FingerprintHasher::new();
         sum.write_u64(index as u64);
         sum.write(&chunk);
@@ -578,11 +613,10 @@ fn with_chunks(bytes: &[u8], chunks: &[StoredChunk]) -> Vec<u8> {
     out
 }
 
-/// One memory address moved between the first two chunks, in either
-/// direction, with both counts and both checksums fixed to match: the
-/// file's length and its address total still fit, and only stepping the
-/// first chunk finds a load or store without its address, or an address
-/// left over. The decoder refuses it. A walk over it loaded from disk has
+/// One address delta moved between the first two chunks, in either
+/// direction, with their counts and checksums fixed to match: the file's
+/// length and its address total still fit, and only stepping the first
+/// chunk finds a load or store without its delta, or a delta left over. The decoder refuses it. A walk over it loaded from disk has
 /// stepped that chunk when it finds out; it re-records once and starts
 /// over, and its results and cycle breakdowns equal the fresh
 /// recording's.
@@ -594,17 +628,22 @@ fn an_address_moved_between_chunks_is_refused_as_the_walk_steps_it() {
     let bytes = encode_replay(&fresh, key);
     let chunks = chunks_of(&bytes);
     assert_eq!(chunks.len(), 3);
-    assert!(!chunks[0].1.is_empty() && !chunks[1].1.is_empty());
+    assert!(chunks[0].refs > 0 && chunks[1].refs > 0);
     let outcomes = five_passes(&fresh, &tasks);
     let unmatched = CodecError::Malformed("load/store count differs from mem_addrs");
     for forward in [true, false] {
         let mut moved = chunks.clone();
+        // The first chunk's last delta or the second chunk's first.
         if forward {
-            let a = moved[0].1.pop().unwrap();
-            moved[1].1.insert(0, a);
+            let at = moved[0].last_delta();
+            let delta: Vec<u8> = moved[0].deltas.drain(at..).collect();
+            moved[1].deltas.splice(..0, delta);
+            (moved[0].refs, moved[1].refs) = (moved[0].refs - 1, moved[1].refs + 1);
         } else {
-            let a = moved[1].1.remove(0);
-            moved[0].1.push(a);
+            let end = moved[1].first_delta_end();
+            let delta: Vec<u8> = moved[1].deltas.drain(..end).collect();
+            moved[0].deltas.extend(delta);
+            (moved[0].refs, moved[1].refs) = (moved[0].refs + 1, moved[1].refs - 1);
         }
         let forged = with_chunks(&bytes, &moved);
         assert_eq!(forged.len(), bytes.len(), "forward {forward}");
@@ -681,30 +720,73 @@ fn regenerated_steps_equal_the_interpreters() {
     }
 }
 
-/// On the five scale-1 benchmarks the instruction section takes at most
-/// four bytes per memory reference, one bit per op and twelve bytes per
-/// chunk (its address count and its checksum), counted against an
-/// interpreter run of the program.
+/// Bytes of a delta's zigzag varint.
+fn varint_len(delta: i32) -> usize {
+    let zigzag = ((delta << 1) ^ (delta >> 31)) as u32;
+    (32 - zigzag.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+/// On the five scale-1 benchmarks each chunk of the instruction section
+/// keeps exactly what an interpreter run of the program decides: its
+/// branch count is the intra-task conditional branches among its ops (a
+/// conditional branch that ends no task, the tasks' sizes taken from the
+/// trace), its address count the loads and stores, and its delta bytes the
+/// summed varint lengths of their deltas, each the reference's address
+/// minus the previous one at its pc (0 before the first). The chunks fill
+/// the section whose length the header declares.
 #[test]
-fn the_instruction_section_is_a_bit_per_op_and_the_addresses() {
+fn the_instruction_section_is_a_bit_per_intra_task_branch_and_a_delta_per_reference() {
+    use multiscalar_isa::Instruction;
     let params = WorkloadParams::small(7);
     for &spec in &Spec92::ALL {
         let w = spec.build(&params);
         let tasks = TaskFormer::default().form(&w.program).unwrap();
         let replay = record_replay(&w.program, &tasks, w.max_steps).unwrap();
+        // The index of each task's last op.
+        let events = derive_trace(&replay, &tasks).events;
+        let mut op = 0;
+        let mut ends = events.iter().map(|e| {
+            op += u64::from(e.instrs);
+            op - 1
+        });
+        let mut end = ends.next();
+        let mut last = vec![0u32; w.program.len()];
+        let mut want: Vec<(u32, u32, usize)> = Vec::new();
         let mut interp = Interpreter::new(&w.program);
-        let (mut ops, mut mem) = (0usize, 0usize);
+        let mut op = 0;
         while !interp.is_halted() {
-            mem += interp.step().unwrap().mem_addr.is_some() as usize;
-            ops += 1;
+            if op % CHUNK_OPS as u64 == 0 {
+                want.push((0, 0, 0));
+            }
+            let step = interp.step().unwrap();
+            let ends_task = end == Some(op);
+            if ends_task {
+                end = ends.next();
+            }
+            let (branches, refs, bytes) = want.last_mut().unwrap();
+            if matches!(step.inst, Instruction::Branch { .. }) && !ends_task {
+                *branches += 1;
+            }
+            if let Some(addr) = step.mem_addr {
+                let prev = std::mem::replace(&mut last[step.pc.0 as usize], addr);
+                *refs += 1;
+                *bytes += varint_len(addr.wrapping_sub(prev) as i32);
+            }
+            op += 1;
         }
-        assert_eq!(ops as u64, replay.instructions(), "{spec}");
+        assert_eq!(op, replay.instructions(), "{spec}");
+        assert_eq!(end, None, "{spec}: every task ends before the halt");
         let bytes = encode_replay(&replay, fingerprint_of(&spec.name()));
-        let section = bytes.len() - instr_offset(&bytes);
-        let bound = 4 * mem + ops.div_ceil(8) + 12 * ops.div_ceil(CHUNK_OPS);
-        assert!(
-            section <= bound,
-            "{spec}: {section} bytes for {ops} ops and {mem} memory references"
+        let got: Vec<_> = chunks_of(&bytes)
+            .into_iter()
+            .map(|c| {
+                assert_eq!(c.taken.len(), (c.branches as usize).div_ceil(8), "{spec}");
+                (c.branches, c.refs, c.deltas.len())
+            })
+            .collect();
+        assert_eq!(
+            got, want,
+            "{spec}: (branches, references, delta bytes) per chunk"
         );
     }
 }
@@ -729,10 +811,9 @@ fn the_boundary_section_is_a_byte_per_task_and_a_target_per_dynamic_exit() {
         assert!(dynamic > 0, "{spec}: returns or indirect exits");
 
         let bytes = encode_replay(&replay, fingerprint_of(&spec.name()));
-        let (ops, mem, code) = (count(&bytes, 32), count(&bytes, 40), count(&bytes, 48));
-        let (task_count, exits) = (count(&bytes, 80), count(&bytes, 88));
-        let instrs = ops.div_ceil(8) + 12 * ops.div_ceil(CHUNK_OPS) + 4 * mem;
-        let rest = 96 + 8 + 5 * (task_count + exits) + 8 + 4 + 8 * code + 8 + instrs;
+        let (code, task_count, exits) = (count(&bytes, 48), count(&bytes, 80), count(&bytes, 88));
+        let instrs = count(&bytes, 96);
+        let rest = 104 + 8 + 5 * (task_count + exits) + 8 + 4 + 8 * code + 8 + instrs;
         let section = bytes.len() - rest;
         assert_eq!(
             section,
