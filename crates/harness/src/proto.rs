@@ -2,10 +2,12 @@
 //!
 //! One [`Request`] describes one experiment run — name, workload
 //! parameters, output format, tool options — and one [`Response`] carries
-//! its structured outcome. `parse_args` (the CLI) and the serve protocol
-//! both deserialise into the same `Request`, and both render errors from
-//! the same [`Response::Error`] text, so a request rejected over the wire
-//! fails with exactly the message the CLI would print to stderr.
+//! its structured outcome. [`Request::set_field`] names and checks every
+//! request field: the serve protocol's [`parse_line`] applies a request
+//! object's fields through it, and the command line's [`parse_args`]
+//! applies each request flag as the wire field it names. So the CLI prints
+//! to stderr the message the wire answers (a number past `i128`, which no
+//! wire line can hold, aside).
 //!
 //! The wire format is line-delimited JSON: one request object per line in,
 //! one response object per line out. A tiny in-tree JSON codec (the build
@@ -23,7 +25,12 @@
 //! `{"experiment":"table2","bogus":1}` yields
 //! `{"ok":false,"error":"unknown field `bogus`"}`.
 
+use crate::pool::Pool;
+use crate::registry;
+use crate::serve::ServeConfig;
 use multiscalar_workloads::{Spec92, WorkloadParams};
+use std::ffi::OsString;
+use std::num::IntErrorKind;
 
 /// Which rendering of an experiment's one run a request asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -37,18 +44,6 @@ pub enum OutputFormat {
     Json,
 }
 
-impl OutputFormat {
-    /// Parses a `--format` / `"format"` value.
-    pub fn from_name(name: &str) -> Option<OutputFormat> {
-        match name {
-            "text" => Some(OutputFormat::Text),
-            "csv" => Some(OutputFormat::Csv),
-            "json" => Some(OutputFormat::Json),
-            _ => None,
-        }
-    }
-}
-
 /// A `harness cache` sub-action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheAction {
@@ -58,18 +53,6 @@ pub enum CacheAction {
     Clear,
     /// Evict LRU artifacts past `--cache-max-bytes`.
     Gc,
-}
-
-impl CacheAction {
-    /// Parses a cache action name.
-    pub fn from_name(name: &str) -> Option<CacheAction> {
-        match name {
-            "stats" => Some(CacheAction::Stats),
-            "clear" => Some(CacheAction::Clear),
-            "gc" => Some(CacheAction::Gc),
-            _ => None,
-        }
-    }
 }
 
 /// Tool-specific request options. Every field has a CLI flag and a wire
@@ -104,10 +87,9 @@ pub struct ToolOpts {
 /// One experiment request: everything that determines one run's output,
 /// and so the key `harness serve` memoises that output under. Process-level
 /// resources — thread pool width, artifact-cache location — deliberately
-/// live *outside* the request (`main::Invocation`,
-/// [`crate::serve::ServeConfig`]): two clients of one server may not ask
-/// for different cache directories, and a request's output must not
-/// depend on where it runs.
+/// live *outside* the request, in the [`ServeConfig`]: two clients of one
+/// server may not ask for different cache directories, and a request's
+/// output must not depend on where it runs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Registry name of the experiment or tool to run.
@@ -149,23 +131,32 @@ impl Request {
         o.file.is_some() || o.repro.is_some() || o.cache_action.is_some()
     }
 
-    /// Applies one wire field to the request under construction. Shared by
-    /// the envelope parser; unknown fields and bad values error with the
-    /// exact text the CLI prints for the matching flag.
+    /// Applies one wire field to the request under construction: the one
+    /// field list, shared by [`parse_line`] and [`parse_args`], so both
+    /// fail on an unknown field or a bad value with the same text.
     pub fn set_field(&mut self, key: &str, value: &Json) -> Result<(), String> {
         match key {
             "experiment" => self.experiment = value.as_str(key)?.to_string(),
             "seed" => self.params.seed = value.as_u64(key)?,
-            "scale" => self.params.scale = check_scale(value.as_u64(key)?)?,
+            "scale" => {
+                let scale = value.as_u64(key)?;
+                self.params.scale = u32::try_from(scale)
+                    .ok()
+                    .filter(|&s| s <= MAX_SCALE)
+                    .ok_or(format!("scale {scale} is above the limit of {MAX_SCALE}"))?;
+            }
             "bench" => {
                 let name = value.as_str(key)?;
                 self.bench =
                     Some(Spec92::from_name(name).ok_or(format!("unknown benchmark `{name}`"))?);
             }
             "format" => {
-                let name = value.as_str(key)?;
-                self.format = OutputFormat::from_name(name)
-                    .ok_or(format!("unknown format `{name}` (text|csv|json)"))?;
+                self.format = match value.as_str(key)? {
+                    "text" => OutputFormat::Text,
+                    "csv" => OutputFormat::Csv,
+                    "json" => OutputFormat::Json,
+                    name => return Err(format!("unknown format `{name}` (text|csv|json)")),
+                }
             }
             "occupancy" => self.opts.occupancy = value.as_bool(key)?,
             "deny_warnings" => self.opts.deny_warnings = value.as_bool(key)?,
@@ -175,11 +166,12 @@ impl Request {
             "seeds" => self.opts.seeds = Some(parse_seed_range(value.as_str(key)?)?),
             "repro" => self.opts.repro = Some(value.as_str(key)?.to_string()),
             "cache_action" => {
-                let name = value.as_str(key)?;
-                self.opts.cache_action = Some(
-                    CacheAction::from_name(name)
-                        .ok_or(format!("unknown cache action `{name}` (stats|clear|gc)"))?,
-                );
+                self.opts.cache_action = Some(match value.as_str(key)? {
+                    "stats" => CacheAction::Stats,
+                    "clear" => CacheAction::Clear,
+                    "gc" => CacheAction::Gc,
+                    name => return Err(format!("unknown cache action `{name}` (stats|clear|gc)")),
+                })
             }
             "cache_max_bytes" => self.opts.cache_max_bytes = Some(value.as_u64(key)?),
             "csv_dir" => self.opts.csv_dir = Some(value.as_str(key)?.to_string()),
@@ -198,20 +190,13 @@ pub const MAX_SCALE: u32 = 64;
 /// The widest seed range a request may ask for.
 pub const MAX_SEED_RANGE: u64 = 1_000_000;
 
-/// Checks a `--scale N` / `"scale":N` value against [`MAX_SCALE`] — one
-/// check for both surfaces, so both reject the same scales with the same
-/// text.
-pub fn check_scale(scale: u64) -> Result<u32, String> {
-    u32::try_from(scale)
-        .ok()
-        .filter(|&s| s <= MAX_SCALE)
-        .ok_or(format!("scale {scale} is above the limit of {MAX_SCALE}"))
-}
+/// The widest job pool a command line may ask for (`--threads N`), far
+/// above any machine's cores: a bound on the workers one sweep starts.
+pub const MAX_THREADS: usize = 256;
 
-/// Parses a `--seeds A..B` / `"seeds":"A..B"` range — one code path for
-/// both surfaces, so both reject `5..5`, and a range wider than
-/// [`MAX_SEED_RANGE`], with the same text.
-pub fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
+/// Parses a `"seeds":"A..B"` range, refusing an empty one and one wider
+/// than [`MAX_SEED_RANGE`].
+fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
     let (a, b) = spec
         .split_once("..")
         .ok_or(format!("bad seed range `{spec}` (want A..B)"))?;
@@ -343,6 +328,177 @@ pub fn salvage_id(line: &str) -> Option<i128> {
             .and_then(|(_, v)| v.as_int("id").ok()),
         _ => None,
     }
+}
+
+/// How a request flag's command-line form becomes its wire field's value.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// `--flag N`: an integer token is a JSON number (past `i128`, the
+    /// far end, which every integer field refuses), any other a string.
+    Int,
+    /// `--flag VALUE`: the token is a JSON string.
+    Str(&'static str),
+    /// `--flag`: the field is `true`.
+    Switch,
+    /// `--flag`: the field is this string (`--json` is `format=json`).
+    Is(&'static str),
+    /// `--flag WORD`: `WORD` is the one value, and the field is `true`
+    /// (`--deny warnings` is `deny_warnings`).
+    Word(&'static str),
+}
+
+/// Every request flag, the wire field it sets and its value kind (with
+/// the value's name in the usage text), in usage order. `experiment` is
+/// the first argument, and `cache_action` and `file` also have positional
+/// forms ([`positional_field`]).
+const REQUEST_FLAGS: [(&str, &str, Kind); 15] = [
+    ("--seed", "seed", Kind::Int),
+    ("--scale", "scale", Kind::Int),
+    ("--bench", "bench", Kind::Str("NAME")),
+    ("--csv", "csv_dir", Kind::Str("DIR")),
+    ("--deny", "deny_warnings", Kind::Word("warnings")),
+    ("--format", "format", Kind::Str("text|csv|json")),
+    ("--json", "format", Kind::Is("json")),
+    ("--occupancy", "occupancy", Kind::Switch),
+    ("--smoke", "smoke", Kind::Switch),
+    ("--cache-max-bytes", "cache_max_bytes", Kind::Int),
+    ("--seeds", "seeds", Kind::Str("A..B")),
+    ("--repro", "repro", Kind::Str("FILE")),
+    ("--explain", "explain", Kind::Str("CODE")),
+    ("--speculation", "speculation", Kind::Switch),
+    ("--file", "file", Kind::Str("FILE.masm")),
+];
+
+/// Applies one process flag's value to the config.
+type Apply = fn(&mut ServeConfig, String) -> Result<(), String>;
+
+/// Every process flag, its value's name in the usage text (none for a
+/// switch) and how it applies. These say where a run happens, not what it
+/// computes, so they fill the [`ServeConfig`], never the [`Request`].
+const PROCESS_FLAGS: [(&str, Option<&str>, Apply); 5] = [
+    ("--threads", Some("N"), |config, value| {
+        let threads = value
+            .parse()
+            .map_err(|e| format!("bad thread count: {e}"))?;
+        if threads > MAX_THREADS {
+            return Err(format!(
+                "thread count {threads} is above the limit of {MAX_THREADS}"
+            ));
+        }
+        config.pool = Pool::new(threads);
+        Ok(())
+    }),
+    ("--cache-dir", Some("DIR"), |config, value| {
+        config.cache_dir = value.into();
+        Ok(())
+    }),
+    ("--no-cache", None, |config, _| {
+        config.no_cache = true;
+        Ok(())
+    }),
+    ("--socket", Some("PATH"), |config, value| {
+        config.socket = Some(value.into());
+        Ok(())
+    }),
+    ("--result-max-bytes", Some("N"), |config, value| {
+        config.result_max_bytes = value
+            .parse()
+            .map_err(|e| format!("bad result cache cap: {e}"))?;
+        Ok(())
+    }),
+];
+
+/// The field a positional argument sets while it is unset: `cache_action`
+/// for `harness cache ACTION`, `file` for `harness asm|disasm|lint FILE`.
+fn positional_field(request: &Request) -> Option<&'static str> {
+    match request.experiment.as_str() {
+        "cache" if request.opts.cache_action.is_none() => Some("cache_action"),
+        "asm" | "disasm" | "lint" if request.opts.file.is_none() => Some("file"),
+        _ => None,
+    }
+}
+
+/// Parses a command line's arguments (the program name left out) into the
+/// request they ask for and the process settings it runs with: each request
+/// flag goes through [`Request::set_field`] as the wire field it names, and
+/// each process flag fills the [`ServeConfig`]. A repeated flag keeps its
+/// last value; an argument that is not UTF-8 is refused.
+pub fn parse_args(
+    args: impl IntoIterator<Item = impl Into<OsString>>,
+) -> Result<(Request, ServeConfig), String> {
+    let mut args = args.into_iter().map(|arg| {
+        OsString::into_string(arg.into())
+            .map_err(|arg| format!("argument `{}` is not UTF-8", arg.to_string_lossy()))
+    });
+    let mut request = Request::new(args.next().unwrap_or_else(|| Err(usage()))?);
+    let mut config = ServeConfig {
+        pool: Pool::auto(),
+        cache_dir: crate::cache::DEFAULT_DIR.into(),
+        no_cache: false,
+        result_max_bytes: crate::serve::DEFAULT_RESULT_MAX_BYTES,
+        socket: None,
+    };
+    while let Some(flag) = args.next() {
+        let flag = flag?;
+        let mut value = || args.next().unwrap_or(Err(format!("{flag} needs a value")));
+        if let Some(&(_, field, kind)) = REQUEST_FLAGS.iter().find(|(name, ..)| *name == flag) {
+            let json = match kind {
+                Kind::Int => {
+                    let token = value()?;
+                    match token.parse() {
+                        Ok(n) => Json::Num(n),
+                        Err(e) if *e.kind() == IntErrorKind::PosOverflow => Json::Num(i128::MAX),
+                        Err(e) if *e.kind() == IntErrorKind::NegOverflow => Json::Num(i128::MIN),
+                        Err(_) => Json::Str(token),
+                    }
+                }
+                Kind::Str(_) => Json::Str(value()?),
+                Kind::Switch => Json::Bool(true),
+                Kind::Is(fixed) => Json::Str(fixed.to_string()),
+                Kind::Word(word) => {
+                    let token = value()?;
+                    if token != word {
+                        let class = &flag[2..];
+                        return Err(format!("unknown {class} class `{token}` (only `{word}`)"));
+                    }
+                    Json::Bool(true)
+                }
+            };
+            request.set_field(field, &json)?;
+        } else if let Some(&(_, named, apply)) = PROCESS_FLAGS.iter().find(|(f, ..)| *f == flag) {
+            // A switch takes no value.
+            apply(&mut config, named.map_or(Ok(String::new()), |_| value())?)?;
+        } else if let Some(field) = positional_field(&request).filter(|_| !flag.starts_with('-')) {
+            request.set_field(field, &Json::Str(flag))?;
+        } else {
+            return Err(format!("unknown flag `{flag}`\n{}", usage()));
+        }
+    }
+    Ok((request, config))
+}
+
+/// The usage text, built from the registry and the two flag tables so it
+/// cannot drift from what dispatch and [`parse_args`] accept; `serve` is
+/// the one subcommand outside the registry.
+pub fn usage() -> String {
+    let names: Vec<&str> = registry::REGISTRY.iter().map(|e| e.name).collect();
+    let request_flags = REQUEST_FLAGS.iter().map(|&(flag, _, kind)| match kind {
+        Kind::Int => (flag, Some("N")),
+        Kind::Str(name) | Kind::Word(name) => (flag, Some(name)),
+        Kind::Switch | Kind::Is(_) => (flag, None),
+    });
+    let flags: String = request_flags
+        .chain(PROCESS_FLAGS.map(|(flag, named, _)| (flag, named)))
+        .map(|(flag, named)| match named {
+            Some(name) => format!(" [{flag} {name}]"),
+            None => format!(" [{flag}]"),
+        })
+        .collect();
+    format!(
+        "usage: harness <{}|serve> [ARG]{flags}\n\
+         ARG is FILE.masm for asm, disasm and lint, and stats|clear|gc for cache",
+        names.join("|")
+    )
 }
 
 /// One response line: the structured outcome of one command.
@@ -849,6 +1005,7 @@ impl JsonWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multiscalar_workloads::rng::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn every_wire_field_parses_into_the_request() {
@@ -933,6 +1090,315 @@ mod tests {
         let took = start.elapsed();
         assert_eq!(v, Json::Str(text));
         assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    /// `--threads` is refused past [`MAX_THREADS`] by the parser, before
+    /// any pool exists; this test calls nothing but the parser, so it
+    /// starts no thread.
+    #[test]
+    fn the_thread_count_has_a_limit() {
+        let parse = |threads: &str| {
+            let argv = ["fuzz", "--seeds", "0..1000000", "--threads", threads];
+            parse_args(argv).map(|(_, config)| config.pool.threads())
+        };
+        assert_eq!(MAX_THREADS, 256);
+        assert_eq!(
+            parse("257"),
+            Err("thread count 257 is above the limit of 256".to_string())
+        );
+        assert_eq!(parse("256"), Ok(256));
+        assert_eq!(parse("0"), Ok(1));
+    }
+
+    /// One seeded command line for the argv oracle: the arguments, the
+    /// JSON object of the request they ask for (fields in first-set order,
+    /// each holding its last value) and the process settings they name.
+    struct Vector {
+        argv: Vec<String>,
+        object: Vec<(String, String)>,
+        threads: Option<usize>,
+        cache_dir: Option<String>,
+        no_cache: bool,
+        socket: Option<String>,
+        result_max_bytes: Option<u64>,
+    }
+
+    impl Vector {
+        fn set(&mut self, field: &str, json: String) {
+            match self.object.iter_mut().find(|(f, _)| f == field) {
+                Some(slot) => slot.1 = json,
+                None => self.object.push((field.to_string(), json)),
+            }
+        }
+
+        fn line(&self) -> String {
+            let fields: Vec<String> = self
+                .object
+                .iter()
+                .map(|(field, json)| format!("{}:{json}", json_str(field)))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        }
+    }
+
+    fn json_str(value: &str) -> String {
+        let mut out = String::new();
+        write_json_str(&mut out, value);
+        out
+    }
+
+    /// A valid value for a string field or a process flag: printable and
+    /// awkward characters alike (quotes, escapes, a newline, a control
+    /// byte, a leading dash, non-ASCII), sometimes reading as an integer.
+    fn any_token(rng: &mut StdRng) -> String {
+        const CHARS: [char; 14] = [
+            'a', 'Z', '0', '7', '-', '.', '/', ' ', '"', '\\', '\n', '\u{1}', 'é', '😀',
+        ];
+        (0..rng.gen_range(0..6usize))
+            .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+            .collect()
+    }
+
+    /// A valid value for request field `field`, as its command-line token.
+    fn valid_token(field: &str, rng: &mut StdRng) -> String {
+        let pick =
+            |rng: &mut StdRng, names: &[&str]| names[rng.gen_range(0..names.len())].to_string();
+        match field {
+            "seed" | "cache_max_bytes" => match rng.gen_range(0..3) {
+                0 => u64::MAX.to_string(),
+                1 => rng.gen_range(0..100u64).to_string(),
+                _ => rng.gen::<u64>().to_string(),
+            },
+            "scale" => rng.gen_range(0..MAX_SCALE + 1).to_string(),
+            "bench" => pick(rng, &Spec92::ALL.map(Spec92::name)),
+            "format" => pick(rng, &["text", "csv", "json"]),
+            "cache_action" => pick(rng, &["stats", "clear", "gc"]),
+            "seeds" => {
+                let start = rng.gen_range(0..1u64 << 40);
+                format!("{start}..{}", start + rng.gen_range(1..MAX_SEED_RANGE + 1))
+            }
+            _ => any_token(rng),
+        }
+    }
+
+    /// A seeded command line of valid values only: request flags of every
+    /// kind, process flags, and the positional forms, repeats included.
+    fn valid_vector(rng: &mut StdRng) -> Vector {
+        const EXPERIMENTS: [&str; 8] = [
+            "table2", "fig6", "lint", "asm", "disasm", "cache", "fuzz", "serve",
+        ];
+        let experiment = EXPERIMENTS[rng.gen_range(0..EXPERIMENTS.len())];
+        let mut v = Vector {
+            argv: vec![experiment.to_string()],
+            object: vec![("experiment".to_string(), json_str(experiment))],
+            threads: None,
+            cache_dir: None,
+            no_cache: false,
+            socket: None,
+            result_max_bytes: None,
+        };
+        for _ in 0..rng.gen_range(0..8) {
+            let pick = rng.gen_range(0..REQUEST_FLAGS.len() + PROCESS_FLAGS.len() + 1);
+            if let Some(&(flag, field, kind)) = REQUEST_FLAGS.get(pick) {
+                v.argv.push(flag.to_string());
+                let (token, json) = match kind {
+                    Kind::Int => {
+                        let token = valid_token(field, rng);
+                        (Some(token.clone()), token)
+                    }
+                    Kind::Str(_) => {
+                        let token = valid_token(field, rng);
+                        let json = json_str(&token);
+                        (Some(token), json)
+                    }
+                    Kind::Switch => (None, "true".to_string()),
+                    Kind::Is(fixed) => (None, json_str(fixed)),
+                    Kind::Word(word) => (Some(word.to_string()), "true".to_string()),
+                };
+                v.argv.extend(token);
+                v.set(field, json);
+            } else if let Some(&(flag, _, _)) = PROCESS_FLAGS.get(pick - REQUEST_FLAGS.len()) {
+                v.argv.push(flag.to_string());
+                let token = match flag {
+                    "--threads" => {
+                        let n = rng.gen_range(0..MAX_THREADS + 1);
+                        v.threads = Some(n);
+                        n.to_string()
+                    }
+                    "--result-max-bytes" => {
+                        let n = rng.gen::<u64>();
+                        v.result_max_bytes = Some(n);
+                        n.to_string()
+                    }
+                    "--cache-dir" => v.cache_dir.insert(any_token(rng)).clone(),
+                    "--socket" => v.socket.insert(any_token(rng)).clone(),
+                    _ => {
+                        v.no_cache = true;
+                        continue;
+                    }
+                };
+                v.argv.push(token);
+            } else {
+                let unset = |field: &str| v.object.iter().all(|(f, _)| f != field);
+                let field = match experiment {
+                    "cache" if unset("cache_action") => "cache_action",
+                    "asm" | "disasm" | "lint" if unset("file") => "file",
+                    _ => continue,
+                };
+                let mut token = valid_token(field, rng);
+                // A positional argument never starts with a dash.
+                if token.starts_with('-') {
+                    token.insert(0, 'p');
+                }
+                v.set(field, json_str(&token));
+                v.argv.push(token);
+            }
+        }
+        v
+    }
+
+    /// The same command line with one invalid argument appended: a bad
+    /// request value, a bad process value, a flag without its value, an
+    /// unknown flag or a stray positional.
+    fn plant_defect(v: &Vector, rng: &mut StdRng) -> Vec<String> {
+        const BAD: [&[&str]; 14] = [
+            &["--seed", "-1"],
+            &["--seed", "x"],
+            &["--seed", "1.5"],
+            &["--scale", "65"],
+            &["--scale", "18446744073709551616"],
+            &["--bench", "nope"],
+            &["--format", "yaml"],
+            &["--seeds", "5..5"],
+            &["--seeds", "7..1000008"],
+            &["--deny", "errors"],
+            &["--cache-max-bytes", ""],
+            &["--threads", "257"],
+            &["--result-max-bytes", "-1"],
+            &["--bogus"],
+        ];
+        let mut argv = v.argv.clone();
+        match rng.gen_range(0..3) {
+            0 => argv.extend(
+                BAD[rng.gen_range(0..BAD.len())]
+                    .iter()
+                    .map(|s| s.to_string()),
+            ),
+            1 => {
+                let takes_value: Vec<&str> = REQUEST_FLAGS
+                    .iter()
+                    .filter(|(_, _, kind)| !matches!(kind, Kind::Switch | Kind::Is(_)))
+                    .map(|&(flag, ..)| flag)
+                    .chain(PROCESS_FLAGS.iter().filter(|f| f.1.is_some()).map(|f| f.0))
+                    .collect();
+                argv.push(takes_value[rng.gen_range(0..takes_value.len())].to_string());
+            }
+            _ => argv.extend(["purge", "stray"].map(String::from)),
+        }
+        argv
+    }
+
+    /// One to four seeded edits of a command line: a byte of one argument
+    /// deleted, inserted or replaced (any byte, so on unix an argument may
+    /// stop being UTF-8), or an argument dropped or doubled.
+    fn mutate(argv: &[String], rng: &mut StdRng) -> Vec<OsString> {
+        let mut args: Vec<Vec<u8>> = argv.iter().map(|a| a.clone().into_bytes()).collect();
+        for _ in 0..rng.gen_range(1..5) {
+            let i = rng.gen_range(0..args.len());
+            let arg = &mut args[i];
+            match rng.gen_range(0..5) {
+                0 if !arg.is_empty() => {
+                    arg.remove(rng.gen_range(0..arg.len()));
+                }
+                1 => arg.insert(rng.gen_range(0..arg.len() + 1), rng.gen::<u32>() as u8),
+                2 if !arg.is_empty() => {
+                    let at = rng.gen_range(0..arg.len());
+                    arg[at] = rng.gen::<u32>() as u8;
+                }
+                3 if args.len() > 1 => {
+                    args.remove(i);
+                }
+                _ => {
+                    let copy = args[i].clone();
+                    args.insert(i, copy);
+                }
+            }
+        }
+        #[cfg(unix)]
+        let arg = <OsString as std::os::unix::ffi::OsStringExt>::from_vec;
+        #[cfg(not(unix))]
+        let arg = |bytes: Vec<u8>| OsString::from(String::from_utf8_lossy(&bytes).into_owned());
+        args.into_iter().map(arg).collect()
+    }
+
+    /// A total-input oracle for command lines. Seeded argument vectors
+    /// built from the two flag tables, and byte-mutated copies of them,
+    /// each parse to a request or to one error, and never panic; one with
+    /// an argument that is not UTF-8 is refused. A vector of valid values
+    /// parses to the request [`parse_line`] builds from the matching JSON
+    /// object and to the process settings it names; one with a defect
+    /// appended is refused. Nothing is dispatched, so no thread starts.
+    #[test]
+    fn command_lines_are_total_and_valid_ones_match_the_wire() {
+        fn parse<A: Into<OsString> + Clone + std::fmt::Debug + std::panic::RefUnwindSafe>(
+            argv: &[A],
+        ) -> Result<(Request, ServeConfig), String> {
+            std::panic::catch_unwind(|| parse_args(argv.to_vec()))
+                .unwrap_or_else(|_| panic!("{argv:?} panicked the parser"))
+        }
+        let (_, auto) = parse(&["table2"]).expect("a bare command line parses");
+        let mut rng = StdRng::seed_from_u64(0xA4C5);
+        let mut not_utf8 = 0;
+        for _ in 0..600 {
+            let v = valid_vector(&mut rng);
+            let (request, config) = parse(&v.argv).unwrap_or_else(|e| panic!("{:?}: {e}", v.argv));
+            let Command::Run(wire) = parse_line(&v.line()).expect("valid JSON").cmd else {
+                panic!("{} is not a run", v.line());
+            };
+            assert_eq!(request, wire, "{:?} against {}", v.argv, v.line());
+            let threads = v.threads.map_or(auto.pool.threads(), |n| n.max(1));
+            assert_eq!(config.pool.threads(), threads, "{:?}", v.argv);
+            let cache_dir = v
+                .cache_dir
+                .as_ref()
+                .map_or(auto.cache_dir.clone(), Into::into);
+            assert_eq!(config.cache_dir, cache_dir, "{:?}", v.argv);
+            assert_eq!(config.no_cache, v.no_cache, "{:?}", v.argv);
+            assert_eq!(
+                config.socket,
+                v.socket.as_ref().map(Into::into),
+                "{:?}",
+                v.argv
+            );
+            let cap = v.result_max_bytes.unwrap_or(auto.result_max_bytes);
+            assert_eq!(config.result_max_bytes, cap, "{:?}", v.argv);
+
+            let bad = plant_defect(&v, &mut rng);
+            match parse(&bad) {
+                Err(e) => assert!(!e.is_empty(), "{bad:?}"),
+                Ok(_) => panic!("{bad:?} parsed"),
+            }
+            for argv in [&v.argv, &bad] {
+                for _ in 0..3 {
+                    let mutant = mutate(argv, &mut rng);
+                    match parse(&mutant) {
+                        Err(e) => assert!(!e.is_empty(), "{mutant:?}"),
+                        Ok(_) if mutant.iter().any(|a| a.to_str().is_none()) => {
+                            panic!("{mutant:?} parsed")
+                        }
+                        Ok(_) => {}
+                    }
+                    not_utf8 += mutant.iter().any(|a| a.to_str().is_none()) as usize;
+                }
+            }
+        }
+        // On unix the mutator's stray bytes reach the parser as they are.
+        assert!(
+            cfg!(not(unix)) || not_utf8 > 100,
+            "{not_utf8} vectors not UTF-8"
+        );
+        let missing = parse(&["table2", "--file"]).err();
+        assert_eq!(missing.as_deref(), Some("--file needs a value"));
     }
 
     #[test]

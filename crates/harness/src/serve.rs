@@ -51,10 +51,10 @@ use multiscalar_workloads::{Spec92, WorkloadParams};
 /// One resident benchmark, empty until its one preparation fills it.
 type Slot = Arc<OnceLock<Bench>>;
 
-/// Everything `harness serve` is configured with. These are process-level
-/// resources (where the server runs), deliberately outside [`Request`]
-/// (what a client computes): two clients of one server share one pool,
-/// one artifact store and one result cache.
+/// A command line's process flags ([`crate::proto::parse_args`]): where a
+/// run or `harness serve` happens, deliberately outside [`Request`] (what
+/// a client computes). Two clients of one server share one pool, one
+/// artifact store and one result cache.
 pub struct ServeConfig {
     /// The job pool experiments fan out on (and batches fan out on).
     pub pool: Pool,

@@ -589,35 +589,144 @@ fn out_of_range_fuzz_repros_are_refused_and_the_connection_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The CLI's `--scale` flag and the wire's `scale` field share one limit:
-/// both refuse 65 with the same text and accept 64. A seed range wider
-/// than a million seeds is refused as well.
+/// Every request field refuses a bad value with the same text through the
+/// command line and the wire, since the command line's parser applies each
+/// flag as the wire field it names; a value at the limit passes both and
+/// asks for the same request. The one difference is a number past `i128`,
+/// which no wire line can hold. Two cases run the real binary, so the text
+/// is what a user sees on stderr.
 #[test]
-fn the_cli_and_the_wire_share_the_scale_limit() {
-    use multiscalar_harness::proto::{parse_line, parse_seed_range, MAX_SCALE};
-    let wire = |scale: u32| {
-        parse_line(&format!(r#"{{"experiment":"table2","scale":{scale}}}"#)).map(|_| ())
+fn the_cli_and_the_wire_refuse_bad_values_alike() {
+    use multiscalar_harness::proto::{parse_args, parse_line, Command, MAX_SCALE, MAX_SEED_RANGE};
+    let cases: [(&[&str], &str, &str); 11] = [
+        (
+            &["table2", "--seed", "-1"],
+            r#""seed":-1"#,
+            "bad value for `seed`",
+        ),
+        (
+            &["table2", "--seed", "x"],
+            r#""seed":"x""#,
+            "field `seed` must be an integer, got string",
+        ),
+        (
+            &["table2", "--scale", "-3"],
+            r#""scale":-3"#,
+            "bad value for `scale`",
+        ),
+        (
+            &["table2", "--scale", "65"],
+            r#""scale":65"#,
+            "scale 65 is above the limit of 64",
+        ),
+        (
+            &["table2", "--bench", "nope"],
+            r#""bench":"nope""#,
+            "unknown benchmark `nope`",
+        ),
+        (
+            &["table2", "--format", "yaml"],
+            r#""format":"yaml""#,
+            "unknown format `yaml` (text|csv|json)",
+        ),
+        (
+            &["fuzz", "--seeds", "5..5"],
+            r#""seeds":"5..5""#,
+            "empty seed range `5..5`",
+        ),
+        (
+            &["fuzz", "--seeds", "7..1000008"],
+            r#""seeds":"7..1000008""#,
+            "seed range `7..1000008` is wider than the limit of 1000000 seeds",
+        ),
+        (
+            &["cache", "purge"],
+            r#""cache_action":"purge""#,
+            "unknown cache action `purge` (stats|clear|gc)",
+        ),
+        (
+            &["cache", "gc", "--cache-max-bytes", "-1"],
+            r#""cache_max_bytes":-1"#,
+            "bad value for `cache_max_bytes`",
+        ),
+        (
+            &["cache", "gc", "--cache-max-bytes", "x"],
+            r#""cache_max_bytes":"x""#,
+            "field `cache_max_bytes` must be an integer, got string",
+        ),
+    ];
+    let cli = |argv: &[&str]| parse_args(argv.iter().copied()).map(|(r, _)| Command::Run(r));
+    let wire = |experiment: &str, field: &str| {
+        parse_line(&format!(r#"{{"experiment":"{experiment}",{field}}}"#)).map(|env| env.cmd)
     };
-    let cli = |scale: u32| {
+    for (argv, field, error) in cases {
+        assert_eq!(cli(argv).err().as_deref(), Some(error), "{argv:?}");
+        assert_eq!(
+            wire(argv[0], field).err().as_deref(),
+            Some(error),
+            "{field}"
+        );
+    }
+
+    // Values at the limits pass both, and `-0` is 0 on both.
+    assert_eq!((MAX_SCALE, MAX_SEED_RANGE), (64, 1_000_000));
+    let accepted: [(&[&str], &str); 4] = [
+        (&["table2", "--scale", "64"], r#""scale":64"#),
+        (
+            &["fuzz", "--seeds", "0..1000000"],
+            r#""seeds":"0..1000000""#,
+        ),
+        (&["table2", "--seed", "-0"], r#""seed":-0"#),
+        (
+            &["cache", "--cache-max-bytes", "-0"],
+            r#""cache_max_bytes":-0"#,
+        ),
+    ];
+    for (argv, field) in accepted {
+        let request = cli(argv);
+        assert!(request.is_ok(), "{argv:?}: {request:?}");
+        assert_eq!(request, wire(argv[0], field), "{argv:?}");
+    }
+
+    // Past `i128`, the command line refuses a value as out of the field's
+    // range, as it does one past `u64`. The wire cannot read the number,
+    // so it refuses the whole line at the number's byte.
+    let huge = "9".repeat(40);
+    for (field, flag) in [
+        ("seed", "--seed"),
+        ("scale", "--scale"),
+        ("cache_max_bytes", "--cache-max-bytes"),
+    ] {
+        for value in ["18446744073709551616", &huge, &format!("-{huge}")] {
+            assert_eq!(
+                cli(&["cache", "gc", flag, value]).err(),
+                Some(format!("bad value for `{field}`")),
+                "{flag} {value}"
+            );
+        }
+    }
+    assert_eq!(
+        wire("table2", &format!(r#""seed":{huge}"#))
+            .err()
+            .as_deref(),
+        Some("bad number at byte 30")
+    );
+
+    let run = |scale: &str| {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_harness"))
-            .args(["nope", "--no-cache", "--scale", &scale.to_string()])
+            .args(["nope", "--no-cache", "--scale", scale])
             .output()
             .expect("the harness binary runs");
-        assert!(!out.status.success());
+        assert_eq!(out.status.code(), Some(1));
         String::from_utf8(out.stderr).unwrap()
     };
-    assert_eq!(MAX_SCALE, 64);
-    let refused = wire(65).unwrap_err();
-    assert_eq!(refused, "scale 65 is above the limit of 64");
-    assert_eq!(cli(65), format!("{refused}\n"));
-    assert_eq!(wire(64), Ok(()));
-    // 64 passes the flag, so the CLI goes on to refuse the experiment.
-    assert!(cli(64).starts_with("unknown experiment `nope`"));
-
-    assert_eq!(parse_seed_range("0..1000000"), Ok(0..1_000_000));
-    assert_eq!(
-        parse_seed_range("7..1000008").unwrap_err(),
-        "seed range `7..1000008` is wider than the limit of 1000000 seeds"
+    assert_eq!(run("65"), "scale 65 is above the limit of 64\n");
+    // 64 passes the flag, so the binary goes on to refuse the experiment
+    // and print the usage text.
+    let stderr = run("64");
+    assert!(
+        stderr.starts_with("unknown experiment `nope`\nusage: harness <"),
+        "{stderr}"
     );
 }
 
